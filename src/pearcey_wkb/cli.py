@@ -61,7 +61,6 @@ class RunConfig:
     command: str
     options: dict = field(default_factory=dict)
     out_dir: str = "out"
-    formats: tuple = ("json",)
     no_timestamp: bool = False
 
     def config_hash(self) -> str:
@@ -146,13 +145,6 @@ def _resolve_path(spec: str):
     if len(pts) < 2:
         raise ValidationError("path needs at least 2 vertices")
     return pts
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PEARCEY_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- subcommand implementations -------------------------------------------------
@@ -248,7 +240,7 @@ def _cmd_track_u(cfg: RunConfig, args) -> int:
     for tau, (x1, x2), vals in zip(traj.taus, traj.points, traj.values):
         cells = [repr(tau), repr(x1.real), repr(x1.imag), repr(x2.real), repr(x2.imag)]
         for v in vals:
-            cells += [repr(v.real), repr(v.imag)]
+            cells += [repr(float(v.real)), repr(float(v.imag))]
         rows.append(",".join(cells))
     p = _write_csv(cfg, "track_u.csv", "\n".join(rows) + "\n")
     print(p)

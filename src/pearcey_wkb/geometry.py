@@ -28,6 +28,7 @@ checks (weights 3, 2, 4, 4 for x1, x2, y, F):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -259,12 +260,8 @@ def critical_values(
 
 # -- derived polynomials (cached, computed once) ----------------------------------
 
-import threading
 
-_CACHE: dict[str, MultiPoly] = {}
-_CACHE_LOCK = threading.Lock()
-
-
+@functools.cache
 def singular_locus_cubic() -> MultiPoly:
     """Cubic in y cutting out the Borel singularities over (x1, x2).
 
@@ -272,34 +269,35 @@ def singular_locus_cubic() -> MultiPoly:
     display of this cubic is not used (two of its printed terms are
     inconsistent with quasi-homogeneity).
     """
-    with _CACHE_LOCK:
-        if "cubic" in _CACHE:
-            return _CACHE["cubic"]
-        zvars = ("z",) + XYVARS
-        p = MultiPoly(
-            zvars,
-            {
-                (4, 0, 0, 0): 1,
-                (2, 0, 1, 0): 1,
-                (1, 1, 0, 0): 1,
-                (0, 0, 0, 1): 1,
-            },
-        )
-        disc = discriminant(p, "z").drop_variable("z")
-        _CACHE["cubic"] = disc
-        return disc
+    zvars = ("z",) + XYVARS
+    p = MultiPoly(
+        zvars,
+        {
+            (4, 0, 0, 0): 1,
+            (2, 0, 1, 0): 1,
+            (1, 1, 0, 0): 1,
+            (0, 0, 0, 1): 1,
+        },
+    )
+    return discriminant(p, "z").drop_variable("z")
+
+
+@functools.cache
+def _cubic_evaluator():
+    return singular_locus_cubic().compile("y")
 
 
 def singular_cubic_coeffs(x: PlanePoint) -> np.ndarray:
     """Ascending numeric coefficients in y of the singular-locus cubic."""
-    cubic = singular_locus_cubic()
-    x1, x2 = x.as_tuple()
-    out = []
-    for c in cubic.as_univariate("y"):
-        out.append(c.eval_numeric({"x1": x1, "x2": x2, "y": 0.0}))
-    return np.array(out, dtype=complex)
+    return singular_cubic_grid(*x.as_tuple())
 
 
+def singular_cubic_grid(x1, x2) -> np.ndarray:
+    """Cubic coefficients over broadcast arrays of x1 and x2, shape (..., 4)."""
+    return _cubic_evaluator()(x1, x2)
+
+
+@functools.cache
 def stokes_sextic() -> MultiPoly:
     """Degree-6 polynomial in F over (x1, x2) cutting out the Stokes set.
 
@@ -313,53 +311,54 @@ def stokes_sextic() -> MultiPoly:
     base-locus content.  The published sextic display is not used (its F^2
     term has the wrong weighted degree and its leading term is off by 2^12).
     """
-    with _CACHE_LOCK:
-        if "sextic" in _CACHE:
-            return _CACHE["sextic"]
-        evars = ("zl", "zk", "x1", "x2", "F")
-        zl = MultiPoly.var(evars, "zl")
-        zk = MultiPoly.var(evars, "zk")
-        x1 = MultiPoly.var(evars, "x1")
-        x2 = MultiPoly.var(evars, "x2")
-        F = MultiPoly.var(evars, "F")
-        pl = zl**3 * 4 + x2 * zl * 2 + x1
-        pk = zk**3 * 4 + x2 * zk * 2 + x1
-        q = (zl - zk) * (x1 * 3 + x2 * (zl + zk) * 2) * Fraction(1, 4) - F
-        delta = resultant(pl, q, "zl")
-        elim = resultant(pk, delta, "zk").drop_variable("zl").drop_variable("zk")
-        # strip the diagonal contribution F^3 and any F-free content
-        sextic = elim
-        fvar = MultiPoly.var(("x1", "x2", "F"), "F")
-        while sextic.degree("F") > 6 and fvar.divides(sextic):
-            sextic = sextic.exact_divide(fvar)
-        for cand in (
-            MultiPoly.var(("x1", "x2", "F"), "x1"),
-            MultiPoly.var(("x1", "x2", "F"), "x2"),
-            MultiPoly(
-                ("x1", "x2", "F"), {(2, 0, 0): 27, (0, 3, 0): 8}
-            ),
-        ):
-            while cand.divides(sextic) and sextic.degree("F") == 6:
-                quotient = sextic.exact_divide(cand)
-                if quotient.degree("F") != 6:
-                    break
-                sextic = quotient
-        sextic, _ = sextic.primitive()
-        lead_f6 = sextic.terms.get((0, 0, 6), Fraction(0))
-        if lead_f6 < 0:
-            sextic = -sextic
-        _CACHE["sextic"] = sextic
-        return sextic
+    evars = ("zl", "zk", "x1", "x2", "F")
+    zl = MultiPoly.var(evars, "zl")
+    zk = MultiPoly.var(evars, "zk")
+    x1 = MultiPoly.var(evars, "x1")
+    x2 = MultiPoly.var(evars, "x2")
+    F = MultiPoly.var(evars, "F")
+    pl = zl**3 * 4 + x2 * zl * 2 + x1
+    pk = zk**3 * 4 + x2 * zk * 2 + x1
+    q = (zl - zk) * (x1 * 3 + x2 * (zl + zk) * 2) * Fraction(1, 4) - F
+    delta = resultant(pl, q, "zl")
+    elim = resultant(pk, delta, "zk").drop_variable("zl").drop_variable("zk")
+    # strip the diagonal contribution F^3 and any F-free content
+    sextic = elim
+    fvar = MultiPoly.var(("x1", "x2", "F"), "F")
+    while sextic.degree("F") > 6 and fvar.divides(sextic):
+        sextic = sextic.exact_divide(fvar)
+    for cand in (
+        MultiPoly.var(("x1", "x2", "F"), "x1"),
+        MultiPoly.var(("x1", "x2", "F"), "x2"),
+        MultiPoly(
+            ("x1", "x2", "F"), {(2, 0, 0): 27, (0, 3, 0): 8}
+        ),
+    ):
+        while cand.divides(sextic) and sextic.degree("F") == 6:
+            quotient = sextic.exact_divide(cand)
+            if quotient.degree("F") != 6:
+                break
+            sextic = quotient
+    sextic, _ = sextic.primitive()
+    lead_f6 = sextic.terms.get((0, 0, 6), Fraction(0))
+    if lead_f6 < 0:
+        sextic = -sextic
+    return sextic
+
+
+@functools.cache
+def _sextic_evaluator():
+    return stokes_sextic().compile("F")
 
 
 def stokes_sextic_coeffs(x: PlanePoint) -> np.ndarray:
     """Ascending numeric coefficients in F of the derived sextic at x."""
-    sext = stokes_sextic()
-    x1, x2 = x.as_tuple()
-    out = []
-    for c in sext.as_univariate("F"):
-        out.append(c.eval_numeric({"x1": x1, "x2": x2, "F": 0.0}))
-    return np.array(out, dtype=complex)
+    return stokes_sextic_grid(*x.as_tuple())
+
+
+def stokes_sextic_grid(x1, x2) -> np.ndarray:
+    """Sextic coefficients over broadcast arrays of x1 and x2, shape (..., 7)."""
+    return _sextic_evaluator()(x1, x2)
 
 
 def stokes_sextic_roots(x: PlanePoint, tol: float = 1e-12) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 ``MultiPoly`` stores a map from exponent vectors to ``Fraction``
 coefficients over a fixed, ordered tuple of variable names.  Everything is
-exact: no rounding happens anywhere in this module.  Term order for display
+exact: no rounding happens anywhere in this module except in
+:meth:`MultiPoly.compile`, which builds a complex double-precision evaluator
+for repeated numeric use.  Term order for display
 and serialization is graded lexicographic (total degree first, then lex on
 the declared variable order), descending.
 
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -303,6 +307,46 @@ class MultiPoly:
             e2[i] = 0
             coeffs[k] = coeffs[k] + MultiPoly(self.variables, {tuple(e2): c})
         return coeffs
+
+    def compile(self, name: str):
+        """Numeric evaluator of the coefficient list w.r.t. one variable.
+
+        The result maps arrays of the remaining variables (declared order,
+        broadcast together) to complex coefficients of shape
+        (..., degree + 1), ascending in ``name``: at every point it equals
+        ``[c.eval_numeric(point) for c in self.as_univariate(name)]`` up to
+        rounding.  Term t is the monomial ``prod_v value_v ** exps[t, v]``
+        and contributes ``matrix[t, k]`` to the coefficient of degree k.
+        """
+        i = self.variables.index(name)
+        nrest = len(self.variables) - 1
+        items = list(self.terms.items())
+        exps = np.array([e[:i] + e[i + 1 :] for e, _ in items], dtype=int)
+        exps = exps.reshape(len(items), nrest)
+        matrix = np.zeros((len(items), self.degree(name) + 1), dtype=complex)
+        for t, (e, c) in enumerate(items):
+            matrix[t, e[i]] = float(c)
+
+        def evaluate(*values) -> np.ndarray:
+            if len(values) != nrest:
+                raise ValidationError(f"expected {nrest} values besides {name}")
+            shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+            size = int(np.prod(shape))
+            mono = np.ones((size, len(items)), dtype=complex)
+            for v, col in zip(values, exps.T):
+                top = int(col.max(initial=0))
+                if top == 0:
+                    continue
+                powers = np.empty((size, top + 1), dtype=complex)
+                powers[:, 0] = 1.0
+                powers[:, 1:] = np.broadcast_to(v, shape).reshape(size, 1)
+                np.cumprod(powers, axis=1, out=powers)
+                mono *= powers[:, col]
+            # a broadcast sum rather than a matmul keeps BLAS (and its buffers) out
+            out = (mono[:, :, None] * matrix).sum(axis=1)
+            return out.reshape(shape + (matrix.shape[1],))
+
+        return evaluate
 
     def leading_coeff(self, name: str) -> "MultiPoly":
         return self.as_univariate(name)[-1]

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tracking
-from .aberth import roots_aberth
+from .aberth import roots_aberth, roots_aberth_batch
 from .errors import (
     DominanceError,
-    LabelMatchError,
     PearceyError,
     ValidationError,
 )
@@ -41,7 +40,8 @@ from .geometry import (
     Provenance,
     critical_values,
     singular_cubic_coeffs,
-    stokes_sextic_coeffs,
+    singular_cubic_grid,
+    stokes_sextic_grid,
 )
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -403,55 +403,30 @@ def raster_section(
 ) -> RasterSection:
     """Sample the Stokes indicators on an x1 grid at fixed x2.
 
-    Labels continue row by row (left to right, rows bottom to top); cells
-    too close to the turning locus are flagged and their labels are
-    best-effort (merged-root mode).  Zero-crossing polylines per pair come
-    from sign changes between adjacent cells.
+    The cubic is solved for the whole grid, ``BLOCK`` cells per vectorised
+    Aberth batch.  Labels then continue from the bottom-left cell: up
+    column 0 one cell at a time, then column by column, every row matched
+    against its left neighbour at once.  Each cell's reference cell is the
+    same as in a row-by-row sweep (left to right, rows bottom to top).
+    Cells too close to the turning locus, or whose match is ambiguous, are
+    flagged and their labels are best-effort (sorted roots, merged-root
+    mode).  Zero-crossing polylines per pair come from sign changes between
+    adjacent cells.
     """
     if resolution < 16:
         raise ValidationError("resolution must be at least 16")
     re0, re1, im0, im1 = (float(v) for v in window)
     xs = np.linspace(re0, re1, resolution)
     ys = np.linspace(im0, im1, resolution)
-    signs = np.zeros((3, resolution, resolution), dtype=np.int8)
-    near = np.zeros((resolution, resolution), dtype=bool)
-    sext = _sextic_layer(x2, xs, ys) if with_sextic else None
-    values = np.zeros((resolution, resolution, 3), dtype=complex)
+    x1 = _complex_grid(xs, ys)
+    sext = _sextic_layer(x2, x1) if with_sextic else None
+    roots = _solve_blocks(singular_cubic_grid, x1.ravel(), x2, 1e-12)
+    values, near = _label_sweep(roots.reshape(resolution, resolution, 3), x1[0, 0], x2)
 
-    prev_row_first: np.ndarray | None = None
-    for i, yim in enumerate(ys):
-        prev: np.ndarray | None = None
-        for j, xre in enumerate(xs):
-            x1 = complex(xre, yim)
-            coeffs = _u_cubic_coeffs(x1, x2)
-            roots, _ = roots_aberth(coeffs, tol=1e-12)
-            ref = prev if prev is not None else prev_row_first
-            if ref is None:
-                try:
-                    ordered = np.array(critical_values(PlanePoint(x1, x2)).values)
-                except PearceyError:
-                    ordered = np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
-                    near[i, j] = True
-            else:
-                try:
-                    perm = tracking.match_labels(ref, roots, guard_ratio=1.0 + 1e-12)
-                    ordered = np.array([roots[p] for p in perm])
-                except LabelMatchError:
-                    ordered = np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
-                    near[i, j] = True
-            sep = min(
-                abs(ordered[0] - ordered[1]),
-                abs(ordered[0] - ordered[2]),
-                abs(ordered[1] - ordered[2]),
-            )
-            if sep < near_tol * max(1e-12, max(abs(v) for v in ordered)):
-                near[i, j] = True
-            values[i, j] = ordered
-            for p, pair in enumerate(PAIRS):
-                signs[p, i, j] = int(np.sign(_indicator(ordered, pair))) or 1
-            if j == 0:
-                prev_row_first = ordered
-            prev = ordered
+    sep = np.min(np.abs(values[..., _PAIR_J] - values[..., _PAIR_K]), axis=-1)
+    near |= sep < near_tol * np.maximum(1e-12, np.max(np.abs(values), axis=-1))
+    im = np.moveaxis(_pair_im(values), -1, 0)
+    signs = np.where(im < 0, -1, 1).astype(np.int8)
 
     union, per_pair = _edge_zero_points(values, near, xs, ys)
     tps = _turning_points_in_window(x2, window)
@@ -467,6 +442,66 @@ def raster_section(
     )
 
 
+BLOCK = 512
+"""Cells (or edges) per vectorised step of a raster section; bounds the
+size of the solver and edge-pass temporaries whatever the resolution."""
+
+# label indices (0-based) of the pairs in PAIRS
+_PAIR_J = np.array([j - 1 for j, _ in PAIRS])
+_PAIR_K = np.array([k - 1 for _, k in PAIRS])
+
+
+def _complex_grid(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """grid[i, j] = complex(re[j], im[i]), built without rounding."""
+    grid = np.empty((im.size, re.size), dtype=complex)
+    grid.real = re[None, :]
+    grid.imag = im[:, None]
+    return grid
+
+
+def _pair_im(values: np.ndarray) -> np.ndarray:
+    """Im(u_j - u_k) for the pairs in PAIRS along the last axis."""
+    return (values[..., _PAIR_J] - values[..., _PAIR_K]).imag
+
+
+def _solve_blocks(coeffs_of, x1: np.ndarray, x2: complex, tol: float) -> np.ndarray:
+    """Roots at every x1 (flat array) for fixed x2, ``BLOCK`` cells per batch."""
+    return np.concatenate(
+        [
+            roots_aberth_batch(coeffs_of(x1[s : s + BLOCK], x2), tol)
+            for s in range(0, x1.size, BLOCK)
+        ]
+    )
+
+
+def _relabel(ref: np.ndarray, roots: np.ndarray):
+    """Order each row of ``roots`` like its row of ``ref``; rows whose match
+    fails fall back to sorted order and are flagged."""
+    perm, ok = tracking.match_labels_rows(ref, roots, guard_ratio=1.0 + 1e-12)
+    ordered = np.take_along_axis(roots, perm, axis=-1)
+    ordered[~ok] = np.sort(roots[~ok], axis=-1)
+    return ordered, ~ok
+
+
+def _label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
+    """Labeled values and fallback flags for a (res, res, 3) root grid."""
+    res = roots.shape[0]
+    values = np.empty_like(roots)
+    flagged = np.zeros(roots.shape[:2], dtype=bool)
+    try:
+        values[0, 0] = critical_values(PlanePoint(x1_first, x2)).values
+    except PearceyError:
+        values[0, 0] = np.sort(roots[0, 0])
+        flagged[0, 0] = True
+    for i in range(1, res):
+        values[i : i + 1, 0], flagged[i : i + 1, 0] = _relabel(
+            values[i - 1 : i, 0], roots[i : i + 1, 0]
+        )
+    for j in range(1, res):
+        values[:, j], flagged[:, j] = _relabel(values[:, j - 1], roots[:, j])
+    return values, flagged
+
+
 def _edge_zero_points(values: np.ndarray, near: np.ndarray, xs, ys):
     """Zero-crossing midpoints with edge-local root matching.
 
@@ -474,67 +509,41 @@ def _edge_zero_points(values: np.ndarray, near: np.ndarray, xs, ys):
     labeling obstruction (monodromy around in-window turning points), so no
     spurious seam crossings appear.  Per-pair attribution uses the stored
     grid labels of the first cell and is best-effort near the turning set.
+    Horizontal edges come first, then vertical ones, each row-major;
+    ``BLOCK`` edges are matched at a time.
     """
-    n = values.shape[0]
     union: list[complex] = []
     per_pair: list[list[complex]] = [[], [], []]
-
-    def handle_edge(ia, ja, ib, jb, midpoint):
-        if near[ia, ja] or near[ib, jb]:
-            return
-        va = values[ia, ja]
-        vb = values[ib, jb]
-        try:
-            perm = tracking.match_labels(va, vb, guard_ratio=1.0 + 1e-12)
-        except LabelMatchError:
-            return
-        hit = False
-        for p, (j, k) in enumerate(PAIRS):
-            sa = (va[j - 1] - va[k - 1]).imag
-            sb = (vb[perm[j - 1]] - vb[perm[k - 1]]).imag
-            if sa == 0.0 or sa * sb < 0:
-                per_pair[p].append(midpoint)
-                hit = True
-        if hit:
-            union.append(midpoint)
-
-    for i in range(n):
-        for j in range(n - 1):
-            handle_edge(i, j, i, j + 1, complex((xs[j] + xs[j + 1]) / 2, ys[i]))
-    for i in range(n - 1):
-        for j in range(n):
-            handle_edge(i, j, i + 1, j, complex(xs[j], (ys[i] + ys[i + 1]) / 2))
+    x_mid = (xs[:-1] + xs[1:]) / 2
+    y_mid = (ys[:-1] + ys[1:]) / 2
+    edges = (
+        (values[:, :-1], values[:, 1:], near[:, :-1] | near[:, 1:], _complex_grid(x_mid, ys)),
+        (values[:-1], values[1:], near[:-1] | near[1:], _complex_grid(xs, y_mid)),
+    )
+    for va, vb, skip, mid in edges:
+        va, vb = va.reshape(-1, 3), vb.reshape(-1, 3)
+        skip, mid = skip.ravel(), mid.ravel()
+        for s in range(0, mid.size, BLOCK):
+            a, b = va[s : s + BLOCK], vb[s : s + BLOCK]
+            perm, ok = tracking.match_labels_rows(a, b, guard_ratio=1.0 + 1e-12)
+            sa = _pair_im(a)
+            sb = _pair_im(np.take_along_axis(b, perm, axis=-1))
+            hit = ((sa == 0.0) | (sa * sb < 0)) & (ok & ~skip[s : s + BLOCK])[:, None]
+            m = mid[s : s + BLOCK]
+            for p in range(3):
+                per_pair[p].extend(m[hit[:, p]].tolist())
+            union.extend(m[hit.any(axis=1)].tolist())
     return union, per_pair
 
 
-def _sextic_layer(x2: complex, xs, ys) -> np.ndarray:
+def _sextic_layer(x2: complex, x1: np.ndarray) -> np.ndarray:
     """min |Im F| over the derived sextic roots, per grid cell.
 
-    Cells are independent (no label continuation), so rows evaluate on a
-    thread pool capped by the PEARCEY_THREADS environment variable.
+    Cells are independent (no label continuation): the sextic is solved
+    ``BLOCK`` cells per vectorised Aberth batch, in one thread.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .cli import worker_count
-
-    out = np.zeros((len(ys), len(xs)))
-
-    def row(i):
-        yim = ys[i]
-        for j, xre in enumerate(xs):
-            froots, _ = roots_aberth(
-                stokes_sextic_coeffs(PlanePoint(complex(xre, yim), x2)), tol=1e-10
-            )
-            out[i, j] = min(abs(f.imag) for f in froots)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(row, range(len(ys))))
-    else:
-        for i in range(len(ys)):
-            row(i)
-    return out
+    roots = _solve_blocks(stokes_sextic_grid, x1.ravel(), x2, 1e-10)
+    return np.min(np.abs(roots.imag), axis=1).reshape(x1.shape)
 
 
 def _turning_points_in_window(x2: complex, window) -> tuple:

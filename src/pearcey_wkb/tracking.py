@@ -26,6 +26,19 @@ MIN_STEP = 1e-11
 _NEWTON_ITERS = 12
 
 
+def _nearest(old_vals: np.ndarray, new_vals: np.ndarray):
+    """Per old value: index of the nearest new value, its distance and the
+    runner-up's (inf for a single value), row-wise over leading axes."""
+    dist = np.abs(old_vals[..., :, None] - new_vals[..., None, :])
+    ranked = np.sort(dist, axis=-1)
+    second = ranked[..., 1] if ranked.shape[-1] > 1 else np.full(ranked.shape[:-1], np.inf)
+    return np.argmin(dist, axis=-1), ranked[..., 0], second
+
+
+def _is_bijection(perm: np.ndarray) -> np.ndarray:
+    return (np.sort(perm, axis=-1) == np.arange(perm.shape[-1])).all(axis=-1)
+
+
 def match_labels(old_vals, new_vals, guard_ratio: float = GUARD_RATIO):
     """Permutation assigning each old value its nearest new value.
 
@@ -34,24 +47,30 @@ def match_labels(old_vals, new_vals, guard_ratio: float = GUARD_RATIO):
     guessing.
     """
     old_vals = np.asarray(old_vals, dtype=complex)
-    new_vals = np.asarray(new_vals, dtype=complex)
-    n = old_vals.size
-    dist = np.abs(old_vals[:, None] - new_vals[None, :])
-    perm = []
-    for i in range(n):
-        order = np.argsort(dist[i])
-        best = int(order[0])
-        if n > 1:
-            second = int(order[1])
-            if dist[i, second] < guard_ratio * dist[i, best]:
-                raise LabelMatchError(
-                    f"ambiguous match for value {old_vals[i]}: "
-                    f"d1={dist[i, best]:.3e}, d2={dist[i, second]:.3e}"
-                )
-        perm.append(best)
-    if len(set(perm)) != n:
+    perm, d1, d2 = _nearest(old_vals, np.asarray(new_vals, dtype=complex))
+    ambiguous = np.flatnonzero(d2 < guard_ratio * d1)
+    if ambiguous.size:
+        i = ambiguous[0]
+        raise LabelMatchError(
+            f"ambiguous match for value {old_vals[i]}: d1={d1[i]:.3e}, d2={d2[i]:.3e}"
+        )
+    if not _is_bijection(perm):
         raise LabelMatchError("matching is not a bijection")
-    return perm
+    return perm.tolist()
+
+
+def match_labels_rows(old_vals, new_vals, guard_ratio: float = GUARD_RATIO):
+    """:func:`match_labels` for every row of (M, n) arrays at once.
+
+    Returns ``(perm, ok)``: ``perm[r]`` sends row r's old values to indices
+    of its new values, and ``ok[r]`` is False where :func:`match_labels`
+    would raise (ambiguous or not a bijection).
+    """
+    perm, d1, d2 = _nearest(
+        np.asarray(old_vals, dtype=complex), np.asarray(new_vals, dtype=complex)
+    )
+    ok = ~(d2 < guard_ratio * d1).any(axis=-1) & _is_bijection(perm)
+    return perm, ok
 
 
 def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:

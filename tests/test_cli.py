@@ -83,6 +83,18 @@ def test_events_json(tmp_path):
     assert kinds.count("segment_crossing") == 2
 
 
+def test_track_u_csv_fields_are_plain_floats(tmp_path):
+    out = tmp_path / "o"
+    assert run(["--out-dir", str(out), "track-u", "--path", "paper-polyline"]) == 0
+    lines = (out / "track_u.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    assert rows[0][0] == "tau" and len(rows) > 2
+    for row in rows[1:]:
+        assert len(row) == len(rows[0])
+        for field in row:
+            float(field)
+
+
 def test_config_file(tmp_path):
     cfgfile = tmp_path / "conf"
     cfgfile.write_text("order=3\n")

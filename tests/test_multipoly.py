@@ -123,3 +123,21 @@ def test_resultant_multiplicative(seed):
     lhs = resultant(p * q, r, "z")
     rhs = resultant(p, r, "z") * resultant(q, r, "z")
     assert lhs == rhs
+
+
+def test_compile_matches_eval_numeric():
+    rng = np.random.default_rng(5)
+    vv = ("a", "b", "t")
+    for _ in range(20):
+        p = random_multipoly(rng, vv, max_degree=3, max_terms=5)
+        evaluate = p.compile("t")
+        a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        b = 0.7 - 0.2j
+        got = evaluate(a, b)
+        assert got.shape == (2, 3, p.degree("t") + 1)
+        for idx in np.ndindex(2, 3):
+            point = {"a": a[idx], "b": b, "t": 0.0}
+            want = [c.eval_numeric(point) for c in p.as_univariate("t")]
+            assert np.allclose(got[idx], want, rtol=1e-14, atol=1e-14 * max(1.0, np.abs(want).max()))
+    with pytest.raises(ValidationError):
+        p.compile("t")(1.0)

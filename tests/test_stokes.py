@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import raster_labels_oracle
+from pearcey_wkb import stokes
 from pearcey_wkb.errors import TurningPointError, ValidationError
-from pearcey_wkb.geometry import PlanePoint
+from pearcey_wkb.geometry import PlanePoint, critical_values
 from pearcey_wkb.stokes import (
+    PAIRS,
     PAPER_POLYLINE,
     ConnectionMatrix,
     connection_walk,
@@ -197,6 +200,47 @@ class TestRaster:
         lines = csv.splitlines()
         assert lines[0].startswith("i,j,")
         assert len(lines) == 1 + 64 * 64
+
+
+    @pytest.mark.parametrize(
+        "x2, window",
+        [
+            (0.0, (-1.0, 1.0, -1.0, 1.0)),
+            (0.5 + 0.25j, (-1.0, 1.0, -1.0, 1.0)),
+            (0.5 + 0.5j, (-0.8, 0.8, -0.8, 0.8)),
+        ],
+    )
+    def test_signs_match_cellwise_oracle(self, x2, window):
+        res = 24
+        sec = raster_section(x2, window, res)
+        first = critical_values(PlanePoint(complex(window[0], window[2]), x2)).values
+        values, flagged = raster_labels_oracle(x2, window, res, first)
+        compared = 0
+        for i in range(res):
+            for j in range(res):
+                if sec.near_turning[i, j]:
+                    continue
+                assert not flagged[i][j], (i, j)
+                u = values[i][j]
+                scale = max(abs(v) for v in u)
+                for p, (a, b) in enumerate(PAIRS):
+                    im = (u[a - 1] - u[b - 1]).imag
+                    if abs(im) < 1e-9 * scale:
+                        continue
+                    assert sec.signs[p, i, j] == (1 if im > 0 else -1), (i, j, (a, b))
+                    compared += 1
+        assert compared > 0.8 * 3 * res * res
+
+    def test_block_size_does_not_change_the_section(self, monkeypatch):
+        args = (0.5 + 0.25j, (-1, 1, -1, 1), 24)
+        ref = raster_section(*args, with_sextic=True)
+        monkeypatch.setattr(stokes, "BLOCK", 7)  # 24 * 24 cells is not a multiple of 7
+        got = raster_section(*args, with_sextic=True)
+        assert np.array_equal(got.signs, ref.signs)
+        assert np.array_equal(got.near_turning, ref.near_turning)
+        assert np.array_equal(got.sextic_sign, ref.sextic_sign)
+        assert got.polylines == ref.polylines
+        assert got.turning_points == ref.turning_points
 
 
 class TestSexticOverlay:
