@@ -21,14 +21,6 @@ _LEAD_TOL = 1e-14  # relative to the largest coefficient
 _SEED_ANGLE = 0.43  # fixed offset; breaks symmetry locking on real polynomials
 
 
-def poly_eval(coeffs: np.ndarray, z: complex) -> complex:
-    """Horner evaluation, ascending coefficients."""
-    acc = 0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def poly_eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Horner evaluation of each row of ``coeffs`` at the same row of ``z``.
 

@@ -61,7 +61,6 @@ from .multipoly import MultiPoly
 
 STVARS = ("s", "t")
 T_VALIDITY = 0.2  # |x2 / x1^(2/3)| bound inside which chart results are validated
-_GERM_TABLE = None  # lazily built low-order series table for anchor validation
 SEED_SCALE = 0.02
 RHO_REL = 0.18  # approach radius around a singularity, relative to min separation
 THETA_LIFT = 2e-3  # cut-approach angle for one-sided limits (Richardson halves it)
@@ -576,12 +575,9 @@ class SheetField:
         return self._anchor_swaps[ell]
 
     def _series_germ(self, ell: int, y: complex) -> complex:
-        from .wkb_series import borel_coeffs, build_series
+        from .wkb_series import borel_coeffs
 
-        global _GERM_TABLE
-        if _GERM_TABLE is None:
-            _GERM_TABLE = build_series(6)
-        bct = borel_coeffs(self.x, ell, 6, table=_GERM_TABLE)
+        bct = borel_coeffs(self.x, ell, 6)
         return bct.eval_series(y)
 
     def psi_from_sheets(self, ell: int, sheets) -> complex:
@@ -948,15 +944,12 @@ def verify_annihilation(
     x: PlanePoint,
     y: complex,
     branch: int = 4,
-    h: float | None = None,
     g_value: complex | None = None,
 ) -> float:
     """Scaled residual of one Borel-plane operator applied to a quartic branch.
 
     ``branch`` picks the origin-chart label used when ``g_value`` is not
-    supplied.  The optional step ``h`` switches the derivatives to central
-    finite differences (diagnostic cross-check); the default path uses the
-    exact implicit jets.
+    supplied.  Derivatives are the exact implicit jets of the quartic.
     """
     field = SheetField(x)
     if g_value is None:
@@ -964,56 +957,12 @@ def verify_annihilation(
         g_value = sheets[branch - 1] / complex(x.x1)
     op = borel_operator(op_id)
     env = {"x1": complex(x.x1), "x2": complex(x.x2), "y": complex(y)}
-    if h is None:
-        jets = implicit_jet(x, y, g_value)
-        get = lambda multi: _derivative_from_jets(jets, multi)
-    else:
-        get = _fd_derivative_factory(x, y, g_value, h)
+    jets = implicit_jet(x, y, g_value)
     acc = 0j
     scale = 0.0
     for coeff, multi in op.table:
         c = coeff.eval_numeric(env)
-        term = c * get(multi)
+        term = c * _derivative_from_jets(jets, multi)
         acc += term
         scale += abs(term)
     return abs(acc) / max(scale, 1e-30)
-
-
-def _fd_derivative_factory(x: PlanePoint, y: complex, g0: complex, h: float):
-    """Central finite differences of the branch through g0 (diagnostics)."""
-
-    def branch_value(dx1: float, dx2: float, dy: float) -> complex:
-        env_x = PlanePoint(complex(x.x1) + dx1, complex(x.x2) + dx2)
-        coeffs = quartic_at("xy", (env_x.x1, env_x.x2, complex(y) + dy))
-        z = complex(g0)
-        from .tracking import _newton_polish
-
-        return _newton_polish(coeffs, z)
-
-    def get(multi):
-        steps = [h, h, h]
-        axes = [i for i, m in enumerate(multi) for _ in range(m)]
-        if len(axes) == 0:
-            return g0
-        if len(axes) == 1:
-            d = [0.0, 0.0, 0.0]
-            d[axes[0]] = steps[axes[0]]
-            return (branch_value(*d) - branch_value(*[-v for v in d])) / (
-                2 * steps[axes[0]]
-            )
-        i, j = axes
-        di = [0.0, 0.0, 0.0]
-        dj = [0.0, 0.0, 0.0]
-        di[i] = h
-        dj[j] = h
-        if i == j:
-            return (
-                branch_value(*di) - 2 * branch_value(0, 0, 0) + branch_value(*[-v for v in di])
-            ) / h**2
-        pp = branch_value(di[0] + dj[0], di[1] + dj[1], di[2] + dj[2])
-        pm = branch_value(di[0] - dj[0], di[1] - dj[1], di[2] - dj[2])
-        mp = branch_value(-di[0] + dj[0], -di[1] + dj[1], -di[2] + dj[2])
-        mm = branch_value(-di[0] - dj[0], -di[1] - dj[1], -di[2] - dj[2])
-        return (pp - pm - mp + mm) / (4 * h**2)
-
-    return get

@@ -125,6 +125,67 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+_NOT_CONFIGURABLE = {"help", "config"}
+_BOOLEANS = {"true": True, "false": False}
+
+
+def _config_value(parser, action, text: str):
+    """A config-file string parsed the way the flag's own action would."""
+    key = action.dest
+    try:
+        if action.nargs == 0:  # store_true
+            return _BOOLEANS[text.lower()]
+        value = action.type(text) if action.type else text
+    except (KeyError, ValueError):
+        parser.error(f"config {key}: invalid value {text!r}")
+    if action.choices is not None and value not in action.choices:
+        parser.error(f"config {key}: {value!r} is not one of {list(action.choices)}")
+    return value
+
+
+def _parse_args(parser, argv):
+    """Parse argv with ``--config`` values in between: flag > config > default.
+
+    A config key names a subcommand option (its dest, dashes or
+    underscores) or one of the common options.  Options with a real default
+    get the config value as their default before parsing; the rest (no
+    default, repeatable, common) are filled in afterwards when no flag gave
+    them.  Options given by the config file are no longer required flags.
+    """
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return parser.parse_args(argv)
+    try:
+        config = _load_config_file(path)
+    except (OSError, ValidationError) as e:
+        parser.error(f"config file: {e}")
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for sub in subparsers.values():
+        for action in sub._actions:
+            if action.dest not in config or action.dest in _NOT_CONFIGURABLE:
+                continue
+            action.required = False
+            if action.default not in (None, argparse.SUPPRESS):
+                action.default = _config_value(parser, action, config[action.dest])
+    args = parser.parse_args(argv)
+    actions = {a.dest: a for a in subparsers[args.command]._actions}
+    unknown = sorted(k for k in config if k not in actions or k in _NOT_CONFIGURABLE)
+    if unknown:
+        parser.error(f"config keys not options of {args.command}: {', '.join(unknown)}")
+    for key, text in config.items():
+        action = actions[key]
+        if action.default in (None, argparse.SUPPRESS) and getattr(args, key, None) is None:
+            value = _config_value(parser, action, text)
+            if isinstance(action, argparse._AppendAction):
+                value = [value]
+            setattr(args, key, value)
+    return args
+
+
 def _resolve_path(spec: str):
     from .stokes import PAPER_POLYLINE
 
@@ -444,12 +505,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        defaults = _load_config_file(args.config)
-        for k, v in defaults.items():
-            if getattr(args, k, None) in (None, False):
-                setattr(args, k, v)
+    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     options = {
         k: v
         for k, v in sorted(vars(args).items())

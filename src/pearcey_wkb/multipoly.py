@@ -43,12 +43,13 @@ def _grlex_key(exps: tuple[int, ...]):
 class MultiPoly:
     """Multivariate polynomial with exact rational coefficients.
 
-    Instances are immutable in practice: no public method mutates ``terms``.
+    Instances are immutable in practice: no public method mutates ``terms``,
+    and :meth:`eval_numeric` caches a complex copy of them on first use.
     Arithmetic requires both operands to share the same variable tuple; use
     :meth:`embed` to move a polynomial into a larger variable set.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_numeric")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
@@ -235,14 +236,25 @@ class MultiPoly:
         return acc
 
     def eval_numeric(self, values: dict) -> complex:
-        """Evaluation in complex double precision."""
+        """Evaluation in complex double precision.
+
+        The terms are converted once, on the first call, into a cached list
+        of (complex coefficient, [(variable index, power), ...]) in
+        ``terms`` order.
+        """
+        try:
+            numeric = self._numeric
+        except AttributeError:
+            numeric = self._numeric = [
+                (complex(c), [(i, k) for i, k in enumerate(e) if k])
+                for e, c in self.terms.items()
+            ]
         vals = [complex(values[v]) for v in self.variables]
         acc = 0j
-        for e, c in self.terms.items():
-            term = complex(c)
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v**k
+        for c, powers in numeric:
+            term = c
+            for i, k in powers:
+                term *= vals[i] ** k
             acc += term
         return acc
 

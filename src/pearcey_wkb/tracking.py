@@ -6,18 +6,20 @@ the four sheets of the Borel quartic along paths in the base plane.
 
 The step acceptance rule is the collision guard: after Newton-correcting
 every tracked value onto the new polynomial, the minimum pairwise separation
-of the updated values must exceed ``guard_ratio`` times the largest value
+of the updated values must exceed ``GUARD_RATIO`` times the largest value
 displacement in the step.  Steps halve until the guard holds; running out of
 refinement raises ``ContinuationError`` with the obstruction location.
 """
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
-from .aberth import poly_eval, roots_aberth
+from .aberth import roots_aberth
 from .errors import ContinuationError, LabelMatchError
 
 GUARD_RATIO = 3.0
@@ -73,11 +75,24 @@ def match_labels_rows(old_vals, new_vals, guard_ratio: float = GUARD_RATIO):
     return perm, ok
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
-    dcoeffs = coeffs[1:] * np.arange(1, coeffs.size)
+def _descending(coeffs) -> list:
+    """Ascending coefficient array -> descending list of Python complex."""
+    return np.asarray(coeffs, dtype=complex).tolist()[::-1]
+
+
+def _horner(c: list, z):
+    """Value at z of the polynomial with descending coefficients ``c``."""
+    acc = c[0]
+    for a in c[1:]:
+        acc = acc * z + a
+    return acc
+
+
+def _newton_polish(c: list, dc: list, z: complex) -> complex:
+    """Newton iterations from z on descending coefficients c, dc = c'."""
     for _ in range(_NEWTON_ITERS):
-        p = poly_eval(coeffs, z)
-        dp = poly_eval(dcoeffs, z)
+        p = _horner(c, z)
+        dp = _horner(dc, z)
         if dp == 0:
             break
         step = p / dp
@@ -87,9 +102,17 @@ def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
     return z
 
 
-def _residual_scale(coeffs: np.ndarray, z: complex) -> float:
-    za = max(1.0, abs(z))
-    return float(sum(abs(c) * za**k for k, c in enumerate(coeffs)))
+def _residual_scale(abs_c: list, z: complex) -> float:
+    """sum_k |c_k| max(1, |z|)^k from the descending moduli ``abs_c``."""
+    return _horner(abs_c, max(1.0, abs(z)))
+
+
+def _min_pairwise(vals) -> float:
+    m = inf
+    for i, a in enumerate(vals):
+        for b in vals[i + 1 :]:
+            m = min(m, abs(a - b))
+    return m
 
 
 @dataclass
@@ -104,15 +127,14 @@ class Trace:
     taus: list[float] = field(default_factory=list)
     points: list[complex] = field(default_factory=list)
     values: list[np.ndarray] = field(default_factory=list)
-    min_separation: float = np.inf
+    min_separation: float = inf
 
     def record(self, tau, point, vals):
         self.taus.append(float(tau))
         self.points.append(complex(point))
         self.values.append(np.array(vals, dtype=complex))
         if len(vals) > 1:
-            sep = _min_pairwise(np.asarray(vals, dtype=complex))
-            self.min_separation = min(self.min_separation, sep)
+            self.min_separation = min(self.min_separation, _min_pairwise(vals))
 
     @property
     def final(self) -> np.ndarray:
@@ -123,41 +145,27 @@ class Trace:
         return tuple(match_labels(self.final, reference_vals))
 
 
-def _min_pairwise(vals: np.ndarray) -> float:
-    n = vals.size
-    m = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = min(m, abs(vals[i] - vals[j]))
-    return m
-
-
-def track_family(
-    coeffs_fn,
-    point_fn,
-    start_vals,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    guard_ratio: float = GUARD_RATIO,
-    min_step: float = MIN_STEP,
-    initial_step: float = 0.125,
-    trace: Trace | None = None,
-) -> Trace:
+def track_family(coeffs_fn, point_fn, start_vals, *, trace: Trace | None = None) -> Trace:
     """Continue labeled roots of a polynomial family over tau in [0, 1].
 
     Parameters
     ----------
     coeffs_fn : callable
-        tau -> ascending complex coefficient array of the family member.
+        tau -> ascending complex coefficient array of the family member;
+        called once at tau = 0 and once per attempted step.
     point_fn : callable
         tau -> base-plane point (diagnostics only).
     start_vals : sequence of complex
         Labeled roots at tau = 0; they must satisfy the tau = 0 polynomial.
+
+    Each step's coefficients become one descending list of Python complex
+    numbers, so the Newton polish and the acceptance test run on scalars.
     """
-    vals = np.array(start_vals, dtype=complex)
-    c0 = coeffs_fn(0.0)
+    vals = np.asarray(start_vals, dtype=complex).tolist()
+    c0 = _descending(coeffs_fn(0.0))
+    abs_c0 = [abs(a) for a in c0]
     for z in vals:
-        if abs(poly_eval(c0, z)) > residual_tol * _residual_scale(c0, z) * 10:
+        if abs(_horner(c0, z)) > RESIDUAL_TOL * _residual_scale(abs_c0, z) * 10:
             raise ContinuationError(
                 f"start value {z} does not satisfy the family at tau=0",
                 location=point_fn(0.0),
@@ -167,12 +175,17 @@ def track_family(
     trace.record(0.0, point_fn(0.0), vals)
 
     tau = 0.0
-    step = initial_step
+    step = 0.125
     while tau < 1.0:
         target = min(1.0, tau + step)
-        c = coeffs_fn(target)
-        new_vals = np.array([_newton_polish(c, z) for z in vals])
-        ok = _accept(c, vals, new_vals, residual_tol, guard_ratio)
+        c = _descending(coeffs_fn(target))
+        n = len(c) - 1
+        dc = [(n - k) * a for k, a in enumerate(c[:-1])]
+        try:
+            new_vals = [_newton_polish(c, dc, z) for z in vals]
+            ok = _accept(c, vals, new_vals)
+        except OverflowError:  # abs() of a finite complex beyond the float range
+            ok = False
         if ok:
             tau = target
             vals = new_vals
@@ -180,7 +193,7 @@ def track_family(
             step = min(2 * step, 0.25)
         else:
             step *= 0.5
-            if step < min_step:
+            if step < MIN_STEP:
                 raise ContinuationError(
                     "near-discriminant passage: step underflow during tracking",
                     location=point_fn(tau),
@@ -188,21 +201,23 @@ def track_family(
     return trace
 
 
-def _accept(coeffs, old_vals, new_vals, residual_tol, guard_ratio) -> bool:
-    if not np.all(np.isfinite(new_vals)):
+def _accept(c: list, old_vals: list, new_vals: list) -> bool:
+    """Residual test and collision guard on descending coefficients ``c``."""
+    if not all(isfinite(z) for z in new_vals):
         return False
+    abs_c = [abs(a) for a in c]
     for z in new_vals:
-        if abs(poly_eval(coeffs, z)) > residual_tol * _residual_scale(coeffs, z):
+        if abs(_horner(c, z)) > RESIDUAL_TOL * _residual_scale(abs_c, z):
             return False
-    disp = float(np.max(np.abs(new_vals - old_vals)))
+    disp = max(abs(a - b) for a, b in zip(new_vals, old_vals))
     if len(new_vals) > 1:
         sep = _min_pairwise(new_vals)
-        if sep < guard_ratio * disp or sep == 0.0:
+        if sep < GUARD_RATIO * disp or sep == 0.0:
             return False
     return True
 
 
-def track_polyline(coeffs_at_point, knots, start_vals, *, trace=None, **kwargs) -> Trace:
+def track_polyline(coeffs_at_point, knots, start_vals, *, trace=None) -> Trace:
     """Track through a polyline of base points (e.g. in the x- or s-plane).
 
     ``coeffs_at_point`` maps a base point to ascending coefficients.
@@ -218,7 +233,7 @@ def track_polyline(coeffs_at_point, knots, start_vals, *, trace=None, **kwargs) 
         def coeffs_fn(t, a=a, b=b):
             return coeffs_at_point(a + (b - a) * t)
 
-        trace = track_family(coeffs_fn, point_fn, vals, trace=trace, **kwargs)
+        trace = track_family(coeffs_fn, point_fn, vals, trace=trace)
         vals = trace.final
     return trace
 

@@ -32,7 +32,7 @@ reference locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial, sqrt, pi
 
@@ -66,10 +66,11 @@ def gamma_half(j: int) -> float:
 class WkbSeriesTable:
     """Exact series data up to order N.
 
-    Lists are indexed by j + 1 for j = -1 .. N (``s1``, ``s2``, ``prim``)
-    and by j for j = 0 .. N (``f``, holding f_j/f_0).  The j = 0 primitive
-    is the logarithm -(1/2) log(6 zeta^2 + x2); its slot in ``prim`` is None
-    and the log data lives in ``log_multiplier`` / ``log_argument``.
+    Lists are indexed by j + 1 for j = -1 .. N (``s1``, ``s2``, ``prim``,
+    ``d1s1`` holding d1 S_j^(1)) and by j for j = 0 .. N (``f``, holding
+    f_j/f_0).  The j = 0 primitive is the logarithm
+    -(1/2) log(6 zeta^2 + x2); its slot in ``prim`` is None and the log data
+    lives in ``log_multiplier`` / ``log_argument``.
     """
 
     order: int
@@ -79,6 +80,7 @@ class WkbSeriesTable:
     f: list = field(default_factory=list)
     log_multiplier: Fraction = Fraction(-1, 2)
     log_argument: ZetaRational = None
+    d1s1: list = field(default_factory=list)
 
     def s1_at(self, j: int) -> ZetaRational:
         return self.s1[j + 1]
@@ -90,6 +92,21 @@ class WkbSeriesTable:
         if j == 0:
             raise ValidationError("order-0 primitive is logarithmic; use log fields")
         return self.prim[j + 1]
+
+    def truncated(self, order: int) -> "WkbSeriesTable":
+        """A copy with fresh lists holding orders -1 .. ``order``."""
+        if not 0 <= order <= self.order:
+            raise ValidationError(f"order must be in 0..{self.order}")
+        n = order + 2
+        return replace(
+            self,
+            order=order,
+            s1=self.s1[:n],
+            s2=self.s2[:n],
+            prim=self.prim[:n],
+            f=self.f[: order + 1],
+            d1s1=self.d1s1[:n],
+        )
 
     def to_json(self) -> dict:
         return {
@@ -107,73 +124,85 @@ def _denominator() -> ZetaRational:
     return ZetaRational(ZetaRational.denominator_poly())
 
 
+_TABLE: WkbSeriesTable | None = None  # the process-wide table, grown on demand
+
+
 def build_series(order: int) -> WkbSeriesTable:
-    """Build the exact series table through eta^(-order)."""
+    """The exact series table through eta^(-order).
+
+    One table per process serves every call: an order above any built so
+    far extends it in place, so each order is computed once, and the
+    caller gets a truncated copy of its own.
+    """
+    global _TABLE
     if order < 0:
         raise ValidationError("order must be >= 0")
+    if _TABLE is None:
+        _TABLE = _order_zero_table()
+    for j in range(_TABLE.order + 1, order + 1):
+        _add_order(_TABLE, j)
+    return _TABLE.truncated(order)
+
+
+def _order_zero_table() -> WkbSeriesTable:
+    """Orders j = -1 and 0: zeta, zeta^2 and the closed form
+    S_0^(1) = -(1/2) d1 log(6 zeta^2 + x2)."""
     zeta = ZetaRational.zeta()
-    s1 = [zeta]
-    d1s1 = [zeta.derive("d1")]
-
-    def S(j):
-        return s1[j + 1]
-
-    def dS(j):
-        return d1s1[j + 1]
-
-    # closed form for j = 0: -(1/2) d1 log(6 zeta^2 + x2)
     d = _denominator()
     s0 = d.derive("d1") * _div_by_denominator(ZetaRational.const(1), 1) * Fraction(-1, 2)
-    s1.append(s0)
-    d1s1.append(s0.derive("d1"))
-
-    for j in range(1, order + 1):
-        triple = ZetaRational.zero()
-        for j1 in range(-1, j):
-            for j2 in range(-1, j):
-                j3 = j - 2 - j1 - j2
-                if -1 <= j3 < j:
-                    triple = triple + S(j1) * S(j2) * S(j3)
-        pair = ZetaRational.zero()
-        for j1 in range(-1, j):
-            j2 = j - 2 - j1
-            if -1 <= j2 < j:
-                pair = pair + S(j1) * dS(j2)
-        bracket = triple + pair * 3 + dS(j - 2).derive("d1")
-        sj = _div_by_denominator(bracket * Fraction(-2), 1)
-        s1.append(sj)
-        d1s1.append(sj.derive("d1"))
-
-    s2 = [zeta * zeta]
-    for j in range(0, order + 1):
-        acc = ZetaRational.zero()
-        for m in range(0, j + 2):
-            acc = acc + S(m - 1) * S(j - m)
-        s2.append(acc + dS(j - 1))
-
-    table = WkbSeriesTable(order=order, s1=s1, s2=s2, log_argument=d)
-    primitives(table)
-    wkb_f_coeffs(table)
+    table = WkbSeriesTable(order=0, s1=[zeta, s0], s2=[zeta * zeta], log_argument=d)
+    table.d1s1 = [z.derive("d1") for z in table.s1]
+    table.s2.append(_s2_term(table, 0))
+    table.prim = [_primitive(table, -1), None]
+    table.f = [ZetaRational.const(1)]
     return table
+
+
+def _add_order(table: WkbSeriesTable, j: int) -> None:
+    """Append order j >= 1 to every list of ``table`` (built through j - 1)."""
+    S = table.s1_at
+
+    def dS(i):
+        return table.d1s1[i + 1]
+
+    triple = ZetaRational.zero()
+    for j1 in range(-1, j):
+        for j2 in range(-1, j):
+            j3 = j - 2 - j1 - j2
+            if -1 <= j3 < j:
+                triple = triple + S(j1) * S(j2) * S(j3)
+    pair = ZetaRational.zero()
+    for j1 in range(-1, j):
+        j2 = j - 2 - j1
+        if -1 <= j2 < j:
+            pair = pair + S(j1) * dS(j2)
+    bracket = triple + pair * 3 + dS(j - 2).derive("d1")
+    sj = _div_by_denominator(bracket * Fraction(-2), 1)
+    table.s1.append(sj)
+    table.d1s1.append(sj.derive("d1"))
+    table.s2.append(_s2_term(table, j))
+    table.prim.append(_primitive(table, j))
+    table.f.append(_exp_term(table, table.f, j))
+    table.order = j
+
+
+def _s2_term(table: WkbSeriesTable, j: int) -> ZetaRational:
+    """S_j^(2) = sum_{m=0}^{j+1} S_{m-1}^(1) S_{j-m}^(1) + d1 S_{j-1}^(1)."""
+    acc = ZetaRational.zero()
+    for m in range(0, j + 2):
+        acc = acc + table.s1_at(m - 1) * table.s1_at(j - m)
+    return acc + table.d1s1[j]
 
 
 def _div_by_denominator(z: ZetaRational, k: int) -> ZetaRational:
     return ZetaRational(z.num, z.denom_power + k, z.scalar)
 
 
-def primitives(table: WkbSeriesTable) -> WkbSeriesTable:
-    """Fill in the primitives of omega_j fixed by weighted homogeneity."""
+def _primitive(table: WkbSeriesTable, j: int) -> ZetaRational:
+    """Primitive of omega_j fixed by weighted homogeneity (j != 0)."""
     x1 = ZetaRational.x1()
     x2 = ZetaRational.x2()
-    prim = []
-    for j in range(-1, table.order + 1):
-        if j == 0:
-            prim.append(None)
-            continue
-        val = (x1 * table.s1_at(j) * 3 + x2 * table.s2_at(j) * 2) * Fraction(-1, 4 * j)
-        prim.append(val)
-    table.prim = prim
-    return table
+    return (x1 * table.s1_at(j) * 3 + x2 * table.s2_at(j) * 2) * Fraction(-1, 4 * j)
 
 
 def varpi(table: WkbSeriesTable) -> ZetaRational:
@@ -190,32 +219,19 @@ def wkb_f_coeffs(table: WkbSeriesTable, order: int | None = None) -> list[ZetaRa
     n = table.order if order is None else order
     if n > table.order:
         raise ValidationError("order exceeds the table")
-    a = [ZetaRational.zero()] + [table.prim_at(j) for j in range(1, n + 1)]
-    out = [ZetaRational.const(1)] + [ZetaRational.zero()] * n
-    power = [ZetaRational.const(1)] + [ZetaRational.zero()] * n
-    fact = 1
-    for m in range(1, n + 1):
-        power = _trunc_mul(power, a, n)
-        fact *= m
-        inv = Fraction(1, fact)
-        for k in range(n + 1):
-            out[k] = out[k] + power[k] * inv
-    if n == table.order:
-        table.f = out
-    return out
+    f = [ZetaRational.const(1)]
+    for k in range(1, n + 1):
+        f.append(_exp_term(table, f, k))
+    return f
 
 
-def _trunc_mul(p, q, n):
-    out = [ZetaRational.zero()] * (n + 1)
-    for i, pi_ in enumerate(p):
-        if pi_.is_zero():
-            continue
-        for j_ in range(0, n + 1 - i):
-            qj = q[j_]
-            if qj.is_zero():
-                continue
-            out[i + j_] = out[i + j_] + pi_ * qj
-    return out
+def _exp_term(table: WkbSeriesTable, f: list, k: int) -> ZetaRational:
+    """f_k = (1/k) sum_{j=1..k} j a_j f_{k-j} for f = exp(sum_j a_j eta^(-j)),
+    a_j = int omega_j, from f_0 .. f_{k-1}."""
+    acc = ZetaRational.zero()
+    for j in range(1, k + 1):
+        acc = acc + table.prim_at(j) * f[k - j] * j
+    return acc * Fraction(1, k)
 
 
 def nonlinear_residual_orders(table: WkbSeriesTable) -> dict[int, ZetaRational]:

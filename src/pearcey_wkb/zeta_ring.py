@@ -45,7 +45,7 @@ class ZetaRational:
             denom_power = 0
         # cancel denominator factors
         while denom_power > 0 and not num.is_zero():
-            if not num.substitute("x2", _x2_elim()).is_zero():
+            if not _divisible_by_d(num):
                 break
             num = num.exact_divide(_D)
             denom_power -= 1
@@ -230,9 +230,13 @@ class ZetaRational:
         )
 
 
-def _x2_elim() -> MultiPoly:
-    """x2 -> -6*zeta^2, used for the cheap divisibility test against d."""
-    return MultiPoly(VARS, {(2, 0): -6})
+def _divisible_by_d(num: MultiPoly) -> bool:
+    """Whether d = 6*zeta^2 + x2 divides num: num(zeta, -6 zeta^2) == 0,
+    summing c*(-6)^b into zeta^(a+2b) for each term c*zeta^a*x2^b."""
+    acc: dict[int, Fraction] = {}
+    for (a, b), c in num.terms.items():
+        acc[a + 2 * b] = acc.get(a + 2 * b, 0) + c * (-6) ** b
+    return not any(acc.values())
 
 
 def homogeneity_residual(f: ZetaRational, weight: int) -> ZetaRational:

@@ -6,6 +6,11 @@ resultant computed both ways checks the Bareiss path against something it
 shares no code with.  The raster oracle labels the Borel singularities of a
 Stokes section one cell at a time from ``numpy.roots`` of the hand-expanded
 singular cubic, with none of the library's solver, coefficients or matcher.
+
+The remaining oracles keep earlier implementations as references: the
+tracker step loop on numpy scalars, the truncated-power expansion of the
+amplitude exponential, and central finite differences of a quartic branch
+by a Newton iteration of their own on the hand-expanded quartic.
 """
 
 from fractions import Fraction
@@ -104,3 +109,172 @@ def raster_labels_oracle(x2, window, resolution, first_labels, guard_ratio=1.0 +
                 flagged[i][j] = True
             values[i][j] = labeled
     return values, flagged
+
+
+# -- tracker step loop on numpy scalars ------------------------------------------
+
+
+def _poly_eval_np(coeffs, z):
+    acc = 0j
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _residual_scale_np(coeffs, z):
+    za = max(1.0, abs(z))
+    return float(sum(abs(c) * za**k for k, c in enumerate(coeffs)))
+
+
+def _min_pairwise_np(vals):
+    m = np.inf
+    for i in range(vals.size):
+        for j in range(i + 1, vals.size):
+            m = min(m, abs(vals[i] - vals[j]))
+    return m
+
+
+def _newton_polish_np(coeffs, z):
+    dcoeffs = coeffs[1:] * np.arange(1, coeffs.size)
+    for _ in range(12):
+        p = _poly_eval_np(coeffs, z)
+        dp = _poly_eval_np(dcoeffs, z)
+        if dp == 0:
+            break
+        step = p / dp
+        z = z - step
+        if abs(step) < 1e-16 * (1.0 + abs(z)):
+            break
+    return z
+
+
+def _accept_np(coeffs, old_vals, new_vals, residual_tol, guard_ratio):
+    if not np.all(np.isfinite(new_vals)):
+        return False
+    for z in new_vals:
+        if abs(_poly_eval_np(coeffs, z)) > residual_tol * _residual_scale_np(coeffs, z):
+            return False
+    disp = float(np.max(np.abs(new_vals - old_vals)))
+    if len(new_vals) > 1:
+        sep = _min_pairwise_np(new_vals)
+        if sep < guard_ratio * disp or sep == 0.0:
+            return False
+    return True
+
+
+class StepUnderflow(Exception):
+    """The reference loop halved its step below the floor at ``tau``."""
+
+    def __init__(self, tau):
+        super().__init__(f"step underflow at tau={tau}")
+        self.tau = tau
+
+
+def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0,
+                       min_step=1e-11):
+    """The tracker's step loop with numpy-scalar arithmetic throughout.
+
+    Same start check, step schedule (0.125, doubling to 0.25 on accept,
+    halving on reject), Newton polish and acceptance rule as the library.
+    Returns ``(taus, values, accepted, rejected)``; raises ``StepUnderflow``
+    where the library raises ``ContinuationError``.
+    """
+    vals = np.array(start_vals, dtype=complex)
+    c0 = coeffs_fn(0.0)
+    for z in vals:
+        if abs(_poly_eval_np(c0, z)) > residual_tol * _residual_scale_np(c0, z) * 10:
+            raise ValueError("start value does not satisfy the family")
+    taus, values = [0.0], [vals]
+    accepted = rejected = 0
+    tau, step = 0.0, 0.125
+    while tau < 1.0:
+        target = min(1.0, tau + step)
+        c = coeffs_fn(target)
+        new_vals = np.array([_newton_polish_np(c, z) for z in vals])
+        if _accept_np(c, vals, new_vals, residual_tol, guard_ratio):
+            accepted += 1
+            tau, vals = target, new_vals
+            taus.append(tau)
+            values.append(vals)
+            step = min(2 * step, 0.25)
+        else:
+            rejected += 1
+            step *= 0.5
+            if step < min_step:
+                raise StepUnderflow(tau)
+    return taus, values, accepted, rejected
+
+
+# -- amplitude exponential by truncated powers -------------------------------------
+
+
+def exp_series_power_expansion(a, n):
+    """Coefficients 0..n of exp(sum_{j>=1} a_j eta^(-j)) by summing
+    (sum a_j eta^(-j))^m / m! with truncated products; ``a[0]`` is unused.
+    Entries are ZetaRational (any exact ring with +, * and Fraction scaling)."""
+    zero = a[0] * 0
+    one = zero + 1
+    trunc = [zero] + list(a[1 : n + 1])
+    out = [one] + [zero] * n
+    power = [one] + [zero] * n
+    fact = 1
+    for m in range(1, n + 1):
+        nxt = [zero] * (n + 1)
+        for i, p in enumerate(power):
+            for j in range(0, n + 1 - i):
+                nxt[i + j] = nxt[i + j] + p * trunc[j]
+        power = nxt
+        fact *= m
+        for k in range(n + 1):
+            out[k] = out[k] + power[k] * Fraction(1, fact)
+    return out
+
+
+# -- finite-difference jets of a quartic branch ------------------------------------
+
+
+def xy_quartic_descending(x1, x2, y):
+    """Descending coefficients in g of A g^4 + B g^2 - 8 x1 g + 1, with
+    A = 4 x1^2 x2 (36 y - x2^2) + 16 y (x2^2 - 4 y)^2 - 27 x1^4 and
+    B = 2 (-8 x2 y + 2 x2^3 + 9 x1^2), expanded by hand."""
+    a = 4 * x1**2 * x2 * (36 * y - x2**2) + 16 * y * (x2**2 - 4 * y) ** 2 - 27 * x1**4
+    b = 2 * (-8 * x2 * y + 2 * x2**3 + 9 * x1**2)
+    return [a, 0.0, b, -8 * x1, 1.0]
+
+
+def newton_root(coeffs, z, iters=40):
+    """Newton iteration from z on descending coefficients."""
+    for _ in range(iters):
+        p = dp = 0j
+        for c in coeffs:
+            dp = dp * z + p
+            p = p * z + c
+        step = p / dp
+        z = z - step
+        if abs(step) <= 1e-16 * abs(z):
+            break
+    return z
+
+
+def fd_jets(x1, x2, y, g0, h):
+    """Central finite differences, through second order, of the quartic
+    branch through g0 at (x1, x2, y); keys as in ``borel.implicit_jet``."""
+    names = ("x1", "x2", "y")
+    base = (complex(x1), complex(x2), complex(y))
+
+    def g(*shift):
+        at = [b + h * s for b, s in zip(base, shift)]
+        return newton_root(xy_quartic_descending(*at), complex(g0))
+
+    def at(**steps):
+        return g(*(steps.get(v, 0) for v in names))
+
+    jets = {}
+    for i, v in enumerate(names):
+        jets[(v,)] = (at(**{v: 1}) - at(**{v: -1})) / (2 * h)
+        jets[(v, v)] = (at(**{v: 1}) - 2 * at() + at(**{v: -1})) / h**2
+        for w in names[i + 1 :]:
+            pp, mm = at(**{v: 1, w: 1}), at(**{v: -1, w: -1})
+            pm, mp = at(**{v: 1, w: -1}), at(**{v: -1, w: 1})
+            jets[(v, w)] = jets[(w, v)] = (pp - pm - mp + mm) / (4 * h**2)
+    return jets

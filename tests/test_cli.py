@@ -104,6 +104,60 @@ def test_config_file(tmp_path):
     assert doc["series"]["order"] == 2  # flag wins over config default
 
 
+def test_config_value_applies_over_default(tmp_path):
+    cfgfile = tmp_path / "conf"
+    cfgfile.write_text("order=3\n")
+    out = tmp_path / "o"
+    assert run(["--out-dir", str(out), "series", "--config", str(cfgfile)]) == 0
+    doc = json.loads((out / "series.json").read_text())
+    assert doc["series"]["order"] == 3
+
+
+def test_config_res_and_sextic_flag(tmp_path, monkeypatch):
+    from pearcey_wkb import stokes
+
+    seen = []
+    real = stokes.raster_section
+
+    def spy(*args, **kw):
+        seen.append(kw["with_sextic"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(stokes, "raster_section", spy)
+    cfgfile = tmp_path / "conf"
+    cfgfile.write_text("res=32\nwith_sextic=false\n")
+    args = ["stokes-section", "--x2", "0", "--window=-0.5,0.5,-0.5,0.5"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["--out-dir", str(a), "--no-timestamp", *args, "--config", str(cfgfile)]) == 0
+    assert run(["--out-dir", str(b), "--no-timestamp", *args, "--res", "32"]) == 0
+    assert seen == [False, False]
+    rows = [ln for ln in (a / "stokes_section.csv").read_text().splitlines()
+            if ln and not ln.startswith("#")]
+    assert len(rows) == 1 + 32 * 32
+    # same options, so the same config hash and the same bytes as the flags
+    for name in ("stokes_section.csv", "stokes_section.svg"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_config_supplies_required_flag(tmp_path):
+    cfgfile = tmp_path / "conf"
+    cfgfile.write_text("x1 = 1\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["--out-dir", str(a), "geometry", "--config", str(cfgfile), "--x2", "0"]) == 0
+    assert run(["--out-dir", str(b), "geometry", "--x1", "1", "--x2", "0"]) == 0
+    assert (a / "geometry.json").read_bytes() == (b / "geometry.json").read_bytes()
+
+
+@pytest.mark.parametrize("text", ["res=many\n", "with_sextic=maybe\n", "bogus=1\n"])
+def test_bad_config_is_usage_error(tmp_path, text):
+    cfgfile = tmp_path / "conf"
+    cfgfile.write_text(text)
+    args = ["stokes-section", "--x2", "0", "--window=-0.5,0.5,-0.5,0.5", "--config", str(cfgfile)]
+    with pytest.raises(SystemExit) as exc:
+        run(["--out-dir", str(tmp_path / "o"), *args])
+    assert exc.value.code == 1
+
+
 def test_quadrature_command(tmp_path):
     out = tmp_path / "o"
     assert (

@@ -141,3 +141,33 @@ def test_compile_matches_eval_numeric():
             assert np.allclose(got[idx], want, rtol=1e-14, atol=1e-14 * max(1.0, np.abs(want).max()))
     with pytest.raises(ValidationError):
         p.compile("t")(1.0)
+
+
+def _eval_uncached(p, values):
+    vals = [complex(values[v]) for v in p.variables]
+    acc = 0j
+    for e, c in p.terms.items():
+        term = complex(c)
+        for v, k in zip(vals, e):
+            if k:
+                term *= v**k
+        acc += term
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eval_numeric_bitwise_equals_uncached_formula(seed):
+    rng = np.random.default_rng(seed)
+    p = random_multipoly(rng, V, max_degree=3, max_terms=6) * Fraction(3, 7)
+    q = random_multipoly(rng, V, max_degree=3, max_terms=6)
+    points = [
+        {v: complex(*rng.normal(size=2)) for v in V} for _ in range(5)
+    ]
+    # evaluate the operands first, so their caches exist before deriving
+    for pt in points:
+        p.eval_numeric(pt)
+        q.eval_numeric(pt)
+    derived = [p, q, p + q, p * q, (p * q).primitive()[0], p - q, -p, p**2]
+    for poly in derived:
+        for pt in points:
+            assert poly.eval_numeric(pt) == _eval_uncached(poly, pt)

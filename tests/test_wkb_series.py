@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from oracles import exp_series_power_expansion
+from pearcey_wkb import wkb_series
 from pearcey_wkb.geometry import PlanePoint
 from pearcey_wkb.multipoly import MultiPoly
 from pearcey_wkb.wkb_series import (
     borel_coeffs,
+    build_series,
     f0_branch,
     gamma_half_ratio,
     nonlinear_residual_orders,
@@ -148,3 +151,65 @@ class TestSeriesExport:
         assert len(doc["s1"]) == 10
         restored = ZetaRational.from_json(doc["s1"][1])
         assert restored == series8.s1_at(0)
+
+
+class TestSeriesCache:
+    """``build_series`` serves every order from one process-wide table."""
+
+    @staticmethod
+    def fresh(monkeypatch, order):
+        monkeypatch.setattr(wkb_series, "_TABLE", None)
+        return build_series(order)
+
+    def test_truncations_equal_fresh_builds(self, monkeypatch):
+        self.fresh(monkeypatch, 10)
+        cached = [build_series(k).to_json() for k in range(10)]
+        for k in range(10):
+            assert cached[k] == self.fresh(monkeypatch, k).to_json(), k
+
+    def test_extension_equals_fresh_build(self, monkeypatch):
+        self.fresh(monkeypatch, 6)
+        extended = build_series(8)
+        assert extended.to_json() == self.fresh(monkeypatch, 8).to_json()
+
+    def test_copies_are_independent(self, monkeypatch):
+        a = self.fresh(monkeypatch, 3)
+        a.s1.clear()
+        a.f.append(None)
+        b = build_series(3)
+        assert len(b.s1) == 5 and len(b.f) == 4
+
+    def test_each_order_built_once_by_verify_then_quadrature(self, monkeypatch, tmp_path):
+        from collections import Counter
+
+        from pearcey_wkb.cli import main
+
+        built = Counter()
+        add_order = wkb_series._add_order
+        order_zero = wkb_series._order_zero_table
+
+        def counted_add(table, j):
+            built[j] += 1
+            return add_order(table, j)
+
+        def counted_zero():
+            built[0] += 1
+            return order_zero()
+
+        monkeypatch.setattr(wkb_series, "_TABLE", None)
+        monkeypatch.setattr(wkb_series, "_add_order", counted_add)
+        monkeypatch.setattr(wkb_series, "_order_zero_table", counted_zero)
+        out = str(tmp_path)
+        assert main(["--out-dir", out, "verify"]) == 0
+        assert sorted(built) == list(range(7))
+        argv = ["--x1=1", "--x2=0.1", "--eta=10", "--contour=1,2", "--compare-borel"]
+        assert main(["--out-dir", out, "quadrature", *argv]) == 0
+        assert sorted(built) == list(range(9))
+        assert set(built.values()) == {1}
+
+
+def test_f_recurrence_equals_power_expansion(series8):
+    a = [ZetaRational.zero()] + [series8.prim_at(j) for j in range(1, 9)]
+    want = exp_series_power_expansion(a, 8)
+    assert series8.f == want
+    assert wkb_f_coeffs(series8) == want
