@@ -201,10 +201,11 @@ class BranchTrace:
             zip(self.trace.taus, self.trace.points, self.trace.values)
         ):
             sep = tracking._min_pairwise(np.asarray(vals))
-            cells = [str(n), repr(tau), repr(pt.real), repr(pt.imag)]
+            nums = [tau, pt.real, pt.imag]
             for v in vals:
-                cells += [repr(v.real), repr(v.imag)]
-            cells.append(repr(sep))
+                nums += [v.real, v.imag]
+            nums.append(sep)
+            cells = [str(n)] + [repr(float(x)) for x in nums]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tracking
-from .aberth import roots_aberth, roots_aberth_batch
+from .aberth import roots_aberth_batch
 from .errors import (
     DominanceError,
+    LabelMatchError,
     PearceyError,
     ValidationError,
 )
@@ -121,13 +122,6 @@ def _x_at(pts, tau: float) -> tuple[complex, complex]:
     return (a1 + (b1 - a1) * local, a2 + (b2 - a2) * local)
 
 
-def _u_at(pts, tau: float, near_vals: np.ndarray) -> np.ndarray:
-    x1, x2 = _x_at(pts, tau)
-    roots, _ = roots_aberth(_u_cubic_coeffs(x1, x2), tol=1e-13)
-    perm = tracking.match_labels(near_vals, roots, guard_ratio=1.0 + 1e-12)
-    return np.array([roots[p] for p in perm])
-
-
 # -- events ---------------------------------------------------------------------
 
 
@@ -186,88 +180,125 @@ def _segment_signature(vals: np.ndarray, pair, crosser) -> tuple[float, float]:
     return float(cross), float(lam)
 
 
+def _event_value(kind: str, pair, crosser, vals: np.ndarray) -> float:
+    """The function whose sign change marks an event of ``kind``: the Stokes
+    indicator of ``pair`` or the crosser's signed area against its segment."""
+    if kind == "stokes_crossing":
+        return _indicator(vals, pair)
+    return _segment_signature(vals, pair, crosser)[0]
+
+
+@dataclass
+class _Bracket:
+    """A sign change of an event function between consecutive samples.
+
+    ``f_lo`` is the function at ``lo`` and ``vals`` the labeled u's there;
+    ``im_before`` is its sign at the opening sample.
+    """
+
+    kind: str
+    pair: tuple[int, int]
+    crosser: int | None
+    lo: float
+    hi: float
+    f_lo: float
+    vals: np.ndarray
+    im_before: int
+
+
+def _brackets(traj: UTrajectories) -> list[_Bracket]:
+    """Every bracket of a tracked path: pair by pair, Stokes crossings
+    before segment crossings, each kind in path order."""
+    out = []
+    for pair in PAIRS:
+        crosser = next(m for m in (1, 2, 3) if m not in pair)
+        for kind, c in (("stokes_crossing", None), ("segment_crossing", crosser)):
+            series = [_event_value(kind, pair, c, v) for v in traj.values]
+            for n in range(1, len(series)):
+                if series[n - 1] * series[n] < 0:
+                    out.append(
+                        _Bracket(
+                            kind, pair, c, traj.taus[n - 1], traj.taus[n], series[n - 1],
+                            traj.values[n - 1], int(np.sign(series[n - 1])),
+                        )
+                    )
+    return out
+
+
+def _u_batch(pts, taus: list[float], brackets: list[_Bracket]) -> np.ndarray:
+    """Labeled u's at ``taus[r]``, matched to ``brackets[r].vals``, by one
+    cubic batch; a failed match raises ``LabelMatchError`` naming its bracket."""
+    x = [_x_at(pts, t) for t in taus]
+    coeffs = singular_cubic_grid(np.array([p[0] for p in x]), np.array([p[1] for p in x]))
+    roots = roots_aberth_batch(coeffs, 1e-13)
+    ref = np.array([b.vals for b in brackets])
+    perm, ok = tracking.match_labels_rows(ref, roots, guard_ratio=1.0 + 1e-12)
+    if not ok.all():
+        b = brackets[int(np.argmin(ok))]
+        raise LabelMatchError(
+            f"label match failed locating the {b.kind} of pair {b.pair} "
+            f"bracketed by tau in [{b.lo!r}, {b.hi!r}]"
+        )
+    return np.take_along_axis(roots, perm, axis=-1)
+
+
 def detect_events(
     x_path: list,
     provenance: Provenance | None = None,
     tol: float = BISECTION_TOL,
 ) -> tuple[UTrajectories, list[StokesEvent]]:
-    """Locate all Stokes and segment crossings along a path, in order."""
+    """Locate all Stokes and segment crossings along a path, in order.
+
+    Every sign change between consecutive samples is bisected to width
+    ``tol``, all brackets of the path in lockstep: each step solves the
+    cubic at the midpoints of the unfinished brackets in one batch, and a
+    last batch gives the u's at every bracket's centre.  A Stokes crossing
+    whose dominance is undecidable raises ``DominanceError``; a segment
+    crossing counts only where the crosser projects inside the segment.
+    """
     traj = track_u(x_path, provenance)
     pts = [p.as_tuple() if isinstance(p, PlanePoint) else (complex(p[0]), complex(p[1])) for p in x_path]
+    brackets = _brackets(traj)
+    if not brackets:
+        return traj, []
+
+    active = [b for b in brackets if b.hi - b.lo > tol]
+    while active:
+        mids = [(b.lo + b.hi) / 2 for b in active]
+        for b, mid, vmid in zip(active, mids, _u_batch(pts, mids, active)):
+            f_mid = _event_value(b.kind, b.pair, b.crosser, vmid)
+            if b.f_lo * f_mid <= 0:
+                b.hi = mid
+            else:
+                b.lo, b.f_lo, b.vals = mid, f_mid, vmid
+        active = [b for b in active if b.hi - b.lo > tol]
+
+    centres = [(b.lo + b.hi) / 2 for b in brackets]
     events: list[StokesEvent] = []
-
-    for pair in PAIRS:
-        series = [_indicator(v, pair) for v in traj.values]
-        for n in range(1, len(series)):
-            if series[n - 1] == 0.0:
-                continue
-            if series[n - 1] * series[n] < 0:
-                lo, hi = traj.taus[n - 1], traj.taus[n]
-                vals = traj.values[n - 1]
-                f_lo = series[n - 1]
-                while hi - lo > tol:
-                    mid = (lo + hi) / 2
-                    vmid = _u_at(pts, mid, vals)
-                    f_mid = _indicator(vmid, pair)
-                    if f_lo * f_mid <= 0:
-                        hi = mid
-                    else:
-                        lo, f_lo, vals = mid, f_mid, vmid
-                tau_c = (lo + hi) / 2
-                v_c = _u_at(pts, tau_c, vals)
-                j, k = pair
-                re_uj = v_c[j - 1].real
-                re_uk = v_c[k - 1].real
-                gap = abs(re_uj - re_uk)
-                scale = max(abs(v) for v in v_c)
-                if gap < 1e-9 * scale:
-                    raise DominanceError(
-                        f"dominance undecidable for pair {pair} at tau={tau_c}"
-                    )
-                dom, rec = (j, k) if re_uj < re_uk else (k, j)
-                events.append(
-                    StokesEvent(
-                        "stokes_crossing",
-                        tau_c,
-                        _x_at(pts, tau_c),
-                        pair,
-                        dominant=dom,
-                        recessive=rec,
-                        im_before=int(np.sign(series[n - 1])),
-                    )
+    for b, tau_c, v_c in zip(brackets, centres, _u_batch(pts, centres, brackets)):
+        if b.kind == "stokes_crossing":
+            j, k = b.pair
+            re_uj = v_c[j - 1].real
+            re_uk = v_c[k - 1].real
+            gap = abs(re_uj - re_uk)
+            scale = max(abs(v) for v in v_c)
+            if gap < 1e-9 * scale:
+                raise DominanceError(
+                    f"dominance undecidable for pair {b.pair} at tau={tau_c}"
                 )
-
-        crosser = next(m for m in (1, 2, 3) if m not in pair)
-        sig = [_segment_signature(v, pair, crosser) for v in traj.values]
-        for n in range(1, len(sig)):
-            c0, l0 = sig[n - 1]
-            c1, l1 = sig[n]
-            if c0 == 0.0 or c0 * c1 >= 0:
-                continue
-            lo, hi = traj.taus[n - 1], traj.taus[n]
-            vals = traj.values[n - 1]
-            f_lo = c0
-            while hi - lo > tol:
-                mid = (lo + hi) / 2
-                vmid = _u_at(pts, mid, vals)
-                f_mid, _ = _segment_signature(vmid, pair, crosser)
-                if f_lo * f_mid <= 0:
-                    hi = mid
-                else:
-                    lo, f_lo, vals = mid, f_mid, vmid
-            tau_c = (lo + hi) / 2
-            v_c = _u_at(pts, tau_c, vals)
-            _, lam = _segment_signature(v_c, pair, crosser)
-            if 0.0 < lam < 1.0:
-                events.append(
-                    StokesEvent(
-                        "segment_crossing",
-                        tau_c,
-                        _x_at(pts, tau_c),
-                        pair,
-                        crosser=crosser,
-                    )
+            dom, rec = (j, k) if re_uj < re_uk else (k, j)
+            events.append(
+                StokesEvent(
+                    "stokes_crossing", tau_c, _x_at(pts, tau_c), b.pair,
+                    dominant=dom, recessive=rec, im_before=b.im_before,
                 )
+            )
+        elif 0.0 < _segment_signature(v_c, b.pair, b.crosser)[1] < 1.0:
+            events.append(
+                StokesEvent(
+                    "segment_crossing", tau_c, _x_at(pts, tau_c), b.pair, crosser=b.crosser
+                )
+            )
 
     events.sort(key=lambda e: e.tau)
     return traj, events

@@ -8,15 +8,20 @@ Stokes section one cell at a time from ``numpy.roots`` of the hand-expanded
 singular cubic, with none of the library's solver, coefficients or matcher.
 
 The remaining oracles keep earlier implementations as references: the
-tracker step loop on numpy scalars, the truncated-power expansion of the
-amplitude exponential, and central finite differences of a quartic branch
-by a Newton iteration of their own on the hand-expanded quartic.
+tracker step loop on numpy scalars, the event bisection one bracket and
+one cubic solve at a time, the truncated-power expansion of the amplitude
+exponential, and central finite differences of a quartic branch by a
+Newton iteration of their own on the hand-expanded quartic.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from pearcey_wkb import stokes, tracking
+from pearcey_wkb.aberth import roots_aberth
+from pearcey_wkb.errors import DominanceError
+from pearcey_wkb.geometry import PlanePoint, singular_cubic_coeffs
 from pearcey_wkb.multipoly import MultiPoly, sylvester_matrix
 
 
@@ -203,6 +208,88 @@ def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0
             if step < min_step:
                 raise StepUnderflow(tau)
     return taus, values, accepted, rejected
+
+
+# -- event bisection one bracket at a time ------------------------------------
+
+
+def _u_at(pts, tau, near_vals):
+    x1, x2 = stokes._x_at(pts, tau)
+    roots, _ = roots_aberth(singular_cubic_coeffs(PlanePoint(x1, x2)), tol=1e-13)
+    perm = tracking.match_labels(near_vals, roots, guard_ratio=1.0 + 1e-12)
+    return np.array([roots[p] for p in perm])
+
+
+def scalar_detect_events(x_path, tol=stokes.BISECTION_TOL):
+    """Events of a path by bisecting each bracket on its own, one
+    batch-of-one cubic solve per step: pair by pair, Stokes crossings
+    before segment crossings, then sorted by tau."""
+    traj = stokes.track_u(x_path)
+    pts = [(complex(p[0]), complex(p[1])) for p in x_path]
+    events = []
+
+    for pair in stokes.PAIRS:
+        series = [stokes._indicator(v, pair) for v in traj.values]
+        for n in range(1, len(series)):
+            if series[n - 1] == 0.0:
+                continue
+            if series[n - 1] * series[n] < 0:
+                lo, hi = traj.taus[n - 1], traj.taus[n]
+                vals = traj.values[n - 1]
+                f_lo = series[n - 1]
+                while hi - lo > tol:
+                    mid = (lo + hi) / 2
+                    vmid = _u_at(pts, mid, vals)
+                    f_mid = stokes._indicator(vmid, pair)
+                    if f_lo * f_mid <= 0:
+                        hi = mid
+                    else:
+                        lo, f_lo, vals = mid, f_mid, vmid
+                tau_c = (lo + hi) / 2
+                v_c = _u_at(pts, tau_c, vals)
+                j, k = pair
+                re_uj = v_c[j - 1].real
+                re_uk = v_c[k - 1].real
+                if abs(re_uj - re_uk) < 1e-9 * max(abs(v) for v in v_c):
+                    raise DominanceError(f"dominance undecidable for pair {pair} at tau={tau_c}")
+                dom, rec = (j, k) if re_uj < re_uk else (k, j)
+                events.append(
+                    stokes.StokesEvent(
+                        "stokes_crossing", tau_c, stokes._x_at(pts, tau_c), pair,
+                        dominant=dom, recessive=rec, im_before=int(np.sign(series[n - 1])),
+                    )
+                )
+
+        crosser = next(m for m in (1, 2, 3) if m not in pair)
+        sig = [stokes._segment_signature(v, pair, crosser) for v in traj.values]
+        for n in range(1, len(sig)):
+            c0, _ = sig[n - 1]
+            c1, _ = sig[n]
+            if c0 == 0.0 or c0 * c1 >= 0:
+                continue
+            lo, hi = traj.taus[n - 1], traj.taus[n]
+            vals = traj.values[n - 1]
+            f_lo = c0
+            while hi - lo > tol:
+                mid = (lo + hi) / 2
+                vmid = _u_at(pts, mid, vals)
+                f_mid, _ = stokes._segment_signature(vmid, pair, crosser)
+                if f_lo * f_mid <= 0:
+                    hi = mid
+                else:
+                    lo, f_lo, vals = mid, f_mid, vmid
+            tau_c = (lo + hi) / 2
+            v_c = _u_at(pts, tau_c, vals)
+            _, lam = stokes._segment_signature(v_c, pair, crosser)
+            if 0.0 < lam < 1.0:
+                events.append(
+                    stokes.StokesEvent(
+                        "segment_crossing", tau_c, stokes._x_at(pts, tau_c), pair, crosser=crosser
+                    )
+                )
+
+    events.sort(key=lambda e: e.tau)
+    return events
 
 
 # -- amplitude exponential by truncated powers -------------------------------------

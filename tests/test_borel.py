@@ -146,7 +146,14 @@ class TestDictionary:
         start = branches_at_origin(0.02, 0.0)
         bt = track(start, [0.02, 0.3], t=0.0)
         csv = bt.to_csv()
-        assert csv.splitlines()[0].startswith("step,tau")
+        header, *rows = csv.splitlines()
+        assert header.startswith("step,tau")
+        assert len(rows) == len(bt.trace.taus)
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == len(header.split(","))
+            for cell in fields[1:]:
+                float(cell)
         assert bt.min_separation > 0
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import raster_labels_oracle
-from pearcey_wkb import stokes
-from pearcey_wkb.errors import TurningPointError, ValidationError
+from oracles import raster_labels_oracle, scalar_detect_events
+from pearcey_wkb import stokes, tracking
+from pearcey_wkb.cli import main
+from pearcey_wkb.errors import LabelMatchError, TurningPointError, ValidationError
 from pearcey_wkb.geometry import PlanePoint, critical_values
 from pearcey_wkb.stokes import (
     PAIRS,
@@ -143,6 +144,67 @@ class TestEvents:
             if a.kind == "stokes_crossing":
                 assert a.dominant == b.dominant
                 assert a.im_before == -b.im_before
+
+
+def _event_bits(ev):
+    """An event's labels with tau and x as exact bit patterns."""
+    coords = (ev.x[0].real, ev.x[0].imag, ev.x[1].real, ev.x[1].imag)
+    return (
+        ev.kind, ev.pair, ev.crosser, ev.dominant, ev.recessive, ev.im_before,
+        type(ev.tau), ev.tau.hex(), *(type(c) for c in ev.x), *(c.hex() for c in coords),
+    )
+
+
+def _count_batches(monkeypatch):
+    """Wrap the event solver; returns the list of batch sizes it saw."""
+    sizes = []
+    solve = stokes.roots_aberth_batch
+
+    def counted(coeffs, tol):
+        sizes.append(len(coeffs))
+        return solve(coeffs, tol)
+
+    monkeypatch.setattr(stokes, "roots_aberth_batch", counted)
+    return sizes
+
+
+class TestLockstepBisection:
+    @pytest.mark.parametrize(
+        "path",
+        [PAPER_POLYLINE, PAPER_POLYLINE[:5], PAPER_POLYLINE[::-1], [(0.5, 0.1), (0.5, 0.1)]],
+        ids=["paper", "paper-to-vertex5", "reversed", "constant"],
+    )
+    def test_matches_scalar_oracle(self, path, monkeypatch):
+        want = scalar_detect_events(path)
+        sizes = _count_batches(monkeypatch)
+        _, got = detect_events(path)
+        assert [_event_bits(e) for e in got] == [_event_bits(e) for e in want]
+        if not want:
+            assert sizes == []
+
+    def test_one_batch_per_bisection_step(self, monkeypatch):
+        sizes = _count_batches(monkeypatch)
+        detect_events(PAPER_POLYLINE)
+        assert len(sizes) == 29
+        assert sum(sizes) == 311
+
+    def test_label_match_failure_names_its_bracket(self, monkeypatch, tmp_path):
+        match = tracking.match_labels_rows
+
+        def fail_row_1(old_vals, new_vals, guard_ratio):
+            perm, ok = match(old_vals, new_vals, guard_ratio)
+            ok[1] = False
+            return perm, ok
+
+        bad = stokes._brackets(track_u(PAPER_POLYLINE))[1]
+        monkeypatch.setattr(tracking, "match_labels_rows", fail_row_1)
+        with pytest.raises(LabelMatchError) as info:
+            detect_events(PAPER_POLYLINE)
+        msg = str(info.value)
+        assert bad.kind in msg and str(bad.pair) in msg
+        assert f"[{bad.lo!r}, {bad.hi!r}]" in msg
+        argv = ["--out-dir", str(tmp_path), "connect", "--path", "paper-polyline"]
+        assert main(argv) == 3
 
 
 class TestConnectionWalk:
