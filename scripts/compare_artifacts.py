@@ -1,0 +1,29 @@
+#!/usr/bin/env python3
+"""Write the artifacts of every benchmark input, for a byte-identity check.
+
+Usage: python3 scripts/compare_artifacts.py SRC_ROOT OUT_DIR
+
+Imports ``pearcey_wkb`` from SRC_ROOT/src and runs each call of
+``perfbench/workloads.py``'s ``all_inputs(w)``, for every workload, through
+``cli.main(["--out-dir", d, "--no-timestamp", *argv])``.  Call k of workload
+w writes into d = OUT_DIR/w/k, plus its exit code in d/rc.  Run it on two
+source trees, then compare the two OUT_DIRs with ``diff -rq``.
+"""
+
+import os
+import sys
+
+src_root, out_dir = sys.argv[1:3]
+sys.path.insert(0, os.path.join(os.path.abspath(src_root), "src"))
+sys.path.insert(1, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+import workloads  # noqa: E402
+from pearcey_wkb.cli import main  # noqa: E402
+
+for w in workloads.WORKLOADS:
+    for k, argv in enumerate(workloads.all_inputs(w)):
+        d = os.path.join(out_dir, w, f"{k:03d}")
+        os.makedirs(d, exist_ok=True)
+        rc = main(["--out-dir", d, "--no-timestamp", *argv])
+        with open(os.path.join(d, "rc"), "w") as f:
+            f.write(f"{rc}\n")

@@ -277,11 +277,7 @@ def branches_at_origin(s: complex, t: complex) -> np.ndarray:
     seeded = tracking.solve_and_match(
         spec.coeffs(s0, t0), origin_germs(s0, t0), guard_ratio=1.2
     )
-    trace = tracking.track_family(
-        lambda tau: spec.coeffs(s0 + (s - s0) * tau, t0 + (t - t0) * tau),
-        lambda tau: s0 + (s - s0) * tau,
-        seeded,
-    )
+    trace = tracking.track_polyline(lambda p: spec.coeffs(*p), [(s0, t0), (s, t)], seeded)
     return trace.final
 
 
@@ -343,11 +339,7 @@ def branches_at_p(ell: int, s: complex, t: complex = 0.0) -> np.ndarray:
     vals = np.array([sing[0], sing[1], reg[0], reg[1]], dtype=complex)
     if t == 0:
         return vals
-    trace = tracking.track_family(
-        lambda tau: spec.coeffs(s, t * tau),
-        lambda tau: t * tau,
-        vals,
-    )
+    trace = tracking.track_polyline(lambda tt: spec.coeffs(s, tt), [0j, t], vals)
     return trace.final
 
 
@@ -368,12 +360,7 @@ def track_s_with_bows(spec, t, vals, s_knots, s_stars, sep_s) -> np.ndarray:
 
     def leg(vals, a, b, depth):
         try:
-            tr = tracking.track_family(
-                lambda tau: spec.coeffs(a + (b - a) * tau, t),
-                lambda tau: a + (b - a) * tau,
-                vals,
-            )
-            return tr.final
+            return tracking.track_polyline(lambda s: spec.coeffs(s, t), [a, b], vals).final
         except ContinuationError as err:
             loc = err.location
             if depth >= 4 or loc is None:

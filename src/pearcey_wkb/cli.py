@@ -442,7 +442,6 @@ def build_parser() -> _Parser:
 
     p = add_parser("series", help="exact WKB series table")
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--format", default="json", choices=["json"])
 
     p = add_parser("geometry", help="roots, singularities, derived polynomials")
     p.add_argument("--x1", required=True)

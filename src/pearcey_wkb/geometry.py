@@ -185,50 +185,33 @@ def _bow_leg(a, b, guard: float, depth: int) -> list:
     return _bow_leg(a, mid, guard, depth + 1) + _bow_leg(mid, b, guard, depth + 1)
 
 
-def _x_path_tracker(provenance: Provenance, start_vals, coeffs_of_point):
-    """Track labeled roots along the two-coordinate polyline of a provenance."""
-    trace = None
-    vals = start_vals
-    pts = [p.as_tuple() for p in provenance.path]
-    if len(pts) < 2:
-        trace = tracking.Trace()
-        trace.record(0.0, pts[0][0], np.asarray(start_vals, dtype=complex))
-        return trace
-    for (a1, a2), (b1, b2) in zip(pts[:-1], pts[1:]):
-        def point_fn(t, a1=a1, a2=a2, b1=b1, b2=b2):
-            return a1 + (b1 - a1) * t  # diagnostic projection
+def char_trace(provenance: Provenance) -> tracking.Trace:
+    """Characteristic roots tracked along a provenance's (x1, x2) polyline.
 
-        def coeffs_fn(t, a1=a1, a2=a2, b1=b1, b2=b2):
-            xp = PlanePoint(a1 + (b1 - a1) * t, a2 + (b2 - a2) * t)
-            return coeffs_of_point(xp)
-
-        trace = tracking.track_family(coeffs_fn, point_fn, vals, trace=trace)
-        vals = trace.final
-    return trace
-
-
-def char_roots(
-    x: PlanePoint,
-    provenance: Provenance | None = None,
-    strict: bool = True,
-) -> LabeledRoots3:
-    """Labeled characteristic roots zeta_ell(x).
-
-    In strict mode a point on the turning locus is rejected (labels are
-    undefined there); merged-root mode (``strict=False``) returns the
-    nearest-match labels for plotting purposes.
+    Starts from the exact labels at the reference point; each record's
+    point is an (x1, x2) tuple.
     """
-    _, on_t = turning_discriminant(x)
-    if on_t and strict:
-        raise TurningPointError("turning point: labels undefined")
-    if provenance is None:
-        provenance = default_provenance(x)
     ref = provenance.reference
     if ref.x2 != 0 or not (complex(ref.x1).real > 0 and complex(ref.x1).imag == 0):
         raise ValidationError("provenance must start on the reference locus x2=0, x1>0")
-    start = reference_zetas(complex(ref.x1).real)
-    trace = _x_path_tracker(provenance, start, char_cubic_coeffs)
-    vals = trace.final
+    return tracking.track_polyline(
+        lambda p: char_cubic_coeffs(PlanePoint(*p)),
+        [p.as_tuple() for p in provenance.path],
+        reference_zetas(complex(ref.x1).real),
+    )
+
+
+def char_roots(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRoots3:
+    """Labeled characteristic roots zeta_ell(x).
+
+    A point on the turning locus is rejected: labels are undefined there.
+    """
+    _, on_t = turning_discriminant(x)
+    if on_t:
+        raise TurningPointError("turning point: labels undefined")
+    if provenance is None:
+        provenance = default_provenance(x)
+    vals = char_trace(provenance).final
     resid = [
         abs(np.polyval(char_cubic_coeffs(x)[::-1], z)) for z in vals
     ]
@@ -238,13 +221,9 @@ def char_roots(
     return LabeledRoots3(tuple(vals), "zeta", provenance)
 
 
-def critical_values(
-    x: PlanePoint,
-    provenance: Provenance | None = None,
-    strict: bool = True,
-) -> LabeledRoots3:
+def critical_values(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRoots3:
     """Borel singularities u_ell = -(1/4)(3 x1 zeta_ell + 2 x2 zeta_ell^2)."""
-    zr = char_roots(x, provenance, strict)
+    zr = char_roots(x, provenance)
     x1, x2 = x.as_tuple()
     us = tuple(-(3 * x1 * z + 2 * x2 * z * z) / 4.0 for z in zr.values)
     coeffs = singular_cubic_coeffs(x)

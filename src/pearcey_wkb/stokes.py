@@ -62,19 +62,9 @@ def stokes_indicator(x: PlanePoint, provenance: Provenance | None = None):
 class UTrajectories:
     """Labeled Borel-singularity tracks along a base-plane path."""
 
-    path: list[complex]  # x1 values of flattened polyline samples
     taus: list[float]  # global parameter in [0, 1]
     points: list[tuple[complex, complex]]  # (x1, x2) samples
     values: list[np.ndarray]  # three labeled u's per sample
-
-    def at(self, tau: float) -> np.ndarray:
-        """Nearest recorded sample at or before tau."""
-        idx = int(np.searchsorted(self.taus, tau, side="right")) - 1
-        return self.values[max(idx, 0)]
-
-
-def _u_cubic_coeffs(x1: complex, x2: complex) -> np.ndarray:
-    return singular_cubic_coeffs(PlanePoint(x1, x2))
 
 
 def track_u(
@@ -91,26 +81,23 @@ def track_u(
     if len(pts) < 2:
         raise ValidationError("path needs at least 2 vertices")
     start = critical_values(PlanePoint(*pts[0]), provenance)
-    vals = np.array(start.values, dtype=complex)
-    out = UTrajectories([], [], [], [])
+    trace = tracking.track_polyline(
+        lambda p: singular_cubic_coeffs(PlanePoint(*p)),
+        pts,
+        np.array(start.values, dtype=complex),
+    )
+    out = UTrajectories([], [], [])
     nseg = len(pts) - 1
-    for i, ((a1, a2), (b1, b2)) in enumerate(zip(pts[:-1], pts[1:])):
-        def coeffs_fn(t, a1=a1, a2=a2, b1=b1, b2=b2):
-            return _u_cubic_coeffs(a1 + (b1 - a1) * t, a2 + (b2 - a2) * t)
-
-        def point_fn(t, a1=a1, b1=b1):
-            return a1 + (b1 - a1) * t
-
-        trace = tracking.track_family(coeffs_fn, point_fn, vals)
-        vals = trace.final
-        for tau, tvals in zip(trace.taus, trace.values):
-            g = (i + tau) / nseg
-            if out.taus and g <= out.taus[-1]:
-                continue
-            out.taus.append(g)
-            out.points.append((a1 + (b1 - a1) * tau, a2 + (b2 - a2) * tau))
-            out.path.append(a1 + (b1 - a1) * tau)
-            out.values.append(tvals)
+    i = -1
+    for tau, point, tvals in zip(trace.taus, trace.points, trace.values):
+        if tau == 0.0:  # every leg starts with a tau = 0 record
+            i += 1
+        g = (i + tau) / nseg
+        if out.taus and g <= out.taus[-1]:
+            continue
+        out.taus.append(g)
+        out.points.append(point)
+        out.values.append(tvals)
     return out
 
 

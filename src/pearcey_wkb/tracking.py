@@ -2,13 +2,15 @@
 
 One tracker serves every continuation job in the package: characteristic
 roots of the cubic along x-paths, Borel singularities from their cubic, and
-the four sheets of the Borel quartic along paths in the base plane.
+the four sheets of the Borel quartic along paths in the base plane.  Every
+path is a polyline handed to :func:`track_polyline`.
 
-The step acceptance rule is the collision guard: after Newton-correcting
-every tracked value onto the new polynomial, the minimum pairwise separation
-of the updated values must exceed ``GUARD_RATIO`` times the largest value
-displacement in the step.  Steps halve until the guard holds; running out of
-refinement raises ``ContinuationError`` with the obstruction location.
+There is no predictor: each step Newton-corrects the previous values onto
+the polynomial at the new parameter.  The collision guard then accepts or
+halves the step: the corrected values must pass a residual test, and their
+minimum pairwise separation must exceed ``GUARD_RATIO`` times the largest
+value displacement in the step.  Running out of refinement raises
+``ContinuationError`` with the path point where the tracker gave up.
 """
 
 from __future__ import annotations
@@ -120,18 +122,19 @@ class Trace:
     """Recorded continuation of a fixed number of labeled values.
 
     ``values[i]`` is the tuple tracked at parameter ``taus[i]`` and base
-    point ``points[i]``; ``min_separation`` is the smallest pairwise sheet
+    point ``points[i]`` (a complex number or a tuple of them, the form of
+    the path's knots); ``min_separation`` is the smallest pairwise sheet
     distance seen anywhere along the path.
     """
 
     taus: list[float] = field(default_factory=list)
-    points: list[complex] = field(default_factory=list)
+    points: list = field(default_factory=list)
     values: list[np.ndarray] = field(default_factory=list)
     min_separation: float = inf
 
     def record(self, tau, point, vals):
         self.taus.append(float(tau))
-        self.points.append(complex(point))
+        self.points.append(point)
         self.values.append(np.array(vals, dtype=complex))
         if len(vals) > 1:
             self.min_separation = min(self.min_separation, _min_pairwise(vals))
@@ -218,24 +221,43 @@ def _accept(c: list, old_vals: list, new_vals: list) -> bool:
 
 
 def track_polyline(coeffs_at_point, knots, start_vals, *, trace=None) -> Trace:
-    """Track through a polyline of base points (e.g. in the x- or s-plane).
+    """Track through a polyline of base points, one ``track_family`` leg per
+    segment.
 
-    ``coeffs_at_point`` maps a base point to ascending coefficients.
+    A knot is either a complex number (a point of the s- or x1-plane) or a
+    tuple of complex coordinates (a point of the (x1, x2) or (s, t) plane);
+    all knots of a path have the same form.  The point at parameter tau of
+    the segment from a to b is ``a + (b - a) * tau``, coordinate by
+    coordinate, and ``coeffs_at_point`` maps such a point, in the knots'
+    form, to ascending coefficients.  Every leg starts with a tau = 0
+    record, so the records of leg i follow its i-th tau = 0 record.  A
+    single knot gives a trace of ``start_vals`` alone, unchecked.
     """
-    knots = [complex(k) for k in knots]
-    if len(knots) < 2:
-        raise ContinuationError("path needs at least 2 vertices")
+    knots = [tuple(map(complex, k)) if isinstance(k, tuple) else complex(k) for k in knots]
+    if not knots:
+        raise ContinuationError("path needs at least 1 vertex")
+    if len(knots) == 1:
+        trace = Trace() if trace is None else trace
+        trace.record(0.0, knots[0], start_vals)
+        return trace
     vals = start_vals
     for a, b in zip(knots[:-1], knots[1:]):
         def point_fn(t, a=a, b=b):
-            return a + (b - a) * t
+            return _lerp(a, b, t)
 
         def coeffs_fn(t, a=a, b=b):
-            return coeffs_at_point(a + (b - a) * t)
+            return coeffs_at_point(_lerp(a, b, t))
 
         trace = track_family(coeffs_fn, point_fn, vals, trace=trace)
         vals = trace.final
     return trace
+
+
+def _lerp(a, b, t):
+    """The point at parameter t of the segment from knot a to knot b."""
+    if isinstance(a, tuple):
+        return tuple(p + (q - p) * t for p, q in zip(a, b))
+    return a + (b - a) * t
 
 
 def circle_knots(center: complex, radius: float, theta0: float, theta1: float, n: int = 48):

@@ -38,13 +38,12 @@ from math import factorial, sqrt, pi
 
 import numpy as np
 
-from . import tracking
 from .errors import ValidationError
 from .geometry import (
     PlanePoint,
     Provenance,
-    char_cubic_coeffs,
     char_roots,
+    char_trace,
     critical_values,
     default_provenance,
     reference_zetas,
@@ -313,35 +312,21 @@ def f0_branch(x: PlanePoint, ell: int, provenance: Provenance | None = None) -> 
     # reference convention arg zeta_ell = pi + 2 pi ell / 3
     theta = 2.0 * (np.pi + 2.0 * np.pi * ell / 3.0)
     w_prev = None
-    pts = [p.as_tuple() for p in provenance.path]
-    ref = reference_zetas(complex(provenance.reference.x1).real)
-    vals = ref
-    for (a1, a2), (b1, b2) in zip(pts[:-1], pts[1:]):
-        def coeffs_fn(t, a1=a1, a2=a2, b1=b1, b2=b2):
-            return char_cubic_coeffs(PlanePoint(a1 + (b1 - a1) * t, a2 + (b2 - a2) * t))
-
-        def point_fn(t, a1=a1, b1=b1):
-            return a1 + (b1 - a1) * t
-
-        trace = tracking.track_family(coeffs_fn, point_fn, vals)
-        # walk the recorded steps, unwrapping the phase of w
-        for tau, triple in zip(trace.taus, trace.values):
-            x2_here = a2 + (b2 - a2) * tau
-            w = 6.0 * triple[ell - 1] ** 2 + x2_here
-            if w_prev is None:
-                w_prev = w
-                continue
-            ratio = w / w_prev
-            dtheta = np.angle(ratio)
-            if abs(dtheta) > 2.5:
-                raise ValidationError(
-                    "phase step too large while continuing f0; refine the path"
-                )
-            theta += dtheta
+    trace = char_trace(provenance)
+    # walk the recorded steps, unwrapping the phase of w
+    for (_, x2_here), triple in zip(trace.points, trace.values):
+        w = 6.0 * triple[ell - 1] ** 2 + x2_here
+        if w_prev is None:
             w_prev = w
-        vals = trace.final
-    if w_prev is None:  # degenerate single-point path
-        w_prev = 6.0 * ref[ell - 1] ** 2 + 0.0
+            continue
+        ratio = w / w_prev
+        dtheta = np.angle(ratio)
+        if abs(dtheta) > 2.5:
+            raise ValidationError(
+                "phase step too large while continuing f0; refine the path"
+            )
+        theta += dtheta
+        w_prev = w
     return abs(w_prev) ** (-0.5) * np.exp(-0.5j * theta)
 
 

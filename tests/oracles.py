@@ -9,7 +9,8 @@ singular cubic, with none of the library's solver, coefficients or matcher.
 
 The remaining oracles keep earlier implementations as references: the
 tracker step loop on numpy scalars, the event bisection one bracket and
-one cubic solve at a time, the truncated-power expansion of the amplitude
+one cubic solve at a time, the f_0 phase continuation tracked one
+provenance leg at a time, the truncated-power expansion of the amplitude
 exponential, and central finite differences of a quartic branch by a
 Newton iteration of their own on the hand-expanded quartic.
 """
@@ -21,7 +22,13 @@ import numpy as np
 from pearcey_wkb import stokes, tracking
 from pearcey_wkb.aberth import roots_aberth
 from pearcey_wkb.errors import DominanceError
-from pearcey_wkb.geometry import PlanePoint, singular_cubic_coeffs
+from pearcey_wkb.geometry import (
+    PlanePoint,
+    char_cubic_coeffs,
+    default_provenance,
+    reference_zetas,
+    singular_cubic_coeffs,
+)
 from pearcey_wkb.multipoly import MultiPoly, sylvester_matrix
 
 
@@ -290,6 +297,40 @@ def scalar_detect_events(x_path, tol=stokes.BISECTION_TOL):
 
     events.sort(key=lambda e: e.tau)
     return events
+
+
+# -- f_0 phase continuation one provenance leg at a time -----------------------
+
+
+def f0_branch_per_leg(x, ell, provenance=None):
+    """(6 zeta_ell^2 + x2)^(-1/2) continued along the labeling path, with
+    one ``track_family`` call and one phase-unwrapping loop per leg."""
+    if provenance is None:
+        provenance = default_provenance(x)
+    theta = 2.0 * (np.pi + 2.0 * np.pi * ell / 3.0)
+    w_prev = None
+    pts = [p.as_tuple() for p in provenance.path]
+    ref = reference_zetas(complex(provenance.reference.x1).real)
+    vals = ref
+    for (a1, a2), (b1, b2) in zip(pts[:-1], pts[1:]):
+        def coeffs_fn(t, a1=a1, a2=a2, b1=b1, b2=b2):
+            return char_cubic_coeffs(PlanePoint(a1 + (b1 - a1) * t, a2 + (b2 - a2) * t))
+
+        def point_fn(t, a1=a1, b1=b1):
+            return a1 + (b1 - a1) * t
+
+        trace = tracking.track_family(coeffs_fn, point_fn, vals)
+        for tau, triple in zip(trace.taus, trace.values):
+            w = 6.0 * triple[ell - 1] ** 2 + (a2 + (b2 - a2) * tau)
+            if w_prev is not None:
+                dtheta = np.angle(w / w_prev)
+                assert abs(dtheta) <= 2.5, "phase step too large"
+                theta += dtheta
+            w_prev = w
+        vals = trace.final
+    if w_prev is None:  # single-vertex provenance
+        w_prev = 6.0 * ref[ell - 1] ** 2 + 0.0
+    return abs(w_prev) ** (-0.5) * np.exp(-0.5j * theta)
 
 
 # -- amplitude exponential by truncated powers -------------------------------------

@@ -158,6 +158,16 @@ def test_bad_config_is_usage_error(tmp_path, text):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_series_has_no_format_option(tmp_path, how):
+    cfgfile = tmp_path / "conf"
+    cfgfile.write_text("format=json\n")
+    extra = ["--config", str(cfgfile)] if how == "config" else ["--format", "json"]
+    with pytest.raises(SystemExit) as exc:
+        run(["--out-dir", str(tmp_path / "o"), "series", *extra])
+    assert exc.value.code == 1
+
+
 def test_quadrature_command(tmp_path):
     out = tmp_path / "o"
     assert (

@@ -4,7 +4,12 @@ import pytest
 from oracles import raster_labels_oracle, scalar_detect_events
 from pearcey_wkb import stokes, tracking
 from pearcey_wkb.cli import main
-from pearcey_wkb.errors import LabelMatchError, TurningPointError, ValidationError
+from pearcey_wkb.errors import (
+    ContinuationError,
+    LabelMatchError,
+    TurningPointError,
+    ValidationError,
+)
 from pearcey_wkb.geometry import PlanePoint, critical_values
 from pearcey_wkb.stokes import (
     PAIRS,
@@ -337,7 +342,7 @@ class TestSexticGeometricAgreement:
         # edge-crossing indicators must agree on at least 99% of edges away
         # from the turning locus
         from pearcey_wkb.aberth import roots_aberth
-        from pearcey_wkb.geometry import stokes_sextic_coeffs
+        from pearcey_wkb.geometry import singular_cubic_coeffs, stokes_sextic_coeffs
         from pearcey_wkb import tracking as trk
 
         x2 = 0.25
@@ -347,12 +352,11 @@ class TestSexticGeometricAgreement:
         u_vals = np.zeros((n, n, 3), dtype=complex)
         f_vals = np.zeros((n, n, 6), dtype=complex)
         near = np.zeros((n, n), dtype=bool)
-        from pearcey_wkb.stokes import _u_cubic_coeffs
 
         for i, yim in enumerate(ys):
             for j, xre in enumerate(xs):
                 x1 = complex(xre, yim)
-                ur, _ = roots_aberth(_u_cubic_coeffs(x1, x2), tol=1e-12)
+                ur, _ = roots_aberth(singular_cubic_coeffs(PlanePoint(x1, x2)), tol=1e-12)
                 u_vals[i, j] = ur
                 fr, _ = roots_aberth(
                     stokes_sextic_coeffs(PlanePoint(x1, x2)), tol=1e-10
@@ -433,3 +437,16 @@ class TestTrajectoryAnchoring:
             ]
         )
         assert (steps < seps[:-1]).all()
+
+
+def test_obstruction_location_is_the_plane_point():
+    # the segment x2 = -0.3 meets the turning locus 27 x1^2 + 8 x2^3 = 0 at
+    # x1 = sqrt(0.008); the tracker gives up there and says so in (x1, x2)
+    with pytest.raises(ContinuationError) as exc:
+        track_u([(0.5, -0.3), (-0.5, -0.3)])
+    loc = exc.value.location
+    assert isinstance(loc, tuple) and len(loc) == 2
+    x1, x2 = loc
+    assert x2 == -0.3
+    assert abs(x1 - np.sqrt(0.008)) < 1e-3
+    assert abs(27 * x1**2 + 8 * x2**3) < 1e-4

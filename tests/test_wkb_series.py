@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import exp_series_power_expansion
+import pytest
+
+from oracles import exp_series_power_expansion, f0_branch_per_leg
 from pearcey_wkb import wkb_series
-from pearcey_wkb.geometry import PlanePoint
+from pearcey_wkb.geometry import PlanePoint, default_provenance
 from pearcey_wkb.multipoly import MultiPoly
 from pearcey_wkb.wkb_series import (
     borel_coeffs,
@@ -118,6 +120,29 @@ class TestBorelCoeffs:
         expect = i1 * gamma_half_ratio(0) / gamma_half_ratio(1)
         got = bct.coeffs[1] / bct.coeffs[0]
         assert abs(got - expect) < 1e-10 * max(1.0, abs(expect))
+
+
+F0_POINTS = {
+    "reference_single_vertex": (1.0, 0.0),
+    "bowed_default_provenance": (-0.8 + 0.02j, 0.3 - 0.1j),
+    "chart_real": (1.0, 0.1),
+    "chart_complex": (0.5 + 0.5j, -0.05j),
+    "chart_bowed": (-1.0 + 0.3j, 0.15),
+    "chart_lower": (0.2 - 0.7j, 0.1 + 0.05j),
+}
+
+
+class TestF0Branch:
+    def test_provenances_cover_single_vertex_and_bows(self):
+        assert len(default_provenance(PlanePoint(*F0_POINTS["reference_single_vertex"])).path) == 1
+        assert len(default_provenance(PlanePoint(*F0_POINTS["bowed_default_provenance"])).path) > 3
+
+    @pytest.mark.parametrize("name", sorted(F0_POINTS))
+    def test_bitwise_equal_to_per_leg_loop(self, name):
+        x = PlanePoint(*F0_POINTS[name])
+        for ell in (1, 2, 3):
+            got = np.complex128(f0_branch(x, ell)).tobytes()
+            assert got == np.complex128(f0_branch_per_leg(x, ell)).tobytes()
 
 
 class TestScaledExpansion:
