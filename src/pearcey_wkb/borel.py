@@ -502,6 +502,44 @@ class SheetField:
         """Continue a known tuple along a y-polyline starting at its point."""
         return self._track_s(vals, [self.s_of_y(y) for y in y_knots])
 
+    def track_stops(self, vals, y0: complex, y1: complex, stops) -> list[np.ndarray]:
+        """Sheet tuples at the points y0 + (y1 - y0) tau of the segment
+        y0 -> y1, one per tau in the ascending ``stops`` (in (0, 1]).
+
+        The segment is one tracker leg landing on every stop.  Where it
+        fails, the stretch from the last stop reached to the next one goes
+        through ``track_s_with_bows`` (bows included) and the leg resumes
+        from there with the remaining stops.
+        """
+        a, b = self.s_of_y(y0), self.s_of_y(y1)
+        taus = [float(tau) for tau in stops]
+        points = [a + (b - a) * tau for tau in taus]
+        out: list[np.ndarray] = []
+        start, start_vals, offset = a, vals, 0.0
+        while len(out) < len(taus):
+            rest = [(tau - offset) / (1.0 - offset) for tau in taus[len(out) :]]
+            trace = tracking.Trace()
+            try:
+                tracking.track_family(
+                    lambda r, p=start: self.spec.coeffs(p + (b - p) * r, self.t),
+                    lambda r, p=start: p + (b - p) * r,
+                    start_vals,
+                    trace=trace,
+                    stops=rest,
+                )
+            except ContinuationError:
+                pass  # the trace keeps the stops reached before the failure
+            hit = set(rest)
+            out += [v for r, v in zip(trace.taus, trace.values) if r in hit]
+            k = len(out)
+            if k < len(taus):
+                start, offset = points[k], taus[k]
+                start_vals = self._track_s(
+                    out[-1] if k else vals, [points[k - 1] if k else a, start]
+                )
+                out.append(start_vals)
+        return out
+
     def _track_s(self, vals, s_knots) -> np.ndarray:
         s_stars = [u / self.x1_quarter for u in self.u_vals]
         sep_s = self.min_sep / abs(self.x1_quarter)

@@ -409,11 +409,11 @@ def _cmd_quadrature(cfg: RunConfig, args) -> int:
     payload = {"contour": [a, b], "eta": repr(eta), "value": _cpx_json(value)}
     if args.compare_borel:
         table = build_series(8)
-        psis = [
-            laplace_borel_sum(ell, x, eta, table=table).value for ell in (1, 2, 3)
-        ]
+        sums = [laplace_borel_sum(ell, x, eta, table=table) for ell in (1, 2, 3)]
+        psis = [r.value for r in sums]
         phase, eps = match_borel_combination(value, psis)
         payload["borel_sums"] = [_cpx_json(p) for p in psis]
+        payload["laplace"] = [{"nodes": r.nodes, "converged": r.converged} for r in sums]
         payload["matched_combination"] = {
             "phase": _cpx_json(phase),
             "coefficients": list(eps),

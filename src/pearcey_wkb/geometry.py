@@ -223,7 +223,12 @@ def char_roots(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRo
 
 def critical_values(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRoots3:
     """Borel singularities u_ell = -(1/4)(3 x1 zeta_ell + 2 x2 zeta_ell^2)."""
-    zr = char_roots(x, provenance)
+    return _critical_values_of(x, char_roots(x, provenance))
+
+
+def _critical_values_of(x: PlanePoint, zr: LabeledRoots3) -> LabeledRoots3:
+    """``critical_values`` from the labeled characteristic roots ``zr`` of x,
+    checked against the singular-locus cubic."""
     x1, x2 = x.as_tuple()
     us = tuple(-(3 * x1 * z + 2 * x2 * z * z) / 4.0 for z in zr.values)
     coeffs = singular_cubic_coeffs(x)

@@ -6,7 +6,8 @@
 
 along the cut ray, removing the inverse-square-root endpoint by the
 substitution y = u_ell + w^2.  The integrand near the endpoint uses the
-local series; beyond a hand-off radius the sheet continuation takes over.
+local series; beyond a hand-off radius the sheet continuation takes over,
+one tracker leg per Gauss pass stopping on every node.
 
 ``pearcey_quadrature`` integrates exp(eta (z^4 + x2 z^2 + x1 z)) along a
 piecewise-linear contour joining two valleys of the integrand, giving an
@@ -61,6 +62,8 @@ class LaplaceResult:
     eta: float
     truncation: float  # ray length used
     series_radius: float
+    nodes: int  # sheet tuples tracked on the ray, over all passes
+    converged: bool  # two successive passes agreed to tol (True without a far piece)
 
 
 def laplace_borel_sum(
@@ -105,41 +108,42 @@ def laplace_borel_sum(
 
     part1 = adaptive_segment(f_series, 0.0, w_mid, tol * np.exp(-eta * ul.real))
 
-    # far piece by sheet continuation, sampled at quadrature nodes
+    # far piece by sheet continuation: one ray leg per pass lands on every node
     part2 = 0j
+    nodes = 0
+    converged = True  # without a far piece there is nothing to refine
     if w_max > w_mid:
         a, sheets0 = field.anchor(ell)
         start_y = ul + w_mid**2
         vals = field.track_from(sheets0, [a, start_y])
+        xs, gws = _gl_nodes(24)
         npanels = 8
         prev = None
         for _ in range(3):
-            total = 0j
-            vals_cur = vals
-            y_cur = start_y
             edges = np.linspace(w_mid, w_max, npanels + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                xs, ws_ = _gl_nodes(24)
-                mid = (lo + hi) / 2
-                half = (hi - lo) / 2
-                wnodes = mid + half * xs
+            halves = (edges[1:] - edges[:-1]) / 2
+            wnodes = [(lo + hi) / 2 + h * xs for lo, hi, h in zip(edges, edges[1:], halves)]
+            w_last = wnodes[-1][-1]
+            taus = (np.concatenate(wnodes) ** 2 - w_mid**2) / (w_last**2 - w_mid**2)
+            sheets = field.track_stops(vals, start_y, ul + w_last**2, taus)
+            nodes += len(sheets)
+            psis = (field.psi_from_sheets(ell, v) for v in sheets)
+            total = 0j
+            for half, wn_panel in zip(halves, wnodes):
                 acc = 0j
-                for wn, gw in zip(wnodes, ws_):
+                for wn, gw, psi in zip(wn_panel, gws, psis):
                     y = ul + wn * wn
-                    vals_cur = field.track_from(vals_cur, [y_cur, y])
-                    y_cur = y
-                    psi = field.psi_from_sheets(ell, vals_cur)
                     acc += gw * np.exp(-eta * y) * psi * 2.0 * wn
                 total += half * acc
-            if prev is not None and abs(total - prev) <= tol * max(
-                abs(total), np.exp(-eta * ul.real)
-            ):
-                part2 = total
+            part2 = total
+            converged = prev is not None and bool(
+                abs(total - prev) <= tol * max(abs(total), np.exp(-eta * ul.real))
+            )
+            if converged:
                 break
             prev = total
-            part2 = total
             npanels *= 2
-    return LaplaceResult(part1 + part2, ell, eta, length, r_series)
+    return LaplaceResult(part1 + part2, ell, eta, length, r_series, nodes, converged)
 
 
 # -- defining oscillatory integral ------------------------------------------------

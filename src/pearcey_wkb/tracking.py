@@ -3,7 +3,10 @@
 One tracker serves every continuation job in the package: characteristic
 roots of the cubic along x-paths, Borel singularities from their cubic, and
 the four sheets of the Borel quartic along paths in the base plane.  Every
-path is a polyline handed to :func:`track_polyline`.
+path is a polyline handed to :func:`track_polyline`, except a straight leg
+that must pass through given points (the Gauss nodes of a Laplace ray): it
+is one :func:`track_family` call whose ``stops`` are those points' taus,
+each step that would pass the next stop being shortened to land on it.
 
 There is no predictor: each step Newton-corrects the previous values onto
 the polynomial at the new parameter.  The collision guard then accepts or
@@ -148,7 +151,9 @@ class Trace:
         return tuple(match_labels(self.final, reference_vals))
 
 
-def track_family(coeffs_fn, point_fn, start_vals, *, trace: Trace | None = None) -> Trace:
+def track_family(
+    coeffs_fn, point_fn, start_vals, *, trace: Trace | None = None, stops=()
+) -> Trace:
     """Continue labeled roots of a polynomial family over tau in [0, 1].
 
     Parameters
@@ -160,10 +165,20 @@ def track_family(coeffs_fn, point_fn, start_vals, *, trace: Trace | None = None)
         tau -> base-plane point (diagnostics only).
     start_vals : sequence of complex
         Labeled roots at tau = 0; they must satisfy the tau = 0 polynomial.
+    stops : sequence of float
+        Ascending taus in (0, 1] the trace must land on: a step that would
+        pass the next stop is shortened to end on it, and a rejected
+        shortened step halves its own length.  Each stop is recorded once,
+        like any accepted step.
 
     Each step's coefficients become one descending list of Python complex
     numbers, so the Newton polish and the acceptance test run on scalars.
     """
+    stops = [float(s) for s in stops]
+    if any(not 0.0 < s <= 1.0 for s in stops) or any(
+        a >= b for a, b in zip(stops[:-1], stops[1:])
+    ):
+        raise ValueError("stops must be ascending taus in (0, 1]")
     vals = np.asarray(start_vals, dtype=complex).tolist()
     c0 = _descending(coeffs_fn(0.0))
     abs_c0 = [abs(a) for a in c0]
@@ -177,10 +192,14 @@ def track_family(coeffs_fn, point_fn, start_vals, *, trace: Trace | None = None)
         trace = Trace()
     trace.record(0.0, point_fn(0.0), vals)
 
+    next_stop = 0
     tau = 0.0
     step = 0.125
     while tau < 1.0:
         target = min(1.0, tau + step)
+        at_stop = next_stop < len(stops) and target >= stops[next_stop]
+        if at_stop:
+            target = stops[next_stop]
         c = _descending(coeffs_fn(target))
         n = len(c) - 1
         dc = [(n - k) * a for k, a in enumerate(c[:-1])]
@@ -194,8 +213,9 @@ def track_family(coeffs_fn, point_fn, start_vals, *, trace: Trace | None = None)
             vals = new_vals
             trace.record(tau, point_fn(tau), vals)
             step = min(2 * step, 0.25)
+            next_stop += at_stop
         else:
-            step *= 0.5
+            step = 0.5 * (target - tau if at_stop else step)
             if step < MIN_STEP:
                 raise ContinuationError(
                     "near-discriminant passage: step underflow during tracking",

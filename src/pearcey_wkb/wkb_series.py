@@ -42,9 +42,9 @@ from .errors import ValidationError
 from .geometry import (
     PlanePoint,
     Provenance,
+    _critical_values_of,
     char_roots,
     char_trace,
-    critical_values,
     default_provenance,
     reference_zetas,
 )
@@ -345,7 +345,7 @@ def borel_coeffs(
     if provenance is None:
         provenance = default_provenance(x)
     zr = char_roots(x, provenance)
-    us = critical_values(x, provenance)
+    us = _critical_values_of(x, zr)
     z0 = zr[ell]
     x2 = complex(x.x2)
     f0 = f0_branch(x, ell, provenance)

@@ -6,6 +6,8 @@ resultant computed both ways checks the Bareiss path against something it
 shares no code with.  The raster oracle labels the Borel singularities of a
 Stokes section one cell at a time from ``numpy.roots`` of the hand-expanded
 singular cubic, with none of the library's solver, coefficients or matcher.
+The defining Pearcey integral is evaluated by mpmath at 30 digits along the
+valley rays, sharing no code with ``quadrature.py``.
 
 The remaining oracles keep earlier implementations as references: the
 tracker step loop on numpy scalars, the event bisection one bracket and
@@ -406,3 +408,28 @@ def fd_jets(x1, x2, y, g0, h):
             pm, mp = at(**{v: 1, w: -1}), at(**{v: -1, w: 1})
             jets[(v, w)] = jets[(w, v)] = (pp - pm - mp + mm) / (4 * h**2)
     return jets
+
+
+# -- the defining Pearcey integral at high precision ---------------------------------
+
+
+def pearcey_integral_mp(x1, x2, eta, contour, dps=30):
+    """int exp(eta (z^4 + x2 z^2 + x1 z)) dz from infinity in valley a
+    through 0 to infinity in valley b, by mpmath quadrature along the two
+    valley rays z = r d_k, d_k = exp(i ((pi - arg eta)/4 + k pi/2)), on
+    which eta z^4 = -|eta| r^4."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        eta, x1, x2 = mpmath.mpmathify(eta), mpmath.mpmathify(x1), mpmath.mpmathify(x2)
+        base = (mpmath.pi - mpmath.arg(eta)) / 4
+
+        def ray(k):
+            d = mpmath.expjpi((base / mpmath.pi) + mpmath.mpf(k) / 2)
+            return d * mpmath.quad(
+                lambda r: mpmath.exp(eta * ((r * d) ** 4 + x2 * (r * d) ** 2 + x1 * r * d)),
+                [0, 1, 2, mpmath.inf],
+            )
+
+        a, b = contour
+        return complex(ray(b) - ray(a))

@@ -196,6 +196,17 @@ def test_quadrature_command(tmp_path):
     expect = np.exp(1j * pi / 4) * gamma(0.25) / 2
     assert abs(got - expect) < 1e-8
 
+
+def test_quadrature_compare_borel_reports_laplace_passes(tmp_path):
+    out = tmp_path / "o"
+    argv = ["--out-dir", str(out), "quadrature", "--x1", "1", "--x2", "0.1",
+            "--eta", "10", "--contour", "1,2", "--compare-borel"]
+    assert run(argv) == 0
+    doc = json.loads((out / "quadrature.json").read_text())
+    assert doc["laplace"] == [{"nodes": 192 + 384, "converged": True}] * 3
+    assert doc["matched_combination"]["coefficients"] == [0, 0, 1]
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "pearcey_wkb.cli", "--help"],

@@ -128,3 +128,37 @@ class TestMatching:
     def test_no_match_raises(self):
         with pytest.raises(ValidationError):
             match_borel_combination(1.0 + 0j, [1e6, 2e6, 3e6], tol=1e-8)
+
+
+class TestDefiningIntegralOracle:
+    """Borel sums against the defining integral at 30 digits (mpmath along
+    the valley rays, no code shared with ``quadrature.py``).
+
+    The second point and eta are those of the benchmark's seeded quadrature
+    pool entry 1, on the non-adjacent contour (0, 2), whose matched
+    combination has two nonzero coefficients.
+    """
+
+    @pytest.mark.parametrize(
+        "x1, x2, eta, contour, phase, eps",
+        [
+            (1.0, 0.1, 10.0, (1, 2), 1j, (0, 0, 1)),
+            (0.6076 + 0.1598j, 0.1401 - 0.0327j, 6.01, (0, 2), -1j, (0, 1, -1)),
+        ],
+    )
+    def test_borel_sums_match_defining_integral(self, series8, x1, x2, eta, contour, phase, eps):
+        from oracles import pearcey_integral_mp
+
+        x = PlanePoint(x1, x2)
+        psis = [laplace_borel_sum(ell, x, eta, table=series8).value for ell in (1, 2, 3)]
+        value = pearcey_integral_mp(x1, x2, eta, contour)
+        assert match_borel_combination(value, psis) == (phase, eps)
+        comb = phase * sqrt(pi) * sum(e * p for e, p in zip(eps, psis))
+        assert abs(value - comb) <= 1e-10 * abs(value)
+
+    def test_sums_report_nodes_and_convergence(self, series8):
+        r = laplace_borel_sum(3, PlanePoint(1.0, 0.1), 10.0, table=series8)
+        assert (r.nodes, r.converged) == (192 + 384, True)
+        # a tolerance no pass can meet runs all three passes and says so
+        r = laplace_borel_sum(3, PlanePoint(1.0, 0.1), 10.0, table=series8, tol=1e-30)
+        assert (r.nodes, r.converged) == (192 + 384 + 768, False)

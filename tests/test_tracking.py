@@ -5,6 +5,11 @@ is replayed through ``tracking.track_family`` and through the reference loop
 in ``oracles``: the tau sequence and the accept/reject counts must be the
 same, and the tracked values must agree to 1e-13 relative.
 
+With ``stops``, a Laplace ray of the Borel quartic is tracked as one leg
+that lands once on every Gauss node; the values there match a replay one
+node-to-node leg at a time, and a failure forced mid-ray falls back to the
+bowed leg for one stretch and still yields every node.
+
 Properties of ``track_polyline`` on (x1, x2) knots of the characteristic
 cubic, over polylines that stay clear of the turning locus: a path and its
 reverse give back the start labels, midpoints leave the final values
@@ -16,10 +21,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import StepUnderflow, track_family_numpy
-from pearcey_wkb import tracking
-from pearcey_wkb.borel import monodromy
+from pearcey_wkb import borel, tracking
+from pearcey_wkb.borel import SheetField, monodromy
 from pearcey_wkb.errors import ContinuationError
 from pearcey_wkb.geometry import PlanePoint, char_cubic_coeffs, char_roots
+from pearcey_wkb.quadrature import _gl_nodes
 from pearcey_wkb.stokes import PAPER_POLYLINE, track_u
 
 
@@ -27,9 +33,9 @@ def _recorded_legs(monkeypatch, run):
     legs = []
     real = tracking.track_family
 
-    def recorder(coeffs_fn, point_fn, start_vals, *, trace=None):
+    def recorder(coeffs_fn, point_fn, start_vals, **kw):
         legs.append((coeffs_fn, point_fn, np.array(start_vals, dtype=complex)))
-        return real(coeffs_fn, point_fn, start_vals, trace=trace)
+        return real(coeffs_fn, point_fn, start_vals, **kw)
 
     monkeypatch.setattr(tracking, "track_family", recorder)
     run()
@@ -45,7 +51,7 @@ def _replay(coeffs_fn, point_fn, start):
         return coeffs_fn(tau)
 
     try:
-        trace = tracking.track_family(counted, point_fn, start)
+        trace = tracking.track_family(counted, point_fn, start, stops=())
     except ContinuationError:
         return None
     accepted = len(trace.taus) - 1
@@ -109,6 +115,109 @@ def test_values_beyond_float_range_stop_tracking():
 
     with pytest.raises(ContinuationError):
         tracking.track_family(coeffs_fn, lambda t: t, [0.0])
+
+
+# -- stops: a Laplace ray as one leg landing on every Gauss node ----------------
+
+
+def _laplace_ray(ell=3, x=PlanePoint(1.0, 0.1), eta=10.0, npanels=8):
+    """The field, the sheets at the ray's start u + w_mid^2, the end y and
+    the taus of one 24-node Gauss pass, as ``laplace_borel_sum`` sets them."""
+    field = SheetField(x)
+    u = field.u_vals[ell - 1]
+    w_mid = np.sqrt(min(0.12 * field.min_sep, 38.0 / eta / 2))
+    edges = np.linspace(w_mid, np.sqrt(38.0 / eta), npanels + 1)
+    xs, _ = _gl_nodes(24)
+    w = np.concatenate([(lo + hi) / 2 + (hi - lo) / 2 * xs for lo, hi in zip(edges, edges[1:])])
+    y0, y1 = u + w_mid**2, u + w[-1] ** 2
+    a, sheets = field.anchor(ell)
+    start = field.track_from(sheets, [a, y0])
+    taus = ((w**2 - w_mid**2) / (w[-1] ** 2 - w_mid**2)).tolist()
+    return field, start, y0, y1, taus
+
+
+def _ray_trace(field, start, y0, y1, stops):
+    a, b = field.s_of_y(y0), field.s_of_y(y1)
+    return tracking.track_family(
+        lambda r: field.spec.coeffs(a + (b - a) * r, field.t),
+        lambda r: a + (b - a) * r,
+        start,
+        stops=stops,
+    )
+
+
+def test_each_stop_is_recorded_once():
+    field, start, y0, y1, taus = _laplace_ray()
+    assert taus[-1] == 1.0
+    trace = _ray_trace(field, start, y0, y1, taus)
+    assert all(trace.taus.count(tau) == 1 for tau in taus)
+    assert all(p < q for p, q in zip(trace.taus, trace.taus[1:]))
+    # plain step taus (0.125, 0.375, ...) as stops are still recorded once
+    grid = [0.125, 0.375, 0.5, 0.5 + 1e-9, 1.0]
+    trace = _ray_trace(field, start, y0, y1, grid)
+    assert all(trace.taus.count(tau) == 1 for tau in grid)
+
+
+def test_stops_must_ascend_inside_the_unit_interval():
+    def coeffs_fn(t):
+        return np.array([-(1 + t), 0, 1], dtype=complex)
+
+    for bad in ([0.0, 0.5], [0.5, 0.5], [0.7, 0.2], [0.5, 1.5]):
+        with pytest.raises(ValueError):
+            tracking.track_family(coeffs_fn, lambda t: t, [1.0, -1.0], stops=bad)
+
+
+def test_stop_values_match_node_by_node_legs():
+    field, start, y0, y1, taus = _laplace_ray()
+    trace = _ray_trace(field, start, y0, y1, taus)
+    at_stop = dict(zip(trace.taus, trace.values))
+    a, b = field.s_of_y(y0), field.s_of_y(y1)
+    vals, prev = start, a
+    for tau in taus:
+        point = a + (b - a) * tau
+        vals = tracking.track_polyline(
+            lambda s: field.spec.coeffs(s, field.t), [prev, point], vals
+        ).final
+        prev = point
+        assert np.abs(at_stop[tau] - vals).max() <= 1e-13 * np.abs(vals).max()
+    assert field.track_stops(start, y0, y1, taus)[-1].tolist() == trace.final.tolist()
+
+
+@pytest.mark.parametrize("fail_after", [0, 5])
+def test_failure_mid_ray_bows_one_stretch_and_returns_every_node(fail_after, monkeypatch):
+    field, start, y0, y1, taus = _laplace_ray()
+    want = field.track_stops(start, y0, y1, taus)
+    real_track, real_bows = tracking.track_family, borel.track_s_with_bows
+    bowed = []
+
+    def failing(coeffs_fn, point_fn, start_vals, *, stops=(), **kw):
+        # every ray leg gives up just past its (fail_after + 1)-th stop
+        limit = stops[fail_after] if len(stops) > fail_after + 1 else 2.0
+
+        def coeffs(r):
+            if r > limit:
+                raise ContinuationError("forced", location=point_fn(r))
+            return coeffs_fn(r)
+
+        return real_track(coeffs, point_fn, start_vals, stops=stops, **kw)
+
+    def counted(spec, t, vals, s_knots, s_stars, sep_s):
+        bowed.append(len(s_knots))
+        return real_bows(spec, t, vals, s_knots, s_stars, sep_s)
+
+    monkeypatch.setattr(tracking, "track_family", failing)
+    monkeypatch.setattr(borel, "track_s_with_bows", counted)
+    got = field.track_stops(start, y0, y1, taus)
+    assert len(got) == len(taus)
+    assert bowed and all(n == 2 for n in bowed)
+    # each failing leg reaches fail_after + 1 stops, one bowed stretch adds the next
+    left, stretches = len(taus), 0
+    while left > fail_after + 1:
+        left -= fail_after + 2
+        stretches += 1
+    assert len(bowed) == stretches
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 # -- track_polyline on (x1, x2) knots of the characteristic cubic ---------------
