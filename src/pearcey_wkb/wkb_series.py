@@ -139,7 +139,7 @@ def build_series(order: int) -> WkbSeriesTable:
     if _TABLE is None:
         _TABLE = _order_zero_table()
     for j in range(_TABLE.order + 1, order + 1):
-        _add_order(_TABLE, j)
+        _TABLE = _add_order(_TABLE, j)
     return _TABLE.truncated(order)
 
 
@@ -148,7 +148,7 @@ def _order_zero_table() -> WkbSeriesTable:
     S_0^(1) = -(1/2) d1 log(6 zeta^2 + x2)."""
     zeta = ZetaRational.zeta()
     d = _denominator()
-    s0 = d.derive("d1") * _div_by_denominator(ZetaRational.const(1), 1) * Fraction(-1, 2)
+    s0 = d.derive("d1") * ZetaRational.const(1).over_d(1) * Fraction(-1, 2)
     table = WkbSeriesTable(order=0, s1=[zeta, s0], s2=[zeta * zeta], log_argument=d)
     table.d1s1 = [z.derive("d1") for z in table.s1]
     table.s2.append(_s2_term(table, 0))
@@ -157,8 +157,12 @@ def _order_zero_table() -> WkbSeriesTable:
     return table
 
 
-def _add_order(table: WkbSeriesTable, j: int) -> None:
-    """Append order j >= 1 to every list of ``table`` (built through j - 1)."""
+def _add_order(table: WkbSeriesTable, j: int) -> WkbSeriesTable:
+    """``table`` (built through j - 1) extended by order j >= 1.
+
+    The result has fresh lists and ``table`` is left as it was, so a failure
+    part way through cannot leave a half-extended table behind.
+    """
     S = table.s1_at
 
     def dS(i):
@@ -176,13 +180,12 @@ def _add_order(table: WkbSeriesTable, j: int) -> None:
         if -1 <= j2 < j:
             pair = pair + S(j1) * dS(j2)
     bracket = triple + pair * 3 + dS(j - 2).derive("d1")
-    sj = _div_by_denominator(bracket * Fraction(-2), 1)
-    table.s1.append(sj)
-    table.d1s1.append(sj.derive("d1"))
-    table.s2.append(_s2_term(table, j))
-    table.prim.append(_primitive(table, j))
-    table.f.append(_exp_term(table, table.f, j))
-    table.order = j
+    sj = (bracket * Fraction(-2)).over_d(1)
+    out = replace(table, order=j, s1=table.s1 + [sj], d1s1=table.d1s1 + [sj.derive("d1")])
+    out.s2 = table.s2 + [_s2_term(out, j)]
+    out.prim = table.prim + [_primitive(out, j)]
+    out.f = table.f + [_exp_term(out, table.f, j)]
+    return out
 
 
 def _s2_term(table: WkbSeriesTable, j: int) -> ZetaRational:
@@ -191,10 +194,6 @@ def _s2_term(table: WkbSeriesTable, j: int) -> ZetaRational:
     for m in range(0, j + 2):
         acc = acc + table.s1_at(m - 1) * table.s1_at(j - m)
     return acc + table.d1s1[j]
-
-
-def _div_by_denominator(z: ZetaRational, k: int) -> ZetaRational:
-    return ZetaRational(z.num, z.denom_power + k, z.scalar)
 
 
 def _primitive(table: WkbSeriesTable, j: int) -> ZetaRational:

@@ -1,7 +1,11 @@
 """Exact coefficient ring for the WKB recurrences.
 
 All series coefficients live in Q[zeta, x2] localized at d = 6*zeta^2 + x2:
-a ``ZetaRational`` is  scalar * N(zeta, x2) / d^m  with N integer-primitive.
+a ``ZetaRational`` is  scalar * N(zeta, x2) / d^m.  The numerator N is held
+as an integer dict {(i, j): c} over zeta^i x2^j, primitive (coefficient gcd
+1) with a positive leading coefficient in descending graded-lex order, and
+not divisible by d when m > 0; only the scalar is a ``Fraction``.  This form
+is unique, so equal elements have equal fields.
 The first coordinate zeta is the leading characteristic root, constrained by
 4*zeta^3 + 2*x2*zeta + x1 = 0; consequently x1 never appears internally and
 is substituted as x1 = -4*zeta^3 - 2*x2*zeta wherever a formula mentions it.
@@ -11,82 +15,180 @@ keep denominators confined to powers of d:
 
     d/dx1 = -(2 d)^(-1) d/dzeta
     d/dx2 = d/dx2|_zeta - zeta d^(-1) d/dzeta
+
+d is irreducible, and monic in x2, so it divides an integer numerator
+exactly when synthetic division in x2 leaves no remainder, and the quotient
+is again integer.  By Gauss's lemma a product of primitive numerators is
+primitive.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import EvaluationError
 from .multipoly import MultiPoly
 
 VARS = ("zeta", "x2")
 
-_D = MultiPoly(VARS, {(2, 0): 6, (0, 1): 1})  # 6*zeta^2 + x2
+_D_TERMS = {(2, 0): 6, (0, 1): 1}  # 6*zeta^2 + x2
+_D = MultiPoly(VARS, _D_TERMS)
 _DENOM_FLOOR = 1e-12
 
 
-def _zero_poly():
-    return MultiPoly.zero(VARS)
+def _grlex(e):
+    return (e[0] + e[1], e)
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two integer numerators."""
+    out: dict = {}
+    get = out.get
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@functools.cache
+def _d_power(k: int) -> dict:
+    """d^k as an integer numerator (shared: callers must not mutate it)."""
+    return {(0, 0): 1} if k == 0 else _mul_terms(_d_power(k - 1), _D_TERMS)
+
+
+def _add_into(acc: dict, terms: dict, c: int, shift: tuple[int, int]) -> None:
+    """acc += c * zeta^shift[0] * x2^shift[1] * terms, in place."""
+    a, b = shift
+    get = acc.get
+    for (i, j), v in terms.items():
+        e = (i + a, j + b)
+        acc[e] = get(e, 0) + c * v
+
+
+def _div_d(terms: dict) -> dict | None:
+    """terms / d if d divides terms, else None.
+
+    Synthetic division by x2 - t with t = -6 zeta^2, from the top x2-degree
+    down: q_(k-1) = c_k + t q_k, and the remainder is c_0 + t q_0.
+    """
+    if sum(c * (-6) ** j for (_, j), c in terms.items()):
+        return None  # d vanishes at (zeta, x2) = (1, -6) and terms does not
+    n = max(j for _, j in terms)
+    rows: list[dict] = [{} for _ in range(n + 1)]
+    for (i, j), c in terms.items():
+        rows[j][i] = c
+    out = {}
+    carry: dict = {}
+    for k in range(n, -1, -1):
+        row = rows[k]
+        for i, c in carry.items():
+            row[i + 2] = row.get(i + 2, 0) - 6 * c
+        carry = {i: c for i, c in row.items() if c}
+        if k:
+            for i, c in carry.items():
+                out[(i, k - 1)] = c
+    return None if carry else out
+
+
+def _cancel_d(terms: dict, m: int) -> tuple[dict, int]:
+    """Divide d out of terms while it divides and m > 0: (quotient, m left)."""
+    while m > 0:
+        q = _div_d(terms)
+        if q is None:
+            break
+        terms, m = q, m - 1
+    return terms, m
+
+
+def _reduce(terms: dict, m: int, scalar: Fraction) -> tuple[dict, int, Fraction]:
+    """Canonical (numerator, denom power, scalar) of scalar * terms / d^m."""
+    terms = {e: c for e, c in terms.items() if c}
+    if not terms or scalar == 0:
+        return {}, 0, Fraction(0)
+    terms, m = _cancel_d(terms, m)
+    g = 0
+    for c in terms.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if terms[max(terms, key=_grlex)] < 0:
+        g = -g
+    if g != 1:
+        terms = {e: c // g for e, c in terms.items()}
+    return terms, m, scalar * g
+
+
+def _make(terms: dict, m: int, scalar: Fraction) -> "ZetaRational":
+    """Wrap fields already in canonical form."""
+    out = ZetaRational.__new__(ZetaRational)
+    out.terms = terms
+    out.denom_power = m
+    out.scalar = scalar
+    out._num = None
+    return out
 
 
 class ZetaRational:
-    """Element scalar * num / (6 zeta^2 + x2)^denom_power, fully reduced."""
+    """Element scalar * num / (6 zeta^2 + x2)^denom_power, fully reduced.
 
-    __slots__ = ("num", "denom_power", "scalar")
+    ``terms`` is the integer numerator; ``num`` is a ``MultiPoly`` view of
+    it, built on first use.
+    """
+
+    __slots__ = ("terms", "denom_power", "scalar", "_num")
 
     def __init__(self, num: MultiPoly, denom_power: int = 0, scalar=Fraction(1)):
         if num.variables != VARS:
             num = num.embed(VARS)
-        scalar = Fraction(scalar)
-        denom_power = int(denom_power)
-        if denom_power < 0:
-            num = num * _D ** (-denom_power)
-            denom_power = 0
-        # cancel denominator factors
-        while denom_power > 0 and not num.is_zero():
-            if not _divisible_by_d(num):
-                break
-            num = num.exact_divide(_D)
-            denom_power -= 1
         prim, content = num.primitive()
-        if content == 0:
-            self.num = _zero_poly()
-            self.denom_power = 0
-            self.scalar = Fraction(0)
-        else:
-            self.num = prim
-            self.denom_power = denom_power
-            self.scalar = scalar * content
+        terms = {e: int(c) for e, c in prim.terms.items()}
+        m = int(denom_power)
+        if m < 0:
+            terms, m = _mul_terms(terms, _d_power(-m)), 0
+        self.terms, self.denom_power, self.scalar = _reduce(
+            terms, m, Fraction(scalar) * content
+        )
+        self._num = None
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ZetaRational":
-        return cls(_zero_poly())
+        return _make({}, 0, Fraction(0))
 
     @classmethod
     def const(cls, c) -> "ZetaRational":
-        return cls(MultiPoly.const(VARS, 1), 0, Fraction(c))
+        return _make(*_reduce({(0, 0): 1}, 0, Fraction(c)))
 
     @classmethod
     def zeta(cls) -> "ZetaRational":
-        return cls(MultiPoly.var(VARS, "zeta"))
+        return _make({(1, 0): 1}, 0, Fraction(1))
 
     @classmethod
     def x2(cls) -> "ZetaRational":
-        return cls(MultiPoly.var(VARS, "x2"))
+        return _make({(0, 1): 1}, 0, Fraction(1))
 
     @classmethod
     def x1(cls) -> "ZetaRational":
         """x1 rewritten in chart coordinates: -4*zeta^3 - 2*x2*zeta."""
-        return cls(MultiPoly(VARS, {(3, 0): -4, (1, 1): -2}))
+        return _make(*_reduce({(3, 0): -4, (1, 1): -2}, 0, Fraction(1)))
 
     @classmethod
     def denominator_poly(cls) -> MultiPoly:
         return _D
 
     # -- structure --------------------------------------------------------
+
+    @property
+    def num(self) -> MultiPoly:
+        """The numerator as a ``MultiPoly``, terms in descending graded-lex order."""
+        if self._num is None:
+            ordered = sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
+            self._num = MultiPoly(VARS, dict(ordered))
+        return self._num
 
     def is_zero(self) -> bool:
         return self.scalar == 0
@@ -97,11 +199,11 @@ class ZetaRational:
         return (
             self.scalar == other.scalar
             and self.denom_power == other.denom_power
-            and self.num == other.num
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.scalar, self.denom_power, self.num))
+        return hash((self.scalar, self.denom_power, frozenset(self.terms.items())))
 
     def __repr__(self):
         if self.is_zero():
@@ -116,19 +218,27 @@ class ZetaRational:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ZetaRational.const(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        # bring both scalars to one integer denominator, both numerators to d^m
+        sa, sb = self.scalar, other.scalar
+        den = lcm(sa.denominator, sb.denominator)
+        ca = sa.numerator * (den // sa.denominator)
+        cb = sb.numerator * (den // sb.denominator)
+        g = gcd(ca, cb)
         m = max(self.denom_power, other.denom_power)
-        a = self.num * self.scalar * _D ** (m - self.denom_power)
-        b = other.num * other.scalar * _D ** (m - other.denom_power)
-        return ZetaRational(a + b, m)
+        acc: dict = {}
+        for z, c in ((self, ca // g), (other, cb // g)):
+            k = m - z.denom_power
+            _add_into(acc, _mul_terms(z.terms, _d_power(k)) if k else z.terms, c, (0, 0))
+        return _make(*_reduce(acc, m, Fraction(g, den)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = ZetaRational.__new__(ZetaRational)
-        out.num = self.num
-        out.denom_power = self.denom_power
-        out.scalar = -self.scalar
-        return out
+        return _make(self.terms, self.denom_power, -self.scalar)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -140,21 +250,27 @@ class ZetaRational:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            out = ZetaRational.__new__(ZetaRational)
-            c = Fraction(other)
-            if c == 0:
+            if other == 0:
                 return ZetaRational.zero()
-            out.num = self.num
-            out.denom_power = self.denom_power
-            out.scalar = self.scalar * c
-            return out
-        return ZetaRational(
-            self.num * other.num,
-            self.denom_power + other.denom_power,
-            self.scalar * other.scalar,
-        )
+            return _make(self.terms, self.denom_power, self.scalar * other)
+        if self.is_zero() or other.is_zero():
+            return ZetaRational.zero()
+        # d is prime and prime to a numerator over d^m with m > 0, so it can
+        # only cancel from a factor without a denominator; the product of the
+        # primitive, positively led numerators is then canonical as it stands
+        a, ma = self.terms, self.denom_power
+        b, mb = other.terms, other.denom_power
+        if ma == 0:
+            a, mb = _cancel_d(a, mb)
+        elif mb == 0:
+            b, ma = _cancel_d(b, ma)
+        return _make(_mul_terms(a, b), ma + mb, self.scalar * other.scalar)
 
     __rmul__ = __mul__
+
+    def over_d(self, k: int) -> "ZetaRational":
+        """self / (6 zeta^2 + x2)^k for k >= 0."""
+        return _make(*_reduce(self.terms, self.denom_power + k, self.scalar))
 
     def __pow__(self, n: int):
         result = ZetaRational.const(1)
@@ -164,33 +280,24 @@ class ZetaRational:
 
     # -- chart derivatives ------------------------------------------------
 
-    def _d_zeta_parts(self) -> tuple[MultiPoly, int]:
-        """d/dzeta of num/d^m as (numerator, new denom power), unreduced."""
-        dnum = self.num.derivative("zeta")
-        if self.denom_power == 0:
-            return dnum, 0
-        m = self.denom_power
-        zeta = MultiPoly.var(VARS, "zeta")
-        # (N' d - 12 m zeta N) / d^(m+1)
-        return dnum * _D - zeta * self.num * (12 * m), m + 1
-
     def derive(self, direction: str) -> "ZetaRational":
         """Apply the chart form of d/dx1 (``d1``) or d/dx2 (``d2``)."""
+        n, m = self.terms, self.denom_power
+        dz = {(i - 1, j): i * c for (i, j), c in n.items() if i}
         if direction == "d1":
-            n, m = self._d_zeta_parts()
-            return ZetaRational(n, m + 1, self.scalar * Fraction(-1, 2))
+            # -(1/2) d^(-1) d/dzeta (N/d^m) = -(1/2) (N_zeta d - 12 m zeta N) / d^(m+2)
+            num = _mul_terms(dz, _D_TERMS)
+            _add_into(num, n, -12 * m, (1, 0))
+            return _make(*_reduce(num, m + 2, self.scalar * Fraction(-1, 2)))
         if direction == "d2":
-            zeta = MultiPoly.var(VARS, "zeta")
-            dz_n, dz_m = self._d_zeta_parts()
-            # partial w.r.t. x2 at fixed zeta
-            dx2 = self.num.derivative("x2")
-            if self.denom_power == 0:
-                part1 = ZetaRational(dx2, 0, self.scalar)
-            else:
-                m = self.denom_power
-                part1 = ZetaRational(dx2 * _D - self.num * m, m + 1, self.scalar)
-            part2 = ZetaRational(zeta * dz_n, dz_m + 1, -self.scalar)
-            return part1 + part2
+            # d/dx2|_zeta (N/d^m) - zeta d^(-1) d/dzeta (N/d^m)
+            #   = (N_x2 d^2 - zeta N_zeta d + m N (6 zeta^2 - x2)) / d^(m+2)
+            dx2 = {(i, j - 1): j * c for (i, j), c in n.items() if j}
+            num = _mul_terms(dx2, _d_power(2))
+            _add_into(num, _mul_terms(dz, _D_TERMS), -1, (1, 0))
+            _add_into(num, n, 6 * m, (2, 0))
+            _add_into(num, n, -m, (0, 1))
+            return _make(*_reduce(num, m + 2, self.scalar))
         raise ValueError(f"unknown direction {direction!r} (want 'd1' or 'd2')")
 
     # -- evaluation -----------------------------------------------------------
@@ -228,15 +335,6 @@ class ZetaRational:
             data["denom_power"],
             Fraction(data["scalar"]),
         )
-
-
-def _divisible_by_d(num: MultiPoly) -> bool:
-    """Whether d = 6*zeta^2 + x2 divides num: num(zeta, -6 zeta^2) == 0,
-    summing c*(-6)^b into zeta^(a+2b) for each term c*zeta^a*x2^b."""
-    acc: dict[int, Fraction] = {}
-    for (a, b), c in num.terms.items():
-        acc[a + 2 * b] = acc.get(a + 2 * b, 0) + c * (-6) ** b
-    return not any(acc.values())
 
 
 def homogeneity_residual(f: ZetaRational, weight: int) -> ZetaRational:

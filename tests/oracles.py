@@ -7,7 +7,10 @@ shares no code with.  The raster oracle labels the Borel singularities of a
 Stokes section one cell at a time from ``numpy.roots`` of the hand-expanded
 singular cubic, with none of the library's solver, coefficients or matcher.
 The defining Pearcey integral is evaluated by mpmath at 30 digits along the
-valley rays, sharing no code with ``quadrature.py``.
+valley rays, sharing no code with ``quadrature.py``.  sympy re-derives the
+singular cubic and the Stokes sextic by its own resultants, and does the
+exact ring's arithmetic and chart derivatives as plain rational functions
+of zeta and x2.
 
 The remaining oracles keep earlier implementations as references: the
 tracker step loop on numpy scalars, the event bisection one bracket and
@@ -20,6 +23,7 @@ Newton iteration of their own on the hand-expanded quartic.
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from pearcey_wkb import stokes, tracking
 from pearcey_wkb.aberth import roots_aberth
@@ -333,6 +337,61 @@ def f0_branch_per_leg(x, ell, provenance=None):
     if w_prev is None:  # single-vertex provenance
         w_prev = 6.0 * ref[ell - 1] ** 2 + 0.0
     return abs(w_prev) ** (-0.5) * np.exp(-0.5j * theta)
+
+
+# -- sympy: the exact ring and the elimination ---------------------------------------
+
+ZETA, X2 = sympy.symbols("zeta x2")
+D_SYM = 6 * ZETA**2 + X2
+
+
+def multipoly_sympy(p: MultiPoly):
+    """A MultiPoly as a sympy expression in symbols named after its variables."""
+    syms = [sympy.Symbol(v) for v in p.variables]
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(syms, e)))
+        for e, c in p.terms.items()
+    ))
+
+
+def zeta_numerator_sympy(f):
+    """The integer numerator of a ZetaRational as a sympy expression."""
+    return sympy.Add(*(c * ZETA**i * X2**j for (i, j), c in f.terms.items()))
+
+
+def zeta_rational_sympy(f):
+    """scalar * N / (6 zeta^2 + x2)^m as a sympy expression."""
+    scalar = sympy.Rational(f.scalar.numerator, f.scalar.denominator)
+    return scalar * zeta_numerator_sympy(f) / D_SYM**f.denom_power
+
+
+def chart_d1_sympy(expr):
+    """d/dx1 = -(2 d)^(-1) d/dzeta in the (zeta, x2) chart, cancelled."""
+    return sympy.cancel(-sympy.diff(expr, ZETA) / (2 * D_SYM))
+
+
+def chart_d2_sympy(expr):
+    """d/dx2 = d/dx2|_zeta - zeta d^(-1) d/dzeta in the (zeta, x2) chart, cancelled."""
+    return sympy.cancel(sympy.diff(expr, X2) - ZETA * sympy.diff(expr, ZETA) / D_SYM)
+
+
+def singular_cubic_sympy():
+    """The z-discriminant of z^4 + x2 z^2 + x1 z + y."""
+    z, x1, x2, y = sympy.symbols("z x1 x2 y")
+    return sympy.discriminant(z**4 + x2 * z**2 + x1 * z + y, z)
+
+
+def stokes_sextic_sympy():
+    """The factor of F-degree 6 of resultant(pk, resultant(pl, q, zl), zk), with
+    pl, pk the characteristic cubic in zl, zk and q = (1/4)(zl - zk)(3 x1 +
+    2 x2 (zl + zk)) - F."""
+    zl, zk, x1, x2, F = sympy.symbols("zl zk x1 x2 F")
+    pl = 4 * zl**3 + 2 * x2 * zl + x1
+    pk = 4 * zk**3 + 2 * x2 * zk + x1
+    q = (zl - zk) * (3 * x1 + 2 * x2 * (zl + zk)) / 4 - F
+    elim = sympy.resultant(pk, sympy.resultant(pl, q, zl), zk)
+    (sextic,) = [g for g, _ in sympy.factor_list(elim)[1] if sympy.degree(g, F) == 6]
+    return sextic
 
 
 # -- amplitude exponential by truncated powers -------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from pearcey_wkb.errors import TurningPointError, ValidationError
 from pearcey_wkb.geometry import (
@@ -19,6 +20,8 @@ from pearcey_wkb.geometry import (
 )
 from pearcey_wkb.multipoly import MultiPoly
 from pearcey_wkb.aberth import roots_aberth
+
+from oracles import multipoly_sympy, singular_cubic_sympy, stokes_sextic_sympy
 
 
 W = np.exp(2j * np.pi / 3)
@@ -164,6 +167,21 @@ class TestStokesSextic:
         sext = stokes_sextic()
         for (e1, e2, ef), _c in sext.terms.items():
             assert 3 * e1 + 2 * e2 + 4 * ef == 24
+
+
+class TestEliminationOracle:
+    """The derived polynomials equal sympy's own elimination up to a constant."""
+
+    @staticmethod
+    def assert_constant_multiple(ours, theirs):
+        ratio = sympy.cancel(multipoly_sympy(ours) / theirs)
+        assert ratio.is_Rational and ratio != 0, ratio
+
+    def test_singular_cubic(self):
+        self.assert_constant_multiple(singular_locus_cubic(), singular_cubic_sympy())
+
+    def test_stokes_sextic(self):
+        self.assert_constant_multiple(stokes_sextic(), stokes_sextic_sympy())
 
 
 class TestScaled:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +199,24 @@ class TestSeriesCache:
         extended = build_series(8)
         assert extended.to_json() == self.fresh(monkeypatch, 8).to_json()
 
+    def test_failed_order_leaves_table_intact(self, monkeypatch):
+        self.fresh(monkeypatch, 4)
+        exp_term = wkb_series._exp_term
+        failures = []
+
+        def fail_once(table, f, k):
+            if not failures:
+                failures.append(k)
+                raise RuntimeError("interrupted")
+            return exp_term(table, f, k)
+
+        monkeypatch.setattr(wkb_series, "_exp_term", fail_once)
+        with pytest.raises(RuntimeError):
+            build_series(5)
+        assert failures == [5]
+        extended = build_series(6)
+        assert extended.to_json() == self.fresh(monkeypatch, 6).to_json()
+
     def test_copies_are_independent(self, monkeypatch):
         a = self.fresh(monkeypatch, 3)
         a.s1.clear()
@@ -231,6 +251,16 @@ class TestSeriesCache:
         assert main(["--out-dir", out, "quadrature", *argv]) == 0
         assert sorted(built) == list(range(9))
         assert set(built.values()) == {1}
+
+
+# sha256 of json.dumps(build_series(12).to_json(), sort_keys=True), recorded
+# with the Fraction-coefficient ring the integer kernel replaced
+SERIES12_SHA256 = "702af12b5f8ca45dd32fa1ef981db9a27a8ef6662dfc34b4500a804a0d7f2f96"
+
+
+def test_series_12_golden_hash():
+    doc = json.dumps(build_series(12).to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == SERIES12_SHA256
 
 
 def test_f_recurrence_equals_power_expansion(series8):

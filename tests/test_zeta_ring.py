@@ -1,14 +1,24 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from pearcey_wkb.errors import EvaluationError
 from pearcey_wkb.multipoly import MultiPoly
 from pearcey_wkb.zeta_ring import VARS, ZetaRational, homogeneity_residual
 
-from oracles import random_multipoly
+from oracles import (
+    X2,
+    ZETA,
+    chart_d1_sympy,
+    chart_d2_sympy,
+    random_multipoly,
+    zeta_numerator_sympy,
+    zeta_rational_sympy,
+)
 
 
 def zr(num_terms, denom_power=0, scalar=1):
@@ -126,3 +136,59 @@ def test_directional_derivative_matches_d1():
 def test_json_round_trip():
     f = zr({(2, 1): 3, (0, 0): -1}, 2, Fraction(-7, 6))
     assert ZetaRational.from_json(f.to_json()) == f
+
+
+# -- the integer kernel against sympy -------------------------------------------------
+
+
+@st.composite
+def zeta_rationals(draw):
+    """random_multipoly numerators, times d^0..2 so that cancellation is exercised,
+    over d^0..3 with a rational scalar."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num = random_multipoly(rng, VARS, max_degree=3, max_terms=4)
+    num = num * ZetaRational.denominator_poly() ** draw(st.integers(0, 2))
+    scalar = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    return ZetaRational(num, draw(st.integers(0, 3)), scalar)
+
+
+def assert_canonical(f):
+    if f.is_zero():
+        assert (f.terms, f.denom_power) == ({}, 0)
+        return
+    coeffs = list(f.terms.values())
+    assert all(type(c) is int and c != 0 for c in coeffs)
+    assert gcd(*coeffs) == 1
+    num = zeta_numerator_sympy(f)
+    assert sympy.Poly(num, ZETA, X2).LC(order="grlex") > 0
+    if f.denom_power > 0:
+        assert sympy.expand(num.subs(X2, -6 * ZETA**2)) != 0  # d does not divide it
+
+
+def assert_equals_sympy(f, expr):
+    assert_canonical(f)
+    assert sympy.cancel(zeta_rational_sympy(f) - expr) == 0
+
+
+# d cancels in a product only from a factor without denominator
+_D_TIMES_ZETA = ZetaRational(ZetaRational.denominator_poly() * MultiPoly.var(VARS, "zeta"))
+_X2_OVER_D2 = zr({(0, 1): 1}, 2, Fraction(3, 5))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(zeta_rationals(), zeta_rationals())
+@example(_D_TIMES_ZETA, _X2_OVER_D2)
+@example(_X2_OVER_D2, _D_TIMES_ZETA)
+def test_sum_and_product_match_sympy(a, b):
+    assert_canonical(a)
+    sa, sb = zeta_rational_sympy(a), zeta_rational_sympy(b)
+    assert_equals_sympy(a + b, sympy.cancel(sa + sb))
+    assert_equals_sympy(a * b, sympy.cancel(sa * sb))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(zeta_rationals())
+def test_chart_derivatives_match_sympy(a):
+    sa = zeta_rational_sympy(a)
+    assert_equals_sympy(a.derive("d1"), chart_d1_sympy(sa))
+    assert_equals_sympy(a.derive("d2"), chart_d2_sympy(sa))
