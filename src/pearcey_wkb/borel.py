@@ -37,6 +37,7 @@ across cuts (discontinuity operators).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import pi, sqrt
 
@@ -51,9 +52,8 @@ from .errors import (
 from .geometry import (
     XYVARS,
     PlanePoint,
-    Provenance,
-    critical_values,
     cube_root,
+    labeled_point,
     p_ell,
     singular_cubic_coeffs,
 )
@@ -117,20 +117,12 @@ class QuarticSpec:
         return np.array([p.eval_numeric(env) for p in self.polys], dtype=complex)
 
 
-_XY_SPEC = None
-_ST_SPEC = None
-
-
+@functools.cache
 def quartic_spec(chart: str) -> QuarticSpec:
-    global _XY_SPEC, _ST_SPEC
     if chart == "xy":
-        if _XY_SPEC is None:
-            _XY_SPEC = QuarticSpec("xy", tuple(_xy_quartic_polys()))
-        return _XY_SPEC
+        return QuarticSpec("xy", tuple(_xy_quartic_polys()))
     if chart == "st":
-        if _ST_SPEC is None:
-            _ST_SPEC = QuarticSpec("st", tuple(_st_quartic_polys()))
-        return _ST_SPEC
+        return QuarticSpec("st", tuple(_st_quartic_polys()))
     raise ValidationError("chart must be 'xy' or 'st'")
 
 
@@ -460,13 +452,12 @@ class SheetField:
     branch.
     """
 
-    def __init__(self, x: PlanePoint, provenance: Provenance | None = None):
+    def __init__(self, x: PlanePoint):
         self.x = x
         self.c = cube_root(x.x1, 0)
         self.x1_quarter = self.c**4
         self.t = complex(x.x2) / self.c**2
-        self.us = critical_values(x, provenance)
-        self.u_vals = np.array(self.us.values, dtype=complex)
+        self.u_vals = np.array(labeled_point(x).us.values, dtype=complex)
         self.min_sep = min(
             abs(a - b)
             for i, a in enumerate(self.u_vals)
@@ -558,20 +549,8 @@ class SheetField:
         if ell not in self._anchors:
             u = self.u_vals[ell - 1]
             r = radius_rel * self.min_sep
-            dhat = u / abs(u)
-            a_ray = u - r * dhat
-            # angle of the ray arrival, upper-boundary convention
-            # (exact-real arrivals count as +pi, never -pi)
-            w = -dhat
-            if abs(w.imag) <= 1e-12:
-                if w.real >= 0:
-                    raise ValidationError(
-                        "anchor ray arrives along the cut of u_ell; labels degenerate"
-                    )
-                theta_ray = pi
-            else:
-                theta_ray = float(np.angle(w))
-            arc = tracking.circle_knots(u, r, theta_ray, pi / 2)
+            a_ray = u - r * (u / abs(u))
+            arc = tracking.circle_knots(u, r, _ray_angle(u), pi / 2)
             sheets = self.track_y_polyline([a_ray] + arc[1:])
             point = u + 1j * r
             got = self.psi_from_sheets(ell, sheets)
@@ -755,23 +734,10 @@ def discontinuity(
     if field.anchor_swap(k):
         sign = -sign
     arrived = field.track_from(start, [a] + approach)
-    anchor_k = approach[-1]
-
-    def one_sided(theta: float, winding: bool) -> complex:
-        # from u_k's anchor frame descend to the jump circle and sweep to
-        # the requested side of the cut
-        target = (2 * pi - theta) if winding else theta
-        arc = tracking.circle_knots(uk, R, pi / 2, target, n=48)
-        final = field.track_from(arrived, [anchor_k, uk + 1j * R] + arc[1:])
-        return field.psi_from_sheets(ell, final)
-
-    def delta(theta: float) -> complex:
-        return one_sided(theta, False) - one_sided(theta, True)
-
-    d1 = delta(THETA_LIFT)
-    d2 = delta(THETA_LIFT / 2)
-    value = sign * (2 * d2 - d1)
-    return DiscontinuityResult(value, hypothesis_ok, "; ".join(details))
+    jump = _cut_jump(
+        field, uk, R, approach[-1], arrived, lambda s: field.psi_from_sheets(ell, s)
+    )
+    return DiscontinuityResult(sign * jump, hypothesis_ok, "; ".join(details))
 
 
 def psi_on_cut(field_or_x, k: int, y: complex) -> complex:
@@ -789,19 +755,30 @@ def psi_on_cut(field_or_x, k: int, y: complex) -> complex:
         raise ValidationError("y must lie on the cut from u_k in the +real direction")
     R = sigma.real
     a, sheets0 = field.anchor(k)
+    jump = _cut_jump(field, uk, R, a, sheets0, lambda s: s[3] / complex(field.x.x1))
+    return 1j / sqrt(pi) * jump
 
-    def g4_side(theta: float, winding: bool) -> complex:
-        target = (2 * pi - theta) if winding else theta
+
+def _cut_jump(field: SheetField, uk: complex, R: float, start, sheets, read) -> complex:
+    """Jump of ``read(sheet tuple)`` across the cut at u_k + R.
+
+    ``sheets`` hold at ``start``, a point of u_k's anchor frame above u_k.
+    From there each side descends to the circle of radius R and sweeps to
+    angle theta above the cut or 2 pi - theta below it; the jump is the
+    Richardson limit 2 d(theta/2) - d(theta), theta = THETA_LIFT, of the
+    differences d(theta) = above - below.
+    """
+
+    def side(target: float) -> complex:
         arc = tracking.circle_knots(uk, R, pi / 2, target, n=48)
-        final = field.track_from(sheets0, [a, uk + 1j * R] + arc[1:])
-        return final[3] / complex(field.x.x1)
+        return read(field.track_from(sheets, [start, uk + 1j * R] + arc[1:]))
 
-    def jump(theta: float) -> complex:
-        return g4_side(theta, False) - g4_side(theta, True)
+    def delta(theta: float) -> complex:
+        return side(theta) - side(2 * pi - theta)
 
-    d1 = jump(THETA_LIFT)
-    d2 = jump(THETA_LIFT / 2)
-    return 1j / sqrt(pi) * (2 * d2 - d1)
+    d1 = delta(THETA_LIFT)
+    d2 = delta(THETA_LIFT / 2)
+    return 2 * d2 - d1
 
 
 def _ray_angle(u: complex) -> float:

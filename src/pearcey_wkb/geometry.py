@@ -15,6 +15,11 @@ with principal real roots for x1 > 0.  Here u_ell = -(1/4)(3 x1 zeta_ell +
 2 x2 zeta_ell^2) are the Borel-plane singularities (minus the critical
 values of the phase).
 
+``labeled_point`` tracks the roots along a point's labeling path once and
+keeps, from that one trace, the labeled zeta_ell, the u_ell and the
+continued branch of f_0 = (6 zeta_ell^2 + x2)^(-1/2) (``LabeledPoint.f0``).
+``char_roots``, ``critical_values`` and ``wkb_series.f0_branch`` read it.
+
 Two derived polynomials are computed by exact elimination rather than
 transcription, because their published displays fail quasi-homogeneity
 checks (weights 3, 2, 4, 4 for x1, x2, y, F):
@@ -78,15 +83,9 @@ class Provenance:
 
 @dataclass(frozen=True)
 class LabeledRoots3:
-    """Three labeled roots (characteristic or Borel-singularity kind).
-
-    ``values[i]`` carries label ell = i + 1.  ``kind`` is ``"zeta"`` for
-    characteristic roots and ``"u"`` for Borel singularities.
-    """
+    """Three labeled roots: ``values[i]`` carries label ell = i + 1."""
 
     values: tuple[complex, complex, complex]
-    kind: str
-    provenance: Provenance
 
     def __getitem__(self, ell: int) -> complex:
         if ell not in (1, 2, 3):
@@ -201,36 +200,74 @@ def char_trace(provenance: Provenance) -> tracking.Trace:
     )
 
 
-def char_roots(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRoots3:
-    """Labeled characteristic roots zeta_ell(x).
+@dataclass(frozen=True)
+class LabeledPoint:
+    """The labels of one base point x, fixed along one provenance.
 
-    A point on the turning locus is rejected: labels are undefined there.
+    ``trace`` tracks the characteristic roots along the provenance;
+    ``zetas`` are its final roots, checked against the characteristic cubic,
+    and ``us`` the Borel singularities u_ell = -(1/4)(3 x1 zeta_ell +
+    2 x2 zeta_ell^2) over them, checked against the singular-locus cubic.
     """
+
+    x: PlanePoint
+    provenance: Provenance
+    trace: tracking.Trace
+    zetas: LabeledRoots3
+    us: LabeledRoots3
+
+    def f0(self, ell: int) -> complex:
+        """f_0 = (6 zeta_ell^2 + x2)^(-1/2) continued along the trace."""
+        # accumulated phase of w = 6 zeta^2 + x2, seeded by the continuous
+        # reference convention arg zeta_ell = pi + 2 pi ell / 3
+        theta = 2.0 * (np.pi + 2.0 * np.pi * ell / 3.0)
+        w_prev = None
+        # walk the recorded steps, unwrapping the phase of w
+        for (_, x2_here), triple in zip(self.trace.points, self.trace.values):
+            w = 6.0 * triple[ell - 1] ** 2 + x2_here
+            if w_prev is None:
+                w_prev = w
+                continue
+            ratio = w / w_prev
+            dtheta = np.angle(ratio)
+            if abs(dtheta) > 2.5:
+                raise ValidationError(
+                    "phase step too large while continuing f0; refine the path"
+                )
+            theta += dtheta
+            w_prev = w
+        return abs(w_prev) ** (-0.5) * np.exp(-0.5j * theta)
+
+
+def labeled_point(x: PlanePoint, provenance: Provenance | None = None) -> LabeledPoint:
+    """The labels of x along ``provenance`` (``default_provenance(x)`` if None).
+
+    Each (point, provenance) is labeled once per process and shared by every
+    caller.  The cache is keyed on the coordinates' bit patterns as well, so
+    0.0 and -0.0 (equal as ``PlanePoint`` fields) are labeled apart.  A point
+    on the turning locus is rejected: labels are undefined there.
+    """
+    pts = [x] if provenance is None else [x, *provenance.path]
+    bits = np.array([p.as_tuple() for p in pts], dtype=complex).tobytes()
+    return _labeled_point(x, provenance, bits)
+
+
+@functools.lru_cache(maxsize=32)
+def _labeled_point(x: PlanePoint, provenance: Provenance | None, bits: bytes) -> LabeledPoint:
+    # ``bits`` only keys the cache
     _, on_t = turning_discriminant(x)
     if on_t:
         raise TurningPointError("turning point: labels undefined")
     if provenance is None:
         provenance = default_provenance(x)
-    vals = char_trace(provenance).final
-    resid = [
-        abs(np.polyval(char_cubic_coeffs(x)[::-1], z)) for z in vals
-    ]
+    trace = char_trace(provenance)
+    zetas = trace.final
+    resid = [abs(np.polyval(char_cubic_coeffs(x)[::-1], z)) for z in zetas]
     scale = max(1.0, *(abs(v) for v in char_cubic_coeffs(x)))
     if max(resid) > RESIDUAL_TOL * scale * 10:
         raise TurningPointError("characteristic roots failed residual check")
-    return LabeledRoots3(tuple(vals), "zeta", provenance)
-
-
-def critical_values(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRoots3:
-    """Borel singularities u_ell = -(1/4)(3 x1 zeta_ell + 2 x2 zeta_ell^2)."""
-    return _critical_values_of(x, char_roots(x, provenance))
-
-
-def _critical_values_of(x: PlanePoint, zr: LabeledRoots3) -> LabeledRoots3:
-    """``critical_values`` from the labeled characteristic roots ``zr`` of x,
-    checked against the singular-locus cubic."""
     x1, x2 = x.as_tuple()
-    us = tuple(-(3 * x1 * z + 2 * x2 * z * z) / 4.0 for z in zr.values)
+    us = tuple(-(3 * x1 * z + 2 * x2 * z * z) / 4.0 for z in zetas)
     coeffs = singular_cubic_coeffs(x)
     scale = max(1.0, max(abs(u) for u in us)) ** 3 * max(abs(c) for c in coeffs)
     for u in us:
@@ -239,7 +276,17 @@ def _critical_values_of(x: PlanePoint, zr: LabeledRoots3) -> LabeledRoots3:
             raise ValidationError(
                 f"critical value {u} fails the singular-locus cubic (residual {abs(r):.2e})"
             )
-    return LabeledRoots3(us, "u", zr.provenance)
+    return LabeledPoint(x, provenance, trace, LabeledRoots3(tuple(zetas)), LabeledRoots3(us))
+
+
+def char_roots(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRoots3:
+    """Labeled characteristic roots zeta_ell(x)."""
+    return labeled_point(x, provenance).zetas
+
+
+def critical_values(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRoots3:
+    """Borel singularities u_ell = -(1/4)(3 x1 zeta_ell + 2 x2 zeta_ell^2)."""
+    return labeled_point(x, provenance).us
 
 
 # -- derived polynomials (cached, computed once) ----------------------------------

@@ -22,7 +22,8 @@ weighted-homogeneity constraint are
 and the normalized amplitude ratios f_j/f_0 come from expanding
 exp( sum_{j>=1} eta^(-j) int omega_j ), with the closed-form prefactor
 f_0 = (6 zeta^2 + x2)^(-1/2) kept out of the series.  The square root's
-branch is continued along the labeling path from its reference value
+branch is continued by ``geometry.LabeledPoint.f0`` over the same trace of
+the labeling path that fixes the root labels, from its reference value
 
     f_0(1, 0) = -(2^(1/6)/sqrt(3)) e^(-2 pi i ell/3),
 
@@ -39,15 +40,7 @@ from math import factorial, sqrt, pi
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (
-    PlanePoint,
-    Provenance,
-    _critical_values_of,
-    char_roots,
-    char_trace,
-    default_provenance,
-    reference_zetas,
-)
+from .geometry import PlanePoint, Provenance, labeled_point, reference_zetas
 from .zeta_ring import ZetaRational
 
 
@@ -305,28 +298,7 @@ def reference_f0(ell: int) -> complex:
 
 def f0_branch(x: PlanePoint, ell: int, provenance: Provenance | None = None) -> complex:
     """Continue f_0 = (6 zeta_ell^2 + x2)^(-1/2) along the labeling path."""
-    if provenance is None:
-        provenance = default_provenance(x)
-    # accumulated phase of w = 6 zeta^2 + x2, seeded by the continuous
-    # reference convention arg zeta_ell = pi + 2 pi ell / 3
-    theta = 2.0 * (np.pi + 2.0 * np.pi * ell / 3.0)
-    w_prev = None
-    trace = char_trace(provenance)
-    # walk the recorded steps, unwrapping the phase of w
-    for (_, x2_here), triple in zip(trace.points, trace.values):
-        w = 6.0 * triple[ell - 1] ** 2 + x2_here
-        if w_prev is None:
-            w_prev = w
-            continue
-        ratio = w / w_prev
-        dtheta = np.angle(ratio)
-        if abs(dtheta) > 2.5:
-            raise ValidationError(
-                "phase step too large while continuing f0; refine the path"
-            )
-        theta += dtheta
-        w_prev = w
-    return abs(w_prev) ** (-0.5) * np.exp(-0.5j * theta)
+    return labeled_point(x, provenance).f0(ell)
 
 
 def borel_coeffs(
@@ -341,19 +313,16 @@ def borel_coeffs(
         raise ValidationError("ell must be 1, 2 or 3")
     if table is None or table.order < order:
         table = build_series(order)
-    if provenance is None:
-        provenance = default_provenance(x)
-    zr = char_roots(x, provenance)
-    us = _critical_values_of(x, zr)
-    z0 = zr[ell]
+    point = labeled_point(x, provenance)
+    z0 = point.zetas[ell]
     x2 = complex(x.x2)
-    f0 = f0_branch(x, ell, provenance)
+    f0 = point.f0(ell)
     sqrt_pi = sqrt(pi)
     coeffs = []
     for j in range(order + 1):
         fj = table.f[j].eval(z0, x2)
         coeffs.append(fj * f0 / (sqrt_pi * float(gamma_half_ratio(j))))
-    return BorelCoeffTable(ell=ell, x=x, base=us[ell], coeffs=coeffs)
+    return BorelCoeffTable(ell=ell, x=x, base=point.us[ell], coeffs=coeffs)
 
 
 def scaled_expansion(ell: int, order: int, table: WkbSeriesTable | None = None):

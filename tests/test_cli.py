@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from pearcey_wkb import geometry
 from pearcey_wkb.cli import main
 
 SYSTEMS = [
@@ -205,6 +207,22 @@ def test_quadrature_compare_borel_reports_laplace_passes(tmp_path):
     doc = json.loads((out / "quadrature.json").read_text())
     assert doc["laplace"] == [{"nodes": 192 + 384, "converged": True}] * 3
     assert doc["matched_combination"]["coefficients"] == [0, 0, 1]
+
+
+def test_quadrature_compare_borel_labels_each_point_once(tmp_path, monkeypatch):
+    paths = Counter()
+    real = geometry.char_trace
+
+    def counted(provenance):
+        paths[tuple(p.as_tuple() for p in provenance.path)] += 1
+        return real(provenance)
+
+    monkeypatch.setattr(geometry, "char_trace", counted)
+    geometry._labeled_point.cache_clear()
+    argv = ["--out-dir", str(tmp_path), "quadrature", "--x1=0.9302,0.0628",
+            "--x2=-0.0317,-0.0849", "--eta", "7.15", "--contour", "1,0", "--compare-borel"]
+    assert run(argv) == 0
+    assert paths and set(paths.values()) == {1}
 
 
 def test_console_script_entry():

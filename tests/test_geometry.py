@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import sympy
 
+from pearcey_wkb import geometry
 from pearcey_wkb.errors import TurningPointError, ValidationError
 from pearcey_wkb.geometry import (
     PlanePoint,
     char_roots,
     critical_values,
+    labeled_point,
     from_scaled,
     p_ell,
     reference_zetas,
@@ -238,3 +240,56 @@ class TestInvariants:
         u2 = critical_values(PlanePoint(lam**3 * x.x1, lam**2 * x.x2))
         for a, b in zip(u1.values, u2.values):
             assert abs(b - lam**4 * a) < 1e-10 * max(1.0, abs(b))
+
+
+# the (x1, x2) of the 24 seeded borel/quadrature benchmark inputs
+POOL_POINTS = [
+    (1.1121 - 0.2752j, 0.0871 + 0.1743j), (0.6076 + 0.1598j, 0.1401 - 0.0327j),
+    (0.9327 + 0.2432j, -0.0416 + 0.0954j), (0.9302 + 0.0628j, -0.0317 - 0.0849j),
+    (1.2843 + 0.2713j, -0.1570 + 0.0500j), (0.9712 - 0.0442j, 0.0772 + 0.0646j),
+    (0.8532 - 0.1284j, -0.1096 - 0.1058j), (0.9195 - 0.1886j, -0.0503 + 0.1513j),
+    (0.6585 - 0.0261j, -0.1294 + 0.0635j), (0.6693 - 0.0063j, -0.0144 + 0.0656j),
+    (1.0678 + 0.2583j, 0.1367 - 0.0890j), (1.0049 + 0.0484j, 0.1342 - 0.0320j),
+    (1.1179 - 0.1053j, 0.0620 - 0.0155j), (1.0324 - 0.1928j, -0.0014 - 0.1594j),
+    (1.0688 - 0.0077j, -0.1094 + 0.1608j), (0.6113 - 0.1245j, -0.0657 + 0.1199j),
+    (0.7765 + 0.1650j, -0.0955 - 0.1414j), (1.0971 - 0.0501j, 0.0819 - 0.1782j),
+    (1.3203 - 0.0548j, 0.0534 - 0.1942j), (0.6978 + 0.0631j, 0.1478 - 0.0453j),
+    (1.3361 - 0.3772j, -0.1296 - 0.1341j), (0.6740 - 0.1138j, -0.0114 + 0.0119j),
+    (1.2252 + 0.0451j, -0.0934 + 0.1130j), (0.7104 - 0.0996j, -0.0479 - 0.0817j),
+]
+
+
+def _label_bytes(point):
+    vals = [*point.zetas.values, *point.us.values, *(point.f0(ell) for ell in (1, 2, 3))]
+    return np.array(vals, dtype=complex).tobytes()
+
+
+class TestLabeledPoint:
+    POINTS = [PlanePoint(*p) for p in POOL_POINTS] + [
+        PlanePoint(1.0, 0.0),
+        PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j),  # default path bows off the turning locus
+    ]
+
+    def test_cached_labels_equal_fresh_ones_bitwise(self):
+        cached = [_label_bytes(labeled_point(x)) for x in self.POINTS]
+        for x, want in zip(self.POINTS, cached):
+            assert _label_bytes(labeled_point(x)) == want
+        geometry._labeled_point.cache_clear()
+        for x, want in zip(self.POINTS, cached):
+            assert _label_bytes(labeled_point(x)) == want
+
+    def test_signed_zeros_are_labeled_apart(self):
+        pos, neg = PlanePoint(1.2, 0.0), PlanePoint(1.2, -0.0)
+        assert pos == neg
+        want = _label_bytes(labeled_point(neg))
+        geometry._labeled_point.cache_clear()
+        labeled_point(pos)
+        assert labeled_point(neg) is not labeled_point(pos)
+        assert _label_bytes(labeled_point(neg)) == want
+
+    def test_views_read_the_point(self):
+        x = PlanePoint(0.7, 0.2 - 0.1j)
+        point = labeled_point(x)
+        assert char_roots(x) is point.zetas
+        assert critical_values(x) is point.us
+        assert labeled_point(x) is point

@@ -24,7 +24,7 @@ from oracles import StepUnderflow, track_family_numpy
 from pearcey_wkb import borel, tracking
 from pearcey_wkb.borel import SheetField, monodromy
 from pearcey_wkb.errors import ContinuationError
-from pearcey_wkb.geometry import PlanePoint, char_cubic_coeffs, char_roots
+from pearcey_wkb.geometry import PlanePoint, char_cubic_coeffs, char_trace, default_provenance
 from pearcey_wkb.quadrature import _gl_nodes
 from pearcey_wkb.stokes import PAPER_POLYLINE, track_u
 
@@ -67,7 +67,9 @@ def _reference(coeffs_fn, start):
 
 FAMILIES = {
     "st_quartic_monodromy_loop": lambda: monodromy(1),
-    "char_cubic_default_provenance": lambda: char_roots(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j)),
+    "char_cubic_default_provenance": lambda: char_trace(
+        default_provenance(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j))
+    ),
     "u_cubic_paper_polyline": lambda: track_u(PAPER_POLYLINE),
 }
 
