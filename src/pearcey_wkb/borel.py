@@ -63,6 +63,7 @@ STVARS = ("s", "t")
 T_VALIDITY = 0.2  # |x2 / x1^(2/3)| bound inside which chart results are validated
 SEED_SCALE = 0.02
 RHO_REL = 0.18  # approach radius around a singularity, relative to min separation
+ANCHOR_REL = 0.3  # anchor radius above each u_ell, relative to min separation
 THETA_LIFT = 2e-3  # cut-approach angle for one-sided limits (Richardson halves it)
 
 
@@ -536,7 +537,7 @@ class SheetField:
         sep_s = self.min_sep / abs(self.x1_quarter)
         return track_s_with_bows(self.spec, self.t, vals, s_knots, s_stars, sep_s)
 
-    def anchor(self, ell: int, radius_rel: float = 0.3) -> tuple[complex, np.ndarray]:
+    def anchor(self, ell: int) -> tuple[complex, np.ndarray]:
         """Anchor point u_ell + i r and the sheet tuple carried there.
 
         The tuple is validated against the local series germ of the
@@ -548,7 +549,7 @@ class SheetField:
         """
         if ell not in self._anchors:
             u = self.u_vals[ell - 1]
-            r = radius_rel * self.min_sep
+            r = ANCHOR_REL * self.min_sep
             a_ray = u - r * (u / abs(u))
             arc = tracking.circle_knots(u, r, _ray_angle(u), pi / 2)
             sheets = self.track_y_polyline([a_ray] + arc[1:])
@@ -683,7 +684,6 @@ def discontinuity(
     k: int,
     x: PlanePoint,
     y: complex,
-    rho_rel: float = RHO_REL,
 ) -> DiscontinuityResult:
     """Discontinuity of a continued Borel transform across the cut at u_k.
 
@@ -717,11 +717,11 @@ def discontinuity(
     details = []
     if kind == "plain":
         d = _segment_point_distance(ul, uk, field.u_vals[j - 1])
-        if d < rho_rel * field.min_sep:
+        if d < RHO_REL * field.min_sep:
             hypothesis_ok = False
             details.append(f"u_{j} within {d:.2e} of segment u_{ell}u_{k}")
 
-    approach = _ray_chain(field, ell, mids, k, rho_rel)
+    approach = _ray_chain(field, ell, mids, k)
     a, corrected = field.anchor(ell)
     # the chain is built from the raw representative arcs: undo the anchor
     # correction before transport, restore its sign afterwards
@@ -795,9 +795,7 @@ def _ray_angle(u: complex) -> float:
     return float(np.angle(w))
 
 
-def _ray_chain(
-    field: SheetField, ell: int, mids: list[int], k: int, rho_rel: float
-) -> list[complex]:
+def _ray_chain(field: SheetField, ell: int, mids: list[int], k: int) -> list[complex]:
     """Polyline realizing the segment continuations u_ell -> (mids) -> u_k.
 
     Straight segments between the singularities are replaced by the
@@ -808,7 +806,7 @@ def _ray_chain(
     and ends at u_k's anchor point (angle pi/2, anchor radius).
     """
     u = field.u_vals
-    r_a = 0.3 * field.min_sep
+    r_a = ANCHOR_REL * field.min_sep
     r_low = 0.15 * min(abs(v) for v in u)
     chain = [ell] + mids + [k]
     pts: list[complex] = []
@@ -886,7 +884,14 @@ def _quartic_in_g() -> MultiPoly:
     return acc
 
 
-_F_CACHE: dict = {}
+@functools.cache
+def _quartic_jet_polys():
+    """The quartic F in g and its first and second partials."""
+    F = _quartic_in_g()
+    names = ("x1", "x2", "y", "g")
+    d1 = {v: F.derivative(v) for v in names}
+    d2 = {(v, w): d1[v].derivative(w) for v in names for w in names}
+    return F, d1, d2
 
 
 def implicit_jet(x: PlanePoint, y: complex, g: complex) -> dict:
@@ -896,30 +901,19 @@ def implicit_jet(x: PlanePoint, y: complex, g: complex) -> dict:
     finite differences.  Keys are tuples of variable names, e.g. ("x1",),
     ("x1", "y"); the zeroth jet is under ().
     """
-    if "F" not in _F_CACHE:
-        F = _quartic_in_g()
-        names = ("x1", "x2", "y", "g")
-        _F_CACHE["F"] = F
-        _F_CACHE["d1"] = {v: F.derivative(v) for v in names}
-        _F_CACHE["d2"] = {
-            (v, w): _F_CACHE["d1"][v].derivative(w)
-            for v in names
-            for w in names
-        }
+    F, dF, d2 = _quartic_jet_polys()
     env = {"x1": complex(x.x1), "x2": complex(x.x2), "y": complex(y), "g": complex(g)}
-    F = _F_CACHE["F"]
     Fval = F.eval_numeric(env)
     scale = sum(abs(complex(c)) for c in F.terms.values()) or 1.0
     if abs(Fval) > 1e-7 * scale * max(1.0, abs(g)) ** 4:
         raise ValidationError(f"g does not satisfy the quartic (residual {abs(Fval):.2e})")
-    d1 = {v: _F_CACHE["d1"][v].eval_numeric(env) for v in ("x1", "x2", "y", "g")}
+    d1 = {v: dF[v].eval_numeric(env) for v in ("x1", "x2", "y", "g")}
     if abs(d1["g"]) < 1e-12 * scale:
         raise ValidationError("singular-locus proximity: dF/dg ~ 0")
     jets = {(): complex(g)}
     base = ("x1", "x2", "y")
     for v in base:
         jets[(v,)] = -d1[v] / d1["g"]
-    d2 = _F_CACHE["d2"]
     for i, v in enumerate(base):
         for w in base[i:]:
             val = (

@@ -396,6 +396,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
 def _cmd_quadrature(cfg: RunConfig, args) -> int:
     from .geometry import PlanePoint
     from .quadrature import (
+        LAPLACE_ORDER,
         laplace_borel_sum,
         match_borel_combination,
         pearcey_quadrature,
@@ -408,7 +409,7 @@ def _cmd_quadrature(cfg: RunConfig, args) -> int:
     value = pearcey_quadrature(x, eta, (a, b))
     payload = {"contour": [a, b], "eta": repr(eta), "value": _cpx_json(value)}
     if args.compare_borel:
-        table = build_series(8)
+        table = build_series(LAPLACE_ORDER)
         sums = [laplace_borel_sum(ell, x, eta, table=table) for ell in (1, 2, 3)]
         psis = [r.value for r in sums]
         phase, eps = match_borel_combination(value, psis)

@@ -15,10 +15,12 @@ with principal real roots for x1 > 0.  Here u_ell = -(1/4)(3 x1 zeta_ell +
 2 x2 zeta_ell^2) are the Borel-plane singularities (minus the critical
 values of the phase).
 
-``labeled_point`` tracks the roots along a point's labeling path once and
-keeps, from that one trace, the labeled zeta_ell, the u_ell and the
-continued branch of f_0 = (6 zeta_ell^2 + x2)^(-1/2) (``LabeledPoint.f0``).
-``char_roots``, ``critical_values`` and ``wkb_series.f0_branch`` read it.
+The labeling path is a fixed convention, not a parameter: ``labeling_path``
+gives the one polyline from (1, 0) to each point.  ``labeled_point`` tracks
+the roots along it once and keeps, from that one trace, the labeled
+zeta_ell, the u_ell and the continued branch of
+f_0 = (6 zeta_ell^2 + x2)^(-1/2) (``LabeledPoint.f0``).  ``char_roots``,
+``critical_values`` and ``wkb_series.f0_branch`` read it.
 
 Two derived polynomials are computed by exact elimination rather than
 transcription, because their published displays fail quasi-homogeneity
@@ -46,6 +48,7 @@ from .multipoly import MultiPoly, discriminant, resultant
 
 TURNING_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
+TURNING_GUARD = 0.08  # labeling legs closer than this (relative) to T are bowed
 
 XYVARS = ("x1", "x2", "y")
 
@@ -63,22 +66,6 @@ class PlanePoint:
 
     def as_tuple(self) -> tuple[complex, complex]:
         return (complex(self.x1), complex(self.x2))
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """Reference point and continuation path that fix root labels."""
-
-    path: tuple[PlanePoint, ...]
-    description: str = ""
-
-    @property
-    def reference(self) -> PlanePoint:
-        return self.path[0]
-
-    @property
-    def target(self) -> PlanePoint:
-        return self.path[-1]
 
 
 @dataclass(frozen=True)
@@ -113,13 +100,13 @@ def char_cubic_coeffs(x: PlanePoint) -> np.ndarray:
     return np.array([x1, 2 * x2, 0.0, 4.0], dtype=complex)
 
 
-def turning_discriminant(x: PlanePoint, tol: float = TURNING_TOL):
+def turning_discriminant(x: PlanePoint):
     """Value of 27 x1^2 + 8 x2^3 and an on-locus flag."""
     x1, x2 = x.as_tuple()
     a = 27 * x1**2
     b = 8 * x2**3
     value = a + b
-    on_set = abs(value) <= tol * max(abs(a), abs(b), 1.0)
+    on_set = abs(value) <= TURNING_TOL * max(abs(a), abs(b), 1.0)
     return value, on_set
 
 
@@ -132,13 +119,15 @@ def reference_zetas(x1) -> np.ndarray:
     return np.array([-r * np.exp(2j * np.pi * ell / 3) for ell in (1, 2, 3)])
 
 
-def default_provenance(x: PlanePoint, guard: float = 0.08) -> Provenance:
-    """Deterministic labeling path from the reference point (1, 0).
+def labeling_path(x: PlanePoint) -> tuple[PlanePoint, ...]:
+    """The labeling path of x: a polyline from the reference point (1, 0).
 
     Coordinates move one at a time (x1 leg then x2 leg, or the reverse when
     the target x1 is small); any leg that approaches the turning locus is
     bowed by shifting its closest point in the +i direction of x1.  The leg
-    order and the bow side are part of the labeling convention.
+    order and the bow side are the labeling convention.  A leg that five
+    nested bows leave within 1e-4 (relative) of the locus raises
+    ``ValidationError`` naming its endpoints.
     """
     x1, x2 = x.as_tuple()
     if abs(x1) >= 0.1 * max(1.0, abs(x2) ** 1.5):
@@ -149,14 +138,11 @@ def default_provenance(x: PlanePoint, guard: float = 0.08) -> Provenance:
     for a, b in zip(raw[:-1], raw[1:]):
         if a == b:
             continue
-        pts.extend(_bow_leg(a, b, guard, depth=0))
-    return Provenance(
-        tuple(PlanePoint(*p) for p in pts),
-        "reference (1,0); coordinate legs with +i bows around the turning locus",
-    )
+        pts.extend(_bow_leg(a, b, depth=0))
+    return tuple(PlanePoint(*p) for p in pts)
 
 
-def _bow_leg(a, b, guard: float, depth: int) -> list:
+def _bow_leg(a, b, depth: int) -> list:
     """Waypoints from a to b (exclusive of a) bowed off the turning locus."""
     ts = np.linspace(0.0, 1.0, 65)
     s1 = max(abs(a[0]), abs(b[0]))
@@ -170,10 +156,11 @@ def _bow_leg(a, b, guard: float, depth: int) -> list:
         rel = abs(v) / denom
         if worst is None or rel < worst[0]:
             worst = (rel, t)
-    if worst[0] >= guard or depth >= 5:
+    if worst[0] >= TURNING_GUARD or depth >= 5:
         if worst[0] < 1e-4:
             raise ValidationError(
-                "labeling path cannot avoid the turning locus; pass an explicit provenance"
+                "labeling path cannot avoid the turning locus on its leg from "
+                "(x1, x2) = ({:.8g}, {:.8g}) to ({:.8g}, {:.8g})".format(*a, *b)
             )
         return [b]
     t = min(max(worst[1], 0.15), 0.85)
@@ -181,37 +168,33 @@ def _bow_leg(a, b, guard: float, depth: int) -> list:
     mid2 = a[1] + (b[1] - a[1]) * t
     scale = max(1.0, abs(a[0]), abs(b[0]), abs(a[1]), abs(b[1]))
     mid = (mid1 + 0.4j * scale, mid2)
-    return _bow_leg(a, mid, guard, depth + 1) + _bow_leg(mid, b, guard, depth + 1)
+    return _bow_leg(a, mid, depth + 1) + _bow_leg(mid, b, depth + 1)
 
 
-def char_trace(provenance: Provenance) -> tracking.Trace:
-    """Characteristic roots tracked along a provenance's (x1, x2) polyline.
+def char_trace(path: tuple[PlanePoint, ...]) -> tracking.Trace:
+    """Characteristic roots tracked along a labeling path's (x1, x2) polyline.
 
-    Starts from the exact labels at the reference point; each record's
-    point is an (x1, x2) tuple.
+    Starts from the exact labels at ``path[0]``, the reference point (1, 0)
+    of a labeling path; each record's point is an (x1, x2) tuple.
     """
-    ref = provenance.reference
-    if ref.x2 != 0 or not (complex(ref.x1).real > 0 and complex(ref.x1).imag == 0):
-        raise ValidationError("provenance must start on the reference locus x2=0, x1>0")
     return tracking.track_polyline(
         lambda p: char_cubic_coeffs(PlanePoint(*p)),
-        [p.as_tuple() for p in provenance.path],
-        reference_zetas(complex(ref.x1).real),
+        [p.as_tuple() for p in path],
+        reference_zetas(path[0].x1),
     )
 
 
 @dataclass(frozen=True)
 class LabeledPoint:
-    """The labels of one base point x, fixed along one provenance.
+    """The labels of one base point x, fixed along its labeling path.
 
-    ``trace`` tracks the characteristic roots along the provenance;
+    ``trace`` tracks the characteristic roots along ``labeling_path(x)``;
     ``zetas`` are its final roots, checked against the characteristic cubic,
     and ``us`` the Borel singularities u_ell = -(1/4)(3 x1 zeta_ell +
     2 x2 zeta_ell^2) over them, checked against the singular-locus cubic.
     """
 
     x: PlanePoint
-    provenance: Provenance
     trace: tracking.Trace
     zetas: LabeledRoots3
     us: LabeledRoots3
@@ -239,28 +222,24 @@ class LabeledPoint:
         return abs(w_prev) ** (-0.5) * np.exp(-0.5j * theta)
 
 
-def labeled_point(x: PlanePoint, provenance: Provenance | None = None) -> LabeledPoint:
-    """The labels of x along ``provenance`` (``default_provenance(x)`` if None).
+def labeled_point(x: PlanePoint) -> LabeledPoint:
+    """The labels of x, tracked along ``labeling_path(x)``.
 
-    Each (point, provenance) is labeled once per process and shared by every
-    caller.  The cache is keyed on the coordinates' bit patterns as well, so
-    0.0 and -0.0 (equal as ``PlanePoint`` fields) are labeled apart.  A point
-    on the turning locus is rejected: labels are undefined there.
+    Each point is labeled once per process and shared by every caller.  The
+    cache is keyed on the coordinates' bit patterns as well, so 0.0 and
+    -0.0 (equal as ``PlanePoint`` fields) are labeled apart.  A point on the
+    turning locus is rejected: labels are undefined there.
     """
-    pts = [x] if provenance is None else [x, *provenance.path]
-    bits = np.array([p.as_tuple() for p in pts], dtype=complex).tobytes()
-    return _labeled_point(x, provenance, bits)
+    return _labeled_point(x, np.array(x.as_tuple(), dtype=complex).tobytes())
 
 
 @functools.lru_cache(maxsize=32)
-def _labeled_point(x: PlanePoint, provenance: Provenance | None, bits: bytes) -> LabeledPoint:
+def _labeled_point(x: PlanePoint, bits: bytes) -> LabeledPoint:
     # ``bits`` only keys the cache
     _, on_t = turning_discriminant(x)
     if on_t:
         raise TurningPointError("turning point: labels undefined")
-    if provenance is None:
-        provenance = default_provenance(x)
-    trace = char_trace(provenance)
+    trace = char_trace(labeling_path(x))
     zetas = trace.final
     resid = [abs(np.polyval(char_cubic_coeffs(x)[::-1], z)) for z in zetas]
     scale = max(1.0, *(abs(v) for v in char_cubic_coeffs(x)))
@@ -276,17 +255,17 @@ def _labeled_point(x: PlanePoint, provenance: Provenance | None, bits: bytes) ->
             raise ValidationError(
                 f"critical value {u} fails the singular-locus cubic (residual {abs(r):.2e})"
             )
-    return LabeledPoint(x, provenance, trace, LabeledRoots3(tuple(zetas)), LabeledRoots3(us))
+    return LabeledPoint(x, trace, LabeledRoots3(tuple(zetas)), LabeledRoots3(us))
 
 
-def char_roots(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRoots3:
+def char_roots(x: PlanePoint) -> LabeledRoots3:
     """Labeled characteristic roots zeta_ell(x)."""
-    return labeled_point(x, provenance).zetas
+    return labeled_point(x).zetas
 
 
-def critical_values(x: PlanePoint, provenance: Provenance | None = None) -> LabeledRoots3:
+def critical_values(x: PlanePoint) -> LabeledRoots3:
     """Borel singularities u_ell = -(1/4)(3 x1 zeta_ell + 2 x2 zeta_ell^2)."""
-    return labeled_point(x, provenance).us
+    return labeled_point(x).us
 
 
 # -- derived polynomials (cached, computed once) ----------------------------------
@@ -392,8 +371,8 @@ def stokes_sextic_grid(x1, x2) -> np.ndarray:
     return _sextic_evaluator()(x1, x2)
 
 
-def stokes_sextic_roots(x: PlanePoint, tol: float = 1e-12) -> np.ndarray:
-    roots, _ = roots_aberth(stokes_sextic_coeffs(x), tol=tol)
+def stokes_sextic_roots(x: PlanePoint) -> np.ndarray:
+    roots, _ = roots_aberth(stokes_sextic_coeffs(x))
     return roots
 
 

@@ -16,6 +16,7 @@ independent oracle for linear combinations of the Borel sums.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import pi, sqrt
 
@@ -26,13 +27,13 @@ from .geometry import PlanePoint
 from .borel import SheetField
 from .wkb_series import WkbSeriesTable, borel_coeffs
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+LAPLACE_ORDER = 8  # order of the local series near each u_ell
+TAIL_LOG = 38.0  # the Laplace ray ends where e^(-eta (y - u_ell)) = e^(-TAIL_LOG)
 
 
+@functools.cache
 def _gl_nodes(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def gauss_segment(f, a: complex, b: complex, n: int = 32) -> complex:
@@ -70,10 +71,8 @@ def laplace_borel_sum(
     ell: int,
     x: PlanePoint,
     eta: float,
-    order: int = 8,
     table: WkbSeriesTable | None = None,
     tol: float = 1e-9,
-    tail_log: float = 38.0,
 ) -> LaplaceResult:
     """Borel sum of one WKB solution by quadrature along the cut ray.
 
@@ -84,7 +83,7 @@ def laplace_borel_sum(
         raise ValidationError("eta must be positive real")
     field = SheetField(x)
     ul = field.u_vals[ell - 1]
-    length = tail_log / eta
+    length = TAIL_LOG / eta
     for m in (1, 2, 3):
         if m == ell:
             continue
@@ -95,7 +94,7 @@ def laplace_borel_sum(
                 f"integration ray from u_{ell} passes near u_{m}; Borel sum undefined"
             )
 
-    bct = borel_coeffs(x, ell, order, table=table)
+    bct = borel_coeffs(x, ell, LAPLACE_ORDER, table=table)
     # hand-off radius: series truncation error ~ (r/min_sep)^(order + 1/2)
     r_series = 0.12 * field.min_sep
     w_mid = sqrt(min(r_series, length / 2))
@@ -164,7 +163,6 @@ def pearcey_quadrature(
     x: PlanePoint,
     eta: complex,
     contour: tuple[int, int],
-    tol: float = 1e-10,
     r_cap: float = 60.0,
 ) -> complex:
     """Integral of exp(eta (z^4 + x2 z^2 + x1 z)) over a valley-pair contour.
@@ -215,7 +213,7 @@ def pearcey_quadrature(
     def f(z: complex) -> complex:
         return np.exp(eta * _phase(x, z))
 
-    tol_abs = tol * np.exp(peak_log)
+    tol_abs = 1e-10 * np.exp(peak_log)  # relative to the integrand's peak
     return adaptive_segment(f, R * dirs[a], 0.0, tol_abs) + adaptive_segment(
         f, 0.0, R * dirs[b], tol_abs
     )
@@ -252,13 +250,14 @@ def match_borel_combination(
     return hits[0]
 
 
-def pearcey_p1_residual(x: PlanePoint, eta: complex, contour, h: float = 1e-3) -> float:
+def pearcey_p1_residual(x: PlanePoint, eta: complex, contour) -> float:
     """Scaled finite-difference residual of the first defining operator.
 
     Applies 4 d1 d2 + 2 eta x2 d1 + eta^2 x1 to the contour integral by
     central differences in (x1, x2).
     """
     x1, x2 = x.as_tuple()
+    h = 1e-3
 
     def u(dx1, dx2):
         return pearcey_quadrature(PlanePoint(x1 + dx1, x2 + dx2), eta, contour)

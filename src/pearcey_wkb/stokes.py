@@ -38,7 +38,6 @@ from .errors import (
 )
 from .geometry import (
     PlanePoint,
-    Provenance,
     critical_values,
     singular_cubic_coeffs,
     singular_cubic_grid,
@@ -46,12 +45,13 @@ from .geometry import (
 )
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
-BISECTION_TOL = 1e-10
+BISECTION_TOL = 1e-10  # width to which detect_events bisects each crossing
+NEAR_TOL = 0.04  # raster cells whose u's are closer (relative) are flagged
 
 
-def stokes_indicator(x: PlanePoint, provenance: Provenance | None = None):
+def stokes_indicator(x: PlanePoint):
     """The three reals Im(u_j - u_k) for pairs (1,2), (1,3), (2,3)."""
-    us = critical_values(x, provenance)
+    us = critical_values(x)
     return tuple(float((us[j] - us[k]).imag) for j, k in PAIRS)
 
 
@@ -67,10 +67,7 @@ class UTrajectories:
     values: list[np.ndarray]  # three labeled u's per sample
 
 
-def track_u(
-    x_path: list[PlanePoint | tuple],
-    provenance: Provenance | None = None,
-) -> UTrajectories:
+def track_u(x_path: list[PlanePoint | tuple]) -> UTrajectories:
     """Track the labeled u's along a polyline of base points.
 
     Each accepted step re-solves the singularity cubic and matches labels
@@ -80,7 +77,7 @@ def track_u(
     pts = [p.as_tuple() if isinstance(p, PlanePoint) else (complex(p[0]), complex(p[1])) for p in x_path]
     if len(pts) < 2:
         raise ValidationError("path needs at least 2 vertices")
-    start = critical_values(PlanePoint(*pts[0]), provenance)
+    start = critical_values(PlanePoint(*pts[0]))
     trace = tracking.track_polyline(
         lambda p: singular_cubic_coeffs(PlanePoint(*p)),
         pts,
@@ -229,27 +226,23 @@ def _u_batch(pts, taus: list[float], brackets: list[_Bracket]) -> np.ndarray:
     return np.take_along_axis(roots, perm, axis=-1)
 
 
-def detect_events(
-    x_path: list,
-    provenance: Provenance | None = None,
-    tol: float = BISECTION_TOL,
-) -> tuple[UTrajectories, list[StokesEvent]]:
+def detect_events(x_path: list) -> tuple[UTrajectories, list[StokesEvent]]:
     """Locate all Stokes and segment crossings along a path, in order.
 
     Every sign change between consecutive samples is bisected to width
-    ``tol``, all brackets of the path in lockstep: each step solves the
-    cubic at the midpoints of the unfinished brackets in one batch, and a
-    last batch gives the u's at every bracket's centre.  A Stokes crossing
+    ``BISECTION_TOL``, all brackets of the path in lockstep: each step
+    solves the cubic at the midpoints of the unfinished brackets in one
+    batch, and a last batch gives the u's at every bracket's centre.  A Stokes crossing
     whose dominance is undecidable raises ``DominanceError``; a segment
     crossing counts only where the crosser projects inside the segment.
     """
-    traj = track_u(x_path, provenance)
+    traj = track_u(x_path)
     pts = [p.as_tuple() if isinstance(p, PlanePoint) else (complex(p[0]), complex(p[1])) for p in x_path]
     brackets = _brackets(traj)
     if not brackets:
         return traj, []
 
-    active = [b for b in brackets if b.hi - b.lo > tol]
+    active = [b for b in brackets if b.hi - b.lo > BISECTION_TOL]
     while active:
         mids = [(b.lo + b.hi) / 2 for b in active]
         for b, mid, vmid in zip(active, mids, _u_batch(pts, mids, active)):
@@ -258,7 +251,7 @@ def detect_events(
                 b.hi = mid
             else:
                 b.lo, b.f_lo, b.vals = mid, f_mid, vmid
-        active = [b for b in active if b.hi - b.lo > tol]
+        active = [b for b in active if b.hi - b.lo > BISECTION_TOL]
 
     centres = [(b.lo + b.hi) / 2 for b in brackets]
     events: list[StokesEvent] = []
@@ -327,17 +320,14 @@ class ConnectionMatrix:
         return [list(r) for r in self.entries]
 
 
-def connection_walk(
-    x_path: list,
-    provenance: Provenance | None = None,
-) -> list[tuple[StokesEvent, ConnectionMatrix]]:
+def connection_walk(x_path: list) -> list[tuple[StokesEvent, ConnectionMatrix]]:
     """Connection matrices for every Stokes crossing along a path.
 
     Segment-crossing parity per pair toggles between the plain jump formula
     (elementary transvection with entry (-1)^dominant) and the vanished
     detour formula (identity matrix).
     """
-    _, events = detect_events(x_path, provenance)
+    _, events = detect_events(x_path)
     parity = {pair: 0 for pair in PAIRS}
     out = []
     for ev in events:
@@ -417,7 +407,6 @@ def raster_section(
     window: tuple[float, float, float, float],
     resolution: int,
     with_sextic: bool = False,
-    near_tol: float = 0.04,
 ) -> RasterSection:
     """Sample the Stokes indicators on an x1 grid at fixed x2.
 
@@ -442,7 +431,7 @@ def raster_section(
     values, near = _label_sweep(roots.reshape(resolution, resolution, 3), x1[0, 0], x2)
 
     sep = np.min(np.abs(values[..., _PAIR_J] - values[..., _PAIR_K]), axis=-1)
-    near |= sep < near_tol * np.maximum(1e-12, np.max(np.abs(values), axis=-1))
+    near |= sep < NEAR_TOL * np.maximum(1e-12, np.max(np.abs(values), axis=-1))
     im = np.moveaxis(_pair_im(values), -1, 0)
     signs = np.where(im < 0, -1, 1).astype(np.int8)
 

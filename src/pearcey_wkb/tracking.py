@@ -126,25 +126,27 @@ class Trace:
 
     ``values[i]`` is the tuple tracked at parameter ``taus[i]`` and base
     point ``points[i]`` (a complex number or a tuple of them, the form of
-    the path's knots); ``min_separation`` is the smallest pairwise sheet
-    distance seen anywhere along the path.
+    the path's knots).
     """
 
     taus: list[float] = field(default_factory=list)
     points: list = field(default_factory=list)
     values: list[np.ndarray] = field(default_factory=list)
-    min_separation: float = inf
 
     def record(self, tau, point, vals):
         self.taus.append(float(tau))
         self.points.append(point)
         self.values.append(np.array(vals, dtype=complex))
-        if len(vals) > 1:
-            self.min_separation = min(self.min_separation, _min_pairwise(vals))
 
     @property
     def final(self) -> np.ndarray:
         return self.values[-1]
+
+    @property
+    def min_separation(self) -> float:
+        """Smallest pairwise distance of recorded values anywhere along the
+        path; inf when each record holds a single value."""
+        return min(map(_min_pairwise, self.values), default=inf)
 
     def permutation_from(self, reference_vals) -> tuple[int, ...]:
         """perm[i] = index in ``reference_vals`` matching final value i."""

@@ -40,7 +40,7 @@ from math import factorial, sqrt, pi
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import PlanePoint, Provenance, labeled_point, reference_zetas
+from .geometry import PlanePoint, labeled_point, reference_zetas
 from .zeta_ring import ZetaRational
 
 
@@ -296,24 +296,20 @@ def reference_f0(ell: int) -> complex:
     return -(2.0 ** (1.0 / 6.0) / sqrt(3.0)) * np.exp(-2j * np.pi * ell / 3.0)
 
 
-def f0_branch(x: PlanePoint, ell: int, provenance: Provenance | None = None) -> complex:
+def f0_branch(x: PlanePoint, ell: int) -> complex:
     """Continue f_0 = (6 zeta_ell^2 + x2)^(-1/2) along the labeling path."""
-    return labeled_point(x, provenance).f0(ell)
+    return labeled_point(x).f0(ell)
 
 
 def borel_coeffs(
-    x: PlanePoint,
-    ell: int,
-    order: int,
-    table: WkbSeriesTable | None = None,
-    provenance: Provenance | None = None,
+    x: PlanePoint, ell: int, order: int, table: WkbSeriesTable | None = None
 ) -> BorelCoeffTable:
     """Numeric expansion coefficients of one Borel transform at u_ell."""
     if ell not in (1, 2, 3):
         raise ValidationError("ell must be 1, 2 or 3")
     if table is None or table.order < order:
         table = build_series(order)
-    point = labeled_point(x, provenance)
+    point = labeled_point(x)
     z0 = point.zetas[ell]
     x2 = complex(x.x2)
     f0 = point.f0(ell)

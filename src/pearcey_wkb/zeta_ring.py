@@ -302,10 +302,10 @@ class ZetaRational:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval(self, zeta0: complex, x20: complex, floor: float = _DENOM_FLOOR) -> complex:
+    def eval(self, zeta0: complex, x20: complex) -> complex:
         """Numeric evaluation; errors out at/near the turning locus d = 0."""
         d = 6 * complex(zeta0) ** 2 + complex(x20)
-        if abs(d) < floor:
+        if abs(d) < _DENOM_FLOOR:
             raise EvaluationError(
                 f"evaluation at/near turning point: |6 zeta^2 + x2| = {abs(d):.3e}"
             )

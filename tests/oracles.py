@@ -15,7 +15,7 @@ of zeta and x2.
 The remaining oracles keep earlier implementations as references: the
 tracker step loop on numpy scalars, the event bisection one bracket and
 one cubic solve at a time, the f_0 phase continuation tracked one
-provenance leg at a time, the truncated-power expansion of the amplitude
+labeling-path leg at a time, the truncated-power expansion of the amplitude
 exponential, and central finite differences of a quartic branch by a
 Newton iteration of their own on the hand-expanded quartic.
 """
@@ -31,7 +31,7 @@ from pearcey_wkb.errors import DominanceError
 from pearcey_wkb.geometry import (
     PlanePoint,
     char_cubic_coeffs,
-    default_provenance,
+    labeling_path,
     reference_zetas,
     singular_cubic_coeffs,
 )
@@ -305,18 +305,16 @@ def scalar_detect_events(x_path, tol=stokes.BISECTION_TOL):
     return events
 
 
-# -- f_0 phase continuation one provenance leg at a time -----------------------
+# -- f_0 phase continuation one labeling-path leg at a time -------------------
 
 
-def f0_branch_per_leg(x, ell, provenance=None):
+def f0_branch_per_leg(x, ell):
     """(6 zeta_ell^2 + x2)^(-1/2) continued along the labeling path, with
     one ``track_family`` call and one phase-unwrapping loop per leg."""
-    if provenance is None:
-        provenance = default_provenance(x)
     theta = 2.0 * (np.pi + 2.0 * np.pi * ell / 3.0)
     w_prev = None
-    pts = [p.as_tuple() for p in provenance.path]
-    ref = reference_zetas(complex(provenance.reference.x1).real)
+    pts = [p.as_tuple() for p in labeling_path(x)]
+    ref = reference_zetas(pts[0][0].real)
     vals = ref
     for (a1, a2), (b1, b2) in zip(pts[:-1], pts[1:]):
         def coeffs_fn(t, a1=a1, a2=a2, b1=b1, b2=b2):
@@ -334,7 +332,7 @@ def f0_branch_per_leg(x, ell, provenance=None):
                 theta += dtheta
             w_prev = w
         vals = trace.final
-    if w_prev is None:  # single-vertex provenance
+    if w_prev is None:  # single-vertex path
         w_prev = 6.0 * ref[ell - 1] ** 2 + 0.0
     return abs(w_prev) ** (-0.5) * np.exp(-0.5j * theta)
 

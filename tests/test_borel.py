@@ -20,6 +20,7 @@ from pearcey_wkb.borel import (
     singular_pair_scale,
     track,
     verify_annihilation,
+    _ray_chain,
 )
 from pearcey_wkb.errors import CutError, ValidationError
 from pearcey_wkb.geometry import PlanePoint, p_ell, singular_cubic_coeffs
@@ -249,6 +250,14 @@ class TestDiscontinuities:
         d = discontinuity("tilde", 2, 1, x, y)
         scale = abs(psi_on_cut(f, 1, y))
         assert abs(d.value) < 1e-8 * scale
+
+    def test_ray_chain_ends_at_anchor_point(self):
+        # the chain's last arc and the anchor share one radius
+        field = SheetField(PlanePoint(1.0, 0.07))
+        for k in (1, 2, 3):
+            a = field.anchor(k)[0]
+            for ell in (m for m in (1, 2, 3) if m != k):
+                assert abs(_ray_chain(field, ell, [], k)[-1] - a) <= 1e-14 * abs(a)
 
     def test_off_cut_rejected(self):
         x = PlanePoint(1.0, 0.06)

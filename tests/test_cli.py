@@ -46,6 +46,16 @@ def test_geometry_and_exit_codes(tmp_path):
     assert run(["--out-dir", str(out), "geometry", "--x1", "nope", "--x2", "0"]) == 2
 
 
+def test_geometry_near_turning_locus_names_the_leg(tmp_path, capsys):
+    # 27 x1^2 + 8 x2^3 = 5.4e-6: off the locus, but no bow clears its x2 leg
+    argv = ["--out-dir", str(tmp_path), "geometry", "--x1", "1.0000001", "--x2=-1.5"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot avoid the turning locus on its leg from (x1, x2) = (" in err
+    assert "to (1.0000001+0j, -1.5+0j)" in err
+    assert "provenance" not in err
+
+
 def test_unknown_flag_exits_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["series", "--bogus"])
@@ -213,9 +223,9 @@ def test_quadrature_compare_borel_labels_each_point_once(tmp_path, monkeypatch):
     paths = Counter()
     real = geometry.char_trace
 
-    def counted(provenance):
-        paths[tuple(p.as_tuple() for p in provenance.path)] += 1
-        return real(provenance)
+    def counted(path):
+        paths[tuple(p.as_tuple() for p in path)] += 1
+        return real(path)
 
     monkeypatch.setattr(geometry, "char_trace", counted)
     geometry._labeled_point.cache_clear()

@@ -16,6 +16,8 @@ reverse give back the start labels, midpoints leave the final values
 unchanged, and a single knot gives back the start values.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,7 +26,7 @@ from oracles import StepUnderflow, track_family_numpy
 from pearcey_wkb import borel, tracking
 from pearcey_wkb.borel import SheetField, monodromy
 from pearcey_wkb.errors import ContinuationError
-from pearcey_wkb.geometry import PlanePoint, char_cubic_coeffs, char_trace, default_provenance
+from pearcey_wkb.geometry import PlanePoint, char_cubic_coeffs, char_trace, labeling_path
 from pearcey_wkb.quadrature import _gl_nodes
 from pearcey_wkb.stokes import PAPER_POLYLINE, track_u
 
@@ -68,7 +70,7 @@ def _reference(coeffs_fn, start):
 FAMILIES = {
     "st_quartic_monodromy_loop": lambda: monodromy(1),
     "char_cubic_default_provenance": lambda: char_trace(
-        default_provenance(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j))
+        labeling_path(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j))
     ),
     "u_cubic_paper_polyline": lambda: track_u(PAPER_POLYLINE),
 }
@@ -105,6 +107,14 @@ def test_track_family_keyword_is_trace_only():
     assert out is trace
     assert np.allclose(trace.final, [np.sqrt(2), -np.sqrt(2)], atol=1e-14)
     assert trace.min_separation == pytest.approx(2.0)
+    # one value per record: no pair to measure
+    single = tracking.track_family(lambda t: np.array([-t, 1.0]), lambda t: t, [0.0])
+    assert single.min_separation == np.inf
+    # many legs: the minimum over every record of every leg
+    legs = char_trace(labeling_path(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j)))
+    assert legs.taus.count(0.0) == 3
+    want = min(abs(a - b) for v in legs.values for a, b in itertools.combinations(v, 2))
+    assert legs.min_separation == want
 
 
 def test_values_beyond_float_range_stop_tracking():
@@ -230,7 +240,7 @@ def _char_coeffs(p):
 
 
 def _clear_of_turning_locus(a, b, guard=0.08):
-    """default_provenance's test: the relative turning measure
+    """labeling_path's test: the relative turning measure
     |27 x1^2 + 8 x2^3| / max(27 s1^2, 8 s2^3, 1) stays above ``guard`` at
     65 samples of the segment."""
     s1 = max(abs(a[0]), abs(b[0]))

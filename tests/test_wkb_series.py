@@ -8,7 +8,7 @@ import pytest
 
 from oracles import exp_series_power_expansion, f0_branch_per_leg
 from pearcey_wkb import wkb_series
-from pearcey_wkb.geometry import PlanePoint, default_provenance
+from pearcey_wkb.geometry import PlanePoint, labeling_path
 from pearcey_wkb.multipoly import MultiPoly
 from pearcey_wkb.wkb_series import (
     borel_coeffs,
@@ -136,8 +136,8 @@ F0_POINTS = {
 
 class TestF0Branch:
     def test_provenances_cover_single_vertex_and_bows(self):
-        assert len(default_provenance(PlanePoint(*F0_POINTS["reference_single_vertex"])).path) == 1
-        assert len(default_provenance(PlanePoint(*F0_POINTS["bowed_default_provenance"])).path) > 3
+        assert len(labeling_path(PlanePoint(*F0_POINTS["reference_single_vertex"]))) == 1
+        assert len(labeling_path(PlanePoint(*F0_POINTS["bowed_default_provenance"]))) > 3
 
     @pytest.mark.parametrize("name", sorted(F0_POINTS))
     def test_bitwise_equal_to_per_leg_loop(self, name):
