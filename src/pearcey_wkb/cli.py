@@ -21,12 +21,15 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericError, PearceyError, ValidationError
+from .quadrature import LAPLACE_TOL
+from .stokes import BISECTION_TOL
+from .tracking import RESIDUAL_TOL
 
 TOLERANCES = {
     "root_residual": 1e-12,
-    "tracking_residual": 1e-9,
-    "bisection": 1e-10,
-    "quadrature": 1e-9,
+    "tracking_residual": RESIDUAL_TOL,
+    "bisection": BISECTION_TOL,
+    "quadrature": LAPLACE_TOL,
 }
 
 

@@ -67,3 +67,7 @@ class DominanceError(NumericError):
 
 class TailBoundError(NumericError):
     """Quadrature truncation could not reach the requested tail bound."""
+
+
+class QuadratureConvergenceError(NumericError):
+    """Adaptive quadrature could not reach its tolerance on a segment."""

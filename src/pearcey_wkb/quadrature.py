@@ -6,8 +6,11 @@
 
 along the cut ray, removing the inverse-square-root endpoint by the
 substitution y = u_ell + w^2.  The integrand near the endpoint uses the
-local series; beyond a hand-off radius the sheet continuation takes over,
-one tracker leg per Gauss pass stopping on every node.
+local series; beyond a hand-off radius the sheet continuation takes over.
+The far piece uses panels of the 49-point Gauss-Kronrod rule, one tracker
+leg per pass stopping on every node; a pass is accepted when the Kronrod
+and embedded Gauss estimates agree, so the sheet values at the Gauss nodes
+serve both estimates.
 
 ``pearcey_quadrature`` integrates exp(eta (z^4 + x2 z^2 + x1 z)) along a
 piecewise-linear contour joining two valleys of the integrand, giving an
@@ -22,18 +25,64 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import TailBoundError, ValidationError
+from .errors import QuadratureConvergenceError, TailBoundError, ValidationError
 from .geometry import PlanePoint
 from .borel import SheetField
 from .wkb_series import WkbSeriesTable, borel_coeffs
 
 LAPLACE_ORDER = 8  # order of the local series near each u_ell
 TAIL_LOG = 38.0  # the Laplace ray ends where e^(-eta (y - u_ell)) = e^(-TAIL_LOG)
+LAPLACE_TOL = 1e-9  # default tol of laplace_borel_sum, relative to the sum's scale
+MAX_DEPTH = 12  # bisection depth at which adaptive_segment gives up
+
+# The Kronrod extension K49 of the 24-point Gauss-Legendre rule G24 on
+# [-1, 1] (Kronrod 1965): exact for polynomials of degree <= 73.  Computed
+# in 60-digit arithmetic (the Stieltjes polynomial E_25 from its
+# orthogonality to P_24 P_k, its zeros, then the weights from exactness on
+# P_0..P_48) and rounded to the nearest double.  The rule is symmetric, so
+# only the nonnegative half is listed: the Kronrod-only nodes, and the
+# weights of all nonnegative K49 nodes, both ascending from 0.
+_K49_NODES = (
+    0.0, 0.1278512402862167, 0.2536004303696779, 0.37519115479795084,
+    0.49061236546344644, 0.5979905139060784, 0.6955320723967788,
+    0.7816772264764643, 0.8549538039040514, 0.9142406907949115,
+    0.9584416844052094, 0.987040496015809, 0.999201056021875,
+)
+_K49_WEIGHTS = (
+    0.06410046376926672, 0.06396962624137635, 0.06357487871297242,
+    0.06291711226969811, 0.062004001419781275, 0.06083803487312786,
+    0.059416543245952094, 0.057748675375690034, 0.05585171510306332,
+    0.05372794550175132, 0.05137195138345764, 0.048801386753259055,
+    0.04604589177656383, 0.04310592819369527, 0.039967623893622184,
+    0.03665810024221296, 0.033227378319829574, 0.029671306090659117,
+    0.025951194661374105, 0.02210408490006189, 0.01823117855038727,
+    0.014327444630883845, 0.010259786409280762, 0.006025671015720144,
+    0.002152308550946222,
+)
 
 
 @functools.cache
 def _gl_nodes(n: int):
     return np.polynomial.legendre.leggauss(n)
+
+
+@functools.cache
+def _gk_nodes():
+    """K49 on [-1, 1]: ascending nodes, Kronrod weights, and the weights of
+    the embedded G24, zero off the Gauss nodes.
+
+    The Gauss nodes sit at the odd indices and are the ``_gl_nodes(24)``
+    floats themselves, so one set of integrand values gives both sums.
+    """
+    xg, wg = _gl_nodes(24)
+    pos = np.array(_K49_NODES)
+    xs = np.empty(49)
+    xs[0::2] = np.concatenate([-pos[:0:-1], pos])
+    xs[1::2] = xg
+    wk = _K49_WEIGHTS[:0:-1] + _K49_WEIGHTS
+    wgs = [0.0] * 49
+    wgs[1::2] = wg.tolist()
+    return xs, wk, tuple(wgs)
 
 
 def gauss_segment(f, a: complex, b: complex, n: int = 32) -> complex:
@@ -45,11 +94,21 @@ def gauss_segment(f, a: complex, b: complex, n: int = 32) -> complex:
 
 
 def adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 0) -> complex:
-    """Adaptive bisection with a 16- vs 32-node error estimate."""
+    """Adaptive bisection with a 16- vs 32-node error estimate.
+
+    Each half gets half the tolerance.  A piece still above its tolerance
+    after ``MAX_DEPTH`` bisections raises ``QuadratureConvergenceError``.
+    """
     coarse = gauss_segment(f, a, b, 16)
     fine = gauss_segment(f, a, b, 32)
-    if abs(fine - coarse) <= tol or depth >= 12:
+    err = abs(fine - coarse)
+    if err <= tol:
         return fine
+    if depth >= MAX_DEPTH:
+        raise QuadratureConvergenceError(
+            f"adaptive quadrature on [{complex(a)}, {complex(b)}] did not reach tol "
+            f"{tol:.3g} after {MAX_DEPTH} bisections: |fine - coarse| = {err:.3g}"
+        )
     mid = (a + b) / 2.0
     return adaptive_segment(f, a, mid, tol / 2, depth + 1) + adaptive_segment(
         f, mid, b, tol / 2, depth + 1
@@ -64,7 +123,7 @@ class LaplaceResult:
     truncation: float  # ray length used
     series_radius: float
     nodes: int  # sheet tuples tracked on the ray, over all passes
-    converged: bool  # two successive passes agreed to tol (True without a far piece)
+    converged: bool  # Kronrod and embedded Gauss estimates agree (True without a far piece)
 
 
 def laplace_borel_sum(
@@ -72,7 +131,7 @@ def laplace_borel_sum(
     x: PlanePoint,
     eta: float,
     table: WkbSeriesTable | None = None,
-    tol: float = 1e-9,
+    tol: float = LAPLACE_TOL,
 ) -> LaplaceResult:
     """Borel sum of one WKB solution by quadrature along the cut ray.
 
@@ -107,7 +166,9 @@ def laplace_borel_sum(
 
     part1 = adaptive_segment(f_series, 0.0, w_mid, tol * np.exp(-eta * ul.real))
 
-    # far piece by sheet continuation: one ray leg per pass lands on every node
+    # far piece by sheet continuation: K49 panels, one ray leg per pass
+    # lands on every node; 4, then 8, then 16 panels until the Kronrod and
+    # embedded Gauss estimates agree
     part2 = 0j
     nodes = 0
     converged = True  # without a far piece there is nothing to refine
@@ -115,9 +176,8 @@ def laplace_borel_sum(
         a, sheets0 = field.anchor(ell)
         start_y = ul + w_mid**2
         vals = field.track_from(sheets0, [a, start_y])
-        xs, gws = _gl_nodes(24)
-        npanels = 8
-        prev = None
+        xs, kws, gws = _gk_nodes()
+        npanels = 4
         for _ in range(3):
             edges = np.linspace(w_mid, w_max, npanels + 1)
             halves = (edges[1:] - edges[:-1]) / 2
@@ -127,20 +187,21 @@ def laplace_borel_sum(
             sheets = field.track_stops(vals, start_y, ul + w_last**2, taus)
             nodes += len(sheets)
             psis = (field.psi_from_sheets(ell, v) for v in sheets)
-            total = 0j
+            kron = gauss = 0j
             for half, wn_panel in zip(halves, wnodes):
-                acc = 0j
-                for wn, gw, psi in zip(wn_panel, gws, psis):
-                    y = ul + wn * wn
-                    acc += gw * np.exp(-eta * y) * psi * 2.0 * wn
-                total += half * acc
-            part2 = total
-            converged = prev is not None and bool(
-                abs(total - prev) <= tol * max(abs(total), np.exp(-eta * ul.real))
+                acc_k = acc_g = 0j
+                for wn, kw, gw, psi in zip(wn_panel, kws, gws, psis):
+                    term = np.exp(-eta * (ul + wn * wn)) * psi * 2.0 * wn
+                    acc_k += kw * term
+                    acc_g += gw * term
+                kron += half * acc_k
+                gauss += half * acc_g
+            part2 = kron
+            converged = bool(
+                abs(kron - gauss) <= tol * max(abs(kron), np.exp(-eta * ul.real))
             )
             if converged:
                 break
-            prev = total
             npanels *= 2
     return LaplaceResult(part1 + part2, ell, eta, length, r_series, nodes, converged)
 

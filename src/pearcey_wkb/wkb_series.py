@@ -161,12 +161,17 @@ def _add_order(table: WkbSeriesTable, j: int) -> WkbSeriesTable:
     def dS(i):
         return table.d1s1[i + 1]
 
-    triple = ZetaRational.zero()
-    for j1 in range(-1, j):
-        for j2 in range(-1, j):
-            j3 = j - 2 - j1 - j2
-            if -1 <= j3 < j:
-                triple = triple + S(j1) * S(j2) * S(j3)
+    def pair_sum(q):  # sum_{a+b=q} S_a S_b, read off S_(q+1)^(2) = pair_sum(q) + d1 S_q
+        return table.s2_at(q + 1) - dS(q)
+
+    # triple sum by its first factor: for j1 >= 0 the other two form a whole
+    # pair sum; for j1 = -1 they sum to j - 1 without the unknown S_j
+    rest = ZetaRational.zero()
+    for j2 in range(0, j):
+        rest = rest + S(j2) * S(j - 1 - j2)
+    triple = S(-1) * rest
+    for j1 in range(0, j):
+        triple = triple + S(j1) * pair_sum(j - 2 - j1)
     pair = ZetaRational.zero()
     for j1 in range(-1, j):
         j2 = j - 2 - j1

@@ -215,8 +215,31 @@ def test_quadrature_compare_borel_reports_laplace_passes(tmp_path):
             "--eta", "10", "--contour", "1,2", "--compare-borel"]
     assert run(argv) == 0
     doc = json.loads((out / "quadrature.json").read_text())
-    assert doc["laplace"] == [{"nodes": 192 + 384, "converged": True}] * 3
+    assert doc["laplace"] == [{"nodes": 196, "converged": True}] * 3
     assert doc["matched_combination"]["coefficients"] == [0, 0, 1]
+
+
+def test_unconverged_quadrature_exits_3(tmp_path, capsys, monkeypatch):
+    from pearcey_wkb import quadrature
+
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
+    argv = ["--out-dir", str(tmp_path), "quadrature", "--x1", "0", "--x2", "0",
+            "--eta", "1", "--contour", "2,0"]
+    assert run(argv) == 3
+    assert "did not reach tol 1e-10 after 0 bisections" in capsys.readouterr().err
+
+
+def test_header_tolerances_are_the_constants(tmp_path):
+    from pearcey_wkb import quadrature, stokes, tracking
+
+    assert run(["--out-dir", str(tmp_path), "series", "--order", "1"]) == 0
+    doc = json.loads((tmp_path / "series.json").read_text())
+    assert doc["meta"]["tolerances"] == {
+        "root_residual": 1e-12,
+        "tracking_residual": tracking.RESIDUAL_TOL,
+        "bisection": stokes.BISECTION_TOL,
+        "quadrature": quadrature.LAPLACE_TOL,
+    }
 
 
 def test_quadrature_compare_borel_labels_each_point_once(tmp_path, monkeypatch):

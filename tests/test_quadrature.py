@@ -3,10 +3,18 @@ from math import gamma, pi, sqrt
 import numpy as np
 import pytest
 
+from pearcey_wkb import quadrature
 from pearcey_wkb.borel import SheetField
-from pearcey_wkb.errors import TailBoundError, ValidationError
+from pearcey_wkb.errors import (
+    NumericError,
+    QuadratureConvergenceError,
+    TailBoundError,
+    ValidationError,
+)
 from pearcey_wkb.geometry import PlanePoint
 from pearcey_wkb.quadrature import (
+    _gk_nodes,
+    _gl_nodes,
     adaptive_segment,
     laplace_borel_sum,
     match_borel_combination,
@@ -27,6 +35,37 @@ class TestAdaptiveSegment:
         val = adaptive_segment(lambda z: np.exp(1j * 40 * z), 0.0, 1.0, 1e-12)
         expect = (np.exp(40j) - 1) / 40j
         assert abs(val - expect) < 1e-10
+
+    def test_unconverged_segment_raises(self):
+        # a pole 1e-12 off the segment: no bisection depth resolves it
+        pole = 0.5 + 1e-12j
+        with pytest.raises(QuadratureConvergenceError) as info:
+            adaptive_segment(lambda z: 1.0 / (z - pole), 0.0, 1.0, 1e-10)
+        assert isinstance(info.value, NumericError)
+        msg = str(info.value)
+        assert "did not reach tol" in msg and "|fine - coarse| = " in msg
+        assert f"after {quadrature.MAX_DEPTH} bisections" in msg
+
+
+class TestKronrod:
+    def test_k49_integrates_legendre_polynomials_exactly(self):
+        xs, kws, _ = _gk_nodes()
+        for k in range(74):
+            pk = np.polynomial.legendre.Legendre.basis(k)(xs)
+            exact = 2.0 if k == 0 else 0.0
+            assert abs(sum(w * p for w, p in zip(kws, pk)) - exact) < 1e-14, k
+        # degree 74 is beyond the rule
+        p74 = np.polynomial.legendre.Legendre.basis(74)(xs)
+        assert abs(sum(w * p for w, p in zip(kws, p74))) > 1e-6
+
+    def test_gauss_subset_is_the_24_point_rule(self):
+        xs, kws, gws = _gk_nodes()
+        xg, wg = _gl_nodes(24)
+        assert len(xs) == len(kws) == len(gws) == 49
+        assert np.all(np.diff(xs) > 0)
+        assert xs[1::2].tobytes() == xg.tobytes()
+        assert np.array(gws[1::2]).tobytes() == wg.tobytes()
+        assert not any(gws[0::2])
 
 
 class TestPearceyQuadrature:
@@ -158,7 +197,30 @@ class TestDefiningIntegralOracle:
 
     def test_sums_report_nodes_and_convergence(self, series8):
         r = laplace_borel_sum(3, PlanePoint(1.0, 0.1), 10.0, table=series8)
-        assert (r.nodes, r.converged) == (192 + 384, True)
-        # a tolerance no pass can meet runs all three passes and says so
-        r = laplace_borel_sum(3, PlanePoint(1.0, 0.1), 10.0, table=series8, tol=1e-30)
-        assert (r.nodes, r.converged) == (192 + 384 + 768, False)
+        assert (r.nodes, r.converged) == (196, True)
+
+    def test_disagreeing_estimates_run_three_passes(self, series8, monkeypatch):
+        # a Gauss rule off by 1e-6 never agrees with Kronrod to 1e-9: all
+        # three passes run, and the result says so
+        xs, kws, gws = _gk_nodes()
+        off = (xs, kws, tuple(w * (1 + 1e-6) for w in gws))
+        monkeypatch.setattr(quadrature, "_gk_nodes", lambda: off)
+        r = laplace_borel_sum(3, PlanePoint(1.0, 0.1), 10.0, table=series8)
+        assert (r.nodes, r.converged) == (196 + 392 + 784, False)
+
+    def test_unreachable_tolerance_raises(self, series8):
+        # the endpoint piece cannot reach 1e-30 and says so
+        with pytest.raises(QuadratureConvergenceError):
+            laplace_borel_sum(3, PlanePoint(1.0, 0.1), 10.0, table=series8, tol=1e-30)
+
+    def test_converged_sum_tracks_its_ray_once(self, series8, monkeypatch):
+        calls = []
+        real = SheetField.track_stops
+
+        def counted(self, vals, y0, y1, stops):
+            calls.append(len(stops))
+            return real(self, vals, y0, y1, stops)
+
+        monkeypatch.setattr(SheetField, "track_stops", counted)
+        r = laplace_borel_sum(1, PlanePoint(1.0, 0.1), 10.0, table=series8)
+        assert r.converged and calls == [r.nodes] == [196]

@@ -27,7 +27,7 @@ from pearcey_wkb import borel, tracking
 from pearcey_wkb.borel import SheetField, monodromy
 from pearcey_wkb.errors import ContinuationError
 from pearcey_wkb.geometry import PlanePoint, char_cubic_coeffs, char_trace, labeling_path
-from pearcey_wkb.quadrature import _gl_nodes
+from pearcey_wkb.quadrature import _gk_nodes
 from pearcey_wkb.stokes import PAPER_POLYLINE, track_u
 
 
@@ -129,17 +129,18 @@ def test_values_beyond_float_range_stop_tracking():
         tracking.track_family(coeffs_fn, lambda t: t, [0.0])
 
 
-# -- stops: a Laplace ray as one leg landing on every Gauss node ----------------
+# -- stops: a Laplace ray as one leg landing on every Kronrod node --------------
 
 
-def _laplace_ray(ell=3, x=PlanePoint(1.0, 0.1), eta=10.0, npanels=8):
+def _laplace_ray(ell=3, x=PlanePoint(1.0, 0.1), eta=10.0, npanels=4):
     """The field, the sheets at the ray's start u + w_mid^2, the end y and
-    the taus of one 24-node Gauss pass, as ``laplace_borel_sum`` sets them."""
+    the taus of one 49-node Gauss-Kronrod pass, as ``laplace_borel_sum``
+    sets them."""
     field = SheetField(x)
     u = field.u_vals[ell - 1]
     w_mid = np.sqrt(min(0.12 * field.min_sep, 38.0 / eta / 2))
     edges = np.linspace(w_mid, np.sqrt(38.0 / eta), npanels + 1)
-    xs, _ = _gl_nodes(24)
+    xs, _, _ = _gk_nodes()
     w = np.concatenate([(lo + hi) / 2 + (hi - lo) / 2 * xs for lo, hi in zip(edges, edges[1:])])
     y0, y1 = u + w_mid**2, u + w[-1] ** 2
     a, sheets = field.anchor(ell)
