@@ -38,6 +38,7 @@ across cuts (discontinuity operators).
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import pi, sqrt
 
@@ -57,7 +58,7 @@ from .geometry import (
     p_ell,
     singular_cubic_coeffs,
 )
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, compile_polys
 
 STVARS = ("s", "t")
 T_VALIDITY = 0.2  # |x2 / x1^(2/3)| bound inside which chart results are validated
@@ -105,29 +106,22 @@ class QuarticSpec:
     """Quartic coefficient functions for one chart ('xy' or 'st')."""
 
     chart: str
-    polys: tuple
+    evaluate: Callable  # compiled coefficient list, see compile_polys
 
-    def coeffs(self, *point) -> np.ndarray:
+    def coeffs(self, *point) -> list[complex]:
         """Ascending numeric coefficients at a chart point."""
-        if self.chart == "xy":
-            x1, x2, y = (complex(v) for v in point)
-            env = {"x1": x1, "x2": x2, "y": y}
-        else:
-            s, t = (complex(v) for v in point)
-            env = {"s": s, "t": t}
-        return np.array([p.eval_numeric(env) for p in self.polys], dtype=complex)
+        return self.evaluate(*map(complex, point))
 
 
 @functools.cache
 def quartic_spec(chart: str) -> QuarticSpec:
-    if chart == "xy":
-        return QuarticSpec("xy", tuple(_xy_quartic_polys()))
-    if chart == "st":
-        return QuarticSpec("st", tuple(_st_quartic_polys()))
-    raise ValidationError("chart must be 'xy' or 'st'")
+    if chart not in ("xy", "st"):
+        raise ValidationError("chart must be 'xy' or 'st'")
+    polys = _xy_quartic_polys() if chart == "xy" else _st_quartic_polys()
+    return QuarticSpec(chart, compile_polys(polys))
 
 
-def quartic_at(chart: str, point) -> np.ndarray:
+def quartic_at(chart: str, point) -> list[complex]:
     """Numeric quartic coefficients (ascending) at a chart point.
 
     No normalization: a vanishing leading coefficient is reported as-is.
@@ -591,16 +585,6 @@ class SheetField:
         g4 = sheets[3] / complex(self.x.x1)
         return 1j / sqrt(pi) * (-1) ** (ell - 1) * (g_ell - g4)
 
-    def psi_standard(self, ell: int, y_knots) -> complex:
-        """Standard-branch value at the end of a cut-plane polyline.
-
-        The polyline starts at the transform's anchor; the caller is
-        responsible for keeping it inside the slit plane.
-        """
-        a, sheets = self.anchor(ell)
-        final = self.track_from(sheets, [a] + list(y_knots))
-        return self.psi_from_sheets(ell, final)
-
 
 def psi_borel_eval(
     ell: int,
@@ -872,6 +856,13 @@ def borel_operator(op_id: int) -> BorelOperatorSpec:
     return BorelOperatorSpec(op_id, tables[op_id])
 
 
+@functools.cache
+def _operator_line(op_id: int):
+    """One operator and its coefficients compiled as one list."""
+    op = borel_operator(op_id)
+    return op, compile_polys([c for c, _ in op.table])
+
+
 _QUARTIC_GVARS = ("x1", "x2", "y", "g")
 
 
@@ -885,13 +876,18 @@ def _quartic_in_g() -> MultiPoly:
 
 
 @functools.cache
-def _quartic_jet_polys():
-    """The quartic F in g and its first and second partials."""
+def _quartic_jet():
+    """Keys, coefficient scale and compiled values of the quartic F in g and
+    its partials: key () is F, (v,) is dF/dv and (v, w) is d2F/dv dw."""
     F = _quartic_in_g()
-    names = ("x1", "x2", "y", "g")
-    d1 = {v: F.derivative(v) for v in names}
-    d2 = {(v, w): d1[v].derivative(w) for v in names for w in names}
-    return F, d1, d2
+    polys = {(): F}
+    for v in _QUARTIC_GVARS:
+        polys[(v,)] = F.derivative(v)
+    for v in _QUARTIC_GVARS:
+        for w in _QUARTIC_GVARS:
+            polys[(v, w)] = polys[(v,)].derivative(w)
+    scale = sum(abs(complex(c)) for c in F.terms.values()) or 1.0
+    return tuple(polys), scale, compile_polys(list(polys.values()))
 
 
 def implicit_jet(x: PlanePoint, y: complex, g: complex) -> dict:
@@ -901,28 +897,26 @@ def implicit_jet(x: PlanePoint, y: complex, g: complex) -> dict:
     finite differences.  Keys are tuples of variable names, e.g. ("x1",),
     ("x1", "y"); the zeroth jet is under ().
     """
-    F, dF, d2 = _quartic_jet_polys()
-    env = {"x1": complex(x.x1), "x2": complex(x.x2), "y": complex(y), "g": complex(g)}
-    Fval = F.eval_numeric(env)
-    scale = sum(abs(complex(c)) for c in F.terms.values()) or 1.0
-    if abs(Fval) > 1e-7 * scale * max(1.0, abs(g)) ** 4:
-        raise ValidationError(f"g does not satisfy the quartic (residual {abs(Fval):.2e})")
-    d1 = {v: dF[v].eval_numeric(env) for v in ("x1", "x2", "y", "g")}
-    if abs(d1["g"]) < 1e-12 * scale:
+    keys, scale, evaluate = _quartic_jet()
+    dF = dict(zip(keys, evaluate(complex(x.x1), complex(x.x2), complex(y), complex(g))))
+    if abs(dF[()]) > 1e-7 * scale * max(1.0, abs(g)) ** 4:
+        raise ValidationError(f"g does not satisfy the quartic (residual {abs(dF[()]):.2e})")
+    dg = dF[("g",)]
+    if abs(dg) < 1e-12 * scale:
         raise ValidationError("singular-locus proximity: dF/dg ~ 0")
     jets = {(): complex(g)}
     base = ("x1", "x2", "y")
     for v in base:
-        jets[(v,)] = -d1[v] / d1["g"]
+        jets[(v,)] = -dF[(v,)] / dg
     for i, v in enumerate(base):
         for w in base[i:]:
             val = (
-                d2[(v, w)].eval_numeric(env)
-                + d2[(v, "g")].eval_numeric(env) * jets[(w,)]
-                + d2[(w, "g")].eval_numeric(env) * jets[(v,)]
-                + d2[("g", "g")].eval_numeric(env) * jets[(v,)] * jets[(w,)]
+                dF[(v, w)]
+                + dF[(v, "g")] * jets[(w,)]
+                + dF[(w, "g")] * jets[(v,)]
+                + dF[("g", "g")] * jets[(v,)] * jets[(w,)]
             )
-            jets[(v, w)] = -val / d1["g"]
+            jets[(v, w)] = -val / dg
             jets[(w, v)] = jets[(v, w)]
     return jets
 
@@ -952,13 +946,12 @@ def verify_annihilation(
     if g_value is None:
         sheets = field.track_y_polyline([complex(y)])
         g_value = sheets[branch - 1] / complex(x.x1)
-    op = borel_operator(op_id)
-    env = {"x1": complex(x.x1), "x2": complex(x.x2), "y": complex(y)}
+    op, evaluate = _operator_line(op_id)
+    coeffs = evaluate(complex(x.x1), complex(x.x2), complex(y))
     jets = implicit_jet(x, y, g_value)
     acc = 0j
     scale = 0.0
-    for coeff, multi in op.table:
-        c = coeff.eval_numeric(env)
+    for c, (_, multi) in zip(coeffs, op.table):
         term = c * _derivative_from_jets(jets, multi)
         acc += term
         scale += abs(term)

@@ -44,7 +44,7 @@ import numpy as np
 from . import tracking
 from .aberth import roots_aberth
 from .errors import TurningPointError, ValidationError
-from .multipoly import MultiPoly, discriminant, resultant
+from .multipoly import MultiPoly, discriminant, eval_grid, resultant
 
 TURNING_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -293,18 +293,18 @@ def singular_locus_cubic() -> MultiPoly:
 
 
 @functools.cache
-def _cubic_evaluator():
+def _cubic_line():
     return singular_locus_cubic().compile("y")
 
 
-def singular_cubic_coeffs(x: PlanePoint) -> np.ndarray:
+def singular_cubic_coeffs(x: PlanePoint) -> list[complex]:
     """Ascending numeric coefficients in y of the singular-locus cubic."""
-    return singular_cubic_grid(*x.as_tuple())
+    return _cubic_line()(*x.as_tuple())
 
 
 def singular_cubic_grid(x1, x2) -> np.ndarray:
     """Cubic coefficients over broadcast arrays of x1 and x2, shape (..., 4)."""
-    return _cubic_evaluator()(x1, x2)
+    return eval_grid(_cubic_line(), x1, x2)
 
 
 @functools.cache
@@ -357,18 +357,18 @@ def stokes_sextic() -> MultiPoly:
 
 
 @functools.cache
-def _sextic_evaluator():
+def _sextic_line():
     return stokes_sextic().compile("F")
 
 
-def stokes_sextic_coeffs(x: PlanePoint) -> np.ndarray:
+def stokes_sextic_coeffs(x: PlanePoint) -> list[complex]:
     """Ascending numeric coefficients in F of the derived sextic at x."""
-    return stokes_sextic_grid(*x.as_tuple())
+    return _sextic_line()(*x.as_tuple())
 
 
 def stokes_sextic_grid(x1, x2) -> np.ndarray:
     """Sextic coefficients over broadcast arrays of x1 and x2, shape (..., 7)."""
-    return _sextic_evaluator()(x1, x2)
+    return eval_grid(_sextic_line(), x1, x2)
 
 
 def stokes_sextic_roots(x: PlanePoint) -> np.ndarray:

@@ -1,12 +1,19 @@
 """Exact multivariate polynomials over the rationals.
 
 ``MultiPoly`` stores a map from exponent vectors to ``Fraction``
-coefficients over a fixed, ordered tuple of variable names.  Everything is
-exact: no rounding happens anywhere in this module except in
-:meth:`MultiPoly.compile`, which builds a complex double-precision evaluator
-for repeated numeric use.  Term order for display
-and serialization is graded lexicographic (total degree first, then lex on
-the declared variable order), descending.
+coefficients over a fixed, ordered tuple of variable names.  Arithmetic is
+exact.  Term order for display and serialization is graded lexicographic
+(total degree first, then lex on the declared variable order), descending.
+
+Numeric evaluation has one path: :func:`compile_polys` turns a list of
+polynomials into straight-line Python source, compiled once per list on
+first use.  For every term, in ``terms`` order, the source adds
+``complex(c) * v0 ** k0 * v1 ** k1 * ...`` to an accumulator that starts
+at ``0j``, so a value at Python complex scalars is bitwise the same however
+the list is grouped; numpy arrays broadcast through the same source.
+:meth:`MultiPoly.eval_numeric` and :meth:`MultiPoly.compile` are this
+evaluator applied to one polynomial and to a coefficient list.  The source
+is built from the polynomials' own coefficients and exponents only.
 
 The module also provides Sylvester resultants computed by fraction-free
 (Bareiss) elimination, and discriminants with the standard sign convention
@@ -44,12 +51,13 @@ class MultiPoly:
     """Multivariate polynomial with exact rational coefficients.
 
     Instances are immutable in practice: no public method mutates ``terms``,
-    and :meth:`eval_numeric` caches a complex copy of them on first use.
+    and :meth:`eval_numeric` keeps the compiled function of the polynomial
+    once its first call has built it.
     Arithmetic requires both operands to share the same variable tuple; use
     :meth:`embed` to move a polynomial into a larger variable set.
     """
 
-    __slots__ = ("variables", "terms", "_numeric")
+    __slots__ = ("variables", "terms", "_line")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
@@ -101,9 +109,6 @@ class MultiPoly:
     def sorted_terms(self):
         """Terms in descending graded-lex order (deterministic)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree(self, name: str) -> int:
         i = self.variables.index(name)
@@ -223,40 +228,14 @@ class MultiPoly:
             terms[tuple(e2)] = c * e[i]
         return MultiPoly(self.variables, terms)
 
-    def eval(self, values: dict):
-        """Full evaluation; values may be complex, float or Fraction."""
-        vals = [values[v] for v in self.variables]
-        acc = 0
-        for e, c in self.sorted_terms():
-            term = c
-            for v, k in zip(vals, e):
-                if k:
-                    term = term * v**k
-            acc = acc + term
-        return acc
-
     def eval_numeric(self, values: dict) -> complex:
-        """Evaluation in complex double precision.
-
-        The terms are converted once, on the first call, into a cached list
-        of (complex coefficient, [(variable index, power), ...]) in
-        ``terms`` order.
-        """
+        """Evaluation in complex double precision by the polynomial's
+        compiled function (see :func:`compile_polys`)."""
         try:
-            numeric = self._numeric
+            line = self._line
         except AttributeError:
-            numeric = self._numeric = [
-                (complex(c), [(i, k) for i, k in enumerate(e) if k])
-                for e, c in self.terms.items()
-            ]
-        vals = [complex(values[v]) for v in self.variables]
-        acc = 0j
-        for c, powers in numeric:
-            term = c
-            for i, k in powers:
-                term *= vals[i] ** k
-            acc += term
-        return acc
+            line = self._line = compile_polys([self])
+        return line(*[complex(values[v]) for v in self.variables])[0]
 
     def substitute(self, name: str, repl: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial (same variable set) for a variable."""
@@ -321,44 +300,19 @@ class MultiPoly:
         return coeffs
 
     def compile(self, name: str):
-        """Numeric evaluator of the coefficient list w.r.t. one variable.
+        """Compiled coefficient list w.r.t. one variable.
 
-        The result maps arrays of the remaining variables (declared order,
-        broadcast together) to complex coefficients of shape
-        (..., degree + 1), ascending in ``name``: at every point it equals
-        ``[c.eval_numeric(point) for c in self.as_univariate(name)]`` up to
-        rounding.  Term t is the monomial ``prod_v value_v ** exps[t, v]``
-        and contributes ``matrix[t, k]`` to the coefficient of degree k.
+        The result takes the remaining variables in declared order and
+        returns the coefficients ascending in ``name``: at Python complex
+        scalars, ``[c.eval_numeric(point) for c in self.as_univariate(name)]``
+        bit for bit (see :func:`compile_polys` for arrays).
         """
         i = self.variables.index(name)
-        nrest = len(self.variables) - 1
-        items = list(self.terms.items())
-        exps = np.array([e[:i] + e[i + 1 :] for e, _ in items], dtype=int)
-        exps = exps.reshape(len(items), nrest)
-        matrix = np.zeros((len(items), self.degree(name) + 1), dtype=complex)
-        for t, (e, c) in enumerate(items):
-            matrix[t, e[i]] = float(c)
-
-        def evaluate(*values) -> np.ndarray:
-            if len(values) != nrest:
-                raise ValidationError(f"expected {nrest} values besides {name}")
-            shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-            size = int(np.prod(shape))
-            mono = np.ones((size, len(items)), dtype=complex)
-            for v, col in zip(values, exps.T):
-                top = int(col.max(initial=0))
-                if top == 0:
-                    continue
-                powers = np.empty((size, top + 1), dtype=complex)
-                powers[:, 0] = 1.0
-                powers[:, 1:] = np.broadcast_to(v, shape).reshape(size, 1)
-                np.cumprod(powers, axis=1, out=powers)
-                mono *= powers[:, col]
-            # a broadcast sum rather than a matmul keeps BLAS (and its buffers) out
-            out = (mono[:, :, None] * matrix).sum(axis=1)
-            return out.reshape(shape + (matrix.shape[1],))
-
-        return evaluate
+        coeffs = [{} for _ in range(self.degree(name) + 1)]
+        for e, c in self.terms.items():
+            coeffs[e[i]][e[:i] + e[i + 1 :]] = c
+        rest = self.variables[:i] + self.variables[i + 1 :]
+        return compile_polys([MultiPoly(rest, t) for t in coeffs])
 
     def leading_coeff(self, name: str) -> "MultiPoly":
         return self.as_univariate(name)[-1]
@@ -437,6 +391,53 @@ class MultiPoly:
                 for t in data["terms"]
             },
         )
+
+
+# -- numeric evaluation ----------------------------------------------------------
+
+
+def compile_polys(polys):
+    """One straight-line function evaluating every polynomial of ``polys``.
+
+    All polynomials share one variable tuple.  The function takes one value
+    per variable, in declared order, and returns the list of values, one
+    per polynomial.  Each value sums ``complex(c) * v0 ** k0 * ...`` over
+    the terms in ``terms`` order, starting from ``0j``, with every power
+    computed once per call; at Python complex scalars that is bitwise
+    :meth:`MultiPoly.eval_numeric`.  Numpy arrays (broadcast together) give
+    arrays, except that an entry without variables stays a Python complex;
+    :func:`eval_grid` stacks the values into one array.  A wrong number of
+    values raises ``ValidationError``.
+    """
+    variables = polys[0].variables
+    if any(p.variables != variables for p in polys):
+        raise ValidationError("compile_polys needs one variable tuple")
+    nv = len(variables)
+    powers = sorted({(i, k) for p in polys for e in p.terms for i, k in enumerate(e) if k})
+    lines = [
+        "def evaluate(*values):",
+        f"    if len(values) != {nv}:",
+        f"        raise ValidationError({f'expected {nv} values {variables}'!r})",
+        f"    ({''.join(f'v{i}, ' for i in range(nv))}) = values",
+    ]
+    lines += [f"    v{i}_{k} = v{i} ** {k}" for i, k in powers]
+    for j, p in enumerate(polys):
+        lines.append(f"    c{j} = 0j")
+        for e, c in p.terms.items():
+            factors = "".join(f" * v{i}_{k}" for i, k in enumerate(e) if k)
+            lines.append(f"    c{j} += {complex(c)!r}{factors}")
+    lines.append(f"    return [{', '.join(f'c{j}' for j in range(len(polys)))}]")
+    namespace = {"ValidationError": ValidationError}
+    exec(compile("\n".join(lines), "<compile_polys>", "exec"), namespace)
+    return namespace["evaluate"]
+
+
+def eval_grid(evaluate, *inputs) -> np.ndarray:
+    """A :func:`compile_polys` function over broadcast inputs as one array of
+    shape (..., number of polynomials), every entry broadcast to the inputs'
+    shape."""
+    values = evaluate(*inputs)
+    return np.stack(np.broadcast_arrays(*values, *inputs)[: len(values)], axis=-1)
 
 
 # -- resultants ---------------------------------------------------------------

@@ -161,8 +161,8 @@ def laplace_borel_sum(
 
     # endpoint piece from the local series (y = u_ell + w^2)
     def f_series(w: complex) -> complex:
-        y = ul + w * w
-        return np.exp(-eta * y) * bct.eval_series(y) * 2.0 * w
+        w2 = w * w
+        return np.exp(-eta * (ul + w2)) * bct.eval_offset(w2) * 2.0 * w
 
     part1 = adaptive_segment(f_series, 0.0, w_mid, tol * np.exp(-eta * ul.real))
 

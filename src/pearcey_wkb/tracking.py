@@ -81,8 +81,9 @@ def match_labels_rows(old_vals, new_vals, guard_ratio: float = GUARD_RATIO):
 
 
 def _descending(coeffs) -> list:
-    """Ascending coefficient array -> descending list of Python complex."""
-    return np.asarray(coeffs, dtype=complex).tolist()[::-1]
+    """Ascending coefficients (any sequence) -> descending list of Python
+    complex."""
+    return [complex(a) for a in reversed(coeffs)]
 
 
 def _horner(c: list, z):

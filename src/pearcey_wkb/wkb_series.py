@@ -49,11 +49,6 @@ def gamma_half_ratio(j: int) -> Fraction:
     return Fraction(factorial(2 * j), 4**j * factorial(j))
 
 
-def gamma_half(j: int) -> float:
-    """Gamma(j + 1/2) in double precision (sqrt(pi) times exact rational)."""
-    return sqrt(pi) * float(gamma_half_ratio(j))
-
-
 @dataclass
 class WkbSeriesTable:
     """Exact series data up to order N.
@@ -285,7 +280,11 @@ class BorelCoeffTable:
 
     def eval_series(self, y: complex, nmax: int | None = None) -> complex:
         """Partial sum at y with the principal branch of (y-base)^(-1/2)."""
-        w = complex(y) - self.base
+        return self.eval_offset(complex(y) - self.base, nmax)
+
+    def eval_offset(self, w: complex, nmax: int | None = None) -> complex:
+        """Partial sum at y = base + w, from the offset w itself: a small w
+        keeps its digits, which y - base would cancel."""
         root = 1.0 / np.sqrt(w)
         n = len(self.coeffs) if nmax is None else min(nmax + 1, len(self.coeffs))
         acc = 0j

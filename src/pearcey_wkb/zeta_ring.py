@@ -312,13 +312,6 @@ class ZetaRational:
         n = self.num.eval_numeric({"zeta": zeta0, "x2": x20})
         return complex(self.scalar) * n / d**self.denom_power
 
-    def eval_exact(self, zeta0: Fraction, x20: Fraction) -> Fraction:
-        d = 6 * zeta0**2 + x20
-        if d == 0:
-            raise EvaluationError("evaluation at turning point")
-        n = self.num.eval({"zeta": zeta0, "x2": x20})
-        return self.scalar * n / d**self.denom_power
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -198,7 +198,7 @@ def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0
     where the library raises ``ContinuationError``.
     """
     vals = np.array(start_vals, dtype=complex)
-    c0 = coeffs_fn(0.0)
+    c0 = np.asarray(coeffs_fn(0.0), dtype=complex)
     for z in vals:
         if abs(_poly_eval_np(c0, z)) > residual_tol * _residual_scale_np(c0, z) * 10:
             raise ValueError("start value does not satisfy the family")
@@ -207,7 +207,7 @@ def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0
     tau, step = 0.0, 0.125
     while tau < 1.0:
         target = min(1.0, tau + step)
-        c = coeffs_fn(target)
+        c = np.asarray(coeffs_fn(target), dtype=complex)
         new_vals = np.array([_newton_polish_np(c, z) for z in vals])
         if _accept_np(c, vals, new_vals, residual_tol, guard_ratio):
             accepted += 1

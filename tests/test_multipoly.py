@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pearcey_wkb.errors import ValidationError
-from pearcey_wkb.multipoly import MultiPoly, discriminant, resultant
+from pearcey_wkb.multipoly import MultiPoly, compile_polys, discriminant, eval_grid, resultant
 
 from oracles import random_multipoly, resultant_cofactor
 
@@ -126,19 +126,25 @@ def test_resultant_multiplicative(seed):
 
 
 def test_compile_matches_eval_numeric():
+    # at scalars the compiled coefficient list is eval_numeric bit for bit;
+    # on a broadcast grid numpy's complex products round differently, so
+    # each entry agrees to 1e-15 of its term scale (sum of |terms|)
     rng = np.random.default_rng(5)
     vv = ("a", "b", "t")
     for _ in range(20):
         p = random_multipoly(rng, vv, max_degree=3, max_terms=5)
         evaluate = p.compile("t")
+        moduli = MultiPoly(vv, {e: abs(c) for e, c in p.terms.items()}).compile("t")
         a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         b = 0.7 - 0.2j
-        got = evaluate(a, b)
+        got = eval_grid(evaluate, a, b)
         assert got.shape == (2, 3, p.degree("t") + 1)
+        scale = eval_grid(moduli, np.abs(a), abs(b)).real
         for idx in np.ndindex(2, 3):
             point = {"a": a[idx], "b": b, "t": 0.0}
             want = [c.eval_numeric(point) for c in p.as_univariate("t")]
-            assert np.allclose(got[idx], want, rtol=1e-14, atol=1e-14 * max(1.0, np.abs(want).max()))
+            assert evaluate(complex(a[idx]), b) == want
+            assert np.all(np.abs(got[idx] - want) <= 1e-15 * scale[idx])
     with pytest.raises(ValidationError):
         p.compile("t")(1.0)
 
@@ -171,3 +177,75 @@ def test_eval_numeric_bitwise_equals_uncached_formula(seed):
     for poly in derived:
         for pt in points:
             assert poly.eval_numeric(pt) == _eval_uncached(poly, pt)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compiled_list_bitwise_equals_uncached_formula(seed):
+    rng = np.random.default_rng(10 + seed)
+    polys = [random_multipoly(rng, V, max_degree=4, max_terms=8) * Fraction(3, 7)
+             for _ in range(3)]
+    polys += [MultiPoly.zero(V), const(Fraction(-8, 3))]
+    evaluate = compile_polys(polys)
+    for _ in range(5):
+        pt = {v: complex(*rng.normal(size=2)) for v in V}
+        assert evaluate(*(pt[v] for v in V)) == [_eval_uncached(p, pt) for p in polys]
+    # constant entries broadcast to the input's shape
+    z = rng.normal(size=7) + 0j
+    got = eval_grid(evaluate, z, 0.5 + 0j, z)
+    assert got.shape == (7, 5)
+    assert np.all(got[:, 3] == 0) and np.all(got[:, 4] == complex(Fraction(-8, 3)))
+
+
+def _sympy_coefficient_lists():
+    """(name, numeric coefficients at a point, ascending sympy coefficient
+    expressions, symbols) for the package's four coefficient lists, the
+    quartics written out from their displayed form."""
+    import sympy
+
+    from pearcey_wkb.borel import quartic_at
+    from pearcey_wkb.geometry import (
+        PlanePoint,
+        singular_cubic_coeffs,
+        stokes_sextic,
+        stokes_sextic_coeffs,
+    )
+
+    from oracles import singular_cubic_sympy, stokes_sextic_sympy
+
+    x1, x2, y, g, s, t, h, F = sympy.symbols("x1 x2 y g s t h F")
+    A = 4 * x1**2 * x2 * (36 * y - x2**2) + 16 * y * (x2**2 - 4 * y) ** 2 - 27 * x1**4
+    B = 2 * (-8 * x2 * y + 2 * x2**3 + 9 * x1**2)
+    xy = A * g**4 + B * g**2 - 8 * x1 * g + 1
+    st = (
+        (256 * s**3 - 128 * s**2 * t**2 + 16 * s * t * (t**3 + 9) - 4 * t**3 - 27) * h**4
+        + (4 * t**3 - 16 * s * t + 18) * h**2 - 8 * h + 1
+    )
+    sextic = sympy.Poly(stokes_sextic_sympy(), F)
+    lead = stokes_sextic().terms[(0, 0, 6)]  # the scale sympy's factor leaves free
+    sextic = sextic * (sympy.Rational(lead.numerator, lead.denominator) / sextic.LC())
+    lists = [
+        ("xy quartic", lambda p: quartic_at("xy", p), sympy.Poly(xy, g), (x1, x2, y)),
+        ("st quartic", lambda p: quartic_at("st", p), sympy.Poly(st, h), (s, t)),
+        ("cubic", lambda p: singular_cubic_coeffs(PlanePoint(*p)),
+         sympy.Poly(singular_cubic_sympy(), y), (x1, x2)),
+        ("sextic", lambda p: stokes_sextic_coeffs(PlanePoint(*p)), sextic, (x1, x2)),
+    ]
+    return [(name, fn, poly.all_coeffs()[::-1], syms) for name, fn, poly, syms in lists]
+
+
+def test_coefficient_lists_match_sympy_at_random_points():
+    import sympy
+
+    rng = np.random.default_rng(11)
+    for name, coeffs_at, exprs, syms in _sympy_coefficient_lists():
+        for _ in range(4):
+            point = [complex(*rng.normal(size=2)) for _ in syms]
+            exact = {
+                sym: sympy.Rational(v.real) + sympy.I * sympy.Rational(v.imag)
+                for sym, v in zip(syms, point)
+            }
+            want = [complex(sympy.N(sympy.expand(e.subs(exact)), 30)) for e in exprs]
+            got = coeffs_at(point)
+            scale = max(1.0, *map(abs, want))
+            assert len(got) == len(want), name
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * scale, name
