@@ -32,6 +32,8 @@ EXTRA = [
     ["geometry", "--x1", "1.0000001", "--x2=-1.5"],  # no bow clears the labeling path
     ["borel", "--x1=0.9302,0.0628", "--x2=-0.0317,-0.0849", "--y=0.3,0.2",
      "--ell", "1", "--monodromy"],
+    ["borel", "--x1", "1", "--x2", "1.5", "--y", "0.1", "--ell", "1",
+     "--allow-unvalidated", "--monodromy"],  # outside the validated chart
 ]
 
 calls = {w: workloads.all_inputs(w) for w in workloads.WORKLOADS}

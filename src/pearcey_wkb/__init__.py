@@ -22,7 +22,6 @@ from .wkb_series import (  # noqa: F401
 )
 from .borel import (  # noqa: F401
     BranchTag,
-    BranchTrace,
     branches_at_origin,
     branches_at_p,
     discontinuity,
@@ -30,7 +29,6 @@ from .borel import (  # noqa: F401
     psi_borel_eval,
     psi_on_cut,
     quartic_at,
-    track,
     verify_annihilation,
 )
 from .quadrature import laplace_borel_sum, pearcey_quadrature  # noqa: F401

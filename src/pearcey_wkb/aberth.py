@@ -6,7 +6,7 @@ roots of unity with a fixed angular offset) so the output ordering is
 reproducible run to run.
 
 ``roots_aberth_batch`` solves many polynomials of one degree at once, one
-row each; ``roots_aberth`` is a batch of one with multiplicity estimates.
+row each; ``roots_aberth`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -142,50 +142,14 @@ def _newton_polish(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def roots_aberth(coeffs, tol: float = 1e-12) -> tuple[np.ndarray, list[int]]:
-    """All complex roots of one polynomial plus multiplicity estimates.
+def roots_aberth(coeffs, tol: float = 1e-12) -> np.ndarray:
+    """All complex roots of one polynomial, in deterministic order.
 
-    A batch of one for :func:`roots_aberth_batch`.
-
-    Parameters
-    ----------
-    coeffs : array_like
-        Ascending complex coefficients, degree >= 1.
-    tol : float
-        Relative residual target: |p(r)| <= tol * sum_k |c_k| max(1,|r|)^k.
-
-    Returns
-    -------
-    roots : ndarray
-        Converged roots in deterministic order.
-    multiplicities : list of int
-        Cluster-size estimates (single-linkage, radius ~ tol^(1/3)),
-        one entry per root.
+    A batch of one for :func:`roots_aberth_batch`: ``coeffs`` are ascending
+    complex coefficients of degree >= 1, and ``tol`` is the relative
+    residual target |p(r)| <= tol * sum_k |c_k| max(1,|r|)^k.
     """
-    z = roots_aberth_batch(np.asarray(coeffs, dtype=complex).reshape(1, -1), tol)[0]
-    radius = max(tol, tol ** (1.0 / 3.0)) * (1.0 + float(np.max(np.abs(z))))
-    return z, _cluster_sizes(z, radius)
-
-
-def _cluster_sizes(z: np.ndarray, radius: float) -> list[int]:
-    n = z.size
-    labels = list(range(n))
-
-    def find(i):
-        while labels[i] != i:
-            labels[i] = labels[labels[i]]
-            i = labels[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(z[i] - z[j]) <= radius:
-                labels[find(i)] = find(j)
-    sizes = {}
-    for i in range(n):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return [sizes[find(i)] for i in range(n)]
+    return roots_aberth_batch(np.asarray(coeffs, dtype=complex).reshape(1, -1), tol)[0]
 
 
 def from_roots(roots, lead: complex = 1.0) -> np.ndarray:

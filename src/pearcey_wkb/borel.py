@@ -32,7 +32,10 @@ Every Borel transform of a WKB solution is the sheet difference
     psi_ell_B = (i / sqrt(pi)) (-1)^(ell-1) (g_ell - g_4),
 
 which this module evaluates, continues along paths, and differentiates
-across cuts (discontinuity operators).
+across cuts (discontinuity operators).  Every Borel-plane path of one base
+point x, monodromy loops included, runs through one :class:`SheetField`: its
+singularities are the labelled u_ell of ``labeled_point(x)``, and its sheets
+are continued by ``track_s_with_bows``.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .geometry import (
     cube_root,
     labeled_point,
     p_ell,
-    singular_cubic_coeffs,
 )
 from .multipoly import MultiPoly, compile_polys
 
@@ -65,6 +67,7 @@ T_VALIDITY = 0.2  # |x2 / x1^(2/3)| bound inside which chart results are validat
 SEED_SCALE = 0.02
 RHO_REL = 0.18  # approach radius around a singularity, relative to min separation
 ANCHOR_REL = 0.3  # anchor radius above each u_ell, relative to min separation
+LOOP_REL = 0.25  # monodromy loop radius around u_ell, relative to |u_ell|
 THETA_LIFT = 2e-3  # cut-approach angle for one-sided limits (Richardson halves it)
 
 
@@ -164,39 +167,6 @@ class BranchTag:
         return sign * singular_pair_scale(ell) * root_inv_p(ell, s)
 
 
-@dataclass
-class BranchTrace:
-    """A tracked path of the four sheets with step diagnostics."""
-
-    chart: str
-    trace: tracking.Trace
-    permutation: tuple[int, ...] | None = None
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.trace.final
-
-    @property
-    def min_separation(self) -> float:
-        return self.trace.min_separation
-
-    def to_csv(self) -> str:
-        lines = ["step,tau,point_re,point_im," + ",".join(
-            f"h{i}_re,h{i}_im" for i in range(1, 5)
-        ) + ",min_sep"]
-        for n, (tau, pt, vals) in enumerate(
-            zip(self.trace.taus, self.trace.points, self.trace.values)
-        ):
-            sep = tracking._min_pairwise(np.asarray(vals))
-            nums = [tau, pt.real, pt.imag]
-            for v in vals:
-                nums += [v.real, v.imag]
-            nums.append(sep)
-            cells = [str(n)] + [repr(float(x)) for x in nums]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
 def cycle_notation(perm: tuple[int, ...]) -> str:
     """One-line cycle notation (1-based) of a sheet permutation."""
     seen = [False] * len(perm)
@@ -257,13 +227,8 @@ def branches_at_origin(s: complex, t: complex) -> np.ndarray:
     s0, t0 = _seed_point(s, t)
     spec = quartic_spec("st")
     if (s0, t0) == (s, t):
-        vals = tracking.solve_and_match(
-            spec.coeffs(s, t), origin_germs(s, t), guard_ratio=1.2
-        )
-        return vals
-    seeded = tracking.solve_and_match(
-        spec.coeffs(s0, t0), origin_germs(s0, t0), guard_ratio=1.2
-    )
+        return tracking.solve_and_match(spec.coeffs(s, t), origin_germs(s, t))
+    seeded = tracking.solve_and_match(spec.coeffs(s0, t0), origin_germs(s0, t0))
     trace = tracking.track_polyline(lambda p: spec.coeffs(*p), [(s0, t0), (s, t)], seeded)
     return trace.final
 
@@ -312,7 +277,7 @@ def branches_at_p(ell: int, s: complex, t: complex = 0.0) -> np.ndarray:
     coeffs = spec.coeffs(s, 0.0)
     from .aberth import roots_aberth
 
-    roots, _ = roots_aberth(coeffs, tol=1e-13)
+    roots = roots_aberth(coeffs, tol=1e-13)
     order = np.argsort([min(abs(r - H3_CONST), abs(r - H4_CONST)) for r in roots])
     reg = [roots[order[0]], roots[order[1]]]
     sing = [roots[order[2]], roots[order[3]]]
@@ -333,21 +298,26 @@ def branches_at_p(ell: int, s: complex, t: complex = 0.0) -> np.ndarray:
 # -- path tracking -----------------------------------------------------------------
 
 
-def track_s_with_bows(spec, t, vals, s_knots, s_stars, sep_s) -> np.ndarray:
-    """Leg-by-leg tracking with detours around sheet-value crossings.
+def track_s_with_bows(field, vals, s_knots) -> np.ndarray:
+    """Leg-by-leg tracking of ``field``'s sheets along an s-polyline at its t,
+    with detours around sheet-value crossings.
 
     Two sheets of the quartic can take the same value away from any branch
     point (distinct saddles sharing one value of g).  Such crossings stop
     nearest-match tracking but carry no monodromy, so a small bow around
     them leaves the continuation class unchanged.  The bow is only
-    attempted when the obstruction is far from every true branch point
-    (positions ``s_stars``, mutual scale ``sep_s``); otherwise the error
-    propagates.
+    attempted when the obstruction is far from every labelled singularity
+    u_ell of the field (scale: their minimum separation); otherwise the
+    error propagates.
     """
+    s_stars = [u / field.x1_quarter for u in field.u_vals]
+    sep_s = field.min_sep / abs(field.x1_quarter)
 
     def leg(vals, a, b, depth):
         try:
-            return tracking.track_polyline(lambda s: spec.coeffs(s, t), [a, b], vals).final
+            return tracking.track_polyline(
+                lambda s: field.spec.coeffs(s, field.t), [a, b], vals
+            ).final
         except ContinuationError as err:
             loc = err.location
             if depth >= 4 or loc is None:
@@ -367,56 +337,26 @@ def track_s_with_bows(spec, t, vals, s_knots, s_stars, sep_s) -> np.ndarray:
     return cur
 
 
-def track(start_vals, s_knots, t: complex = 0.0) -> BranchTrace:
-    """Continue a labeled 4-tuple along a polyline in s at fixed t.
+def monodromy(ell: int, x: PlanePoint) -> tuple[int, ...]:
+    """Sheet permutation (origin labels) around u_ell of ``labeled_point(x)``.
 
-    The final permutation field is left unset; use
-    ``BranchTrace.trace.permutation_from`` against target-chart germs.
+    The sheets are carried from the origin seed to the base point on the
+    origin side of u_ell, then once around the counterclockwise circle of
+    radius ``LOOP_REL * |u_ell|`` about u_ell, both through
+    :class:`SheetField`.  The result maps starting label i (0-based) to the
+    label its continuation matches on return.
     """
-    spec = quartic_spec("st")
-    tr = tracking.track_polyline(
-        lambda s: spec.coeffs(s, t), s_knots, np.asarray(start_vals, dtype=complex)
-    )
-    return BranchTrace(chart="st", trace=tr)
-
-
-def monodromy(ell: int, t: complex = 0.0, radius_rel: float = 0.25) -> tuple[int, ...]:
-    """Sheet permutation (origin labels) around the branch point near p_ell.
-
-    Tracks a small counterclockwise loop; the result maps starting label i
-    (0-based) to the label its continuation matches on return.
-    """
-    center = _moved_branch_point(ell, t)
-    radius = radius_rel * abs(center)
-    chat = center / abs(center)
-    base = center - radius * chat  # on the origin side of the ray: clear approach
-    seed_pt = chat * SEED_SCALE
-    start = branches_at_origin(seed_pt, t)
-    spec = quartic_spec("st")
-    s_stars = [_moved_branch_point(m, t) for m in (1, 2, 3)]
-    sep_s = min(
-        abs(a - b) for i, a in enumerate(s_stars) for b in s_stars[i + 1 :]
-    )
-    base_vals = track_s_with_bows(spec, t, start, [seed_pt, base], s_stars, sep_s)
+    if ell not in (1, 2, 3):
+        raise ValidationError("ell must be 1, 2 or 3")
+    field = SheetField(x)
+    center = field.u_vals[ell - 1]
+    radius = LOOP_REL * abs(center)
+    base = center - radius * center / abs(center)  # clear approach from the origin
+    base_vals = field.track_y_polyline([base])
     theta0 = float(np.angle(base - center))
     loop = tracking.circle_knots(center, radius, theta0, theta0 + 2 * pi, n=96)
-    looped = track_s_with_bows(spec, t, base_vals, loop, s_stars, sep_s)
-    perm = tracking.match_labels(looped, base_vals)
-    return tuple(perm)
-
-
-def _moved_branch_point(ell: int, t: complex) -> complex:
-    """Branch point in s near p_ell for small |t| (exact cubic root)."""
-    if t == 0:
-        return p_ell(ell)
-    # branch points solve the singular-locus cubic at x1 = 1, x2 = t
-    coeffs = singular_cubic_coeffs(PlanePoint(1.0, complex(t)))
-    from .aberth import roots_aberth
-
-    roots, _ = roots_aberth(coeffs, tol=1e-13)
-    targets = [p_ell(k) for k in (1, 2, 3)]
-    perm = tracking.match_labels(targets, roots, guard_ratio=1.0 + 1e-9)
-    return complex(roots[perm[ell - 1]])
+    looped = field.track_from(base_vals, loop)
+    return tuple(tracking.match_labels(looped, base_vals))
 
 
 # -- psi evaluation ---------------------------------------------------------------
@@ -428,7 +368,6 @@ class PsiValue:
 
     value: complex
     chart_validated: bool
-    sheets: np.ndarray | None = None
 
 
 class SheetField:
@@ -473,20 +412,17 @@ class SheetField:
         d = direction / abs(direction) if direction != 0 else 1.0
         s0 = d * SEED_SCALE * min(1.0, abs(self.s_of_y(self.min_sep)))
         t = self.t
-        vals = tracking.solve_and_match(
-            self.spec.coeffs(s0, t), origin_germs(s0, t), guard_ratio=1.2
-        )
-        return s0, vals
+        return s0, tracking.solve_and_match(self.spec.coeffs(s0, t), origin_germs(s0, t))
 
     def track_y_polyline(self, y_knots) -> np.ndarray:
         """Sheet 4-tuple at the end of a y-plane polyline from the seed."""
         s_knots = [self.s_of_y(y) for y in y_knots]
         s0, vals = self.seed(s_knots[0])
-        return self._track_s(vals, [s0] + list(s_knots))
+        return track_s_with_bows(self, vals, [s0] + list(s_knots))
 
     def track_from(self, vals, y_knots) -> np.ndarray:
         """Continue a known tuple along a y-polyline starting at its point."""
-        return self._track_s(vals, [self.s_of_y(y) for y in y_knots])
+        return track_s_with_bows(self, vals, [self.s_of_y(y) for y in y_knots])
 
     def track_stops(self, vals, y0: complex, y1: complex, stops) -> list[np.ndarray]:
         """Sheet tuples at the points y0 + (y1 - y0) tau of the segment
@@ -520,16 +456,11 @@ class SheetField:
             k = len(out)
             if k < len(taus):
                 start, offset = points[k], taus[k]
-                start_vals = self._track_s(
-                    out[-1] if k else vals, [points[k - 1] if k else a, start]
+                start_vals = track_s_with_bows(
+                    self, out[-1] if k else vals, [points[k - 1] if k else a, start]
                 )
                 out.append(start_vals)
         return out
-
-    def _track_s(self, vals, s_knots) -> np.ndarray:
-        s_stars = [u / self.x1_quarter for u in self.u_vals]
-        sep_s = self.min_sep / abs(self.x1_quarter)
-        return track_s_with_bows(self.spec, self.t, vals, s_knots, s_stars, sep_s)
 
     def anchor(self, ell: int) -> tuple[complex, np.ndarray]:
         """Anchor point u_ell + i r and the sheet tuple carried there.
@@ -611,7 +542,6 @@ def psi_borel_eval(
     return PsiValue(
         value=field.psi_from_sheets(ell, sheets),
         chart_validated=field.chart_validated,
-        sheets=sheets,
     )
 
 
@@ -930,22 +860,13 @@ def _derivative_from_jets(jets: dict, multi: tuple[int, int, int]) -> complex:
     return jets[tuple(names)] if names else jets[()]
 
 
-def verify_annihilation(
-    op_id: int,
-    x: PlanePoint,
-    y: complex,
-    branch: int = 4,
-    g_value: complex | None = None,
-) -> float:
-    """Scaled residual of one Borel-plane operator applied to a quartic branch.
+def verify_annihilation(op_id: int, x: PlanePoint, y: complex) -> float:
+    """Scaled residual of one Borel-plane operator applied to the fourth
+    origin-chart branch of the quartic at y.
 
-    ``branch`` picks the origin-chart label used when ``g_value`` is not
-    supplied.  Derivatives are the exact implicit jets of the quartic.
+    Derivatives are the exact implicit jets of the quartic.
     """
-    field = SheetField(x)
-    if g_value is None:
-        sheets = field.track_y_polyline([complex(y)])
-        g_value = sheets[branch - 1] / complex(x.x1)
+    g_value = SheetField(x).track_y_polyline([complex(y)])[3] / complex(x.x1)
     op, evaluate = _operator_line(op_id)
     coeffs = evaluate(complex(x.x1), complex(x.x2), complex(y))
     jets = implicit_jet(x, y, g_value)

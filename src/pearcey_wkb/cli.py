@@ -265,11 +265,9 @@ def _cmd_borel(cfg: RunConfig, args) -> int:
     }
     if args.monodromy:
         from .borel import cycle_notation, monodromy
-        from .geometry import cube_root
 
-        t = complex(x.x2) / cube_root(x.x1, 0) ** 2
         payload["monodromy"] = {
-            f"around_u{ell}": cycle_notation(monodromy(ell, t)) for ell in (1, 2, 3)
+            f"around_u{ell}": cycle_notation(monodromy(ell, x)) for ell in (1, 2, 3)
         }
     p = _write_json(cfg, "borel.json", payload)
     print(p)
@@ -375,7 +373,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     checks.append(("quartic_root_sum", abs(h.sum()) < 1e-10))
     from .borel import cycle_notation, monodromy
 
-    perms = [cycle_notation(monodromy(ell, 0.0)) for ell in (1, 2, 3)]
+    perms = [cycle_notation(monodromy(ell, PlanePoint(1.0, 0.0))) for ell in (1, 2, 3)]
     checks.append(("monodromy_transpositions", perms == ["(1 4)", "(2 4)", "(3 4)"]))
     from .borel import SheetField, discontinuity, psi_on_cut
 

@@ -372,8 +372,7 @@ def stokes_sextic_grid(x1, x2) -> np.ndarray:
 
 
 def stokes_sextic_roots(x: PlanePoint) -> np.ndarray:
-    roots, _ = roots_aberth(stokes_sextic_coeffs(x))
-    return roots
+    return roots_aberth(stokes_sextic_coeffs(x))
 
 
 # -- scaling chart ------------------------------------------------------------

@@ -245,7 +245,7 @@ def pearcey_quadrature(
     # peak estimate: saddle values and the origin
     from .aberth import roots_aberth
 
-    saddles, _ = roots_aberth(np.array([x1, 2 * x2, 0.0, 4.0], dtype=complex))
+    saddles = roots_aberth(np.array([x1, 2 * x2, 0.0, 4.0], dtype=complex))
     peak_log = max(0.0, *((eta * _phase(x, z)).real for z in saddles))
     if peak_log > 600.0:
         raise TailBoundError(

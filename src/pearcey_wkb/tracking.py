@@ -28,6 +28,7 @@ from .aberth import roots_aberth
 from .errors import ContinuationError, LabelMatchError
 
 GUARD_RATIO = 3.0
+SOLVE_GUARD_RATIO = 1.2  # label guard when relabelling a full solve by approximate values
 RESIDUAL_TOL = 1e-9
 MIN_STEP = 1e-11
 _NEWTON_ITERS = 12
@@ -148,10 +149,6 @@ class Trace:
         """Smallest pairwise distance of recorded values anywhere along the
         path; inf when each record holds a single value."""
         return min(map(_min_pairwise, self.values), default=inf)
-
-    def permutation_from(self, reference_vals) -> tuple[int, ...]:
-        """perm[i] = index in ``reference_vals`` matching final value i."""
-        return tuple(match_labels(self.final, reference_vals))
 
 
 def track_family(
@@ -290,8 +287,8 @@ def circle_knots(center: complex, radius: float, theta0: float, theta1: float, n
     return [center + radius * np.exp(1j * (theta0 + span * k / m)) for k in range(m + 1)]
 
 
-def solve_and_match(coeffs, approx_vals, guard_ratio: float = GUARD_RATIO, tol: float = 1e-12):
+def solve_and_match(coeffs, approx_vals):
     """Solve the polynomial fully and relabel to match approximate values."""
-    roots, _ = roots_aberth(coeffs, tol=tol)
-    perm = match_labels(approx_vals, roots, guard_ratio=guard_ratio)
+    roots = roots_aberth(coeffs)
+    perm = match_labels(approx_vals, roots, guard_ratio=SOLVE_GUARD_RATIO)
     return np.array([roots[p] for p in perm])

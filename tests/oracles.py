@@ -228,7 +228,7 @@ def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0
 
 def _u_at(pts, tau, near_vals):
     x1, x2 = stokes._x_at(pts, tau)
-    roots, _ = roots_aberth(singular_cubic_coeffs(PlanePoint(x1, x2)), tol=1e-13)
+    roots = roots_aberth(singular_cubic_coeffs(PlanePoint(x1, x2)), tol=1e-13)
     perm = tracking.match_labels(near_vals, roots, guard_ratio=1.0 + 1e-12)
     return np.array([roots[p] for p in perm])
 

@@ -18,25 +18,23 @@ def _as_set(roots, expected, tol=1e-9):
 
 
 def test_quadratic_identity_case():
-    roots, mult = roots_aberth([1.0, 0.0, 1.0], tol=1e-12)
+    roots = roots_aberth([1.0, 0.0, 1.0], tol=1e-12)
     assert _as_set(roots, [1j, -1j])
-    assert mult == [1, 1]
 
 
 def test_cube_roots_of_unity():
     # characteristic cubic at (x1, x2) = (-4, 0)
-    roots, _ = roots_aberth([-4.0, 0.0, 0.0, 4.0], tol=1e-12)
+    roots = roots_aberth([-4.0, 0.0, 0.0, 4.0], tol=1e-12)
     w = np.exp(2j * np.pi / 3)
     assert _as_set(roots, [1.0, w, w**2])
 
 
 def test_triple_root_factorization():
     # -27 h^4 + 18 h^2 - 8 h + 1 = -27 (h - 1/3)^3 (h + 1)
-    roots, mult = roots_aberth([1.0, -8.0, 18.0, 0.0, -27.0], tol=1e-12)
-    near_third = [r for r, m in zip(roots, mult) if abs(r - 1 / 3) < 1e-3]
-    near_minus1 = [r for r, m in zip(roots, mult) if abs(r + 1) < 1e-6]
+    roots = roots_aberth([1.0, -8.0, 18.0, 0.0, -27.0], tol=1e-12)
+    near_third = [r for r in roots if abs(r - 1 / 3) < 1e-3]
+    near_minus1 = [r for r in roots if abs(r + 1) < 1e-6]
     assert len(near_third) == 3 and len(near_minus1) == 1
-    assert all(m == 3 for r, m in zip(roots, mult) if abs(r - 1 / 3) < 1e-3)
 
 
 def test_degenerate_leading_coefficient():
@@ -55,8 +53,8 @@ def test_invalid_inputs():
 
 def test_deterministic_output_order():
     c = [2.0, -3.0, 0.5, 1.0, 0.25]
-    r1, _ = roots_aberth(c)
-    r2, _ = roots_aberth(c)
+    r1 = roots_aberth(c)
+    r2 = roots_aberth(c)
     assert np.array_equal(r1, r2)
 
 
@@ -72,7 +70,7 @@ def test_reconstruction_round_trip(seed, degree):
                 roots[i] += 0.5 + 0.5j
     lead = 1.0 + 0.5j
     coeffs = from_roots(roots, lead)
-    found, _ = roots_aberth(coeffs, tol=1e-13)
+    found = roots_aberth(coeffs, tol=1e-13)
     rebuilt = from_roots(sorted(found, key=lambda z: (z.real, z.imag)), lead)
     ordered = from_roots(sorted(roots, key=lambda z: (z.real, z.imag)), lead)
     scale = max(abs(c) for c in ordered)
@@ -110,8 +108,8 @@ def test_batch_rows_equal_single_solves(degree, monkeypatch):
     monkeypatch.setattr(aberth, "poly_eval_many", counted)
     for row, got in zip(coeffs, batch):
         evaluations.append(0)
-        single, mult = roots_aberth(row, tol=1e-12)
-        assert len(mult) == degree
+        single = roots_aberth(row, tol=1e-12)
+        assert single.shape == (degree,)
         assert np.max(np.abs(got - single)) <= 1e-14 * np.max(np.abs(single))
     # the rows really stop at different iteration counts
     assert len(set(evaluations)) > 1
@@ -142,7 +140,6 @@ def test_batch_shapes():
         roots_aberth_batch([1.0, 0.0, 1.0])  # 1-D input belongs to roots_aberth
 
 
-def test_single_solve_returns_roots_and_multiplicities():
-    roots, mult = roots_aberth(np.array([-4.0, 0.0, 0.0, 4.0]))
+def test_single_solve_returns_roots():
+    roots = roots_aberth(np.array([-4.0, 0.0, 0.0, 4.0]))
     assert roots.shape == (3,)
-    assert isinstance(mult, list) and mult == [1, 1, 1]

@@ -19,8 +19,8 @@ from pearcey_wkb.borel import (
     discontinuity,
     psi_on_cut,
     quartic_at,
+    quartic_spec,
     verify_annihilation,
-    track,
 )
 from pearcey_wkb.geometry import (
     PlanePoint,
@@ -131,9 +131,11 @@ def test_criterion_4_branch_dictionary():
             d = pl / abs(pl)
             s_eval = pl * 0.85
             start = branches_at_origin(d * 0.02, tval)
-            bt = track(start, [d * 0.02, s_eval], t=tval)
+            final = tracking.track_polyline(
+                lambda s: quartic_spec("st").coeffs(s, tval), [d * 0.02, s_eval], start
+            ).final
             local = branches_at_p(ell, s_eval, tval)
-            perm = tracking.match_labels(bt.final, local, guard_ratio=1.05)
+            perm = tracking.match_labels(final, local, guard_ratio=1.05)
             got = {j + 1: perm[j] + 1 for j in range(4)}
             assert got == DICTIONARY[ell], (tval, ell, got)
             count += 4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_jets
-from pearcey_wkb import tracking
+from pearcey_wkb import borel, tracking
 from pearcey_wkb.borel import (
     H3_CONST,
     H4_CONST,
@@ -16,9 +16,9 @@ from pearcey_wkb.borel import (
     psi_borel_eval,
     psi_on_cut,
     quartic_at,
+    quartic_spec,
     root_inv_p,
     singular_pair_scale,
-    track,
     verify_annihilation,
     _ray_chain,
 )
@@ -132,44 +132,44 @@ class TestDictionary:
         pl = p_ell(ell)
         d = pl / abs(pl)
         start = branches_at_origin(d * 0.02, 0.0)
-        bt = track(start, [d * 0.02, pl * 0.85], t=0.0)
+        final = tracking.track_polyline(
+            lambda s: quartic_spec("st").coeffs(s, 0.0), [d * 0.02, pl * 0.85], start
+        ).final
         local = branches_at_p(ell, pl * 0.85, 0.0)
-        perm = tracking.match_labels(bt.final, local, guard_ratio=1.1)
+        perm = tracking.match_labels(final, local, guard_ratio=1.1)
         got = {j + 1: perm[j] + 1 for j in range(4)}
         assert got == DICTIONARY[ell]
 
     def test_constant_path_identity(self):
         start = branches_at_origin(0.1, 0.05)
-        bt = track(start, [0.1, 0.1], t=0.05)
-        assert np.allclose(bt.final, start, atol=1e-12)
-
-    def test_trace_export(self):
-        start = branches_at_origin(0.02, 0.0)
-        bt = track(start, [0.02, 0.3], t=0.0)
-        csv = bt.to_csv()
-        header, *rows = csv.splitlines()
-        assert header.startswith("step,tau")
-        assert len(rows) == len(bt.trace.taus)
-        for row in rows:
-            fields = row.split(",")
-            assert len(fields) == len(header.split(","))
-            for cell in fields[1:]:
-                float(cell)
-        assert bt.min_separation > 0
+        final = tracking.track_polyline(
+            lambda s: quartic_spec("st").coeffs(s, 0.05), [0.1, 0.1], start
+        ).final
+        assert np.allclose(final, start, atol=1e-12)
 
 
 class TestMonodromy:
     def test_transpositions(self):
-        assert cycle_notation(monodromy(1, 0.0)) == "(1 4)"
-        assert cycle_notation(monodromy(2, 0.0)) == "(2 4)"
-        assert cycle_notation(monodromy(3, 0.0)) == "(3 4)"
+        x = PlanePoint(1.0, 0.0)
+        assert cycle_notation(monodromy(1, x)) == "(1 4)"
+        assert cycle_notation(monodromy(2, x)) == "(2 4)"
+        assert cycle_notation(monodromy(3, x)) == "(3 4)"
+
+    @pytest.mark.parametrize("ell", [0, 4])
+    def test_unknown_singularity_rejected(self, ell):
+        with pytest.raises(ValidationError):
+            monodromy(ell, PlanePoint(1.0, 0.0))
 
     def test_transpositions_off_axis(self):
-        assert cycle_notation(monodromy(3, 0.1j)) == "(3 4)"
+        assert cycle_notation(monodromy(3, PlanePoint(1.0, 0.1j))) == "(3 4)"
+
+    def test_transpositions_at_complex_x(self):
+        # the loops run around the u_ell of labeled_point(x), x1 off the real axis
+        x = PlanePoint(0.9302 + 0.0628j, -0.0317 - 0.0849j)
+        perms = [cycle_notation(monodromy(ell, x)) for ell in (1, 2, 3)]
+        assert perms == ["(1 4)", "(2 4)", "(3 4)"]
 
     def test_composite_loop_is_4_cycle(self):
-        from pearcey_wkb.borel import quartic_spec
-
         spec = quartic_spec("st")
         d = np.exp(1j * np.pi / 3)
         start = branches_at_origin(0.02 * d, 0.0)
@@ -188,9 +188,12 @@ class TestMonodromy:
         assert cycle_notation(perm).count("(") == 1  # a single cycle
         assert len(set(perm)) == 4 and all(perm[i] != i for i in range(4))
 
-    def test_homotopic_loops_agree(self):
-        a = monodromy(3, 0.0, radius_rel=0.2)
-        b = monodromy(3, 0.0, radius_rel=0.3)
+    def test_homotopic_loops_agree(self, monkeypatch):
+        x = PlanePoint(1.0, 0.0)
+        monkeypatch.setattr(borel, "LOOP_REL", 0.2)
+        a = monodromy(3, x)
+        monkeypatch.setattr(borel, "LOOP_REL", 0.3)
+        b = monodromy(3, x)
         assert a == b
 
 

@@ -56,6 +56,19 @@ def test_geometry_near_turning_locus_names_the_leg(tmp_path, capsys):
     assert "provenance" not in err
 
 
+def test_borel_monodromy_outside_validated_chart(tmp_path):
+    # t = x2 / x1^(2/3) = 1.5: the loops run around the u_ell of labeled_point(x)
+    out = tmp_path / "o"
+    argv = ["--out-dir", str(out), "borel", "--x1", "1", "--x2", "1.5", "--y", "0.1",
+            "--ell", "1", "--allow-unvalidated", "--monodromy"]
+    assert run(argv) == 0
+    doc = json.loads((out / "borel.json").read_text())
+    assert doc["chart_validated"] is False
+    assert doc["monodromy"] == {
+        "around_u1": "(1 4)", "around_u2": "(2 4)", "around_u3": "(3 4)"
+    }
+
+
 def test_unknown_flag_exits_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["series", "--bogus"])

@@ -68,7 +68,7 @@ def _reference(coeffs_fn, start):
 
 
 FAMILIES = {
-    "st_quartic_monodromy_loop": lambda: monodromy(1),
+    "st_quartic_monodromy_loop": lambda: monodromy(1, PlanePoint(1.0, 0.0)),
     "char_cubic_default_provenance": lambda: char_trace(
         labeling_path(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j))
     ),
@@ -214,9 +214,9 @@ def test_failure_mid_ray_bows_one_stretch_and_returns_every_node(fail_after, mon
 
         return real_track(coeffs, point_fn, start_vals, stops=stops, **kw)
 
-    def counted(spec, t, vals, s_knots, s_stars, sep_s):
+    def counted(field, vals, s_knots):
         bowed.append(len(s_knots))
-        return real_bows(spec, t, vals, s_knots, s_stars, sep_s)
+        return real_bows(field, vals, s_knots)
 
     monkeypatch.setattr(tracking, "track_family", failing)
     monkeypatch.setattr(borel, "track_s_with_bows", counted)
