@@ -7,13 +7,18 @@ Prints how many files are byte-identical and lists the others.  For a JSON
 file that differs it prints the worst relative difference over the floats
 at the same key path (an [re, im] pair counts as one complex number) and
 every key found on one side only.  Floats are JSON numbers with a fraction
-or strings that parse as floats, the form the CLI writes them in.
+or strings that parse as floats, the form the CLI writes them in.  A CSV
+file that differs is compared cell by cell: cells that parse as floats and
+are not integer literals by the worst relative difference, every other cell
+exactly.
 
 Exits 1 if any difference is not a float difference: a file on one side
-only, a differing non-JSON file, or a differing string, integer, boolean or
-list length; exits 0 otherwise.
+only, a differing file that is neither JSON nor CSV, a differing string,
+integer, boolean or list length, a differing non-float CSV cell or a CSV row
+count or length that differs; exits 0 otherwise.
 """
 
+import csv
 import json
 import os
 import sys
@@ -70,6 +75,35 @@ def _walk(a, b, path, report):
         report["exact"].append(f"{path}: {a!r} != {b!r}")
 
 
+def _float_cell(cell):
+    """The float value of a CSV cell, None for an integer literal or text."""
+    if cell.strip().lstrip("+-").isdigit():
+        return None
+    return _float(cell)
+
+
+def _walk_csv(rows_a, rows_b, report):
+    """Record in ``report`` how two CSV row lists differ, cell by cell."""
+    if len(rows_a) != len(rows_b):
+        report["exact"].append(f"row count: {len(rows_a)} != {len(rows_b)}")
+        return
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        if len(ra) != len(rb):
+            report["exact"].append(f"row {i} length: {len(ra)} != {len(rb)}")
+            continue
+        for j, (a, b) in enumerate(zip(ra, rb)):
+            if a == b:
+                continue
+            fa, fb = _float_cell(a), _float_cell(b)
+            if fa is not None and fb is not None and fa == fb:
+                continue
+            rel = None if fa is None or fb is None else abs(fa - fb) / max(abs(fa), abs(fb))
+            if rel is None or rel != rel:  # text, an integer, or nan against a number
+                report["exact"].append(f"row {i} cell {j}: {a!r} != {b!r}")
+            elif rel > report["worst"][0]:
+                report["worst"] = (rel, f"row {i} cell {j}")
+
+
 def main(out_a, out_b) -> int:
     files_a, files_b = _files(out_a), _files(out_b)
     bad = False
@@ -85,14 +119,16 @@ def main(out_a, out_b) -> int:
                 differ.append(rel)
     print(f"byte-identical: {same} of {len(files_a & files_b)} common files")
     for rel in differ:
-        if not rel.endswith(".json"):
-            print(f"differs: {rel} (not JSON)")
-            bad = True
-            continue
-        with open(os.path.join(out_a, rel)) as fa, open(os.path.join(out_b, rel)) as fb:
-            doc_a, doc_b = json.load(fa), json.load(fb)
         report = {"worst": (0.0, ""), "only": [], "exact": []}
-        _walk(doc_a, doc_b, "", report)
+        with open(os.path.join(out_a, rel)) as fa, open(os.path.join(out_b, rel)) as fb:
+            if rel.endswith(".json"):
+                _walk(json.load(fa), json.load(fb), "", report)
+            elif rel.endswith(".csv"):
+                _walk_csv(list(csv.reader(fa)), list(csv.reader(fb)), report)
+            else:
+                print(f"differs: {rel} (neither JSON nor CSV)")
+                bad = True
+                continue
         rel_diff, where = report["worst"]
         print(f"differs: {rel}  worst float rel diff {rel_diff:.3g}" + (f" at {where}" if where else ""))
         for line in report["only"] + report["exact"]:

@@ -41,6 +41,7 @@ are continued by ``track_s_with_bows``.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import pi, sqrt
@@ -298,43 +299,79 @@ def branches_at_p(ell: int, s: complex, t: complex = 0.0) -> np.ndarray:
 # -- path tracking -----------------------------------------------------------------
 
 
-def track_s_with_bows(field, vals, s_knots) -> np.ndarray:
-    """Leg-by-leg tracking of ``field``'s sheets along an s-polyline at its t,
+def track_s_with_bows(field, vals, s_path) -> np.ndarray:
+    """Leg-by-leg tracking of ``field``'s sheets along an s-path at its t,
     with detours around sheet-value crossings.
+
+    A path is a list of pieces, each a point or a :class:`tracking.Arc`.  It
+    starts at its first piece and runs straight to each next point; it runs
+    straight to an arc's start (unless it is already there) and then along
+    the arc as one tracker leg.
 
     Two sheets of the quartic can take the same value away from any branch
     point (distinct saddles sharing one value of g).  Such crossings stop
     nearest-match tracking but carry no monodromy, so a small bow around
-    them leaves the continuation class unchanged.  The bow is only
-    attempted when the obstruction is far from every labelled singularity
-    u_ell of the field (scale: their minimum separation); otherwise the
-    error propagates.
+    them leaves the continuation class unchanged.  A failing segment is
+    bowed whole; on a failing arc the stretch from ``ARC_STEP`` radians
+    before the failure point to ``ARC_STEP`` past it becomes its chord, the
+    chord is bowed and the rest of the arc is tracked from its end.  The
+    bow is only attempted when the obstruction is far from every labelled
+    singularity u_ell of the field (scale: their minimum separation);
+    otherwise the error propagates.
     """
     s_stars = [u / field.x1_quarter for u in field.u_vals]
     sep_s = field.min_sep / abs(field.x1_quarter)
 
-    def leg(vals, a, b, depth):
+    def coeffs(s):
+        return field.spec.coeffs(s, field.t)
+
+    def bowable(err, depth) -> bool:
+        loc = err.location
+        return depth < 4 and loc is not None and min(abs(loc - s) for s in s_stars) >= 0.12 * sep_s
+
+    def bow(vals, a, b, loc, depth):
+        perp = 1j * (b - a) / abs(b - a)
+        mid = loc + perp * 0.05 * sep_s
+        part = leg(vals, (a, mid), depth + 1)
+        return leg(part, (mid, b), depth + 1)
+
+    def leg(vals, piece, depth):
+        if not isinstance(piece, tracking.Arc):
+            a, b = piece
+            try:
+                return tracking.track_polyline(coeffs, [a, b], vals).final
+            except ContinuationError as err:
+                if not bowable(err, depth):
+                    raise
+                return bow(vals, a, b, err.location, depth)
+        trace = tracking.Trace()
         try:
-            return tracking.track_polyline(
-                lambda s: field.spec.coeffs(s, field.t), [a, b], vals
-            ).final
+            return tracking.track_arc(coeffs, piece, vals, trace=trace).final
         except ContinuationError as err:
-            loc = err.location
-            if depth >= 4 or loc is None:
+            if not (trace.taus and bowable(err, depth)):
                 raise
-            if min(abs(loc - s) for s in s_stars) < 0.12 * sep_s:
-                raise
-            perp = 1j * (b - a) / abs(b - a)
-            mid = loc + perp * 0.05 * sep_s
-            part = leg(vals, a, mid, depth + 1)
-            return leg(part, mid, b, depth + 1)
+            reach = tracking.ARC_STEP / abs(piece.theta1 - piece.theta0)
+            k = max(0, bisect_right(trace.taus, trace.taus[-1] - reach) - 1)
+            tau_b = min(1.0, trace.taus[-1] + reach)
+            out = bow(trace.values[k], piece.at(trace.taus[k]), piece.at(tau_b), err.location, depth)
+            return out if tau_b == 1.0 else leg(out, piece.part(tau_b, 1.0), depth + 1)
 
     cur = np.asarray(vals, dtype=complex)
-    for a, b in zip(s_knots[:-1], s_knots[1:]):
-        if a == b:
-            continue
-        cur = leg(cur, complex(a), complex(b), 0)
+    here = _start(s_path[0])
+    for piece in s_path:
+        start = _start(piece)
+        if start != here:
+            cur = leg(cur, (here, start), 0)
+        here = start
+        if isinstance(piece, tracking.Arc):
+            cur = leg(cur, piece, 0)
+            here = piece.end
     return cur
+
+
+def _start(piece) -> complex:
+    """Where a path piece (a point or an arc) begins."""
+    return piece.start if isinstance(piece, tracking.Arc) else complex(piece)
 
 
 def monodromy(ell: int, x: PlanePoint) -> tuple[int, ...]:
@@ -342,20 +379,16 @@ def monodromy(ell: int, x: PlanePoint) -> tuple[int, ...]:
 
     The sheets are carried from the origin seed to the base point on the
     origin side of u_ell, then once around the counterclockwise circle of
-    radius ``LOOP_REL * |u_ell|`` about u_ell, both through
+    radius ``LOOP_REL * |u_ell|`` about u_ell (one arc leg), both through
     :class:`SheetField`.  The result maps starting label i (0-based) to the
     label its continuation matches on return.
     """
-    if ell not in (1, 2, 3):
-        raise ValidationError("ell must be 1, 2 or 3")
     field = SheetField(x)
-    center = field.u_vals[ell - 1]
-    radius = LOOP_REL * abs(center)
-    base = center - radius * center / abs(center)  # clear approach from the origin
-    base_vals = field.track_y_polyline([base])
-    theta0 = float(np.angle(base - center))
-    loop = tracking.circle_knots(center, radius, theta0, theta0 + 2 * pi, n=96)
-    looped = field.track_from(base_vals, loop)
+    center = field.u(ell)
+    theta0 = float(np.angle(-center))  # the base point faces the origin
+    loop = tracking.Arc(center, LOOP_REL * abs(center), theta0, theta0 + 2 * pi)
+    base_vals = field.track_y_polyline([loop.start])
+    looped = field.track_from(base_vals, [loop])
     return tuple(tracking.match_labels(looped, base_vals))
 
 
@@ -374,7 +407,10 @@ class SheetField:
     """Origin-labeled sheets of the quartic over the Borel plane of one x.
 
     Provides y-plane path continuation; all paths are converted to the
-    scaled chart internally.  ``x1_quarter`` is x1^(4/3) on branch 0.
+    scaled chart internally (s = y / x1^(4/3), a complex scaling, so an arc
+    in y is an arc in s).  A path is a list of points and
+    :class:`tracking.Arc` pieces, as in :func:`track_s_with_bows`.
+    ``x1_quarter`` is x1^(4/3) on branch 0.
 
     Each Borel transform also has an *anchor*: the sheet tuple carried to
     the point u_ell + i r directly above its singularity, reached from the
@@ -405,8 +441,18 @@ class SheetField:
     def chart_validated(self) -> bool:
         return abs(self.t) <= T_VALIDITY
 
+    def u(self, ell: int) -> complex:
+        """The labelled singularity u_ell (ell = 1, 2 or 3)."""
+        if ell not in (1, 2, 3):
+            raise ValidationError("ell must be 1, 2 or 3")
+        return self.u_vals[ell - 1]
+
     def s_of_y(self, y: complex) -> complex:
         return complex(y) / self.x1_quarter
+
+    def _s_path(self, y_path) -> list:
+        scale = 1 / self.x1_quarter
+        return [p.scaled(scale) if isinstance(p, tracking.Arc) else self.s_of_y(p) for p in y_path]
 
     def seed(self, direction: complex) -> tuple[complex, np.ndarray]:
         d = direction / abs(direction) if direction != 0 else 1.0
@@ -414,15 +460,16 @@ class SheetField:
         t = self.t
         return s0, tracking.solve_and_match(self.spec.coeffs(s0, t), origin_germs(s0, t))
 
-    def track_y_polyline(self, y_knots) -> np.ndarray:
-        """Sheet 4-tuple at the end of a y-plane polyline from the seed."""
-        s_knots = [self.s_of_y(y) for y in y_knots]
-        s0, vals = self.seed(s_knots[0])
-        return track_s_with_bows(self, vals, [s0] + list(s_knots))
+    def track_y_polyline(self, y_path) -> np.ndarray:
+        """Sheet 4-tuple at the end of a y-plane path from the seed."""
+        s_path = self._s_path(y_path)
+        s0, vals = self.seed(_start(s_path[0]))
+        return track_s_with_bows(self, vals, [s0] + s_path)
 
-    def track_from(self, vals, y_knots) -> np.ndarray:
-        """Continue a known tuple along a y-polyline starting at its point."""
-        return track_s_with_bows(self, vals, [self.s_of_y(y) for y in y_knots])
+    def track_from(self, vals, y_path) -> np.ndarray:
+        """Continue a known tuple along a y-plane path starting at its
+        first piece."""
+        return track_s_with_bows(self, vals, self._s_path(y_path))
 
     def track_stops(self, vals, y0: complex, y1: complex, stops) -> list[np.ndarray]:
         """Sheet tuples at the points y0 + (y1 - y0) tau of the segment
@@ -472,12 +519,10 @@ class SheetField:
         swapped.  This keeps the anchor well-defined at configurations
         whose singularities have rotated far from the reference wedge.
         """
+        u = self.u(ell)
         if ell not in self._anchors:
-            u = self.u_vals[ell - 1]
             r = ANCHOR_REL * self.min_sep
-            a_ray = u - r * (u / abs(u))
-            arc = tracking.circle_knots(u, r, _ray_angle(u), pi / 2)
-            sheets = self.track_y_polyline([a_ray] + arc[1:])
+            sheets = self.track_y_polyline([tracking.Arc(u, r, _ray_angle(u), pi / 2)])
             point = u + 1j * r
             got = self.psi_from_sheets(ell, sheets)
             ref = self._series_germ(ell, point)
@@ -647,9 +692,9 @@ def discontinuity(
         sign = -sign
     if field.anchor_swap(k):
         sign = -sign
-    arrived = field.track_from(start, [a] + approach)
+    arrived = field.track_from(start, approach)  # the chain starts at a
     jump = _cut_jump(
-        field, uk, R, approach[-1], arrived, lambda s: field.psi_from_sheets(ell, s)
+        field, uk, R, approach[-1].end, arrived, lambda s: field.psi_from_sheets(ell, s)
     )
     return DiscontinuityResult(sign * jump, hypothesis_ok, "; ".join(details))
 
@@ -663,7 +708,7 @@ def psi_on_cut(field_or_x, k: int, y: complex) -> complex:
     boundary value of the local series.
     """
     field = field_or_x if isinstance(field_or_x, SheetField) else SheetField(field_or_x)
-    uk = field.u_vals[k - 1]
+    uk = field.u(k)
     sigma = complex(y) - uk
     if not (sigma.real > 0 and abs(sigma.imag) <= 1e-9 * abs(sigma)):
         raise ValidationError("y must lie on the cut from u_k in the +real direction")
@@ -671,6 +716,13 @@ def psi_on_cut(field_or_x, k: int, y: complex) -> complex:
     a, sheets0 = field.anchor(k)
     jump = _cut_jump(field, uk, R, a, sheets0, lambda s: s[3] / complex(field.x.x1))
     return 1j / sqrt(pi) * jump
+
+
+def _cut_side(field: SheetField, uk: complex, R: float, start, sheets, theta: float):
+    """Sheet tuple at u_k + R e^(i theta), carried from ``start`` (where
+    ``sheets`` hold) straight to u_k + i R and along the circle of radius R
+    about u_k to angle theta."""
+    return field.track_from(sheets, [start, tracking.Arc(uk, R, pi / 2, theta)])
 
 
 def _cut_jump(field: SheetField, uk: complex, R: float, start, sheets, read) -> complex:
@@ -683,12 +735,10 @@ def _cut_jump(field: SheetField, uk: complex, R: float, start, sheets, read) -> 
     differences d(theta) = above - below.
     """
 
-    def side(target: float) -> complex:
-        arc = tracking.circle_knots(uk, R, pi / 2, target, n=48)
-        return read(field.track_from(sheets, [start, uk + 1j * R] + arc[1:]))
-
     def delta(theta: float) -> complex:
-        return side(theta) - side(2 * pi - theta)
+        above = _cut_side(field, uk, R, start, sheets, theta)
+        below = _cut_side(field, uk, R, start, sheets, 2 * pi - theta)
+        return read(above) - read(below)
 
     d1 = delta(THETA_LIFT)
     d2 = delta(THETA_LIFT / 2)
@@ -709,44 +759,37 @@ def _ray_angle(u: complex) -> float:
     return float(np.angle(w))
 
 
-def _ray_chain(field: SheetField, ell: int, mids: list[int], k: int) -> list[complex]:
-    """Polyline realizing the segment continuations u_ell -> (mids) -> u_k.
+def _ray_chain(field: SheetField, ell: int, mids: list[int], k: int) -> list:
+    """Path realizing the segment continuations u_ell -> (mids) -> u_k.
 
     Straight segments between the singularities are replaced by the
     homotopic route through the origin region (down one ray, across, up the
     next), because every chart germ is anchored on its ray approach.  Each
     intermediate singularity is encircled once counterclockwise (the
-    square-root branch swap).  The polyline starts at u_ell's anchor point
-    and ends at u_k's anchor point (angle pi/2, anchor radius).
+    square-root branch swap).  The path's arcs are :class:`tracking.Arc`
+    pieces of anchor radius; it starts at u_ell's anchor point and ends at
+    u_k's anchor point (angle pi/2).
     """
     u = field.u_vals
     r_a = ANCHOR_REL * field.min_sep
     r_low = 0.15 * min(abs(v) for v in u)
     chain = [ell] + mids + [k]
-    pts: list[complex] = []
-
-    def ray_point(idx: int, radius: float) -> complex:
-        here = u[idx - 1]
-        return here - radius * here / abs(here)
 
     # leave u_ell: reverse its anchor arc, then descend its ray
     first = u[ell - 1]
-    pts.extend(tracking.circle_knots(first, r_a, pi / 2, _ray_angle(first), n=48))
-    pts.append(r_low * first / abs(first))
+    pts: list = [tracking.Arc(first, r_a, pi / 2, _ray_angle(first)), r_low * first / abs(first)]
 
     for n, idx in enumerate(chain[1:], start=1):
         here = u[idx - 1]
         th_ray = _ray_angle(here)
         # cross near the origin and ascend this ray to the anchor frame
         pts.append(r_low * here / abs(here))
-        pts.append(ray_point(idx, r_a))
-        pts.extend(tracking.circle_knots(here, r_a, th_ray, pi / 2, n=48)[1:])
+        pts.append(tracking.Arc(here, r_a, th_ray, pi / 2))
         if n < len(chain) - 1:
             # branch swap: one full counterclockwise loop, then back down
-            pts.extend(
-                tracking.circle_knots(here, r_a, pi / 2, pi / 2 + 2 * pi, n=48)[1:]
-            )
-            pts.extend(tracking.circle_knots(here, r_a, pi / 2, th_ray, n=48)[1:])
+            turn = pi / 2 + 2 * pi
+            pts.append(tracking.Arc(here, r_a, pi / 2, turn))
+            pts.append(tracking.Arc(here, r_a, turn, th_ray + 2 * pi))
             pts.append(r_low * here / abs(here))
     return pts
 

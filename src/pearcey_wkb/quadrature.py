@@ -141,7 +141,7 @@ def laplace_borel_sum(
     if eta <= 0:
         raise ValidationError("eta must be positive real")
     field = SheetField(x)
-    ul = field.u_vals[ell - 1]
+    ul = field.u(ell)
     length = TAIL_LOG / eta
     for m in (1, 2, 3):
         if m == ell:

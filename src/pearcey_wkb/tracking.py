@@ -3,22 +3,28 @@
 One tracker serves every continuation job in the package: characteristic
 roots of the cubic along x-paths, Borel singularities from their cubic, and
 the four sheets of the Borel quartic along paths in the base plane.  Every
-path is a polyline handed to :func:`track_polyline`, except a straight leg
-that must pass through given points (the Gauss nodes of a Laplace ray): it
-is one :func:`track_family` call whose ``stops`` are those points' taus,
-each step that would pass the next stop being shortened to land on it.
+leg of a path is one :func:`track_family` call over tau in [0, 1]:
+
+* a straight leg, one per segment of a polyline (:func:`track_polyline`),
+  starts at tau-step 0.125 and never steps more than ``MAX_STEP`` = 0.25;
+  a leg that must pass through given points (the Gauss nodes of a Laplace
+  ray) has those points' taus as ``stops``, each step that would pass the
+  next stop being shortened to land on it;
+* a circular :class:`Arc` is one leg however far it turns
+  (:func:`track_arc`), its steps capped at ``ARC_STEP`` radians.
 
 There is no predictor: each step Newton-corrects the previous values onto
 the polynomial at the new parameter.  The collision guard then accepts or
 halves the step: the corrected values must pass a residual test, and their
 minimum pairwise separation must exceed ``GUARD_RATIO`` times the largest
 value displacement in the step.  Running out of refinement raises
-``ContinuationError`` with the path point where the tracker gave up.
+``ContinuationError`` with the path point where the tracker gave up; on an
+arc the message also names the arc and the angle reached.
 """
 
 from __future__ import annotations
 
-from cmath import isfinite
+from cmath import exp, isfinite, phase
 from dataclasses import dataclass, field
 from math import inf
 
@@ -31,6 +37,8 @@ GUARD_RATIO = 3.0
 SOLVE_GUARD_RATIO = 1.2  # label guard when relabelling a full solve by approximate values
 RESIDUAL_TOL = 1e-9
 MIN_STEP = 1e-11
+MAX_STEP = 0.25  # tau-step cap of a straight leg; its first step is half of it
+ARC_STEP = 0.1  # step cap along an arc, in radians
 _NEWTON_ITERS = 12
 
 
@@ -152,7 +160,13 @@ class Trace:
 
 
 def track_family(
-    coeffs_fn, point_fn, start_vals, *, trace: Trace | None = None, stops=()
+    coeffs_fn,
+    point_fn,
+    start_vals,
+    *,
+    trace: Trace | None = None,
+    stops=(),
+    max_step: float = MAX_STEP,
 ) -> Trace:
     """Continue labeled roots of a polynomial family over tau in [0, 1].
 
@@ -170,6 +184,9 @@ def track_family(
         pass the next stop is shortened to end on it, and a rejected
         shortened step halves its own length.  Each stop is recorded once,
         like any accepted step.
+    max_step : float
+        Largest tau-step; the first step is half of it, each accepted step
+        doubles the next up to it and each rejected step halves it.
 
     Each step's coefficients become one descending list of Python complex
     numbers, so the Newton polish and the acceptance test run on scalars.
@@ -194,7 +211,7 @@ def track_family(
 
     next_stop = 0
     tau = 0.0
-    step = 0.125
+    step = 0.5 * max_step
     while tau < 1.0:
         target = min(1.0, tau + step)
         at_stop = next_stop < len(stops) and target >= stops[next_stop]
@@ -212,7 +229,7 @@ def track_family(
             tau = target
             vals = new_vals
             trace.record(tau, point_fn(tau), vals)
-            step = min(2 * step, 0.25)
+            step = min(2 * step, max_step)
             next_stop += at_stop
         else:
             step = 0.5 * (target - tau if at_stop else step)
@@ -280,11 +297,76 @@ def _lerp(a, b, t):
     return a + (b - a) * t
 
 
-def circle_knots(center: complex, radius: float, theta0: float, theta1: float, n: int = 48):
-    """Polyline approximating an arc; n chords per full turn of angle span."""
-    span = theta1 - theta0
-    m = max(8, int(abs(span) / (2 * np.pi) * n) + 1)
-    return [center + radius * np.exp(1j * (theta0 + span * k / m)) for k in range(m + 1)]
+@dataclass(frozen=True)
+class Arc:
+    """The circular arc center + radius e^(i theta), theta running from
+    ``theta0`` to ``theta1`` (counterclockwise when theta1 > theta0)."""
+
+    center: complex
+    radius: float
+    theta0: float
+    theta1: float
+
+    def angle(self, tau: float) -> float:
+        """theta0 + (theta1 - theta0) tau, exactly theta0 and theta1 at the
+        ends so that arcs meeting at one angle share the point."""
+        return (1.0 - tau) * self.theta0 + tau * self.theta1
+
+    def at(self, tau: float) -> complex:
+        """The point at parameter tau in [0, 1]."""
+        return self.center + self.radius * exp(1j * self.angle(tau))
+
+    @property
+    def start(self) -> complex:
+        return self.at(0.0)
+
+    @property
+    def end(self) -> complex:
+        return self.at(1.0)
+
+    @property
+    def max_step(self) -> float:
+        """Tau-step cap: ``ARC_STEP`` radians, at most ``MAX_STEP``."""
+        span = abs(self.theta1 - self.theta0)
+        return MAX_STEP if span * MAX_STEP <= ARC_STEP else ARC_STEP / span
+
+    def part(self, tau0: float, tau1: float) -> Arc:
+        """The stretch from parameter tau0 to tau1."""
+        return Arc(self.center, self.radius, self.angle(tau0), self.angle(tau1))
+
+    def scaled(self, factor: complex) -> Arc:
+        """The image arc under z -> factor * z."""
+        turn = phase(factor)
+        return Arc(
+            self.center * factor, self.radius * abs(factor), self.theta0 + turn, self.theta1 + turn
+        )
+
+
+def track_arc(coeffs_at_point, arc: Arc, start_vals, *, trace: Trace | None = None) -> Trace:
+    """Track along ``arc`` as one ``track_family`` leg, steps capped at
+    ``ARC_STEP`` radians.
+
+    ``coeffs_at_point`` maps a complex point to ascending coefficients.  A
+    ``ContinuationError`` names the arc's centre and radius and the angle
+    of the last accepted step.
+    """
+    trace = Trace() if trace is None else trace
+    first = len(trace.taus)
+    try:
+        return track_family(
+            lambda tau: coeffs_at_point(arc.at(tau)),
+            arc.at,
+            start_vals,
+            trace=trace,
+            max_step=arc.max_step,
+        )
+    except ContinuationError as err:
+        theta = arc.angle(trace.taus[-1]) if len(trace.taus) > first else arc.theta0
+        raise ContinuationError(
+            f"{err} (arc about {arc.center:.6g} of radius {arc.radius:.6g}, "
+            f"at angle {theta:.6g})",
+            location=err.location,
+        ) from err
 
 
 def solve_and_match(coeffs, approx_vals):

@@ -13,11 +13,13 @@ exact ring's arithmetic and chart derivatives as plain rational functions
 of zeta and x2.
 
 The remaining oracles keep earlier implementations as references: the
-tracker step loop on numpy scalars, the event bisection one bracket and
-one cubic solve at a time, the f_0 phase continuation tracked one
-labeling-path leg at a time, the truncated-power expansion of the amplitude
-exponential, and central finite differences of a quartic branch by a
-Newton iteration of their own on the hand-expanded quartic.
+tracker step loop on numpy scalars, the Borel-plane circles (anchor arcs,
+cut-jump sides, monodromy loops) as chord polylines, one tracker leg per
+chord, the event bisection one bracket and one cubic solve at a time, the
+f_0 phase continuation tracked one labeling-path leg at a time, the
+truncated-power expansion of the amplitude exponential, and central finite
+differences of a quartic branch by a Newton iteration of their own on the
+hand-expanded quartic.
 """
 
 from fractions import Fraction
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from pearcey_wkb import stokes, tracking
+from pearcey_wkb import borel, stokes, tracking
 from pearcey_wkb.aberth import roots_aberth
 from pearcey_wkb.errors import DominanceError
 from pearcey_wkb.geometry import (
@@ -189,11 +191,12 @@ class StepUnderflow(Exception):
 
 
 def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0,
-                       min_step=1e-11):
+                       min_step=1e-11, max_step=0.25):
     """The tracker's step loop with numpy-scalar arithmetic throughout.
 
-    Same start check, step schedule (0.125, doubling to 0.25 on accept,
-    halving on reject), Newton polish and acceptance rule as the library.
+    Same start check, step schedule (half of ``max_step``, doubling to
+    ``max_step`` on accept, halving on reject), Newton polish and acceptance
+    rule as the library.
     Returns ``(taus, values, accepted, rejected)``; raises ``StepUnderflow``
     where the library raises ``ContinuationError``.
     """
@@ -204,7 +207,7 @@ def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0
             raise ValueError("start value does not satisfy the family")
     taus, values = [0.0], [vals]
     accepted = rejected = 0
-    tau, step = 0.0, 0.125
+    tau, step = 0.0, 0.5 * max_step
     while tau < 1.0:
         target = min(1.0, tau + step)
         c = np.asarray(coeffs_fn(target), dtype=complex)
@@ -214,13 +217,57 @@ def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0
             tau, vals = target, new_vals
             taus.append(tau)
             values.append(vals)
-            step = min(2 * step, 0.25)
+            step = min(2 * step, max_step)
         else:
             rejected += 1
             step *= 0.5
             if step < min_step:
                 raise StepUnderflow(tau)
     return taus, values, accepted, rejected
+
+
+# -- Borel-plane circles as chord polylines -------------------------------------
+
+
+def circle_knots(center: complex, radius: float, theta0: float, theta1: float, n: int = 48):
+    """Polyline approximating an arc; n chords per full turn of angle span."""
+    span = theta1 - theta0
+    m = max(8, int(abs(span) / (2 * np.pi) * n) + 1)
+    return [center + radius * np.exp(1j * (theta0 + span * k / m)) for k in range(m + 1)]
+
+
+def chord_anchor(field, ell):
+    """``SheetField.anchor(ell)``'s sheet tuple, the ray and the arc to
+    u_ell + i r tracked as a 48-per-turn chord polyline."""
+    u = field.u_vals[ell - 1]
+    r = borel.ANCHOR_REL * field.min_sep
+    arc = circle_knots(u, r, borel._ray_angle(u), np.pi / 2)
+    sheets = field.track_y_polyline([u - r * (u / abs(u))] + arc[1:])
+    got = field.psi_from_sheets(ell, sheets)
+    ref = field._series_germ(ell, u + 1j * r)
+    if abs(got + ref) < abs(got - ref):
+        sheets = sheets.copy()
+        sheets[ell - 1], sheets[3] = sheets[3], sheets[ell - 1]
+    return sheets
+
+
+def chord_cut_side(field, uk, R, start, sheets, theta):
+    """``borel._cut_side`` with the circle of radius R as a 48-per-turn
+    chord polyline."""
+    arc = circle_knots(uk, R, np.pi / 2, theta, n=48)
+    return field.track_from(sheets, [start, uk + 1j * R] + arc[1:])
+
+
+def chord_monodromy(ell, x):
+    """``borel.monodromy`` with the loop as a 96-chord polyline."""
+    field = borel.SheetField(x)
+    center = field.u_vals[ell - 1]
+    radius = borel.LOOP_REL * abs(center)
+    base = center - radius * center / abs(center)
+    base_vals = field.track_y_polyline([base])
+    theta0 = float(np.angle(base - center))
+    loop = circle_knots(center, radius, theta0, theta0 + 2 * np.pi, n=96)
+    return tuple(tracking.match_labels(field.track_from(base_vals, loop), base_vals))
 
 
 # -- event bisection one bracket at a time ------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import fd_jets
+from oracles import chord_anchor, chord_cut_side, chord_monodromy, fd_jets
 from pearcey_wkb import borel, tracking
 from pearcey_wkb.borel import (
     H3_CONST,
@@ -20,10 +20,12 @@ from pearcey_wkb.borel import (
     root_inv_p,
     singular_pair_scale,
     verify_annihilation,
+    _cut_side,
     _ray_chain,
 )
 from pearcey_wkb.errors import CutError, ValidationError
 from pearcey_wkb.geometry import PlanePoint, p_ell, singular_cubic_coeffs
+from pearcey_wkb.quadrature import laplace_borel_sum
 from pearcey_wkb.wkb_series import borel_coeffs
 
 DICTIONARY = {
@@ -176,10 +178,8 @@ class TestMonodromy:
         to_base = tracking.track_polyline(
             lambda s: spec.coeffs(s, 0.0), [0.02 * d, 0.9 * d], start
         )
-        loop = tracking.circle_knots(0, 0.9, np.pi / 3, np.pi / 3 + 2 * np.pi, n=192)
-        looped = tracking.track_polyline(
-            lambda s: spec.coeffs(s, 0.0), loop, to_base.final
-        )
+        loop = tracking.Arc(0, 0.9, np.pi / 3, np.pi / 3 + 2 * np.pi)
+        looped = tracking.track_arc(lambda s: spec.coeffs(s, 0.0), loop, to_base.final)
         perm = tuple(tracking.match_labels(looped.final, to_base.final))
         lengths = sorted(
             len(c) for c in cycle_notation(perm).strip("()").split(")(")
@@ -195,6 +195,71 @@ class TestMonodromy:
         monkeypatch.setattr(borel, "LOOP_REL", 0.3)
         b = monodromy(3, x)
         assert a == b
+
+
+# chart points of the rotated, off-axis and complex-x tests, and the complex
+# x of the ``borel --monodromy`` call in scripts/compare_artifacts.py
+ARC_POINTS = [
+    PlanePoint(1.0, 0.0),
+    PlanePoint(1.0, 0.07),
+    PlanePoint(1.0, 0.06 + 0.02j),
+    PlanePoint(1j, 0.02),
+    PlanePoint(0.5 + 0.5j, 0.03 - 0.02j),
+    PlanePoint(0.9302 + 0.0628j, -0.0317 - 0.0849j),
+]
+
+
+def _close(got, want, rel=1e-12):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestArcRoutes:
+    """Each circle tracked as one arc leg against the chord polylines it
+    replaced (48 chords per turn, 96 per monodromy loop)."""
+
+    @pytest.mark.parametrize("x", ARC_POINTS, ids=str)
+    def test_anchor_sheets_match_chords(self, x):
+        field = SheetField(x)
+        for ell in (1, 2, 3):
+            assert _close(field.anchor(ell)[1], chord_anchor(field, ell))
+
+    @pytest.mark.parametrize("x", ARC_POINTS, ids=str)
+    def test_cut_sides_match_chords(self, x):
+        field = SheetField(x)
+        R = 0.25 * field.min_sep
+        for k in (1, 2, 3):
+            uk = field.u(k)
+            a, sheets = field.anchor(k)
+            for theta in (borel.THETA_LIFT, 2 * np.pi - borel.THETA_LIFT):
+                got = _cut_side(field, uk, R, a, sheets, theta)
+                assert _close(got, chord_cut_side(field, uk, R, a, sheets, theta))
+
+    @pytest.mark.parametrize("x", ARC_POINTS, ids=str)
+    def test_monodromy_matches_chords(self, x):
+        for ell in (1, 2, 3):
+            assert monodromy(ell, x) == chord_monodromy(ell, x)
+
+
+@pytest.mark.parametrize("ell", [0, 4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ell, x: psi_borel_eval(ell, x, 0.3),
+        lambda ell, x: psi_on_cut(x, ell, 1.0),
+        lambda ell, x: laplace_borel_sum(ell, x, 10.0),
+    ],
+    ids=["psi_borel_eval", "psi_on_cut", "laplace_borel_sum"],
+)
+def test_unknown_ell_rejected_before_tracking(call, ell, monkeypatch):
+    x = PlanePoint(1.0, 0.0)
+    SheetField(x)  # the labelled point is cached before tracking is disabled
+
+    def no_tracking(*args, **kw):
+        raise AssertionError("tracked before checking ell")
+
+    monkeypatch.setattr(tracking, "track_family", no_tracking)
+    with pytest.raises(ValidationError, match="ell must be 1, 2 or 3"):
+        call(ell, x)
 
 
 class TestPsiEvaluation:
@@ -260,7 +325,7 @@ class TestDiscontinuities:
         for k in (1, 2, 3):
             a = field.anchor(k)[0]
             for ell in (m for m in (1, 2, 3) if m != k):
-                assert abs(_ray_chain(field, ell, [], k)[-1] - a) <= 1e-14 * abs(a)
+                assert abs(_ray_chain(field, ell, [], k)[-1].end - a) <= 1e-14 * abs(a)
 
     def test_off_cut_rejected(self):
         x = PlanePoint(1.0, 0.06)

@@ -2,13 +2,16 @@
 
 Each family is recorded leg by leg from a real library call, then every leg
 is replayed through ``tracking.track_family`` and through the reference loop
-in ``oracles``: the tau sequence and the accept/reject counts must be the
-same, and the tracked values must agree to 1e-13 relative.
+in ``oracles``, with the leg's own step cap: the tau sequence and the
+accept/reject counts must be the same, and the tracked values must agree to
+1e-13 relative.  The monodromy loop is one arc leg among them.
 
 With ``stops``, a Laplace ray of the Borel quartic is tracked as one leg
 that lands once on every Gauss node; the values there match a replay one
 node-to-node leg at a time, and a failure forced mid-ray falls back to the
-bowed leg for one stretch and still yields every node.
+bowed leg for one stretch and still yields every node.  A failure forced
+mid-arc bows the chord of one stretch of the arc and arrives at the
+unforced sheets; an arc that cannot be passed names itself in the error.
 
 Properties of ``track_polyline`` on (x1, x2) knots of the characteristic
 cubic, over polylines that stay clear of the turning locus: a path and its
@@ -36,7 +39,8 @@ def _recorded_legs(monkeypatch, run):
     real = tracking.track_family
 
     def recorder(coeffs_fn, point_fn, start_vals, **kw):
-        legs.append((coeffs_fn, point_fn, np.array(start_vals, dtype=complex)))
+        cap = kw.get("max_step", tracking.MAX_STEP)
+        legs.append((coeffs_fn, point_fn, np.array(start_vals, dtype=complex), cap))
         return real(coeffs_fn, point_fn, start_vals, **kw)
 
     monkeypatch.setattr(tracking, "track_family", recorder)
@@ -45,7 +49,7 @@ def _recorded_legs(monkeypatch, run):
     return legs
 
 
-def _replay(coeffs_fn, point_fn, start):
+def _replay(coeffs_fn, point_fn, start, cap):
     calls = [0]
 
     def counted(tau):
@@ -53,37 +57,45 @@ def _replay(coeffs_fn, point_fn, start):
         return coeffs_fn(tau)
 
     try:
-        trace = tracking.track_family(counted, point_fn, start, stops=())
+        trace = tracking.track_family(counted, point_fn, start, stops=(), max_step=cap)
     except ContinuationError:
         return None
     accepted = len(trace.taus) - 1
     return trace.taus, trace.values, accepted, calls[0] - 1 - accepted
 
 
-def _reference(coeffs_fn, start):
+def _reference(coeffs_fn, start, cap):
     try:
-        return track_family_numpy(coeffs_fn, start)
+        return track_family_numpy(coeffs_fn, start, max_step=cap)
     except StepUnderflow:
         return None
 
 
+# family -> (library call, least number of straight legs, full-turn arc legs)
 FAMILIES = {
-    "st_quartic_monodromy_loop": lambda: monodromy(1, PlanePoint(1.0, 0.0)),
-    "char_cubic_default_provenance": lambda: char_trace(
-        labeling_path(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j))
+    # the straight leg from the seed to the loop's base point, then the loop
+    "st_quartic_monodromy_loop": (lambda: monodromy(1, PlanePoint(1.0, 0.0)), 1, 1),
+    "char_cubic_default_provenance": (
+        lambda: char_trace(labeling_path(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j))), 3, 0
     ),
-    "u_cubic_paper_polyline": lambda: track_u(PAPER_POLYLINE),
+    "u_cubic_paper_polyline": (lambda: track_u(PAPER_POLYLINE), len(PAPER_POLYLINE) - 1, 0),
 }
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_steps_match_numpy_reference(family, monkeypatch):
-    legs = _recorded_legs(monkeypatch, FAMILIES[family])
-    assert len(legs) >= 3
+    run, straight, loops = FAMILIES[family]
+    legs = _recorded_legs(monkeypatch, run)
+    arcs = [getattr(leg[1], "__self__", None) for leg in legs]
+    arcs = [arc for arc in arcs if isinstance(arc, tracking.Arc)]
+    assert len(legs) - len(arcs) >= straight
+    assert len(arcs) == loops
+    for arc in arcs:
+        assert arc.theta1 - arc.theta0 == pytest.approx(2 * np.pi, rel=1e-15)
     accepted_total = 0
-    for coeffs_fn, point_fn, start in legs:
-        got = _replay(coeffs_fn, point_fn, start)
-        want = _reference(coeffs_fn, start)
+    for coeffs_fn, point_fn, start, cap in legs:
+        got = _replay(coeffs_fn, point_fn, start, cap)
+        want = _reference(coeffs_fn, start, cap)
         assert (got is None) == (want is None)
         if got is None:
             continue
@@ -231,6 +243,56 @@ def test_failure_mid_ray_bows_one_stretch_and_returns_every_node(fail_after, mon
     assert len(bowed) == stretches
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+# -- arcs: one leg per circle, a bowed chord where it fails --------------------
+
+
+def test_failure_mid_arc_bows_one_chord_and_arrives_at_the_same_sheets(monkeypatch):
+    field = SheetField(PlanePoint(1.0, 0.1))
+    u = field.u(3)
+    arc = tracking.Arc(u, borel.ANCHOR_REL * field.min_sep, borel._ray_angle(u), np.pi / 2)
+    start = field.track_y_polyline([arc.start])
+    want = field.track_from(start, [arc])
+    real_track = tracking.track_family
+    legs = []
+
+    def failing(coeffs_fn, point_fn, start_vals, **kw):
+        # the first arc leg gives up half way round
+        piece = getattr(point_fn, "__self__", None)
+        legs.append(piece if isinstance(piece, tracking.Arc) else "straight")
+        if len(legs) > 1:
+            return real_track(coeffs_fn, point_fn, start_vals, **kw)
+
+        def coeffs(r):
+            if r > 0.5:
+                raise ContinuationError("forced", location=point_fn(r))
+            return coeffs_fn(r)
+
+        return real_track(coeffs, point_fn, start_vals, **kw)
+
+    monkeypatch.setattr(tracking, "track_family", failing)
+    got = field.track_from(start, [arc])
+    # the failing arc, the bowed chord (two straight legs), the rest of the arc
+    assert legs[1:3] == ["straight", "straight"] and len(legs) == 4
+    whole, rest = legs[0], legs[3]
+    assert rest.theta1 == whole.theta1
+    reached = whole.theta0 + 0.5 * (whole.theta1 - whole.theta0)
+    assert 0 < abs(rest.theta0 - reached) <= tracking.ARC_STEP
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_arc_failure_names_the_arc_and_angle():
+    # z^2 = p - 1: the two roots meet at p = 1, angle 0 of the unit circle
+    arc = tracking.Arc(0j, 1.0, -np.pi / 2, np.pi / 2)
+    root = np.sqrt(arc.start - 1)
+    with pytest.raises(ContinuationError) as err:
+        tracking.track_arc(lambda p: [1 - p, 0, 1], arc, [root, -root])
+    message = str(err.value)
+    assert "arc about 0+0j of radius 1," in message
+    angle = float(message.rsplit("at angle ", 1)[1].rstrip(")"))
+    assert abs(angle) < 1e-3
+    assert abs(err.value.location - np.exp(1j * angle)) < 1e-12
 
 
 # -- track_polyline on (x1, x2) knots of the characteristic cubic ---------------
