@@ -641,7 +641,7 @@ def discontinuity(
     kind: str,
     ell: int,
     k: int,
-    x: PlanePoint,
+    field_or_x,
     y: complex,
 ) -> DiscontinuityResult:
     """Discontinuity of a continued Borel transform across the cut at u_k.
@@ -652,13 +652,14 @@ def discontinuity(
     swap there, segment to u_k).  ``y`` must lie on the cut {u_k + positive
     reals} with |y - u_k| below half the singularity separation; the jump
     f(y) - f(u_k + (y - u_k) e^(2 pi i)) is computed as a Richardson limit
-    of one-sided circle approaches at radius |y - u_k|.
+    of one-sided circle approaches at radius |y - u_k|.  ``field_or_x`` is
+    the base point or its ``SheetField``, whose anchors are then reused.
     """
     if kind not in ("plain", "tilde"):
         raise ValidationError("kind must be 'plain' or 'tilde'")
     if ell == k or ell not in (1, 2, 3) or k not in (1, 2, 3):
         raise ValidationError("need distinct ell, k in 1..3")
-    field = SheetField(x)
+    field = field_or_x if isinstance(field_or_x, SheetField) else SheetField(field_or_x)
     uk = field.u_vals[k - 1]
     ul = field.u_vals[ell - 1]
     sigma = complex(y) - uk

@@ -380,7 +380,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     xd = PlanePoint(1.0, 0.07)
     fd = SheetField(xd)
     yd = fd.u_vals[2] + 0.25 * fd.min_sep
-    d = discontinuity("plain", 1, 3, xd, yd)
+    d = discontinuity("plain", 1, 3, fd, yd)
     rhs = -psi_on_cut(fd, 3, yd)
     checks.append(("jump_identity_sample", abs(d.value - rhs) < 1e-6 * abs(rhs)))
 

@@ -5,7 +5,8 @@ singularities.  Along a path in the base plane this module tracks labeled
 singularities (re-solving their cubic at every step, no integration),
 detects two kinds of events
 
-* ``stokes_crossing``: a zero of Im(u_j - u_k), located by bisection;
+* ``stokes_crossing``: a zero of Im(u_j - u_k), located by safeguarded
+  secant (regula falsi) bracketing;
 * ``segment_crossing``: the third singularity passes through the open
   segment joining a pair (collinearity with interior projection),
 
@@ -45,7 +46,7 @@ from .geometry import (
 )
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
-BISECTION_TOL = 1e-10  # width to which detect_events bisects each crossing
+BISECTION_TOL = 1e-10  # width to which detect_events narrows each crossing's bracket
 NEAR_TOL = 0.04  # raster cells whose u's are closer (relative) are flagged
 
 
@@ -176,8 +177,9 @@ def _event_value(kind: str, pair, crosser, vals: np.ndarray) -> float:
 class _Bracket:
     """A sign change of an event function between consecutive samples.
 
-    ``f_lo`` is the function at ``lo`` and ``vals`` the labeled u's there;
-    ``im_before`` is its sign at the opening sample.
+    ``f_lo`` and ``f_hi`` are the function at ``lo`` and ``hi``, ``vals``
+    the labeled u's at ``lo``; ``im_before`` is its sign at the opening
+    sample.
     """
 
     kind: str
@@ -186,6 +188,7 @@ class _Bracket:
     lo: float
     hi: float
     f_lo: float
+    f_hi: float
     vals: np.ndarray
     im_before: int
 
@@ -203,7 +206,7 @@ def _brackets(traj: UTrajectories) -> list[_Bracket]:
                     out.append(
                         _Bracket(
                             kind, pair, c, traj.taus[n - 1], traj.taus[n], series[n - 1],
-                            traj.values[n - 1], int(np.sign(series[n - 1])),
+                            series[n], traj.values[n - 1], int(np.sign(series[n - 1])),
                         )
                     )
     return out
@@ -211,7 +214,8 @@ def _brackets(traj: UTrajectories) -> list[_Bracket]:
 
 def _u_batch(pts, taus: list[float], brackets: list[_Bracket]) -> np.ndarray:
     """Labeled u's at ``taus[r]``, matched to ``brackets[r].vals``, by one
-    cubic batch; a failed match raises ``LabelMatchError`` naming its bracket."""
+    cubic batch; a failed match raises ``LabelMatchError`` naming the
+    bracket that owns the row."""
     x = [_x_at(pts, t) for t in taus]
     coeffs = singular_cubic_grid(np.array([p[0] for p in x]), np.array([p[1] for p in x]))
     roots = roots_aberth_batch(coeffs, 1e-13)
@@ -226,15 +230,28 @@ def _u_batch(pts, taus: list[float], brackets: list[_Bracket]) -> np.ndarray:
     return np.take_along_axis(roots, perm, axis=-1)
 
 
+def _candidates(b: _Bracket) -> list[float]:
+    """The points one step evaluates inside (lo, hi), ascending: the
+    midpoint, the regula-falsi estimate of the zero and two straddle points
+    ``BISECTION_TOL / 4`` either side of it."""
+    est = b.lo - b.f_lo * (b.hi - b.lo) / (b.f_hi - b.f_lo)
+    q = BISECTION_TOL / 4
+    return sorted({t for t in ((b.lo + b.hi) / 2, est - q, est, est + q) if b.lo < t < b.hi})
+
+
 def detect_events(x_path: list) -> tuple[UTrajectories, list[StokesEvent]]:
     """Locate all Stokes and segment crossings along a path, in order.
 
-    Every sign change between consecutive samples is bisected to width
-    ``BISECTION_TOL``, all brackets of the path in lockstep: each step
-    solves the cubic at the midpoints of the unfinished brackets in one
-    batch, and a last batch gives the u's at every bracket's centre.  A Stokes crossing
-    whose dominance is undecidable raises ``DominanceError``; a segment
-    crossing counts only where the crosser projects inside the segment.
+    Every sign change between consecutive samples is narrowed to width
+    ``BISECTION_TOL``, all brackets of the path in lockstep.  Each step
+    solves the cubic in one batch at every unfinished bracket's candidates
+    (``_candidates``) and keeps the sub-interval where the event function
+    changes sign: the midpoint halves each bracket at least, and the
+    straddle points close it once the secant estimate is within a quarter
+    of the tolerance.  A last batch gives the u's at every bracket's
+    centre.  A Stokes crossing whose dominance is undecidable raises
+    ``DominanceError``; a segment crossing counts only where the crosser
+    projects inside the segment.
     """
     traj = track_u(x_path)
     pts = [p.as_tuple() if isinstance(p, PlanePoint) else (complex(p[0]), complex(p[1])) for p in x_path]
@@ -244,13 +261,17 @@ def detect_events(x_path: list) -> tuple[UTrajectories, list[StokesEvent]]:
 
     active = [b for b in brackets if b.hi - b.lo > BISECTION_TOL]
     while active:
-        mids = [(b.lo + b.hi) / 2 for b in active]
-        for b, mid, vmid in zip(active, mids, _u_batch(pts, mids, active)):
-            f_mid = _event_value(b.kind, b.pair, b.crosser, vmid)
-            if b.f_lo * f_mid <= 0:
-                b.hi = mid
-            else:
-                b.lo, b.f_lo, b.vals = mid, f_mid, vmid
+        cands = [_candidates(b) for b in active]
+        owners = [b for b, ts in zip(active, cands) for _ in ts]
+        values = iter(_u_batch(pts, [t for ts in cands for t in ts], owners))
+        for b, ts in zip(active, cands):
+            rows = [(t, next(values)) for t in ts]
+            for t, v in rows:
+                f = _event_value(b.kind, b.pair, b.crosser, v)
+                if b.f_lo * f <= 0:
+                    b.hi, b.f_hi = t, f
+                    break
+                b.lo, b.f_lo, b.vals = t, f, v
         active = [b for b in active if b.hi - b.lo > BISECTION_TOL]
 
     centres = [(b.lo + b.hi) / 2 for b in brackets]

@@ -19,7 +19,8 @@ chord, the event bisection one bracket and one cubic solve at a time, the
 f_0 phase continuation tracked one labeling-path leg at a time, the
 truncated-power expansion of the amplitude exponential, and central finite
 differences of a quartic branch by a Newton iteration of their own on the
-hand-expanded quartic.
+hand-expanded quartic.  Event zeros are also located at 30 digits from
+mpmath roots of the hand-expanded singular cubic.
 """
 
 from fractions import Fraction
@@ -350,6 +351,45 @@ def scalar_detect_events(x_path, tol=stokes.BISECTION_TOL):
 
     events.sort(key=lambda e: e.tau)
     return events
+
+
+def mp_event_zero(x_path, ev, near_vals, dps=30):
+    """Zero near ``ev.tau`` of the function whose sign change marks ``ev``,
+    at ``dps`` digits.
+
+    At each tau the u's are ``mpmath.polyroots`` of the hand-expanded
+    singular cubic at the path point, labelled by nearest value to
+    ``near_vals`` (the library's u's at the reported centre); the zero of
+    Im(u_j - u_k), or of the crosser's signed area against its pair's
+    segment, is found by the Anderson-Bjorck bracketing method."""
+    import mpmath
+
+    pts = [(complex(a), complex(b)) for a, b in x_path]
+    nseg = len(pts) - 1
+    j, k = ev.pair
+
+    with mpmath.workdps(dps):
+        def us(tau):
+            s = min(int(tau * nseg), nseg - 1)
+            local = tau * nseg - s
+            (a1, a2), (b1, b2) = pts[s], pts[s + 1]
+            x1 = mpmath.mpc(a1) + (mpmath.mpc(b1) - mpmath.mpc(a1)) * local
+            x2 = mpmath.mpc(a2) + (mpmath.mpc(b2) - mpmath.mpc(a2)) * local
+            roots = mpmath.polyroots(singular_cubic_closed_form(x1, x2), maxsteps=200, extraprec=60)
+            order = [min(range(3), key=lambda m: abs(roots[m] - v)) for v in near_vals]
+            assert sorted(order) == [0, 1, 2], f"labels not a bijection at tau={tau}"
+            return [roots[m] for m in order]
+
+        def f(tau):
+            u = us(tau)
+            if ev.kind == "stokes_crossing":
+                return mpmath.im(u[j - 1] - u[k - 1])
+            a, c = u[j - 1], u[ev.crosser - 1]
+            return mpmath.im((c - a) * mpmath.conj(u[k - 1] - a))
+
+        w = 100 * mpmath.mpf(stokes.BISECTION_TOL)
+        tau = mpmath.mpf(ev.tau)
+        return float(mpmath.findroot(f, (tau - w, tau + w), solver="anderson"))
 
 
 # -- f_0 phase continuation one labeling-path leg at a time -------------------

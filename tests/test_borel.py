@@ -319,6 +319,28 @@ class TestDiscontinuities:
         scale = abs(psi_on_cut(f, 1, y))
         assert abs(d.value) < 1e-8 * scale
 
+    @pytest.mark.parametrize("kind", ["plain", "tilde"])
+    def test_field_argument_gives_the_same_bits(self, kind, monkeypatch):
+        # a field passed in keeps its anchors: the jump has the bits of a
+        # fresh field's, with fewer tracker legs once anchor(3) is cached
+        x = PlanePoint(1.0, 0.07)
+        f = SheetField(x)
+        y = f.u_vals[2] + 0.25 * f.min_sep
+        psi_on_cut(f, 3, y)
+        legs = []
+        real = tracking.track_family
+
+        def counted(*args, **kw):
+            legs.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(tracking, "track_family", counted)
+        want = discontinuity(kind, 1, 3, x, y)
+        fresh = len(legs)
+        got = discontinuity(kind, 1, 3, f, y)
+        assert got.value == want.value and got.hypothesis_ok == want.hypothesis_ok
+        assert len(legs) - fresh < fresh
+
     def test_ray_chain_ends_at_anchor_point(self):
         # the chain's last arc and the anchor share one radius
         field = SheetField(PlanePoint(1.0, 0.07))

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from oracles import raster_labels_oracle, scalar_detect_events
+from oracles import mp_event_zero, raster_labels_oracle, scalar_detect_events
 from pearcey_wkb import stokes, tracking
 from pearcey_wkb.cli import main
 from pearcey_wkb.errors import (
@@ -12,6 +14,7 @@ from pearcey_wkb.errors import (
 )
 from pearcey_wkb.geometry import PlanePoint, critical_values
 from pearcey_wkb.stokes import (
+    BISECTION_TOL,
     PAIRS,
     PAPER_POLYLINE,
     ConnectionMatrix,
@@ -151,13 +154,8 @@ class TestEvents:
                 assert a.im_before == -b.im_before
 
 
-def _event_bits(ev):
-    """An event's labels with tau and x as exact bit patterns."""
-    coords = (ev.x[0].real, ev.x[0].imag, ev.x[1].real, ev.x[1].imag)
-    return (
-        ev.kind, ev.pair, ev.crosser, ev.dominant, ev.recessive, ev.im_before,
-        type(ev.tau), ev.tau.hex(), *(type(c) for c in ev.x), *(c.hex() for c in coords),
-    )
+def _event_labels(ev):
+    return (ev.kind, ev.pair, ev.crosser, ev.dominant, ev.recessive, ev.im_before)
 
 
 def _count_batches(monkeypatch):
@@ -173,41 +171,98 @@ def _count_batches(monkeypatch):
     return sizes
 
 
+def _centre_values(monkeypatch):
+    """Wrap ``stokes._u_batch``; returns a dict holding, after
+    ``detect_events``, the labelled u's of its last batch (the brackets'
+    centres) keyed by tau."""
+    seen = {}
+    batch = stokes._u_batch
+
+    def recorded(pts, taus, brackets):
+        out = batch(pts, taus, brackets)
+        seen.clear()
+        seen.update(zip(taus, out))
+        return out
+
+    monkeypatch.setattr(stokes, "_u_batch", recorded)
+    return seen
+
+
+def _jittered(seed, amount=0.01):
+    """``PAPER_POLYLINE`` with every vertex coordinate moved by up to
+    ``amount`` in each of its real and imaginary parts."""
+    rng = np.random.default_rng(seed)
+    return [
+        tuple(complex(c) + complex(*rng.uniform(-amount, amount, 2)) for c in v)
+        for v in PAPER_POLYLINE
+    ]
+
+
+PATHS = [PAPER_POLYLINE, PAPER_POLYLINE[:5], PAPER_POLYLINE[::-1], [(0.5, 0.1), (0.5, 0.1)]]
+PATH_IDS = ["paper", "paper-to-vertex5", "reversed", "constant"]
+
+
 class TestLockstepBisection:
-    @pytest.mark.parametrize(
-        "path",
-        [PAPER_POLYLINE, PAPER_POLYLINE[:5], PAPER_POLYLINE[::-1], [(0.5, 0.1), (0.5, 0.1)]],
-        ids=["paper", "paper-to-vertex5", "reversed", "constant"],
-    )
+    @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
     def test_matches_scalar_oracle(self, path, monkeypatch):
         want = scalar_detect_events(path)
         sizes = _count_batches(monkeypatch)
         _, got = detect_events(path)
-        assert [_event_bits(e) for e in got] == [_event_bits(e) for e in want]
+        assert [_event_labels(e) for e in got] == [_event_labels(e) for e in want]
+        for a, b in zip(got, want):
+            assert abs(a.tau - b.tau) <= BISECTION_TOL
         if not want:
             assert sizes == []
 
+    @pytest.mark.parametrize("path", PATHS[:3], ids=PATH_IDS[:3])
+    def test_taus_within_half_tol_of_mp_zero(self, path, monkeypatch):
+        # every reported centre lies within half the tolerance of the event
+        # function's zero computed at 30 digits from the hand-expanded cubic
+        centres = _centre_values(monkeypatch)
+        _, got = detect_events(path)
+        assert got
+        for ev in got:
+            zero = mp_event_zero(path, ev, centres[ev.tau])
+            assert abs(ev.tau - zero) <= BISECTION_TOL / 2, (ev.kind, ev.pair, ev.tau - zero)
+
     def test_one_batch_per_bisection_step(self, monkeypatch):
+        # secant-straddle steps: 5 bracketing batches and the centre batch
         sizes = _count_batches(monkeypatch)
         detect_events(PAPER_POLYLINE)
-        assert len(sizes) == 29
-        assert sum(sizes) == 311
+        assert len(sizes) == 6
+        assert sum(sizes) == 191
+
+    @pytest.mark.parametrize(
+        "path",
+        [PAPER_POLYLINE[::-1], PAPER_POLYLINE[:7], PAPER_POLYLINE[4:], *(_jittered(s) for s in (1, 2, 3))],
+        ids=["reversed", "paper-to-vertex7", "paper-from-vertex5", "jitter-1", "jitter-2", "jitter-3"],
+    )
+    def test_never_more_batches_than_bisection(self, path, monkeypatch):
+        # bisection halves the widest bracket ceil(log2(width / tol)) times,
+        # then solves once at the centres; the midpoint candidate keeps that
+        # worst case
+        widths = [b.hi - b.lo for b in stokes._brackets(track_u(path))]
+        sizes = _count_batches(monkeypatch)
+        detect_events(path)
+        assert 0 < len(sizes) <= math.ceil(math.log2(max(widths) / BISECTION_TOL)) + 1
 
     def test_label_match_failure_names_its_bracket(self, monkeypatch, tmp_path):
         match = tracking.match_labels_rows
+        first, bad = stokes._brackets(track_u(PAPER_POLYLINE))[:2]
+        row = len(stokes._candidates(first))  # the first row owned by ``bad``
 
-        def fail_row_1(old_vals, new_vals, guard_ratio):
+        def fail_row(old_vals, new_vals, guard_ratio):
             perm, ok = match(old_vals, new_vals, guard_ratio)
-            ok[1] = False
+            ok[row] = False
             return perm, ok
 
-        bad = stokes._brackets(track_u(PAPER_POLYLINE))[1]
-        monkeypatch.setattr(tracking, "match_labels_rows", fail_row_1)
+        monkeypatch.setattr(tracking, "match_labels_rows", fail_row)
         with pytest.raises(LabelMatchError) as info:
             detect_events(PAPER_POLYLINE)
         msg = str(info.value)
         assert bad.kind in msg and str(bad.pair) in msg
         assert f"[{bad.lo!r}, {bad.hi!r}]" in msg
+        assert f"[{first.lo!r}, {first.hi!r}]" not in msg
         argv = ["--out-dir", str(tmp_path), "connect", "--path", "paper-polyline"]
         assert main(argv) == 3
 
