@@ -17,9 +17,14 @@ runs in:
 * ``laplace``: ``SheetField.track_stops`` (the Laplace ray legs);
 * ``rest``: every other leg.
 
-The counts do not depend on the machine.  The rows are stored under LABEL
-in ``BENCH_tracking.json`` at the repository root, replacing an earlier run
-with the same label.
+The counts do not depend on the machine.  The counting interpreter also
+times each leg (``track_family`` call, coefficient evaluations included);
+it runs REPEAT times per call, the counts must agree across runs, and each
+context's ``leg_s`` is the median of its summed leg time.  The totals give
+each context's mean time per attempted step, ``us_per_attempt``: the sum
+over calls of ``leg_s`` divided by the attempts (accepted plus rejected).
+The rows are stored under LABEL in ``BENCH_tracking.json`` at the
+repository root, replacing an earlier run with the same label.
 """
 
 import argparse
@@ -38,6 +43,7 @@ import workloads  # noqa: E402
 REPEAT = 7
 OUT = os.path.join(HERE, "..", "BENCH_tracking.json")
 CONTEXTS = ("monodromy", "anchor", "cut_jump", "laplace", "rest")
+COUNTS = ("legs", "accepted", "rejected")
 
 TIME_CALL = """
 import tempfile, time
@@ -52,11 +58,11 @@ print(elapsed)
 """
 
 COUNT_CALL = """
-import functools, json, tempfile
+import functools, json, tempfile, time
 from pearcey_wkb import borel, tracking
 from pearcey_wkb.cli import main
 
-counts = {{c: {{"legs": 0, "accepted": 0, "rejected": 0}} for c in {contexts!r}}}
+counts = {{c: {{"legs": 0, "accepted": 0, "rejected": 0, "leg_s": 0.0}} for c in {contexts!r}}}
 stack = ["rest"]
 
 def within(name, real):
@@ -86,9 +92,11 @@ def track_family(coeffs_fn, *args, **kw):
         kw["trace"] = tracking.Trace()
     before = len(kw["trace"].taus)
     row = counts[stack[-1]]
+    t0 = time.perf_counter()
     try:
         return real_family(counted, *args, **kw)
     finally:
+        row["leg_s"] += time.perf_counter() - t0
         attempts = max(0, evaluations[0] - 1)
         accepted = max(0, len(kw["trace"].taus) - before - 1)
         row["legs"] += 1
@@ -112,6 +120,20 @@ def fresh(src_root: str, code: str) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
+def leg_counts(src_root: str, argv: list) -> dict:
+    """Per context: legs, accepted and rejected steps of one call, equal
+    over REPEAT counting runs, and the median of their leg time."""
+    runs = [json.loads(fresh(src_root, COUNT_CALL.format(argv=argv, contexts=CONTEXTS)))
+            for _ in range(REPEAT)]
+    out = {}
+    for c in CONTEXTS:
+        steps = [{k: r[c][k] for k in COUNTS} for r in runs]
+        if any(s != steps[0] for s in steps):
+            raise SystemExit(f"step counts differ between runs of {argv}: {steps}")
+        out[c] = dict(steps[0], leg_s=round(statistics.median(r[c]["leg_s"] for r in runs), 6))
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_root")
@@ -122,8 +144,7 @@ def main() -> None:
     for argv in workloads.plan("borel_sums", 1):
         samples = [float(fresh(args.src_root, TIME_CALL.format(argv=argv)))
                    for _ in range(REPEAT)]
-        counts = json.loads(fresh(args.src_root,
-                                  COUNT_CALL.format(argv=argv, contexts=CONTEXTS)))
+        counts = leg_counts(args.src_root, argv)
         rows[" ".join(argv)] = {"median_s": round(statistics.median(samples), 5),
                                 "samples_s": [round(s, 5) for s in samples],
                                 "contexts": counts}
@@ -132,9 +153,12 @@ def main() -> None:
         print(f"median {statistics.median(samples):.4f} s  legs {legs}  "
               f"step attempts {steps}  {' '.join(argv[:3])}")
     totals = {c: {k: sum(r["contexts"][c][k] for r in rows.values())
-                  for k in ("legs", "accepted", "rejected")} for c in CONTEXTS}
-    totals["all"] = {k: sum(totals[c][k] for c in CONTEXTS)
-                     for k in ("legs", "accepted", "rejected")}
+                  for k in (*COUNTS, "leg_s")} for c in CONTEXTS}
+    totals["all"] = {k: sum(totals[c][k] for c in CONTEXTS) for k in (*COUNTS, "leg_s")}
+    for t in totals.values():
+        attempts = t["accepted"] + t["rejected"]
+        t["leg_s"] = round(t["leg_s"], 6)
+        t["us_per_attempt"] = round(1e6 * t["leg_s"] / attempts, 3) if attempts else None
     totals["sum_of_medians_s"] = round(sum(r["median_s"] for r in rows.values()), 5)
     run = {
         "label": args.label,

@@ -150,11 +150,3 @@ def roots_aberth(coeffs, tol: float = 1e-12) -> np.ndarray:
     residual target |p(r)| <= tol * sum_k |c_k| max(1,|r|)^k.
     """
     return roots_aberth_batch(np.asarray(coeffs, dtype=complex).reshape(1, -1), tol)[0]
-
-
-def from_roots(roots, lead: complex = 1.0) -> np.ndarray:
-    """Monic-times-lead polynomial with the given roots (ascending coeffs)."""
-    c = np.array([complex(lead)])
-    for r in roots:
-        c = np.convolve(c, np.array([-complex(r), 1.0]))
-    return c

@@ -237,28 +237,6 @@ class MultiPoly:
             line = self._line = compile_polys([self])
         return line(*[complex(values[v]) for v in self.variables])[0]
 
-    def substitute(self, name: str, repl: "MultiPoly") -> "MultiPoly":
-        """Substitute a polynomial (same variable set) for a variable."""
-        self._check_compat(repl)
-        i = self.variables.index(name)
-        # group by exponent of the substituted variable, then Horner
-        by_k: dict[int, MultiPoly] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            e2 = list(e)
-            e2[i] = 0
-            part = by_k.setdefault(k, MultiPoly.zero(self.variables))
-            by_k[k] = part + MultiPoly(self.variables, {tuple(e2): c})
-        if not by_k:
-            return MultiPoly.zero(self.variables)
-        kmax = max(by_k)
-        acc = MultiPoly.zero(self.variables)
-        for k in range(kmax, -1, -1):
-            acc = acc * repl
-            if k in by_k:
-                acc = acc + by_k[k]
-        return acc
-
     def embed(self, variables) -> "MultiPoly":
         """Re-express in a superset/reordering of the current variables."""
         variables = tuple(variables)

@@ -399,26 +399,19 @@ class RasterSection:
     turning_points: tuple = ()
 
     def to_csv(self) -> str:
+        """One row per cell, rows i (imaginary) outer, j (real) inner; each
+        coordinate is the ``repr`` of its ``np.linspace`` entry."""
         res = self.resolution
         lines = ["i,j,x1_re,x1_im,sign_12,sign_13,sign_23,near_turning"]
         re0, re1, im0, im1 = self.window
-        res_re = np.linspace(re0, re1, res)
-        res_im = np.linspace(im0, im1, res)
-        for i in range(res):
+        res_re = [repr(v) for v in np.linspace(re0, re1, res)]
+        for i, y in enumerate(np.linspace(im0, im1, res)):
+            y = repr(y)
+            (a, b, c), near = self.signs[:, i].tolist(), self.near_turning[i].tolist()
             for j in range(res):
                 lines.append(
-                    ",".join(
-                        [
-                            str(i),
-                            str(j),
-                            repr(res_re[j]),
-                            repr(res_im[i]),
-                            str(int(self.signs[0, i, j])),
-                            str(int(self.signs[1, i, j])),
-                            str(int(self.signs[2, i, j])),
-                            str(int(self.near_turning[i, j])),
-                        ]
-                    )
+                    f"{i},{j},{res_re[j]},{y},"
+                    f"{a[j]},{b[j]},{c[j]},{int(near[j])}"
                 )
         return "\n".join(lines) + "\n"
 

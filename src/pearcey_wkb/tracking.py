@@ -17,15 +17,20 @@ There is no predictor: each step Newton-corrects the previous values onto
 the polynomial at the new parameter.  The collision guard then accepts or
 halves the step: the corrected values must pass a residual test, and their
 minimum pairwise separation must exceed ``GUARD_RATIO`` times the largest
-value displacement in the step.  Running out of refinement raises
-``ContinuationError`` with the path point where the tracker gave up; on an
-arc the message also names the arc and the angle reached.
+value displacement in the step.  The correction and both tests run in one
+step kernel per degree n (:func:`_step_kernel`), straight-line Python
+generated from one source template on first use, with the polynomial, its
+derivative and the residual scale written out in Horner form on local
+coefficients.  Running out of refinement raises ``ContinuationError`` with
+the path point where the tracker gave up; on an arc the message also names
+the arc and the angle reached.
 """
 
 from __future__ import annotations
 
 from cmath import exp, isfinite, phase
 from dataclasses import dataclass, field
+from functools import cache
 from math import inf
 
 import numpy as np
@@ -95,39 +100,93 @@ def _descending(coeffs) -> list:
     return [complex(a) for a in reversed(coeffs)]
 
 
-def _horner(c: list, z):
-    """Value at z of the polynomial with descending coefficients ``c``."""
-    acc = c[0]
-    for a in c[1:]:
-        acc = acc * z + a
-    return acc
-
-
-def _newton_polish(c: list, dc: list, z: complex) -> complex:
-    """Newton iterations from z on descending coefficients c, dc = c'."""
-    for _ in range(_NEWTON_ITERS):
-        p = _horner(c, z)
-        dp = _horner(dc, z)
-        if dp == 0:
-            break
-        step = p / dp
-        z = z - step
-        if abs(step) < 1e-16 * (1.0 + abs(z)):
-            break
-    return z
-
-
-def _residual_scale(abs_c: list, z: complex) -> float:
-    """sum_k |c_k| max(1, |z|)^k from the descending moduli ``abs_c``."""
-    return _horner(abs_c, max(1.0, abs(z)))
-
-
 def _min_pairwise(vals) -> float:
     m = inf
     for i, a in enumerate(vals):
         for b in vals[i + 1 :]:
             m = min(m, abs(a - b))
     return m
+
+
+_STEP_TEMPLATE = """
+def misfit(c, vals, factor):
+    {cs} = c
+{abs_lines}
+    for z in vals:
+        r = max(1.0, abs(z))
+        if abs({p}) > {tol!r} * ({scale}) * factor:
+            return z
+    return None
+
+
+def step(c, old):
+    {cs} = c
+{d_lines}
+    new = []
+    for z in old:
+        for _ in range({iters}):
+            p = {p}
+            dp = {dp}
+            if dp == 0:
+                break
+            s = p / dp
+            z = z - s
+            if abs(s) < 1e-16 * (1.0 + abs(z)):
+                break
+        new.append(z)
+    for z in new:
+        if not isfinite(z):
+            return None
+    if misfit(c, new, 1) is not None:
+        return None
+    disp = max(abs(a - b) for a, b in zip(new, old))
+    if len(new) > 1:
+        sep = min_pairwise(new)
+        if sep < {guard!r} * disp or sep == 0.0:
+            return None
+    return new
+"""
+
+
+def _horner_source(coeffs: list, z: str) -> str:
+    """Horner's rule on the named descending coefficients, as source."""
+    text = coeffs[0]
+    for a in coeffs[1:]:
+        text = f"({text}) * {z} + {a}"
+    return text
+
+
+@cache
+def _step_kernel(n: int):
+    """The tracker's step kernel for degree n, as ``(step, misfit)``.
+
+    Both take the descending coefficients ``c`` as a list of n + 1 Python
+    complex numbers.  ``misfit(c, vals, factor)`` is the residual test: the
+    first z of ``vals`` with |p(z)| > RESIDUAL_TOL * sum_k |c_k| max(1,
+    |z|)^k * factor, or None.  ``step(c, old)`` runs up to ``_NEWTON_ITERS``
+    Newton iterations from each old value (stopping at p' = 0 or at a step
+    below 1e-16 (1 + |z|)) and returns the polished values, or None when one
+    is not finite, fails ``misfit`` with factor 1 or the collision guard
+    rejects them (minimum separation below ``GUARD_RATIO`` times the largest
+    displacement, or zero).  ``abs()`` of a finite complex beyond the float
+    range raises ``OverflowError``.
+    """
+    cs = [f"c{k}" for k in range(n + 1)]
+    ds = [f"d{k}" for k in range(n)]
+    source = _STEP_TEMPLATE.format(
+        cs=", ".join(cs) + ",",
+        abs_lines="\n".join(f"    a{k} = abs(c{k})" for k in range(n + 1)),
+        d_lines="\n".join(f"    d{k} = {n - k} * c{k}" for k in range(n)),
+        p=_horner_source(cs, "z"),
+        dp=_horner_source(ds, "z"),
+        scale=_horner_source([f"a{k}" for k in range(n + 1)], "r"),
+        tol=RESIDUAL_TOL,
+        iters=_NEWTON_ITERS,
+        guard=GUARD_RATIO,
+    )
+    namespace = {"isfinite": isfinite, "min_pairwise": _min_pairwise}
+    exec(compile(source, f"<step kernel, degree {n}>", "exec"), namespace)
+    return namespace["step"], namespace["misfit"]
 
 
 @dataclass
@@ -189,7 +248,8 @@ def track_family(
         doubles the next up to it and each rejected step halves it.
 
     Each step's coefficients become one descending list of Python complex
-    numbers, so the Newton polish and the acceptance test run on scalars.
+    numbers, on which the step kernel of the family's degree
+    (:func:`_step_kernel`) polishes the values and tests them.
     """
     stops = [float(s) for s in stops]
     if any(not 0.0 < s <= 1.0 for s in stops) or any(
@@ -198,13 +258,13 @@ def track_family(
         raise ValueError("stops must be ascending taus in (0, 1]")
     vals = np.asarray(start_vals, dtype=complex).tolist()
     c0 = _descending(coeffs_fn(0.0))
-    abs_c0 = [abs(a) for a in c0]
-    for z in vals:
-        if abs(_horner(c0, z)) > RESIDUAL_TOL * _residual_scale(abs_c0, z) * 10:
-            raise ContinuationError(
-                f"start value {z} does not satisfy the family at tau=0",
-                location=point_fn(0.0),
-            )
+    advance, misfit = _step_kernel(len(c0) - 1)
+    bad = misfit(c0, vals, 10)
+    if bad is not None:
+        raise ContinuationError(
+            f"start value {bad} does not satisfy the family at tau=0",
+            location=point_fn(0.0),
+        )
     if trace is None:
         trace = Trace()
     trace.record(0.0, point_fn(0.0), vals)
@@ -218,14 +278,11 @@ def track_family(
         if at_stop:
             target = stops[next_stop]
         c = _descending(coeffs_fn(target))
-        n = len(c) - 1
-        dc = [(n - k) * a for k, a in enumerate(c[:-1])]
         try:
-            new_vals = [_newton_polish(c, dc, z) for z in vals]
-            ok = _accept(c, vals, new_vals)
+            new_vals = advance(c, vals)
         except OverflowError:  # abs() of a finite complex beyond the float range
-            ok = False
-        if ok:
+            new_vals = None
+        if new_vals is not None:
             tau = target
             vals = new_vals
             trace.record(tau, point_fn(tau), vals)
@@ -239,22 +296,6 @@ def track_family(
                     location=point_fn(tau),
                 )
     return trace
-
-
-def _accept(c: list, old_vals: list, new_vals: list) -> bool:
-    """Residual test and collision guard on descending coefficients ``c``."""
-    if not all(isfinite(z) for z in new_vals):
-        return False
-    abs_c = [abs(a) for a in c]
-    for z in new_vals:
-        if abs(_horner(c, z)) > RESIDUAL_TOL * _residual_scale(abs_c, z):
-            return False
-    disp = max(abs(a - b) for a, b in zip(new_vals, old_vals))
-    if len(new_vals) > 1:
-        sep = _min_pairwise(new_vals)
-        if sep < GUARD_RATIO * disp or sep == 0.0:
-            return False
-    return True
 
 
 def track_polyline(coeffs_at_point, knots, start_vals, *, trace=None) -> Trace:

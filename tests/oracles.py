@@ -13,16 +13,22 @@ exact ring's arithmetic and chart derivatives as plain rational functions
 of zeta and x2.
 
 The remaining oracles keep earlier implementations as references: the
-tracker step loop on numpy scalars, the Borel-plane circles (anchor arcs,
+tracker step loop on numpy scalars, the tracker's scalar step helpers
+(Horner loops called per value) that its generated step kernel must match
+bit for bit, the per-cell loop of the raster CSV export, the Borel-plane
+circles (anchor arcs,
 cut-jump sides, monodromy loops) as chord polylines, one tracker leg per
 chord, the event bisection one bracket and one cubic solve at a time, the
 f_0 phase continuation tracked one labeling-path leg at a time, the
 truncated-power expansion of the amplitude exponential, and central finite
 differences of a quartic branch by a Newton iteration of their own on the
 hand-expanded quartic.  Event zeros are also located at 30 digits from
-mpmath roots of the hand-expanded singular cubic.
+mpmath roots of the hand-expanded singular cubic.  Two helpers serve only
+the tests: a polynomial from its roots, and substitution of a polynomial
+for a variable of a ``MultiPoly``.
 """
 
+from cmath import isfinite
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +45,7 @@ from pearcey_wkb.geometry import (
     singular_cubic_coeffs,
 )
 from pearcey_wkb.multipoly import MultiPoly, sylvester_matrix
+from pearcey_wkb.tracking import _NEWTON_ITERS, GUARD_RATIO, RESIDUAL_TOL, _min_pairwise
 
 
 def det_cofactor(matrix):
@@ -130,6 +137,129 @@ def raster_labels_oracle(x2, window, resolution, first_labels, guard_ratio=1.0 +
                 flagged[i][j] = True
             values[i][j] = labeled
     return values, flagged
+
+
+def from_roots(roots, lead: complex = 1.0) -> np.ndarray:
+    """Monic-times-lead polynomial with the given roots (ascending coeffs)."""
+    c = np.array([complex(lead)])
+    for r in roots:
+        c = np.convolve(c, np.array([-complex(r), 1.0]))
+    return c
+
+
+def substitute(p: MultiPoly, name: str, repl: MultiPoly) -> MultiPoly:
+    """Substitute a polynomial (same variable set) for a variable of p."""
+    p._check_compat(repl)
+    i = p.variables.index(name)
+    # group by exponent of the substituted variable, then Horner
+    by_k: dict[int, MultiPoly] = {}
+    for e, c in p.terms.items():
+        k = e[i]
+        e2 = list(e)
+        e2[i] = 0
+        part = by_k.setdefault(k, MultiPoly.zero(p.variables))
+        by_k[k] = part + MultiPoly(p.variables, {tuple(e2): c})
+    if not by_k:
+        return MultiPoly.zero(p.variables)
+    kmax = max(by_k)
+    acc = MultiPoly.zero(p.variables)
+    for k in range(kmax, -1, -1):
+        acc = acc * repl
+        if k in by_k:
+            acc = acc + by_k[k]
+    return acc
+
+
+def raster_csv_oracle(section) -> str:
+    """``RasterSection.to_csv`` one cell at a time: both coordinates and
+    every sign read by numpy indexing per cell."""
+    res = section.resolution
+    lines = ["i,j,x1_re,x1_im,sign_12,sign_13,sign_23,near_turning"]
+    re0, re1, im0, im1 = section.window
+    res_re = np.linspace(re0, re1, res)
+    res_im = np.linspace(im0, im1, res)
+    for i in range(res):
+        for j in range(res):
+            lines.append(
+                ",".join(
+                    [
+                        str(i),
+                        str(j),
+                        repr(res_re[j]),
+                        repr(res_im[i]),
+                        str(int(section.signs[0, i, j])),
+                        str(int(section.signs[1, i, j])),
+                        str(int(section.signs[2, i, j])),
+                        str(int(section.near_turning[i, j])),
+                    ]
+                )
+            )
+    return "\n".join(lines) + "\n"
+
+
+# -- the tracker's scalar step helpers -------------------------------------------
+
+
+def _horner(c: list, z):
+    """Value at z of the polynomial with descending coefficients ``c``."""
+    acc = c[0]
+    for a in c[1:]:
+        acc = acc * z + a
+    return acc
+
+
+def _newton_polish(c: list, dc: list, z: complex) -> complex:
+    """Newton iterations from z on descending coefficients c, dc = c'."""
+    for _ in range(_NEWTON_ITERS):
+        p = _horner(c, z)
+        dp = _horner(dc, z)
+        if dp == 0:
+            break
+        step = p / dp
+        z = z - step
+        if abs(step) < 1e-16 * (1.0 + abs(z)):
+            break
+    return z
+
+
+def _residual_scale(abs_c: list, z: complex) -> float:
+    """sum_k |c_k| max(1, |z|)^k from the descending moduli ``abs_c``."""
+    return _horner(abs_c, max(1.0, abs(z)))
+
+
+def _accept(c: list, old_vals: list, new_vals: list) -> bool:
+    """Residual test and collision guard on descending coefficients ``c``."""
+    if not all(isfinite(z) for z in new_vals):
+        return False
+    abs_c = [abs(a) for a in c]
+    for z in new_vals:
+        if abs(_horner(c, z)) > RESIDUAL_TOL * _residual_scale(abs_c, z):
+            return False
+    disp = max(abs(a - b) for a, b in zip(new_vals, old_vals))
+    if len(new_vals) > 1:
+        sep = _min_pairwise(new_vals)
+        if sep < GUARD_RATIO * disp or sep == 0.0:
+            return False
+    return True
+
+
+def scalar_step(c: list, old_vals: list):
+    """One tracker step by the scalar helpers: the polished values and the
+    ``_accept`` decision on them.  ``abs()`` overflow propagates."""
+    n = len(c) - 1
+    dc = [(n - k) * a for k, a in enumerate(c[:-1])]
+    new_vals = [_newton_polish(c, dc, z) for z in old_vals]
+    return new_vals, _accept(c, old_vals, new_vals)
+
+
+def scalar_misfit(c: list, vals: list, factor):
+    """The tracker's start check by the scalar helpers: the first value
+    failing the residual test scaled by ``factor``, or None."""
+    abs_c = [abs(a) for a in c]
+    for z in vals:
+        if abs(_horner(c, z)) > RESIDUAL_TOL * _residual_scale(abs_c, z) * factor:
+            return z
+    return None
 
 
 # -- tracker step loop on numpy scalars ------------------------------------------

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import from_roots
 from pearcey_wkb import aberth
-from pearcey_wkb.aberth import from_roots, roots_aberth, roots_aberth_batch
+from pearcey_wkb.aberth import roots_aberth, roots_aberth_batch
 from pearcey_wkb.errors import (
     DegenerateLeadingCoefficient,
     RootConvergenceError,

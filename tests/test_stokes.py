@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mp_event_zero, raster_labels_oracle, scalar_detect_events
+from oracles import mp_event_zero, raster_csv_oracle, raster_labels_oracle, scalar_detect_events
 from pearcey_wkb import stokes, tracking
 from pearcey_wkb.cli import main
 from pearcey_wkb.errors import (
@@ -322,6 +322,15 @@ class TestRaster:
         lines = csv.splitlines()
         assert lines[0].startswith("i,j,")
         assert len(lines) == 1 + 64 * 64
+
+    def test_csv_equals_cellwise_oracle(self):
+        # re range 1.9, im range 1.5 and both indicator signs vary: swapped
+        # coordinates or a transposed sign grid would change the text
+        s = raster_section(0.5 + 0.25j, (-1.2, 0.7, -0.4, 1.1), 24)
+        for k in range(3):
+            assert not (s.signs[k] == s.signs[k].T).all()
+        assert s.near_turning.any()
+        assert s.to_csv() == raster_csv_oracle(s)
 
 
     @pytest.mark.parametrize(

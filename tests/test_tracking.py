@@ -4,7 +4,11 @@ Each family is recorded leg by leg from a real library call, then every leg
 is replayed through ``tracking.track_family`` and through the reference loop
 in ``oracles``, with the leg's own step cap: the tau sequence and the
 accept/reject counts must be the same, and the tracked values must agree to
-1e-13 relative.  The monodromy loop is one arc leg among them.
+1e-13 relative.  The monodromy loop is one arc leg among them.  The
+generated step kernel of each degree equals the scalar Horner-loop helpers
+it replaced (kept in ``oracles``) bit for bit, accept/reject decision
+included, on random polynomials of degree 1 to 6 and on each kind of
+rejection.
 
 With ``stops``, a Laplace ray of the Borel quartic is tracked as one leg
 that lands once on every Gauss node; the values there match a replay one
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import StepUnderflow, track_family_numpy
+from oracles import StepUnderflow, from_roots, scalar_misfit, scalar_step, track_family_numpy
 from pearcey_wkb import borel, tracking
 from pearcey_wkb.borel import SheetField, monodromy
 from pearcey_wkb.errors import ContinuationError
@@ -139,6 +143,90 @@ def test_values_beyond_float_range_stop_tracking():
 
     with pytest.raises(ContinuationError):
         tracking.track_family(coeffs_fn, lambda t: t, [0.0])
+
+
+# -- the generated step kernel against the scalar helpers it replaced -----------
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or "overflow" where abs() of a finite complex overflows."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return "overflow"
+
+
+def _bits(vals):
+    return [(z.real.hex(), z.imag.hex()) for z in vals]
+
+
+def _assert_same_step(c, old):
+    """The degree's kernel steps and start-checks (factors 1 and 10) ``old``
+    as the scalar helpers do, bit for bit; returns the helpers' polished
+    values and decision, or "overflow"."""
+    step, misfit = tracking._step_kernel(len(c) - 1)
+    got = _outcome(step, c, old)
+    want = _outcome(scalar_step, c, old)
+    if want == "overflow":
+        assert got == "overflow"
+    elif want[1]:
+        assert got == want[0]
+        assert _bits(got) == _bits(want[0])
+    else:
+        assert got is None
+    for factor in (1, 10):
+        assert repr(_outcome(misfit, c, old, factor)) == repr(
+            _outcome(scalar_misfit, c, old, factor)
+        )
+    return want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-14.0, 0.0))
+def test_step_kernel_matches_scalar_helpers(seed, degree, log_noise):
+    # start values near the roots of a random polynomial: small noise is
+    # polished and accepted, large noise ends in collisions or misfits
+    rng = np.random.default_rng(seed)
+    roots = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    lead = complex(*rng.normal(size=2))
+    c = tracking._descending(from_roots(roots, lead))
+    noise = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    _assert_same_step(c, (roots + 10.0**log_noise * noise).tolist())
+
+
+def test_step_kernel_rejects_as_scalar_helpers():
+    inf, nan = float("inf"), float("nan")
+    # accepted: start values near the roots +-1 and 2j
+    c = tracking._descending(from_roots([1.0, -1.0, 2j], 0.5 - 1j))
+    new, ok = _assert_same_step(c, [1.0 + 1e-6j, -1.0 - 1e-7, 2j + 1e-8])
+    assert ok
+    # a value that is not finite after the polish
+    c = [1 + 0j, 0j, -1 + 0j]
+    new, ok = _assert_same_step(c, [complex(inf, 0.0), -1 + 0j])
+    assert not ok and not all(map(np.isfinite, new))
+    # a failed residual test: Newton on z^2 + 1 from real starts stays real
+    c = [1 + 0j, 0j, 1 + 0j]
+    new, ok = _assert_same_step(c, [0.5 + 0j, -0.5 + 0j])
+    assert not ok and all(map(np.isfinite, new))
+    assert scalar_misfit(c, new, 1) is not None
+    # a collision: both roots of z^2 - z found, but sep 1 < 3 * disp 0.4
+    c = [1 + 0j, -1 + 0j, 0j]
+    old = [0j, 0.6 + 0j]
+    new, ok = _assert_same_step(c, old)
+    sep = abs(new[0] - new[1])
+    disp = max(abs(a - b) for a, b in zip(new, old))
+    assert not ok and scalar_misfit(c, new, 1) is None
+    assert 0.0 < sep < tracking.GUARD_RATIO * disp
+    # both starts polish onto the root 1: zero separation
+    new, ok = _assert_same_step([1 + 0j, 0j, -1 + 0j], [0.9 + 0j, 1.1 + 0j])
+    assert not ok and new[0] == new[1]
+    # coefficients near 1e300 whose root lies beyond the float range: abs()
+    # of the polished value overflows
+    c = [1e-8 + 0j, -1.3e300 * (1 + 1j)]
+    assert _assert_same_step(c, [1.2e308 * (1 + 1j)]) == "overflow"
+    # a NaN coefficient: every value polishes to NaN
+    new, ok = _assert_same_step([1 + 0j, complex(nan, 0.0), 1 + 0j], [0.5j, -0.5j])
+    assert not ok
 
 
 # -- stops: a Laplace ray as one leg landing on every Kronrod node --------------
