@@ -28,7 +28,6 @@ from .borel import (  # noqa: F401
     monodromy,
     psi_borel_eval,
     psi_on_cut,
-    quartic_at,
     verify_annihilation,
 )
 from .quadrature import laplace_borel_sum, pearcey_quadrature  # noqa: F401

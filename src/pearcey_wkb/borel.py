@@ -125,14 +125,6 @@ def quartic_spec(chart: str) -> QuarticSpec:
     return QuarticSpec(chart, compile_polys(polys))
 
 
-def quartic_at(chart: str, point) -> list[complex]:
-    """Numeric quartic coefficients (ascending) at a chart point.
-
-    No normalization: a vanishing leading coefficient is reported as-is.
-    """
-    return quartic_spec(chart).coeffs(*point)
-
-
 # -- branch tags and traces ----------------------------------------------------
 
 

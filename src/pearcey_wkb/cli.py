@@ -395,6 +395,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def _cmd_quadrature(cfg: RunConfig, args) -> int:
+    from .borel import SheetField
     from .geometry import PlanePoint
     from .quadrature import (
         LAPLACE_ORDER,
@@ -414,6 +415,7 @@ def _cmd_quadrature(cfg: RunConfig, args) -> int:
         sums = [laplace_borel_sum(ell, x, eta, table=table) for ell in (1, 2, 3)]
         psis = [r.value for r in sums]
         phase, eps = match_borel_combination(value, psis)
+        payload["chart_validated"] = bool(SheetField(x).chart_validated)
         payload["borel_sums"] = [_cpx_json(p) for p in psis]
         payload["laplace"] = [{"nodes": r.nodes, "converged": r.converged} for r in sums]
         payload["matched_combination"] = {

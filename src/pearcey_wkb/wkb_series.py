@@ -201,21 +201,6 @@ def varpi(table: WkbSeriesTable) -> ZetaRational:
     return table.prim_at(-1)
 
 
-def wkb_f_coeffs(table: WkbSeriesTable, order: int | None = None) -> list[ZetaRational]:
-    """Amplitude ratios f_j/f_0 from the exponential of the primitives.
-
-    The series is exp( sum_{j>=1} eta^(-j) int omega_j ) expanded through
-    eta^(-order); the prefactor f_0 stays closed-form.
-    """
-    n = table.order if order is None else order
-    if n > table.order:
-        raise ValidationError("order exceeds the table")
-    f = [ZetaRational.const(1)]
-    for k in range(1, n + 1):
-        f.append(_exp_term(table, f, k))
-    return f
-
-
 def _exp_term(table: WkbSeriesTable, f: list, k: int) -> ZetaRational:
     """f_k = (1/k) sum_{j=1..k} j a_j f_{k-j} for f = exp(sum_j a_j eta^(-j)),
     a_j = int omega_j, from f_0 .. f_{k-1}."""

@@ -18,7 +18,6 @@ from pearcey_wkb.borel import (
     branches_at_p,
     discontinuity,
     psi_on_cut,
-    quartic_at,
     quartic_spec,
     verify_annihilation,
 )
@@ -79,7 +78,7 @@ def test_criterion_2_branch_constants():
     tol = 1e-12
     worst = 0.0
     for ell in (1, 2, 3):
-        coeffs = quartic_at("st", (p_ell(ell), 0.0))
+        coeffs = quartic_spec("st").coeffs(p_ell(ell), 0.0)
         assert abs(coeffs[4]) < 1e-10
         roots = np.roots([coeffs[2], coeffs[1], coeffs[0]])
         got = sorted(roots, key=lambda z: -z.imag)
@@ -93,7 +92,7 @@ def test_criterion_2_branch_constants():
 
 
 def test_criterion_3_origin_germs():
-    coeffs = quartic_at("st", (0.0, 0.0))
+    coeffs = quartic_spec("st").coeffs(0.0, 0.0)
     factored = np.polynomial.polynomial.polyfromroots([1 / 3, 1 / 3, 1 / 3, -1]) * (-27)
     ok_fact = bool(np.allclose(coeffs, factored, atol=1e-12))
     eps = 1e-4

@@ -15,7 +15,6 @@ from pearcey_wkb.borel import (
     monodromy,
     psi_borel_eval,
     psi_on_cut,
-    quartic_at,
     quartic_spec,
     root_inv_p,
     singular_pair_scale,
@@ -37,12 +36,12 @@ DICTIONARY = {
 
 class TestQuartic:
     def test_origin_factorization(self):
-        c = quartic_at("st", (0.0, 0.0))
+        c = quartic_spec("st").coeffs(0.0, 0.0)
         expect = np.polynomial.polynomial.polyfromroots([1 / 3, 1 / 3, 1 / 3, -1]) * (-27)
         assert np.allclose(c, expect, atol=1e-12)
 
     def test_leading_vanishes_at_p3(self):
-        c = quartic_at("st", (p_ell(3), 0.0))
+        c = quartic_spec("st").coeffs(p_ell(3), 0.0)
         assert abs(c[4]) < 1e-12
         roots = np.roots([c[2], c[1], c[0]])
         want = sorted([H3_CONST, H4_CONST], key=lambda z: z.imag)
@@ -53,7 +52,7 @@ class TestQuartic:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x1, x2, y = (complex(*rng.normal(size=2)) for _ in range(3))
-            c = quartic_at("xy", (x1, x2, y))
+            c = quartic_spec("xy").coeffs(x1, x2, y)
             if abs(c[4]) < 1e-6:
                 continue
             roots = np.roots(c[::-1])
@@ -64,7 +63,7 @@ class TestQuartic:
         rng = np.random.default_rng(3)
         for _ in range(10):
             x1, x2, y = (complex(*rng.normal(size=2)) for _ in range(3))
-            c = quartic_at("xy", (x1, x2, y))
+            c = quartic_spec("xy").coeffs(x1, x2, y)
             cub = np.polyval(
                 singular_cubic_coeffs(PlanePoint(x1, x2))[::-1], y
             )

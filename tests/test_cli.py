@@ -230,6 +230,17 @@ def test_quadrature_compare_borel_reports_laplace_passes(tmp_path):
     doc = json.loads((out / "quadrature.json").read_text())
     assert doc["laplace"] == [{"nodes": 196, "converged": True}] * 3
     assert doc["matched_combination"]["coefficients"] == [0, 0, 1]
+    assert doc["chart_validated"] is True
+
+
+def test_quadrature_compare_borel_flags_points_outside_the_chart(tmp_path):
+    # |t| = |x2 / x1^(2/3)| = 0.5 > borel.T_VALIDITY: the sums are written, flagged
+    out = tmp_path / "o"
+    argv = ["--out-dir", str(out), "quadrature", "--x1", "1", "--x2", "0.5",
+            "--eta", "10", "--contour", "1,2", "--compare-borel"]
+    assert run(argv) == 0
+    doc = json.loads((out / "quadrature.json").read_text())
+    assert doc["chart_validated"] is False
 
 
 def test_unconverged_quadrature_exits_3(tmp_path, capsys, monkeypatch):

@@ -202,7 +202,7 @@ def _sympy_coefficient_lists():
     quartics written out from their displayed form."""
     import sympy
 
-    from pearcey_wkb.borel import quartic_at
+    from pearcey_wkb.borel import quartic_spec
     from pearcey_wkb.geometry import (
         PlanePoint,
         singular_cubic_coeffs,
@@ -224,8 +224,8 @@ def _sympy_coefficient_lists():
     lead = stokes_sextic().terms[(0, 0, 6)]  # the scale sympy's factor leaves free
     sextic = sextic * (sympy.Rational(lead.numerator, lead.denominator) / sextic.LC())
     lists = [
-        ("xy quartic", lambda p: quartic_at("xy", p), sympy.Poly(xy, g), (x1, x2, y)),
-        ("st quartic", lambda p: quartic_at("st", p), sympy.Poly(st, h), (s, t)),
+        ("xy quartic", lambda p: quartic_spec("xy").coeffs(*p), sympy.Poly(xy, g), (x1, x2, y)),
+        ("st quartic", lambda p: quartic_spec("st").coeffs(*p), sympy.Poly(st, h), (s, t)),
         ("cubic", lambda p: singular_cubic_coeffs(PlanePoint(*p)),
          sympy.Poly(singular_cubic_sympy(), y), (x1, x2)),
         ("sextic", lambda p: stokes_sextic_coeffs(PlanePoint(*p)), sextic, (x1, x2)),

@@ -19,7 +19,6 @@ from pearcey_wkb.wkb_series import (
     reference_f0,
     scaled_expansion,
     varpi,
-    wkb_f_coeffs,
 )
 from pearcey_wkb.zeta_ring import VARS, ZetaRational, homogeneity_residual
 
@@ -83,11 +82,6 @@ class TestAmplitudeRatios:
         i1 = series8.prim_at(1)
         i2 = series8.prim_at(2)
         assert series8.f[2] == i2 + i1 * i1 * Fraction(1, 2)
-
-    def test_truncated_order_param(self, series8):
-        short = wkb_f_coeffs(series8, order=3)
-        assert len(short) == 4
-        assert short[3] == series8.f[3] if len(series8.f) > 3 else True
 
 
 class TestGamma:
@@ -267,4 +261,3 @@ def test_f_recurrence_equals_power_expansion(series8):
     a = [ZetaRational.zero()] + [series8.prim_at(j) for j in range(1, 9)]
     want = exp_series_power_expansion(a, 8)
     assert series8.f == want
-    assert wkb_f_coeffs(series8) == want
