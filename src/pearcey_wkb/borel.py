@@ -35,7 +35,10 @@ which this module evaluates, continues along paths, and differentiates
 across cuts (discontinuity operators).  Every Borel-plane path of one base
 point x, monodromy loops included, runs through one :class:`SheetField`: its
 singularities are the labelled u_ell of ``labeled_point(x)``, and its sheets
-are continued by ``track_s_with_bows``.
+are continued by ``track_s_with_bows``.  Origin labels reach a point by one
+route, :func:`branches_at_origin`: the first-order germs are matched to a
+full solve near (0, 0) and continued radially, so a field of any t seeds
+there.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .errors import (
 from .geometry import (
     XYVARS,
     PlanePoint,
-    cube_root,
     labeled_point,
     p_ell,
 )
@@ -125,39 +127,7 @@ def quartic_spec(chart: str) -> QuarticSpec:
     return QuarticSpec(chart, compile_polys(polys))
 
 
-# -- branch tags and traces ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BranchTag:
-    """A germ label: origin chart index or (p_ell chart, index)."""
-
-    chart_id: str  # 'origin' | 'p1' | 'p2' | 'p3'
-    index: int  # 1..4
-
-    def __post_init__(self):
-        if self.chart_id not in ("origin", "p1", "p2", "p3"):
-            raise ValidationError(f"unknown chart {self.chart_id}")
-        if self.index not in (1, 2, 3, 4):
-            raise ValidationError("branch index must be 1..4")
-
-    def germ(self, s: complex, t: complex = 0.0) -> complex:
-        """Leading germ approximant of the tagged branch at (s, t).
-
-        Origin tags use the first-order origin expansions; p_ell tags use
-        the local constants for the regular pair and the signed inverse
-        square root for the singular pair (t is ignored there: the local
-        germs are stated on the slice t = 0).
-        """
-        if self.chart_id == "origin":
-            return complex(origin_germs(s, t)[self.index - 1])
-        ell = int(self.chart_id[1])
-        if self.index == 3:
-            return H3_CONST
-        if self.index == 4:
-            return H4_CONST
-        sign = 1.0 if self.index == 1 else -1.0
-        return sign * singular_pair_scale(ell) * root_inv_p(ell, s)
+# -- sheet permutations ----------------------------------------------------------
 
 
 def cycle_notation(perm: tuple[int, ...]) -> str:
@@ -399,10 +369,11 @@ class SheetField:
     """Origin-labeled sheets of the quartic over the Borel plane of one x.
 
     Provides y-plane path continuation; all paths are converted to the
-    scaled chart internally (s = y / x1^(4/3), a complex scaling, so an arc
-    in y is an arc in s).  A path is a list of points and
-    :class:`tracking.Arc` pieces, as in :func:`track_s_with_bows`.
-    ``x1_quarter`` is x1^(4/3) on branch 0.
+    scaled chart internally: s = y / x1^(4/3) and t = x2 / x1^(2/3), powers
+    of the principal cube root of x1 (x1 = 0 raises ``ValidationError``).
+    The scaling is complex, so an arc in y is an arc in s.  A path is a
+    list of points and :class:`tracking.Arc` pieces, as in
+    :func:`track_s_with_bows`.  ``x1_quarter`` is x1^(4/3).
 
     Each Borel transform also has an *anchor*: the sheet tuple carried to
     the point u_ell + i r directly above its singularity, reached from the
@@ -415,10 +386,13 @@ class SheetField:
     """
 
     def __init__(self, x: PlanePoint):
+        x1 = complex(x.x1)
+        if x1 == 0:
+            raise ValidationError("x1 must be nonzero for the scaling chart")
         self.x = x
-        self.c = cube_root(x.x1, 0)
-        self.x1_quarter = self.c**4
-        self.t = complex(x.x2) / self.c**2
+        c = abs(x1) ** (1.0 / 3.0) * np.exp(1j * np.angle(x1) / 3.0)
+        self.x1_quarter = c**4
+        self.t = complex(x.x2) / c**2
         self.u_vals = np.array(labeled_point(x).us.values, dtype=complex)
         self.min_sep = min(
             abs(a - b)
@@ -446,17 +420,18 @@ class SheetField:
         scale = 1 / self.x1_quarter
         return [p.scaled(scale) if isinstance(p, tracking.Arc) else self.s_of_y(p) for p in y_path]
 
-    def seed(self, direction: complex) -> tuple[complex, np.ndarray]:
-        d = direction / abs(direction) if direction != 0 else 1.0
-        s0 = d * SEED_SCALE * min(1.0, abs(self.s_of_y(self.min_sep)))
-        t = self.t
-        return s0, tracking.solve_and_match(self.spec.coeffs(s0, t), origin_germs(s0, t))
-
     def track_y_polyline(self, y_path) -> np.ndarray:
-        """Sheet 4-tuple at the end of a y-plane path from the seed."""
+        """Sheet 4-tuple at the end of a y-plane path from the origin seed.
+
+        The seed is :func:`branches_at_origin` at the field's t and s0 =
+        ``SEED_SCALE`` min(1, |s(min_sep)|) in the direction of the path's
+        start; the path then runs from s0.
+        """
         s_path = self._s_path(y_path)
-        s0, vals = self.seed(_start(s_path[0]))
-        return track_s_with_bows(self, vals, [s0] + s_path)
+        start = _start(s_path[0])
+        d = start / abs(start) if start != 0 else 1.0
+        s0 = d * SEED_SCALE * min(1.0, abs(self.s_of_y(self.min_sep)))
+        return track_s_with_bows(self, branches_at_origin(s0, self.t), [s0] + s_path)
 
     def track_from(self, vals, y_path) -> np.ndarray:
         """Continue a known tuple along a y-plane path starting at its
@@ -896,20 +871,23 @@ def _derivative_from_jets(jets: dict, multi: tuple[int, int, int]) -> complex:
     return jets[tuple(names)] if names else jets[()]
 
 
-def verify_annihilation(op_id: int, x: PlanePoint, y: complex) -> float:
-    """Scaled residual of one Borel-plane operator applied to the fourth
-    origin-chart branch of the quartic at y.
+def verify_annihilation(x: PlanePoint, y: complex) -> tuple[float, ...]:
+    """Scaled residuals of the four Borel-plane operators (op_id 1..4, in
+    order) applied to the fourth origin-chart branch of the quartic at y.
 
-    Derivatives are the exact implicit jets of the quartic.
+    The branch is tracked once; derivatives are its exact implicit jets.
     """
     g_value = SheetField(x).track_y_polyline([complex(y)])[3] / complex(x.x1)
-    op, evaluate = _operator_line(op_id)
-    coeffs = evaluate(complex(x.x1), complex(x.x2), complex(y))
     jets = implicit_jet(x, y, g_value)
-    acc = 0j
-    scale = 0.0
-    for c, (_, multi) in zip(coeffs, op.table):
-        term = c * _derivative_from_jets(jets, multi)
-        acc += term
-        scale += abs(term)
-    return abs(acc) / max(scale, 1e-30)
+    point = (complex(x.x1), complex(x.x2), complex(y))
+    residuals = []
+    for op_id in (1, 2, 3, 4):
+        op, evaluate = _operator_line(op_id)
+        acc = 0j
+        scale = 0.0
+        for c, (_, multi) in zip(evaluate(*point), op.table):
+            term = c * _derivative_from_jets(jets, multi)
+            acc += term
+            scale += abs(term)
+        residuals.append(abs(acc) / max(scale, 1e-30))
+    return tuple(residuals)

@@ -366,8 +366,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     for _ in range(args.samples):
         x = PlanePoint(1.0 + 0.2 * rng.normal(), 0.08 * complex(*rng.normal(size=2)))
         y = 0.04 * complex(*rng.normal(size=2))
-        for op in (1, 2, 3, 4):
-            worst = max(worst, verify_annihilation(op, x, y))
+        worst = max(worst, *verify_annihilation(x, y))
     checks.append(("annihilation_residual<1e-8", worst < 1e-8))
     h = branches_at_origin(0.05, 0.02)
     checks.append(("quartic_root_sum", abs(h.sum()) < 1e-10))

@@ -80,15 +80,6 @@ class LabeledRoots3:
         return self.values[ell - 1]
 
 
-@dataclass(frozen=True)
-class ScaledCoords:
-    """Weighted-scaling chart (s, t) = (y / x1^(4/3), x2 / x1^(2/3))."""
-
-    s: complex
-    t: complex
-    cube_root_branch: int = 0
-
-
 def p_ell(ell: int) -> complex:
     """Scaled singularity position p_ell = (3/4^(4/3)) e^(2 pi i ell / 3)."""
     return 3.0 / 4.0 ** (4.0 / 3.0) * np.exp(2j * np.pi * ell / 3.0)
@@ -373,28 +364,6 @@ def stokes_sextic_grid(x1, x2) -> np.ndarray:
 
 def stokes_sextic_roots(x: PlanePoint) -> np.ndarray:
     return roots_aberth(stokes_sextic_coeffs(x))
-
-
-# -- scaling chart ------------------------------------------------------------
-
-
-def cube_root(x1: complex, branch: int = 0) -> complex:
-    """Branch ``branch`` of x1^(1/3) (principal root times a cube root of 1)."""
-    x1 = complex(x1)
-    if x1 == 0:
-        raise ValidationError("x1 must be nonzero for the scaling chart")
-    r = abs(x1) ** (1.0 / 3.0) * np.exp(1j * np.angle(x1) / 3.0)
-    return r * np.exp(2j * np.pi * (branch % 3) / 3.0)
-
-
-def to_scaled(x: PlanePoint, y: complex, branch: int = 0) -> ScaledCoords:
-    c = cube_root(x.x1, branch)
-    return ScaledCoords(complex(y) / c**4, complex(x.x2) / c**2, branch % 3)
-
-
-def from_scaled(coords: ScaledCoords, x1: complex) -> tuple[PlanePoint, complex]:
-    c = cube_root(x1, coords.cube_root_branch)
-    return PlanePoint(x1, coords.t * c**2), coords.s * c**4
 
 
 def export_polynomials() -> dict:

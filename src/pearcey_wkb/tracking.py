@@ -22,8 +22,8 @@ step kernel per degree n (:func:`_step_kernel`), straight-line Python
 generated from one source template on first use, with the polynomial, its
 derivative and the residual scale written out in Horner form on local
 coefficients.  Running out of refinement raises ``ContinuationError`` with
-the path point where the tracker gave up; on an arc the message also names
-the arc and the angle reached.
+the path point where the tracker gave up; the message also names the
+segment and the tau reached, or the arc and the angle reached.
 """
 
 from __future__ import annotations
@@ -309,26 +309,44 @@ def track_polyline(coeffs_at_point, knots, start_vals, *, trace=None) -> Trace:
     coordinate, and ``coeffs_at_point`` maps such a point, in the knots'
     form, to ascending coefficients.  Every leg starts with a tau = 0
     record, so the records of leg i follow its i-th tau = 0 record.  A
-    single knot gives a trace of ``start_vals`` alone, unchecked.
+    single knot gives a trace of ``start_vals`` alone, unchecked.  A
+    ``ContinuationError`` names the segment (index, count, endpoints) and
+    the tau of its last accepted step.
     """
     knots = [tuple(map(complex, k)) if isinstance(k, tuple) else complex(k) for k in knots]
     if not knots:
         raise ContinuationError("path needs at least 1 vertex")
+    trace = Trace() if trace is None else trace
     if len(knots) == 1:
-        trace = Trace() if trace is None else trace
         trace.record(0.0, knots[0], start_vals)
         return trace
     vals = start_vals
-    for a, b in zip(knots[:-1], knots[1:]):
+    for i, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
         def point_fn(t, a=a, b=b):
             return _lerp(a, b, t)
 
         def coeffs_fn(t, a=a, b=b):
             return coeffs_at_point(_lerp(a, b, t))
 
-        trace = track_family(coeffs_fn, point_fn, vals, trace=trace)
+        first = len(trace.taus)
+        try:
+            track_family(coeffs_fn, point_fn, vals, trace=trace)
+        except ContinuationError as err:
+            tau = trace.taus[-1] if len(trace.taus) > first else 0.0
+            raise ContinuationError(
+                f"{err} (segment {i + 1} of {len(knots) - 1}, from {_knot_text(a)} "
+                f"to {_knot_text(b)}, at tau {tau:.6g})",
+                location=err.location,
+            ) from err
         vals = trace.final
     return trace
+
+
+def _knot_text(knot) -> str:
+    """A knot as text, each coordinate to 6 significant digits."""
+    if isinstance(knot, tuple):
+        return "(" + ", ".join(f"{c:.6g}" for c in knot) + ")"
+    return f"{knot:.6g}"
 
 
 def _lerp(a, b, t):

@@ -22,7 +22,9 @@ chord, the event bisection one bracket and one cubic solve at a time, the
 f_0 phase continuation tracked one labeling-path leg at a time, the
 truncated-power expansion of the amplitude exponential, and central finite
 differences of a quartic branch by a Newton iteration of their own on the
-hand-expanded quartic.  Event zeros are also located at 30 digits from
+hand-expanded quartic.  The origin-labelled sheets of the scaled quartic
+are continued from hand-written first-order germs near (0, 0) by the numpy
+step loop.  Event zeros are also located at 30 digits from
 mpmath roots of the hand-expanded singular cubic.  Two helpers serve only
 the tests: a polynomial from its roots, and substitution of a polynomial
 for a variable of a ``MultiPoly``.
@@ -355,6 +357,43 @@ def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0
             if step < min_step:
                 raise StepUnderflow(tau)
     return taus, values, accepted, rejected
+
+
+# -- origin-labelled sheets of the scaled quartic ---------------------------------
+
+
+def st_quartic_ascending(s, t):
+    """Ascending coefficients in h of the scaled quartic
+    (256 s^3 - 128 s^2 t^2 + 16 s t (t^3 + 9) - 4 t^3 - 27) h^4
+    + (4 t^3 - 16 s t + 18) h^2 - 8 h + 1, expanded by hand."""
+    lead = 256 * s**3 - 128 * s**2 * t**2 + 16 * s * t * (t**3 + 9) - 4 * t**3 - 27
+    quad = 4 * t**3 - 16 * s * t + 18
+    return np.array([1.0, -8.0, quad, 0.0, lead], dtype=complex)
+
+
+def origin_sheets_oracle(s, t, near=0.02):
+    """Origin-labelled sheets h1..h4 at (s, t), by continuation from (0, 0).
+
+    The first-order origin germs, written out by hand, are Newton-polished
+    at (s, t) scaled down to max(|s|, |t|) = ``near`` and continued along
+    the straight segment to (s, t) by :func:`track_family_numpy`.
+    """
+    f = min(1.0, near / max(abs(s), abs(t)))
+    s0, t0 = s * f, t * f
+    w = np.exp(2j * np.pi / 3)
+    germs = [
+        1 / 3 + 4 / 9 * s0 / w + 2 / 9 * t0 * w,
+        1 / 3 + 4 / 9 * s0 * w + 2 / 9 * t0 / w,
+        1 / 3 + 4 / 9 * s0 + 2 / 9 * t0,
+        -1 - 2 * s0 * t0 - 4 * s0**3,
+    ]
+    start = [newton_root(st_quartic_ascending(s0, t0)[::-1], g) for g in germs]
+    moved = max(abs(a - g) for a, g in zip(start, germs))
+    assert moved < 0.1 * _min_pairwise(start), "germs too far from their roots"
+    _, values, _, _ = track_family_numpy(
+        lambda tau: st_quartic_ascending(s0 + (s - s0) * tau, t0 + (t - t0) * tau), start
+    )
+    return values[-1]
 
 
 # -- Borel-plane circles as chord polylines -------------------------------------

@@ -5,19 +5,18 @@ import pytest
 import sympy
 
 from pearcey_wkb import geometry
+from pearcey_wkb.borel import SheetField
 from pearcey_wkb.errors import TurningPointError, ValidationError
 from pearcey_wkb.geometry import (
     PlanePoint,
     char_roots,
     critical_values,
     labeled_point,
-    from_scaled,
     p_ell,
     reference_zetas,
     singular_locus_cubic,
     stokes_sextic,
     stokes_sextic_roots,
-    to_scaled,
     turning_discriminant,
 )
 from pearcey_wkb.multipoly import MultiPoly
@@ -187,31 +186,19 @@ class TestEliminationOracle:
 
 
 class TestScaled:
+    """The scaling chart (s, t) = (y / x1^(4/3), x2 / x1^(2/3)) of SheetField."""
+
     def test_fixed_point(self):
-        sc = to_scaled(PlanePoint(1.0, 0.0), p_ell(3), 0)
-        assert abs(sc.s - p_ell(3)) < 1e-14 and abs(sc.t) < 1e-14
+        f = SheetField(PlanePoint(1.0, 0.0))
+        assert abs(f.s_of_y(p_ell(3)) - p_ell(3)) < 1e-14 and abs(f.t) < 1e-14
 
     def test_homogeneity(self):
-        sc = to_scaled(PlanePoint(16.0, 0.0), 16 ** (4 / 3) * p_ell(3), 0)
-        assert abs(sc.s - p_ell(3)) < 1e-12
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            x1 = complex(*rng.normal(size=2))
-            if abs(x1) < 1e-3:
-                continue
-            x2 = complex(*rng.normal(size=2))
-            y = complex(*rng.normal(size=2))
-            branch = int(rng.integers(0, 3))
-            sc = to_scaled(PlanePoint(x1, x2), y, branch)
-            x_back, y_back = from_scaled(sc, x1)
-            assert abs(complex(x_back.x2) - x2) < 1e-12 * max(1.0, abs(x2))
-            assert abs(y_back - y) < 1e-12 * max(1.0, abs(y))
+        f = SheetField(PlanePoint(16.0, 0.0))
+        assert abs(f.s_of_y(16 ** (4 / 3) * p_ell(3)) - p_ell(3)) < 1e-12
 
     def test_x1_zero_errors(self):
         with pytest.raises(ValidationError):
-            to_scaled(PlanePoint(0.0, 1.0), 1.0)
+            SheetField(PlanePoint(0.0, 1.0))
 
 
 class TestInvariants:

@@ -481,3 +481,15 @@ def test_obstruction_location_is_the_plane_point():
     assert x2 == -0.3
     assert abs(x1 - np.sqrt(0.008)) < 1e-3
     assert abs(27 * x1**2 + 8 * x2**3) < 1e-4
+
+
+@pytest.mark.parametrize("path", [[(0.5, -0.3), (-0.5, -0.3)], [(0.5, 0.3), (0.5, -0.3), (-0.5, -0.3)]])
+def test_obstruction_message_names_the_segment(path):
+    # the failing leg is the last segment, x2 = -0.3, tau running x1 down from 0.5
+    with pytest.raises(ContinuationError) as exc:
+        track_u(path)
+    message = str(exc.value)
+    n = len(path) - 1
+    assert f"(segment {n} of {n}, from (0.5+0j, -0.3+0j) to (-0.5+0j, -0.3+0j), at tau " in message
+    tau = float(message.rsplit("at tau ", 1)[1].rstrip(")"))
+    assert abs(exc.value.location[0] - (0.5 - tau)) < 1e-6
