@@ -17,7 +17,7 @@ Next to the times, one counting interpreter per tree runs each layer's
 statement once more under ``counting()``, and one per workload runs the
 seed-1 plan of ``perfbench/workloads.py``.  The counts do not depend on the
 machine: tracker legs and accepted and rejected steps per context, the
-event solver's cubic batches and rows, Laplace nodes, and the calls of
+event bracketing's lockstep steps and rows, Laplace nodes, and the calls of
 ``poly_eval_many``, the coefficient evaluators and the exact products
 (``MultiPoly``, ``ZetaRational``) and derivatives.
 
@@ -125,7 +125,8 @@ def counting():
     ``anchor`` (``SheetField.anchor``), ``cut_jump`` (``borel._cut_jump``)
     and ``laplace`` (``SheetField.track_stops``, whose stops are the Laplace
     nodes) it runs in, else ``rest``.  Event batches and rows are the calls
-    and rows of ``stokes._u_batch``.
+    and rows of ``stokes._u_batch``: one call per lockstep step of the
+    event bracketing, one row per tracker step it takes.
     """
     from pearcey_wkb import borel, stokes, tracking
 

@@ -33,6 +33,9 @@ TOLERANCES = {
 }
 
 
+_PROG = "pearcey-wkb"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -146,7 +149,10 @@ def _config_value(parser, action, text: str):
     return value
 
 
-def _parse_args(parser, argv):
+_shared_parser = None  # the parser of every call without --config, built on first use
+
+
+def _parse_args(argv):
     """Parse argv with ``--config`` values in between: flag > config > default.
 
     A config key names a subcommand option (its dest, dashes or
@@ -154,12 +160,18 @@ def _parse_args(parser, argv):
     get the config value as their default before parsing; the rest (no
     default, repeatable, common) are filled in afterwards when no flag gave
     them.  Options given by the config file are no longer required flags.
+    Calls without ``--config`` share one parser; a call with it builds its
+    own, whose options it edits.
     """
-    pre = _Parser(prog=parser.prog, add_help=False)
+    global _shared_parser
+    pre = _Parser(prog=_PROG, add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if not path:
-        return parser.parse_args(argv)
+        if _shared_parser is None:
+            _shared_parser = build_parser()
+        return _shared_parser.parse_args(argv)
+    parser = build_parser()
     try:
         config = _load_config_file(path)
     except (OSError, ValidationError) as e:
@@ -437,7 +449,7 @@ def build_parser() -> _Parser:
     common.add_argument("--no-timestamp", action="store_true",
                         default=argparse.SUPPRESS,
                         help="suppress the SVG timestamp for byte-identical output")
-    parser = _Parser(prog="pearcey-wkb", description=__doc__, parents=[common])
+    parser = _Parser(prog=_PROG, description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -506,8 +518,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     options = {
         k: v
         for k, v in sorted(vars(args).items())

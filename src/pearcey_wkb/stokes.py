@@ -2,11 +2,12 @@
 
 The Stokes set is the locus where Im(u_j - u_k) = 0 for some pair of Borel
 singularities.  Along a path in the base plane this module tracks labeled
-singularities (re-solving their cubic at every step, no integration),
-detects two kinds of events
+singularities (Newton-correcting them onto their cubic at every step, no
+integration), detects two kinds of events
 
 * ``stokes_crossing``: a zero of Im(u_j - u_k), located by safeguarded
-  secant (regula falsi) bracketing;
+  secant (regula falsi) bracketing, each bracket's labeled u's corrected
+  from its ends by one tracker step (``tracking.polish``);
 * ``segment_crossing``: the third singularity passes through the open
   segment joining a pair (collinearity with interior projection),
 
@@ -32,6 +33,7 @@ import numpy as np
 from . import tracking
 from .aberth import roots_aberth_batch
 from .errors import (
+    ContinuationError,
     DominanceError,
     LabelMatchError,
     PearceyError,
@@ -71,19 +73,16 @@ class UTrajectories:
 def track_u(x_path: list[PlanePoint | tuple]) -> UTrajectories:
     """Track the labeled u's along a polyline of base points.
 
-    Each accepted step re-solves the singularity cubic and matches labels
-    (no numerical integration).  A path passing too near the turning locus
-    stops with a ``ContinuationError`` carrying the obstruction point.
+    Each accepted step Newton-corrects the u's onto the singularity cubic
+    and passes the tracker's collision guard (no numerical integration).  A
+    path passing too near the turning locus stops with a
+    ``ContinuationError`` carrying the obstruction point.
     """
     pts = [p.as_tuple() if isinstance(p, PlanePoint) else (complex(p[0]), complex(p[1])) for p in x_path]
     if len(pts) < 2:
         raise ValidationError("path needs at least 2 vertices")
     start = critical_values(PlanePoint(*pts[0]))
-    trace = tracking.track_polyline(
-        lambda p: singular_cubic_coeffs(PlanePoint(*p)),
-        pts,
-        np.array(start.values, dtype=complex),
-    )
+    trace = tracking.track_polyline(_cubic_at, pts, np.array(start.values, dtype=complex))
     out = UTrajectories([], [], [])
     nseg = len(pts) - 1
     i = -1
@@ -97,6 +96,10 @@ def track_u(x_path: list[PlanePoint | tuple]) -> UTrajectories:
         out.points.append(point)
         out.values.append(tvals)
     return out
+
+
+def _cubic_at(p: tuple[complex, complex]) -> np.ndarray:
+    return singular_cubic_coeffs(PlanePoint(*p))
 
 
 def _x_at(pts, tau: float) -> tuple[complex, complex]:
@@ -177,9 +180,9 @@ def _event_value(kind: str, pair, crosser, vals: np.ndarray) -> float:
 class _Bracket:
     """A sign change of an event function between consecutive samples.
 
-    ``f_lo`` and ``f_hi`` are the function at ``lo`` and ``hi``, ``vals``
-    the labeled u's at ``lo``; ``im_before`` is its sign at the opening
-    sample.
+    ``f_lo`` and ``f_hi`` are the function at ``lo`` and ``hi``,
+    ``lo_vals`` and ``hi_vals`` the labeled u's there (Python complex);
+    ``im_before`` is its sign at the opening sample.
     """
 
     kind: str
@@ -189,7 +192,8 @@ class _Bracket:
     hi: float
     f_lo: float
     f_hi: float
-    vals: np.ndarray
+    lo_vals: list[complex]
+    hi_vals: list[complex]
     im_before: int
 
 
@@ -206,28 +210,45 @@ def _brackets(traj: UTrajectories) -> list[_Bracket]:
                     out.append(
                         _Bracket(
                             kind, pair, c, traj.taus[n - 1], traj.taus[n], series[n - 1],
-                            series[n], traj.values[n - 1], int(np.sign(series[n - 1])),
+                            series[n], traj.values[n - 1].tolist(), traj.values[n].tolist(),
+                            int(np.sign(series[n - 1])),
                         )
                     )
     return out
 
 
-def _u_batch(pts, taus: list[float], brackets: list[_Bracket]) -> np.ndarray:
-    """Labeled u's at ``taus[r]``, matched to ``brackets[r].vals``, by one
-    cubic batch; a failed match raises ``LabelMatchError`` naming the
-    bracket that owns the row."""
+def _u_batch(pts, taus: list[float], brackets: list[_Bracket]) -> list[list[complex]]:
+    """Labeled u's at ``taus[r]``, each row one tracker step
+    (``tracking.polish``) from ``brackets[r].lo_vals``, Newton starting from
+    the linear interpolation between the bracket's ``lo_vals`` and
+    ``hi_vals`` at ``taus[r]``.
+
+    A rejected step is retried as a tracker leg from the bracket's lower
+    end to ``taus[r]`` (``tracking.track_polyline``), which halves its steps
+    where the u's pass close to each other between the samples; when that
+    fails too, ``LabelMatchError`` names the bracket that owns the row.
+    The coefficients of all rows are one ``singular_cubic_grid`` call; the
+    rows are solved one by one.  ``scripts/time_layers.py`` counts the
+    lockstep steps and rows by this function's name.
+    """
     x = [_x_at(pts, t) for t in taus]
     coeffs = singular_cubic_grid(np.array([p[0] for p in x]), np.array([p[1] for p in x]))
-    roots = roots_aberth_batch(coeffs, 1e-13)
-    ref = np.array([b.vals for b in brackets])
-    perm, ok = tracking.match_labels_rows(ref, roots, guard_ratio=1.0 + 1e-12)
-    if not ok.all():
-        b = brackets[int(np.argmin(ok))]
-        raise LabelMatchError(
-            f"label match failed locating the {b.kind} of pair {b.pair} "
-            f"bracketed by tau in [{b.lo!r}, {b.hi!r}]"
-        )
-    return np.take_along_axis(roots, perm, axis=-1)
+    rows = []
+    for t, c, b in zip(taus, coeffs, brackets):
+        w = (t - b.lo) / (b.hi - b.lo)
+        guess = [lo + (hi - lo) * w for lo, hi in zip(b.lo_vals, b.hi_vals)]
+        vals = tracking.polish(c, b.lo_vals, guess)
+        if vals is None:
+            leg = [_x_at(pts, b.lo), _x_at(pts, t)]
+            try:
+                vals = tracking.track_polyline(_cubic_at, leg, np.array(b.lo_vals)).final.tolist()
+            except ContinuationError as err:
+                raise LabelMatchError(
+                    f"tracker step rejected locating the {b.kind} of pair {b.pair} "
+                    f"bracketed by tau in [{b.lo!r}, {b.hi!r}]: {err}"
+                ) from err
+        rows.append(vals)
+    return rows
 
 
 def _candidates(b: _Bracket) -> list[float]:
@@ -244,12 +265,15 @@ def detect_events(x_path: list) -> tuple[UTrajectories, list[StokesEvent]]:
 
     Every sign change between consecutive samples is narrowed to width
     ``BISECTION_TOL``, all brackets of the path in lockstep.  Each step
-    solves the cubic in one batch at every unfinished bracket's candidates
-    (``_candidates``) and keeps the sub-interval where the event function
+    evaluates the cubic's coefficients at every unfinished bracket's
+    candidates (``_candidates``) at once, takes the labeled u's at each
+    candidate by one tracker step from the bracket's values at its lower
+    end (``_u_batch``), and keeps the sub-interval where the event function
     changes sign: the midpoint halves each bracket at least, and the
     straddle points close it once the secant estimate is within a quarter
-    of the tolerance.  A last batch gives the u's at every bracket's
-    centre.  A Stokes crossing whose dominance is undecidable raises
+    of the tolerance.  A last step gives the u's at every bracket's centre.
+    A row the tracker cannot reach raises ``LabelMatchError`` naming its
+    bracket; a Stokes crossing whose dominance is undecidable raises
     ``DominanceError``; a segment crossing counts only where the crosser
     projects inside the segment.
     """
@@ -269,9 +293,9 @@ def detect_events(x_path: list) -> tuple[UTrajectories, list[StokesEvent]]:
             for t, v in rows:
                 f = _event_value(b.kind, b.pair, b.crosser, v)
                 if b.f_lo * f <= 0:
-                    b.hi, b.f_hi = t, f
+                    b.hi, b.f_hi, b.hi_vals = t, f, v
                     break
-                b.lo, b.f_lo, b.vals = t, f, v
+                b.lo, b.f_lo, b.lo_vals = t, f, v
         active = [b for b in active if b.hi - b.lo > BISECTION_TOL]
 
     centres = [(b.lo + b.hi) / 2 for b in brackets]

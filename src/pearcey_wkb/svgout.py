@@ -84,8 +84,8 @@ def render_section(section, extra_dots=(), meta: str = "") -> str:
 
 def render_trajectories(traj, upto_tau: float = 1.0, window=None, meta: str = "") -> str:
     """Three labeled singularity trajectories in the Borel plane."""
-    sel = [n for n, t in enumerate(traj.taus) if t <= upto_tau]
-    tracks = [[traj.values[n][i] for n in sel] for i in range(3)]
+    rows = [v.tolist() for t, v in zip(traj.taus, traj.values) if t <= upto_tau]
+    tracks = [list(track) for track in zip(*rows)]  # Python complex: fast to format
     if window is None:
         allv = [z for tr in tracks for z in tr]
         m = max(max(abs(z.real) for z in allv), max(abs(z.imag) for z in allv)) * 1.2

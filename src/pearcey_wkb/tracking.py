@@ -13,17 +13,22 @@ leg of a path is one :func:`track_family` call over tau in [0, 1]:
 * a circular :class:`Arc` is one leg however far it turns
   (:func:`track_arc`), its steps capped at ``ARC_STEP`` radians.
 
-There is no predictor: each step Newton-corrects the previous values onto
-the polynomial at the new parameter.  The collision guard then accepts or
-halves the step: the corrected values must pass a residual test, and their
-minimum pairwise separation must exceed ``GUARD_RATIO`` times the largest
-value displacement in the step.  The correction and both tests run in one
-step kernel per degree n (:func:`_step_kernel`), straight-line Python
-generated from one source template on first use, with the polynomial, its
-derivative and the residual scale written out in Horner form on local
-coefficients.  Running out of refinement raises ``ContinuationError`` with
-the path point where the tracker gave up; the message also names the
-segment and the tau reached, or the arc and the angle reached.
+Each step is a predictor-corrector.  The predictor extrapolates the last
+two accepted tuples of the leg linearly in tau (a secant; a leg's first
+step starts from the current values), and Newton corrects the prediction
+onto the polynomial at the new parameter, stopping once its correction is
+at roundoff.  The collision guard then accepts or halves the step: the
+corrected values must pass a residual test, and their minimum pairwise
+separation must exceed ``GUARD_RATIO`` times the largest value
+displacement from the previous accepted values.  The correction and both
+tests run in one step kernel per degree n (:func:`_step_kernel`),
+straight-line Python generated from one source template on first use,
+with the polynomial, its derivative and the residual scale written out in
+Horner form on local coefficients.  :func:`polish` is one such step from a
+prediction of the caller's; event bisection in ``stokes`` labels its rows
+by it.  Running out of refinement raises ``ContinuationError`` with the
+path point where the tracker gave up; the message also names the segment
+and the tau reached, or the arc and the angle reached.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ MIN_STEP = 1e-11
 MAX_STEP = 0.25  # tau-step cap of a straight leg; its first step is half of it
 ARC_STEP = 0.1  # step cap along an arc, in radians
 _NEWTON_ITERS = 12
+_ROUNDOFF = 4.5e-16  # relative size of a Newton correction at roundoff, about two ulps
 
 
 def _nearest(old_vals: np.ndarray, new_vals: np.ndarray):
@@ -119,20 +125,24 @@ def misfit(c, vals, factor):
     return None
 
 
-def step(c, old):
+def step(c, old, guess):
     {cs} = c
 {d_lines}
     new = []
-    for z in old:
-        for _ in range({iters}):
+    for z in guess:
+        for k in range({iters}):
             p = {p}
             dp = {dp}
             if dp == 0:
                 break
             s = p / dp
             z = z - s
-            if abs(s) < 1e-16 * (1.0 + abs(z)):
+            a = abs(s)
+            r = 1.0 + abs(z)
+            tol = {eps!r} * r
+            if a < tol or k and (a * a * a < tol * a_prev * a_prev or a >= a_prev and a_prev * a_prev < tol * r):
                 break
+            a_prev = a
         new.append(z)
     for z in new:
         if not isfinite(z):
@@ -163,13 +173,22 @@ def _step_kernel(n: int):
     Both take the descending coefficients ``c`` as a list of n + 1 Python
     complex numbers.  ``misfit(c, vals, factor)`` is the residual test: the
     first z of ``vals`` with |p(z)| > RESIDUAL_TOL * sum_k |c_k| max(1,
-    |z|)^k * factor, or None.  ``step(c, old)`` runs up to ``_NEWTON_ITERS``
-    Newton iterations from each old value (stopping at p' = 0 or at a step
-    below 1e-16 (1 + |z|)) and returns the polished values, or None when one
-    is not finite, fails ``misfit`` with factor 1 or the collision guard
-    rejects them (minimum separation below ``GUARD_RATIO`` times the largest
-    displacement, or zero).  ``abs()`` of a finite complex beyond the float
-    range raises ``OverflowError``.
+    |z|)^k * factor, or None.  ``step(c, old, guess)`` runs up to
+    ``_NEWTON_ITERS`` Newton iterations from each value of ``guess`` and
+    returns the polished values, or None when one is not finite, fails
+    ``misfit`` with factor 1 or the collision guard rejects them (minimum
+    separation below ``GUARD_RATIO`` times the largest displacement from
+    ``old``, or zero).  ``abs()`` of a finite complex beyond the float range
+    raises ``OverflowError``.
+
+    Newton stops at p' = 0 or once its correction s is at roundoff: |s| <
+    ``_ROUNDOFF`` (1 + |z|); or, from the second iteration on, |s|^3 <
+    ``_ROUNDOFF`` (1 + |z|) |s_prev|^2, where the quadratic model puts the
+    next correction below roundoff; or |s| no smaller than a previous
+    correction below sqrt(``_ROUNDOFF``) (1 + |z|), one that quadratic
+    convergence would have followed with a correction at roundoff
+    (stagnation at the roundoff floor).  A correction that grows while
+    Newton is still far from a root does not stop it.
     """
     cs = [f"c{k}" for k in range(n + 1)]
     ds = [f"d{k}" for k in range(n)]
@@ -182,6 +201,7 @@ def _step_kernel(n: int):
         scale=_horner_source([f"a{k}" for k in range(n + 1)], "r"),
         tol=RESIDUAL_TOL,
         iters=_NEWTON_ITERS,
+        eps=_ROUNDOFF,
         guard=GUARD_RATIO,
     )
     namespace = {"isfinite": isfinite, "min_pairwise": _min_pairwise}
@@ -249,7 +269,10 @@ def track_family(
 
     Each step's coefficients become one descending list of Python complex
     numbers, on which the step kernel of the family's degree
-    (:func:`_step_kernel`) polishes the values and tests them.
+    (:func:`_step_kernel`) polishes the values and tests them.  Newton
+    starts from the secant through the last two accepted tuples of this
+    call, evaluated at the new tau; the first step starts from
+    ``start_vals``.
     """
     stops = [float(s) for s in stops]
     if any(not 0.0 < s <= 1.0 for s in stops) or any(
@@ -272,17 +295,24 @@ def track_family(
     next_stop = 0
     tau = 0.0
     step = 0.5 * max_step
+    last = None  # (tau, values) of the accepted record before the current one
     while tau < 1.0:
         target = min(1.0, tau + step)
         at_stop = next_stop < len(stops) and target >= stops[next_stop]
         if at_stop:
             target = stops[next_stop]
         c = _descending(coeffs_fn(target))
+        if last is None:
+            guess = vals
+        else:
+            r = (target - tau) / (tau - last[0])
+            guess = [v + (v - w) * r for v, w in zip(vals, last[1])]
         try:
-            new_vals = advance(c, vals)
+            new_vals = advance(c, vals, guess)
         except OverflowError:  # abs() of a finite complex beyond the float range
             new_vals = None
         if new_vals is not None:
+            last = (tau, vals)
             tau = target
             vals = new_vals
             trace.record(tau, point_fn(tau), vals)
@@ -426,6 +456,24 @@ def track_arc(coeffs_at_point, arc: Arc, start_vals, *, trace: Trace | None = No
             f"at angle {theta:.6g})",
             location=err.location,
         ) from err
+
+
+def polish(coeffs, old, guess):
+    """One tracker step from the labeled values ``old`` onto the polynomial
+    with ascending ``coeffs``, Newton starting from ``guess`` (a prediction
+    of the new values, in the order of ``old``; both lists of Python
+    complex).
+
+    Returns the polished values as a list of Python complex numbers, or
+    None where ``track_family`` would reject the step (a value not finite,
+    a failed residual test, the collision guard measured from ``old``, or a
+    value beyond the float range).
+    """
+    c = _descending(coeffs)
+    try:
+        return _step_kernel(len(c) - 1)[0](c, old, guess)
+    except OverflowError:
+        return None
 
 
 def solve_and_match(coeffs, approx_vals):

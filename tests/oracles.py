@@ -13,16 +13,18 @@ exact ring's arithmetic and chart derivatives as plain rational functions
 of zeta and x2.
 
 The remaining oracles keep earlier implementations as references: the
-tracker step loop on numpy scalars, the tracker's scalar step helpers
-(Horner loops called per value) that its generated step kernel must match
-bit for bit, the per-cell loop of the raster CSV export, the Borel-plane
+tracker step loop on numpy scalars (no predictor), the tracker's scalar
+step helpers (Horner loops called per value) whose start check and
+accept/reject decisions its generated step kernel must reproduce, the
+per-cell loop of the raster CSV export, the Borel-plane
 circles (anchor arcs,
 cut-jump sides, monodromy loops) as chord polylines, one tracker leg per
 chord, the event bisection one bracket and one cubic solve at a time, the
 f_0 phase continuation tracked one labeling-path leg at a time, the
 truncated-power expansion of the amplitude exponential, and central finite
 differences of a quartic branch by a Newton iteration of their own on the
-hand-expanded quartic.  The origin-labelled sheets of the scaled quartic
+hand-expanded quartic.  Polished roots are checked against mpmath roots at
+30 digits.  The origin-labelled sheets of the scaled quartic
 are continued from hand-written first-order germs near (0, 0) by the numpy
 step loop.  Event zeros are also located at 30 digits from
 mpmath roots of the hand-expanded singular cubic.  Two helpers serve only
@@ -264,6 +266,24 @@ def scalar_misfit(c: list, vals: list, factor):
     return None
 
 
+def mp_polyroots(c: list, dps: int = 30):
+    """Roots of the polynomial with descending coefficients ``c``, by
+    ``mpmath.polyroots`` at ``dps`` digits, each paired with its roundoff
+    floor 2^-52 sum_k |c_k| max(1, |r|)^k / |p'(r)|: the distance from r
+    within which evaluating p in double precision cannot tell a value from
+    r."""
+    import mpmath
+
+    n = len(c) - 1
+    out = []
+    with mpmath.workdps(dps):
+        dc = [(n - k) * mpmath.mpc(a) for k, a in enumerate(c[:-1])]
+        for r in mpmath.polyroots([mpmath.mpc(a) for a in c], maxsteps=200, extraprec=60):
+            scale = _horner([abs(a) for a in c], max(1.0, abs(complex(r))))
+            out.append((complex(r), 2.0**-52 * scale / float(abs(mpmath.polyval(dc, r)))))
+    return out
+
+
 # -- tracker step loop on numpy scalars ------------------------------------------
 
 
@@ -328,8 +348,9 @@ def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0
     """The tracker's step loop with numpy-scalar arithmetic throughout.
 
     Same start check, step schedule (half of ``max_step``, doubling to
-    ``max_step`` on accept, halving on reject), Newton polish and acceptance
-    rule as the library.
+    ``max_step`` on accept, halving on reject) and acceptance rule as the
+    library; Newton starts from the previous values (no predictor) and
+    stops at a correction below 1e-16 (1 + |z|) or after 12 iterations.
     Returns ``(taus, values, accepted, rejected)``; raises ``StepUnderflow``
     where the library raises ``ContinuationError``.
     """

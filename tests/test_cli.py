@@ -173,6 +173,37 @@ def test_config_supplies_required_flag(tmp_path):
     assert (a / "geometry.json").read_bytes() == (b / "geometry.json").read_bytes()
 
 
+def test_config_call_leaves_later_calls_at_the_defaults(tmp_path, monkeypatch):
+    # calls without --config share one parser; a --config call edits a
+    # parser of its own, so its defaults and optional flags do not leak
+    from pearcey_wkb import cli
+
+    built, seen = [], []
+    real_build = cli.build_parser
+
+    def build():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    monkeypatch.setattr(cli, "_shared_parser", None)
+    monkeypatch.setitem(cli._COMMANDS, "series", lambda cfg, args: seen.append(args.order) or 0)
+    monkeypatch.setitem(cli._COMMANDS, "geometry", lambda cfg, args: seen.append(args.x1) or 0)
+    order, x1 = tmp_path / "order", tmp_path / "x1"
+    order.write_text("order=3\n")
+    x1.write_text("x1=1\n")
+    out = ["--out-dir", str(tmp_path / "o")]
+    assert run([*out, "series", "--config", str(order)]) == 0
+    assert run([*out, "series"]) == 0
+    assert run([*out, "geometry", "--config", str(x1), "--x2", "0"]) == 0
+    assert run([*out, "geometry", "--x1", "2", "--x2", "0"]) == 0
+    assert seen == [3, 8, "1", "2"]
+    with pytest.raises(SystemExit) as exc:  # --x1 is a required flag again
+        run([*out, "geometry", "--x2", "0"])
+    assert exc.value.code == 1
+    assert len(built) == 3  # one per --config call and one shared
+
+
 @pytest.mark.parametrize("text", ["res=many\n", "with_sextic=maybe\n", "bogus=1\n"])
 def test_bad_config_is_usage_error(tmp_path, text):
     cfgfile = tmp_path / "conf"

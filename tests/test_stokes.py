@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import mp_event_zero, raster_csv_oracle, raster_labels_oracle, scalar_detect_events
-from pearcey_wkb import stokes, tracking
+from pearcey_wkb import aberth, stokes, tracking
 from pearcey_wkb.cli import main
 from pearcey_wkb.errors import (
     ContinuationError,
@@ -158,16 +158,23 @@ def _event_labels(ev):
     return (ev.kind, ev.pair, ev.crosser, ev.dominant, ev.recessive, ev.im_before)
 
 
-def _count_batches(monkeypatch):
-    """Wrap the event solver; returns the list of batch sizes it saw."""
+def _count_steps(monkeypatch):
+    """Wrap the event rows' solver ``stokes._u_batch``, one call per
+    lockstep step; returns the list of row counts it saw.  Any Aberth batch
+    solved meanwhile fails the test."""
     sizes = []
-    solve = stokes.roots_aberth_batch
+    batch = stokes._u_batch
 
-    def counted(coeffs, tol):
-        sizes.append(len(coeffs))
-        return solve(coeffs, tol)
+    def counted(pts, taus, brackets):
+        sizes.append(len(taus))
+        return batch(pts, taus, brackets)
 
-    monkeypatch.setattr(stokes, "roots_aberth_batch", counted)
+    def no_batch(*args, **kw):
+        raise AssertionError("events solved an Aberth batch")
+
+    monkeypatch.setattr(stokes, "_u_batch", counted)
+    monkeypatch.setattr(stokes, "roots_aberth_batch", no_batch)
+    monkeypatch.setattr(aberth, "roots_aberth_batch", no_batch)
     return sizes
 
 
@@ -203,10 +210,18 @@ PATH_IDS = ["paper", "paper-to-vertex5", "reversed", "constant"]
 
 
 class TestLockstepBisection:
+    # a random path near the cusp on which two u's nearly collide between
+    # two tracker samples, inside a Stokes-crossing bracket
+    NEAR_COLLISION = [
+        (0.36336439526294884 + 0.23866070833766478j, 0.2495340764557477 - 0.29029191638046503j),
+        (-0.02231562779327234 - 0.009793655397306145j, 0.1759418593380263 + 0.10350653546579186j),
+        (0.35637085484218123 + 0.13388579861028693j, 0.24419063485373205 - 0.07246718996078103j),
+    ]
+
     @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
     def test_matches_scalar_oracle(self, path, monkeypatch):
         want = scalar_detect_events(path)
-        sizes = _count_batches(monkeypatch)
+        sizes = _count_steps(monkeypatch)
         _, got = detect_events(path)
         assert [_event_labels(e) for e in got] == [_event_labels(e) for e in want]
         for a, b in zip(got, want):
@@ -226,8 +241,9 @@ class TestLockstepBisection:
             assert abs(ev.tau - zero) <= BISECTION_TOL / 2, (ev.kind, ev.pair, ev.tau - zero)
 
     def test_one_batch_per_bisection_step(self, monkeypatch):
-        # secant-straddle steps: 5 bracketing batches and the centre batch
-        sizes = _count_batches(monkeypatch)
+        # secant-straddle steps: 5 bracketing steps and the centre step,
+        # each row one tracker step and no Aberth batch
+        sizes = _count_steps(monkeypatch)
         detect_events(PAPER_POLYLINE)
         assert len(sizes) == 6
         assert sum(sizes) == 191
@@ -240,31 +256,88 @@ class TestLockstepBisection:
     def test_never_more_batches_than_bisection(self, path, monkeypatch):
         # bisection halves the widest bracket ceil(log2(width / tol)) times,
         # then solves once at the centres; the midpoint candidate keeps that
-        # worst case
+        # worst case.  No step solves an Aberth batch.
         widths = [b.hi - b.lo for b in stokes._brackets(track_u(path))]
-        sizes = _count_batches(monkeypatch)
+        sizes = _count_steps(monkeypatch)
         detect_events(path)
         assert 0 < len(sizes) <= math.ceil(math.log2(max(widths) / BISECTION_TOL)) + 1
 
     def test_label_match_failure_names_its_bracket(self, monkeypatch, tmp_path):
-        match = tracking.match_labels_rows
+        # the tracker step of the first row owned by bracket 1 is rejected,
+        # and so is the tracker leg that retries it
+        polish = tracking.polish
         first, bad = stokes._brackets(track_u(PAPER_POLYLINE))[:2]
         row = len(stokes._candidates(first))  # the first row owned by ``bad``
+        calls = []
 
-        def fail_row(old_vals, new_vals, guard_ratio):
-            perm, ok = match(old_vals, new_vals, guard_ratio)
-            ok[row] = False
-            return perm, ok
+        def reject_row(coeffs, old, guess):
+            calls.append(1)
+            if len(calls) < row + 1:
+                return polish(coeffs, old, guess)
+            monkeypatch.setattr(tracking, "track_polyline", reject_leg)
+            return None
 
-        monkeypatch.setattr(tracking, "match_labels_rows", fail_row)
+        def reject_leg(*args, **kw):
+            raise ContinuationError("injected")
+
+        monkeypatch.setattr(tracking, "polish", reject_row)
         with pytest.raises(LabelMatchError) as info:
             detect_events(PAPER_POLYLINE)
+        assert len(calls) == row + 1
         msg = str(info.value)
         assert bad.kind in msg and str(bad.pair) in msg
         assert f"[{bad.lo!r}, {bad.hi!r}]" in msg
         assert f"[{first.lo!r}, {first.hi!r}]" not in msg
+        assert msg.endswith(": injected")
+        calls.clear()
         argv = ["--out-dir", str(tmp_path), "connect", "--path", "paper-polyline"]
         assert main(argv) == 3
+
+    def test_rejected_row_is_retried_as_a_tracker_leg(self, monkeypatch):
+        # on this path two u's pass within 1e-3 of each other inside one
+        # tracker step and apart again: the bracket's row at the midpoint
+        # fails the collision guard, measured from the bracket's lower end,
+        # whatever Newton starts from, and is continued there by a tracker
+        # leg that halves its steps.  The one-at-a-time oracle's label
+        # matching fails there; the events, kinds and labels, are those that
+        # matching all three roots of the cubic at each row gave, and each
+        # lies within half the tolerance of its 30-digit zero
+        path = self.NEAR_COLLISION
+        want = [
+            ("stokes_crossing", (1, 3), None, 1, 3, -1),
+            ("segment_crossing", (1, 2), 3, None, None, None),
+            ("stokes_crossing", (2, 3), None, 3, 2, -1),
+            ("stokes_crossing", (1, 2), None, 1, 2, 1),
+            ("segment_crossing", (2, 3), 1, None, None, None),
+            ("stokes_crossing", (1, 3), None, 3, 1, 1),
+            ("segment_crossing", (1, 2), 3, None, None, None),
+        ]
+        with pytest.raises(LabelMatchError):
+            scalar_detect_events(path)
+        polish, leg = tracking.polish, tracking.track_polyline
+        rejected, legs = [], []
+
+        def recorded_polish(coeffs, old, guess):
+            out = polish(coeffs, old, guess)
+            if out is None:
+                rejected.append(old)
+            return out
+
+        def recorded_leg(coeffs_at_point, knots, start_vals, **kw):
+            legs.append(knots)
+            return leg(coeffs_at_point, knots, start_vals, **kw)
+
+        traj = track_u(path)
+        centres = _centre_values(monkeypatch)
+        monkeypatch.setattr(tracking, "polish", recorded_polish)
+        monkeypatch.setattr(tracking, "track_polyline", recorded_leg)
+        _, got = detect_events(path)
+        assert len(rejected) == 1 and len(legs) == 2  # track_u's own, and the retry
+        assert any(v.tolist() == rejected[0] for v in traj.values)  # a tracker sample
+        assert [_event_labels(e) for e in got] == want
+        for ev in got:
+            zero = mp_event_zero(path, ev, centres[ev.tau])
+            assert abs(ev.tau - zero) <= BISECTION_TOL / 2, (ev.kind, ev.pair, ev.tau - zero)
 
 
 class TestConnectionWalk:

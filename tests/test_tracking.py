@@ -4,11 +4,14 @@ Each family is recorded leg by leg from a real library call, then every leg
 is replayed through ``tracking.track_family`` and through the reference loop
 in ``oracles``, with the leg's own step cap: the tau sequence and the
 accept/reject counts must be the same, and the tracked values must agree to
-1e-13 relative.  The monodromy loop is one arc leg among them.  The
-generated step kernel of each degree equals the scalar Horner-loop helpers
-it replaced (kept in ``oracles``) bit for bit, accept/reject decision
-included, on random polynomials of degree 1 to 6 and on each kind of
-rejection.
+1e-13 relative.  The monodromy loop is one arc leg among them.  On random
+families whose roots stay apart, the secant-predicted tracker ends where
+the reference loop ends, to 1e-12.  The generated step kernel of each
+degree polishes onto distinct roots of its polynomial, computed at 30
+digits by mpmath, and start-checks bit for bit as the scalar Horner-loop
+helpers it replaced (kept in ``oracles``), on random polynomials of degree
+1 to 6; it accepts or rejects as they do from starts near the roots and
+on each kind of rejection.
 
 With ``stops``, a Laplace ray of the Borel quartic is tracked as one leg
 that lands once on every Gauss node; the values there match a replay one
@@ -27,9 +30,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import StepUnderflow, from_roots, scalar_misfit, scalar_step, track_family_numpy
+from oracles import (
+    StepUnderflow,
+    from_roots,
+    mp_polyroots,
+    scalar_misfit,
+    scalar_step,
+    track_family_numpy,
+)
 from pearcey_wkb import borel, tracking
 from pearcey_wkb.borel import SheetField, monodromy
 from pearcey_wkb.errors import ContinuationError
@@ -145,7 +155,76 @@ def test_values_beyond_float_range_stop_tracking():
         tracking.track_family(coeffs_fn, lambda t: t, [0.0])
 
 
-# -- the generated step kernel against the scalar helpers it replaced -----------
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_final_values_match_numpy_reference(seed, degree):
+    # roots on random quadratic curves r0 + v t + w t^2 that stay 0.05 apart:
+    # the secant-predicted tracker ends where the reference loop, Newton
+    # from the previous values, ends
+    rng = np.random.default_rng(seed)
+    r0, v, w = (rng.normal(size=degree) + 1j * rng.normal(size=degree) for _ in range(3))
+    lead = complex(*rng.normal(size=2))
+    ts = np.linspace(0.0, 1.0, 201)[:, None]
+    curves = r0 + v * ts + w * ts**2
+    assume(all(np.abs(curves[:, i] - curves[:, j]).min() > 0.05
+               for i, j in itertools.combinations(range(degree), 2)))
+
+    def coeffs_fn(t):
+        return from_roots(r0 + v * t + w * t * t, lead)
+
+    want = track_family_numpy(coeffs_fn, r0)[1][-1]
+    got = tracking.track_family(coeffs_fn, lambda t: t, r0).final
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_newton_starts_from_the_secant_prediction(monkeypatch):
+    # a leg's first attempt starts Newton from the start values; every later
+    # one from the secant through the last two accepted records, evaluated
+    # at the attempted tau, while the guard still measures from the record
+    seen = []
+    kernel = tracking._step_kernel
+
+    def recording(n):
+        step, misfit = kernel(n)
+
+        def recorded(c, old, guess):
+            seen.append((list(old), list(guess)))
+            return step(c, old, guess)
+
+        return recorded, misfit
+
+    targets = []
+
+    def coeffs_fn(t):
+        targets.append(t)
+        return from_roots([1 + t + t * t, -1 - 2j * t, 3j - t], 1.0)
+
+    monkeypatch.setattr(tracking, "_step_kernel", recording)
+    trace = tracking.track_family(coeffs_fn, lambda t: t, [1.0, -1.0, 3j])
+    assert len(seen) == len(targets) - 1 >= 5
+    for (old, guess), target in zip(seen, targets[1:]):
+        i = next(i for i, v in enumerate(trace.values) if v.tolist() == old)
+        if i == 0:
+            assert guess == old
+            continue
+        tau, prev = trace.taus[i], trace.values[i - 1]
+        want = old + (old - prev) * (target - tau) / (tau - trace.taus[i - 1])
+        assert np.abs(np.array(guess) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_step_kernel_starts_from_the_guess_and_guards_from_old():
+    # z^2 - 1 from old values near +-1: Newton from the old values accepts
+    # them at +-1; from the swapped guess it lands on the swapped roots, and
+    # the guard, measuring from the old values, rejects the swap
+    step, _ = tracking._step_kernel(2)
+    c = [1 + 0j, 0j, -1 + 0j]
+    old = [1.3 + 0j, -1.3 + 0j]
+    assert step(c, old, old) == [1.0, -1.0]
+    assert step(c, old, [-1.0 + 0j, 1.0 + 0j]) is None
+    assert step(c, old, [1.01 + 0j, -1.01 + 0j]) == [1.0, -1.0]
+
+
+# -- the generated step kernel: 30-digit roots and the scalar helpers' decisions --
 
 
 def _outcome(fn, *args):
@@ -156,22 +235,31 @@ def _outcome(fn, *args):
         return "overflow"
 
 
-def _bits(vals):
-    return [(z.real.hex(), z.imag.hex()) for z in vals]
+def _assert_on_distinct_roots(c, vals):
+    """Each value lies within 1e-14 max(1, |z|), plus its root's roundoff
+    floor, of a root of c at 30 digits, no two values on the same root."""
+    roots = mp_polyroots(c)
+    nearest = [min(range(len(roots)), key=lambda k: abs(z - roots[k][0])) for z in vals]
+    assert len(set(nearest)) == len(vals)
+    for z, k in zip(vals, nearest):
+        r, floor = roots[k]
+        assert abs(z - r) <= 1e-14 * max(1.0, abs(z)) + floor, (z, r, floor)
 
 
-def _assert_same_step(c, old):
-    """The degree's kernel steps and start-checks (factors 1 and 10) ``old``
-    as the scalar helpers do, bit for bit; returns the helpers' polished
-    values and decision, or "overflow"."""
+def _assert_step(c, old):
+    """The degree's kernel, Newton starting from ``old``, accepts or rejects
+    as the scalar helpers do, its accepted values lie on distinct roots
+    (``_assert_on_distinct_roots``), and it start-checks (factors 1 and 10)
+    as the helpers do, bit for bit; returns the helpers' polished values and
+    decision, or "overflow"."""
     step, misfit = tracking._step_kernel(len(c) - 1)
-    got = _outcome(step, c, old)
+    got = _outcome(step, c, old, old)
     want = _outcome(scalar_step, c, old)
     if want == "overflow":
         assert got == "overflow"
     elif want[1]:
-        assert got == want[0]
-        assert _bits(got) == _bits(want[0])
+        assert got is not None
+        _assert_on_distinct_roots(c, got)
     else:
         assert got is None
     for factor in (1, 10):
@@ -183,49 +271,56 @@ def _assert_same_step(c, old):
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-14.0, 0.0))
+# a Newton correction grows on the second iteration far from the root: a
+# stagnation stop there would end a polish the helpers finish
+@example(846834528, 5, -1.3421774825891166)
+@example(947574232, 6, -0.7742394019821432)
+@example(4022823784, 6, -0.6557164725574545)
 def test_step_kernel_matches_scalar_helpers(seed, degree, log_noise):
     # start values near the roots of a random polynomial: small noise is
-    # polished and accepted, large noise ends in collisions or misfits
+    # polished and accepted, large noise ends in collisions or misfits.  The
+    # kernel accepts or rejects as the helpers do, an accepted step lands on
+    # distinct roots, and the start check is the helpers', bit for bit
     rng = np.random.default_rng(seed)
     roots = rng.normal(size=degree) + 1j * rng.normal(size=degree)
     lead = complex(*rng.normal(size=2))
     c = tracking._descending(from_roots(roots, lead))
     noise = rng.normal(size=degree) + 1j * rng.normal(size=degree)
-    _assert_same_step(c, (roots + 10.0**log_noise * noise).tolist())
+    _assert_step(c, (roots + 10.0**log_noise * noise).tolist())
 
 
 def test_step_kernel_rejects_as_scalar_helpers():
     inf, nan = float("inf"), float("nan")
     # accepted: start values near the roots +-1 and 2j
     c = tracking._descending(from_roots([1.0, -1.0, 2j], 0.5 - 1j))
-    new, ok = _assert_same_step(c, [1.0 + 1e-6j, -1.0 - 1e-7, 2j + 1e-8])
+    new, ok = _assert_step(c, [1.0 + 1e-6j, -1.0 - 1e-7, 2j + 1e-8])
     assert ok
     # a value that is not finite after the polish
     c = [1 + 0j, 0j, -1 + 0j]
-    new, ok = _assert_same_step(c, [complex(inf, 0.0), -1 + 0j])
+    new, ok = _assert_step(c, [complex(inf, 0.0), -1 + 0j])
     assert not ok and not all(map(np.isfinite, new))
     # a failed residual test: Newton on z^2 + 1 from real starts stays real
     c = [1 + 0j, 0j, 1 + 0j]
-    new, ok = _assert_same_step(c, [0.5 + 0j, -0.5 + 0j])
+    new, ok = _assert_step(c, [0.5 + 0j, -0.5 + 0j])
     assert not ok and all(map(np.isfinite, new))
     assert scalar_misfit(c, new, 1) is not None
     # a collision: both roots of z^2 - z found, but sep 1 < 3 * disp 0.4
     c = [1 + 0j, -1 + 0j, 0j]
     old = [0j, 0.6 + 0j]
-    new, ok = _assert_same_step(c, old)
+    new, ok = _assert_step(c, old)
     sep = abs(new[0] - new[1])
     disp = max(abs(a - b) for a, b in zip(new, old))
     assert not ok and scalar_misfit(c, new, 1) is None
     assert 0.0 < sep < tracking.GUARD_RATIO * disp
     # both starts polish onto the root 1: zero separation
-    new, ok = _assert_same_step([1 + 0j, 0j, -1 + 0j], [0.9 + 0j, 1.1 + 0j])
+    new, ok = _assert_step([1 + 0j, 0j, -1 + 0j], [0.9 + 0j, 1.1 + 0j])
     assert not ok and new[0] == new[1]
     # coefficients near 1e300 whose root lies beyond the float range: abs()
     # of the polished value overflows
     c = [1e-8 + 0j, -1.3e300 * (1 + 1j)]
-    assert _assert_same_step(c, [1.2e308 * (1 + 1j)]) == "overflow"
+    assert _assert_step(c, [1.2e308 * (1 + 1j)]) == "overflow"
     # a NaN coefficient: every value polishes to NaN
-    new, ok = _assert_same_step([1 + 0j, complex(nan, 0.0), 1 + 0j], [0.5j, -0.5j])
+    new, ok = _assert_step([1 + 0j, complex(nan, 0.0), 1 + 0j], [0.5j, -0.5j])
     assert not ok
 
 
