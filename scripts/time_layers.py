@@ -30,6 +30,7 @@ and whether the medians differ by more than A's interquartile spread
 
 import contextlib
 import cProfile
+import importlib
 import json
 import os
 import platform
@@ -98,20 +99,32 @@ CASES = {
 COLD = ("build_series(8), cold", "elimination, cold")
 PER_ATTEMPT = "tracker step"
 
-# count key -> (file name, function name), counted by cProfile
+# count key -> function in the package, its calls counted by cProfile
 CALLS = {
-    "events.batches": ("stokes.py", "_u_batch"),
-    "calls.poly_eval_many": ("aberth.py", "poly_eval_many"),
-    "calls.QuarticSpec.coeffs": ("borel.py", "coeffs"),
-    "calls.singular_cubic_coeffs": ("geometry.py", "singular_cubic_coeffs"),
-    "calls.singular_cubic_grid": ("geometry.py", "singular_cubic_grid"),
-    "calls.stokes_sextic_coeffs": ("geometry.py", "stokes_sextic_coeffs"),
-    "calls.stokes_sextic_grid": ("geometry.py", "stokes_sextic_grid"),
-    "calls.MultiPoly.eval_numeric": ("multipoly.py", "eval_numeric"),
-    "calls.MultiPoly.__mul__": ("multipoly.py", "__mul__"),
-    "calls.ZetaRational.__mul__": ("zeta_ring.py", "__mul__"),
-    "calls.ZetaRational.derive": ("zeta_ring.py", "derive"),
+    "events.batches": "stokes._u_batch",
+    "calls.poly_eval_many": "aberth.poly_eval_many",
+    "calls.QuarticSpec.coeffs": "borel.QuarticSpec.coeffs",
+    "calls.singular_cubic_coeffs": "geometry.singular_cubic_coeffs",
+    "calls.singular_cubic_grid": "geometry.singular_cubic_grid",
+    "calls.stokes_sextic_coeffs": "geometry.stokes_sextic_coeffs",
+    "calls.stokes_sextic_grid": "geometry.stokes_sextic_grid",
+    "calls.MultiPoly.eval_numeric": "multipoly.MultiPoly.eval_numeric",
+    "calls.MultiPoly.__mul__": "multipoly.MultiPoly.__mul__",
+    "calls.ZetaRational.__mul__": "zeta_ring.ZetaRational.__mul__",
+    "calls.ZetaRational.derive": "zeta_ring.ZetaRational.derive",
 }
+
+
+def profile_key(target: str) -> tuple:
+    """cProfile's (file, first line, name) key of a function in the package,
+    so that another function of the same name in the same file is not
+    counted with it."""
+    module, *path = target.split(".")
+    obj = importlib.import_module(f"pearcey_wkb.{module}")
+    for name in path:
+        obj = getattr(obj, name)
+    code = obj.__code__
+    return code.co_filename, code.co_firstlineno, code.co_name
 
 
 @contextlib.contextmanager
@@ -119,12 +132,14 @@ def counting():
     """Count the package's work while active; the nonzero counts land in the
     yielded dict on exit, and every patched name is restored.
 
-    A tracker leg is one ``track_family`` call: it attempts one step per
-    coefficient evaluation after the first, and accepts those that add a
-    point to its trace.  Its context is the innermost of ``monodromy``,
-    ``anchor`` (``SheetField.anchor``), ``cut_jump`` (``borel._cut_jump``)
-    and ``laplace`` (``SheetField.track_stops``, whose stops are the Laplace
-    nodes) it runs in, else ``rest``.  Event batches and rows are the calls
+    A tracker leg is one ``track_family`` call, one path piece (a
+    ``Segment`` or an ``Arc``): it attempts one step per call of its
+    coefficient callable, the first argument, after the call at tau = 0,
+    and accepts those that add a point to its trace.  Its context is the
+    innermost of ``monodromy``, ``anchor`` (``SheetField.anchor``),
+    ``cut_jump`` (``borel._cut_jump``) and ``laplace``
+    (``SheetField.track_stops``, whose stops are the Laplace nodes) it runs
+    in, else ``rest``.  Event batches and rows are the calls
     and rows of ``stokes._u_batch``: one call per lockstep step of the
     event bracketing, one row per tracker step it takes.
     """
@@ -149,12 +164,12 @@ def counting():
         return wrap
 
     def track_family(real):
-        def wrapper(coeffs_fn, *args, **kw):
+        def wrapper(coeffs_at, *args, **kw):
             evaluations = [0]
 
-            def counted(tau):
+            def counted(point):
                 evaluations[0] += 1
-                return coeffs_fn(tau)
+                return coeffs_at(point)
 
             if kw.get("trace") is None:
                 kw["trace"] = tracking.Trace()
@@ -194,10 +209,8 @@ def counting():
         profile.disable()
         for owner, name, real in reversed(patched):
             setattr(owner, name, real)
-    calls = Counter()
-    for (path, _, name), row in pstats.Stats(profile).stats.items():
-        calls[os.path.basename(path), name] += row[1]
-    counts.update({key: calls[where] for key, where in CALLS.items()})
+    calls = {where: row[1] for where, row in pstats.Stats(profile).stats.items()}
+    counts.update({key: calls.get(profile_key(target), 0) for key, target in CALLS.items()})
     out.update(sorted((k, v) for k, v in counts.items() if v))
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateLeadingCoefficient, RootConvergenceError, ValidationError
 
+ROOT_TOL = 1e-12  # relative residual target per root, the solvers' default
 _MAX_ITERS = 400
 _POLISH_ITERS = 20
 _LEAD_TOL = 1e-14  # relative to the largest coefficient
@@ -58,7 +59,7 @@ def _validated(coeffs, tol: float) -> np.ndarray:
     return c
 
 
-def roots_aberth_batch(coeffs, tol: float = 1e-12) -> np.ndarray:
+def roots_aberth_batch(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
     """Roots of every row of ``coeffs``, one Aberth iteration per row.
 
     Parameters
@@ -142,7 +143,7 @@ def _newton_polish(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def roots_aberth(coeffs, tol: float = 1e-12) -> np.ndarray:
+def roots_aberth(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
     """All complex roots of one polynomial, in deterministic order.
 
     A batch of one for :func:`roots_aberth_batch`: ``coeffs`` are ascending

@@ -268,7 +268,8 @@ def track_s_with_bows(field, vals, s_path) -> np.ndarray:
     A path is a list of pieces, each a point or a :class:`tracking.Arc`.  It
     starts at its first piece and runs straight to each next point; it runs
     straight to an arc's start (unless it is already there) and then along
-    the arc as one tracker leg.
+    the arc.  Each straight stretch (a :class:`tracking.Segment`) and each
+    arc is one tracker leg.
 
     Two sheets of the quartic can take the same value away from any branch
     point (distinct saddles sharing one value of g).  Such crossings stop
@@ -284,9 +285,6 @@ def track_s_with_bows(field, vals, s_path) -> np.ndarray:
     s_stars = [u / field.x1_quarter for u in field.u_vals]
     sep_s = field.min_sep / abs(field.x1_quarter)
 
-    def coeffs(s):
-        return field.spec.coeffs(s, field.t)
-
     def bowable(err, depth) -> bool:
         loc = err.location
         return depth < 4 and loc is not None and min(abs(loc - s) for s in s_stars) >= 0.12 * sep_s
@@ -294,28 +292,24 @@ def track_s_with_bows(field, vals, s_path) -> np.ndarray:
     def bow(vals, a, b, loc, depth):
         perp = 1j * (b - a) / abs(b - a)
         mid = loc + perp * 0.05 * sep_s
-        part = leg(vals, (a, mid), depth + 1)
-        return leg(part, (mid, b), depth + 1)
+        part = leg(vals, tracking.Segment(a, mid), depth + 1)
+        return leg(part, tracking.Segment(mid, b), depth + 1)
 
     def leg(vals, piece, depth):
-        if not isinstance(piece, tracking.Arc):
-            a, b = piece
-            try:
-                return tracking.track_polyline(coeffs, [a, b], vals).final
-            except ContinuationError as err:
-                if not bowable(err, depth):
-                    raise
-                return bow(vals, a, b, err.location, depth)
         trace = tracking.Trace()
         try:
-            return tracking.track_arc(coeffs, piece, vals, trace=trace).final
+            return tracking.track_family(field.coeffs_at, piece, vals, trace=trace).final
         except ContinuationError as err:
-            if not (trace.taus and bowable(err, depth)):
+            if not bowable(err, depth):
+                raise
+            if isinstance(piece, tracking.Segment):
+                return bow(vals, piece.a, piece.b, err.location, depth)
+            if not trace.taus:
                 raise
             reach = tracking.ARC_STEP / abs(piece.theta1 - piece.theta0)
             k = max(0, bisect_right(trace.taus, trace.taus[-1] - reach) - 1)
             tau_b = min(1.0, trace.taus[-1] + reach)
-            out = bow(trace.values[k], piece.at(trace.taus[k]), piece.at(tau_b), err.location, depth)
+            out = bow(trace.values[k], trace.points[k], piece.at(tau_b), err.location, depth)
             return out if tau_b == 1.0 else leg(out, piece.part(tau_b, 1.0), depth + 1)
 
     cur = np.asarray(vals, dtype=complex)
@@ -323,7 +317,7 @@ def track_s_with_bows(field, vals, s_path) -> np.ndarray:
     for piece in s_path:
         start = _start(piece)
         if start != here:
-            cur = leg(cur, (here, start), 0)
+            cur = leg(cur, tracking.Segment(here, start), 0)
         here = start
         if isinstance(piece, tracking.Arc):
             cur = leg(cur, piece, 0)
@@ -416,6 +410,10 @@ class SheetField:
     def s_of_y(self, y: complex) -> complex:
         return complex(y) / self.x1_quarter
 
+    def coeffs_at(self, s: complex) -> list[complex]:
+        """Ascending quartic coefficients at s and the field's t."""
+        return self.spec.coeffs(s, self.t)
+
     def _s_path(self, y_path) -> list:
         scale = 1 / self.x1_quarter
         return [p.scaled(scale) if isinstance(p, tracking.Arc) else self.s_of_y(p) for p in y_path]
@@ -457,11 +455,7 @@ class SheetField:
             trace = tracking.Trace()
             try:
                 tracking.track_family(
-                    lambda r, p=start: self.spec.coeffs(p + (b - p) * r, self.t),
-                    lambda r, p=start: p + (b - p) * r,
-                    start_vals,
-                    trace=trace,
-                    stops=rest,
+                    self.coeffs_at, tracking.Segment(start, b), start_vals, trace=trace, stops=rest
                 )
             except ContinuationError:
                 pass  # the trace keeps the stops reached before the failure

@@ -20,13 +20,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from .aberth import ROOT_TOL
 from .errors import NumericError, PearceyError, ValidationError
 from .quadrature import LAPLACE_TOL
 from .stokes import BISECTION_TOL
 from .tracking import RESIDUAL_TOL
 
 TOLERANCES = {
-    "root_residual": 1e-12,
+    "root_residual": ROOT_TOL,
     "tracking_residual": RESIDUAL_TOL,
     "bisection": BISECTION_TOL,
     "quadrature": LAPLACE_TOL,

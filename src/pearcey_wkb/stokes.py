@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tracking
-from .aberth import roots_aberth_batch
+from .aberth import ROOT_TOL, roots_aberth_batch
 from .errors import (
     ContinuationError,
     DominanceError,
@@ -61,41 +61,41 @@ def stokes_indicator(x: PlanePoint):
 # -- trajectories -----------------------------------------------------------------
 
 
-@dataclass
-class UTrajectories:
-    """Labeled Borel-singularity tracks along a base-plane path."""
+def _path_points(x_path: list[PlanePoint | tuple]) -> list[tuple[complex, complex]]:
+    """A base-plane path's knots as (x1, x2) tuples of complex."""
+    return [
+        p.as_tuple() if isinstance(p, PlanePoint) else (complex(p[0]), complex(p[1]))
+        for p in x_path
+    ]
 
-    taus: list[float]  # global parameter in [0, 1]
-    points: list[tuple[complex, complex]]  # (x1, x2) samples
-    values: list[np.ndarray]  # three labeled u's per sample
 
-
-def track_u(x_path: list[PlanePoint | tuple]) -> UTrajectories:
+def track_u(x_path: list[PlanePoint | tuple]) -> tracking.Trace:
     """Track the labeled u's along a polyline of base points.
 
     Each accepted step Newton-corrects the u's onto the singularity cubic
-    and passes the tracker's collision guard (no numerical integration).  A
-    path passing too near the turning locus stops with a
-    ``ContinuationError`` carrying the obstruction point.
+    and passes the tracker's collision guard (no numerical integration).
+    The trace's taus are global: segment i of n covers [i/n, (i+1)/n], and
+    each knot is recorded once.  A path passing too near the turning locus
+    stops with a ``ContinuationError`` carrying the obstruction point.
     """
-    pts = [p.as_tuple() if isinstance(p, PlanePoint) else (complex(p[0]), complex(p[1])) for p in x_path]
+    pts = _path_points(x_path)
     if len(pts) < 2:
         raise ValidationError("path needs at least 2 vertices")
     start = critical_values(PlanePoint(*pts[0]))
     trace = tracking.track_polyline(_cubic_at, pts, np.array(start.values, dtype=complex))
-    out = UTrajectories([], [], [])
+    taus, points, values = [], [], []
     nseg = len(pts) - 1
     i = -1
     for tau, point, tvals in zip(trace.taus, trace.points, trace.values):
         if tau == 0.0:  # every leg starts with a tau = 0 record
             i += 1
         g = (i + tau) / nseg
-        if out.taus and g <= out.taus[-1]:
+        if taus and g <= taus[-1]:
             continue
-        out.taus.append(g)
-        out.points.append(point)
-        out.values.append(tvals)
-    return out
+        taus.append(g)
+        points.append(point)
+        values.append(tvals)
+    return tracking.Trace(taus, points, values)
 
 
 def _cubic_at(p: tuple[complex, complex]) -> np.ndarray:
@@ -197,7 +197,7 @@ class _Bracket:
     im_before: int
 
 
-def _brackets(traj: UTrajectories) -> list[_Bracket]:
+def _brackets(traj: tracking.Trace) -> list[_Bracket]:
     """Every bracket of a tracked path: pair by pair, Stokes crossings
     before segment crossings, each kind in path order."""
     out = []
@@ -223,8 +223,8 @@ def _u_batch(pts, taus: list[float], brackets: list[_Bracket]) -> list[list[comp
     the linear interpolation between the bracket's ``lo_vals`` and
     ``hi_vals`` at ``taus[r]``.
 
-    A rejected step is retried as a tracker leg from the bracket's lower
-    end to ``taus[r]`` (``tracking.track_polyline``), which halves its steps
+    A rejected step is retried as a tracker leg, a ``tracking.Segment`` from
+    the bracket's lower end to ``taus[r]``, which halves its steps
     where the u's pass close to each other between the samples; when that
     fails too, ``LabelMatchError`` names the bracket that owns the row.
     The coefficients of all rows are one ``singular_cubic_grid`` call; the
@@ -239,9 +239,9 @@ def _u_batch(pts, taus: list[float], brackets: list[_Bracket]) -> list[list[comp
         guess = [lo + (hi - lo) * w for lo, hi in zip(b.lo_vals, b.hi_vals)]
         vals = tracking.polish(c, b.lo_vals, guess)
         if vals is None:
-            leg = [_x_at(pts, b.lo), _x_at(pts, t)]
+            leg = tracking.Segment(_x_at(pts, b.lo), _x_at(pts, t))
             try:
-                vals = tracking.track_polyline(_cubic_at, leg, np.array(b.lo_vals)).final.tolist()
+                vals = tracking.track_family(_cubic_at, leg, b.lo_vals).final.tolist()
             except ContinuationError as err:
                 raise LabelMatchError(
                     f"tracker step rejected locating the {b.kind} of pair {b.pair} "
@@ -260,7 +260,7 @@ def _candidates(b: _Bracket) -> list[float]:
     return sorted({t for t in ((b.lo + b.hi) / 2, est - q, est, est + q) if b.lo < t < b.hi})
 
 
-def detect_events(x_path: list) -> tuple[UTrajectories, list[StokesEvent]]:
+def detect_events(x_path: list) -> tuple[tracking.Trace, list[StokesEvent]]:
     """Locate all Stokes and segment crossings along a path, in order.
 
     Every sign change between consecutive samples is narrowed to width
@@ -277,8 +277,8 @@ def detect_events(x_path: list) -> tuple[UTrajectories, list[StokesEvent]]:
     ``DominanceError``; a segment crossing counts only where the crosser
     projects inside the segment.
     """
-    traj = track_u(x_path)
-    pts = [p.as_tuple() if isinstance(p, PlanePoint) else (complex(p[0]), complex(p[1])) for p in x_path]
+    pts = _path_points(x_path)
+    traj = track_u(pts)
     brackets = _brackets(traj)
     if not brackets:
         return traj, []
@@ -465,7 +465,7 @@ def raster_section(
     ys = np.linspace(im0, im1, resolution)
     x1 = _complex_grid(xs, ys)
     sext = _sextic_layer(x2, x1) if with_sextic else None
-    roots = _solve_blocks(singular_cubic_grid, x1.ravel(), x2, 1e-12)
+    roots = _solve_blocks(singular_cubic_grid, x1.ravel(), x2, ROOT_TOL)
     values, near = _label_sweep(roots.reshape(resolution, resolution, 3), x1[0, 0], x2)
 
     sep = np.min(np.abs(values[..., _PAIR_J] - values[..., _PAIR_K]), axis=-1)

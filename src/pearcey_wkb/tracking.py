@@ -2,16 +2,18 @@
 
 One tracker serves every continuation job in the package: characteristic
 roots of the cubic along x-paths, Borel singularities from their cubic, and
-the four sheets of the Borel quartic along paths in the base plane.  Every
-leg of a path is one :func:`track_family` call over tau in [0, 1]:
+the four sheets of the Borel quartic along paths in the base plane.  A path
+is a sequence of pieces, and every piece is one :func:`track_family` call
+over its parameter tau in [0, 1]:
 
-* a straight leg, one per segment of a polyline (:func:`track_polyline`),
-  starts at tau-step 0.125 and never steps more than ``MAX_STEP`` = 0.25;
-  a leg that must pass through given points (the Gauss nodes of a Laplace
-  ray) has those points' taus as ``stops``, each step that would pass the
-  next stop being shortened to land on it;
-* a circular :class:`Arc` is one leg however far it turns
-  (:func:`track_arc`), its steps capped at ``ARC_STEP`` radians.
+* a straight :class:`Segment` starts at tau-step 0.125 and never steps more
+  than ``MAX_STEP`` = 0.25; a polyline is one segment per pair of knots
+  (:func:`track_polyline`), and a segment that must pass through given
+  points (the Gauss nodes of a Laplace ray) has those points' taus as
+  ``stops``, each step that would pass the next stop being shortened to
+  land on it;
+* a circular :class:`Arc` is one piece however far it turns, its steps
+  capped at ``ARC_STEP`` radians.
 
 Each step is a predictor-corrector.  The predictor extrapolates the last
 two accepted tuples of the leg linearly in tau (a secant; a leg's first
@@ -27,8 +29,9 @@ with the polynomial, its derivative and the residual scale written out in
 Horner form on local coefficients.  :func:`polish` is one such step from a
 prediction of the caller's; event bisection in ``stokes`` labels its rows
 by it.  Running out of refinement raises ``ContinuationError`` with the
-path point where the tracker gave up; the message also names the segment
-and the tau reached, or the arc and the angle reached.
+path point where the tracker gave up; the message also names the piece and
+where on it the tracker stopped (``where``): the segment and the tau
+reached, or the arc and the angle reached.
 """
 
 from __future__ import annotations
@@ -238,24 +241,21 @@ class Trace:
         return min(map(_min_pairwise, self.values), default=inf)
 
 
-def track_family(
-    coeffs_fn,
-    point_fn,
-    start_vals,
-    *,
-    trace: Trace | None = None,
-    stops=(),
-    max_step: float = MAX_STEP,
-) -> Trace:
-    """Continue labeled roots of a polynomial family over tau in [0, 1].
+def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, stops=()) -> Trace:
+    """Continue labeled roots of a polynomial family along one path piece,
+    tau running over [0, 1].
 
     Parameters
     ----------
-    coeffs_fn : callable
-        tau -> ascending complex coefficient array of the family member;
-        called once at tau = 0 and once per attempted step.
-    point_fn : callable
-        tau -> base-plane point (diagnostics only).
+    coeffs_at : callable
+        Point of the piece -> ascending complex coefficient array of the
+        family member there; called once at tau = 0 and once per attempted
+        step, on ``piece.at(tau)``.
+    piece : Segment or Arc
+        The path piece: ``at(tau)`` is its point at tau, ``max_step`` its
+        largest tau-step (the first step is half of it, each accepted step
+        doubles the next up to it and each rejected step halves it) and
+        ``where(tau)`` names it and tau in an error message.
     start_vals : sequence of complex
         Labeled roots at tau = 0; they must satisfy the tau = 0 polynomial.
     stops : sequence of float
@@ -263,112 +263,94 @@ def track_family(
         pass the next stop is shortened to end on it, and a rejected
         shortened step halves its own length.  Each stop is recorded once,
         like any accepted step.
-    max_step : float
-        Largest tau-step; the first step is half of it, each accepted step
-        doubles the next up to it and each rejected step halves it.
 
-    Each step's coefficients become one descending list of Python complex
-    numbers, on which the step kernel of the family's degree
-    (:func:`_step_kernel`) polishes the values and tests them.  Newton
-    starts from the secant through the last two accepted tuples of this
-    call, evaluated at the new tau; the first step starts from
-    ``start_vals``.
+    Each accepted step records its tau, the point its coefficients were
+    computed at and the values.  The coefficients become one descending
+    list of Python complex numbers, on which the step kernel of the
+    family's degree (:func:`_step_kernel`) polishes the values and tests
+    them.  Newton starts from the secant through the last two accepted
+    tuples of this call, evaluated at the new tau; the first step starts
+    from ``start_vals``.  A ``ContinuationError`` raised on the way,
+    ``coeffs_at``'s own included, comes out with ``piece.where`` of the
+    last accepted tau appended.
     """
     stops = [float(s) for s in stops]
     if any(not 0.0 < s <= 1.0 for s in stops) or any(
         a >= b for a, b in zip(stops[:-1], stops[1:])
     ):
         raise ValueError("stops must be ascending taus in (0, 1]")
-    vals = np.asarray(start_vals, dtype=complex).tolist()
-    c0 = _descending(coeffs_fn(0.0))
-    advance, misfit = _step_kernel(len(c0) - 1)
-    bad = misfit(c0, vals, 10)
-    if bad is not None:
-        raise ContinuationError(
-            f"start value {bad} does not satisfy the family at tau=0",
-            location=point_fn(0.0),
-        )
     if trace is None:
         trace = Trace()
-    trace.record(0.0, point_fn(0.0), vals)
-
-    next_stop = 0
+    vals = np.asarray(start_vals, dtype=complex).tolist()
     tau = 0.0
-    step = 0.5 * max_step
-    last = None  # (tau, values) of the accepted record before the current one
-    while tau < 1.0:
-        target = min(1.0, tau + step)
-        at_stop = next_stop < len(stops) and target >= stops[next_stop]
-        if at_stop:
-            target = stops[next_stop]
-        c = _descending(coeffs_fn(target))
-        if last is None:
-            guess = vals
-        else:
-            r = (target - tau) / (tau - last[0])
-            guess = [v + (v - w) * r for v, w in zip(vals, last[1])]
-        try:
-            new_vals = advance(c, vals, guess)
-        except OverflowError:  # abs() of a finite complex beyond the float range
-            new_vals = None
-        if new_vals is not None:
-            last = (tau, vals)
-            tau = target
-            vals = new_vals
-            trace.record(tau, point_fn(tau), vals)
-            step = min(2 * step, max_step)
-            next_stop += at_stop
-        else:
-            step = 0.5 * (target - tau if at_stop else step)
-            if step < MIN_STEP:
-                raise ContinuationError(
-                    "near-discriminant passage: step underflow during tracking",
-                    location=point_fn(tau),
-                )
+    try:
+        here = piece.at(0.0)
+        c0 = _descending(coeffs_at(here))
+        advance, misfit = _step_kernel(len(c0) - 1)
+        bad = misfit(c0, vals, 10)
+        if bad is not None:
+            raise ContinuationError(
+                f"start value {bad} does not satisfy the family at tau=0", location=here
+            )
+        trace.record(0.0, here, vals)
+
+        next_stop = 0
+        step = 0.5 * piece.max_step
+        last = None  # (tau, values) of the accepted record before the current one
+        while tau < 1.0:
+            target = min(1.0, tau + step)
+            at_stop = next_stop < len(stops) and target >= stops[next_stop]
+            if at_stop:
+                target = stops[next_stop]
+            point = piece.at(target)
+            c = _descending(coeffs_at(point))
+            if last is None:
+                guess = vals
+            else:
+                r = (target - tau) / (tau - last[0])
+                guess = [v + (v - w) * r for v, w in zip(vals, last[1])]
+            try:
+                new_vals = advance(c, vals, guess)
+            except OverflowError:  # abs() of a finite complex beyond the float range
+                new_vals = None
+            if new_vals is not None:
+                last = (tau, vals)
+                tau, here, vals = target, point, new_vals
+                trace.record(tau, here, vals)
+                step = min(2 * step, piece.max_step)
+                next_stop += at_stop
+            else:
+                step = 0.5 * (target - tau if at_stop else step)
+                if step < MIN_STEP:
+                    raise ContinuationError(
+                        "near-discriminant passage: step underflow during tracking",
+                        location=here,
+                    )
+    except ContinuationError as err:
+        raise ContinuationError(f"{err} ({piece.where(tau)})", location=err.location) from err
     return trace
 
 
-def track_polyline(coeffs_at_point, knots, start_vals, *, trace=None) -> Trace:
-    """Track through a polyline of base points, one ``track_family`` leg per
-    segment.
+def track_polyline(coeffs_at, knots, start_vals) -> Trace:
+    """Track through a polyline of base points, one :class:`Segment` per
+    pair of consecutive knots.
 
-    A knot is either a complex number (a point of the s- or x1-plane) or a
-    tuple of complex coordinates (a point of the (x1, x2) or (s, t) plane);
-    all knots of a path have the same form.  The point at parameter tau of
-    the segment from a to b is ``a + (b - a) * tau``, coordinate by
-    coordinate, and ``coeffs_at_point`` maps such a point, in the knots'
-    form, to ascending coefficients.  Every leg starts with a tau = 0
-    record, so the records of leg i follow its i-th tau = 0 record.  A
-    single knot gives a trace of ``start_vals`` alone, unchecked.  A
-    ``ContinuationError`` names the segment (index, count, endpoints) and
-    the tau of its last accepted step.
+    Knots are complex numbers or tuples of them, as for :class:`Segment`;
+    ``coeffs_at`` maps a point in the knots' form to ascending
+    coefficients.  Every segment starts with a tau = 0 record, so the
+    records of segment i follow its i-th tau = 0 record.  A single knot
+    gives a trace of ``start_vals`` alone, unchecked.
     """
     knots = [tuple(map(complex, k)) if isinstance(k, tuple) else complex(k) for k in knots]
     if not knots:
         raise ContinuationError("path needs at least 1 vertex")
-    trace = Trace() if trace is None else trace
+    trace = Trace()
     if len(knots) == 1:
         trace.record(0.0, knots[0], start_vals)
         return trace
-    vals = start_vals
+    vals, n = start_vals, len(knots) - 1
     for i, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
-        def point_fn(t, a=a, b=b):
-            return _lerp(a, b, t)
-
-        def coeffs_fn(t, a=a, b=b):
-            return coeffs_at_point(_lerp(a, b, t))
-
-        first = len(trace.taus)
-        try:
-            track_family(coeffs_fn, point_fn, vals, trace=trace)
-        except ContinuationError as err:
-            tau = trace.taus[-1] if len(trace.taus) > first else 0.0
-            raise ContinuationError(
-                f"{err} (segment {i + 1} of {len(knots) - 1}, from {_knot_text(a)} "
-                f"to {_knot_text(b)}, at tau {tau:.6g})",
-                location=err.location,
-            ) from err
-        vals = trace.final
+        vals = track_family(coeffs_at, Segment(a, b, i + 1, n), vals, trace=trace).final
     return trace
 
 
@@ -379,11 +361,35 @@ def _knot_text(knot) -> str:
     return f"{knot:.6g}"
 
 
-def _lerp(a, b, t):
-    """The point at parameter t of the segment from knot a to knot b."""
-    if isinstance(a, tuple):
-        return tuple(p + (q - p) * t for p, q in zip(a, b))
-    return a + (b - a) * t
+@dataclass(frozen=True)
+class Segment:
+    """The straight piece from knot ``a`` to knot ``b``, segment ``index`` of
+    the ``count`` segments of its polyline.
+
+    A knot is either a complex number (a point of the s- or x1-plane) or a
+    tuple of complex coordinates (a point of the (x1, x2) or (s, t) plane);
+    both knots have the same form.
+    """
+
+    a: complex | tuple
+    b: complex | tuple
+    index: int = 1
+    count: int = 1
+
+    max_step = MAX_STEP
+
+    def at(self, tau: float):
+        """The point ``a + (b - a) * tau``, coordinate by coordinate."""
+        if isinstance(self.a, tuple):
+            return tuple(p + (q - p) * tau for p, q in zip(self.a, self.b))
+        return self.a + (self.b - self.a) * tau
+
+    def where(self, tau: float) -> str:
+        """The segment and tau, as an error message names them."""
+        return (
+            f"segment {self.index} of {self.count}, from {_knot_text(self.a)} "
+            f"to {_knot_text(self.b)}, at tau {tau:.6g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -404,6 +410,13 @@ class Arc:
     def at(self, tau: float) -> complex:
         """The point at parameter tau in [0, 1]."""
         return self.center + self.radius * exp(1j * self.angle(tau))
+
+    def where(self, tau: float) -> str:
+        """The arc and the angle at tau, as an error message names them."""
+        return (
+            f"arc about {self.center:.6g} of radius {self.radius:.6g}, "
+            f"at angle {self.angle(tau):.6g}"
+        )
 
     @property
     def start(self) -> complex:
@@ -429,33 +442,6 @@ class Arc:
         return Arc(
             self.center * factor, self.radius * abs(factor), self.theta0 + turn, self.theta1 + turn
         )
-
-
-def track_arc(coeffs_at_point, arc: Arc, start_vals, *, trace: Trace | None = None) -> Trace:
-    """Track along ``arc`` as one ``track_family`` leg, steps capped at
-    ``ARC_STEP`` radians.
-
-    ``coeffs_at_point`` maps a complex point to ascending coefficients.  A
-    ``ContinuationError`` names the arc's centre and radius and the angle
-    of the last accepted step.
-    """
-    trace = Trace() if trace is None else trace
-    first = len(trace.taus)
-    try:
-        return track_family(
-            lambda tau: coeffs_at_point(arc.at(tau)),
-            arc.at,
-            start_vals,
-            trace=trace,
-            max_step=arc.max_step,
-        )
-    except ContinuationError as err:
-        theta = arc.angle(trace.taus[-1]) if len(trace.taus) > first else arc.theta0
-        raise ContinuationError(
-            f"{err} (arc about {arc.center:.6g} of radius {arc.radius:.6g}, "
-            f"at angle {theta:.6g})",
-            location=err.location,
-        ) from err
 
 
 def polish(coeffs, old, guess):

@@ -83,11 +83,6 @@ def random_multipoly(rng, variables, max_degree=2, max_terms=4, coeff_range=6):
     return MultiPoly(variables, terms)
 
 
-def finite_difference(f, z0: complex, h: float = 1e-6) -> complex:
-    """Central difference derivative of a complex function of one variable."""
-    return (f(z0 + h) - f(z0 - h)) / (2 * h)
-
-
 def singular_cubic_closed_form(x1: complex, x2: complex) -> list[complex]:
     """Descending coefficients in y of disc_z(z^4 + x2 z^2 + x1 z + y),
     expanded by hand: 256 y^3 - 128 x2^2 y^2 + (144 x1^2 x2 + 16 x2^4) y
@@ -593,16 +588,12 @@ def f0_branch_per_leg(x, ell):
     pts = [p.as_tuple() for p in labeling_path(x)]
     ref = reference_zetas(pts[0][0].real)
     vals = ref
-    for (a1, a2), (b1, b2) in zip(pts[:-1], pts[1:]):
-        def coeffs_fn(t, a1=a1, a2=a2, b1=b1, b2=b2):
-            return char_cubic_coeffs(PlanePoint(a1 + (b1 - a1) * t, a2 + (b2 - a2) * t))
-
-        def point_fn(t, a1=a1, b1=b1):
-            return a1 + (b1 - a1) * t
-
-        trace = tracking.track_family(coeffs_fn, point_fn, vals)
-        for tau, triple in zip(trace.taus, trace.values):
-            w = 6.0 * triple[ell - 1] ** 2 + (a2 + (b2 - a2) * tau)
+    for a, b in zip(pts[:-1], pts[1:]):
+        trace = tracking.track_family(
+            lambda p: char_cubic_coeffs(PlanePoint(*p)), tracking.Segment(a, b), vals
+        )
+        for (_, x2), triple in zip(trace.points, trace.values):
+            w = 6.0 * triple[ell - 1] ** 2 + x2
             if w_prev is not None:
                 dtheta = np.angle(w / w_prev)
                 assert abs(dtheta) <= 2.5, "phase step too large"

@@ -226,7 +226,7 @@ class TestMonodromy:
             lambda s: spec.coeffs(s, 0.0), [0.02 * d, 0.9 * d], start
         )
         loop = tracking.Arc(0, 0.9, np.pi / 3, np.pi / 3 + 2 * np.pi)
-        looped = tracking.track_arc(lambda s: spec.coeffs(s, 0.0), loop, to_base.final)
+        looped = tracking.track_family(lambda s: spec.coeffs(s, 0.0), loop, to_base.final)
         perm = tuple(tracking.match_labels(looped.final, to_base.final))
         lengths = sorted(
             len(c) for c in cycle_notation(perm).strip("()").split(")(")

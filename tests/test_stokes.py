@@ -274,7 +274,7 @@ class TestLockstepBisection:
             calls.append(1)
             if len(calls) < row + 1:
                 return polish(coeffs, old, guess)
-            monkeypatch.setattr(tracking, "track_polyline", reject_leg)
+            monkeypatch.setattr(tracking, "track_family", reject_leg)
             return None
 
         def reject_leg(*args, **kw):
@@ -314,7 +314,7 @@ class TestLockstepBisection:
         ]
         with pytest.raises(LabelMatchError):
             scalar_detect_events(path)
-        polish, leg = tracking.polish, tracking.track_polyline
+        polish, leg = tracking.polish, tracking.track_family
         rejected, legs = [], []
 
         def recorded_polish(coeffs, old, guess):
@@ -323,16 +323,19 @@ class TestLockstepBisection:
                 rejected.append(old)
             return out
 
-        def recorded_leg(coeffs_at_point, knots, start_vals, **kw):
-            legs.append(knots)
-            return leg(coeffs_at_point, knots, start_vals, **kw)
+        def recorded_leg(coeffs_at, piece, start_vals, **kw):
+            legs.append(piece)
+            return leg(coeffs_at, piece, start_vals, **kw)
 
         traj = track_u(path)
         centres = _centre_values(monkeypatch)
         monkeypatch.setattr(tracking, "polish", recorded_polish)
-        monkeypatch.setattr(tracking, "track_polyline", recorded_leg)
+        monkeypatch.setattr(tracking, "track_family", recorded_leg)
         _, got = detect_events(path)
-        assert len(rejected) == 1 and len(legs) == 2  # track_u's own, and the retry
+        # track_u's n segments, then the retry: one bare segment
+        n = len(path) - 1
+        assert len(rejected) == 1
+        assert [(p.index, p.count) for p in legs] == [(i, n) for i in range(1, n + 1)] + [(1, 1)]
         assert any(v.tolist() == rejected[0] for v in traj.values)  # a tracker sample
         assert [_event_labels(e) for e in got] == want
         for ev in got:

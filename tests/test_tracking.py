@@ -1,13 +1,14 @@
 """The tracker's step loop against its numpy-scalar reference.
 
-Each family is recorded leg by leg from a real library call, then every leg
-is replayed through ``tracking.track_family`` and through the reference loop
-in ``oracles``, with the leg's own step cap: the tau sequence and the
-accept/reject counts must be the same, and the tracked values must agree to
-1e-13 relative.  The monodromy loop is one arc leg among them.  On random
-families whose roots stay apart, the secant-predicted tracker ends where
-the reference loop ends, to 1e-12.  The generated step kernel of each
-degree polishes onto distinct roots of its polynomial, computed at 30
+Each family is recorded leg by leg from a real library call, every leg one
+path piece (a ``Segment`` or an ``Arc``); then every leg is replayed
+through ``tracking.track_family`` and through the reference loop in
+``oracles``, with the piece's own step cap: the tau sequence and the
+accept/reject counts must be the same, and the tracked values must agree
+to 1e-13 relative.  The monodromy loop is one arc leg among them.  On
+random families whose roots stay apart, the secant-predicted tracker ends
+where the reference loop ends, to 1e-12.  The generated step kernel of
+each degree polishes onto distinct roots of its polynomial, computed at 30
 digits by mpmath, and start-checks bit for bit as the scalar Horner-loop
 helpers it replaced (kept in ``oracles``), on random polynomials of degree
 1 to 6; it accepts or rejects as they do from starts near the roots and
@@ -18,7 +19,9 @@ that lands once on every Gauss node; the values there match a replay one
 node-to-node leg at a time, and a failure forced mid-ray falls back to the
 bowed leg for one stretch and still yields every node.  A failure forced
 mid-arc bows the chord of one stretch of the arc and arrives at the
-unforced sheets; an arc that cannot be passed names itself in the error.
+unforced sheets.  An arc that cannot be passed names itself and the angle
+reached in the error, a segment its endpoints and the tau reached; a
+segment's point at tau is ``a + (b - a) * tau`` bit for bit.
 
 Properties of ``track_polyline`` on (x1, x2) knots of the characteristic
 cubic, over polylines that stay clear of the turning locus: a path and its
@@ -27,6 +30,7 @@ unchanged, and a single knot gives back the start values.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -52,10 +56,9 @@ def _recorded_legs(monkeypatch, run):
     legs = []
     real = tracking.track_family
 
-    def recorder(coeffs_fn, point_fn, start_vals, **kw):
-        cap = kw.get("max_step", tracking.MAX_STEP)
-        legs.append((coeffs_fn, point_fn, np.array(start_vals, dtype=complex), cap))
-        return real(coeffs_fn, point_fn, start_vals, **kw)
+    def recorder(coeffs_at, piece, start_vals, **kw):
+        legs.append((coeffs_at, piece, np.array(start_vals, dtype=complex)))
+        return real(coeffs_at, piece, start_vals, **kw)
 
     monkeypatch.setattr(tracking, "track_family", recorder)
     run()
@@ -63,27 +66,32 @@ def _recorded_legs(monkeypatch, run):
     return legs
 
 
-def _replay(coeffs_fn, point_fn, start, cap):
+def _replay(coeffs_at, piece, start):
     calls = [0]
 
-    def counted(tau):
+    def counted(point):
         calls[0] += 1
-        return coeffs_fn(tau)
+        return coeffs_at(point)
 
     try:
-        trace = tracking.track_family(counted, point_fn, start, stops=(), max_step=cap)
+        trace = tracking.track_family(counted, piece, start, stops=())
     except ContinuationError:
         return None
     accepted = len(trace.taus) - 1
     return trace.taus, trace.values, accepted, calls[0] - 1 - accepted
 
 
-def _reference(coeffs_fn, start, cap):
+def _reference(coeffs_at, piece, start):
     try:
-        return track_family_numpy(coeffs_fn, start, max_step=cap)
+        return track_family_numpy(
+            lambda tau: coeffs_at(piece.at(tau)), start, max_step=piece.max_step
+        )
     except StepUnderflow:
         return None
 
+
+# the unit segment: its point at tau is tau itself, for families written in tau
+UNIT = tracking.Segment(0.0, 1.0)
 
 # family -> (library call, least number of straight legs, full-turn arc legs)
 FAMILIES = {
@@ -100,16 +108,15 @@ FAMILIES = {
 def test_steps_match_numpy_reference(family, monkeypatch):
     run, straight, loops = FAMILIES[family]
     legs = _recorded_legs(monkeypatch, run)
-    arcs = [getattr(leg[1], "__self__", None) for leg in legs]
-    arcs = [arc for arc in arcs if isinstance(arc, tracking.Arc)]
+    arcs = [piece for _, piece, _ in legs if isinstance(piece, tracking.Arc)]
     assert len(legs) - len(arcs) >= straight
     assert len(arcs) == loops
     for arc in arcs:
         assert arc.theta1 - arc.theta0 == pytest.approx(2 * np.pi, rel=1e-15)
     accepted_total = 0
-    for coeffs_fn, point_fn, start, cap in legs:
-        got = _replay(coeffs_fn, point_fn, start, cap)
-        want = _reference(coeffs_fn, start, cap)
+    for coeffs_at, piece, start in legs:
+        got = _replay(coeffs_at, piece, start)
+        want = _reference(coeffs_at, piece, start)
         assert (got is None) == (want is None)
         if got is None:
             continue
@@ -126,15 +133,16 @@ def test_track_family_keyword_is_trace_only():
     def coeffs_fn(t):
         return np.array([-(1 + t), 0, 1], dtype=complex)
 
-    with pytest.raises(TypeError):
-        tracking.track_family(coeffs_fn, lambda t: t, [1.0, -1.0], guard_ratio=2.0)
+    for knob in ({"guard_ratio": 2.0}, {"max_step": 0.1}, {"point_fn": lambda t: t}):
+        with pytest.raises(TypeError):
+            tracking.track_family(coeffs_fn, UNIT, [1.0, -1.0], **knob)
     trace = tracking.Trace()
-    out = tracking.track_family(coeffs_fn, lambda t: t, [1.0, -1.0], trace=trace)
+    out = tracking.track_family(coeffs_fn, UNIT, [1.0, -1.0], trace=trace)
     assert out is trace
     assert np.allclose(trace.final, [np.sqrt(2), -np.sqrt(2)], atol=1e-14)
     assert trace.min_separation == pytest.approx(2.0)
     # one value per record: no pair to measure
-    single = tracking.track_family(lambda t: np.array([-t, 1.0]), lambda t: t, [0.0])
+    single = tracking.track_family(lambda t: np.array([-t, 1.0]), UNIT, [0.0])
     assert single.min_separation == np.inf
     # many legs: the minimum over every record of every leg
     legs = char_trace(labeling_path(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j)))
@@ -152,7 +160,7 @@ def test_values_beyond_float_range_stop_tracking():
         return np.array([-a * t, 1.0], dtype=complex)
 
     with pytest.raises(ContinuationError):
-        tracking.track_family(coeffs_fn, lambda t: t, [0.0])
+        tracking.track_family(coeffs_fn, UNIT, [0.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,7 +181,7 @@ def test_final_values_match_numpy_reference(seed, degree):
         return from_roots(r0 + v * t + w * t * t, lead)
 
     want = track_family_numpy(coeffs_fn, r0)[1][-1]
-    got = tracking.track_family(coeffs_fn, lambda t: t, r0).final
+    got = tracking.track_family(coeffs_fn, UNIT, r0).final
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -200,7 +208,7 @@ def test_newton_starts_from_the_secant_prediction(monkeypatch):
         return from_roots([1 + t + t * t, -1 - 2j * t, 3j - t], 1.0)
 
     monkeypatch.setattr(tracking, "_step_kernel", recording)
-    trace = tracking.track_family(coeffs_fn, lambda t: t, [1.0, -1.0, 3j])
+    trace = tracking.track_family(coeffs_fn, UNIT, [1.0, -1.0, 3j])
     assert len(seen) == len(targets) - 1 >= 5
     for (old, guess), target in zip(seen, targets[1:]):
         i = next(i for i, v in enumerate(trace.values) if v.tolist() == old)
@@ -345,13 +353,8 @@ def _laplace_ray(ell=3, x=PlanePoint(1.0, 0.1), eta=10.0, npanels=4):
 
 
 def _ray_trace(field, start, y0, y1, stops):
-    a, b = field.s_of_y(y0), field.s_of_y(y1)
-    return tracking.track_family(
-        lambda r: field.spec.coeffs(a + (b - a) * r, field.t),
-        lambda r: a + (b - a) * r,
-        start,
-        stops=stops,
-    )
+    ray = tracking.Segment(field.s_of_y(y0), field.s_of_y(y1))
+    return tracking.track_family(field.coeffs_at, ray, start, stops=stops)
 
 
 def test_each_stop_is_recorded_once():
@@ -372,7 +375,7 @@ def test_stops_must_ascend_inside_the_unit_interval():
 
     for bad in ([0.0, 0.5], [0.5, 0.5], [0.7, 0.2], [0.5, 1.5]):
         with pytest.raises(ValueError):
-            tracking.track_family(coeffs_fn, lambda t: t, [1.0, -1.0], stops=bad)
+            tracking.track_family(coeffs_fn, UNIT, [1.0, -1.0], stops=bad)
 
 
 def test_stop_values_match_node_by_node_legs():
@@ -383,12 +386,31 @@ def test_stop_values_match_node_by_node_legs():
     vals, prev = start, a
     for tau in taus:
         point = a + (b - a) * tau
-        vals = tracking.track_polyline(
-            lambda s: field.spec.coeffs(s, field.t), [prev, point], vals
-        ).final
+        vals = tracking.track_polyline(field.coeffs_at, [prev, point], vals).final
         prev = point
         assert np.abs(at_stop[tau] - vals).max() <= 1e-13 * np.abs(vals).max()
     assert field.track_stops(start, y0, y1, taus)[-1].tolist() == trace.final.tolist()
+
+
+@dataclass(frozen=True)
+class _GivesUp:
+    """``piece`` up to tau ``limit``; past it, every point raises
+    ``ContinuationError``, as a tracker failure there would."""
+
+    piece: object
+    limit: float
+
+    @property
+    def max_step(self):
+        return self.piece.max_step
+
+    def at(self, tau):
+        if tau > self.limit:
+            raise ContinuationError("forced", location=self.piece.at(tau))
+        return self.piece.at(tau)
+
+    def where(self, tau):
+        return self.piece.where(tau)
 
 
 @pytest.mark.parametrize("fail_after", [0, 5])
@@ -398,16 +420,10 @@ def test_failure_mid_ray_bows_one_stretch_and_returns_every_node(fail_after, mon
     real_track, real_bows = tracking.track_family, borel.track_s_with_bows
     bowed = []
 
-    def failing(coeffs_fn, point_fn, start_vals, *, stops=(), **kw):
+    def failing(coeffs_at, piece, start_vals, *, stops=(), **kw):
         # every ray leg gives up just past its (fail_after + 1)-th stop
         limit = stops[fail_after] if len(stops) > fail_after + 1 else 2.0
-
-        def coeffs(r):
-            if r > limit:
-                raise ContinuationError("forced", location=point_fn(r))
-            return coeffs_fn(r)
-
-        return real_track(coeffs, point_fn, start_vals, stops=stops, **kw)
+        return real_track(coeffs_at, _GivesUp(piece, limit), start_vals, stops=stops, **kw)
 
     def counted(field, vals, s_knots):
         bowed.append(len(s_knots))
@@ -440,19 +456,12 @@ def test_failure_mid_arc_bows_one_chord_and_arrives_at_the_same_sheets(monkeypat
     real_track = tracking.track_family
     legs = []
 
-    def failing(coeffs_fn, point_fn, start_vals, **kw):
+    def failing(coeffs_at, piece, start_vals, **kw):
         # the first arc leg gives up half way round
-        piece = getattr(point_fn, "__self__", None)
         legs.append(piece if isinstance(piece, tracking.Arc) else "straight")
-        if len(legs) > 1:
-            return real_track(coeffs_fn, point_fn, start_vals, **kw)
-
-        def coeffs(r):
-            if r > 0.5:
-                raise ContinuationError("forced", location=point_fn(r))
-            return coeffs_fn(r)
-
-        return real_track(coeffs, point_fn, start_vals, **kw)
+        if len(legs) == 1:
+            piece = _GivesUp(piece, 0.5)
+        return real_track(coeffs_at, piece, start_vals, **kw)
 
     monkeypatch.setattr(tracking, "track_family", failing)
     got = field.track_from(start, [arc])
@@ -470,12 +479,54 @@ def test_arc_failure_names_the_arc_and_angle():
     arc = tracking.Arc(0j, 1.0, -np.pi / 2, np.pi / 2)
     root = np.sqrt(arc.start - 1)
     with pytest.raises(ContinuationError) as err:
-        tracking.track_arc(lambda p: [1 - p, 0, 1], arc, [root, -root])
+        tracking.track_family(lambda p: [1 - p, 0, 1], arc, [root, -root])
     message = str(err.value)
     assert "arc about 0+0j of radius 1," in message
     angle = float(message.rsplit("at angle ", 1)[1].rstrip(")"))
     assert abs(angle) < 1e-3
     assert abs(err.value.location - np.exp(1j * angle)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "segment, coeffs_at, text",
+    [
+        # complex knots, as a bow's straight legs
+        (tracking.Segment(-1 + 0j, 3 + 0j), lambda p: [1 - p, 0, 1], "from -1+0j to 3+0j"),
+        # (x1, x2) knots, as the event bracketing's retried rows
+        (tracking.Segment((-1 + 0j, 0.5j), (3 + 0j, 0.5j)), lambda p: [1 - p[0], 0, 1],
+         "from (-1+0j, 0+0.5j) to (3+0j, 0+0.5j)"),
+    ],
+    ids=["complex", "tuple"],
+)
+def test_segment_failure_names_its_endpoints_and_tau(segment, coeffs_at, text):
+    # z^2 = p - 1 along p from -1 to 3: the two roots meet at p = 1, tau 0.5
+    root = 1j * np.sqrt(2.0)
+    with pytest.raises(ContinuationError) as err:
+        tracking.track_family(coeffs_at, segment, [root, -root])
+    message = str(err.value)
+    assert f"(segment 1 of 1, {text}, at tau " in message
+    tau = float(message.rsplit("at tau ", 1)[1].rstrip(")"))
+    assert 0.49 < tau <= 0.5
+    got, want = err.value.location, segment.at(tau)
+    assert type(got) is type(want)
+    assert np.abs(np.subtract(got, want)).max() < 1e-5
+
+
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+_finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+_z = st.builds(complex, _finite, _finite)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_z, _z, _z, _z, st.floats(0.0, 1.0))
+def test_segment_point_is_the_lerp_expression(a, b, c, d, tau):
+    # bit for bit a + (b - a) * tau, coordinate by coordinate for tuple knots
+    assert _bits(tracking.Segment(a, b).at(tau)) == _bits(a + (b - a) * tau)
+    got = tracking.Segment((a, c), (b, d)).at(tau)
+    assert list(map(_bits, got)) == [_bits(a + (b - a) * tau), _bits(c + (d - c) * tau)]
 
 
 # -- track_polyline on (x1, x2) knots of the characteristic cubic ---------------
