@@ -66,6 +66,19 @@ block = {3: singular_cubic_grid(cells, x.x2),
          4: np.array([st.coeffs(s, 0.07 - 0.02j) for s in cells]),
          6: stokes_sextic_grid(cells, x.x2)}
 """
+SECTIONS = """
+import numpy as np
+from pearcey_wkb import aberth, stokes
+from pearcey_wkb.geometry import singular_cubic_grid, stokes_sextic_grid
+# the seed-1 seeded slice of the sections workload: cubic roots of its cells
+x2_seeded = 0.0687 + 0.4267j
+grid = stokes._complex_grid(np.linspace(-0.8, 0.8, 64), np.linspace(-0.8, 0.8, 64))
+grid_roots = stokes._solve_blocks(singular_cubic_grid, grid.ravel(), x2_seeded,
+                                  aberth.ROOT_TOL).reshape(64, 64, 3)
+# the first sextic block of the res-32 x2 = 0 figure slice, window +-0.45
+near = np.linspace(-0.45, 0.45, 32)
+sextic_x2_zero = stokes_sextic_grid(stokes._complex_grid(near, near).ravel()[:512], 0.0)
+"""
 BOREL = """
 from pearcey_wkb.borel import SheetField
 from pearcey_wkb.geometry import PlanePoint
@@ -90,6 +103,8 @@ CASES = {
        for n in (3, 4, 6)
        for rows, stmt in (("batch of 1", f"roots_aberth(one[{n}])"),
                           ("512 rows", f"roots_aberth_batch(block[{n}])"))},
+    "roots deg 6, 512 rows, x2 = 0": (SECTIONS, "aberth.roots_aberth_batch(sextic_x2_zero, 1e-10)"),
+    "label sweep, 64x64": (SECTIONS, "stokes._label_sweep(grid_roots, grid[0, 0], x2_seeded)"),
     "tracker step": (BOREL, "field.track_from(sheets, [anchor, anchor + 1.5])"),
     "laplace_borel_sum, warm": (BOREL, "laplace_borel_sum(1, field.x, 10.0, table=table)"),
     "detect_events(PAPER_POLYLINE)": (

@@ -128,8 +128,11 @@ def _newton_polish(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:
     test stopped early inside a near-multiple cluster).
 
     A root stops at a zero derivative, after a step below 1e-16 (1 + |r|),
-    or after ``_POLISH_ITERS`` steps.
+    or after ``_POLISH_ITERS`` steps.  A row retires once all its roots have
+    stopped; the rest continue on compacted arrays, as in the Aberth loop.
     """
+    out = np.empty_like(z)
+    rows = np.arange(z.shape[0])
     active = np.ones(z.shape, dtype=bool)
     for _ in range(_POLISH_ITERS):
         p = poly_eval_many(c, z)
@@ -138,9 +141,14 @@ def _newton_polish(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:
         step = np.divide(p, dp, out=np.zeros_like(p), where=active)
         z = z - step
         active &= ~(np.abs(step) < 1e-16 * (1.0 + np.abs(z)))
-        if not active.any():
-            break
-    return z
+        live = active.any(axis=1)
+        if not live.all():
+            out[rows[~live]] = z[~live]
+            if not live.any():
+                return out
+            rows, c, dc, z, active = rows[live], c[live], dc[live], z[live], active[live]
+    out[rows] = z
+    return out
 
 
 def roots_aberth(coeffs, tol: float = ROOT_TOL) -> np.ndarray:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -320,7 +319,8 @@ def stokes_sextic() -> MultiPoly:
     F = MultiPoly.var(evars, "F")
     pl = zl**3 * 4 + x2 * zl * 2 + x1
     pk = zk**3 * 4 + x2 * zk * 2 + x1
-    q = (zl - zk) * (x1 * 3 + x2 * (zl + zk) * 2) * Fraction(1, 4) - F
+    # 4 (F(zl, zk) - F): integer coefficients; primitive() drops the 4^9
+    q = (zl - zk) * (x1 * 3 + x2 * (zl + zk) * 2) - F * 4
     delta = resultant(pl, q, "zl")
     elim = resultant(pk, delta, "zk").drop_variable("zl").drop_variable("zk")
     # strip the diagonal contribution F^3 and any F-free content
@@ -341,7 +341,7 @@ def stokes_sextic() -> MultiPoly:
                 break
             sextic = quotient
     sextic, _ = sextic.primitive()
-    lead_f6 = sextic.terms.get((0, 0, 6), Fraction(0))
+    lead_f6 = sextic.terms.get((0, 0, 6), 0)
     if lead_f6 < 0:
         sextic = -sextic
     return sextic

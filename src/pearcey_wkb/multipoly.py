@@ -1,9 +1,13 @@
 """Exact multivariate polynomials over the rationals.
 
-``MultiPoly`` stores a map from exponent vectors to ``Fraction``
-coefficients over a fixed, ordered tuple of variable names.  Arithmetic is
-exact.  Term order for display and serialization is graded lexicographic
-(total degree first, then lex on the declared variable order), descending.
+``MultiPoly`` stores a map from exponent vectors to exact coefficients
+over a fixed, ordered tuple of variable names: a Python ``int``, or a
+``Fraction`` where not integral.  Arithmetic is exact and stays on ``int``
+where its operands are; construction, scalar products and exact division
+store integral values as ``int`` (polynomial sums and products are not
+re-normalised).  Term order for display and serialization is graded
+lexicographic (total degree first, then lex on the declared variable
+order), descending.
 
 Numeric evaluation has one path: :func:`compile_polys` turns a list of
 polynomials into straight-line Python source, compiled once per list on
@@ -33,14 +37,22 @@ from .errors import ValidationError
 RationalLike = int | Fraction
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _rational(c) -> RationalLike:
+    """An exact coefficient: an ``int`` where integral, else a ``Fraction``."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"not an exact rational: {c!r}")
+
+
+def _quotient(a: RationalLike, b: RationalLike) -> RationalLike:
+    """a / b exactly: floor division where both are ints and it is exact."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _rational(Fraction(a, b))
 
 
 def _grlex_key(exps: tuple[int, ...]):
@@ -48,7 +60,8 @@ def _grlex_key(exps: tuple[int, ...]):
 
 
 class MultiPoly:
-    """Multivariate polynomial with exact rational coefficients.
+    """Multivariate polynomial with exact coefficients: ``int``, or
+    ``Fraction`` where not integral.
 
     Instances are immutable in practice: no public method mutates ``terms``,
     and :meth:`eval_numeric` keeps the compiled function of the polynomial
@@ -61,17 +74,17 @@ class MultiPoly:
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], RationalLike] = {}
         if terms:
             nv = len(self.variables)
             for exps, c in terms.items():
-                c = _as_fraction(c)
+                c = _rational(c)
                 if c == 0:
                     continue
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != nv or any(e < 0 for e in exps):
                     raise ValidationError(f"bad exponent vector {exps}")
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = _rational(clean.get(exps, 0) + c)
                 if clean[exps] == 0:
                     del clean[exps]
         self.terms = clean
@@ -85,7 +98,7 @@ class MultiPoly:
     @classmethod
     def const(cls, variables, c) -> "MultiPoly":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): _as_fraction(c)})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def var(cls, variables, name, power: int = 1) -> "MultiPoly":
@@ -93,7 +106,7 @@ class MultiPoly:
         i = variables.index(name)
         e = [0] * len(variables)
         e[i] = power
-        return cls(variables, {tuple(e): Fraction(1)})
+        return cls(variables, {tuple(e): 1})
 
     # -- basic structure ----------------------------------------------
 
@@ -103,8 +116,8 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+    def constant_value(self) -> RationalLike:
+        return self.terms.get((0,) * len(self.variables), 0)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (deterministic)."""
@@ -151,7 +164,7 @@ class MultiPoly:
         self._check_compat(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s == 0:
                 terms.pop(e, None)
             else:
@@ -179,19 +192,19 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c0 = _as_fraction(other)
+            c0 = _rational(other)
             if c0 == 0:
                 return MultiPoly.zero(self.variables)
             out = MultiPoly.__new__(MultiPoly)
             out.variables = self.variables
-            out.terms = {e: c * c0 for e, c in self.terms.items()}
+            out.terms = {e: _rational(c * c0) for e, c in self.terms.items()}
             return out
         self._check_compat(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], RationalLike] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s == 0:
                     terms.pop(e, None)
                 else:
@@ -303,17 +316,17 @@ class MultiPoly:
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if divisor.is_constant():
-            return self * (1 / divisor.constant_value())
+            return self * Fraction(1, divisor.constant_value())
         rem = self
-        qterms: dict[tuple[int, ...], Fraction] = {}
+        qterms: dict[tuple[int, ...], RationalLike] = {}
         dlead_e, dlead_c = divisor.sorted_terms()[0]
         while not rem.is_zero():
             rlead_e, rlead_c = rem.sorted_terms()[0]
             qe = tuple(a - b for a, b in zip(rlead_e, dlead_e))
             if any(k < 0 for k in qe):
                 raise ValidationError("division not exact")
-            qc = rlead_c / dlead_c
-            qterms[qe] = qterms.get(qe, Fraction(0)) + qc
+            qc = _quotient(rlead_c, dlead_c)
+            qterms[qe] = qterms.get(qe, 0) + qc
             rem = rem - divisor * MultiPoly(self.variables, {qe: qc})
         return MultiPoly(self.variables, qterms)
 
@@ -324,30 +337,30 @@ class MultiPoly:
         except (ValidationError, ZeroDivisionError):
             return False
 
-    def content(self) -> Fraction:
+    def content(self) -> RationalLike:
         """Positive rational c with self/c integer-primitive; 0 for zero."""
         if self.is_zero():
-            return Fraction(0)
+            return 0
         num_g = 0
         den_l = 1
         for c in self.terms.values():
             num_g = gcd(num_g, abs(c.numerator))
             den_l = den_l * c.denominator // gcd(den_l, c.denominator)
-        return Fraction(num_g, den_l)
+        return _rational(Fraction(num_g, den_l))
 
-    def primitive(self) -> tuple["MultiPoly", Fraction]:
+    def primitive(self) -> tuple["MultiPoly", RationalLike]:
         """Return (primitive part, content-with-sign).
 
         The primitive part has coprime integer coefficients and a positive
         leading (graded-lex) coefficient; ``self == part * scale``.
         """
         if self.is_zero():
-            return self, Fraction(0)
+            return self, 0
         c = self.content()
         lead = self.sorted_terms()[0][1]
         if lead < 0:
             c = -c
-        return self * (1 / c), c
+        return self * Fraction(1, c), c
 
     # -- serialization -----------------------------------------------------
 

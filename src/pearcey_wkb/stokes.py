@@ -449,14 +449,12 @@ def raster_section(
     """Sample the Stokes indicators on an x1 grid at fixed x2.
 
     The cubic is solved for the whole grid, ``BLOCK`` cells per vectorised
-    Aberth batch.  Labels then continue from the bottom-left cell: up
-    column 0 one cell at a time, then column by column, every row matched
-    against its left neighbour at once.  Each cell's reference cell is the
-    same as in a row-by-row sweep (left to right, rows bottom to top).
-    Cells too close to the turning locus, or whose match is ambiguous, are
-    flagged and their labels are best-effort (sorted roots, merged-root
-    mode).  Zero-crossing polylines per pair come from sign changes between
-    adjacent cells.
+    Aberth batch.  Labels then continue from the bottom-left cell, up
+    column 0 and along each row (``_label_sweep``), composed from batched
+    matches across the sweep's cell edges.  Cells too close to the turning
+    locus, or whose match is ambiguous, are flagged and their labels are
+    best-effort (sorted roots, merged-root mode).  Zero-crossing polylines
+    per pair come from sign changes between adjacent cells.
     """
     if resolution < 16:
         raise ValidationError("resolution must be at least 16")
@@ -519,32 +517,42 @@ def _solve_blocks(coeffs_of, x1: np.ndarray, x2: complex, tol: float) -> np.ndar
     )
 
 
-def _relabel(ref: np.ndarray, roots: np.ndarray):
-    """Order each row of ``roots`` like its row of ``ref``; rows whose match
-    fails fall back to sorted order and are flagged."""
-    perm, ok = tracking.match_labels_rows(ref, roots, guard_ratio=1.0 + 1e-12)
-    ordered = np.take_along_axis(roots, perm, axis=-1)
-    ordered[~ok] = np.sort(roots[~ok], axis=-1)
-    return ordered, ~ok
-
-
 def _label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
-    """Labeled values and fallback flags for a (res, res, 3) root grid."""
+    """Labeled values and fallback flags for a (res, res, 3) root grid.
+
+    Labels continue from the bottom-left cell up column 0, then along each
+    row, every cell matched to its predecessor's labeled values.  The
+    matches are batched: each edge of that sweep is matched once between
+    raw roots (cell (0, 0) holds its ``critical_values`` row), one call for
+    column 0 and one for all rows.  Nearest matching and its guard are
+    equivariant under reordering the old set, so composing the edge
+    permutations along the sweep gives each cell's labels.  A failed edge
+    resets its cell to sorted order and flags it.
+    """
     res = roots.shape[0]
-    values = np.empty_like(roots)
+    raw = roots.copy()
     flagged = np.zeros(roots.shape[:2], dtype=bool)
     try:
-        values[0, 0] = critical_values(PlanePoint(x1_first, x2)).values
+        raw[0, 0] = critical_values(PlanePoint(x1_first, x2)).values
     except PearceyError:
-        values[0, 0] = np.sort(roots[0, 0])
+        raw[0, 0] = np.sort(roots[0, 0])
         flagged[0, 0] = True
+    guard = 1.0 + 1e-12
+    col_perm, col_ok = tracking.match_labels_rows(raw[:-1, 0], raw[1:, 0], guard)
+    row_perm, row_ok = tracking.match_labels_rows(raw[:, :-1], raw[:, 1:], guard)
+    flagged[1:, 0] = ~col_ok
+    flagged[:, 1:] = ~row_ok
+    # labels[i, j] indexes raw[i, j]; a flagged cell takes its sorted order
+    sorted_order = np.argsort(raw, axis=-1)
+    labels = np.empty(raw.shape, dtype=np.intp)
+    labels[0, 0] = np.arange(3)
     for i in range(1, res):
-        values[i : i + 1, 0], flagged[i : i + 1, 0] = _relabel(
-            values[i - 1 : i, 0], roots[i : i + 1, 0]
-        )
+        labels[i, 0] = col_perm[i - 1, labels[i - 1, 0]] if col_ok[i - 1] else sorted_order[i, 0]
+    rows = np.arange(res)[:, None]
     for j in range(1, res):
-        values[:, j], flagged[:, j] = _relabel(values[:, j - 1], roots[:, j])
-    return values, flagged
+        step = row_perm[rows, j - 1, labels[:, j - 1]]
+        labels[:, j] = np.where(row_ok[:, j - 1, None], step, sorted_order[:, j])
+    return np.take_along_axis(raw, labels, axis=-1), flagged
 
 
 def _edge_zero_points(values: np.ndarray, near: np.ndarray, xs, ys):
@@ -585,7 +593,7 @@ def _sextic_layer(x2: complex, x1: np.ndarray) -> np.ndarray:
     """min |Im F| over the derived sextic roots, per grid cell.
 
     Cells are independent (no label continuation): the sextic is solved
-    ``BLOCK`` cells per vectorised Aberth batch, in one thread.
+    ``BLOCK`` cells per vectorised Aberth batch.
     """
     roots = _solve_blocks(stokes_sextic_grid, x1.ravel(), x2, 1e-10)
     return np.min(np.abs(roots.imag), axis=1).reshape(x1.shape)

@@ -16,10 +16,11 @@ The remaining oracles keep earlier implementations as references: the
 tracker step loop on numpy scalars (no predictor), the tracker's scalar
 step helpers (Horner loops called per value) whose start check and
 accept/reject decisions its generated step kernel must reproduce, the
-per-cell loop of the raster CSV export, the Borel-plane
-circles (anchor arcs,
-cut-jump sides, monodromy loops) as chord polylines, one tracker leg per
-chord, the event bisection one bracket and one cubic solve at a time, the
+per-cell loop of the raster CSV export, the raster label sweep matching
+labeled values cell to cell, the Newton polish evaluating every row of a
+block in each iteration, the Borel-plane circles (anchor arcs, cut-jump
+sides, monodromy loops) as chord polylines, one tracker leg per chord, the
+event bisection one bracket and one cubic solve at a time, the
 f_0 phase continuation tracked one labeling-path leg at a time, the
 truncated-power expansion of the amplitude exponential, and central finite
 differences of a quartic branch by a Newton iteration of their own on the
@@ -39,11 +40,12 @@ import numpy as np
 import sympy
 
 from pearcey_wkb import borel, stokes, tracking
-from pearcey_wkb.aberth import roots_aberth
-from pearcey_wkb.errors import DominanceError
+from pearcey_wkb.aberth import _POLISH_ITERS, poly_eval_many, roots_aberth
+from pearcey_wkb.errors import DominanceError, PearceyError
 from pearcey_wkb.geometry import (
     PlanePoint,
     char_cubic_coeffs,
+    critical_values,
     labeling_path,
     reference_zetas,
     singular_cubic_coeffs,
@@ -194,6 +196,52 @@ def raster_csv_oracle(section) -> str:
                 )
             )
     return "\n".join(lines) + "\n"
+
+
+def _relabel(ref: np.ndarray, roots: np.ndarray):
+    """Order each row of ``roots`` like its row of ``ref``; rows whose match
+    fails fall back to sorted order and are flagged."""
+    perm, ok = tracking.match_labels_rows(ref, roots, guard_ratio=1.0 + 1e-12)
+    ordered = np.take_along_axis(roots, perm, axis=-1)
+    ordered[~ok] = np.sort(roots[~ok], axis=-1)
+    return ordered, ~ok
+
+
+def scalar_label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
+    """The raster label sweep matching labeled values cell to cell: up
+    column 0 one cell per call, then column by column, every row against
+    its left neighbour."""
+    res = roots.shape[0]
+    values = np.empty_like(roots)
+    flagged = np.zeros(roots.shape[:2], dtype=bool)
+    try:
+        values[0, 0] = critical_values(PlanePoint(x1_first, x2)).values
+    except PearceyError:
+        values[0, 0] = np.sort(roots[0, 0])
+        flagged[0, 0] = True
+    for i in range(1, res):
+        values[i : i + 1, 0], flagged[i : i + 1, 0] = _relabel(
+            values[i - 1 : i, 0], roots[i : i + 1, 0]
+        )
+    for j in range(1, res):
+        values[:, j], flagged[:, j] = _relabel(values[:, j - 1], roots[:, j])
+    return values, flagged
+
+
+def plain_newton_polish(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per-root Newton polish of a whole block: every row is evaluated in
+    each of the ``_POLISH_ITERS`` iterations until no root is active."""
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(_POLISH_ITERS):
+        p = poly_eval_many(c, z)
+        dp = poly_eval_many(dc, z)
+        active &= dp != 0
+        step = np.divide(p, dp, out=np.zeros_like(p), where=active)
+        z = z - step
+        active &= ~(np.abs(step) < 1e-16 * (1.0 + np.abs(z)))
+        if not active.any():
+            break
+    return z
 
 
 # -- the tracker's scalar step helpers -------------------------------------------

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import from_roots
-from pearcey_wkb import aberth
+from oracles import from_roots, plain_newton_polish
+from pearcey_wkb import aberth, stokes
 from pearcey_wkb.aberth import roots_aberth, roots_aberth_batch
 from pearcey_wkb.errors import (
     DegenerateLeadingCoefficient,
     RootConvergenceError,
     ValidationError,
 )
+from pearcey_wkb.geometry import singular_cubic_grid, stokes_sextic_grid
 
 
 def _as_set(roots, expected, tol=1e-9):
@@ -144,3 +145,46 @@ def test_batch_shapes():
 def test_single_solve_returns_roots():
     roots = roots_aberth(np.array([-4.0, 0.0, 0.0, 4.0]))
     assert roots.shape == (3,)
+
+
+def _sextic_block_x2_zero():
+    # the first block of the res-32 x2 = 0 sextic layer over window +-0.45
+    xs = np.linspace(-0.45, 0.45, 32)
+    return stokes_sextic_grid(stokes._complex_grid(xs, xs).ravel()[: stokes.BLOCK], 0.0), 1e-10
+
+
+def _cubic_block_near_turning_point():
+    # 512 cells within 1e-3 of the turning point x1 = 1 at x2 = -1.5
+    k = np.arange(512)
+    cells = 1.0 + 1e-3 * np.linspace(0.01, 1.0, 512) * np.exp(2j * np.pi * k / 512)
+    return singular_cubic_grid(cells, -1.5), aberth.ROOT_TOL
+
+
+@pytest.mark.parametrize("block", [_sextic_block_x2_zero, _cubic_block_near_turning_point])
+def test_retiring_polish_equals_plain_polish(block, monkeypatch):
+    coeffs, tol = block()
+    calls = []
+    polish = aberth._newton_polish
+
+    def captured(c, dc, z):
+        calls.append((c, dc, z))
+        return polish(c, dc, z)
+
+    monkeypatch.setattr(aberth, "_newton_polish", captured)
+    got = roots_aberth_batch(coeffs, tol)
+    (c, dc, z), = calls
+    want = plain_newton_polish(c, dc, z)
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    rows = []
+    horner = aberth.poly_eval_many
+
+    def counted(c, z):
+        rows.append(c.shape[0])
+        return horner(c, z)
+
+    monkeypatch.setattr(aberth, "poly_eval_many", counted)
+    polish(c, dc, z)
+    # some root runs all iterations, while finished rows leave the block
+    assert len(rows) == 2 * aberth._POLISH_ITERS
+    assert rows[0] == 512 and rows[-1] < 512

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +103,41 @@ def test_exact_division_and_primitive():
     p, c = (a * Fraction(-6, 7)).primitive()
     assert p * c == a * Fraction(-6, 7)
     assert p.content() == 1
+
+
+# sha256 of json.dumps(export_polynomials(), sort_keys=True), recorded from
+# the Fraction-coefficient elimination
+EXPORT_SHA256 = "01e7da89f8218a567d2211b3f6c6205f3fbc88d9c66f2bf7ed99d83717c89664"
+
+
+def test_elimination_runs_on_ints():
+    from pearcey_wkb.geometry import export_polynomials, singular_locus_cubic, stokes_sextic
+
+    doc = json.dumps(export_polynomials(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == EXPORT_SHA256
+    for p in (singular_locus_cubic(), stokes_sextic()):
+        assert p.terms and all(type(c) is int for c in p.terms.values())
+
+
+def test_integral_coefficients_stay_int():
+    z, x, _ = var("z"), var("x"), var("y")
+    a = (z * 2 + x * 4) * (z - x * 3 + 6)
+    for p in (a, a.exact_divide(z + x * 2), a * Fraction(1, 2), a.primitive()[0],
+              MultiPoly.from_json(a.to_json()), const(Fraction(4, 2))):
+        assert all(type(c) is int for c in p.terms.values())
+    assert type(a.content()) is int
+
+
+def test_non_integral_quotient_is_an_exact_fraction():
+    z, x, _ = var("z"), var("x"), var("y")
+    a = z * z * 3 + x * 5
+    q = a.exact_divide(const(2))
+    assert q.terms == {(2, 0, 0): Fraction(3, 2), (0, 1, 0): Fraction(5, 2)}
+    assert q * 2 == a
+    # leading coefficients 3 and 2: a non-integral quotient term
+    b = (z * 2 + x) * (z * 3 + 1)
+    q = (b * Fraction(1, 2)).exact_divide(z * 2 + x)
+    assert q.terms == {(1, 0, 0): Fraction(3, 2), (0, 0, 0): Fraction(1, 2)}
 
 
 def test_json_round_trip():

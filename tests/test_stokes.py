@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mp_event_zero, raster_csv_oracle, raster_labels_oracle, scalar_detect_events
+from oracles import (
+    mp_event_zero,
+    raster_csv_oracle,
+    raster_labels_oracle,
+    scalar_detect_events,
+    scalar_label_sweep,
+)
 from pearcey_wkb import aberth, stokes, tracking
 from pearcey_wkb.cli import main
 from pearcey_wkb.errors import (
@@ -12,7 +18,7 @@ from pearcey_wkb.errors import (
     TurningPointError,
     ValidationError,
 )
-from pearcey_wkb.geometry import PlanePoint, critical_values
+from pearcey_wkb.geometry import PlanePoint, critical_values, singular_cubic_grid
 from pearcey_wkb.stokes import (
     BISECTION_TOL,
     PAIRS,
@@ -448,6 +454,51 @@ class TestRaster:
         assert np.array_equal(got.sextic_sign, ref.sextic_sign)
         assert got.polylines == ref.polylines
         assert got.turning_points == ref.turning_points
+
+
+def _grid_roots(x2, window, res):
+    """Raw cubic roots of a raster section's cells and its first cell."""
+    xs = np.linspace(window[0], window[1], res)
+    ys = np.linspace(window[2], window[3], res)
+    x1 = stokes._complex_grid(xs, ys)
+    roots = stokes._solve_blocks(singular_cubic_grid, x1.ravel(), x2, aberth.ROOT_TOL)
+    return roots.reshape(res, res, 3), x1[0, 0]
+
+
+def _seeded_x2(n):
+    rng = np.random.default_rng(11)
+    return [complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(n)]
+
+
+class TestLabelSweep:
+    """The batched sweep against one-row-at-a-time matching, bit for bit."""
+
+    @staticmethod
+    def _assert_equal_to_scalar_sweep(x2, window, res):
+        roots, first = _grid_roots(x2, window, res)
+        values, flagged = stokes._label_sweep(roots, first, x2)
+        want, want_flagged = scalar_label_sweep(roots, first, x2)
+        assert (values.view(np.uint64) == want.view(np.uint64)).all()
+        assert np.array_equal(flagged, want_flagged)
+        return flagged
+
+    @pytest.mark.parametrize(
+        "x2, res", [(x2, (32, 48, 64)[k % 3]) for k, x2 in enumerate(_seeded_x2(21))]
+    )
+    def test_seeded_sections(self, x2, res):
+        self._assert_equal_to_scalar_sweep(x2, (-0.8, 0.8, -0.8, 0.8), res)
+
+    def test_flagged_cells_on_the_turning_locus(self):
+        flagged = self._assert_equal_to_scalar_sweep(-1.5, (-1.5, 1.5, -1.5, 1.5), 64)
+        assert flagged[1:].any() and flagged[:, 1:].any()
+
+    def test_first_cell_on_a_turning_point_falls_back_to_sorted(self):
+        # x1 = -1 is a turning point at x2 = -1.5
+        x2, window = -1.5, (-1.0, 1.0, 0.0, 1.5)
+        with pytest.raises(TurningPointError):
+            critical_values(PlanePoint(-1.0, x2))
+        flagged = self._assert_equal_to_scalar_sweep(x2, window, 32)
+        assert flagged[0, 0]
 
 
 class TestSexticOverlay:
