@@ -24,8 +24,12 @@ event bracketing's lockstep steps and rows, Laplace nodes, and the calls of
 The run is stored under LABEL in ``BENCH_layers.json`` at the repository
 root, replacing an earlier run with the same label.  Per layer it keeps
 each tree's median, quartiles and samples, the pairs in which B was faster,
-and whether the medians differ by more than A's interquartile spread
-(``resolved``); a layer that does not is unresolved, and no claim rests on it.
+and whether the difference is resolved (``resolved``): the medians differ
+by more than the larger of A's and B's interquartile spreads, and the tree
+with the lower median is the faster one in at least ``WINS_TO_RESOLVE`` of
+the ``REPEAT`` pairs.  A layer that is not resolved is noise, and no claim
+rests on it.  Every stored run is re-evaluated under this rule whenever the
+file is written.
 """
 
 import contextlib
@@ -45,6 +49,7 @@ from collections import Counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "..", "BENCH_layers.json")
 REPEAT = 10  # interleaved pairs
+WINS_TO_RESOLVE = 9  # of the REPEAT pairs; a one-sided sign test gives p = 0.011 for 9 of 10
 ROUNDS = 5
 ROUND_S = 0.02
 WORKLOADS = ("sections", "paths", "borel_sums")
@@ -286,6 +291,17 @@ def spread(samples: list) -> dict:
             "samples": [round(s, 3) for s in samples]}
 
 
+def resolved(row: dict) -> bool:
+    """Whether a layer's A and B times differ beyond noise (module docstring)."""
+    a, b = row["a"], row["b"]
+    gap = abs(b["median"] - a["median"])
+    noise = max(a["q3"] - a["q1"], b["q3"] - b["q1"])
+    wins = row["b_faster_pairs"]
+    if b["median"] > a["median"]:
+        wins = len(a["samples"]) - wins
+    return gap > noise and wins >= WINS_TO_RESOLVE
+
+
 def main() -> None:
     if len(sys.argv) != 4:
         raise SystemExit(__doc__.split("\n\n")[1])
@@ -316,8 +332,7 @@ def main() -> None:
             row[side] = spread(per)
         row["b_faster_pairs"] = sum(b < a for a, b in zip(row["a"]["samples"],
                                                            row["b"]["samples"]))
-        row["resolved"] = (abs(row["b"]["median"] - row["a"]["median"])
-                           > row["a"]["q3"] - row["a"]["q1"])
+        row["resolved"] = resolved(row)
         row["counts"] = {side: counts[side][name] for side in trees}
         layers[name] = row
         print(f"{name:32s} A {row['a']['median']:10.3f} [{row['a']['q1']:.3f}, "
@@ -343,6 +358,9 @@ def main() -> None:
         with open(OUT) as f:
             doc = json.load(f)
     doc["runs"] = [r for r in doc["runs"] if r["label"] != label] + [run]
+    for r in doc["runs"]:
+        for row in r["layers"].values():
+            row["resolved"] = resolved(row)
     with open(OUT, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")

@@ -52,12 +52,6 @@ BISECTION_TOL = 1e-10  # width to which detect_events narrows each crossing's br
 NEAR_TOL = 0.04  # raster cells whose u's are closer (relative) are flagged
 
 
-def stokes_indicator(x: PlanePoint):
-    """The three reals Im(u_j - u_k) for pairs (1,2), (1,3), (2,3)."""
-    us = critical_values(x)
-    return tuple(float((us[j] - us[k]).imag) for j, k in PAIRS)
-
-
 # -- trajectories -----------------------------------------------------------------
 
 
@@ -464,6 +458,7 @@ def raster_section(
     x1 = _complex_grid(xs, ys)
     sext = _sextic_layer(x2, x1) if with_sextic else None
     roots = _solve_blocks(singular_cubic_grid, x1.ravel(), x2, ROOT_TOL)
+    # near starts as the sweep's flags, which _edge_zero_points relies on
     values, near = _label_sweep(roots.reshape(resolution, resolution, 3), x1[0, 0], x2)
 
     sep = np.min(np.abs(values[..., _PAIR_J] - values[..., _PAIR_K]), axis=-1)
@@ -562,26 +557,31 @@ def _edge_zero_points(values: np.ndarray, near: np.ndarray, xs, ys):
     labeling obstruction (monodromy around in-window turning points), so no
     spurious seam crossings appear.  Per-pair attribution uses the stored
     grid labels of the first cell and is best-effort near the turning set.
-    Horizontal edges come first, then vertical ones, each row-major;
-    ``BLOCK`` edges are matched at a time.
+    Horizontal edges come first, then vertical ones, each row-major.  A
+    horizontal edge is one the label sweep has matched: matching its
+    labeled values again succeeds exactly where its right-hand cell is not
+    flagged, and gives the identity there, so only the vertical edges are
+    matched, ``BLOCK`` at a time.  ``near`` must include the sweep's flags.
     """
     union: list[complex] = []
     per_pair: list[list[complex]] = [[], [], []]
     x_mid = (xs[:-1] + xs[1:]) / 2
     y_mid = (ys[:-1] + ys[1:]) / 2
     edges = (
-        (values[:, :-1], values[:, 1:], near[:, :-1] | near[:, 1:], _complex_grid(x_mid, ys)),
-        (values[:-1], values[1:], near[:-1] | near[1:], _complex_grid(xs, y_mid)),
+        (values[:, :-1], values[:, 1:], near[:, :-1] | near[:, 1:], _complex_grid(x_mid, ys),
+         False),
+        (values[:-1], values[1:], near[:-1] | near[1:], _complex_grid(xs, y_mid), True),
     )
-    for va, vb, skip, mid in edges:
+    for va, vb, skip, mid, rematch in edges:
         va, vb = va.reshape(-1, 3), vb.reshape(-1, 3)
         skip, mid = skip.ravel(), mid.ravel()
         for s in range(0, mid.size, BLOCK):
-            a, b = va[s : s + BLOCK], vb[s : s + BLOCK]
-            perm, ok = tracking.match_labels_rows(a, b, guard_ratio=1.0 + 1e-12)
-            sa = _pair_im(a)
-            sb = _pair_im(np.take_along_axis(b, perm, axis=-1))
-            hit = ((sa == 0.0) | (sa * sb < 0)) & (ok & ~skip[s : s + BLOCK])[:, None]
+            a, b, keep = va[s : s + BLOCK], vb[s : s + BLOCK], ~skip[s : s + BLOCK]
+            if rematch:
+                perm, ok = tracking.match_labels_rows(a, b, guard_ratio=1.0 + 1e-12)
+                b, keep = np.take_along_axis(b, perm, axis=-1), keep & ok
+            sa, sb = _pair_im(a), _pair_im(b)
+            hit = ((sa == 0.0) | (sa * sb < 0)) & keep[:, None]
             m = mid[s : s + BLOCK]
             for p in range(3):
                 per_pair[p].extend(m[hit[:, p]].tolist())

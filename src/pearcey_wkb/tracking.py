@@ -23,10 +23,13 @@ at roundoff.  The collision guard then accepts or halves the step: the
 corrected values must pass a residual test, and their minimum pairwise
 separation must exceed ``GUARD_RATIO`` times the largest value
 displacement from the previous accepted values.  The correction and both
-tests run in one step kernel per degree n (:func:`_step_kernel`),
-straight-line Python generated from one source template on first use,
-with the polynomial, its derivative and the residual scale written out in
-Horner form on local coefficients.  :func:`polish` is one such step from a
+tests run in one step kernel per degree n and number of tracked values m
+(:func:`_step_kernel`), straight-line Python generated from one source
+template on first use: the polynomial, its derivative and the residual
+scale are written out in Horner form on local coefficients, and the m
+values are unrolled into named locals, each with its own Newton loop, so
+the residual tests, the displacement and the pairwise separation are
+plain expressions over them.  :func:`polish` is one such step from a
 prediction of the caller's; event bisection in ``stokes`` labels its rows
 by it.  Running out of refinement raises ``ContinuationError`` with the
 path point where the tracker gave up; the message also names the piece and
@@ -120,45 +123,51 @@ def _min_pairwise(vals) -> float:
 _STEP_TEMPLATE = """
 def misfit(c, vals, factor):
     {cs} = c
+    {zs} = vals
 {abs_lines}
-    for z in vals:
-        r = max(1.0, abs(z))
-        if abs({p}) > {tol!r} * ({scale}) * factor:
-            return z
+{misfit_lines}
     return None
 
 
 def step(c, old, guess):
     {cs} = c
+    {os} = old
+    {zs} = guess
 {d_lines}
-    new = []
-    for z in guess:
-        for k in range({iters}):
-            p = {p}
-            dp = {dp}
-            if dp == 0:
-                break
-            s = p / dp
-            z = z - s
-            a = abs(s)
-            r = 1.0 + abs(z)
-            tol = {eps!r} * r
-            if a < tol or k and (a * a * a < tol * a_prev * a_prev or a >= a_prev and a_prev * a_prev < tol * r):
-                break
-            a_prev = a
-        new.append(z)
-    for z in new:
-        if not isfinite(z):
-            return None
-    if misfit(c, new, 1) is not None:
+{newton_lines}
+    if not ({finite}):
         return None
-    disp = max(abs(a - b) for a, b in zip(new, old))
-    if len(new) > 1:
-        sep = min_pairwise(new)
-        if sep < {guard!r} * disp or sep == 0.0:
-            return None
-    return new
+{abs_lines}
+{residual_lines}
+    disp = {disp}
+{guard_lines}
+    return [{zs}]
 """
+
+_NEWTON_LINES = """
+    for k in range({iters}):
+        p = {p}
+        dp = {dp}
+        if dp == 0:
+            break
+        s = p / dp
+        {z} = {z} - s
+        a = abs(s)
+        r = 1.0 + abs({z})
+        tol = {eps!r} * r
+        if a < tol or k and (a * a * a < tol * a_prev * a_prev or a >= a_prev and a_prev * a_prev < tol * r):
+            break
+        a_prev = a"""
+
+_RESIDUAL_LINES = """
+    r = max(1.0, abs({z}))
+    if abs({p}) > {tol!r} * ({scale}){factor}:
+        return {out}"""
+
+_GUARD_LINES = """
+    sep = {sep}
+    if sep < {guard!r} * disp or sep == 0.0:
+        return None"""
 
 
 def _horner_source(coeffs: list, z: str) -> str:
@@ -169,20 +178,34 @@ def _horner_source(coeffs: list, z: str) -> str:
     return text
 
 
+def _fold_source(fn: str, terms: list) -> str:
+    """``fn(*terms)`` as source, or the single term alone."""
+    return terms[0] if len(terms) == 1 else f"{fn}({', '.join(terms)})"
+
+
 @cache
-def _step_kernel(n: int):
-    """The tracker's step kernel for degree n, as ``(step, misfit)``.
+def _step_kernel(n: int, m: int):
+    """The tracker's step kernel for degree n and m tracked values, as
+    ``(step, misfit)``.
 
     Both take the descending coefficients ``c`` as a list of n + 1 Python
-    complex numbers.  ``misfit(c, vals, factor)`` is the residual test: the
-    first z of ``vals`` with |p(z)| > RESIDUAL_TOL * sum_k |c_k| max(1,
-    |z|)^k * factor, or None.  ``step(c, old, guess)`` runs up to
-    ``_NEWTON_ITERS`` Newton iterations from each value of ``guess`` and
-    returns the polished values, or None when one is not finite, fails
-    ``misfit`` with factor 1 or the collision guard rejects them (minimum
-    separation below ``GUARD_RATIO`` times the largest displacement from
-    ``old``, or zero).  ``abs()`` of a finite complex beyond the float range
-    raises ``OverflowError``.
+    complex numbers and m values.  ``misfit(c, vals, factor)`` is the
+    residual test: the first z of ``vals`` with |p(z)| > RESIDUAL_TOL *
+    sum_k |c_k| max(1, |z|)^k * factor, or None.  ``step(c, old, guess)``
+    runs up to ``_NEWTON_ITERS`` Newton iterations from each value of
+    ``guess`` and returns the polished values, or None when one is not
+    finite, fails the residual test (factor 1) or the collision guard
+    rejects them (minimum separation below ``GUARD_RATIO`` times the largest
+    displacement from ``old``, or zero).  ``abs()`` of a finite complex
+    beyond the float range raises ``OverflowError``.
+
+    Both are straight-line code generated from one template on first use:
+    the polynomial, its derivative and the residual scale are written out in
+    Horner form on local coefficients, and the values are unrolled into
+    named locals, each with its own copy of the Newton loop, so that the
+    tests, the displacement and the pairwise separation are plain
+    expressions over them with no list built or walked.  The operations and
+    their order are those of one loop over the values.
 
     Newton stops at p' = 0 or once its correction s is at roundoff: |s| <
     ``_ROUNDOFF`` (1 + |z|); or, from the second iteration on, |s|^3 <
@@ -193,22 +216,45 @@ def _step_kernel(n: int):
     (stagnation at the roundoff floor).  A correction that grows while
     Newton is still far from a root does not stop it.
     """
+    if m < 1:
+        raise ValueError("the step kernel needs at least one value")
     cs = [f"c{k}" for k in range(n + 1)]
     ds = [f"d{k}" for k in range(n)]
+    zs = [f"z{i}" for i in range(m)]
+    scale = _horner_source([f"a{k}" for k in range(n + 1)], "r")
+
+    def residual(z, factor, out):
+        return _RESIDUAL_LINES.format(
+            z=z, p=_horner_source(cs, z), tol=RESIDUAL_TOL, scale=scale, factor=factor, out=out
+        )
+
+    pairs = [f"abs({a} - {b})" for i, a in enumerate(zs) for b in zs[i + 1 :]]
     source = _STEP_TEMPLATE.format(
         cs=", ".join(cs) + ",",
+        zs=", ".join(zs) + ",",
+        os=", ".join(f"o{i}" for i in range(m)) + ",",
         abs_lines="\n".join(f"    a{k} = abs(c{k})" for k in range(n + 1)),
+        misfit_lines="".join(residual(z, " * factor", z) for z in zs),
         d_lines="\n".join(f"    d{k} = {n - k} * c{k}" for k in range(n)),
-        p=_horner_source(cs, "z"),
-        dp=_horner_source(ds, "z"),
-        scale=_horner_source([f"a{k}" for k in range(n + 1)], "r"),
-        tol=RESIDUAL_TOL,
-        iters=_NEWTON_ITERS,
-        eps=_ROUNDOFF,
-        guard=GUARD_RATIO,
+        newton_lines="".join(
+            _NEWTON_LINES.format(
+                iters=_NEWTON_ITERS,
+                z=z,
+                p=_horner_source(cs, z),
+                dp=_horner_source(ds, z),
+                eps=_ROUNDOFF,
+            )
+            for z in zs
+        ),
+        finite=" and ".join(f"isfinite({z})" for z in zs),
+        residual_lines="".join(residual(z, "", "None") for z in zs),
+        disp=_fold_source("max", [f"abs(z{i} - o{i})" for i in range(m)]),
+        guard_lines=_GUARD_LINES.format(sep=_fold_source("min", pairs), guard=GUARD_RATIO)
+        if pairs
+        else "",
     )
-    namespace = {"isfinite": isfinite, "min_pairwise": _min_pairwise}
-    exec(compile(source, f"<step kernel, degree {n}>", "exec"), namespace)
+    namespace = {"isfinite": isfinite}
+    exec(compile(source, f"<step kernel, degree {n}, {m} values>", "exec"), namespace)
     return namespace["step"], namespace["misfit"]
 
 
@@ -286,7 +332,7 @@ def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, st
     try:
         here = piece.at(0.0)
         c0 = _descending(coeffs_at(here))
-        advance, misfit = _step_kernel(len(c0) - 1)
+        advance, misfit = _step_kernel(len(c0) - 1, len(vals))
         bad = misfit(c0, vals, 10)
         if bad is not None:
             raise ContinuationError(
@@ -457,7 +503,7 @@ def polish(coeffs, old, guess):
     """
     c = _descending(coeffs)
     try:
-        return _step_kernel(len(c) - 1)[0](c, old, guess)
+        return _step_kernel(len(c) - 1, len(old))[0](c, old, guess)
     except OverflowError:
         return None
 

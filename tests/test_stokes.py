@@ -27,7 +27,6 @@ from pearcey_wkb.stokes import (
     connection_walk,
     detect_events,
     raster_section,
-    stokes_indicator,
     track_u,
 )
 
@@ -40,9 +39,15 @@ SYSTEMS = [
 ]
 
 
+def _indicator(x: PlanePoint):
+    """The three reals Im(u_j - u_k) for pairs (1,2), (1,3), (2,3)."""
+    us = critical_values(x)
+    return tuple(float((us[j] - us[k]).imag) for j, k in PAIRS)
+
+
 class TestIndicator:
     def test_reference_values(self):
-        vals = stokes_indicator(PlanePoint(4.0, 0.0))
+        vals = _indicator(PlanePoint(4.0, 0.0))
         mags = sorted(abs(v) for v in vals)
         s3 = 3 * np.sqrt(3) / 2
         assert abs(mags[0] - s3) < 1e-9
@@ -52,13 +57,13 @@ class TestIndicator:
 
     def test_on_turning_set_errors(self):
         with pytest.raises(TurningPointError):
-            stokes_indicator(PlanePoint(2 * np.sqrt(2), -3.0))
+            _indicator(PlanePoint(2 * np.sqrt(2), -3.0))
 
     def test_scaling_homogeneity(self):
         x = PlanePoint(0.8, 0.2 + 0.1j)
         lam = 1.5
-        a = stokes_indicator(x)
-        b = stokes_indicator(PlanePoint(lam**3 * x.x1, lam**2 * x.x2))
+        a = _indicator(x)
+        b = _indicator(PlanePoint(lam**3 * x.x1, lam**2 * x.x2))
         for u, v in zip(a, b):
             assert abs(v - lam**4 * u) < 1e-9 * max(1.0, abs(v))
 
@@ -471,7 +476,12 @@ def _seeded_x2(n):
 
 
 class TestLabelSweep:
-    """The batched sweep against one-row-at-a-time matching, bit for bit."""
+    """The batched sweep against one-row-at-a-time matching, bit for bit.
+
+    The raster's edge pass does not match horizontal edges again: matching a
+    row's labeled values cell to cell must succeed exactly where the sweep
+    did not flag the right-hand cell, with the identity there.
+    """
 
     @staticmethod
     def _assert_equal_to_scalar_sweep(x2, window, res):
@@ -480,6 +490,9 @@ class TestLabelSweep:
         want, want_flagged = scalar_label_sweep(roots, first, x2)
         assert (values.view(np.uint64) == want.view(np.uint64)).all()
         assert np.array_equal(flagged, want_flagged)
+        perm, ok = tracking.match_labels_rows(values[:, :-1], values[:, 1:], 1.0 + 1e-12)
+        assert np.array_equal(ok, ~flagged[:, 1:])
+        assert (perm[ok] == np.arange(3)).all()
         return flagged
 
     @pytest.mark.parametrize(
@@ -491,6 +504,8 @@ class TestLabelSweep:
     def test_flagged_cells_on_the_turning_locus(self):
         flagged = self._assert_equal_to_scalar_sweep(-1.5, (-1.5, 1.5, -1.5, 1.5), 64)
         assert flagged[1:].any() and flagged[:, 1:].any()
+        # the edge pass skips the horizontal edges of flagged cells
+        assert raster_section(-1.5, (-1.5, 1.5, -1.5, 1.5), 64).near_turning[flagged].all()
 
     def test_first_cell_on_a_turning_point_falls_back_to_sorted(self):
         # x1 = -1 is a turning point at x2 = -1.5

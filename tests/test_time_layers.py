@@ -1,8 +1,11 @@
 """Smoke test of ``scripts/time_layers.py``: every layer it times and every
 name its counting hooks patch still exist, so a rename fails here rather
-than in a benchmark run."""
+than in a benchmark run.  Its ``resolved`` rule needs both a median gap
+beyond the larger interquartile spread and 9 of 10 pairs won, and every
+run stored in ``BENCH_layers.json`` reads as that rule says."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -41,3 +44,31 @@ def test_counting_hooks_around_a_cli_call(time_layers, tmp_path):
     assert counts["calls.QuarticSpec.coeffs"] > 0
     assert patched == (borel.monodromy, borel._cut_jump, borel.SheetField.anchor,
                        borel.SheetField.track_stops, tracking.track_family, stokes._u_batch)
+
+
+def _row(time_layers, a, b):
+    """A layer row from A's and B's samples, as ``main`` stores it."""
+    return {"a": time_layers.spread(a), "b": time_layers.spread(b),
+            "b_faster_pairs": sum(y < x for x, y in zip(a, b))}
+
+
+def test_resolved_needs_the_gap_beyond_both_spreads_and_nine_of_ten_pairs(time_layers):
+    def resolved(b):
+        return time_layers.resolved(_row(time_layers, a, b))
+
+    a = [10.0, 10.2, 10.4, 10.1, 10.3, 10.0, 10.2, 10.4, 10.1, 10.3]
+    assert resolved([x - 1.0 for x in a])
+    assert resolved([x + 1.0 for x in a])  # B slower: A faster in 10 of 10
+    # the gap exceeds A's spread but not B's
+    assert not resolved([5.0, 9.0, 13.0, 8.5, 9.2, 4.0, 14.0, 9.1, 9.3, 8.9])
+    # a clear median gap, B faster in 8 of 10 pairs, then in 9
+    assert not resolved([x - 1.0 for x in a[:8]] + [12.0, 12.0])
+    assert resolved([x - 1.0 for x in a[:9]] + [12.0])
+
+
+def test_stored_runs_follow_the_rule(time_layers):
+    with open(time_layers.OUT) as f:
+        runs = json.load(f)["runs"]
+    for run in runs:
+        for name, row in run["layers"].items():
+            assert row["resolved"] == time_layers.resolved(row), (run["label"], name)

@@ -7,12 +7,15 @@ through ``tracking.track_family`` and through the reference loop in
 accept/reject counts must be the same, and the tracked values must agree
 to 1e-13 relative.  The monodromy loop is one arc leg among them.  On
 random families whose roots stay apart, the secant-predicted tracker ends
-where the reference loop ends, to 1e-12.  The generated step kernel of
-each degree polishes onto distinct roots of its polynomial, computed at 30
+where the reference loop ends, to 1e-12, also when a leg tracks fewer
+roots than the degree.  The generated step kernel of each degree and value
+count polishes onto distinct roots of its polynomial, computed at 30
 digits by mpmath, and start-checks bit for bit as the scalar Horner-loop
 helpers it replaced (kept in ``oracles``), on random polynomials of degree
-1 to 6; it accepts or rejects as they do from starts near the roots and
-on each kind of rejection.
+1 to 6 from starts near all or some of the roots; it accepts or rejects as
+they do there and on each kind of rejection.  ``polish`` gives the same
+bits from a numpy coefficient row, as event bracketing passes it, as from
+the row's list of Python complex.
 
 With ``stops``, a Laplace ray of the Borel quartic is tracked as one leg
 that lands once on every Gauss node; the values there match a replay one
@@ -49,7 +52,7 @@ from pearcey_wkb.borel import SheetField, monodromy
 from pearcey_wkb.errors import ContinuationError
 from pearcey_wkb.geometry import PlanePoint, char_cubic_coeffs, char_trace, labeling_path
 from pearcey_wkb.quadrature import _gk_nodes
-from pearcey_wkb.stokes import PAPER_POLYLINE, track_u
+from pearcey_wkb.stokes import PAPER_POLYLINE, detect_events, track_u
 
 
 def _recorded_legs(monkeypatch, run):
@@ -185,6 +188,38 @@ def test_final_values_match_numpy_reference(seed, degree):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.data())
+def test_tracking_fewer_values_than_the_degree(seed, degree, data):
+    # the step kernel is generated per (degree, number of values): a leg that
+    # tracks a few of the roots runs the kernel for that many, and ends where
+    # the reference loop on the same roots ends and where the full tuple ends.
+    # The guard sees only the tracked values, so the roots start on a circle
+    # of radius 1.5 and move little, never near an untracked one
+    rng = np.random.default_rng(seed)
+    r0, v, w = (rng.normal(size=degree) + 1j * rng.normal(size=degree) for _ in range(3))
+    r0 = 1.5 * np.exp(2j * np.pi * np.arange(degree) / degree) + 0.1 * r0
+    v, w = 0.1 * v, 0.1 * w
+    lead = complex(*rng.normal(size=2))
+    keep = data.draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=degree - 1,
+                              unique=True))
+
+    def coeffs_fn(t):
+        return from_roots(r0 + v * t + w * t * t, lead)
+
+    kernel, keys = tracking._step_kernel, set()
+    tracking._step_kernel = lambda n, m: keys.add((n, m)) or kernel(n, m)
+    try:
+        got = tracking.track_family(coeffs_fn, UNIT, r0[keep]).final
+    finally:
+        tracking._step_kernel = kernel
+    assert keys == {(degree, len(keep))}
+    want = track_family_numpy(coeffs_fn, r0[keep])[1][-1]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    full = tracking.track_family(coeffs_fn, UNIT, r0).final[keep]
+    assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max()
+
+
 def test_newton_starts_from_the_secant_prediction(monkeypatch):
     # a leg's first attempt starts Newton from the start values; every later
     # one from the secant through the last two accepted records, evaluated
@@ -192,8 +227,8 @@ def test_newton_starts_from_the_secant_prediction(monkeypatch):
     seen = []
     kernel = tracking._step_kernel
 
-    def recording(n):
-        step, misfit = kernel(n)
+    def recording(n, m):
+        step, misfit = kernel(n, m)
 
         def recorded(c, old, guess):
             seen.append((list(old), list(guess)))
@@ -224,7 +259,7 @@ def test_step_kernel_starts_from_the_guess_and_guards_from_old():
     # z^2 - 1 from old values near +-1: Newton from the old values accepts
     # them at +-1; from the swapped guess it lands on the swapped roots, and
     # the guard, measuring from the old values, rejects the swap
-    step, _ = tracking._step_kernel(2)
+    step, _ = tracking._step_kernel(2, 2)
     c = [1 + 0j, 0j, -1 + 0j]
     old = [1.3 + 0j, -1.3 + 0j]
     assert step(c, old, old) == [1.0, -1.0]
@@ -260,7 +295,7 @@ def _assert_step(c, old):
     (``_assert_on_distinct_roots``), and it start-checks (factors 1 and 10)
     as the helpers do, bit for bit; returns the helpers' polished values and
     decision, or "overflow"."""
-    step, misfit = tracking._step_kernel(len(c) - 1)
+    step, misfit = tracking._step_kernel(len(c) - 1, len(old))
     got = _outcome(step, c, old, old)
     want = _outcome(scalar_step, c, old)
     if want == "overflow":
@@ -297,6 +332,21 @@ def test_step_kernel_matches_scalar_helpers(seed, degree, log_noise):
     _assert_step(c, (roots + 10.0**log_noise * noise).tolist())
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.floats(-14.0, 0.0), st.data())
+def test_step_kernel_on_fewer_values_matches_scalar_helpers(seed, degree, log_noise, data):
+    # starts near some of the roots: the kernel for that many values accepts
+    # or rejects as the helpers do, and start-checks as they do, bit for bit
+    rng = np.random.default_rng(seed)
+    roots = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    lead = complex(*rng.normal(size=2))
+    c = tracking._descending(from_roots(roots, lead))
+    keep = data.draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=degree - 1,
+                              unique=True))
+    noise = rng.normal(size=len(keep)) + 1j * rng.normal(size=len(keep))
+    _assert_step(c, (roots[keep] + 10.0**log_noise * noise).tolist())
+
+
 def test_step_kernel_rejects_as_scalar_helpers():
     inf, nan = float("inf"), float("nan")
     # accepted: start values near the roots +-1 and 2j
@@ -330,6 +380,35 @@ def test_step_kernel_rejects_as_scalar_helpers():
     # a NaN coefficient: every value polishes to NaN
     new, ok = _assert_step([1 + 0j, complex(nan, 0.0), 1 + 0j], [0.5j, -0.5j])
     assert not ok
+
+
+def test_polish_of_a_numpy_row_equals_polish_of_its_list(monkeypatch):
+    # event bracketing hands polish a row of singular_cubic_grid: the values
+    # come out as Python complex with the bits they have from the row's list
+    # of Python complex, and a rejected step is rejected from both
+    calls = []
+    real = tracking.polish
+
+    def recorder(coeffs, old, guess):
+        calls.append((coeffs, list(old), list(guess)))
+        return real(coeffs, old, guess)
+
+    monkeypatch.setattr(tracking, "polish", recorder)
+    detect_events(PAPER_POLYLINE)
+    monkeypatch.undo()
+    assert len(calls) >= 100 and all(type(c) is np.ndarray for c, _, _ in calls)
+    coeffs, old, _ = calls[0]
+    calls.append((coeffs, old, old[::-1]))  # Newton onto swapped labels: the guard rejects
+    outcomes = []
+    for coeffs, old, guess in calls:
+        got = tracking.polish(coeffs, old, guess)
+        want = tracking.polish(coeffs.tolist(), old, guess)
+        outcomes.append(got is None)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert all(type(z) is complex for z in got)
+            assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+    assert outcomes[-1] and not all(outcomes)
 
 
 # -- stops: a Laplace ray as one leg landing on every Kronrod node --------------
