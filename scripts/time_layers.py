@@ -17,7 +17,7 @@ Next to the times, one counting interpreter per tree runs each layer's
 statement once more under ``counting()``, and one per workload runs the
 seed-1 plan of ``perfbench/workloads.py``.  The counts do not depend on the
 machine: tracker legs and accepted and rejected steps per context, the
-event bracketing's lockstep steps and rows, Laplace nodes, and the calls of
+event brackets and rows, Laplace nodes, and the calls of
 ``poly_eval_many``, the coefficient evaluators and the exact products
 (``MultiPoly``, ``ZetaRational``) and derivatives.
 
@@ -121,7 +121,7 @@ PER_ATTEMPT = "tracker step"
 
 # count key -> function in the package, its calls counted by cProfile
 CALLS = {
-    "events.batches": "stokes._u_batch",
+    "events.rows": "tracking.polish",
     "calls.poly_eval_many": "aberth.poly_eval_many",
     "calls.QuarticSpec.coeffs": "borel.QuarticSpec.coeffs",
     "calls.singular_cubic_coeffs": "geometry.singular_cubic_coeffs",
@@ -159,9 +159,10 @@ def counting():
     innermost of ``monodromy``, ``anchor`` (``SheetField.anchor``),
     ``cut_jump`` (``borel._cut_jump``) and ``laplace``
     (``SheetField.track_stops``, whose stops are the Laplace nodes) it runs
-    in, else ``rest``.  Event batches and rows are the calls
-    and rows of ``stokes._u_batch``: one call per lockstep step of the
-    event bracketing, one row per tracker step it takes.
+    in, else ``rest``.  Event brackets are the items ``stokes._brackets``
+    returns, one per sign change of an event function between samples, and
+    event rows the calls of ``tracking.polish``, one tracker step per row of
+    the event bracketing.
     """
     from pearcey_wkb import borel, stokes, tracking
 
@@ -219,7 +220,7 @@ def counting():
     patch(borel.SheetField, "track_stops",
           lambda real: within("laplace")(rows("laplace.nodes")(real)))
     patch(tracking, "track_family", track_family)
-    patch(stokes, "_u_batch", rows("events.rows"))
+    patch(stokes, "_brackets", rows("events.brackets"))
     out = {}
     profile = cProfile.Profile()
     try:

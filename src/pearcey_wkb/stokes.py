@@ -5,11 +5,15 @@ singularities.  Along a path in the base plane this module tracks labeled
 singularities (Newton-correcting them onto their cubic at every step, no
 integration), detects two kinds of events
 
-* ``stokes_crossing``: a zero of Im(u_j - u_k), located by safeguarded
-  secant (regula falsi) bracketing, each bracket's labeled u's corrected
-  from its ends by one tracker step (``tracking.polish``);
-* ``segment_crossing``: the third singularity passes through the open
-  segment joining a pair (collinearity with interior projection),
+* ``stokes_crossing``: a zero of Im(u_j - u_k);
+* ``segment_crossing``: one singularity passes through the open segment
+  joining the other two, a zero of the signed area of the triangle
+  u_1 u_2 u_3 at which that u projects inside the segment,
+
+each located by safeguarded secant (regula falsi) bracketing, one bracket
+after the other, its labeled u's corrected from its lower end by one
+tracker step (``tracking.polish``) on the same cubic evaluator as the
+track,
 
 and emits one connection matrix per Stokes crossing.  The matrix acts on
 the column (Psi_1, Psi_2, Psi_3) of Borel sums, expressing the sums of the
@@ -144,105 +148,93 @@ class StokesEvent:
         return d
 
 
-def _indicator(vals: np.ndarray, pair) -> float:
+def _event_value(pair, vals) -> float:
+    """The function whose sign change marks an event: Im(u_j - u_k) for a
+    Stokes ``pair``; for ``pair`` None, twice the signed area of the triangle
+    u_1 u_2 u_3, zero where the three u's are collinear."""
+    if pair is None:
+        a, b, c = vals
+        return float(((c - a) * np.conj(b - a)).imag)
     j, k = pair
     return float((vals[j - 1] - vals[k - 1]).imag)
 
 
-def _segment_signature(vals: np.ndarray, pair, crosser) -> tuple[float, float]:
-    """(signed area, interior projection) of the crosser vs the segment."""
-    j, k = pair
-    a = vals[j - 1]
-    b = vals[k - 1]
-    c = vals[crosser - 1]
-    d = b - a
-    L2 = abs(d) ** 2
-    cross = ((c - a) * np.conj(d)).imag
-    lam = ((c - a) * np.conj(d)).real / L2 if L2 > 0 else -1.0
-    return float(cross), float(lam)
-
-
-def _event_value(kind: str, pair, crosser, vals: np.ndarray) -> float:
-    """The function whose sign change marks an event of ``kind``: the Stokes
-    indicator of ``pair`` or the crosser's signed area against its segment."""
-    if kind == "stokes_crossing":
-        return _indicator(vals, pair)
-    return _segment_signature(vals, pair, crosser)[0]
+def _crosser(vals) -> tuple[tuple[int, int], int] | None:
+    """The first pair of ``PAIRS`` whose segment the third u projects strictly
+    inside, and that u's label; None when no u does."""
+    for pair in PAIRS:
+        j, k = pair
+        crosser = 6 - j - k
+        a = vals[j - 1]
+        d = vals[k - 1] - a
+        L2 = abs(d) ** 2
+        if L2 > 0 and 0.0 < ((vals[crosser - 1] - a) * np.conj(d)).real / L2 < 1.0:
+            return pair, crosser
+    return None
 
 
 @dataclass
 class _Bracket:
     """A sign change of an event function between consecutive samples.
 
-    ``f_lo`` and ``f_hi`` are the function at ``lo`` and ``hi``,
-    ``lo_vals`` and ``hi_vals`` the labeled u's there (Python complex);
-    ``im_before`` is its sign at the opening sample.
+    ``pair`` is the Stokes pair whose indicator changes sign, or None for the
+    collinearity of the three u's (``_event_value``).  ``f_lo`` and ``f_hi``
+    are the function at ``lo`` and ``hi``, ``lo_vals`` and ``hi_vals`` the
+    labeled u's there (Python complex).  Narrowing keeps the sign of
+    ``f_lo``, the function's sign at the opening sample.
     """
 
-    kind: str
-    pair: tuple[int, int]
-    crosser: int | None
+    pair: tuple[int, int] | None
     lo: float
     hi: float
     f_lo: float
     f_hi: float
     lo_vals: list[complex]
     hi_vals: list[complex]
-    im_before: int
 
 
 def _brackets(traj: tracking.Trace) -> list[_Bracket]:
-    """Every bracket of a tracked path: pair by pair, Stokes crossings
-    before segment crossings, each kind in path order."""
+    """Every bracket of a tracked path: the Stokes crossings pair by pair,
+    then the collinearities, each in path order."""
     out = []
-    for pair in PAIRS:
-        crosser = next(m for m in (1, 2, 3) if m not in pair)
-        for kind, c in (("stokes_crossing", None), ("segment_crossing", crosser)):
-            series = [_event_value(kind, pair, c, v) for v in traj.values]
-            for n in range(1, len(series)):
-                if series[n - 1] * series[n] < 0:
-                    out.append(
-                        _Bracket(
-                            kind, pair, c, traj.taus[n - 1], traj.taus[n], series[n - 1],
-                            series[n], traj.values[n - 1].tolist(), traj.values[n].tolist(),
-                            int(np.sign(series[n - 1])),
-                        )
+    for pair in (*PAIRS, None):
+        series = [_event_value(pair, v) for v in traj.values]
+        for n in range(1, len(series)):
+            if series[n - 1] * series[n] < 0:
+                out.append(
+                    _Bracket(
+                        pair, traj.taus[n - 1], traj.taus[n], series[n - 1], series[n],
+                        traj.values[n - 1].tolist(), traj.values[n].tolist(),
                     )
+                )
     return out
 
 
-def _u_batch(pts, taus: list[float], brackets: list[_Bracket]) -> list[list[complex]]:
-    """Labeled u's at ``taus[r]``, each row one tracker step
-    (``tracking.polish``) from ``brackets[r].lo_vals``, Newton starting from
-    the linear interpolation between the bracket's ``lo_vals`` and
-    ``hi_vals`` at ``taus[r]``.
+def _u_at(pts, t: float, b: _Bracket) -> list[complex]:
+    """Labeled u's at ``t``, one tracker step (``tracking.polish``) from the
+    bracket's lower end, Newton starting from the linear interpolation
+    between its ``lo_vals`` and ``hi_vals`` at ``t``.
 
     A rejected step is retried as a tracker leg, a ``tracking.Segment`` from
-    the bracket's lower end to ``taus[r]``, which halves its steps
-    where the u's pass close to each other between the samples; when that
-    fails too, ``LabelMatchError`` names the bracket that owns the row.
-    The coefficients of all rows are one ``singular_cubic_grid`` call; the
-    rows are solved one by one.  ``scripts/time_layers.py`` counts the
-    lockstep steps and rows by this function's name.
+    the bracket's lower end to ``t``, which halves its steps where the u's
+    pass close to each other between the samples; when that fails too,
+    ``LabelMatchError`` names the bracket.
     """
-    x = [_x_at(pts, t) for t in taus]
-    coeffs = singular_cubic_grid(np.array([p[0] for p in x]), np.array([p[1] for p in x]))
-    rows = []
-    for t, c, b in zip(taus, coeffs, brackets):
-        w = (t - b.lo) / (b.hi - b.lo)
-        guess = [lo + (hi - lo) * w for lo, hi in zip(b.lo_vals, b.hi_vals)]
-        vals = tracking.polish(c, b.lo_vals, guess)
-        if vals is None:
-            leg = tracking.Segment(_x_at(pts, b.lo), _x_at(pts, t))
-            try:
-                vals = tracking.track_family(_cubic_at, leg, b.lo_vals).final.tolist()
-            except ContinuationError as err:
-                raise LabelMatchError(
-                    f"tracker step rejected locating the {b.kind} of pair {b.pair} "
-                    f"bracketed by tau in [{b.lo!r}, {b.hi!r}]: {err}"
-                ) from err
-        rows.append(vals)
-    return rows
+    w = (t - b.lo) / (b.hi - b.lo)
+    guess = [lo + (hi - lo) * w for lo, hi in zip(b.lo_vals, b.hi_vals)]
+    x = _x_at(pts, t)
+    vals = tracking.polish(_cubic_at(x), b.lo_vals, guess)
+    if vals is None:
+        leg = tracking.Segment(_x_at(pts, b.lo), x)
+        try:
+            vals = tracking.track_family(_cubic_at, leg, b.lo_vals).final.tolist()
+        except ContinuationError as err:
+            what = "collinearity" if b.pair is None else f"stokes_crossing of pair {b.pair}"
+            raise LabelMatchError(
+                f"tracker step rejected locating the {what} "
+                f"bracketed by tau in [{b.lo!r}, {b.hi!r}]: {err}"
+            ) from err
+    return vals
 
 
 def _candidates(b: _Bracket) -> list[float]:
@@ -257,67 +249,51 @@ def _candidates(b: _Bracket) -> list[float]:
 def detect_events(x_path: list) -> tuple[tracking.Trace, list[StokesEvent]]:
     """Locate all Stokes and segment crossings along a path, in order.
 
-    Every sign change between consecutive samples is narrowed to width
-    ``BISECTION_TOL``, all brackets of the path in lockstep.  Each step
-    evaluates the cubic's coefficients at every unfinished bracket's
-    candidates (``_candidates``) at once, takes the labeled u's at each
-    candidate by one tracker step from the bracket's values at its lower
-    end (``_u_batch``), and keeps the sub-interval where the event function
-    changes sign: the midpoint halves each bracket at least, and the
-    straddle points close it once the secant estimate is within a quarter
-    of the tolerance.  A last step gives the u's at every bracket's centre.
-    A row the tracker cannot reach raises ``LabelMatchError`` naming its
-    bracket; a Stokes crossing whose dominance is undecidable raises
-    ``DominanceError``; a segment crossing counts only where the crosser
-    projects inside the segment.
+    Every sign change between consecutive samples of an event function
+    (``_event_value``) is narrowed to width ``BISECTION_TOL``, one bracket
+    after the other.  Each step takes the labeled u's at the bracket's
+    candidates (``_candidates``), all from its lower end (``_u_at``), then
+    keeps the sub-interval where the function changes sign: the midpoint
+    halves the bracket at least, and the straddle points close it once the
+    secant estimate is within a quarter of the tolerance.  The u's at the
+    bracket's centre then decide the event.  A Stokes crossing whose
+    dominance is undecidable raises ``DominanceError``.  A collinearity is
+    a segment crossing where one u projects inside the segment of the other
+    two (``_crosser``), and no event otherwise.  A row the tracker cannot
+    reach raises ``LabelMatchError`` naming its bracket.
     """
     pts = _path_points(x_path)
     traj = track_u(pts)
-    brackets = _brackets(traj)
-    if not brackets:
-        return traj, []
-
-    active = [b for b in brackets if b.hi - b.lo > BISECTION_TOL]
-    while active:
-        cands = [_candidates(b) for b in active]
-        owners = [b for b, ts in zip(active, cands) for _ in ts]
-        values = iter(_u_batch(pts, [t for ts in cands for t in ts], owners))
-        for b, ts in zip(active, cands):
-            rows = [(t, next(values)) for t in ts]
+    events: list[StokesEvent] = []
+    for b in _brackets(traj):
+        while b.hi - b.lo > BISECTION_TOL:
+            rows = [(t, _u_at(pts, t, b)) for t in _candidates(b)]
             for t, v in rows:
-                f = _event_value(b.kind, b.pair, b.crosser, v)
+                f = _event_value(b.pair, v)
                 if b.f_lo * f <= 0:
                     b.hi, b.f_hi, b.hi_vals = t, f, v
                     break
                 b.lo, b.f_lo, b.lo_vals = t, f, v
-        active = [b for b in active if b.hi - b.lo > BISECTION_TOL]
-
-    centres = [(b.lo + b.hi) / 2 for b in brackets]
-    events: list[StokesEvent] = []
-    for b, tau_c, v_c in zip(brackets, centres, _u_batch(pts, centres, brackets)):
-        if b.kind == "stokes_crossing":
-            j, k = b.pair
-            re_uj = v_c[j - 1].real
-            re_uk = v_c[k - 1].real
-            gap = abs(re_uj - re_uk)
-            scale = max(abs(v) for v in v_c)
-            if gap < 1e-9 * scale:
-                raise DominanceError(
-                    f"dominance undecidable for pair {b.pair} at tau={tau_c}"
-                )
-            dom, rec = (j, k) if re_uj < re_uk else (k, j)
-            events.append(
-                StokesEvent(
-                    "stokes_crossing", tau_c, _x_at(pts, tau_c), b.pair,
-                    dominant=dom, recessive=rec, im_before=b.im_before,
-                )
+        tau_c = (b.lo + b.hi) / 2
+        v_c = _u_at(pts, tau_c, b)
+        x_c = _x_at(pts, tau_c)
+        if b.pair is None:
+            hit = _crosser(v_c)
+            if hit is not None:
+                events.append(StokesEvent("segment_crossing", tau_c, x_c, hit[0], crosser=hit[1]))
+            continue
+        j, k = b.pair
+        re_uj = v_c[j - 1].real
+        re_uk = v_c[k - 1].real
+        if abs(re_uj - re_uk) < 1e-9 * max(abs(v) for v in v_c):
+            raise DominanceError(f"dominance undecidable for pair {b.pair} at tau={tau_c}")
+        dom, rec = (j, k) if re_uj < re_uk else (k, j)
+        events.append(
+            StokesEvent(
+                "stokes_crossing", tau_c, x_c, b.pair,
+                dominant=dom, recessive=rec, im_before=1 if b.f_lo > 0 else -1,
             )
-        elif 0.0 < _segment_signature(v_c, b.pair, b.crosser)[1] < 1.0:
-            events.append(
-                StokesEvent(
-                    "segment_crossing", tau_c, _x_at(pts, tau_c), b.pair, crosser=b.crosser
-                )
-            )
+        )
 
     events.sort(key=lambda e: e.tau)
     return traj, events

@@ -22,11 +22,13 @@ onto the polynomial at the new parameter, stopping once its correction is
 at roundoff.  The collision guard then accepts or halves the step: the
 corrected values must pass a residual test, and their minimum pairwise
 separation must exceed ``GUARD_RATIO`` times the largest value
-displacement from the previous accepted values.  The correction and both
-tests run in one step kernel per degree n and number of tracked values m
+displacement from the previous accepted values.  A family of degree n is
+tracked through all n of its roots, since the guard keeps apart only the
+values it sees; any other number of values raises ``ValueError``.  The
+correction and both tests run in one step kernel per degree
 (:func:`_step_kernel`), straight-line Python generated from one source
 template on first use: the polynomial, its derivative and the residual
-scale are written out in Horner form on local coefficients, and the m
+scale are written out in Horner form on local coefficients, and the n
 values are unrolled into named locals, each with its own Newton loop, so
 the residual tests, the displacement and the pairwise separation are
 plain expressions over them.  :func:`polish` is one such step from a
@@ -184,17 +186,16 @@ def _fold_source(fn: str, terms: list) -> str:
 
 
 @cache
-def _step_kernel(n: int, m: int):
-    """The tracker's step kernel for degree n and m tracked values, as
-    ``(step, misfit)``.
+def _step_kernel(n: int):
+    """The tracker's step kernel for degree n, as ``(step, misfit)``.
 
     Both take the descending coefficients ``c`` as a list of n + 1 Python
-    complex numbers and m values.  ``misfit(c, vals, factor)`` is the
-    residual test: the first z of ``vals`` with |p(z)| > RESIDUAL_TOL *
-    sum_k |c_k| max(1, |z|)^k * factor, or None.  ``step(c, old, guess)``
-    runs up to ``_NEWTON_ITERS`` Newton iterations from each value of
-    ``guess`` and returns the polished values, or None when one is not
-    finite, fails the residual test (factor 1) or the collision guard
+    complex numbers and n values, one per root.  ``misfit(c, vals,
+    factor)`` is the residual test: the first z of ``vals`` with |p(z)| >
+    RESIDUAL_TOL * sum_k |c_k| max(1, |z|)^k * factor, or None.  ``step(c,
+    old, guess)`` runs up to ``_NEWTON_ITERS`` Newton iterations from each
+    value of ``guess`` and returns the polished values, or None when one is
+    not finite, fails the residual test (factor 1) or the collision guard
     rejects them (minimum separation below ``GUARD_RATIO`` times the largest
     displacement from ``old``, or zero).  ``abs()`` of a finite complex
     beyond the float range raises ``OverflowError``.
@@ -216,11 +217,11 @@ def _step_kernel(n: int, m: int):
     (stagnation at the roundoff floor).  A correction that grows while
     Newton is still far from a root does not stop it.
     """
-    if m < 1:
-        raise ValueError("the step kernel needs at least one value")
+    if n < 1:
+        raise ValueError("the step kernel needs degree at least 1")
     cs = [f"c{k}" for k in range(n + 1)]
     ds = [f"d{k}" for k in range(n)]
-    zs = [f"z{i}" for i in range(m)]
+    zs = [f"z{i}" for i in range(n)]
     scale = _horner_source([f"a{k}" for k in range(n + 1)], "r")
 
     def residual(z, factor, out):
@@ -232,7 +233,7 @@ def _step_kernel(n: int, m: int):
     source = _STEP_TEMPLATE.format(
         cs=", ".join(cs) + ",",
         zs=", ".join(zs) + ",",
-        os=", ".join(f"o{i}" for i in range(m)) + ",",
+        os=", ".join(f"o{i}" for i in range(n)) + ",",
         abs_lines="\n".join(f"    a{k} = abs(c{k})" for k in range(n + 1)),
         misfit_lines="".join(residual(z, " * factor", z) for z in zs),
         d_lines="\n".join(f"    d{k} = {n - k} * c{k}" for k in range(n)),
@@ -248,14 +249,23 @@ def _step_kernel(n: int, m: int):
         ),
         finite=" and ".join(f"isfinite({z})" for z in zs),
         residual_lines="".join(residual(z, "", "None") for z in zs),
-        disp=_fold_source("max", [f"abs(z{i} - o{i})" for i in range(m)]),
+        disp=_fold_source("max", [f"abs(z{i} - o{i})" for i in range(n)]),
         guard_lines=_GUARD_LINES.format(sep=_fold_source("min", pairs), guard=GUARD_RATIO)
         if pairs
         else "",
     )
     namespace = {"isfinite": isfinite}
-    exec(compile(source, f"<step kernel, degree {n}, {m} values>", "exec"), namespace)
+    exec(compile(source, f"<step kernel, degree {n}>", "exec"), namespace)
     return namespace["step"], namespace["misfit"]
+
+
+def _kernel_for(c: list, vals) -> tuple:
+    """The step kernel of the degree of the descending coefficients ``c``;
+    ``ValueError`` unless ``vals`` holds one value per root."""
+    n = len(c) - 1
+    if len(vals) != n:
+        raise ValueError(f"a degree-{n} family is tracked through its {n} roots, not {len(vals)}")
+    return _step_kernel(n)
 
 
 @dataclass
@@ -303,7 +313,8 @@ def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, st
         doubles the next up to it and each rejected step halves it) and
         ``where(tau)`` names it and tau in an error message.
     start_vals : sequence of complex
-        Labeled roots at tau = 0; they must satisfy the tau = 0 polynomial.
+        Labeled roots at tau = 0, one per root of the family (``ValueError``
+        otherwise); they must satisfy the tau = 0 polynomial.
     stops : sequence of float
         Ascending taus in (0, 1] the trace must land on: a step that would
         pass the next stop is shortened to end on it, and a rejected
@@ -332,7 +343,7 @@ def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, st
     try:
         here = piece.at(0.0)
         c0 = _descending(coeffs_at(here))
-        advance, misfit = _step_kernel(len(c0) - 1, len(vals))
+        advance, misfit = _kernel_for(c0, vals)
         bad = misfit(c0, vals, 10)
         if bad is not None:
             raise ContinuationError(
@@ -496,14 +507,16 @@ def polish(coeffs, old, guess):
     of the new values, in the order of ``old``; both lists of Python
     complex).
 
-    Returns the polished values as a list of Python complex numbers, or
-    None where ``track_family`` would reject the step (a value not finite,
-    a failed residual test, the collision guard measured from ``old``, or a
-    value beyond the float range).
+    ``old`` holds one value per root (``ValueError`` otherwise).  Returns
+    the polished values as a list of Python complex numbers, or None where
+    ``track_family`` would reject the step (a value not finite, a failed
+    residual test, the collision guard measured from ``old``, or a value
+    beyond the float range).
     """
     c = _descending(coeffs)
+    step = _kernel_for(c, old)[0]
     try:
-        return _step_kernel(len(c) - 1, len(old))[0](c, old, guess)
+        return step(c, old, guess)
     except OverflowError:
         return None
 

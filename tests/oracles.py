@@ -514,16 +514,35 @@ def _u_at(pts, tau, near_vals):
     return np.array([roots[p] for p in perm])
 
 
+def _im_gap(vals, pair) -> float:
+    j, k = pair
+    return float((vals[j - 1] - vals[k - 1]).imag)
+
+
+def _segment_position(vals, pair, crosser) -> tuple[float, float]:
+    """(signed area of the crosser against the segment of ``pair``, the
+    crosser's projection onto that segment as a fraction of its length)."""
+    a = complex(vals[pair[0] - 1])
+    d = complex(vals[pair[1] - 1]) - a
+    w = complex(vals[crosser - 1]) - a
+    cross = d.real * w.imag - d.imag * w.real
+    dot = d.real * w.real + d.imag * w.imag
+    length2 = d.real * d.real + d.imag * d.imag
+    return cross, (dot / length2 if length2 > 0 else -1.0)
+
+
 def scalar_detect_events(x_path, tol=stokes.BISECTION_TOL):
     """Events of a path by bisecting each bracket on its own, one
     batch-of-one cubic solve per step: pair by pair, Stokes crossings
-    before segment crossings, then sorted by tau."""
+    before segment crossings, then sorted by tau.  Each pair brackets its
+    own segment crossing, the sign change of the third u's signed area
+    against the pair's segment."""
     traj = stokes.track_u(x_path)
     pts = [(complex(p[0]), complex(p[1])) for p in x_path]
     events = []
 
     for pair in stokes.PAIRS:
-        series = [stokes._indicator(v, pair) for v in traj.values]
+        series = [_im_gap(v, pair) for v in traj.values]
         for n in range(1, len(series)):
             if series[n - 1] == 0.0:
                 continue
@@ -534,7 +553,7 @@ def scalar_detect_events(x_path, tol=stokes.BISECTION_TOL):
                 while hi - lo > tol:
                     mid = (lo + hi) / 2
                     vmid = _u_at(pts, mid, vals)
-                    f_mid = stokes._indicator(vmid, pair)
+                    f_mid = _im_gap(vmid, pair)
                     if f_lo * f_mid <= 0:
                         hi = mid
                     else:
@@ -555,7 +574,7 @@ def scalar_detect_events(x_path, tol=stokes.BISECTION_TOL):
                 )
 
         crosser = next(m for m in (1, 2, 3) if m not in pair)
-        sig = [stokes._segment_signature(v, pair, crosser) for v in traj.values]
+        sig = [_segment_position(v, pair, crosser) for v in traj.values]
         for n in range(1, len(sig)):
             c0, _ = sig[n - 1]
             c1, _ = sig[n]
@@ -567,14 +586,14 @@ def scalar_detect_events(x_path, tol=stokes.BISECTION_TOL):
             while hi - lo > tol:
                 mid = (lo + hi) / 2
                 vmid = _u_at(pts, mid, vals)
-                f_mid, _ = stokes._segment_signature(vmid, pair, crosser)
+                f_mid, _ = _segment_position(vmid, pair, crosser)
                 if f_lo * f_mid <= 0:
                     hi = mid
                 else:
                     lo, f_lo, vals = mid, f_mid, vmid
             tau_c = (lo + hi) / 2
             v_c = _u_at(pts, tau_c, vals)
-            _, lam = stokes._segment_signature(v_c, pair, crosser)
+            _, lam = _segment_position(v_c, pair, crosser)
             if 0.0 < lam < 1.0:
                 events.append(
                     stokes.StokesEvent(

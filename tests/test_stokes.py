@@ -169,41 +169,46 @@ def _event_labels(ev):
     return (ev.kind, ev.pair, ev.crosser, ev.dominant, ev.recessive, ev.im_before)
 
 
-def _count_steps(monkeypatch):
-    """Wrap the event rows' solver ``stokes._u_batch``, one call per
-    lockstep step; returns the list of row counts it saw.  Any Aberth batch
-    solved meanwhile fails the test."""
-    sizes = []
-    batch = stokes._u_batch
+def _count_rows(monkeypatch):
+    """Count the event rows, the calls of ``tracking.polish`` (one per row of
+    ``stokes._u_at``); returns a list whose length is that count.  Any Aberth
+    batch solved meanwhile fails the test."""
+    rows = []
+    polish = tracking.polish
 
-    def counted(pts, taus, brackets):
-        sizes.append(len(taus))
-        return batch(pts, taus, brackets)
+    def counted(coeffs, old, guess):
+        rows.append(1)
+        return polish(coeffs, old, guess)
 
     def no_batch(*args, **kw):
         raise AssertionError("events solved an Aberth batch")
 
-    monkeypatch.setattr(stokes, "_u_batch", counted)
+    monkeypatch.setattr(tracking, "polish", counted)
     monkeypatch.setattr(stokes, "roots_aberth_batch", no_batch)
     monkeypatch.setattr(aberth, "roots_aberth_batch", no_batch)
-    return sizes
+    return rows
 
 
-def _centre_values(monkeypatch):
-    """Wrap ``stokes._u_batch``; returns a dict holding, after
-    ``detect_events``, the labelled u's of its last batch (the brackets'
-    centres) keyed by tau."""
-    seen = {}
-    batch = stokes._u_batch
+def _recorded_rows(monkeypatch):
+    """Wrap ``stokes._u_at``; returns the list of its calls as (tau, bracket,
+    the bracket's (lo, hi) at the call, labelled u's), the bracket being the
+    live object ``detect_events`` narrows."""
+    seen = []
+    u_at = stokes._u_at
 
-    def recorded(pts, taus, brackets):
-        out = batch(pts, taus, brackets)
-        seen.clear()
-        seen.update(zip(taus, out))
+    def recorded(pts, t, b):
+        out = u_at(pts, t, b)
+        seen.append((t, b, (b.lo, b.hi), out))
         return out
 
-    monkeypatch.setattr(stokes, "_u_batch", recorded)
+    monkeypatch.setattr(stokes, "_u_at", recorded)
     return seen
+
+
+def _centre_values(rows):
+    """The labelled u's of each bracket's last row, its centre, keyed by tau."""
+    last = {id(b): (t, v) for t, b, _, v in rows}
+    return dict(last.values())
 
 
 def _jittered(seed, amount=0.01):
@@ -221,6 +226,10 @@ PATH_IDS = ["paper", "paper-to-vertex5", "reversed", "constant"]
 
 
 class TestLockstepBisection:
+    """Event bisection one bracket at a time: each step solves its
+    candidates as one batch of rows from the bracket's lower end, one
+    tracker step a row, then tests them in order."""
+
     # a random path near the cusp on which two u's nearly collide between
     # two tracker samples, inside a Stokes-crossing bracket
     NEAR_COLLISION = [
@@ -232,32 +241,34 @@ class TestLockstepBisection:
     @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
     def test_matches_scalar_oracle(self, path, monkeypatch):
         want = scalar_detect_events(path)
-        sizes = _count_steps(monkeypatch)
+        rows = _count_rows(monkeypatch)
         _, got = detect_events(path)
         assert [_event_labels(e) for e in got] == [_event_labels(e) for e in want]
         for a, b in zip(got, want):
             assert abs(a.tau - b.tau) <= BISECTION_TOL
         if not want:
-            assert sizes == []
+            assert rows == []
 
     @pytest.mark.parametrize("path", PATHS[:3], ids=PATH_IDS[:3])
     def test_taus_within_half_tol_of_mp_zero(self, path, monkeypatch):
         # every reported centre lies within half the tolerance of the event
         # function's zero computed at 30 digits from the hand-expanded cubic
-        centres = _centre_values(monkeypatch)
+        rows = _recorded_rows(monkeypatch)
         _, got = detect_events(path)
+        centres = _centre_values(rows)
         assert got
         for ev in got:
             zero = mp_event_zero(path, ev, centres[ev.tau])
             assert abs(ev.tau - zero) <= BISECTION_TOL / 2, (ev.kind, ev.pair, ev.tau - zero)
 
     def test_one_batch_per_bisection_step(self, monkeypatch):
-        # secant-straddle steps: 5 bracketing steps and the centre step,
-        # each row one tracker step and no Aberth batch
-        sizes = _count_steps(monkeypatch)
+        # secant-straddle steps on 5 Stokes and 2 collinearity brackets, and
+        # each bracket's centre: 107 rows, each one tracker step, and no
+        # Aberth batch
+        rows = _count_rows(monkeypatch)
         detect_events(PAPER_POLYLINE)
-        assert len(sizes) == 6
-        assert sum(sizes) == 191
+        assert len(stokes._brackets(track_u(PAPER_POLYLINE))) == 7
+        assert len(rows) == 107
 
     @pytest.mark.parametrize(
         "path",
@@ -265,20 +276,42 @@ class TestLockstepBisection:
         ids=["reversed", "paper-to-vertex7", "paper-from-vertex5", "jitter-1", "jitter-2", "jitter-3"],
     )
     def test_never_more_batches_than_bisection(self, path, monkeypatch):
-        # bisection halves the widest bracket ceil(log2(width / tol)) times,
-        # then solves once at the centres; the midpoint candidate keeps that
-        # worst case.  No step solves an Aberth batch.
+        # bisection halves a bracket ceil(log2(width / tol)) times, then
+        # solves once at its centre; the midpoint candidate keeps that worst
+        # case for every bracket.  No step solves an Aberth batch
         widths = [b.hi - b.lo for b in stokes._brackets(track_u(path))]
-        sizes = _count_steps(monkeypatch)
+        _count_rows(monkeypatch)
+        rows = _recorded_rows(monkeypatch)
         detect_events(path)
-        assert 0 < len(sizes) <= math.ceil(math.log2(max(widths) / BISECTION_TOL)) + 1
+        steps = {}  # bracket -> its batches, one per (lo, hi) it was solved from
+        for _, b, ends, _ in rows:
+            steps.setdefault(id(b), set()).add(ends)
+        assert len(steps) == len(widths) > 0
+        for width, batches in zip(widths, steps.values()):
+            assert 2 <= len(batches) <= math.ceil(math.log2(width / BISECTION_TOL)) + 1
+
+    def test_each_collinearity_is_bracketed_once(self):
+        # the three u's become collinear once between two samples: one
+        # bracket of the signed area, and the u inside the segment of the
+        # other two names one segment crossing
+        for path, segments in ((PAPER_POLYLINE, 2), (self.NEAR_COLLISION, 3)):
+            brackets = stokes._brackets(track_u(path))
+            lines = [(b.lo, b.hi) for b in brackets if b.pair is None]
+            _, events = detect_events(path)
+            crossings = [e for e in events if e.kind == "segment_crossing"]
+            assert len(lines) == len(crossings) == segments
+            for (lo, hi), ev in zip(lines, crossings):
+                assert lo < ev.tau < hi
 
     def test_label_match_failure_names_its_bracket(self, monkeypatch, tmp_path):
-        # the tracker step of the first row owned by bracket 1 is rejected,
-        # and so is the tracker leg that retries it
-        polish = tracking.polish
+        # the tracker step of the second bracket's first row is rejected, and
+        # so is the tracker leg that retries it
         first, bad = stokes._brackets(track_u(PAPER_POLYLINE))[:2]
-        row = len(stokes._candidates(first))  # the first row owned by ``bad``
+        rows = _recorded_rows(monkeypatch)
+        detect_events(PAPER_POLYLINE)
+        monkeypatch.undo()
+        row = sum(b is rows[0][1] for _, b, _, _ in rows)  # the first bracket's rows
+        polish = tracking.polish
         calls = []
 
         def reject_row(coeffs, old, guess):
@@ -296,7 +329,7 @@ class TestLockstepBisection:
             detect_events(PAPER_POLYLINE)
         assert len(calls) == row + 1
         msg = str(info.value)
-        assert bad.kind in msg and str(bad.pair) in msg
+        assert f"stokes_crossing of pair {bad.pair}" in msg
         assert f"[{bad.lo!r}, {bad.hi!r}]" in msg
         assert f"[{first.lo!r}, {first.hi!r}]" not in msg
         assert msg.endswith(": injected")
@@ -339,10 +372,11 @@ class TestLockstepBisection:
             return leg(coeffs_at, piece, start_vals, **kw)
 
         traj = track_u(path)
-        centres = _centre_values(monkeypatch)
+        rows = _recorded_rows(monkeypatch)
         monkeypatch.setattr(tracking, "polish", recorded_polish)
         monkeypatch.setattr(tracking, "track_family", recorded_leg)
         _, got = detect_events(path)
+        centres = _centre_values(rows)
         # track_u's n segments, then the retry: one bare segment
         n = len(path) - 1
         assert len(rejected) == 1

@@ -1,6 +1,7 @@
 """Smoke test of ``scripts/time_layers.py``: every layer it times and every
 name its counting hooks patch still exist, so a rename fails here rather
-than in a benchmark run.  Its ``resolved`` rule needs both a median gap
+than in a benchmark run, and the event counts of the paper polyline read
+as the bracketing makes them.  Its ``resolved`` rule needs both a median gap
 beyond the larger interquartile spread and 9 of 10 pairs won, and every
 run stored in ``BENCH_layers.json`` reads as that rule says."""
 
@@ -35,15 +36,19 @@ def test_every_case_runs_once(time_layers):
 
 def test_counting_hooks_around_a_cli_call(time_layers, tmp_path):
     patched = (borel.monodromy, borel._cut_jump, borel.SheetField.anchor,
-               borel.SheetField.track_stops, tracking.track_family, stokes._u_batch)
+               borel.SheetField.track_stops, tracking.track_family, stokes._brackets)
     argv = ["--out-dir", str(tmp_path), "borel", "--x1", "1", "--x2", "0.1", "--y", "0.1",
             "--ell", "1"]
     with time_layers.counting() as counts:
         assert main(argv) == 0
     assert counts["tracker.anchor.legs"] > 0
     assert counts["calls.QuarticSpec.coeffs"] > 0
+    # the paper polyline's 5 Stokes and 2 collinearity brackets, 107 rows
+    with time_layers.counting() as counts:
+        assert main(["--out-dir", str(tmp_path), "connect", "--path", "paper-polyline"]) == 0
+    assert (counts["events.brackets"], counts["events.rows"]) == (7, 107)
     assert patched == (borel.monodromy, borel._cut_jump, borel.SheetField.anchor,
-                       borel.SheetField.track_stops, tracking.track_family, stokes._u_batch)
+                       borel.SheetField.track_stops, tracking.track_family, stokes._brackets)
 
 
 def _row(time_layers, a, b):
