@@ -8,8 +8,9 @@ accept/reject counts must be the same, and the tracked values must agree
 to 1e-13 relative.  The monodromy loop is one arc leg among them.  On
 random families whose roots stay apart, the secant-predicted tracker ends
 where the reference loop ends, to 1e-12; tracking fewer values than the
-degree raises ``ValueError``.  The generated step kernel of each degree
-polishes onto distinct roots of its polynomial, computed at 30 digits by
+degree raises ``ValueError``, and they are tracked as part of the full
+tuple.  The generated step kernel of each degree polishes onto distinct
+roots of its polynomial, computed at 30 digits by
 mpmath, and start-checks bit for bit as the scalar Horner-loop helpers it
 replaced (kept in ``oracles``), on random polynomials of degree 1 to 6 from
 starts near the roots; it accepts or rejects as they do there and on each
@@ -193,19 +194,36 @@ def test_final_values_match_numpy_reference(seed, degree):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_fewer_values_than_the_degree_raise():
-    # the guard keeps apart only the values it sees, so a leg or a polish
-    # follows every root of its family: fewer values are refused before any
-    # step is taken
-    def coeffs_fn(t):
-        return from_roots([1.0 + t, -1.0, 2j], 1.0)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.data())
+def test_tracking_fewer_values_than_the_degree(seed, degree, data):
+    # the guard keeps apart only the values it sees, so a leg follows every
+    # root of its family: a few of the roots are refused before any step is
+    # taken, and are tracked as part of the full tuple, through the kernel of
+    # the degree alone, ending where the reference loop on that tuple ends
+    rng = np.random.default_rng(seed)
+    r0, v, w = (rng.normal(size=degree) + 1j * rng.normal(size=degree) for _ in range(3))
+    r0 = 1.5 * np.exp(2j * np.pi * np.arange(degree) / degree) + 0.1 * r0
+    v, w = 0.1 * v, 0.1 * w
+    lead = complex(*rng.normal(size=2))
+    keep = data.draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=degree - 1,
+                              unique=True))
 
-    for keep in ([1.0], [1.0, -1.0]):
-        with pytest.raises(ValueError, match="degree-3 family"):
-            tracking.track_family(coeffs_fn, UNIT, keep)
-        with pytest.raises(ValueError, match="degree-3 family"):
-            tracking.polish(coeffs_fn(0.5), keep, keep)
-    assert tracking.polish(coeffs_fn(0.0), [1.0, -1.0, 2j], [1.0, -1.0, 2j]) is not None
+    def coeffs_fn(t):
+        return from_roots(r0 + v * t + w * t * t, lead)
+
+    kernel, keys = tracking._step_kernel, set()
+    tracking._step_kernel = lambda n: keys.add(n) or kernel(n)
+    try:
+        with pytest.raises(ValueError, match=f"degree-{degree} family"):
+            tracking.track_family(coeffs_fn, UNIT, r0[keep])
+        assert keys == set()
+        got = tracking.track_family(coeffs_fn, UNIT, r0).final[keep]
+    finally:
+        tracking._step_kernel = kernel
+    assert keys == {degree}
+    want = track_family_numpy(coeffs_fn, r0)[1][-1][keep]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_newton_starts_from_the_secant_prediction(monkeypatch):
@@ -318,6 +336,26 @@ def test_step_kernel_matches_scalar_helpers(seed, degree, log_noise):
     c = tracking._descending(from_roots(roots, lead))
     noise = rng.normal(size=degree) + 1j * rng.normal(size=degree)
     _assert_step(c, (roots + 10.0**log_noise * noise).tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.floats(-14.0, 0.0), st.data())
+def test_step_kernel_on_fewer_values_matches_scalar_helpers(seed, degree, log_noise, data):
+    # starts near some of the roots: ``polish`` refuses them alone, and the
+    # degree's kernel, given them with the other roots as the remaining
+    # starts, accepts or rejects and start-checks as the helpers do
+    rng = np.random.default_rng(seed)
+    roots = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    lead = complex(*rng.normal(size=2))
+    coeffs = from_roots(roots, lead)
+    keep = data.draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=degree - 1,
+                              unique=True))
+    starts = roots.copy()
+    starts[keep] += 10.0**log_noise * (rng.normal(size=len(keep)) + 1j * rng.normal(size=len(keep)))
+    few = starts[keep].tolist()
+    with pytest.raises(ValueError, match=f"degree-{degree} family"):
+        tracking.polish(coeffs, few, few)
+    _assert_step(tracking._descending(coeffs), starts.tolist())
 
 
 def test_step_kernel_rejects_as_scalar_helpers():
