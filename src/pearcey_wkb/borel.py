@@ -36,9 +36,9 @@ across cuts (discontinuity operators).  Every Borel-plane path of one base
 point x, monodromy loops included, runs through one :class:`SheetField`: its
 singularities are the labelled u_ell of ``labeled_point(x)``, and its sheets
 are continued by ``track_s_with_bows``.  Origin labels reach a point by one
-route, :func:`branches_at_origin`: the first-order germs are matched to a
-full solve near (0, 0) and continued radially, so a field of any t seeds
-there.
+route, :func:`branches_at_origin`: one tracker step polishes the
+first-order germs near (0, 0), and the result is continued radially, so a
+field of any t seeds there.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .multipoly import MultiPoly, compile_polys
 STVARS = ("s", "t")
 T_VALIDITY = 0.2  # |x2 / x1^(2/3)| bound inside which chart results are validated
 SEED_SCALE = 0.02
+SEED_HALVINGS = 8  # halvings of a rejected origin seed point before seeding gives up
 RHO_REL = 0.18  # approach radius around a singularity, relative to min separation
 ANCHOR_REL = 0.3  # anchor radius above each u_ell, relative to min separation
 LOOP_REL = 0.25  # monodromy loop radius around u_ell, relative to |u_ell|
@@ -179,19 +180,37 @@ def _seed_point(s: complex, t: complex) -> tuple[complex, complex]:
 def branches_at_origin(s: complex, t: complex) -> np.ndarray:
     """The four origin-labeled sheet values h1..h4 at (s, t).
 
-    Labels are seeded with the first-order germs near (0, 0) and continued
-    radially to the requested point; meeting the discriminant en route
-    raises ``ContinuationError`` with the obstruction point.
+    Labels are seeded by one tracker step (:func:`tracking.polish`) from the
+    first-order germs at the seed point, (s, t) scaled down to max(|s|, |t|)
+    <= ``SEED_SCALE``: the step's residual test and collision guard decide
+    them.  A rejected step (near t = 2s, where the germs of h1 and h2
+    coincide to first order) halves the seed point along the same ray, up to
+    ``SEED_HALVINGS`` times, and no accepted step raises
+    ``ContinuationError`` naming (s, t) and the last seed radius tried.  The
+    seeded values are continued radially to the requested point; meeting the
+    discriminant en route raises ``ContinuationError`` with the obstruction
+    point.
     """
     s = complex(s)
     t = complex(t)
     if s == 0 and t == 0:
         return np.array([1 / 3, 1 / 3, 1 / 3, -1], dtype=complex)
-    s0, t0 = _seed_point(s, t)
     spec = quartic_spec("st")
+    s1, t1 = _seed_point(s, t)
+    for k in range(SEED_HALVINGS + 1):
+        s0, t0 = s1 * 0.5**k, t1 * 0.5**k
+        germs = origin_germs(s0, t0).tolist()
+        seeded = tracking.polish(spec.coeffs(s0, t0), germs, germs)
+        if seeded is not None:
+            break
+    else:
+        raise ContinuationError(
+            f"no origin-chart seed for (s, t) = ({s:.6g}, {t:.6g}): the germ step was "
+            f"rejected down to seed radius {max(abs(s0), abs(t0)):.3g}",
+            location=(s, t),
+        )
     if (s0, t0) == (s, t):
-        return tracking.solve_and_match(spec.coeffs(s, t), origin_germs(s, t))
-    seeded = tracking.solve_and_match(spec.coeffs(s0, t0), origin_germs(s0, t0))
+        return np.array(seeded, dtype=complex)
     trace = tracking.track_polyline(lambda p: spec.coeffs(*p), [(s0, t0), (s, t)], seeded)
     return trace.final
 

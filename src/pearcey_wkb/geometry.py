@@ -36,6 +36,7 @@ checks (weights 3, 2, 4, 4 for x1, x2, y, F):
 from __future__ import annotations
 
 import functools
+from cmath import isfinite
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ class PlanePoint:
     x2: complex
 
     def __post_init__(self):
-        if not (np.isfinite(complex(self.x1)) and np.isfinite(complex(self.x2))):
+        if not (isfinite(self.x1) and isfinite(self.x2)):
             raise ValidationError("plane point must be finite")
 
     def as_tuple(self) -> tuple[complex, complex]:

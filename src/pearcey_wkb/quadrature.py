@@ -61,9 +61,66 @@ _K49_WEIGHTS = (
 )
 
 
+# The n-point Gauss-Legendre rules on [-1, 1] that the quadratures use, as
+# numpy.polynomial.legendre.leggauss(n) returns them (eigenvalues of the
+# companion matrix, one Newton step, symmetrised).  Each rule is symmetric,
+# so only the positive half is listed: nodes ascending and their weights.
+_GL_HALVES = {
+    16: (
+        (
+            0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+            0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+            0.9445750230732326, 0.9894009349916499,
+        ),
+        (
+            0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+            0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+            0.062253523938647456, 0.027152459411754176,
+        ),
+    ),
+    24: (
+        (
+            0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+            0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+            0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+            0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+        ),
+        (
+            0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+            0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+            0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+            0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+        ),
+    ),
+    32: (
+        (
+            0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
+            0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
+            0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
+            0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+            0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
+            0.9972638618494816,
+        ),
+        (
+            0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
+            0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
+            0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
+            0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+            0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
+            0.007018610009470506,
+        ),
+    ),
+}
+
+
 @functools.cache
 def _gl_nodes(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """The n-point Gauss-Legendre rule on [-1, 1] (n = 16, 24 or 32), as
+    ascending nodes and their weights."""
+    if n not in _GL_HALVES:
+        raise ValueError(f"no tabulated {n}-point Gauss-Legendre rule")
+    pos, wts = _GL_HALVES[n]
+    return np.array(tuple(-x for x in pos[::-1]) + pos), np.array(wts[::-1] + wts)
 
 
 @functools.cache

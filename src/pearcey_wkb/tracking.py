@@ -33,10 +33,11 @@ values are unrolled into named locals, each with its own Newton loop, so
 the residual tests, the displacement and the pairwise separation are
 plain expressions over them.  :func:`polish` is one such step from a
 prediction of the caller's; event bisection in ``stokes`` labels its rows
-by it.  Running out of refinement raises ``ContinuationError`` with the
-path point where the tracker gave up; the message also names the piece and
-where on it the tracker stopped (``where``): the segment and the tau
-reached, or the arc and the angle reached.
+by it, and ``borel`` seeds the origin-chart sheets with it.  Running out
+of refinement raises ``ContinuationError`` with the path point where the
+tracker gave up; the message also names the piece and where on it the
+tracker stopped (``where``): the segment and the tau reached, or the arc
+and the angle reached.
 """
 
 from __future__ import annotations
@@ -522,7 +523,12 @@ def polish(coeffs, old, guess):
 
 
 def solve_and_match(coeffs, approx_vals):
-    """Solve the polynomial fully and relabel to match approximate values."""
+    """Solve the polynomial fully and relabel to match approximate values.
+
+    No library code calls it: origin seeding is one :func:`polish` step.  It
+    stays while the benchmark tracer (``perfbench/tracer.py``) binds it by
+    name.
+    """
     roots = roots_aberth(coeffs)
     perm = match_labels(approx_vals, roots, guard_ratio=SOLVE_GUARD_RATIO)
     return np.array([roots[p] for p in perm])

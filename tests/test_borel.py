@@ -24,7 +24,7 @@ from pearcey_wkb.borel import (
     _cut_side,
     _ray_chain,
 )
-from pearcey_wkb.errors import CutError, ValidationError
+from pearcey_wkb.errors import ContinuationError, CutError, ValidationError
 from pearcey_wkb.geometry import PlanePoint, p_ell, singular_cubic_coeffs
 from pearcey_wkb.quadrature import laplace_borel_sum
 from pearcey_wkb.wkb_series import borel_coeffs
@@ -158,6 +158,59 @@ OLD_SEED_GRID = [(2, 1), (2, 4), (2, 7), (2.5, 1), (2.5, 4), (2.5, 7), (3, 1), (
                  (3, 6), (3, 7)] + [(5, k) for k in range(8)]
 OLD_SEED_FAILURES = [PlanePoint(1.0, cmath.rect(r, np.pi * k / 4)) for r, k in OLD_SEED_GRID]
 OLD_SEED_FAILURES.append(PlanePoint(0.15, 0.5 + 0.5j))
+
+
+# origin-chart points whose germ step is rejected at the seed radius
+# SEED_SCALE and accepted after 1, 2 and 3 halvings (all near t = 2s, where
+# the germs of h1 and h2 coincide to first order), with the oracle's seed
+# radius: at the third its own germ check needs one below 1e-3
+HALVING_SEEDS = [
+    ((-0.052 - 0.073j, -0.082 + 0.173j), 1, 1e-3),
+    ((-0.071 + 0.081j, -0.135 + 0.158j), 2, 1e-3),
+    ((0.073 - 0.078j, 0.145 - 0.158j), 3, 5e-4),
+]
+
+
+def _chart_grid(n=40):
+    """Seeded points with |s| <= 0.5 and |t| <= 0.2, uniform in each disc."""
+    rng = np.random.default_rng(23)
+    r = np.sqrt(rng.uniform(size=(n, 2))) * [0.5, 0.2]
+    z = r * np.exp(2j * np.pi * rng.uniform(size=(n, 2)))
+    return [(complex(s), complex(t)) for s, t in z]
+
+
+class TestOriginSeed:
+    @pytest.mark.parametrize("point,halvings,near", HALVING_SEEDS, ids=str)
+    def test_halved_seed_matches_oracle(self, point, halvings, near, monkeypatch):
+        steps, real = [], tracking.polish
+
+        def counted(*args):
+            out = real(*args)
+            steps.append(out is not None)
+            return out
+
+        monkeypatch.setattr(tracking, "polish", counted)
+        h = branches_at_origin(*point)
+        assert steps == [False] * halvings + [True]
+        assert np.max(np.abs(h - origin_sheets_oracle(*point, near=near))) <= 1e-10
+
+    @pytest.mark.parametrize("point", _chart_grid(), ids=str)
+    def test_grid_matches_oracle(self, point):
+        h = branches_at_origin(*point)
+        assert np.max(np.abs(h - origin_sheets_oracle(*point, near=1e-3))) <= 1e-10
+
+    def test_inside_seed_radius(self):
+        # a point within SEED_SCALE of the origin is seeded where it is
+        h = branches_at_origin(0.01, 0.005j)
+        assert np.max(np.abs(h - origin_sheets_oracle(0.01, 0.005j, near=1e-3))) <= 1e-10
+
+    def test_t_equal_2s_raises_naming_the_point(self):
+        # on t = 2s the germs of h1 and h2 are equal at every radius
+        with pytest.raises(ContinuationError) as err:
+            branches_at_origin(0.01, 0.02)
+        assert "(s, t) = (0.01+0j, 0.02+0j)" in str(err.value)
+        assert err.value.location == (0.01, 0.02)
+        assert "seed radius 7.81e-05" in str(err.value)
 
 
 class TestSeeding:

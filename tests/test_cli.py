@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +313,28 @@ def test_quadrature_compare_borel_labels_each_point_once(tmp_path, monkeypatch):
             "--x2=-0.0317,-0.0849", "--eta", "7.15", "--contour", "1,0", "--compare-borel"]
     assert run(argv) == 0
     assert paths and set(paths.values()) == {1}
+
+
+def test_verify_and_quadrature_leave_numpy_random_and_polynomial_unloaded(tmp_path):
+    # numpy loads both lazily: verify draws its samples with the standard
+    # library, and the Gauss-Legendre rules are tabulated
+    import pearcey_wkb
+
+    code = "\n".join([
+        "import sys",
+        "from pearcey_wkb.cli import main",
+        f"out = {str(tmp_path)!r}",
+        "assert main(['--out-dir', out, 'verify']) == 0",
+        "assert main(['--out-dir', out, 'quadrature', '--x1', '1', '--x2', '0.1',"
+        " '--eta', '10', '--contour', '1,2', '--compare-borel']) == 0",
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy.random', 'numpy.polynomial'))))",
+    ])
+    src = str(Path(pearcey_wkb.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_console_script_entry():

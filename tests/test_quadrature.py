@@ -58,6 +58,17 @@ class TestKronrod:
         p74 = np.polynomial.legendre.Legendre.basis(74)(xs)
         assert abs(sum(w * p for w, p in zip(kws, p74))) > 1e-6
 
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_gl_nodes_are_numpys_leggauss(self, n):
+        xs, ws = _gl_nodes(n)
+        want_xs, want_ws = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(xs, want_xs, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ws, want_ws, rtol=0, atol=1e-15)
+
+    def test_gl_nodes_untabulated_order_raises(self):
+        with pytest.raises(ValueError):
+            _gl_nodes(20)
+
     def test_gauss_subset_is_the_24_point_rule(self):
         xs, kws, gws = _gk_nodes()
         xg, wg = _gl_nodes(24)
