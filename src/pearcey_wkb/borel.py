@@ -288,60 +288,73 @@ def track_s_with_bows(field, vals, s_path) -> np.ndarray:
     starts at its first piece and runs straight to each next point; it runs
     straight to an arc's start (unless it is already there) and then along
     the arc.  Each straight stretch (a :class:`tracking.Segment`) and each
-    arc is one tracker leg.
-
-    Two sheets of the quartic can take the same value away from any branch
-    point (distinct saddles sharing one value of g).  Such crossings stop
-    nearest-match tracking but carry no monodromy, so a small bow around
-    them leaves the continuation class unchanged.  A failing segment is
-    bowed whole; on a failing arc the stretch from ``ARC_STEP`` radians
-    before the failure point to ``ARC_STEP`` past it becomes its chord, the
-    chord is bowed and the rest of the arc is tracked from its end.  The
-    bow is only attempted when the obstruction is far from every labelled
-    singularity u_ell of the field (scale: their minimum separation);
-    otherwise the error propagates.
+    arc is one tracker leg under the one failure rule of :func:`_leg`.
     """
-    s_stars = [u / field.x1_quarter for u in field.u_vals]
-    sep_s = field.min_sep / abs(field.x1_quarter)
-
-    def bowable(err, depth) -> bool:
-        loc = err.location
-        return depth < 4 and loc is not None and min(abs(loc - s) for s in s_stars) >= 0.12 * sep_s
-
-    def bow(vals, a, b, loc, depth):
-        perp = 1j * (b - a) / abs(b - a)
-        mid = loc + perp * 0.05 * sep_s
-        part = leg(vals, tracking.Segment(a, mid), depth + 1)
-        return leg(part, tracking.Segment(mid, b), depth + 1)
-
-    def leg(vals, piece, depth):
-        trace = tracking.Trace()
-        try:
-            return tracking.track_family(field.coeffs_at, piece, vals, trace=trace).final
-        except ContinuationError as err:
-            if not bowable(err, depth):
-                raise
-            if isinstance(piece, tracking.Segment):
-                return bow(vals, piece.a, piece.b, err.location, depth)
-            if not trace.taus:
-                raise
-            reach = tracking.ARC_STEP / abs(piece.theta1 - piece.theta0)
-            k = max(0, bisect_right(trace.taus, trace.taus[-1] - reach) - 1)
-            tau_b = min(1.0, trace.taus[-1] + reach)
-            out = bow(trace.values[k], trace.points[k], piece.at(tau_b), err.location, depth)
-            return out if tau_b == 1.0 else leg(out, piece.part(tau_b, 1.0), depth + 1)
-
     cur = np.asarray(vals, dtype=complex)
     here = _start(s_path[0])
     for piece in s_path:
         start = _start(piece)
         if start != here:
-            cur = leg(cur, tracking.Segment(here, start), 0)
+            cur = _leg(field, cur, tracking.Segment(here, start))[-1]
         here = start
         if isinstance(piece, tracking.Arc):
-            cur = leg(cur, piece, 0)
+            cur = _leg(field, cur, piece)[-1]
             here = piece.end
     return cur
+
+
+def _leg(field, vals, piece, depth=0, stops=()) -> list[np.ndarray]:
+    """``field``'s sheet tuples along one tracker leg on ``piece`` from
+    ``vals``: one per tau of a segment's ascending ``stops``, then the end's.
+
+    Two sheets of the quartic can take the same value away from any branch
+    point (distinct saddles sharing one value of g).  Such crossings stop
+    nearest-match tracking but carry no monodromy, so a small bow around
+    them leaves the continuation class unchanged.  Where a leg fails, the
+    stretch around the failure is bowed as a chord: on a segment from the
+    last stop reached (or its start) to the next stop (or its end), so a
+    segment without stops is bowed whole; on an arc from ``ARC_STEP``
+    radians before the failure point to ``ARC_STEP`` past it.  The chord's
+    two legs nest one level deeper; the rest of the piece is tracked from
+    the chord's end at the failing leg's depth, and bowed again where it
+    fails.  Below depth 4 and far from every labelled singularity u_ell of
+    the field (scale: their minimum separation) the bow is attempted;
+    otherwise the error propagates.
+    """
+    trace = tracking.Trace()
+    try:
+        tracking.track_family(field.coeffs_at, piece, vals, trace=trace, stops=stops)
+        failure = None
+    except ContinuationError as err:
+        failure = err
+    hit = set(stops)
+    out = [v for tau, v in zip(trace.taus, trace.values) if tau in hit]
+    if failure is None:
+        return out + [trace.final]
+    loc, sep_s = failure.location, field.min_sep / abs(field.x1_quarter)
+    s_stars = field.u_vals / field.x1_quarter
+    if not (depth < 4 and loc is not None and min(abs(loc - s_stars)) >= 0.12 * sep_s):
+        raise failure
+    if isinstance(piece, tracking.Segment):
+        k = len(out)
+        tau_b = stops[k] if k < len(stops) else 1.0
+        start, chord = (out[-1] if k else vals), piece.part(stops[k - 1] if k else 0, tau_b)
+    elif trace.taus:
+        reach = tracking.ARC_STEP / abs(piece.theta1 - piece.theta0)
+        i = max(0, bisect_right(trace.taus, trace.taus[-1] - reach) - 1)
+        tau_b = min(1.0, trace.taus[-1] + reach)
+        start, chord = trace.values[i], tracking.Segment(trace.points[i], piece.at(tau_b))
+    else:
+        raise failure
+    mid = loc + 1j * (chord.b - chord.a) / abs(chord.b - chord.a) * 0.05 * sep_s
+    bowed = _leg(field, start, tracking.Segment(chord.a, mid), depth + 1)[-1]
+    bowed = _leg(field, bowed, tracking.Segment(mid, chord.b), depth + 1)[-1]
+    if len(out) < len(stops):  # the chord ends on the next stop
+        out.append(bowed)
+    if tau_b == 1.0:
+        return out + [bowed]
+    rest = [(tau - tau_b) / (1.0 - tau_b) for tau in stops[len(out) :]]
+    return out + _leg(field, bowed, piece.part(tau_b, 1.0), depth, rest)
 
 
 def _start(piece) -> complex:
@@ -407,14 +420,9 @@ class SheetField:
         self.x1_quarter = c**4
         self.t = complex(x.x2) / c**2
         self.u_vals = np.array(labeled_point(x).us.values, dtype=complex)
-        self.min_sep = min(
-            abs(a - b)
-            for i, a in enumerate(self.u_vals)
-            for b in self.u_vals[i + 1 :]
-        )
+        self.min_sep = tracking._min_pairwise(self.u_vals)
         self.spec = quartic_spec("st")
-        self._anchors: dict[int, tuple[complex, np.ndarray]] = {}
-        self._anchor_swaps: dict[int, bool] = {}
+        self._anchors: dict[int, tuple[complex, np.ndarray, np.ndarray]] = {}  # see anchor
 
     @property
     def chart_validated(self) -> bool:
@@ -459,35 +467,12 @@ class SheetField:
         """Sheet tuples at the points y0 + (y1 - y0) tau of the segment
         y0 -> y1, one per tau in the ascending ``stops`` (in (0, 1]).
 
-        The segment is one tracker leg landing on every stop.  Where it
-        fails, the stretch from the last stop reached to the next one goes
-        through ``track_s_with_bows`` (bows included) and the leg resumes
-        from there with the remaining stops.
+        The segment is one tracker leg landing on every stop, under the
+        failure rule of every leg (:func:`_leg`): a failure bows the stretch
+        from the last stop reached to the next one.
         """
-        a, b = self.s_of_y(y0), self.s_of_y(y1)
-        taus = [float(tau) for tau in stops]
-        points = [a + (b - a) * tau for tau in taus]
-        out: list[np.ndarray] = []
-        start, start_vals, offset = a, vals, 0.0
-        while len(out) < len(taus):
-            rest = [(tau - offset) / (1.0 - offset) for tau in taus[len(out) :]]
-            trace = tracking.Trace()
-            try:
-                tracking.track_family(
-                    self.coeffs_at, tracking.Segment(start, b), start_vals, trace=trace, stops=rest
-                )
-            except ContinuationError:
-                pass  # the trace keeps the stops reached before the failure
-            hit = set(rest)
-            out += [v for r, v in zip(trace.taus, trace.values) if r in hit]
-            k = len(out)
-            if k < len(taus):
-                start, offset = points[k], taus[k]
-                start_vals = track_s_with_bows(
-                    self, out[-1] if k else vals, [points[k - 1] if k else a, start]
-                )
-                out.append(start_vals)
-        return out
+        segment = tracking.Segment(self.s_of_y(y0), self.s_of_y(y1))
+        return _leg(self, vals, segment, stops=[float(tau) for tau in stops])[: len(stops)]
 
     def anchor(self, ell: int) -> tuple[complex, np.ndarray]:
         """Anchor point u_ell + i r and the sheet tuple carried there.
@@ -498,17 +483,18 @@ class SheetField:
         opposite side of the local square root, the singular sheet pair is
         swapped.  This keeps the anchor well-defined at configurations
         whose singularities have rotated far from the reference wedge.
+        ``_anchors[ell]`` records the point, the corrected tuple and the raw
+        arrival, the corrected tuple being the arrival itself unless swapped.
         """
         u = self.u(ell)
         if ell not in self._anchors:
             r = ANCHOR_REL * self.min_sep
-            sheets = self.track_y_polyline([tracking.Arc(u, r, _ray_angle(u), pi / 2)])
-            point = u + 1j * r
+            arrival = self.track_y_polyline([tracking.Arc(u, r, _ray_angle(u), pi / 2)])
+            point, sheets = u + 1j * r, arrival
             got = self.psi_from_sheets(ell, sheets)
             ref = self._series_germ(ell, point)
-            swapped = abs(got + ref) < abs(got - ref)
-            if swapped:
-                sheets = sheets.copy()
+            if abs(got + ref) < abs(got - ref):
+                sheets = arrival.copy()
                 sheets[ell - 1], sheets[3] = sheets[3], sheets[ell - 1]
                 got = -got
             if abs(got - ref) > 0.2 * abs(ref):
@@ -516,19 +502,8 @@ class SheetField:
                     f"anchor germ disagrees with the local series "
                     f"({abs(got - ref) / abs(ref):.2e} relative)"
                 )
-            self._anchors[ell] = (point, sheets)
-            self._anchor_swaps[ell] = swapped
-        return self._anchors[ell]
-
-    def anchor_swap(self, ell: int) -> bool:
-        """Whether the ray-arc arrival needed the singular-pair correction.
-
-        The flag records a 2 pi difference between the representative arc
-        and the continuation frame; segment-continuation paths built from
-        the raw arcs pick up one sign per flagged endpoint.
-        """
-        self.anchor(ell)
-        return self._anchor_swaps[ell]
+            self._anchors[ell] = (point, sheets, arrival)
+        return self._anchors[ell][:2]
 
     def _series_germ(self, ell: int, y: complex) -> complex:
         from .wkb_series import borel_coeffs
@@ -662,18 +637,15 @@ def discontinuity(
             details.append(f"u_{j} within {d:.2e} of segment u_{ell}u_{k}")
 
     approach = _ray_chain(field, ell, mids, k)
-    a, corrected = field.anchor(ell)
-    # the chain is built from the raw representative arcs: undo the anchor
-    # correction before transport, restore its sign afterwards
-    sign = 1.0
-    start = corrected
-    if field.anchor_swap(ell):
-        start = corrected.copy()
-        start[ell - 1], start[3] = start[3], start[ell - 1]
-        sign = -sign
-    if field.anchor_swap(k):
-        sign = -sign
-    arrived = field.track_from(start, approach)  # the chain starts at a
+    # the chain runs the raw ray arcs: back down u_ell's, which carries u_ell's
+    # raw arrival onto the standard branch continued to the ray, and up u_k's,
+    # which lands across u_k's square root (a singular-pair swap: the jump's
+    # sign flips) where u_k's anchor was corrected
+    field.anchor(ell)
+    field.anchor(k)
+    _, sheets_k, arrival_k = field._anchors[k]
+    sign = 1.0 if sheets_k is arrival_k else -1.0
+    arrived = field.track_from(field._anchors[ell][2], approach)  # the chain starts at a
     jump = _cut_jump(
         field, uk, R, approach[-1].end, arrived, lambda s: field.psi_from_sheets(ell, s)
     )

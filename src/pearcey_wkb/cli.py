@@ -58,6 +58,17 @@ def _parse_complex(text: str) -> complex:
         raise ValidationError(f"cannot parse number {text!r}: {e}") from None
 
 
+def _parse_numbers(text: str, convert, count: int, what: str) -> list:
+    """``count`` comma-separated numbers, each read by ``convert``."""
+    try:
+        values = [convert(v) for v in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or len(values) != count:
+        raise ValidationError(f"{what}: cannot parse {text!r}")
+    return values
+
+
 def _cpx_json(z: complex) -> list[str]:
     return [repr(float(z.real)), repr(float(z.imag))]
 
@@ -207,15 +218,19 @@ def _resolve_path(spec: str):
     if spec == "paper-polyline":
         return [(complex(a), complex(b)) for a, b in PAPER_POLYLINE]
     if os.path.exists(spec):
-        with open(spec) as f:
-            data = json.load(f)
-        return [
-            (complex(float(p[0]), float(p[1])), complex(float(p[2]), float(p[3])))
-            for p in data
-        ]
+        try:
+            with open(spec) as f:
+                rows = json.load(f)
+            if any(len(p) != 4 for p in rows):
+                raise ValueError("every row must be 4 numbers x1re, x1im, x2re, x2im")
+            return [(complex(*map(float, p[:2])), complex(*map(float, p[2:]))) for p in rows]
+        except (OSError, ValueError, TypeError) as e:
+            raise ValidationError(f"path file {spec!r}: {e}") from None
     # inline: semicolon-separated vertices "x1re,x1im/x2re,x2im"
     pts = []
     for vertex in spec.split(";"):
+        if vertex.count("/") != 1:
+            raise ValidationError(f"path {spec!r}: {vertex!r} is not a file or x1/x2 vertex")
         a, b = vertex.split("/")
         pts.append((_parse_complex(a), _parse_complex(b)))
     if len(pts) < 2:
@@ -290,9 +305,7 @@ def _cmd_stokes_section(cfg: RunConfig, args) -> int:
     from .stokes import raster_section
     from .svgout import render_section
 
-    window = tuple(float(v) for v in args.window.split(","))
-    if len(window) != 4:
-        raise ValidationError("window must be re0,re1,im0,im1")
+    window = tuple(_parse_numbers(args.window, float, 4, "window re0,re1,im0,im1"))
     section = raster_section(
         _parse_complex(args.x2), window, args.res, with_sextic=args.with_sextic
     )
@@ -359,6 +372,8 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     from .zeta_ring import homogeneity_residual
     from .borel import branches_at_origin, verify_annihilation
 
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, not {args.samples}")
     checks = []
     order = args.order
     table = build_series(order)
@@ -418,8 +433,8 @@ def _cmd_quadrature(cfg: RunConfig, args) -> int:
     from .wkb_series import build_series
 
     x = PlanePoint(_parse_complex(args.x1), _parse_complex(args.x2))
-    eta = float(args.eta)
-    a, b = (int(v) for v in args.contour.split(","))
+    (eta,) = _parse_numbers(args.eta, float, 1, "eta")
+    a, b = _parse_numbers(args.contour, int, 2, "contour a,b")
     value = pearcey_quadrature(x, eta, (a, b))
     payload = {"contour": [a, b], "eta": repr(eta), "value": _cpx_json(value)}
     if args.compare_borel:

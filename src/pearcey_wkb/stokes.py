@@ -80,20 +80,7 @@ def track_u(x_path: list[PlanePoint | tuple]) -> tracking.Trace:
     if len(pts) < 2:
         raise ValidationError("path needs at least 2 vertices")
     start = critical_values(PlanePoint(*pts[0]))
-    trace = tracking.track_polyline(_cubic_at, pts, np.array(start.values, dtype=complex))
-    taus, points, values = [], [], []
-    nseg = len(pts) - 1
-    i = -1
-    for tau, point, tvals in zip(trace.taus, trace.points, trace.values):
-        if tau == 0.0:  # every leg starts with a tau = 0 record
-            i += 1
-        g = (i + tau) / nseg
-        if taus and g <= taus[-1]:
-            continue
-        taus.append(g)
-        points.append(point)
-        values.append(tvals)
-    return tracking.Trace(taus, points, values)
+    return tracking.track_polyline(_cubic_at, pts, np.array(start.values, dtype=complex))
 
 
 def _cubic_at(p: tuple[complex, complex]) -> np.ndarray:

@@ -7,11 +7,11 @@ is a sequence of pieces, and every piece is one :func:`track_family` call
 over its parameter tau in [0, 1]:
 
 * a straight :class:`Segment` starts at tau-step 0.125 and never steps more
-  than ``MAX_STEP`` = 0.25; a polyline is one segment per pair of knots
-  (:func:`track_polyline`), and a segment that must pass through given
-  points (the Gauss nodes of a Laplace ray) has those points' taus as
-  ``stops``, each step that would pass the next stop being shortened to
-  land on it;
+  than ``MAX_STEP`` = 0.25; a polyline is one segment per pair of knots,
+  recorded as one trace over global taus (:func:`track_polyline`), and a
+  segment that must pass through given points (the Gauss nodes of a
+  Laplace ray) has those points' taus as ``stops``, each step that would
+  pass the next stop being shortened to land on it;
 * a circular :class:`Arc` is one piece however far it turns, its steps
   capped at ``ARC_STEP`` radians.
 
@@ -391,13 +391,14 @@ def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, st
 
 def track_polyline(coeffs_at, knots, start_vals) -> Trace:
     """Track through a polyline of base points, one :class:`Segment` per
-    pair of consecutive knots.
+    pair of consecutive knots, into one trace.
 
     Knots are complex numbers or tuples of them, as for :class:`Segment`;
     ``coeffs_at`` maps a point in the knots' form to ascending
-    coefficients.  Every segment starts with a tau = 0 record, so the
-    records of segment i follow its i-th tau = 0 record.  A single knot
-    gives a trace of ``start_vals`` alone, unchecked.
+    coefficients.  The trace's taus are global: a record at tau on segment
+    i of n (counting from 0) has tau (i + tau) / n.  Each inner knot is
+    recorded once, by the end record of the segment before it.  A single
+    knot gives a trace of ``start_vals`` alone, unchecked.
     """
     knots = [tuple(map(complex, k)) if isinstance(k, tuple) else complex(k) for k in knots]
     if not knots:
@@ -408,7 +409,12 @@ def track_polyline(coeffs_at, knots, start_vals) -> Trace:
         return trace
     vals, n = start_vals, len(knots) - 1
     for i, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
-        vals = track_family(coeffs_at, Segment(a, b, i + 1, n), vals, trace=trace).final
+        leg = track_family(coeffs_at, Segment(a, b, i + 1, n), vals)
+        first = min(i, 1)  # knot a is the previous segment's end record
+        trace.taus += [(i + tau) / n for tau in leg.taus[first:]]
+        trace.points += leg.points[first:]
+        trace.values += leg.values[first:]
+        vals = leg.final
     return trace
 
 
@@ -448,6 +454,11 @@ class Segment:
             f"segment {self.index} of {self.count}, from {_knot_text(self.a)} "
             f"to {_knot_text(self.b)}, at tau {tau:.6g}"
         )
+
+    def part(self, tau0: float, tau1: float) -> Segment:
+        """The stretch from parameter tau0 to tau1, on the knots at 0 and 1."""
+        ends = (self.a if tau0 == 0 else self.at(tau0), self.b if tau1 == 1 else self.at(tau1))
+        return Segment(*ends, self.index, self.count)
 
 
 @dataclass(frozen=True)

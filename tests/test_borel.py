@@ -411,6 +411,26 @@ class TestDiscontinuities:
         assert abs(d.value - rhs) < 1e-8 * abs(rhs)
         assert d.hypothesis_ok
 
+    @pytest.mark.parametrize(
+        "x, ell, k",
+        [(PlanePoint(0.5 + 0.5j, -0.05j), ell, k) for ell, k in ((2, 3), (3, 2))]
+        + [(PlanePoint(1.0, 0.01 - 0.01j), ell, k) for ell, k in ((1, 3), (3, 1), (3, 2))],
+    )
+    def test_plain_identity_where_an_anchor_is_swapped(self, x, ell, k):
+        # u_3's ray arc crosses its own cut at these points, so its anchor
+        # swaps the singular pair; the jumps from and to u_3 keep the signed
+        # identity of the unswapped points
+        f = SheetField(x)
+        f.anchor(ell)
+        f.anchor(k)
+        swapped = [f._anchors[m][1] is not f._anchors[m][2] for m in (ell, k)]
+        assert swapped == [ell == 3, k == 3]
+        y = f.u_vals[k - 1] + 0.25 * f.min_sep
+        d = discontinuity("plain", ell, k, f, y)
+        rhs = (-1) ** ell * psi_on_cut(f, k, y)
+        assert abs(d.value - rhs) < 1e-8 * abs(rhs)
+        assert d.hypothesis_ok
+
     def test_tilde_vanishes(self):
         x = PlanePoint(1.0, 0.06 + 0.02j)
         f = SheetField(x)

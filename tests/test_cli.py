@@ -337,6 +337,59 @@ def test_verify_and_quadrature_leave_numpy_random_and_polynomial_unloaded(tmp_pa
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+QUADRATURE = ["quadrature", "--x1", "1", "--x2", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["track-u", "--path", "0.1,0"], "'0.1,0'"),
+        (["events", "--path", "missing.json"], "'missing.json'"),
+        (["connect", "--path", "{tmp}/rows.json"], "rows.json"),
+        (["track-u", "--path", "{tmp}/short.json"], "short.json"),
+        (["events", "--path", "{tmp}/text.json"], "text.json"),
+        (["stokes-section", "--x2", "0", "--window=a,1,-1,1", "--res", "16"], "'a,1,-1,1'"),
+        ([*QUADRATURE, "--eta", "abc", "--contour", "0,1"], "'abc'"),
+        ([*QUADRATURE, "--eta", "1", "--contour", "1"], "'1'"),
+        ([*QUADRATURE, "--eta", "1", "--contour", "a,b"], "'a,b'"),
+    ],
+    ids=["inline-vertex", "missing-file", "row-of-two", "row-not-numbers", "not-json",
+         "window", "eta", "contour-one", "contour-letters"],
+)
+def test_malformed_input_is_a_validation_error(tmp_path, capsys, monkeypatch, argv, text):
+    monkeypatch.chdir(tmp_path)  # "missing.json" is not there
+    (tmp_path / "rows.json").write_text("[[0.15, 0, 0, 0], [0.15, 0]]")
+    (tmp_path / "short.json").write_text('[[0.15, 0, 0, 0], ["a", "b", "c", "d"]]')
+    (tmp_path / "text.json").write_text("0.15,0/0,0;0.2,0/0,0")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(["--out-dir", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and text in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_path_file_rows_parse_as_before(tmp_path):
+    # a JSON file of [x1re, x1im, x2re, x2im] rows gives the inline path's bytes
+    rows = [[0.15, 0, 0, 0], [0.15, 0, 0.32, 0], [0.15, 0, 0.5, 0.25]]
+    (tmp_path / "path.json").write_text(json.dumps(rows))
+    inline = "0.15,0/0,0;0.15,0/0.32,0;0.15,0/0.5,0.25"
+    for name, spec in (("file", str(tmp_path / "path.json")), ("inline", inline)):
+        assert run(["--out-dir", str(tmp_path / name), "--no-timestamp", "track-u",
+                    "--path", spec]) == 0
+    body = {name: [line for line in (tmp_path / name / "track_u.csv").read_text().splitlines()
+                   if not line.startswith("#")] for name in ("file", "inline")}
+    assert len(body["file"]) > 3 and body["file"] == body["inline"]
+
+
+def test_verify_needs_a_sample(tmp_path, capsys):
+    # zero samples would pass the annihilation check without evaluating it
+    assert run(["--out-dir", str(tmp_path / "o"), "verify", "--samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--samples must be at least 1, not 0" in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "o").exists()
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "pearcey_wkb.cli", "--help"],

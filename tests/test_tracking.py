@@ -19,17 +19,20 @@ row of ``singular_cubic_grid`` as from the row's list of Python complex.
 
 With ``stops``, a Laplace ray of the Borel quartic is tracked as one leg
 that lands once on every Gauss node; the values there match a replay one
-node-to-node leg at a time, and a failure forced mid-ray falls back to the
-bowed leg for one stretch and still yields every node.  A failure forced
-mid-arc bows the chord of one stretch of the arc and arrives at the
-unforced sheets.  An arc that cannot be passed names itself and the angle
+node-to-node leg at a time, and a failure forced mid-ray bows the stretch
+from the last node reached to the next one and still yields every node.  A
+plain segment forced to fail is bowed whole, and a failure forced mid-arc
+bows the chord of one stretch of the arc; both arrive at the unforced
+sheets.  An arc that cannot be passed names itself and the angle
 reached in the error, a segment its endpoints and the tau reached; a
 segment's point at tau is ``a + (b - a) * tau`` bit for bit.
 
 Properties of ``track_polyline`` on (x1, x2) knots of the characteristic
-cubic, over polylines that stay clear of the turning locus: a path and its
-reverse give back the start labels, midpoints leave the final values
-unchanged, and a single knot gives back the start values.
+cubic, over polylines that stay clear of the turning locus: its one trace
+is the segments' own legs, bit for bit, on global taus that ascend and
+record each knot once; a path and its reverse give back the start labels,
+midpoints leave the final values unchanged, and a single knot gives back
+the start values.
 """
 
 import itertools
@@ -153,9 +156,10 @@ def test_track_family_keyword_is_trace_only():
     # one value per record: no pair to measure
     single = tracking.track_family(lambda t: np.array([-t, 1.0]), UNIT, [0.0])
     assert single.min_separation == np.inf
-    # many legs: the minimum over every record of every leg
+    # three segments in one trace, each knot recorded once at its global tau:
+    # the minimum over every record of every leg
     legs = char_trace(labeling_path(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j)))
-    assert legs.taus.count(0.0) == 3
+    assert [legs.taus.count(i / 3) for i in range(4)] == [1, 1, 1, 1]
     want = min(abs(a - b) for v in legs.values for a, b in itertools.combinations(v, 2))
     assert legs.min_separation == want
 
@@ -505,31 +509,57 @@ class _GivesUp:
 def test_failure_mid_ray_bows_one_stretch_and_returns_every_node(fail_after, monkeypatch):
     field, start, y0, y1, taus = _laplace_ray()
     want = field.track_stops(start, y0, y1, taus)
-    real_track, real_bows = tracking.track_family, borel.track_s_with_bows
-    bowed = []
+    ray = tracking.Segment(field.s_of_y(y0), field.s_of_y(y1))
+    real_track = tracking.track_family
+    straight = []  # stop-less segment legs: the two legs of each bowed stretch
 
     def failing(coeffs_at, piece, start_vals, *, stops=(), **kw):
         # every ray leg gives up just past its (fail_after + 1)-th stop
+        if not len(stops) and isinstance(piece, tracking.Segment):
+            straight.append(piece)
         limit = stops[fail_after] if len(stops) > fail_after + 1 else 2.0
         return real_track(coeffs_at, _GivesUp(piece, limit), start_vals, stops=stops, **kw)
 
-    def counted(field, vals, s_knots):
-        bowed.append(len(s_knots))
-        return real_bows(field, vals, s_knots)
-
     monkeypatch.setattr(tracking, "track_family", failing)
-    monkeypatch.setattr(borel, "track_s_with_bows", counted)
     got = field.track_stops(start, y0, y1, taus)
     assert len(got) == len(taus)
-    assert bowed and all(n == 2 for n in bowed)
     # each failing leg reaches fail_after + 1 stops, one bowed stretch adds the next
     left, stretches = len(taus), 0
     while left > fail_after + 1:
         left -= fail_after + 2
         stretches += 1
-    assert len(bowed) == stretches
+    assert stretches and len(straight) == 2 * stretches
+    for into, out_of in zip(straight[::2], straight[1::2]):
+        # the bow leaves the ray at one stop and rejoins it at the next
+        assert into.b == out_of.a
+        for end in (into.a, out_of.b):
+            assert abs(((end - ray.a) / (ray.b - ray.a)).imag) < 1e-12
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_failure_on_a_plain_segment_bows_it_whole(monkeypatch):
+    field = SheetField(PlanePoint(1.0, 0.1))
+    a, sheets = field.anchor(1)
+    want = field.track_from(sheets, [a, a + 1.5])
+    real_track = tracking.track_family
+    legs = []
+
+    def failing(coeffs_at, piece, start_vals, **kw):
+        # the first leg gives up half way
+        legs.append(piece)
+        if len(legs) == 1:
+            piece = _GivesUp(piece, 0.5)
+        return real_track(coeffs_at, piece, start_vals, **kw)
+
+    monkeypatch.setattr(tracking, "track_family", failing)
+    got = field.track_from(sheets, [a, a + 1.5])
+    # the failing segment, then the two legs of its bow from end to end
+    whole, into, out_of = legs
+    assert (into.a, out_of.b) == (whole.a, whole.b)
+    assert into.b == out_of.a
+    assert ((into.b - whole.a) / (whole.b - whole.a)).imag > 0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -- arcs: one leg per circle, a bowed chord where it fails --------------------
@@ -668,6 +698,28 @@ def test_midpoints_leave_final_values_unchanged(knots):
     coarse = tracking.track_polyline(_char_coeffs, knots, start).final
     fine = tracking.track_polyline(_char_coeffs, refined, start).final
     assert np.abs(fine - coarse).max() <= 1e-12 * max(1.0, np.abs(coarse).max())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_knot, min_size=2, max_size=5))
+def test_polyline_is_its_segment_legs_on_global_taus(knots):
+    assume(all(_clear_of_turning_locus(a, b) for a, b in zip(knots[:-1], knots[1:])))
+    start = _start_roots(knots[0])
+    trace = tracking.track_polyline(_char_coeffs, knots, start)
+    n, vals, legs = len(knots) - 1, start, []
+    for i, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
+        legs.append(tracking.track_family(_char_coeffs, tracking.Segment(a, b, i + 1, n), vals))
+        vals = legs[-1].final
+    # the start, then every record of each leg after its own start, bit for bit
+    assert trace.taus == [0.0] + [(i + t) / n for i, leg in enumerate(legs) for t in leg.taus[1:]]
+    assert trace.points == [legs[0].points[0]] + [p for leg in legs for p in leg.points[1:]]
+    want = [legs[0].values[0]] + [v for leg in legs for v in leg.values[1:]]
+    assert np.array(trace.values).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+    assert all(p < q for p, q in zip(trace.taus, trace.taus[1:]))
+    for j, knot in enumerate(knots):
+        assert trace.taus.count(j / n) == 1
+        point = trace.points[trace.taus.index(j / n)]
+        assert np.abs(np.subtract(point, knot)).max() <= 1e-14
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
