@@ -16,10 +16,10 @@ attempted step (accepted or rejected) of its leg.
 Next to the times, one counting interpreter per tree runs each layer's
 statement once more under ``counting()``, and one per workload runs the
 seed-1 plan of ``perfbench/workloads.py``.  The counts do not depend on the
-machine: tracker legs and accepted and rejected steps per context, the
-event brackets and rows, Laplace nodes, and the calls of
-``poly_eval_many``, the coefficient evaluators and the exact products
-(``MultiPoly``, ``ZetaRational``) and derivatives.
+machine: tracker legs, accepted and rejected steps, landed stops and
+their fallbacks per context, the event brackets and rows, Laplace nodes,
+and the calls of ``poly_eval_many``, the coefficient evaluators and the
+exact products (``MultiPoly``, ``ZetaRational``) and derivatives.
 
 The run is stored under LABEL in ``BENCH_layers.json`` at the repository
 root, replacing an earlier run with the same label.  Per layer it keeps
@@ -154,8 +154,12 @@ def counting():
 
     A tracker leg is one ``track_family`` call, one path piece (a
     ``Segment`` or an ``Arc``): it attempts one step per call of its
-    coefficient callable, the first argument, after the call at tau = 0,
-    and accepts those that add a point to its trace.  Its context is the
+    coefficient callable, the first argument, after the call at tau = 0
+    and outside ``tracking._land_stops``, and accepts those that add a
+    point to its trace.  The stops it lands in one batch there are counted
+    as ``landed``, and those of them landed again by a scalar leg
+    (``tracking._fallback``, whose steps are not attempts of the leg) as
+    ``fallbacks``.  Its context is the
     innermost of ``monodromy``, ``anchor`` (``SheetField.anchor``),
     ``cut_jump`` (``borel._cut_jump``) and ``laplace``
     (``SheetField.track_stops``, whose stops are the Laplace nodes) it runs
@@ -169,7 +173,9 @@ def counting():
     counts, stack, patched = Counter(), ["rest"], []
 
     def patch(owner, name, wrap):
-        real = getattr(owner, name)
+        real = getattr(owner, name, None)
+        if real is None:  # an older tree without it
+            return
         patched.append((owner, name, real))
         setattr(owner, name, wrap(real))
 
@@ -184,25 +190,44 @@ def counting():
             return wrapper
         return wrap
 
+    landing = [False, 0]  # inside _land_stops; stops landed so far
+
     def track_family(real):
         def wrapper(coeffs_at, *args, **kw):
             evaluations = [0]
 
             def counted(point):
-                evaluations[0] += 1
+                evaluations[0] += not landing[0]
                 return coeffs_at(point)
 
             if kw.get("trace") is None:
                 kw["trace"] = tracking.Trace()
             trace = kw["trace"]
-            before, context = len(trace.taus), stack[-1]
+            before, context, landed = len(trace.taus), stack[-1], landing[1]
             try:
                 return real(counted, *args, **kw)
             finally:
-                accepted = max(0, len(trace.taus) - before - 1)
+                accepted = max(0, len(trace.taus) - before - 1 - (landing[1] - landed))
                 counts[f"tracker.{context}.legs"] += 1
                 counts[f"tracker.{context}.accepted"] += accepted
                 counts[f"tracker.{context}.rejected"] += max(0, evaluations[0] - 1) - accepted
+        return wrapper
+
+    def land_stops(real):
+        def wrapper(coeffs_at, piece, stops, *args):
+            counts[f"tracker.{stack[-1]}.landed"] += len(stops)
+            landing[0] = True
+            try:
+                return real(coeffs_at, piece, stops, *args)
+            finally:
+                landing[0] = False
+                landing[1] += len(stops)
+        return wrapper
+
+    def fallback(real):
+        def wrapper(*args):
+            counts[f"tracker.{stack[-1]}.fallbacks"] += 1
+            return real(*args)
         return wrapper
 
     def rows(key):  # one row per item a call returns
@@ -220,6 +245,8 @@ def counting():
     patch(borel.SheetField, "track_stops",
           lambda real: within("laplace")(rows("laplace.nodes")(real)))
     patch(tracking, "track_family", track_family)
+    patch(tracking, "_land_stops", land_stops)
+    patch(tracking, "_fallback", fallback)
     patch(stokes, "_brackets", rows("events.brackets"))
     out = {}
     profile = cProfile.Profile()

@@ -70,6 +70,7 @@ T_VALIDITY = 0.2  # |x2 / x1^(2/3)| bound inside which chart results are validat
 SEED_SCALE = 0.02
 SEED_HALVINGS = 8  # halvings of a rejected origin seed point before seeding gives up
 RHO_REL = 0.18  # approach radius around a singularity, relative to min separation
+PASS_REL = 0.05  # a route leg passing nearer a singularity than this (same scale) is moved
 ANCHOR_REL = 0.3  # anchor radius above each u_ell, relative to min separation
 LOOP_REL = 0.25  # monodromy loop radius around u_ell, relative to |u_ell|
 THETA_LIFT = 2e-3  # cut-approach angle for one-sided limits (Richardson halves it)
@@ -467,9 +468,10 @@ class SheetField:
         """Sheet tuples at the points y0 + (y1 - y0) tau of the segment
         y0 -> y1, one per tau in the ascending ``stops`` (in (0, 1]).
 
-        The segment is one tracker leg landing on every stop, under the
-        failure rule of every leg (:func:`_leg`): a failure bows the stretch
-        from the last stop reached to the next one.
+        The segment is one tracker leg landing on every stop (in one batch
+        after its steps, see ``tracking.track_family``), under the failure
+        rule of every leg (:func:`_leg`): a failure bows the stretch from
+        the last stop reached to the next one.
         """
         segment = tracking.Segment(self.s_of_y(y0), self.s_of_y(y1))
         return _leg(self, vals, segment, stops=[float(tau) for tau in stops])[: len(stops)]
@@ -557,20 +559,33 @@ def _crosses_cut(a: complex, b: complex, u: complex) -> bool:
 
 
 def _slit_plane_route(field: SheetField, start: complex, y: complex) -> list[complex]:
-    """Waypoints from ``start`` to y avoiding the three cuts."""
+    """Waypoints from ``start`` to y avoiding the three cuts.
+
+    The route runs left at the start's height to Re = min Re(u) - min_sep,
+    then vertically to y's height and right to y.  Where that last leg
+    would pass within ``PASS_REL`` min_sep of a singularity u_k, it runs
+    ``RHO_REL`` min_sep above or below u_k instead, on y's side of u_k's
+    cut, and the route drops vertically to y.
+    """
     us = field.u_vals
     if not any(_crosses_cut(start, y, u) for u in us):
         return [y]
     L = min(u.real for u in us) - field.min_sep
-    w1 = complex(L, start.imag)
-    w2 = complex(L, y.imag)
-    for a, b in ((start, w1), (w1, w2), (w2, y)):
+    w1, w2 = complex(L, start.imag), complex(L, y.imag)
+    u = min(us, key=lambda u: _segment_point_distance(w2, y, u))
+    if _segment_point_distance(w2, y, u) < PASS_REL * field.min_sep:
+        rho = RHO_REL * field.min_sep
+        height = u.imag + (rho if y.imag >= u.imag else -rho)
+        route = [w1, complex(L, height), complex(y.real, height), y]
+    else:
+        route = [w1, w2, y]
+    for a, b in zip([start] + route[:-1], route):
         if any(_crosses_cut(a, b, u) for u in us):
             raise ContinuationError(
                 "could not build a cut-avoiding route; supply an explicit path",
                 location=y,
             )
-    return [w1, w2, y]
+    return route
 
 
 def _segment_point_distance(a: complex, b: complex, p: complex) -> float:

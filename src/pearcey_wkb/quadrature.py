@@ -8,8 +8,9 @@ along the cut ray, removing the inverse-square-root endpoint by the
 substitution y = u_ell + w^2.  The integrand near the endpoint uses the
 local series; beyond a hand-off radius the sheet continuation takes over.
 The far piece uses panels of the 49-point Gauss-Kronrod rule, one tracker
-leg per pass stopping on every node; a pass is accepted when the Kronrod
-and embedded Gauss estimates agree, so the sheet values at the Gauss nodes
+leg per pass landing on every node, and forms each pass's sums with array
+arithmetic over the landed sheets; a pass is accepted when the Kronrod and
+embedded Gauss estimates agree, so the sheet values at the Gauss nodes
 serve both estimates.
 
 ``pearcey_quadrature`` integrates exp(eta (z^4 + x2 z^2 + x1 z)) along a
@@ -136,10 +137,9 @@ def _gk_nodes():
     xs = np.empty(49)
     xs[0::2] = np.concatenate([-pos[:0:-1], pos])
     xs[1::2] = xg
-    wk = _K49_WEIGHTS[:0:-1] + _K49_WEIGHTS
-    wgs = [0.0] * 49
-    wgs[1::2] = wg.tolist()
-    return xs, wk, tuple(wgs)
+    wgs = np.zeros(49)
+    wgs[1::2] = wg
+    return xs, np.array(_K49_WEIGHTS[:0:-1] + _K49_WEIGHTS), wgs
 
 
 def gauss_segment(f, a: complex, b: complex, n: int = 32) -> complex:
@@ -238,21 +238,15 @@ def laplace_borel_sum(
         for _ in range(3):
             edges = np.linspace(w_mid, w_max, npanels + 1)
             halves = (edges[1:] - edges[:-1]) / 2
-            wnodes = [(lo + hi) / 2 + h * xs for lo, hi, h in zip(edges, edges[1:], halves)]
-            w_last = wnodes[-1][-1]
-            taus = (np.concatenate(wnodes) ** 2 - w_mid**2) / (w_last**2 - w_mid**2)
-            sheets = field.track_stops(vals, start_y, ul + w_last**2, taus)
+            mids = (edges[1:] + edges[:-1]) / 2
+            w = np.concatenate([m + h * xs for m, h in zip(mids, halves)])
+            taus = (w**2 - w_mid**2) / (w[-1] ** 2 - w_mid**2)
+            sheets = field.track_stops(vals, start_y, ul + w[-1] ** 2, taus)
             nodes += len(sheets)
-            psis = (field.psi_from_sheets(ell, v) for v in sheets)
-            kron = gauss = 0j
-            for half, wn_panel in zip(halves, wnodes):
-                acc_k = acc_g = 0j
-                for wn, kw, gw, psi in zip(wn_panel, kws, gws, psis):
-                    term = np.exp(-eta * (ul + wn * wn)) * psi * 2.0 * wn
-                    acc_k += kw * term
-                    acc_g += gw * term
-                kron += half * acc_k
-                gauss += half * acc_g
+            psis = field.psi_from_sheets(ell, np.array(sheets).T)
+            terms = (np.exp(-eta * (ul + w * w)) * psis * 2.0 * w).reshape(npanels, -1)
+            kron = (halves * (terms * kws).sum(axis=1)).sum()
+            gauss = (halves * (terms * gws).sum(axis=1)).sum()
             part2 = kron
             converged = bool(
                 abs(kron - gauss) <= tol * max(abs(kron), np.exp(-eta * ul.real))

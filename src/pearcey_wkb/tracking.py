@@ -10,8 +10,11 @@ over its parameter tau in [0, 1]:
   than ``MAX_STEP`` = 0.25; a polyline is one segment per pair of knots,
   recorded as one trace over global taus (:func:`track_polyline`), and a
   segment that must pass through given points (the Gauss nodes of a
-  Laplace ray) has those points' taus as ``stops``, each step that would
-  pass the next stop being shortened to land on it;
+  Laplace ray) has those points' taus as ``stops``, which its steps
+  ignore: once the leg has stopped, every stop it passed is landed in one
+  batched Newton polish from the two records around it
+  (:func:`_land_stops`), and a stop that fails the residual test or the
+  collision guard is landed by a scalar leg from the record before it;
 * a circular :class:`Arc` is one piece however far it turns, its steps
   capped at ``ARC_STEP`` radians.
 
@@ -19,29 +22,36 @@ Each step is a predictor-corrector.  The predictor extrapolates the last
 two accepted tuples of the leg linearly in tau (a secant; a leg's first
 step starts from the current values), and Newton corrects the prediction
 onto the polynomial at the new parameter, stopping once its correction is
-at roundoff.  The collision guard then accepts or halves the step: the
+at roundoff.  The collision guard then accepts or rejects the step: the
 corrected values must pass a residual test, and their minimum pairwise
 separation must exceed ``GUARD_RATIO`` times the largest value
-displacement from the previous accepted values.  A family of degree n is
-tracked through all n of its roots, since the guard keeps apart only the
-values it sees; any other number of values raises ``ValueError``.  The
-correction and both tests run in one step kernel per degree
-(:func:`_step_kernel`), straight-line Python generated from one source
-template on first use: the polynomial, its derivative and the residual
-scale are written out in Horner form on local coefficients, and the n
-values are unrolled into named locals, each with its own Newton loop, so
-the residual tests, the displacement and the pairwise separation are
-plain expressions over them.  :func:`polish` is one such step from a
-prediction of the caller's; event bisection in ``stokes`` labels its rows
-by it, and ``borel`` seeds the origin-chart sheets with it.  Running out
-of refinement raises ``ContinuationError`` with the path point where the
-tracker gave up; the message also names the piece and where on it the
-tracker stopped (``where``): the segment and the tau reached, or the arc
-and the angle reached.
+displacement from the previous accepted values.  The ratio of the two,
+the guard margin rho, sizes the next step: an accepted step is followed
+by one ``STEP_SAFETY`` rho / ``GUARD_RATIO`` times as long (at most twice,
+within the cap), a step the guard rejects is retried at that share of its
+length (between a tenth and a half), and any other rejection halves it.
+A family of degree n is tracked through all n of its roots, since the
+guard keeps apart only the values it sees; any other number of values
+raises ``ValueError``.  The correction and both tests run in one step
+kernel per degree (:func:`_step_kernel`), straight-line Python generated
+from one source template on first use: the polynomial, its derivative
+and the residual scale are written out in Horner form on local
+coefficients, and the n values are unrolled into named locals, each with
+its own Newton loop, so the residual tests, the displacement, the
+pairwise separation and the margin are plain expressions over them.
+:func:`polish` is one such step from a prediction of the caller's; event
+bisection in ``stokes`` labels its rows by it, and ``borel`` seeds the
+origin-chart sheets with it.  Running out of refinement raises
+``ContinuationError`` with the path point where the tracker gave up; the
+message also names the piece and where on it the tracker stopped
+(``where``): the segment and the tau reached, or the arc and the angle
+reached.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from cmath import exp, isfinite, phase
 from dataclasses import dataclass, field
 from functools import cache
@@ -49,13 +59,15 @@ from math import inf
 
 import numpy as np
 
-from .aberth import roots_aberth
+from .aberth import _newton_polish, poly_eval_many, roots_aberth
 from .errors import ContinuationError, LabelMatchError
 
 GUARD_RATIO = 3.0
 SOLVE_GUARD_RATIO = 1.2  # label guard when relabelling a full solve by approximate values
 RESIDUAL_TOL = 1e-9
 MIN_STEP = 1e-11
+STEP_SAFETY = 0.8  # share of the guard margin a step is sized to use
+_MARGIN_GAIN = STEP_SAFETY / GUARD_RATIO
 MAX_STEP = 0.25  # tau-step cap of a straight leg; its first step is half of it
 ARC_STEP = 0.1  # step cap along an arc, in radians
 _NEWTON_ITERS = 12
@@ -139,12 +151,11 @@ def step(c, old, guess):
 {d_lines}
 {newton_lines}
     if not ({finite}):
-        return None
+        return None, None
 {abs_lines}
 {residual_lines}
     disp = {disp}
 {guard_lines}
-    return [{zs}]
 """
 
 _NEWTON_LINES = """
@@ -170,7 +181,8 @@ _RESIDUAL_LINES = """
 _GUARD_LINES = """
     sep = {sep}
     if sep < {guard!r} * disp or sep == 0.0:
-        return None"""
+        return None, sep / disp if disp else 0.0
+    return [{zs}], sep / disp if disp else inf"""
 
 
 def _horner_source(coeffs: list, z: str) -> str:
@@ -195,11 +207,14 @@ def _step_kernel(n: int):
     factor)`` is the residual test: the first z of ``vals`` with |p(z)| >
     RESIDUAL_TOL * sum_k |c_k| max(1, |z|)^k * factor, or None.  ``step(c,
     old, guess)`` runs up to ``_NEWTON_ITERS`` Newton iterations from each
-    value of ``guess`` and returns the polished values, or None when one is
-    not finite, fails the residual test (factor 1) or the collision guard
-    rejects them (minimum separation below ``GUARD_RATIO`` times the largest
-    displacement from ``old``, or zero).  ``abs()`` of a finite complex
-    beyond the float range raises ``OverflowError``.
+    value of ``guess`` and returns ``(values, rho)``: the polished values,
+    or None when one is not finite, fails the residual test (factor 1) or
+    the collision guard rejects them (minimum separation below
+    ``GUARD_RATIO`` times the largest displacement from ``old``, or zero),
+    and the guard margin rho, separation over displacement (inf for one
+    value or no displacement, 0 for a zero separation), or None where the
+    guard was not reached.  ``abs()`` of a finite complex beyond the float
+    range raises ``OverflowError``.
 
     Both are straight-line code generated from one template on first use:
     the polynomial, its derivative and the residual scale are written out in
@@ -249,13 +264,15 @@ def _step_kernel(n: int):
             for z in zs
         ),
         finite=" and ".join(f"isfinite({z})" for z in zs),
-        residual_lines="".join(residual(z, "", "None") for z in zs),
+        residual_lines="".join(residual(z, "", "None, None") for z in zs),
         disp=_fold_source("max", [f"abs(z{i} - o{i})" for i in range(n)]),
-        guard_lines=_GUARD_LINES.format(sep=_fold_source("min", pairs), guard=GUARD_RATIO)
+        guard_lines=_GUARD_LINES.format(
+            sep=_fold_source("min", pairs), guard=GUARD_RATIO, zs=", ".join(zs) + ","
+        )
         if pairs
-        else "",
+        else "    return [z0], inf",
     )
-    namespace = {"isfinite": isfinite}
+    namespace = {"isfinite": isfinite, "inf": inf}
     exec(compile(source, f"<step kernel, degree {n}>", "exec"), namespace)
     return namespace["step"], namespace["misfit"]
 
@@ -306,21 +323,20 @@ def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, st
     ----------
     coeffs_at : callable
         Point of the piece -> ascending complex coefficient array of the
-        family member there; called once at tau = 0 and once per attempted
-        step, on ``piece.at(tau)``.
+        family member there; called once at tau = 0, once per attempted
+        step and once per stop, on ``piece.at(tau)``.
     piece : Segment or Arc
         The path piece: ``at(tau)`` is its point at tau, ``max_step`` its
-        largest tau-step (the first step is half of it, each accepted step
-        doubles the next up to it and each rejected step halves it) and
-        ``where(tau)`` names it and tau in an error message.
+        largest tau-step and ``where(tau)`` names it and tau in an error
+        message.
     start_vals : sequence of complex
         Labeled roots at tau = 0, one per root of the family (``ValueError``
         otherwise); they must satisfy the tau = 0 polynomial.
     stops : sequence of float
-        Ascending taus in (0, 1] the trace must land on: a step that would
-        pass the next stop is shortened to end on it, and a rejected
-        shortened step halves its own length.  Each stop is recorded once,
-        like any accepted step.
+        Ascending taus in (0, 1] the trace must land on.  They do not
+        shorten the leg's steps: once the leg has stopped, every stop up to
+        its last accepted tau is landed in one batch (:func:`_land_stops`).
+        Each stop is recorded once, among the steps in tau order.
 
     Each accepted step records its tau, the point its coefficients were
     computed at and the values.  The coefficients become one descending
@@ -328,9 +344,19 @@ def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, st
     family's degree (:func:`_step_kernel`) polishes the values and tests
     them.  Newton starts from the secant through the last two accepted
     tuples of this call, evaluated at the new tau; the first step starts
-    from ``start_vals``.  A ``ContinuationError`` raised on the way,
-    ``coeffs_at``'s own included, comes out with ``piece.where`` of the
-    last accepted tau appended.
+    from ``start_vals``.
+
+    The step size follows the guard margin rho = sep / disp the kernel
+    reports (minimum pairwise separation over largest displacement; inf
+    for one value or no displacement).  The first step is half of
+    ``max_step``.  After an accepted step of size h the next is
+    min(max_step, h min(2, ``STEP_SAFETY`` rho / ``GUARD_RATIO``)); after a
+    step the collision guard rejects, the retry is h min(0.5, max(0.1,
+    ``STEP_SAFETY`` rho / ``GUARD_RATIO``)); any other rejection halves it,
+    and a step below ``MIN_STEP`` ends the leg.  A ``ContinuationError``
+    raised on the way, ``coeffs_at``'s own included, comes out with
+    ``piece.where`` of the last accepted tau appended; the stops up to that
+    tau are still recorded.
     """
     stops = [float(s) for s in stops]
     if any(not 0.0 < s <= 1.0 for s in stops) or any(
@@ -339,54 +365,139 @@ def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, st
         raise ValueError("stops must be ascending taus in (0, 1]")
     if trace is None:
         trace = Trace()
+    leg = Trace() if stops else trace
     vals = np.asarray(start_vals, dtype=complex).tolist()
-    tau = 0.0
+    failure = None
     try:
         here = piece.at(0.0)
         c0 = _descending(coeffs_at(here))
-        advance, misfit = _kernel_for(c0, vals)
+        misfit = _kernel_for(c0, vals)[1]
         bad = misfit(c0, vals, 10)
         if bad is not None:
             raise ContinuationError(
                 f"start value {bad} does not satisfy the family at tau=0", location=here
             )
-        trace.record(0.0, here, vals)
-
-        next_stop = 0
-        step = 0.5 * piece.max_step
-        last = None  # (tau, values) of the accepted record before the current one
-        while tau < 1.0:
-            target = min(1.0, tau + step)
-            at_stop = next_stop < len(stops) and target >= stops[next_stop]
-            if at_stop:
-                target = stops[next_stop]
-            point = piece.at(target)
-            c = _descending(coeffs_at(point))
-            if last is None:
-                guess = vals
-            else:
-                r = (target - tau) / (tau - last[0])
-                guess = [v + (v - w) * r for v, w in zip(vals, last[1])]
-            try:
-                new_vals = advance(c, vals, guess)
-            except OverflowError:  # abs() of a finite complex beyond the float range
-                new_vals = None
-            if new_vals is not None:
-                last = (tau, vals)
-                tau, here, vals = target, point, new_vals
-                trace.record(tau, here, vals)
-                step = min(2 * step, piece.max_step)
-                next_stop += at_stop
-            else:
-                step = 0.5 * (target - tau if at_stop else step)
-                if step < MIN_STEP:
-                    raise ContinuationError(
-                        "near-discriminant passage: step underflow during tracking",
-                        location=here,
-                    )
+        leg.record(0.0, here, vals)
+        _steps(coeffs_at, piece, leg, 1.0)
     except ContinuationError as err:
-        raise ContinuationError(f"{err} ({piece.where(tau)})", location=err.location) from err
+        failure = _named(err, piece, leg)
+        if not stops:
+            raise failure from err
+    if not stops:
+        return trace
+    reached = set(leg.taus)
+    todo = [s for s in stops if s <= leg.taus[-1] and s not in reached] if leg.taus else []
+    landed, fallen = _land_stops(coeffs_at, piece, todo, leg)
+    records = zip(leg.taus, leg.points, leg.values)
+    if fallen is not None:  # keep what precedes the stop that could not be landed
+        failure, end = fallen, todo[len(landed)]
+        records = ((tau, p, v) for tau, p, v in records if tau < end)
+    for tau, point, vals in heapq.merge(records, landed, key=lambda r: r[0]):
+        trace.record(tau, point, vals)
+    if failure is not None:
+        raise failure
     return trace
+
+
+def _named(err: ContinuationError, piece, trace: Trace) -> ContinuationError:
+    """``err`` with ``piece.where`` of the trace's last tau (0 when empty)
+    appended to its message."""
+    tau = trace.taus[-1] if trace.taus else 0.0
+    named = ContinuationError(f"{err} ({piece.where(tau)})", location=err.location)
+    named.__cause__ = err
+    return named
+
+
+def _steps(coeffs_at, piece, trace: Trace, end: float) -> None:
+    """The step loop of :func:`track_family`: continue the trace's last
+    record along ``piece`` up to tau ``end``, recording each accepted step.
+    Raises a bare ``ContinuationError`` on step underflow."""
+    tau, here, vals = trace.taus[-1], trace.points[-1], trace.values[-1].tolist()
+    advance = _step_kernel(len(vals))[0]
+    step = 0.5 * piece.max_step
+    last = None  # (tau, values) of the accepted record before the current one
+    while tau < end:
+        target = min(end, tau + step)
+        point = piece.at(target)
+        c = _descending(coeffs_at(point))
+        if last is None:
+            guess = vals
+        else:
+            r = (target - tau) / (tau - last[0])
+            guess = [v + (v - w) * r for v, w in zip(vals, last[1])]
+        try:
+            new_vals, rho = advance(c, vals, guess)
+        except OverflowError:  # abs() of a finite complex beyond the float range
+            new_vals = rho = None
+        h = target - tau
+        if new_vals is not None:
+            last = (tau, vals)
+            tau, here, vals = target, point, new_vals
+            trace.record(tau, here, vals)
+            step = min(piece.max_step, h * min(2.0, _MARGIN_GAIN * rho))
+        else:
+            step = h * (0.5 if rho is None else min(0.5, max(0.1, _MARGIN_GAIN * rho)))
+            if step < MIN_STEP:
+                raise ContinuationError(
+                    "near-discriminant passage: step underflow during tracking", location=here
+                )
+
+
+def _land_stops(coeffs_at, piece, stops: list, leg: Trace) -> tuple[list, ContinuationError | None]:
+    """Land a leg's ``stops`` (ascending taus inside its recorded span, none
+    of them a record's tau) in one batch.
+
+    ``coeffs_at`` is called once per stop point.  Newton starts from the
+    linear interpolation of the two records that bracket the stop, and the
+    rows are polished together by ``aberth._newton_polish``.  A stop's
+    values must then be finite, pass the step kernel's residual test and
+    pass the collision guard measured from the earlier bracketing record;
+    a stop that fails is landed by :func:`_fallback` from that record.
+    Returns ``(records, failure)``: ``(tau, point, values)`` per stop in
+    order, and None, or the records before the first stop whose fallback
+    failed and its ``ContinuationError``.
+    """
+    if not stops:
+        return [], None
+    lo = [bisect_right(leg.taus, s) - 1 for s in stops]
+    points = [piece.at(s) for s in stops]
+    c = np.array([coeffs_at(p) for p in points], dtype=complex)
+    start = np.array([leg.values[i] for i in lo])
+    w = np.array([(s - leg.taus[i]) / (leg.taus[i + 1] - leg.taus[i]) for s, i in zip(stops, lo)])
+    guess = start + (np.array([leg.values[i + 1] for i in lo]) - start) * w[:, None]
+    n = c.shape[1] - 1
+    z = _newton_polish(c, c[:, 1:] * np.arange(1, n + 1), guess)
+    with np.errstate(all="ignore"):
+        scale = poly_eval_many(np.abs(c), np.maximum(1.0, np.abs(z)))
+        ok = (np.abs(poly_eval_many(c, z)) <= RESIDUAL_TOL * scale).all(axis=1)
+        ok &= np.isfinite(z).all(axis=1) & np.isfinite(scale).all(axis=1)
+        if n > 1:
+            i, j = np.triu_indices(n, 1)
+            sep = np.abs(z[:, i] - z[:, j]).min(axis=1)
+            ok &= (sep >= GUARD_RATIO * np.abs(z - start).max(axis=1)) & (sep != 0.0)
+    records = []
+    for k, (tau, point) in enumerate(zip(stops, points)):
+        vals = z[k]
+        if not ok[k]:
+            i = lo[k]
+            try:
+                vals = _fallback(coeffs_at, piece, (leg.taus[i], leg.points[i], leg.values[i]), tau)
+            except ContinuationError as err:
+                return records, err
+        records.append((tau, point, vals))
+    return records, None
+
+
+def _fallback(coeffs_at, piece, record: tuple, end: float) -> np.ndarray:
+    """A stop landed by a scalar leg of steps on ``piece`` from ``record``
+    (tau, point, values) to tau ``end``; a failure names the tau reached."""
+    sub = Trace()
+    sub.record(*record)
+    try:
+        _steps(coeffs_at, piece, sub, end)
+    except ContinuationError as err:
+        raise _named(err, piece, sub) from err
+    return sub.final
 
 
 def track_polyline(coeffs_at, knots, start_vals) -> Trace:
@@ -528,7 +639,7 @@ def polish(coeffs, old, guess):
     c = _descending(coeffs)
     step = _kernel_for(c, old)[0]
     try:
-        return step(c, old, guess)
+        return step(c, old, guess)[0]
     except OverflowError:
         return None
 

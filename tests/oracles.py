@@ -13,9 +13,11 @@ exact ring's arithmetic and chart derivatives as plain rational functions
 of zeta and x2.
 
 The remaining oracles keep earlier implementations as references: the
-tracker step loop on numpy scalars (no predictor), the tracker's scalar
-step helpers (Horner loops called per value) whose start check and
-accept/reject decisions its generated step kernel must reproduce, the
+tracker step loop on numpy scalars (no predictor; steps sized by the guard
+margin, stops landed one value at a time after the steps), the tracker's
+scalar step helpers (Horner loops called per value) whose start check and
+accept/reject decisions its generated step kernel and batched stop
+landing must reproduce, the
 per-cell loop of the raster CSV export, the raster label sweep matching
 labeled values cell to cell, the Newton polish evaluating every row of a
 block in each iteration, the Borel-plane circles (anchor arcs, cut-jump
@@ -290,12 +292,13 @@ def _accept(c: list, old_vals: list, new_vals: list) -> bool:
     return True
 
 
-def scalar_step(c: list, old_vals: list):
-    """One tracker step by the scalar helpers: the polished values and the
+def scalar_step(c: list, old_vals: list, guess=None):
+    """One tracker step by the scalar helpers, Newton starting from
+    ``guess`` (default ``old_vals``): the polished values and the
     ``_accept`` decision on them.  ``abs()`` overflow propagates."""
     n = len(c) - 1
     dc = [(n - k) * a for k, a in enumerate(c[:-1])]
-    new_vals = [_newton_polish(c, dc, z) for z in old_vals]
+    new_vals = [_newton_polish(c, dc, z) for z in (old_vals if guess is None else guess)]
     return new_vals, _accept(c, old_vals, new_vals)
 
 
@@ -350,9 +353,9 @@ def _min_pairwise_np(vals):
     return m
 
 
-def _newton_polish_np(coeffs, z):
+def _newton_polish_np(coeffs, z, iters=12):
     dcoeffs = coeffs[1:] * np.arange(1, coeffs.size)
-    for _ in range(12):
+    for _ in range(iters):
         p = _poly_eval_np(coeffs, z)
         dp = _poly_eval_np(dcoeffs, z)
         if dp == 0:
@@ -386,41 +389,92 @@ class StepUnderflow(Exception):
         self.tau = tau
 
 
+def _margin_np(old_vals, new_vals, guard_ratio):
+    """Whether the guard passes new values, and their margin: minimum
+    pairwise separation over largest displacement from the old values (inf
+    for one value or no displacement, 0 for a zero separation)."""
+    if new_vals.size == 1:
+        return True, np.inf
+    sep = _min_pairwise_np(new_vals)
+    disp = float(np.max(np.abs(new_vals - old_vals)))
+    if sep == 0.0:
+        return False, 0.0
+    return sep >= guard_ratio * disp, (sep / disp if disp > 0 else np.inf)
+
+
+def _steps_np(coeffs_fn, tau, vals, end, max_step, min_step, residual_tol, guard_ratio,
+              step_safety):
+    """Accepted (tau, values) from ``tau`` to ``end`` and the accepted and
+    rejected counts, sizing each step by the guard margin."""
+    records = []
+    accepted = rejected = 0
+    step = 0.5 * max_step
+    while tau < end:
+        target = min(end, tau + step)
+        h = target - tau
+        c = np.asarray(coeffs_fn(target), dtype=complex)
+        new_vals = np.array([_newton_polish_np(c, z) for z in vals])
+        fits = np.all(np.isfinite(new_vals)) and all(
+            abs(_poly_eval_np(c, z)) <= residual_tol * _residual_scale_np(c, z) for z in new_vals
+        )
+        guard_ok, rho = _margin_np(vals, new_vals, guard_ratio) if fits else (False, None)
+        gain = None if rho is None else step_safety * rho / guard_ratio
+        if guard_ok:
+            accepted += 1
+            tau, vals = target, new_vals
+            records.append((tau, vals))
+            step = min(max_step, h * min(2.0, gain))
+        else:
+            rejected += 1
+            step = h * (0.5 if gain is None else min(0.5, max(0.1, gain)))
+            if step < min_step:
+                raise StepUnderflow(tau)
+    return records, accepted, rejected
+
+
 def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0,
-                       min_step=1e-11, max_step=0.25):
+                       min_step=1e-11, max_step=0.25, stops=(), step_safety=0.8):
     """The tracker's step loop with numpy-scalar arithmetic throughout.
 
-    Same start check, step schedule (half of ``max_step``, doubling to
-    ``max_step`` on accept, halving on reject) and acceptance rule as the
-    library; Newton starts from the previous values (no predictor) and
-    stops at a correction below 1e-16 (1 + |z|) or after 12 iterations.
-    Returns ``(taus, values, accepted, rejected)``; raises ``StepUnderflow``
-    where the library raises ``ContinuationError``.
+    Same start check, step schedule and acceptance rule as the library:
+    the first step is half of ``max_step``; after an accepted step of size
+    h the next is min(max_step, h min(2, step_safety rho / guard_ratio)),
+    rho being the guard margin (minimum separation over largest
+    displacement); a step the guard rejects is retried at h min(0.5,
+    max(0.1, step_safety rho / guard_ratio)), any other rejection at h / 2.  Newton starts from the
+    previous values (no predictor) and stops at a correction below 1e-16
+    (1 + |z|) or after 12 iterations.  Each of ``stops`` up to the last
+    accepted tau that is not a step's tau is then landed by Newton, value
+    by value, from the linear interpolation of the records around it, and
+    must pass the residual test and the guard from the earlier one;
+    otherwise the loop runs from that record to the stop.  Returns ``(taus,
+    values, accepted, rejected)`` over steps and stops in tau order, the
+    counts those of the leg's own steps; raises ``StepUnderflow`` where the
+    library raises ``ContinuationError``.
     """
     vals = np.array(start_vals, dtype=complex)
     c0 = np.asarray(coeffs_fn(0.0), dtype=complex)
     for z in vals:
         if abs(_poly_eval_np(c0, z)) > residual_tol * _residual_scale_np(c0, z) * 10:
             raise ValueError("start value does not satisfy the family")
-    taus, values = [0.0], [vals]
-    accepted = rejected = 0
-    tau, step = 0.0, 0.5 * max_step
-    while tau < 1.0:
-        target = min(1.0, tau + step)
-        c = np.asarray(coeffs_fn(target), dtype=complex)
-        new_vals = np.array([_newton_polish_np(c, z) for z in vals])
-        if _accept_np(c, vals, new_vals, residual_tol, guard_ratio):
-            accepted += 1
-            tau, vals = target, new_vals
-            taus.append(tau)
-            values.append(vals)
-            step = min(2 * step, max_step)
-        else:
-            rejected += 1
-            step *= 0.5
-            if step < min_step:
-                raise StepUnderflow(tau)
-    return taus, values, accepted, rejected
+    args = (max_step, min_step, residual_tol, guard_ratio, step_safety)
+    records, accepted, rejected = _steps_np(coeffs_fn, 0.0, vals, 1.0, *args)
+    records.insert(0, (0.0, vals))
+    taus = [tau for tau, _ in records]
+    landed = []
+    for stop in stops:
+        if stop > taus[-1] or stop in taus:
+            continue
+        i = max(k for k, tau in enumerate(taus) if tau < stop)
+        (t0, v0), (t1, v1) = records[i], records[i + 1]
+        c = np.asarray(coeffs_fn(stop), dtype=complex)
+        guess = v0 + (v1 - v0) * ((stop - t0) / (t1 - t0))
+        new_vals = np.array([_newton_polish_np(c, z, iters=20) for z in guess])
+        if not _accept_np(c, v0, new_vals, residual_tol, guard_ratio):
+            new_vals = _steps_np(coeffs_fn, t0, v0, stop, *args)[0][-1][1]
+        landed.append((stop, new_vals))
+    records = sorted(records + landed, key=lambda r: r[0])
+    return [tau for tau, _ in records], [v for _, v in records], accepted, rejected
 
 
 # -- origin-labelled sheets of the scaled quartic ---------------------------------

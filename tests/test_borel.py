@@ -1,10 +1,17 @@
 import cmath
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 from oracles import chord_anchor, chord_cut_side, chord_monodromy, fd_jets, origin_sheets_oracle
 from pearcey_wkb import borel, tracking
+from pearcey_wkb.cli import main
 from pearcey_wkb.borel import (
     H3_CONST,
     H4_CONST,
@@ -398,6 +405,50 @@ class TestPsiEvaluation:
             1, x, y, path=[f.anchor(1)[0], y - 0.05 * f.min_sep, y]
         ).value
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+
+    def test_route_passing_a_singularity_keeps_its_distance(self, tmp_path):
+        # y 3e-8 above u_1's cut: the last horizontal leg of the route would
+        # pass that close to u_1, so it runs RHO_REL min_sep above u_1 and
+        # drops to y; the value is the one an explicit route far from every
+        # singularity gives (left, over the top, down to y)
+        argv = ["--out-dir", str(tmp_path), "borel", "--x1", "1", "--x2", "0.07",
+                "--y=-0.0226839,0.4332223434", "--ell", "3"]
+        assert main(argv) == 0
+        x, y = PlanePoint(1.0, 0.07), complex(-0.0226839, 0.4332223434)
+        f = SheetField(x)
+        u1 = f.u(1)
+        assert 0 < y.imag - u1.imag < 1e-7
+        a = f.anchor(3)[0]
+        route = borel._slit_plane_route(f, a, y)
+        rho = borel.RHO_REL * f.min_sep
+        height = u1.imag + rho
+        assert route[1:] == [complex(route[0].real, height), complex(y.real, height), y]
+        left = min(u.real for u in f.u_vals) - f.min_sep
+        over = [complex(left, a.imag), complex(left, 1.0), complex(y.real, 1.0), y]
+        want = psi_borel_eval(3, x, y, path=over).value
+        got = json.loads((tmp_path / "borel.json").read_text())["psi_value"]
+        assert abs(complex(*map(float, got)) - want) <= 1e-10 * abs(want)
+
+
+def test_pooled_borel_inputs_keep_their_routes():
+    # every borel call of the benchmark's pool: the route is the plain one,
+    # left, to y's height and right to y, or y alone
+    kinds = []
+    for argv in workloads.all_inputs("borel_sums"):
+        if argv[0] != "borel":
+            continue
+        opts = dict(a[2:].split("=", 1) for a in argv[1:] if "=" in a)
+        x1, x2, y = (complex(*map(float, opts[k].split(","))) for k in ("x1", "x2", "y"))
+        f = SheetField(PlanePoint(x1, x2))
+        ell = int(argv[argv.index("--ell") + 1])
+        start = f.u(ell) + 1j * borel.ANCHOR_REL * f.min_sep
+        left = min(u.real for u in f.u_vals) - f.min_sep
+        plain = [complex(left, start.imag), complex(left, y.imag), y]
+        route = borel._slit_plane_route(f, start, y)
+        assert route in ([y], plain)
+        kinds.append(len(route))
+    assert len(kinds) == workloads.POOL_SIZE // 2 and 3 in kinds
 
 
 class TestDiscontinuities:

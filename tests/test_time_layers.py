@@ -1,7 +1,8 @@
 """Smoke test of ``scripts/time_layers.py``: every layer it times and every
 name its counting hooks patch still exist, so a rename fails here rather
-than in a benchmark run, and the event counts of the paper polyline read
-as the bracketing makes them.  Its ``resolved`` rule needs both a median gap
+than in a benchmark run, the event counts of the paper polyline read as
+the bracketing makes them, and a Laplace ray's landed stops are counted
+apart from its steps.  Its ``resolved`` rule needs both a median gap
 beyond the larger interquartile spread and 9 of 10 pairs won, and every
 run stored in ``BENCH_layers.json`` reads as that rule says."""
 
@@ -49,6 +50,25 @@ def test_counting_hooks_around_a_cli_call(time_layers, tmp_path):
     assert (counts["events.brackets"], counts["events.rows"]) == (7, 107)
     assert patched == (borel.monodromy, borel._cut_jump, borel.SheetField.anchor,
                        borel.SheetField.track_stops, tracking.track_family, stokes._brackets)
+
+
+def test_landed_stops_are_counted_apart_from_steps(time_layers, series8):
+    # a converged Laplace sum: one ray leg, 196 nodes, the last of them the
+    # leg's end record; the other 195 are landed in one batch, none of them
+    # by a fallback leg, and are not counted as steps
+    from pearcey_wkb.geometry import PlanePoint
+    from pearcey_wkb.quadrature import laplace_borel_sum
+
+    hooks = (tracking._land_stops, tracking._fallback)
+    with time_layers.counting() as counts:
+        assert (tracking._land_stops, tracking._fallback) != hooks
+        r = laplace_borel_sum(3, PlanePoint(1.0, 0.1), 10.0, table=series8)
+    assert (tracking._land_stops, tracking._fallback) == hooks
+    assert (r.nodes, counts["laplace.nodes"], counts["tracker.laplace.legs"]) == (196, 196, 1)
+    assert counts["tracker.laplace.landed"] == 195
+    assert "tracker.laplace.fallbacks" not in counts
+    # the leg's own steps, fewer than the nodes of one of its 4 panels
+    assert counts["tracker.laplace.accepted"] + counts["tracker.laplace.rejected"] < 49
 
 
 def _row(time_layers, a, b):

@@ -3,29 +3,41 @@
 Each family is recorded leg by leg from a real library call, every leg one
 path piece (a ``Segment`` or an ``Arc``); then every leg is replayed
 through ``tracking.track_family`` and through the reference loop in
-``oracles``, with the piece's own step cap: the tau sequence and the
-accept/reject counts must be the same, and the tracked values must agree
-to 1e-13 relative.  The monodromy loop is one arc leg among them.  On
+``oracles``, with the piece's own step cap and stops: the accept/reject
+counts must be the same, the taus must agree to 1e-12 (each step is sized
+by the guard margin of the one before, a continuous function of values
+that agree to roundoff), and the tracked values, stops included, must
+agree to 1e-13 relative.  The monodromy loop is one arc leg among them,
+and a Laplace ray landing on its 196 nodes another.  On random families,
+every accepted step has a guard margin of at least ``GUARD_RATIO``, and
+each step is the one the margin rule sizes from the step before: at most
+twice it (within the cap) after an accept, at most half after a guard
+rejection, half after any other; a degree-1 family still tracks.  On
 random families whose roots stay apart, the secant-predicted tracker ends
 where the reference loop ends, to 1e-12; tracking fewer values than the
 degree raises ``ValueError``, and they are tracked as part of the full
 tuple.  The generated step kernel of each degree polishes onto distinct
-roots of its polynomial, computed at 30 digits by
-mpmath, and start-checks bit for bit as the scalar Horner-loop helpers it
-replaced (kept in ``oracles``), on random polynomials of degree 1 to 6 from
-starts near the roots; it accepts or rejects as they do there and on each
-kind of rejection.  ``polish`` gives the same bits from a numpy coefficient
-row of ``singular_cubic_grid`` as from the row's list of Python complex.
+roots of its polynomial, computed at 30 digits by mpmath, and
+start-checks bit for bit as the scalar Horner-loop helpers it replaced
+(kept in ``oracles``), on random polynomials of degree 1 to 6 from starts
+near the roots; it accepts or rejects as they do there and on each kind
+of rejection, and reports the guard margin.  ``polish`` gives the same
+bits from a numpy coefficient row of ``singular_cubic_grid`` as from the
+row's list of Python complex.
 
 With ``stops``, a Laplace ray of the Borel quartic is tracked as one leg
-that lands once on every Gauss node; the values there match a replay one
-node-to-node leg at a time, and a failure forced mid-ray bows the stretch
-from the last node reached to the next one and still yields every node.  A
-plain segment forced to fail is bowed whole, and a failure forced mid-arc
-bows the chord of one stretch of the arc; both arrive at the unforced
-sheets.  An arc that cannot be passed names itself and the angle
-reached in the error, a segment its endpoints and the tau reached; a
-segment's point at tau is ``a + (b - a) * tau`` bit for bit.
+whose steps ignore the stops, each Gauss node then landed once in one
+batch; the values there match a replay one node-to-node leg at a time.
+The batch accepts or rejects each stop as the scalar helpers do from the
+same record and Newton start, with their values to 1e-13; a stop whose
+batch row is forced to fail, and only that stop, is landed by the scalar
+fallback leg.  A ray leg forced to stall between two nodes bows the
+stretch from the last node reached to the next one and still yields
+every node.  A plain segment forced to fail is bowed whole, and a failure
+forced mid-arc bows the chord of one stretch of the arc; both arrive at
+the unforced sheets.  An arc that cannot be passed names itself and the
+angle reached in the error, a segment its endpoints and the tau reached;
+a segment's point at tau is ``a + (b - a) * tau`` bit for bit.
 
 Properties of ``track_polyline`` on (x1, x2) knots of the characteristic
 cubic, over polylines that stay clear of the turning locus: its one trace
@@ -35,6 +47,7 @@ midpoints leave the final values unchanged, and a single knot gives back
 the start values.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -68,9 +81,9 @@ def _recorded_legs(monkeypatch, run):
     legs = []
     real = tracking.track_family
 
-    def recorder(coeffs_at, piece, start_vals, **kw):
-        legs.append((coeffs_at, piece, np.array(start_vals, dtype=complex)))
-        return real(coeffs_at, piece, start_vals, **kw)
+    def recorder(coeffs_at, piece, start_vals, stops=(), **kw):
+        legs.append((coeffs_at, piece, np.array(start_vals, dtype=complex), list(stops)))
+        return real(coeffs_at, piece, start_vals, stops=stops, **kw)
 
     monkeypatch.setattr(tracking, "track_family", recorder)
     run()
@@ -78,25 +91,35 @@ def _recorded_legs(monkeypatch, run):
     return legs
 
 
-def _replay(coeffs_at, piece, start):
-    calls = [0]
+def _replay(monkeypatch, coeffs_at, piece, start, stops):
+    """The library's leg: its taus and values, steps and stops merged, and
+    its accepted and rejected steps, the stops it landed not counted."""
+    calls, landed = [0], [0]
+    land = tracking._land_stops
 
     def counted(point):
         calls[0] += 1
         return coeffs_at(point)
 
+    def landing(coeffs_at, piece, stops, leg):
+        landed[0] += len(stops)
+        return land(coeffs_at, piece, stops, leg)
+
+    monkeypatch.setattr(tracking, "_land_stops", landing)
     try:
-        trace = tracking.track_family(counted, piece, start, stops=())
+        trace = tracking.track_family(counted, piece, start, stops=stops)
     except ContinuationError:
         return None
-    accepted = len(trace.taus) - 1
-    return trace.taus, trace.values, accepted, calls[0] - 1 - accepted
+    finally:
+        monkeypatch.undo()
+    accepted = len(trace.taus) - 1 - landed[0]
+    return trace.taus, trace.values, accepted, calls[0] - 1 - landed[0] - accepted
 
 
-def _reference(coeffs_at, piece, start):
+def _reference(coeffs_at, piece, start, stops):
     try:
         return track_family_numpy(
-            lambda tau: coeffs_at(piece.at(tau)), start, max_step=piece.max_step
+            lambda tau: coeffs_at(piece.at(tau)), start, max_step=piece.max_step, stops=stops
         )
     except StepUnderflow:
         return None
@@ -105,35 +128,54 @@ def _reference(coeffs_at, piece, start):
 # the unit segment: its point at tau is tau itself, for families written in tau
 UNIT = tracking.Segment(0.0, 1.0)
 
-# family -> (library call, least number of straight legs, full-turn arc legs)
+
+@dataclass(frozen=True)
+class _Family:
+    run: object  # the library call, given what ``setup`` returns if there is one
+    straight: int  # least number of straight legs
+    arcs: int = 0  # arc legs
+    turns: int = 0  # full-turn arcs among them
+    stopped: int = 0  # legs with stops
+    setup: object = None  # called before the legs are recorded
+
+
 FAMILIES = {
     # the straight leg from the seed to the loop's base point, then the loop
-    "st_quartic_monodromy_loop": (lambda: monodromy(1, PlanePoint(1.0, 0.0)), 1, 1),
-    "char_cubic_default_provenance": (
-        lambda: char_trace(labeling_path(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j))), 3, 0
+    "st_quartic_monodromy_loop": _Family(lambda: monodromy(1, PlanePoint(1.0, 0.0)), 1, 1, 1),
+    "char_cubic_default_provenance": _Family(
+        lambda: char_trace(labeling_path(PlanePoint(-0.8 + 0.02j, 0.3 - 0.1j))), 3
     ),
-    "u_cubic_paper_polyline": (lambda: track_u(PAPER_POLYLINE), len(PAPER_POLYLINE) - 1, 0),
+    "u_cubic_paper_polyline": _Family(lambda: track_u(PAPER_POLYLINE), len(PAPER_POLYLINE) - 1),
+    # one pass of a Laplace ray, landing on its 196 Gauss-Kronrod nodes
+    "st_quartic_laplace_ray": _Family(
+        lambda ray: _ray_trace(*ray), 1, stopped=1, setup=lambda: _laplace_ray()
+    ),
 }
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_steps_match_numpy_reference(family, monkeypatch):
-    run, straight, loops = FAMILIES[family]
+    spec = FAMILIES[family]
+    run = spec.run if spec.setup is None else functools.partial(spec.run, spec.setup())
     legs = _recorded_legs(monkeypatch, run)
-    arcs = [piece for _, piece, _ in legs if isinstance(piece, tracking.Arc)]
-    assert len(legs) - len(arcs) >= straight
-    assert len(arcs) == loops
-    for arc in arcs:
-        assert arc.theta1 - arc.theta0 == pytest.approx(2 * np.pi, rel=1e-15)
+    arcs = [piece for _, piece, _, _ in legs if isinstance(piece, tracking.Arc)]
+    assert len(legs) - len(arcs) >= spec.straight
+    assert len(arcs) == spec.arcs
+    turns = [arc.theta1 - arc.theta0 == pytest.approx(2 * np.pi, rel=1e-15) for arc in arcs]
+    assert sum(turns) == spec.turns
+    assert sum(bool(stops) for *_, stops in legs) == spec.stopped
     accepted_total = 0
-    for coeffs_at, piece, start in legs:
-        got = _replay(coeffs_at, piece, start)
-        want = _reference(coeffs_at, piece, start)
+    for coeffs_at, piece, start, stops in legs:
+        got = _replay(monkeypatch, coeffs_at, piece, start, stops)
+        want = _reference(coeffs_at, piece, start, stops)
         assert (got is None) == (want is None)
         if got is None:
             continue
         taus, values, accepted, rejected = got
-        assert taus == want[0]
+        # a step is sized by its predecessor's guard margin, a continuous
+        # function of values that agree to roundoff: taus agree to 1e-12
+        assert len(taus) == len(want[0])
+        assert max(abs(a - b) for a, b in zip(taus, want[0])) <= 1e-12
         assert (accepted, rejected) == (want[2], want[3])
         for v, w in zip(values, want[1]):
             assert np.abs(v - w).max() <= 1e-13 * np.abs(w).max()
@@ -196,6 +238,64 @@ def test_final_values_match_numpy_reference(seed, degree):
     want = track_family_numpy(coeffs_fn, r0)[1][-1]
     got = tracking.track_family(coeffs_fn, UNIT, r0).final
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.floats(0.0, 1.0))
+def test_steps_are_sized_by_the_guard_margin(seed, degree, spread):
+    # roots on random quadratic curves, pressed together by ``spread`` so
+    # that some legs meet the guard or fail: every accepted step has margin
+    # rho >= GUARD_RATIO; the first step is half the cap, and each next one
+    # is min(cap, h min(2, 0.8 rho / 3)) after an accept (at most twice the
+    # step, within the cap), h min(0.5, max(0.1, 0.8 rho / 3)) after a guard
+    # rejection (at most half) and h / 2 after any other rejection
+    rng = np.random.default_rng(seed)
+    r0, v, w = (rng.normal(size=degree) + 1j * rng.normal(size=degree) for _ in range(3))
+    r0 = r0 * spread
+    lead = complex(*rng.normal(size=2))
+    targets, outcomes = [], []
+    kernel = tracking._step_kernel
+
+    def recording(n):
+        step, misfit = kernel(n)
+
+        def recorded(c, old, guess):
+            out = step(c, old, guess)
+            outcomes.append(out)
+            return out
+
+        return recorded, misfit
+
+    def coeffs_fn(t):
+        targets.append(t)
+        return from_roots(r0 + v * t + w * t * t, lead)
+
+    tracking._step_kernel = recording
+    try:
+        trace = tracking.track_family(coeffs_fn, UNIT, r0)
+    except ContinuationError:
+        trace = None
+    finally:
+        tracking._step_kernel = kernel
+    if degree == 1:  # no pairs: every step doubles, and the leg ends on the root
+        assert trace is not None and all(rho == np.inf for _, rho in outcomes)
+        assert abs(trace.final[0] - (r0 + v + w)[0]) <= 1e-12 * max(1.0, abs(trace.final[0]))
+    cap, tau, rule = tracking.MAX_STEP, 0.0, 0.5 * tracking.MAX_STEP
+    assert len(outcomes) == len(targets) - 1
+    for target, (vals, rho) in zip(targets[1:], outcomes):
+        h = target - tau
+        assert h == pytest.approx(min(rule, 1.0 - tau), rel=1e-9, abs=1e-15)
+        gain = None if rho is None else 0.8 * rho / tracking.GUARD_RATIO
+        if vals is not None:
+            assert rho >= tracking.GUARD_RATIO
+            tau, rule = target, min(cap, h * min(2.0, gain))
+            assert rule <= min(cap, 2 * h)
+        elif rho is not None:
+            rule = h * min(0.5, max(0.1, gain))
+            assert rule <= 0.5 * h
+        else:
+            rule = 0.5 * h
+    assert (trace is None) == (tau < 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,9 +372,10 @@ def test_step_kernel_starts_from_the_guess_and_guards_from_old():
     step, _ = tracking._step_kernel(2)
     c = [1 + 0j, 0j, -1 + 0j]
     old = [1.3 + 0j, -1.3 + 0j]
-    assert step(c, old, old) == [1.0, -1.0]
-    assert step(c, old, [-1.0 + 0j, 1.0 + 0j]) is None
-    assert step(c, old, [1.01 + 0j, -1.01 + 0j]) == [1.0, -1.0]
+    assert step(c, old, old) == ([1.0, -1.0], pytest.approx(2.0 / 0.3, rel=1e-15))
+    # the guard's margin, separation 2 over displacement 2.3, comes with the rejection
+    assert step(c, old, [-1.0 + 0j, 1.0 + 0j]) == (None, pytest.approx(2.0 / 2.3, rel=1e-15))
+    assert step(c, old, [1.01 + 0j, -1.01 + 0j])[0] == [1.0, -1.0]
 
 
 # -- the generated step kernel: 30-digit roots and the scalar helpers' decisions --
@@ -306,7 +407,7 @@ def _assert_step(c, old):
     as the helpers do, bit for bit; returns the helpers' polished values and
     decision, or "overflow"."""
     step, misfit = tracking._step_kernel(len(c) - 1)
-    got = _outcome(step, c, old, old)
+    got = _outcome(lambda *args: step(*args)[0], c, old, old)
     want = _outcome(scalar_step, c, old)
     if want == "overflow":
         assert got == "overflow"
@@ -484,6 +585,79 @@ def test_stop_values_match_node_by_node_legs():
     assert field.track_stops(start, y0, y1, taus)[-1].tolist() == trace.final.tolist()
 
 
+def _bracketed(leg, taus):
+    """Per stop tau that is no record's: the index of the record before it
+    and Newton's start, the records' linear interpolation at tau."""
+    out = []
+    for tau in taus:
+        if tau in leg.taus:
+            continue
+        i = max(k for k, t in enumerate(leg.taus) if t < tau)
+        w = (tau - leg.taus[i]) / (leg.taus[i + 1] - leg.taus[i])
+        out.append((tau, i, leg.values[i] + (leg.values[i + 1] - leg.values[i]) * w))
+    return out
+
+
+def _fallbacks(monkeypatch):
+    """The taus ``tracking._fallback`` lands, in call order."""
+    seen, real = [], tracking._fallback
+
+    def recorded(coeffs_at, piece, record, end):
+        seen.append(end)
+        return real(coeffs_at, piece, record, end)
+
+    monkeypatch.setattr(tracking, "_fallback", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("swapped", [None, 1, 2])
+def test_batched_landing_decides_as_the_scalar_helpers(swapped, monkeypatch):
+    # the ray's own steps, with the labels of one later record swapped (so
+    # that Newton starts for the stops before it lean onto swapped roots):
+    # each stop is accepted or rejected as the scalar helpers decide from
+    # the same record and start, and an accepted stop has their values
+    field, start, y0, y1, taus = _laplace_ray()
+    ray = tracking.Segment(field.s_of_y(y0), field.s_of_y(y1))
+    leg = tracking.track_family(field.coeffs_at, ray, start)
+    if swapped is not None:
+        leg.values[swapped] = leg.values[swapped][[1, 0, 2, 3]]
+    stops = _bracketed(leg, taus)
+    fallen = _fallbacks(monkeypatch)
+    landed, failure = tracking._land_stops(field.coeffs_at, ray, [t for t, _, _ in stops], leg)
+    assert failure is None and [r[0] for r in landed] == [t for t, _, _ in stops]
+    decisions = []
+    for (tau, i, guess), (_, point, vals) in zip(stops, landed):
+        assert point == ray.at(tau)
+        c = tracking._descending(field.coeffs_at(point))
+        want, ok = scalar_step(c, leg.values[i].tolist(), guess.tolist())
+        decisions.append(ok)
+        assert (tau in fallen) == (not ok)
+        if ok:
+            assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
+    assert all(decisions) == (swapped is None)
+    assert any(decisions)
+
+
+def test_one_rejected_stop_alone_takes_the_scalar_fallback(monkeypatch):
+    field, start, y0, y1, taus = _laplace_ray()
+    want = _ray_trace(field, start, y0, y1, taus)
+    polish = tracking._newton_polish
+    forced = 37  # the batch row of this stop comes back with two labels swapped
+
+    def swapping(c, dc, z):
+        out = polish(c, dc, z)
+        out[forced] = out[forced][[1, 0, 2, 3]]
+        return out
+
+    monkeypatch.setattr(tracking, "_newton_polish", swapping)
+    fallen = _fallbacks(monkeypatch)
+    got = _ray_trace(field, start, y0, y1, taus)
+    assert fallen == [taus[forced]]
+    assert got.taus == want.taus
+    for g, w in zip(got.values, want.values):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
 @dataclass(frozen=True)
 class _GivesUp:
     """``piece`` up to tau ``limit``; past it, every point raises
@@ -505,6 +679,14 @@ class _GivesUp:
         return self.piece.where(tau)
 
 
+class _Stalls(_GivesUp):
+    """``piece`` up to tau ``limit``; past it every point is NaN, so each
+    step there is rejected until the step underflows just short of it."""
+
+    def at(self, tau):
+        return complex("nan") if tau > self.limit else self.piece.at(tau)
+
+
 @pytest.mark.parametrize("fail_after", [0, 5])
 def test_failure_mid_ray_bows_one_stretch_and_returns_every_node(fail_after, monkeypatch):
     field, start, y0, y1, taus = _laplace_ray()
@@ -514,11 +696,13 @@ def test_failure_mid_ray_bows_one_stretch_and_returns_every_node(fail_after, mon
     straight = []  # stop-less segment legs: the two legs of each bowed stretch
 
     def failing(coeffs_at, piece, start_vals, *, stops=(), **kw):
-        # every ray leg gives up just past its (fail_after + 1)-th stop
+        # every ray leg stalls half way from its (fail_after + 1)-th stop to
+        # the next, so that the stops it lands are exactly the first fail_after + 1
         if not len(stops) and isinstance(piece, tracking.Segment):
             straight.append(piece)
-        limit = stops[fail_after] if len(stops) > fail_after + 1 else 2.0
-        return real_track(coeffs_at, _GivesUp(piece, limit), start_vals, stops=stops, **kw)
+        if len(stops) > fail_after + 1:
+            piece = _Stalls(piece, (stops[fail_after] + stops[fail_after + 1]) / 2)
+        return real_track(coeffs_at, piece, start_vals, stops=stops, **kw)
 
     monkeypatch.setattr(tracking, "track_family", failing)
     got = field.track_stops(start, y0, y1, taus)
