@@ -159,7 +159,9 @@ def counting():
     point to its trace.  The stops it lands in one batch there are counted
     as ``landed``, and those of them landed again by a scalar leg
     (``tracking._fallback``, whose steps are not attempts of the leg) as
-    ``fallbacks``.  Its context is the
+    ``fallbacks``; a tree that lands stops as steps, without these two
+    hooks, records neither count.  Any other hook missing raises
+    ``AttributeError``.  Its context is the
     innermost of ``monodromy``, ``anchor`` (``SheetField.anchor``),
     ``cut_jump`` (``borel._cut_jump``) and ``laplace``
     (``SheetField.track_stops``, whose stops are the Laplace nodes) it runs
@@ -172,10 +174,10 @@ def counting():
 
     counts, stack, patched = Counter(), ["rest"], []
 
-    def patch(owner, name, wrap):
-        real = getattr(owner, name, None)
-        if real is None:  # an older tree without it
+    def patch(owner, name, wrap, optional=False):
+        if optional and not hasattr(owner, name):  # a hook an older tree lacks
             return
+        real = getattr(owner, name)
         patched.append((owner, name, real))
         setattr(owner, name, wrap(real))
 
@@ -239,18 +241,18 @@ def counting():
             return wrapper
         return wrap
 
-    patch(borel, "monodromy", within("monodromy"))
-    patch(borel.SheetField, "anchor", within("anchor"))
-    patch(borel, "_cut_jump", within("cut_jump"))
-    patch(borel.SheetField, "track_stops",
-          lambda real: within("laplace")(rows("laplace.nodes")(real)))
-    patch(tracking, "track_family", track_family)
-    patch(tracking, "_land_stops", land_stops)
-    patch(tracking, "_fallback", fallback)
-    patch(stokes, "_brackets", rows("events.brackets"))
     out = {}
     profile = cProfile.Profile()
     try:
+        patch(borel, "monodromy", within("monodromy"))
+        patch(borel.SheetField, "anchor", within("anchor"))
+        patch(borel, "_cut_jump", within("cut_jump"))
+        patch(borel.SheetField, "track_stops",
+              lambda real: within("laplace")(rows("laplace.nodes")(real)))
+        patch(tracking, "track_family", track_family)
+        patch(tracking, "_land_stops", land_stops, optional=True)
+        patch(tracking, "_fallback", fallback, optional=True)
+        patch(stokes, "_brackets", rows("events.brackets"))
         profile.enable()
         yield out
     finally:

@@ -70,7 +70,7 @@ T_VALIDITY = 0.2  # |x2 / x1^(2/3)| bound inside which chart results are validat
 SEED_SCALE = 0.02
 SEED_HALVINGS = 8  # halvings of a rejected origin seed point before seeding gives up
 RHO_REL = 0.18  # approach radius around a singularity, relative to min separation
-PASS_REL = 0.05  # a route leg passing nearer a singularity than this (same scale) is moved
+PASS_REL = 0.05  # a route leg or Laplace ray passing nearer a singularity than this (same scale)
 ANCHOR_REL = 0.3  # anchor radius above each u_ell, relative to min separation
 LOOP_REL = 0.25  # monodromy loop radius around u_ell, relative to |u_ell|
 THETA_LIFT = 2e-3  # cut-approach angle for one-sided limits (Richardson halves it)

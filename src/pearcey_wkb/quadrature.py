@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import QuadratureConvergenceError, TailBoundError, ValidationError
 from .geometry import PlanePoint
-from .borel import SheetField
+from .borel import PASS_REL, SheetField
 from .wkb_series import WkbSeriesTable, borel_coeffs
 
 LAPLACE_ORDER = 8  # order of the local series near each u_ell
@@ -205,7 +205,7 @@ def laplace_borel_sum(
             continue
         um = field.u_vals[m - 1]
         d = um - ul
-        if 0 < d.real < length and abs(d.imag) < 0.05 * field.min_sep:
+        if 0 < d.real < length and abs(d.imag) < PASS_REL * field.min_sep:
             raise TailBoundError(
                 f"integration ray from u_{ell} passes near u_{m}; Borel sum undefined"
             )

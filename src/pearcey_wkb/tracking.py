@@ -29,7 +29,9 @@ displacement from the previous accepted values.  The ratio of the two,
 the guard margin rho, sizes the next step: an accepted step is followed
 by one ``STEP_SAFETY`` rho / ``GUARD_RATIO`` times as long (at most twice,
 within the cap), a step the guard rejects is retried at that share of its
-length (between a tenth and a half), and any other rejection halves it.
+length (between a tenth and a half), and any other rejection halves it;
+the share is rounded down to a multiple of 1/16, so that roundoff in the
+values does not move the taus.
 A family of degree n is tracked through all n of its roots, since the
 guard keeps apart only the values it sees; any other number of values
 raises ``ValueError``.  The correction and both tests run in one step
@@ -50,12 +52,11 @@ reached.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from cmath import exp, isfinite, phase
 from dataclasses import dataclass, field
 from functools import cache
-from math import inf
+from math import floor, inf
 
 import numpy as np
 
@@ -68,6 +69,7 @@ RESIDUAL_TOL = 1e-9
 MIN_STEP = 1e-11
 STEP_SAFETY = 0.8  # share of the guard margin a step is sized to use
 _MARGIN_GAIN = STEP_SAFETY / GUARD_RATIO
+_SHARE_GRID = 16  # margins that agree to 1/16 size equal steps: roundoff moves no tau
 MAX_STEP = 0.25  # tau-step cap of a straight leg; its first step is half of it
 ARC_STEP = 0.1  # step cap along an arc, in radians
 _NEWTON_ITERS = 12
@@ -349,11 +351,12 @@ def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, st
     The step size follows the guard margin rho = sep / disp the kernel
     reports (minimum pairwise separation over largest displacement; inf
     for one value or no displacement).  The first step is half of
-    ``max_step``.  After an accepted step of size h the next is
-    min(max_step, h min(2, ``STEP_SAFETY`` rho / ``GUARD_RATIO``)); after a
-    step the collision guard rejects, the retry is h min(0.5, max(0.1,
-    ``STEP_SAFETY`` rho / ``GUARD_RATIO``)); any other rejection halves it,
-    and a step below ``MIN_STEP`` ends the leg.  A ``ContinuationError``
+    ``max_step``.  With the share g = min(2, ``STEP_SAFETY`` rho /
+    ``GUARD_RATIO``) rounded down to a multiple of 1/16
+    (:func:`_margin_share`), the step after an accepted step of size h is
+    min(max_step, h g); after a step the collision guard rejects, the retry
+    is h min(0.5, max(0.1, g)); any other rejection halves it, and a step
+    below ``MIN_STEP`` ends the leg.  A ``ContinuationError``
     raised on the way, ``coeffs_at``'s own included, comes out with
     ``piece.where`` of the last accepted tau appended; the stops up to that
     tau are still recorded.
@@ -392,7 +395,7 @@ def track_family(coeffs_at, piece, start_vals, *, trace: Trace | None = None, st
     if fallen is not None:  # keep what precedes the stop that could not be landed
         failure, end = fallen, todo[len(landed)]
         records = ((tau, p, v) for tau, p, v in records if tau < end)
-    for tau, point, vals in heapq.merge(records, landed, key=lambda r: r[0]):
+    for tau, point, vals in sorted([*records, *landed], key=lambda r: r[0]):
         trace.record(tau, point, vals)
     if failure is not None:
         raise failure
@@ -434,13 +437,22 @@ def _steps(coeffs_at, piece, trace: Trace, end: float) -> None:
             last = (tau, vals)
             tau, here, vals = target, point, new_vals
             trace.record(tau, here, vals)
-            step = min(piece.max_step, h * min(2.0, _MARGIN_GAIN * rho))
+            step = min(piece.max_step, h * _margin_share(rho))
         else:
-            step = h * (0.5 if rho is None else min(0.5, max(0.1, _MARGIN_GAIN * rho)))
+            step = h * (0.5 if rho is None else min(0.5, max(0.1, _margin_share(rho))))
             if step < MIN_STEP:
                 raise ContinuationError(
                     "near-discriminant passage: step underflow during tracking", location=here
                 )
+
+
+def _margin_share(rho: float) -> float:
+    """``STEP_SAFETY`` rho / ``GUARD_RATIO``, at most 2, rounded down to a
+    multiple of 1 / ``_SHARE_GRID``: a step size is then a function of the
+    accept/reject decisions and of the margins to that grid, so values that
+    differ by roundoff give the same taus (unless a margin falls within
+    roundoff of a grid point)."""
+    return floor(_SHARE_GRID * min(2.0, _MARGIN_GAIN * rho)) / _SHARE_GRID
 
 
 def _land_stops(coeffs_at, piece, stops: list, leg: Trace) -> tuple[list, ContinuationError | None]:

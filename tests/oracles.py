@@ -14,13 +14,13 @@ of zeta and x2.
 
 The remaining oracles keep earlier implementations as references: the
 tracker step loop on numpy scalars (no predictor; steps sized by the guard
-margin, stops landed one value at a time after the steps), the tracker's
-scalar step helpers (Horner loops called per value) whose start check and
-accept/reject decisions its generated step kernel and batched stop
-landing must reproduce, the
-per-cell loop of the raster CSV export, the raster label sweep matching
-labeled values cell to cell, the Newton polish evaluating every row of a
-block in each iteration, the Borel-plane circles (anchor arcs, cut-jump
+margin, its share rounded down to a multiple of 1/16, stops landed one
+value at a time after the steps), the tracker's scalar step helpers
+(Horner loops called per value) whose start check and accept/reject
+decisions its generated step kernel and batched stop landing must
+reproduce, the per-cell loop of the raster CSV export, the raster label
+sweep matching labeled values cell to cell, the Newton polish evaluating
+every row of a block in each iteration, the Borel-plane circles (anchor arcs, cut-jump
 sides, monodromy loops) as chord polylines, one tracker leg per chord, the
 event bisection one bracket and one cubic solve at a time, the
 f_0 phase continuation tracked one labeling-path leg at a time, the
@@ -403,7 +403,7 @@ def _margin_np(old_vals, new_vals, guard_ratio):
 
 
 def _steps_np(coeffs_fn, tau, vals, end, max_step, min_step, residual_tol, guard_ratio,
-              step_safety):
+              step_safety, share_grid):
     """Accepted (tau, values) from ``tau`` to ``end`` and the accepted and
     rejected counts, sizing each step by the guard margin."""
     records = []
@@ -418,12 +418,15 @@ def _steps_np(coeffs_fn, tau, vals, end, max_step, min_step, residual_tol, guard
             abs(_poly_eval_np(c, z)) <= residual_tol * _residual_scale_np(c, z) for z in new_vals
         )
         guard_ok, rho = _margin_np(vals, new_vals, guard_ratio) if fits else (False, None)
-        gain = None if rho is None else step_safety * rho / guard_ratio
+        gain = None
+        if rho is not None:
+            gain = float(np.floor(min(2.0, step_safety * rho / guard_ratio) * share_grid))
+            gain /= share_grid
         if guard_ok:
             accepted += 1
             tau, vals = target, new_vals
             records.append((tau, vals))
-            step = min(max_step, h * min(2.0, gain))
+            step = min(max_step, h * gain)
         else:
             rejected += 1
             step = h * (0.5 if gain is None else min(0.5, max(0.1, gain)))
@@ -433,15 +436,17 @@ def _steps_np(coeffs_fn, tau, vals, end, max_step, min_step, residual_tol, guard
 
 
 def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0,
-                       min_step=1e-11, max_step=0.25, stops=(), step_safety=0.8):
+                       min_step=1e-11, max_step=0.25, stops=(), step_safety=0.8,
+                       share_grid=16):
     """The tracker's step loop with numpy-scalar arithmetic throughout.
 
     Same start check, step schedule and acceptance rule as the library:
-    the first step is half of ``max_step``; after an accepted step of size
-    h the next is min(max_step, h min(2, step_safety rho / guard_ratio)),
-    rho being the guard margin (minimum separation over largest
-    displacement); a step the guard rejects is retried at h min(0.5,
-    max(0.1, step_safety rho / guard_ratio)), any other rejection at h / 2.  Newton starts from the
+    the first step is half of ``max_step``; with the share g = min(2,
+    step_safety rho / guard_ratio) rounded down to a multiple of 1 /
+    share_grid, rho being the guard margin (minimum separation over largest
+    displacement), an accepted step of size h is followed by min(max_step,
+    h g), a step the guard rejects is retried at h min(0.5, max(0.1, g)),
+    and any other rejection at h / 2.  Newton starts from the
     previous values (no predictor) and stops at a correction below 1e-16
     (1 + |z|) or after 12 iterations.  Each of ``stops`` up to the last
     accepted tau that is not a step's tau is then landed by Newton, value
@@ -457,7 +462,7 @@ def track_family_numpy(coeffs_fn, start_vals, residual_tol=1e-9, guard_ratio=3.0
     for z in vals:
         if abs(_poly_eval_np(c0, z)) > residual_tol * _residual_scale_np(c0, z) * 10:
             raise ValueError("start value does not satisfy the family")
-    args = (max_step, min_step, residual_tol, guard_ratio, step_safety)
+    args = (max_step, min_step, residual_tol, guard_ratio, step_safety, share_grid)
     records, accepted, rejected = _steps_np(coeffs_fn, 0.0, vals, 1.0, *args)
     records.insert(0, (0.0, vals))
     taus = [tau for tau, _ in records]

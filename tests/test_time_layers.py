@@ -71,6 +71,25 @@ def test_landed_stops_are_counted_apart_from_steps(time_layers, series8):
     assert counts["tracker.laplace.accepted"] + counts["tracker.laplace.rejected"] < 49
 
 
+def test_only_the_stop_landing_hooks_may_be_missing(time_layers, monkeypatch):
+    # a tree without batched stop landing is counted without its two hooks;
+    # any other hook missing fails loudly instead of counting nothing, and
+    # leaves no hook patched
+    real = (tracking.track_family, tracking._land_stops, stokes._brackets)
+    monkeypatch.delattr(tracking, "_land_stops")
+    monkeypatch.delattr(tracking, "_fallback")
+    with time_layers.counting() as counts:
+        pass
+    assert not hasattr(tracking, "_land_stops") and counts == {}
+    monkeypatch.delattr(stokes, "_brackets")
+    with pytest.raises(AttributeError, match="_brackets"):
+        with time_layers.counting():
+            pass
+    assert tracking.track_family is real[0]
+    monkeypatch.undo()
+    assert (tracking.track_family, tracking._land_stops, stokes._brackets) == real
+
+
 def _row(time_layers, a, b):
     """A layer row from A's and B's samples, as ``main`` stores it."""
     return {"a": time_layers.spread(a), "b": time_layers.spread(b),

@@ -3,16 +3,15 @@
 Each family is recorded leg by leg from a real library call, every leg one
 path piece (a ``Segment`` or an ``Arc``); then every leg is replayed
 through ``tracking.track_family`` and through the reference loop in
-``oracles``, with the piece's own step cap and stops: the accept/reject
-counts must be the same, the taus must agree to 1e-12 (each step is sized
-by the guard margin of the one before, a continuous function of values
-that agree to roundoff), and the tracked values, stops included, must
-agree to 1e-13 relative.  The monodromy loop is one arc leg among them,
-and a Laplace ray landing on its 196 nodes another.  On random families,
-every accepted step has a guard margin of at least ``GUARD_RATIO``, and
-each step is the one the margin rule sizes from the step before: at most
-twice it (within the cap) after an accept, at most half after a guard
-rejection, half after any other; a degree-1 family still tracks.  On
+``oracles``, with the piece's own step cap and stops: the tau sequence
+and the accept/reject counts must be the same, and the tracked values,
+stops included, must agree to 1e-13 relative.  The monodromy loop is
+one arc leg among them, and a Laplace ray landing on its 196 nodes
+another.  On random families, every accepted step has a guard margin of
+at least ``GUARD_RATIO``, and each step is the one the margin rule sizes
+from the step before (its share rounded down to a multiple of 1/16): at
+most twice it (within the cap) after an accept, at most half after a
+guard rejection, half after any other; a degree-1 family still tracks.  On
 random families whose roots stay apart, the secant-predicted tracker ends
 where the reference loop ends, to 1e-12; tracking fewer values than the
 degree raises ``ValueError``, and they are tracked as part of the full
@@ -49,6 +48,7 @@ the start values.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,10 +172,7 @@ def test_steps_match_numpy_reference(family, monkeypatch):
         if got is None:
             continue
         taus, values, accepted, rejected = got
-        # a step is sized by its predecessor's guard margin, a continuous
-        # function of values that agree to roundoff: taus agree to 1e-12
-        assert len(taus) == len(want[0])
-        assert max(abs(a - b) for a, b in zip(taus, want[0])) <= 1e-12
+        assert taus == want[0]
         assert (accepted, rejected) == (want[2], want[3])
         for v, w in zip(values, want[1]):
             assert np.abs(v - w).max() <= 1e-13 * np.abs(w).max()
@@ -245,10 +242,11 @@ def test_final_values_match_numpy_reference(seed, degree):
 def test_steps_are_sized_by_the_guard_margin(seed, degree, spread):
     # roots on random quadratic curves, pressed together by ``spread`` so
     # that some legs meet the guard or fail: every accepted step has margin
-    # rho >= GUARD_RATIO; the first step is half the cap, and each next one
-    # is min(cap, h min(2, 0.8 rho / 3)) after an accept (at most twice the
-    # step, within the cap), h min(0.5, max(0.1, 0.8 rho / 3)) after a guard
-    # rejection (at most half) and h / 2 after any other rejection
+    # rho >= GUARD_RATIO; the first step is half the cap, and with the share
+    # g = min(2, 0.8 rho / 3) rounded down to a multiple of 1/16, each next
+    # step is min(cap, h g) after an accept (at most twice the step, within
+    # the cap), h min(0.5, max(0.1, g)) after a guard rejection (at most
+    # half) and h / 2 after any other rejection
     rng = np.random.default_rng(seed)
     r0, v, w = (rng.normal(size=degree) + 1j * rng.normal(size=degree) for _ in range(3))
     r0 = r0 * spread
@@ -285,10 +283,14 @@ def test_steps_are_sized_by_the_guard_margin(seed, degree, spread):
     for target, (vals, rho) in zip(targets[1:], outcomes):
         h = target - tau
         assert h == pytest.approx(min(rule, 1.0 - tau), rel=1e-9, abs=1e-15)
-        gain = None if rho is None else 0.8 * rho / tracking.GUARD_RATIO
+        gain = None
+        if rho is not None:
+            share = min(2.0, tracking.STEP_SAFETY / tracking.GUARD_RATIO * rho)
+            gain = math.floor(16 * share) / 16
+            assert share - 1 / 16 < gain <= share
         if vals is not None:
             assert rho >= tracking.GUARD_RATIO
-            tau, rule = target, min(cap, h * min(2.0, gain))
+            tau, rule = target, min(cap, h * gain)
             assert rule <= min(cap, 2 * h)
         elif rho is not None:
             rule = h * min(0.5, max(0.1, gain))
