@@ -49,6 +49,13 @@ EXTRA = [
     ["quadrature", "--x1", "1", "--x2", "0", "--eta", "1", "--contour", "1"],
     ["quadrature", "--x1", "1", "--x2", "0", "--eta", "1", "--contour", "a,b"],
     ["verify", "--samples", "0"],
+    # non-finite numbers (exit 2) and coefficients that overflow (exit 3)
+    ["stokes-section", "--x2=inf", "--window=-1,1,-1,1", "--res", "16"],
+    ["stokes-section", "--x2=1e200", "--window=-1,1,-1,1", "--res", "16"],
+    ["stokes-section", "--x2", "0", "--window=-1e200,1e200,-1,1", "--res", "16"],
+    ["geometry", "--x1", "1", "--x2=1e200"],
+    ["borel", "--x1=1e200", "--x2", "0", "--y", "0.1", "--ell", "1"],
+    ["track-u", "--path", "0.15,0/0,0;1e200,0/0,0"],
 ]
 INPUTS = {
     "rows.json": "[[0.15, 0, 0, 0], [0.15, 0]]",

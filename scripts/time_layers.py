@@ -11,20 +11,29 @@ The cold layers (``COLD``) come first and are timed once, before any other
 layer fills their caches.  Every other layer runs once to warm up, then
 ``ROUNDS`` rounds of as many calls as fill ``ROUND_S`` seconds; the sample
 is the fastest round's time per call.  The tracker layer is reported per
-attempted step (accepted or rejected) of its leg.
+attempted step (accepted or rejected) of its leg.  Each layer is
+flanked by two runs of the calibration loop of ``perfbench/child.py``, so
+that its sample can be scaled to the benchmark's reference speed
+(``perfbench/run.py``'s ``CAL_REF_S``): a sample taken while the machine
+runs slow is scaled down by as much as the loop slowed next to it.
 
 Next to the times, one counting interpreter per tree runs each layer's
 statement once more under ``counting()``, and one per workload runs the
 seed-1 plan of ``perfbench/workloads.py``.  The counts do not depend on the
 machine: tracker legs, accepted and rejected steps, landed stops and
 their fallbacks per context, the event brackets and rows, Laplace nodes,
-and the calls of ``poly_eval_many``, the coefficient evaluators and the
-exact products (``MultiPoly``, ``ZetaRational``) and derivatives.
+the calls of ``poly_eval_many`` and the rows they evaluate, the calls of
+the coefficient evaluators and the exact products (``MultiPoly``,
+``ZetaRational``) and derivatives.
 
 The run is stored under LABEL in ``BENCH_layers.json`` at the repository
 root, replacing an earlier run with the same label.  Per layer it keeps
-each tree's median, quartiles and samples, the pairs in which B was faster,
-and whether the difference is resolved (``resolved``): the medians differ
+each tree's median, quartiles and samples at reference speed (``a``,
+``b``), as measured (``raw``) and of the calibration loop next to them
+(``calibration_us``), the pairs in which B was faster at
+reference speed, and whether the difference is resolved (``resolved``),
+read from the reference-speed samples (from the raw ones in runs stored
+before the scaling, which have no ``raw`` key): the medians differ
 by more than the larger of A's and B's interquartile spreads, and the tree
 with the lower median is the faster one in at least ``WINS_TO_RESOLVE`` of
 the ``REPEAT`` pairs.  A layer that is not resolved is noise, and no claim
@@ -36,6 +45,7 @@ import contextlib
 import cProfile
 import importlib
 import json
+import math
 import os
 import platform
 import pstats
@@ -47,12 +57,15 @@ import timeit
 from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+PERFBENCH = os.path.join(HERE, "..", "perfbench")
 OUT = os.path.join(HERE, "..", "BENCH_layers.json")
 REPEAT = 10  # interleaved pairs
 WINS_TO_RESOLVE = 9  # of the REPEAT pairs; a one-sided sign test gives p = 0.011 for 9 of 10
 ROUNDS = 5
 ROUND_S = 0.02
 WORKLOADS = ("sections", "paths", "borel_sums")
+sys.path.insert(0, PERFBENCH)
+from run import CAL_REF_S  # noqa: E402  the seconds of one loop at reference speed
 
 GEOMETRY = """
 import numpy as np
@@ -168,9 +181,11 @@ def counting():
     in, else ``rest``.  Event brackets are the items ``stokes._brackets``
     returns, one per sign change of an event function between samples, and
     event rows the calls of ``tracking.polish``, one tracker step per row of
-    the event bracketing.
+    the event bracketing.  ``rows.poly_eval_many`` sums the coefficient rows
+    of every ``poly_eval_many`` call, through ``aberth`` or ``tracking``:
+    the Horner work of the root solves, whatever their batching.
     """
-    from pearcey_wkb import borel, stokes, tracking
+    from pearcey_wkb import aberth, borel, stokes, tracking
 
     counts, stack, patched = Counter(), ["rest"], []
 
@@ -241,6 +256,12 @@ def counting():
             return wrapper
         return wrap
 
+    def evaluated_rows(real):  # the coefficient rows of one Horner evaluation
+        def wrapper(coeffs, z):
+            counts["rows.poly_eval_many"] += math.prod(coeffs.shape[:-1])
+            return real(coeffs, z)
+        return wrapper
+
     out = {}
     profile = cProfile.Profile()
     try:
@@ -253,6 +274,8 @@ def counting():
         patch(tracking, "_land_stops", land_stops, optional=True)
         patch(tracking, "_fallback", fallback, optional=True)
         patch(stokes, "_brackets", rows("events.brackets"))
+        patch(aberth, "poly_eval_many", evaluated_rows)
+        patch(tracking, "poly_eval_many", evaluated_rows)
         profile.enable()
         yield out
     finally:
@@ -265,19 +288,25 @@ def counting():
 
 
 def time_layers() -> dict:
-    """Microseconds per statement of every layer, in this interpreter."""
+    """Per layer, the microseconds per statement in this interpreter and
+    the mean microseconds of the calibration loop of ``perfbench/child.py``
+    timed just before and just after the layer, as a pair."""
+    from child import calibrate  # imports pearcey_wkb: only in a fresh interpreter
+
     ns, out = {}, {}
     for name, (setup, stmt) in CASES.items():
         exec(setup, ns)
         timer = timeit.Timer(stmt, globals=ns)
+        cal = calibrate(1)
         if name in COLD:
-            out[name] = 1e6 * timer.timeit(1)
-            continue
-        timer.timeit(1)
-        number = 1
-        while timer.timeit(number) < ROUND_S:
-            number *= 2
-        out[name] = 1e6 * min(timer.repeat(ROUNDS, number)) / number
+            us = 1e6 * timer.timeit(1)
+        else:
+            timer.timeit(1)
+            number = 1
+            while timer.timeit(number) < ROUND_S:
+                number *= 2
+            us = 1e6 * min(timer.repeat(ROUNDS, number)) / number
+        out[name] = (us, 1e6 * statistics.mean(cal + calibrate(1)))
     return out
 
 
@@ -315,6 +344,28 @@ def fresh(src_root: str, call: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def layer_row(name: str, samples: dict, counts: dict) -> dict:
+    """One layer's row from each tree's interpreter samples (the dicts
+    ``time_layers`` returns) and layer counts (``count_layers``): each
+    sample scaled to reference speed by the calibration loop timed next to
+    it, and the raw samples and calibration times beside them."""
+    row, raw, cal = {"unit": "us per call at reference speed"}, {}, {}
+    for side in samples:
+        per, cal_us = zip(*(s[name] for s in samples[side]))
+        if name == PER_ATTEMPT:
+            row["unit"] = "us per attempted step at reference speed"
+            attempts = sum(v for k, v in counts[side][name].items()
+                           if k.endswith((".accepted", ".rejected")))
+            per = [t / attempts for t in per]
+        raw[side], cal[side] = spread(per), spread(cal_us)
+        row[side] = spread([t * 1e6 * CAL_REF_S / c for t, c in zip(per, cal_us)])
+    row["raw"], row["calibration_us"] = raw, cal
+    row["b_faster_pairs"] = sum(b < a for a, b in zip(row["a"]["samples"], row["b"]["samples"]))
+    row["resolved"] = resolved(row)
+    row["counts"] = {side: counts[side][name] for side in samples}
+    return row
+
+
 def spread(samples: list) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3),
@@ -337,7 +388,6 @@ def main() -> None:
         raise SystemExit(__doc__.split("\n\n")[1])
     trees = dict(zip("ab", sys.argv[1:3]))
     label = sys.argv[3]
-    sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
     import workloads
 
     samples = {side: [] for side in trees}
@@ -351,20 +401,7 @@ def main() -> None:
 
     layers = {}
     for name in CASES:
-        row = {"unit": "us per call"}
-        for side in trees:
-            per = [s[name] for s in samples[side]]
-            if name == PER_ATTEMPT:
-                row["unit"] = "us per attempted step"
-                attempts = sum(v for k, v in counts[side][name].items()
-                               if k.endswith((".accepted", ".rejected")))
-                per = [t / attempts for t in per]
-            row[side] = spread(per)
-        row["b_faster_pairs"] = sum(b < a for a, b in zip(row["a"]["samples"],
-                                                           row["b"]["samples"]))
-        row["resolved"] = resolved(row)
-        row["counts"] = {side: counts[side][name] for side in trees}
-        layers[name] = row
+        row = layers[name] = layer_row(name, samples, counts)
         print(f"{name:32s} A {row['a']['median']:10.3f} [{row['a']['q1']:.3f}, "
               f"{row['a']['q3']:.3f}]  B {row['b']['median']:10.3f}  "
               f"B/A {row['b']['median'] / row['a']['median']:.3f}  "

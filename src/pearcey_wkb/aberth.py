@@ -1,9 +1,12 @@
 """Simultaneous polynomial root finding (Aberth-Ehrlich).
 
 Univariate polynomials are plain complex coefficient arrays in ascending
-degree order.  The iteration starts from a deterministic placement (scaled
-roots of unity with a fixed angular offset) so the output ordering is
-reproducible run to run.
+degree order.  The iteration starts from a deterministic placement, so the
+output ordering is reproducible run to run: a cubic row starts at its
+closed-form (Cardano) roots, and any other row, or a cubic row whose closed
+form is not finite or not distinct, on a circle (scaled roots of unity with
+a fixed angular offset).  The start is only a start: the residual test
+decides which rows the iteration still has to move.
 
 ``roots_aberth_batch`` solves many polynomials of one degree at once, one
 row each; ``roots_aberth`` is a batch of one.
@@ -20,6 +23,12 @@ _MAX_ITERS = 400
 _POLISH_ITERS = 20
 _LEAD_TOL = 1e-14  # relative to the largest coefficient
 _SEED_ANGLE = 0.43  # fixed offset; breaks symmetry locking on real polynomials
+# 1, w, w^2 for w = e^(2 pi i / 3), written out: no ufunc runs at import
+_CUBE_ROOTS_OF_UNITY = np.array([1.0, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5))])
+# closed-form cubic roots closer than this, relative to the row's largest,
+# are not distinct: Cardano's error grows as 1/separation, so such a pair
+# may start nearer one root than the other, and Newton polish cannot split it
+_DISTINCT = 2.0**-20
 
 
 def poly_eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -34,6 +43,14 @@ def poly_eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _row_error(cls, row, detail: str, **kw):
+    """A ``cls`` error with message "row <row>: <detail>"; it keeps ``row``
+    and ``detail`` as attributes, so a caller can name the row its own way."""
+    err = cls(f"row {row}: {detail}", **kw)
+    err.row, err.detail = int(row), detail
+    return err
+
+
 def _validated(coeffs, tol: float) -> np.ndarray:
     """Coefficient rows as a complex (N, n + 1) array; errors name the row."""
     if tol <= 0:
@@ -43,16 +60,17 @@ def _validated(coeffs, tol: float) -> np.ndarray:
         raise ValidationError("polynomial coefficients must be a nonempty (N, n+1) array")
     bad = np.flatnonzero(~np.isfinite(c).all(axis=1))
     if bad.size:
-        raise ValidationError(f"row {bad[0]}: polynomial coefficients must be finite")
+        raise _row_error(ValidationError, bad[0], "polynomial coefficients must be finite")
     scale = np.abs(c).max(axis=1, initial=0.0)
     bad = np.flatnonzero(scale == 0.0)
     if bad.size:
-        raise ValidationError(f"row {bad[0]}: zero polynomial")
+        raise _row_error(ValidationError, bad[0], "zero polynomial")
     bad = np.flatnonzero(np.abs(c[:, -1]) <= _LEAD_TOL * scale)
     if bad.size:
         r = bad[0]
-        raise DegenerateLeadingCoefficient(
-            f"row {r}: leading coefficient {c[r, -1]:.3e} below tolerance (scale {scale[r]:.3e})"
+        raise _row_error(
+            DegenerateLeadingCoefficient, r,
+            f"leading coefficient {c[r, -1]:.3e} below tolerance (scale {scale[r]:.3e})",
         )
     if c.shape[1] < 2:
         raise ValidationError("degree must be at least 1")
@@ -74,10 +92,15 @@ def roots_aberth_batch(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
     -------
     roots : ndarray, shape (N, n)
         Row r holds the roots of row r in deterministic order, the same
-        whatever the other rows are.  Within a row, roots that pass the
+        whatever the other rows are.  A degree-3 row starts at its
+        closed-form roots (``_cubic_start``); any other row, and a cubic
+        row whose closed form overflows or is not distinct, starts on a
+        circle of scaled roots of unity.  Within a row, roots that pass the
         residual test stay put while the others move; a row stops once all
-        its roots pass.  Every root is then Newton-polished to machine
-        accuracy.  Errors name the first offending row.
+        its roots pass, so a cubic row whose closed form passes is checked
+        once and never iterated.  Every root is then Newton-polished to
+        machine accuracy.  Errors name the first offending row, as their
+        message and as the attributes ``row`` and ``detail``.
     """
     c = _validated(coeffs, tol)
     n = c.shape[1] - 1
@@ -92,6 +115,8 @@ def roots_aberth_batch(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
     radius = np.minimum(1.0 + np.max(np.abs(c[:, :-1]) / lead[:, None], axis=1), 1e8)
     k = np.arange(n)
     z = 0.5 * radius[:, None] * np.exp(1j * (2 * np.pi * k / n + _SEED_ANGLE))
+    if n == 3:
+        z = _cubic_start(c, z)
 
     out = np.empty(z.shape, dtype=complex)
     # 1 / (z_i - z_j) summed over j != i: an infinite diagonal adds exact zeros
@@ -116,11 +141,36 @@ def roots_aberth_batch(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         z = z - np.where(ok, 0.0, newton / denom)
     else:
-        raise RootConvergenceError(
-            f"row {rows[0]}: Aberth iteration did not converge in {_MAX_ITERS} iterations",
+        raise _row_error(
+            RootConvergenceError, rows[0],
+            f"Aberth iteration did not converge in {_MAX_ITERS} iterations",
             last_iterate=z[0],
         )
     return _newton_polish(c, dc, out)
+
+
+def _cubic_start(coeffs: np.ndarray, circle: np.ndarray) -> np.ndarray:
+    """Closed-form (Cardano) roots of each cubic row, else its circle start.
+
+    For the row a y^3 + b y^2 + c y + d, with D0 = b^2 - 3ac and
+    D1 = 2b^3 - 9abc + 27a^2 d, the roots are
+    -(b + w^k C + D0 / (w^k C)) / (3a), w = e^(2 pi i / 3), where C^3 =
+    (D1 +- sqrt(D1^2 - 4 D0^3)) / 2 takes the sign of larger modulus, so
+    the sum does not cancel.  A row whose values are not finite (C = 0 at
+    a triple root, overflow) or not distinct (two within ``_DISTINCT`` of
+    the largest, near a double root) keeps ``circle``.
+    """
+    d, c, b, a = coeffs.T
+    with np.errstate(all="ignore"):
+        d0 = b * b - 3.0 * a * c
+        d1 = (2.0 * b * b - 9.0 * a * c) * b + 27.0 * a * a * d
+        s = np.sqrt(d1 * d1 - 4.0 * d0 * d0 * d0)
+        c3 = np.where(np.abs(d1 + s) >= np.abs(d1 - s), d1 + s, d1 - s) / 2.0
+        wc = c3[:, None] ** (1.0 / 3.0) * _CUBE_ROOTS_OF_UNITY
+        z = -(b[:, None] + wc + d0[:, None] / wc) / (3.0 * a[:, None])
+        gap = np.abs(z[:, [0, 0, 1]] - z[:, [1, 2, 2]]).min(axis=1)
+    good = np.isfinite(z).all(axis=1) & (gap > _DISTINCT * np.abs(z).max(axis=1))
+    return np.where(good[:, None], z, circle)
 
 
 def _newton_polish(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ error, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import os
@@ -44,28 +45,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_complex(text: str) -> complex:
-    """Accept 'a', 'a,b', or python-style 'a+bj'."""
+    """Accept 'a', 'a,b', or python-style 'a+bj'; the value must be finite."""
     text = str(text).strip()
     try:
         if "," in text:
             re_s, im_s = text.split(",", 1)
-            return complex(float(Fraction(re_s)), float(Fraction(im_s)))
-        try:
-            return complex(float(Fraction(text)), 0.0)
-        except ValueError:
-            return complex(text.replace(" ", ""))
-    except (ValueError, ZeroDivisionError) as e:
+            value = complex(float(Fraction(re_s)), float(Fraction(im_s)))
+        else:
+            try:
+                value = complex(float(Fraction(text)), 0.0)
+            except ValueError:
+                value = complex(text.replace(" ", ""))
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ValidationError(f"cannot parse number {text!r}: {e}") from None
+    if not cmath.isfinite(value):
+        raise ValidationError(f"number {text!r} is not finite")
+    return value
 
 
 def _parse_numbers(text: str, convert, count: int, what: str) -> list:
-    """``count`` comma-separated numbers, each read by ``convert``."""
+    """``count`` comma-separated numbers, each read by ``convert``; floats
+    must be finite."""
     try:
         values = [convert(v) for v in text.split(",")]
     except ValueError:
         values = None
     if values is None or len(values) != count:
         raise ValidationError(f"{what}: cannot parse {text!r}")
+    if any(isinstance(v, float) and not cmath.isfinite(v) for v in values):
+        raise ValidationError(f"{what}: {text!r} is not finite")
     return values
 
 
@@ -115,7 +123,8 @@ def _write_csv(cfg: RunConfig, name: str, body: str) -> str:
         f"# {k}: {json.dumps(meta[k], sort_keys=True)}\n" for k in sorted(meta)
     )
     with open(path, "w") as f:
-        f.write(head + body)
+        f.write(head)
+        f.write(body)
     return path
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import tracking
 from .aberth import roots_aberth
-from .errors import TurningPointError, ValidationError
+from .errors import NumericError, TurningPointError, ValidationError
 from .multipoly import MultiPoly, discriminant, eval_grid, resultant
 
 TURNING_TOL = 1e-12
@@ -92,10 +92,14 @@ def char_cubic_coeffs(x: PlanePoint) -> np.ndarray:
 
 
 def turning_discriminant(x: PlanePoint):
-    """Value of 27 x1^2 + 8 x2^3 and an on-locus flag."""
+    """Value of 27 x1^2 + 8 x2^3 and an on-locus flag; ``NumericError``
+    naming x where a power overflows."""
     x1, x2 = x.as_tuple()
-    a = 27 * x1**2
-    b = 8 * x2**3
+    try:
+        a = 27 * x1**2
+        b = 8 * x2**3
+    except OverflowError:
+        raise NumericError(f"turning discriminant overflows at (x1, x2) = {(x1, x2)}") from None
     value = a + b
     on_set = abs(value) <= TURNING_TOL * max(abs(a), abs(b), 1.0)
     return value, on_set

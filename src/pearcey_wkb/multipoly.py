@@ -32,7 +32,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 RationalLike = int | Fraction
 
@@ -387,6 +387,16 @@ class MultiPoly:
 # -- numeric evaluation ----------------------------------------------------------
 
 
+def _overflow(variables, values) -> NumericError:
+    """The error of an evaluation whose powers overflow, naming the input
+    (an array input by its size)."""
+    at = ", ".join(
+        f"{v} = {x!r}" if np.ndim(x) == 0 else f"{v} = <{np.size(x)} values>"
+        for v, x in zip(variables, values)
+    )
+    return NumericError(f"coefficient evaluation overflows at {at}")
+
+
 def compile_polys(polys):
     """One straight-line function evaluating every polynomial of ``polys``.
 
@@ -398,7 +408,9 @@ def compile_polys(polys):
     :meth:`MultiPoly.eval_numeric`.  Numpy arrays (broadcast together) give
     arrays, except that an entry without variables stays a Python complex;
     :func:`eval_grid` stacks the values into one array.  A wrong number of
-    values raises ``ValidationError``.
+    values raises ``ValidationError``; a power that overflows (a Python
+    complex one raises ``OverflowError``) raises ``NumericError`` naming
+    the values.
     """
     variables = polys[0].variables
     if any(p.variables != variables for p in polys):
@@ -411,14 +423,19 @@ def compile_polys(polys):
         f"        raise ValidationError({f'expected {nv} values {variables}'!r})",
         f"    ({''.join(f'v{i}, ' for i in range(nv))}) = values",
     ]
-    lines += [f"    v{i}_{k} = v{i} ** {k}" for i, k in powers]
+    lines.append("    try:")
+    lines += [f"        v{i}_{k} = v{i} ** {k}" for i, k in powers]
     for j, p in enumerate(polys):
-        lines.append(f"    c{j} = 0j")
+        lines.append(f"        c{j} = 0j")
         for e, c in p.terms.items():
             factors = "".join(f" * v{i}_{k}" for i, k in enumerate(e) if k)
-            lines.append(f"    c{j} += {complex(c)!r}{factors}")
-    lines.append(f"    return [{', '.join(f'c{j}' for j in range(len(polys)))}]")
-    namespace = {"ValidationError": ValidationError}
+            lines.append(f"        c{j} += {complex(c)!r}{factors}")
+    lines += [
+        "    except OverflowError:",
+        f"        raise _overflow({variables!r}, values) from None",
+        f"    return [{', '.join(f'c{j}' for j in range(len(polys)))}]",
+    ]
+    namespace = {"ValidationError": ValidationError, "_overflow": _overflow}
     exec(compile("\n".join(lines), "<compile_polys>", "exec"), namespace)
     return namespace["evaluate"]
 

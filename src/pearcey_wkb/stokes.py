@@ -420,7 +420,7 @@ def raster_section(
     ys = np.linspace(im0, im1, resolution)
     x1 = _complex_grid(xs, ys)
     sext = _sextic_layer(x2, x1) if with_sextic else None
-    roots = _solve_blocks(singular_cubic_grid, x1.ravel(), x2, ROOT_TOL)
+    roots = _solve_blocks(singular_cubic_grid, x1, x2, ROOT_TOL)
     # near starts as the sweep's flags, which _edge_zero_points relies on
     values, near = _label_sweep(roots.reshape(resolution, resolution, 3), x1[0, 0], x2)
 
@@ -466,13 +466,28 @@ def _pair_im(values: np.ndarray) -> np.ndarray:
 
 
 def _solve_blocks(coeffs_of, x1: np.ndarray, x2: complex, tol: float) -> np.ndarray:
-    """Roots at every x1 (flat array) for fixed x2, ``BLOCK`` cells per batch."""
-    return np.concatenate(
-        [
-            roots_aberth_batch(coeffs_of(x1[s : s + BLOCK], x2), tol)
-            for s in range(0, x1.size, BLOCK)
-        ]
-    )
+    """Roots at every cell of the (res, res) x1 grid for fixed x2, flat in
+    row-major cell order, ``BLOCK`` cells per batch.
+
+    A solver error names the grid cell (i, j) and its x1, not the row of
+    its batch.  Coefficients that overflow come out not finite, which the
+    solver rejects, so numpy's overflow warnings are silenced.
+    """
+    cells = x1.ravel()
+    out = []
+    for s in range(0, cells.size, BLOCK):
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = coeffs_of(cells[s : s + BLOCK], x2)
+        try:
+            out.append(roots_aberth_batch(coeffs, tol))
+        except PearceyError as e:
+            if not hasattr(e, "row"):
+                raise
+            k = s + e.row
+            cell = tuple(int(v) for v in np.unravel_index(k, x1.shape))
+            e.args = (f"cell (i, j) = {cell} at x1 = {cells[k]}: {e.detail}",)
+            raise
+    return np.concatenate(out)
 
 
 def _label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
@@ -558,7 +573,7 @@ def _sextic_layer(x2: complex, x1: np.ndarray) -> np.ndarray:
     Cells are independent (no label continuation): the sextic is solved
     ``BLOCK`` cells per vectorised Aberth batch.
     """
-    roots = _solve_blocks(stokes_sextic_grid, x1.ravel(), x2, 1e-10)
+    roots = _solve_blocks(stokes_sextic_grid, x1, x2, 1e-10)
     return np.min(np.abs(roots.imag), axis=1).reshape(x1.shape)
 
 

@@ -368,6 +368,39 @@ def test_malformed_input_is_a_validation_error(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["stokes-section", "--x2=inf", "--window=-1,1,-1,1", "--res", "16"], 2,
+         "validation error: number 'inf' is not finite"),
+        (["stokes-section", "--x2=1e200", "--window=-1,1,-1,1", "--res", "16"], 3,
+         "numeric failure: coefficient evaluation overflows at x1 = <256 values>, "
+         "x2 = (1e+200+0j)"),
+        (["stokes-section", "--x2", "0", "--window=-1e200,1e200,-1,1", "--res", "16"], 2,
+         "validation error: cell (i, j) = (0, 0) at x1 = (-1e+200-1j): "
+         "polynomial coefficients must be finite"),
+        (["geometry", "--x1", "1", "--x2=1e200"], 3,
+         "numeric failure: turning discriminant overflows at (x1, x2) = "
+         "((1+0j), (1e+200+0j))"),
+        (["geometry", "--x1", "1e400", "--x2", "0"], 2,
+         "validation error: cannot parse number '1e400'"),
+        (["borel", "--x1=1e200", "--x2", "0", "--y", "0.1", "--ell", "1"], 3,
+         "numeric failure: turning discriminant overflows at (x1, x2) = ((1e+200+0j), 0j)"),
+        (["track-u", "--path", "0.15,0/0,0;1e200,0/0,0"], 3,
+         "numeric failure: coefficient evaluation overflows at x1 = (1.25e+199+0j), x2 = 0j"),
+        ([*QUADRATURE, "--eta", "nan", "--contour", "0,1"], 2,
+         "validation error: eta: 'nan' is not finite"),
+    ],
+    ids=["section-inf", "section-overflow", "section-window", "geometry-overflow",
+         "geometry-1e400", "borel-overflow", "track-u-overflow", "quadrature-nan"],
+)
+def test_huge_and_non_finite_numbers_exit_typed(tmp_path, capsys, argv, code, text):
+    assert run(["--out-dir", str(tmp_path / "o"), *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(text) and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_path_file_rows_parse_as_before(tmp_path):
     # a JSON file of [x1re, x1im, x2re, x2im] rows gives the inline path's bytes
     rows = [[0.15, 0, 0, 0], [0.15, 0, 0.32, 0], [0.15, 0, 0.5, 0.25]]

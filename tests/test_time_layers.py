@@ -1,8 +1,10 @@
 """Smoke test of ``scripts/time_layers.py``: every layer it times and every
 name its counting hooks patch still exist, so a rename fails here rather
 than in a benchmark run, the event counts of the paper polyline read as
-the bracketing makes them, and a Laplace ray's landed stops are counted
-apart from its steps.  Its ``resolved`` rule needs both a median gap
+the bracketing makes them, a Laplace ray's landed stops are counted
+apart from its steps, and the rows of every Horner evaluation are summed.
+Samples are scaled to reference speed by the calibration loop timed in
+the same interpreter.  Its ``resolved`` rule needs both a median gap
 beyond the larger interquartile spread and 9 of 10 pairs won, and every
 run stored in ``BENCH_layers.json`` reads as that rule says."""
 
@@ -10,9 +12,10 @@ import importlib.util
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
-from pearcey_wkb import borel, stokes, tracking
+from pearcey_wkb import aberth, borel, stokes, tracking
 from pearcey_wkb.cli import main
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "time_layers.py"
@@ -88,6 +91,60 @@ def test_only_the_stop_landing_hooks_may_be_missing(time_layers, monkeypatch):
     assert tracking.track_family is real[0]
     monkeypatch.undo()
     assert (tracking.track_family, tracking._land_stops, stokes._brackets) == real
+
+
+def test_horner_rows_are_counted_through_both_modules(time_layers):
+    from pearcey_wkb.geometry import singular_cubic_grid
+
+    hooks = (aberth.poly_eval_many, tracking.poly_eval_many)
+    block = singular_cubic_grid(np.linspace(-0.8, 0.8, 512) + 0.3j, 0.25 - 0.05j)
+    with time_layers.counting() as counts:
+        aberth.roots_aberth_batch(block)
+    assert (aberth.poly_eval_many, tracking.poly_eval_many) == hooks
+    # every call evaluates the 512 rows or those still unfinished
+    calls = counts["calls.poly_eval_many"]
+    assert calls >= 2 and 2 * 512 <= counts["rows.poly_eval_many"] <= 512 * calls
+    # the batched stop landing evaluates through tracking's own reference
+    with time_layers.counting() as counts:
+        tracking.poly_eval_many(np.ones((5, 4)), np.zeros((5, 3)))
+    assert (counts["calls.poly_eval_many"], counts["rows.poly_eval_many"]) == (1, 5)
+
+
+def test_samples_are_scaled_by_the_calibration_next_to_them(time_layers):
+    # B's layer ran while the machine was half as fast: its layer and
+    # calibration times both doubled, so at reference speed A and B tie
+    ref_us = 1e6 * time_layers.CAL_REF_S
+    name = "cubic, 1 cell"
+    a = [{name: (10.0 + 0.1 * k, ref_us)} for k in range(10)]
+    b = [{name: (2 * (10.0 + 0.1 * k), 2 * ref_us)} for k in range(10)]
+    counts = {side: {name: {}} for side in "ab"}
+    row = time_layers.layer_row(name, {"a": a, "b": b}, counts)
+    assert row["raw"]["b"]["median"] == 2 * row["raw"]["a"]["median"]
+    assert row["calibration_us"]["b"]["median"] == 2 * ref_us
+    assert row["a"]["samples"] == pytest.approx(row["b"]["samples"])
+    assert not row["resolved"]
+    # the same times with B's machine at full speed: B is twice as slow
+    b = [{name: (s[name][0], ref_us)} for s in b]
+    row = time_layers.layer_row(name, {"a": a, "b": b}, counts)
+    assert row["b"]["median"] == pytest.approx(2 * row["a"]["median"])
+    assert row["resolved"] and row["b_faster_pairs"] == 0
+
+
+def test_each_layer_is_timed_between_two_calibration_loops(time_layers, monkeypatch):
+    import child
+
+    order = []
+    monkeypatch.setattr(child, "calibration_loop", lambda: order.append("cal"))
+    monkeypatch.setattr(child, "order", order, raising=False)
+    setup = "from child import order"
+    monkeypatch.setattr(time_layers, "CASES", {
+        "cold": (setup, "order.append('cold')"), "warm": (setup, "order.append('warm')")})
+    monkeypatch.setattr(time_layers, "COLD", ("cold",))
+    out = time_layers.time_layers()
+    assert set(out) == {"cold", "warm"}
+    assert order[:3] == ["cal", "cold", "cal"] and order[3] == "cal" and order[-1] == "cal"
+    assert set(order[4:-1]) == {"warm"}
+    assert all(us > 0 and cal > 0 for us, cal in out.values())
 
 
 def _row(time_layers, a, b):
