@@ -56,6 +56,8 @@ EXTRA = [
     ["geometry", "--x1", "1", "--x2=1e200"],
     ["borel", "--x1=1e200", "--x2", "0", "--y", "0.1", "--ell", "1"],
     ["track-u", "--path", "0.15,0/0,0;1e200,0/0,0"],
+    ["borel", "--x1=1", "--x2=0", "--y=1e200", "--ell", "1"],
+    ["quadrature", "--x1=1e200", "--x2=0", "--eta", "1", "--contour", "0,1"],
 ]
 INPUTS = {
     "rows.json": "[[0.15, 0, 0, 0], [0.15, 0]]",

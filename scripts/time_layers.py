@@ -93,9 +93,10 @@ x2_seeded = 0.0687 + 0.4267j
 grid = stokes._complex_grid(np.linspace(-0.8, 0.8, 64), np.linspace(-0.8, 0.8, 64))
 grid_roots = stokes._solve_blocks(singular_cubic_grid, grid.ravel(), x2_seeded,
                                   aberth.ROOT_TOL).reshape(64, 64, 3)
-# the first sextic block of the res-32 x2 = 0 figure slice, window +-0.45
+# the res-32 x2 = 0 figure slice, window +-0.45, and its first sextic block
 near = np.linspace(-0.45, 0.45, 32)
-sextic_x2_zero = stokes_sextic_grid(stokes._complex_grid(near, near).ravel()[:512], 0.0)
+figure = stokes._complex_grid(near, near)
+sextic_x2_zero = stokes_sextic_grid(figure.ravel()[:512], 0.0)
 """
 BOREL = """
 from pearcey_wkb.borel import SheetField
@@ -122,6 +123,7 @@ CASES = {
        for rows, stmt in (("batch of 1", f"roots_aberth(one[{n}])"),
                           ("512 rows", f"roots_aberth_batch(block[{n}])"))},
     "roots deg 6, 512 rows, x2 = 0": (SECTIONS, "aberth.roots_aberth_batch(sextic_x2_zero, 1e-10)"),
+    "sextic layer, x2 = 0, 32x32": (SECTIONS, "stokes._sextic_layer(0.0, figure)"),
     "label sweep, 64x64": (SECTIONS, "stokes._label_sweep(grid_roots, grid[0, 0], x2_seeded)"),
     "tracker step": (BOREL, "field.track_from(sheets, [anchor, anchor + 1.5])"),
     "laplace_borel_sum, warm": (BOREL, "laplace_borel_sum(1, field.x, 10.0, table=table)"),

@@ -52,11 +52,7 @@ from math import pi, sqrt
 import numpy as np
 
 from . import tracking
-from .errors import (
-    ContinuationError,
-    CutError,
-    ValidationError,
-)
+from .errors import ContinuationError, CutError, NumericError, ValidationError
 from .geometry import (
     XYVARS,
     PlanePoint,
@@ -540,7 +536,11 @@ def psi_borel_eval(
     a, sheets0 = field.anchor(ell)
     if path is None:
         path = _slit_plane_route(field, a, complex(y))
-    sheets = field.track_from(sheets0, [a] + list(path))
+    try:
+        sheets = field.track_from(sheets0, [a] + list(path))
+    except NumericError as e:
+        e.args = (f"continuing to y = {complex(y)}: {e}",)
+        raise
     return PsiValue(
         value=field.psi_from_sheets(ell, sheets),
         chart_validated=field.chart_validated,
@@ -590,10 +590,9 @@ def _slit_plane_route(field: SheetField, start: complex, y: complex) -> list[com
 
 def _segment_point_distance(a: complex, b: complex, p: complex) -> float:
     d = b - a
-    L2 = abs(d) ** 2
-    if L2 == 0:
+    if d == 0:
         return abs(p - a)
-    tau = max(0.0, min(1.0, ((p - a) * d.conjugate()).real / L2))
+    tau = max(0.0, min(1.0, ((p - a) / d).real))
     return abs(a + tau * d - p)
 
 

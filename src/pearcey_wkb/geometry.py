@@ -313,7 +313,8 @@ def stokes_sextic() -> MultiPoly:
         F = (1/4)(zl - zk)(3 x1 + 2 x2 (zl + zk)),
 
     then removing the F^3 factor contributed by the diagonal zl = zk and any
-    base-locus content.  The published sextic display is not used (its F^2
+    base-locus content.  Its roots come in pairs +-F, so it is even in F: a
+    cubic in F^2.  The published sextic display is not used (its F^2
     term has the wrong weighted degree and its leading term is off by 2^12).
     """
     evars = ("zl", "zk", "x1", "x2", "F")

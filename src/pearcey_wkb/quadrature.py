@@ -26,8 +26,9 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import QuadratureConvergenceError, TailBoundError, ValidationError
-from .geometry import PlanePoint
+from .aberth import roots_aberth
+from .errors import PearceyError, QuadratureConvergenceError, TailBoundError, ValidationError
+from .geometry import PlanePoint, char_cubic_coeffs
 from .borel import PASS_REL, SheetField
 from .wkb_series import WkbSeriesTable, borel_coeffs
 
@@ -294,9 +295,11 @@ def pearcey_quadrature(
     x1, x2 = x.as_tuple()
 
     # peak estimate: saddle values and the origin
-    from .aberth import roots_aberth
-
-    saddles = roots_aberth(np.array([x1, 2 * x2, 0.0, 4.0], dtype=complex))
+    try:
+        saddles = roots_aberth(char_cubic_coeffs(x))
+    except PearceyError as e:
+        e.args = (f"saddle cubic 4 z^3 + 2 x2 z + x1 at (x1, x2) = {(x1, x2)}: {e.detail}",)
+        raise
     peak_log = max(0.0, *((eta * _phase(x, z)).real for z in saddles))
     if peak_log > 600.0:
         raise TailBoundError(
@@ -304,17 +307,8 @@ def pearcey_quadrature(
         )
 
     R = 2.0
-    while True:
-        ok = True
-        for d in (dirs[a], dirs[b]):
-            z = R * d
-            bound = (eta * z**4).real + abs(eta) * (
-                abs(x2) * R**2 + abs(x1) * R
-            )
-            if bound > peak_log - 37.0:
-                ok = False
-        if ok:
-            break
+    while any((eta * (R * d) ** 4).real + abs(eta) * (abs(x2) * R**2 + abs(x1) * R)
+              > peak_log - 37.0 for d in (dirs[a], dirs[b])):
         R *= 1.5
         if R > r_cap:
             raise TailBoundError(

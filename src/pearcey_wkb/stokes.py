@@ -570,11 +570,11 @@ def _edge_zero_points(values: np.ndarray, near: np.ndarray, xs, ys):
 def _sextic_layer(x2: complex, x1: np.ndarray) -> np.ndarray:
     """min |Im F| over the derived sextic roots, per grid cell.
 
-    Cells are independent (no label continuation): the sextic is solved
-    ``BLOCK`` cells per vectorised Aberth batch.
+    The sextic is even in F: its even coefficients are a cubic in G = F^2,
+    solved ``BLOCK`` independent cells per batch; +-sqrt(G) share |Im|.
     """
-    roots = _solve_blocks(stokes_sextic_grid, x1, x2, 1e-10)
-    return np.min(np.abs(roots.imag), axis=1).reshape(x1.shape)
+    roots = _solve_blocks(lambda x1, x2: stokes_sextic_grid(x1, x2)[:, ::2], x1, x2, 1e-10)
+    return np.min(np.abs(np.sqrt(roots).imag), axis=1).reshape(x1.shape)
 
 
 def _turning_points_in_window(x2: complex, window) -> tuple:

@@ -30,7 +30,9 @@ hand-expanded quartic.  Polished roots are checked against mpmath roots at
 30 digits.  The origin-labelled sheets of the scaled quartic
 are continued from hand-written first-order germs near (0, 0) by the numpy
 step loop.  Event zeros are also located at 30 digits from
-mpmath roots of the hand-expanded singular cubic.  Two helpers serve only
+mpmath roots of the hand-expanded singular cubic, and the raster's sextic
+layer is checked against min |Im(u_j - u_k)| from the phase's critical
+points refined at 30 digits.  Two helpers serve only
 the tests: a polynomial from its roots, and substitution of a polynomial
 for a variable of a ``MultiPoly``.
 """
@@ -701,6 +703,31 @@ def mp_event_zero(x_path, ev, near_vals, dps=30):
         w = 100 * mpmath.mpf(stokes.BISECTION_TOL)
         tau = mpmath.mpf(ev.tau)
         return float(mpmath.findroot(f, (tau - w, tau + w), solver="anderson"))
+
+
+def mp_min_im_difference(x1: complex, x2: complex, dps: int = 30) -> float:
+    """min |Im(u_j - u_k)| over the three pairs at (x1, x2), at ``dps``
+    digits: the phase's critical points, ``numpy.roots`` of the hand-written
+    4 zeta^3 + 2 x2 zeta + x1 refined by Newton in mpmath, carry
+    u = -(3 x1 zeta + 2 x2 zeta^2) / 4.  The three points must be distinct."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpc(x1), mpmath.mpc(x2)
+        zetas = []
+        for z in np.roots([4.0, 0.0, 2.0 * complex(x2), complex(x1)]):
+            z = mpmath.mpc(z)
+            for _ in range(40):
+                step = (4 * z**3 + 2 * b * z + a) / (12 * z**2 + 2 * b)
+                z -= step
+                if abs(step) <= mpmath.mpf(10) ** (3 - dps) * (1 + abs(z)):
+                    break
+            else:
+                raise AssertionError(f"Newton did not converge at {(x1, x2)}")
+            zetas.append(z)
+        us = [-(3 * a * z + 2 * b * z * z) / 4 for z in zetas]
+        assert len({complex(z) for z in zetas}) == 3, (x1, x2)
+        return float(min(abs(mpmath.im(us[j] - us[k])) for j, k in ((0, 1), (0, 2), (1, 2))))
 
 
 # -- f_0 phase continuation one labeling-path leg at a time -------------------

@@ -390,9 +390,15 @@ def test_malformed_input_is_a_validation_error(tmp_path, capsys, monkeypatch, ar
          "numeric failure: coefficient evaluation overflows at x1 = (1.25e+199+0j), x2 = 0j"),
         ([*QUADRATURE, "--eta", "nan", "--contour", "0,1"], 2,
          "validation error: eta: 'nan' is not finite"),
+        (["borel", "--x1=1", "--x2=0", "--y=1e200", "--ell", "1"], 3,
+         "numeric failure: continuing to y = (1e+200+0j): coefficient evaluation overflows"),
+        (["quadrature", "--x1=1e200", "--x2=0", "--eta", "1", "--contour", "0,1"], 2,
+         "validation error: saddle cubic 4 z^3 + 2 x2 z + x1 at (x1, x2) = "
+         "((1e+200+0j), 0j): leading coefficient"),
     ],
     ids=["section-inf", "section-overflow", "section-window", "geometry-overflow",
-         "geometry-1e400", "borel-overflow", "track-u-overflow", "quadrature-nan"],
+         "geometry-1e400", "borel-overflow", "track-u-overflow", "quadrature-nan",
+         "borel-huge-y", "quadrature-saddle"],
 )
 def test_huge_and_non_finite_numbers_exit_typed(tmp_path, capsys, argv, code, text):
     assert run(["--out-dir", str(tmp_path / "o"), *argv]) == code

@@ -163,6 +163,24 @@ class TestStokesSextic:
         expected = MultiPoly(sext.variables, {(0, 0, 6): 2**16, (8, 0, 0): 3**9})
         assert spec == expected
 
+    def test_cubic_in_f_squared(self):
+        # the roots are +-(y_j - y_k) over the singular cubic a y^3 + b y^2 +
+        # c y + d, so the sextic is even in F and, with G = F^2, 2^16 times it
+        # is a^4 prod_{j<k} (G - (y_j - y_k)^2): in G, the symmetric functions
+        # of the squared differences, written in a, b, c, d without resultants
+        sext = stokes_sextic()
+        assert all(ef % 2 == 0 for _, _, ef in sext.terms)
+        gvars = ("x1", "x2", "G")
+        in_g = MultiPoly(gvars, {(e1, e2, ef // 2): 2**16 * c
+                                 for (e1, e2, ef), c in sext.terms.items()})
+        d, c, b, a = (p.drop_variable("y").embed(gvars)
+                      for p in singular_locus_cubic().as_univariate("y"))
+        g = MultiPoly.var(gvars, "G")
+        k = b * b - a * c * 3
+        disc = b * b * c * c - a * c**3 * 4 - b**3 * d * 4 - a * a * d * d * 27 + a * b * c * d * 18
+        assert in_g == a**4 * g**3 - a * a * k * g * g * 2 + k * k * g - disc
+        assert all(type(v) is int for v in in_g.terms.values())
+
     def test_weighted_homogeneity(self):
         # weights 3, 2, 4 for x1, x2, F; every term has weighted degree 24
         sext = stokes_sextic()

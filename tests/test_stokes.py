@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     mp_event_zero,
+    mp_min_im_difference,
     raster_csv_oracle,
     raster_labels_oracle,
     scalar_detect_events,
@@ -622,6 +623,32 @@ class TestSexticGeometricAgreement:
         print(f"sign-change agreement {agree}/{total} = {agree / total:.5f}")
         assert total > 15000
         assert agree / total >= 0.99
+
+
+class TestSexticLayerOracle:
+    """The raster's sextic layer is min |Im(u_j - u_k)| to 1e-12 at every
+    cell, against the pairs' 30-digit values."""
+
+    @pytest.mark.parametrize(
+        "x2, window, res",
+        [
+            (0.0, (-0.45, 0.45, -0.45, 0.45), 32),  # the sections figure slice
+            (-1.5, (-1.5, 1.5, -1.5, 1.5), 32),  # turning points x1 = +-1 inside
+            *[(x2, (-0.8, 0.8, -0.8, 0.8), 16) for x2 in _seeded_x2(3)],
+        ],
+    )
+    def test_every_cell(self, x2, window, res):
+        sec = raster_section(x2, window, res, with_sextic=True)
+        xs = np.linspace(window[0], window[1], res)
+        ys = np.linspace(window[2], window[3], res)
+        want = np.array([[mp_min_im_difference(complex(x, y), x2) for x in xs] for y in ys])
+        assert np.abs(sec.sextic_sign - want).max() <= 1e-12
+
+    def test_triple_point(self):
+        # at x1 = x2 = 0 the three u's meet and G = 0 is a triple root,
+        # resolved only to about the cube root of the residual floor
+        sec = raster_section(0.0, (-0.45, 0.45, -0.45, 0.45), 33, with_sextic=True)
+        assert 0.0 <= sec.sextic_sign[16, 16] < 1e-4
 
 
 class TestTrajectoryAnchoring:
