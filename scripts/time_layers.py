@@ -8,9 +8,11 @@ baseline.  Each of the ``REPEAT`` pairs starts one fresh interpreter per tree,
 importing ``pearcey_wkb`` from that tree, which times every layer of
 ``CASES`` in table order; which tree runs first alternates from pair to pair.
 The cold layers (``COLD``) come first and are timed once, before any other
-layer fills their caches.  Every other layer runs once to warm up, then
-``ROUNDS`` rounds of as many calls as fill ``ROUND_S`` seconds; the sample
-is the fastest round's time per call.  The tracker layer is reported per
+layer fills their caches; the CLI import layer times a whole fresh
+``python -c "import pearcey_wkb.cli"``, interpreter start included.  Every
+other layer runs once to warm up, then ``ROUNDS`` rounds of as many calls
+as fill ``ROUND_S`` seconds; the sample is the fastest round's time per
+call.  The tracker layer is reported per
 attempted step (accepted or rejected) of its leg.  Each layer is
 flanked by two runs of the calibration loop of ``perfbench/child.py``, so
 that its sample can be scaled to the benchmark's reference speed
@@ -97,6 +99,8 @@ grid_roots = stokes._solve_blocks(singular_cubic_grid, grid.ravel(), x2_seeded,
 near = np.linspace(-0.45, 0.45, 32)
 figure = stokes._complex_grid(near, near)
 sextic_x2_zero = stokes_sextic_grid(figure.ravel()[:512], 0.0)
+# the seed-1 seeded slice itself, whose CSV the workload writes
+seeded = stokes.raster_section(x2_seeded, (-0.8, 0.8, -0.8, 0.8), 64)
 """
 BOREL = """
 from pearcey_wkb.borel import SheetField
@@ -113,6 +117,10 @@ CASES = {
     "build_series(8), cold": ("from pearcey_wkb.wkb_series import build_series", "build_series(8)"),
     "elimination, cold": ("from pearcey_wkb.geometry import singular_locus_cubic, stokes_sextic",
                           "singular_locus_cubic(); stokes_sextic()"),
+    # a fresh interpreter, which inherits the PYTHONPATH of the tree being timed
+    "import pearcey_wkb.cli, cold": (
+        "import subprocess, sys",
+        'subprocess.run([sys.executable, "-c", "import pearcey_wkb.cli"], check=True)'),
     "st quartic, 1 point": (GEOMETRY, "st.coeffs(0.21 + 0.05j, 0.07 - 0.02j)"),
     "cubic, 1 cell": (GEOMETRY, "singular_cubic_coeffs(x)"),
     "cubic, 512 cells": (GEOMETRY, "singular_cubic_grid(cells, x.x2)"),
@@ -125,13 +133,14 @@ CASES = {
     "roots deg 6, 512 rows, x2 = 0": (SECTIONS, "aberth.roots_aberth_batch(sextic_x2_zero, 1e-10)"),
     "sextic layer, x2 = 0, 32x32": (SECTIONS, "stokes._sextic_layer(0.0, figure)"),
     "label sweep, 64x64": (SECTIONS, "stokes._label_sweep(grid_roots, grid[0, 0], x2_seeded)"),
+    "section CSV, 64x64": (SECTIONS, "seeded.to_csv()"),
     "tracker step": (BOREL, "field.track_from(sheets, [anchor, anchor + 1.5])"),
     "laplace_borel_sum, warm": (BOREL, "laplace_borel_sum(1, field.x, 10.0, table=table)"),
     "detect_events(PAPER_POLYLINE)": (
         "from pearcey_wkb.stokes import PAPER_POLYLINE, detect_events",
         "detect_events(PAPER_POLYLINE)"),
 }
-COLD = ("build_series(8), cold", "elimination, cold")
+COLD = ("build_series(8), cold", "elimination, cold", "import pearcey_wkb.cli, cold")
 PER_ATTEMPT = "tracker step"
 
 # count key -> function in the package, its calls counted by cProfile

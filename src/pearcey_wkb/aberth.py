@@ -4,9 +4,10 @@ Univariate polynomials are plain complex coefficient arrays in ascending
 degree order.  The iteration starts from a deterministic placement, so the
 output ordering is reproducible run to run: a cubic row starts at its
 closed-form (Cardano) roots, and any other row, or a cubic row whose closed
-form is not finite or not distinct, on a circle (scaled roots of unity with
-a fixed angular offset).  The start is only a start: the residual test
-decides which rows the iteration still has to move.
+form is not finite or not distinct (short of an exact triple root), on a
+circle (scaled roots of unity with a fixed angular offset).  The start is
+only a start: the residual test decides which rows the iteration still has
+to move.
 
 ``roots_aberth_batch`` solves many polynomials of one degree at once, one
 row each; ``roots_aberth`` is a batch of one.
@@ -94,13 +95,14 @@ def roots_aberth_batch(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
         Row r holds the roots of row r in deterministic order, the same
         whatever the other rows are.  A degree-3 row starts at its
         closed-form roots (``_cubic_start``); any other row, and a cubic
-        row whose closed form overflows or is not distinct, starts on a
-        circle of scaled roots of unity.  Within a row, roots that pass the
-        residual test stay put while the others move; a row stops once all
-        its roots pass, so a cubic row whose closed form passes is checked
-        once and never iterated.  Every root is then Newton-polished to
-        machine accuracy.  Errors name the first offending row, as their
-        message and as the attributes ``row`` and ``detail``.
+        row whose closed form overflows or is not distinct (short of an
+        exact triple root), starts on a circle of scaled roots of unity.
+        Within a row, roots that pass the residual test stay put while the
+        others move; a row stops once all its roots pass, so a cubic row
+        whose closed form passes is checked once and never iterated.  Every
+        root is then Newton-polished to machine accuracy.  Errors name the
+        first offending row, as their message and as the attributes ``row``
+        and ``detail``.
     """
     c = _validated(coeffs, tol)
     n = c.shape[1] - 1
@@ -156,9 +158,10 @@ def _cubic_start(coeffs: np.ndarray, circle: np.ndarray) -> np.ndarray:
     D1 = 2b^3 - 9abc + 27a^2 d, the roots are
     -(b + w^k C + D0 / (w^k C)) / (3a), w = e^(2 pi i / 3), where C^3 =
     (D1 +- sqrt(D1^2 - 4 D0^3)) / 2 takes the sign of larger modulus, so
-    the sum does not cancel.  A row whose values are not finite (C = 0 at
-    a triple root, overflow) or not distinct (two within ``_DISTINCT`` of
-    the largest, near a double root) keeps ``circle``.
+    the sum does not cancel.  A row with D0 = D1 = 0 exactly is an exact
+    triple root (C = 0): all three start at -b / (3a).  Any other row whose
+    values are not finite (overflow) or not distinct (two within
+    ``_DISTINCT`` of the largest, near a double root) keeps ``circle``.
     """
     d, c, b, a = coeffs.T
     with np.errstate(all="ignore"):
@@ -170,7 +173,9 @@ def _cubic_start(coeffs: np.ndarray, circle: np.ndarray) -> np.ndarray:
         z = -(b[:, None] + wc + d0[:, None] / wc) / (3.0 * a[:, None])
         gap = np.abs(z[:, [0, 0, 1]] - z[:, [1, 2, 2]]).min(axis=1)
     good = np.isfinite(z).all(axis=1) & (gap > _DISTINCT * np.abs(z).max(axis=1))
-    return np.where(good[:, None], z, circle)
+    triple = (d0 == 0) & (d1 == 0)
+    z[triple] = (-b[triple] / (3.0 * a[triple]))[:, None]
+    return np.where((good | triple)[:, None], z, circle)
 
 
 def _newton_polish(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -116,7 +116,8 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
         f.write("\n")
     return path
 
-def _write_csv(cfg: RunConfig, name: str, body: str) -> str:
+def _write_csv(cfg: RunConfig, name: str, chunks) -> str:
+    """The meta header, then each text chunk as it comes."""
     path = os.path.join(_ensure_out(cfg), name)
     meta = cfg.meta()
     head = "".join(
@@ -124,7 +125,7 @@ def _write_csv(cfg: RunConfig, name: str, body: str) -> str:
     )
     with open(path, "w") as f:
         f.write(head)
-        f.write(body)
+        f.writelines(chunks)
     return path
 
 
@@ -318,7 +319,7 @@ def _cmd_stokes_section(cfg: RunConfig, args) -> int:
     section = raster_section(
         _parse_complex(args.x2), window, args.res, with_sextic=args.with_sextic
     )
-    p1 = _write_csv(cfg, "stokes_section.csv", section.to_csv())
+    p1 = _write_csv(cfg, "stokes_section.csv", section.csv_chunks())
     extra = [_parse_complex(d) for d in (args.mark or [])]
     p2 = _write_svg(cfg, "stokes_section.svg", render_section(section, extra, "META"))
     print(p1)
@@ -332,13 +333,13 @@ def _cmd_track_u(cfg: RunConfig, args) -> int:
 
     path = _resolve_path(args.path)
     traj = track_u(path)
-    rows = ["tau,x1_re,x1_im,x2_re,x2_im,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im"]
+    rows = ["tau,x1_re,x1_im,x2_re,x2_im,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im\n"]
     for tau, (x1, x2), vals in zip(traj.taus, traj.points, traj.values):
         cells = [repr(tau), repr(x1.real), repr(x1.imag), repr(x2.real), repr(x2.imag)]
         for v in vals:
             cells += [repr(float(v.real)), repr(float(v.imag))]
-        rows.append(",".join(cells))
-    p = _write_csv(cfg, "track_u.csv", "\n".join(rows) + "\n")
+        rows.append(",".join(cells) + "\n")
+    p = _write_csv(cfg, "track_u.csv", rows)
     print(p)
     if args.panels:
         nseg = len(path) - 1

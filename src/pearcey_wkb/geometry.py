@@ -22,15 +22,16 @@ zeta_ell, the u_ell and the continued branch of
 f_0 = (6 zeta_ell^2 + x2)^(-1/2) (``LabeledPoint.f0``).  ``char_roots``,
 ``critical_values`` and ``wkb_series.f0_branch`` read it.
 
-Two derived polynomials are computed by exact elimination rather than
-transcription, because their published displays fail quasi-homogeneity
-checks (weights 3, 2, 4, 4 for x1, x2, y, F):
+Two derived polynomials are computed exactly rather than transcribed,
+because their published displays fail quasi-homogeneity checks (weights
+3, 2, 4, 4 for x1, x2, y, F):
 
 * ``singular_locus_cubic`` -- the cubic in y cutting out the Borel
-  singularities, obtained as the z-discriminant of z^4 + x2 z^2 + x1 z + y.
+  singularities, obtained by elimination as the z-discriminant of
+  z^4 + x2 z^2 + x1 z + y.
 * ``stokes_sextic`` -- the degree-6 polynomial in F whose roots at a fixed
-  base point are the pairwise differences of critical values; obtained by
-  eliminating both cubic roots from the defining relations.
+  base point are the pairwise differences of critical values; obtained
+  from the eliminated cubic as its squared-difference resolvent at G = F^2.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from . import tracking
 from .aberth import roots_aberth
 from .errors import NumericError, TurningPointError, ValidationError
-from .multipoly import MultiPoly, discriminant, eval_grid, resultant
+from .multipoly import MultiPoly, discriminant, eval_grid
 
 TURNING_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -306,51 +307,24 @@ def singular_cubic_grid(x1, x2) -> np.ndarray:
 def stokes_sextic() -> MultiPoly:
     """Degree-6 polynomial in F over (x1, x2) cutting out the Stokes set.
 
-    Derived by eliminating both characteristic roots from
+    Its roots are the differences +-(y_j - y_k) of the roots of
+    ``singular_locus_cubic()``, a y^3 + b y^2 + c y + d, so it is that
+    cubic's squared-difference resolvent at G = F^2:
 
-        4 zl^3 + 2 x2 zl + x1 = 0,
-        4 zk^3 + 2 x2 zk + x1 = 0,
-        F = (1/4)(zl - zk)(3 x1 + 2 x2 (zl + zk)),
+        a^4 G^3 - 2 a^2 (b^2 - 3ac) G^2 + (b^2 - 3ac)^2 G - Disc,
 
-    then removing the F^3 factor contributed by the diagonal zl = zk and any
-    base-locus content.  Its roots come in pairs +-F, so it is even in F: a
-    cubic in F^2.  The published sextic display is not used (its F^2
-    term has the wrong weighted degree and its leading term is off by 2^12).
+    with Disc the cubic's discriminant, in exact integers, made primitive
+    (content 2^16; the F^6 term is positive).  It is even in F: a cubic in
+    F^2.  The published sextic display is not used (its F^2 term has the
+    wrong weighted degree and its leading term is off by 2^12).
     """
-    evars = ("zl", "zk", "x1", "x2", "F")
-    zl = MultiPoly.var(evars, "zl")
-    zk = MultiPoly.var(evars, "zk")
-    x1 = MultiPoly.var(evars, "x1")
-    x2 = MultiPoly.var(evars, "x2")
-    F = MultiPoly.var(evars, "F")
-    pl = zl**3 * 4 + x2 * zl * 2 + x1
-    pk = zk**3 * 4 + x2 * zk * 2 + x1
-    # 4 (F(zl, zk) - F): integer coefficients; primitive() drops the 4^9
-    q = (zl - zk) * (x1 * 3 + x2 * (zl + zk) * 2) - F * 4
-    delta = resultant(pl, q, "zl")
-    elim = resultant(pk, delta, "zk").drop_variable("zl").drop_variable("zk")
-    # strip the diagonal contribution F^3 and any F-free content
-    sextic = elim
-    fvar = MultiPoly.var(("x1", "x2", "F"), "F")
-    while sextic.degree("F") > 6 and fvar.divides(sextic):
-        sextic = sextic.exact_divide(fvar)
-    for cand in (
-        MultiPoly.var(("x1", "x2", "F"), "x1"),
-        MultiPoly.var(("x1", "x2", "F"), "x2"),
-        MultiPoly(
-            ("x1", "x2", "F"), {(2, 0, 0): 27, (0, 3, 0): 8}
-        ),
-    ):
-        while cand.divides(sextic) and sextic.degree("F") == 6:
-            quotient = sextic.exact_divide(cand)
-            if quotient.degree("F") != 6:
-                break
-            sextic = quotient
-    sextic, _ = sextic.primitive()
-    lead_f6 = sextic.terms.get((0, 0, 6), 0)
-    if lead_f6 < 0:
-        sextic = -sextic
-    return sextic
+    fvars = ("x1", "x2", "F")
+    d, c, b, a = (p.drop_variable("y").embed(fvars)
+                  for p in singular_locus_cubic().as_univariate("y"))
+    g = MultiPoly.var(fvars, "F", 2)
+    k = b * b - a * c * 3
+    disc = b * b * c * c - a * c**3 * 4 - b**3 * d * 4 - a * a * d * d * 27 + a * b * c * d * 18
+    return (a**4 * g**3 - a * a * k * g * g * 2 + k * k * g - disc).primitive()[0]
 
 
 @functools.cache

@@ -366,6 +366,14 @@ five Stokes crossings generate the six-region connection system."""
 # -- raster sections ---------------------------------------------------------------
 
 
+# a cell's ",sign_12,sign_13,sign_23,near_turning" by its code: bits 3, 2
+# and 1 set where a pair's sign is -1, bit 0 where the cell is flagged
+_CSV_SUFFIXES = [
+    ",{},{},{},{}".format(*(-1 if code & bit else 1 for bit in (8, 4, 2)), code & 1)
+    for code in range(16)
+]
+
+
 @dataclass
 class RasterSection:
     """Signs of the three Stokes indicators over an x1 grid at fixed x2."""
@@ -379,22 +387,27 @@ class RasterSection:
     sextic_sign: np.ndarray | None = None
     turning_points: tuple = ()
 
+    def csv_chunks(self):
+        """The CSV text: the header line, then one chunk per grid row i
+        (imaginary), its cells j (real) in order.  Coordinates are the
+        ``repr`` of their ``np.linspace`` entries; a cell's signs and flag
+        are one code into ``_CSV_SUFFIXES``."""
+        res, (re0, re1, im0, im1) = self.resolution, self.window
+        yield "i,j,x1_re,x1_im,sign_12,sign_13,sign_23,near_turning\n"
+        neg = self.signs < 0
+        codes = (8 * neg[0] + 4 * neg[1] + 2 * neg[2] + self.near_turning).tolist()
+        cells = [None] * (2 * res)
+        cells[::2] = [f",{j},{x!r}," for j, x in enumerate(np.linspace(re0, re1, res))]
+        for i, (y, row) in enumerate(zip(np.linspace(im0, im1, res), codes)):
+            # a cell's tail ends with the next line's row number: cut the last
+            num, y = str(i), repr(y)
+            tails = [f"{y}{t}\n{num}" for t in _CSV_SUFFIXES]
+            cells[1::2] = map(tails.__getitem__, row)
+            yield (num + "".join(cells))[: -len(num)]
+
     def to_csv(self) -> str:
-        """One row per cell, rows i (imaginary) outer, j (real) inner; each
-        coordinate is the ``repr`` of its ``np.linspace`` entry."""
-        res = self.resolution
-        lines = ["i,j,x1_re,x1_im,sign_12,sign_13,sign_23,near_turning"]
-        re0, re1, im0, im1 = self.window
-        res_re = [repr(v) for v in np.linspace(re0, re1, res)]
-        for i, y in enumerate(np.linspace(im0, im1, res)):
-            y = repr(y)
-            (a, b, c), near = self.signs[:, i].tolist(), self.near_turning[i].tolist()
-            for j in range(res):
-                lines.append(
-                    f"{i},{j},{res_re[j]},{y},"
-                    f"{a[j]},{b[j]},{c[j]},{int(near[j])}"
-                )
-        return "\n".join(lines) + "\n"
+        """The whole CSV text, the join of ``csv_chunks``."""
+        return "".join(self.csv_chunks())
 
 
 def raster_section(

@@ -287,12 +287,20 @@ def test_closed_form_start_of_a_pure_cube():
     assert start is not None and _as_set(start, 2 * aberth._CUBE_ROOTS_OF_UNITY, tol=1e-15)
 
 
-def test_triple_root_at_the_origin_starts_on_the_circle():
-    # 256 y^3: the closed form has C = 0, so the row keeps the circle start
+def test_triple_root_at_the_origin_is_exact():
+    # 256 y^3: D0 = D1 = 0, so C = 0 and all three roots start at -b / (3a)
+    # = 0, where the residual is 0 and the polish stops at p' = 0
     c = singular_cubic_coeffs(PlanePoint(0.0, 0.0))
-    assert not _starts_closed_form(c)
-    # a triple root: 256 y^3 cannot tell |y| < 2^(-52/3) from 0
-    _assert_on_oracle_roots(c, roots_aberth(c), unit=2.0**-52)
+    assert list(_closed_form_start(c)) == [0, 0, 0]
+    assert list(roots_aberth(c)) == [0, 0, 0]
+    assert list(roots_aberth([0, 0, 0, 256])) == [0, 0, 0]
+
+
+def test_exact_triple_root_off_the_origin():
+    # (y - 2i)^3 and 4 (y + 1/2)^3: exact triple roots in binary, started
+    # at -b / (3a) and never moved
+    for c, root in (([8j, -12.0, -6j, 1.0], 2j), ([0.5, 3.0, 6.0, 4.0], -0.5)):
+        assert list(roots_aberth(c)) == [root] * 3
 
 
 _x2 = st.builds(

@@ -181,6 +181,16 @@ class TestStokesSextic:
         assert in_g == a**4 * g**3 - a * a * k * g * g * 2 + k * k * g - disc
         assert all(type(v) is int for v in in_g.terms.values())
 
+    def test_built_from_the_cubic_in_few_products(self, monkeypatch):
+        # the resolvent of the eliminated cubic: no second elimination (823
+        # products by two nested resultants)
+        singular_locus_cubic()
+        products, real = [], MultiPoly.__mul__
+        monkeypatch.setattr(MultiPoly, "__mul__", lambda p, q: products.append(1) or real(p, q))
+        sextic, count = stokes_sextic.__wrapped__(), len(products)
+        assert 0 < count <= 50
+        assert sextic == stokes_sextic()
+
     def test_weighted_homogeneity(self):
         # weights 3, 2, 4 for x1, x2, F; every term has weighted degree 24
         sext = stokes_sextic()

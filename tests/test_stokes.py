@@ -496,6 +496,55 @@ class TestRaster:
         assert got.turning_points == ref.turning_points
 
 
+class TestCsvParsedBack:
+    """The section CSV read back as text: every field is what the section
+    holds, and the streamed chunks are ``to_csv()``."""
+
+    SECTIONS = [
+        (0.5 + 0.25j, (-0.8, 0.8, -0.8, 0.8), 16),
+        # turning points x1 = +-1 inside the window: flagged cells
+        (-1.5, (-1.5, 1.5, -1.5, 1.5), 17),
+        (0.3 + 0.1j, (-1.2, 0.7, -0.4, 1.1), 32),
+    ]
+
+    @staticmethod
+    def _float(text):
+        # coordinates are written as numpy scalar reprs, "np.float64(...)"
+        if text.startswith("np.float64(") and text.endswith(")"):
+            text = text[len("np.float64("):-1]
+        return float(text)
+
+    def test_fields_read_back(self):
+        seen_signs, seen_flags = set(), set()
+        for x2, window, res in self.SECTIONS:
+            sec = raster_section(x2, window, res)
+            chunks = list(sec.csv_chunks())
+            assert len(chunks) == 1 + res
+            text = "".join(chunks)
+            assert text == sec.to_csv() and text.endswith("\n")
+            lines = text.splitlines()
+            assert lines[0] == "i,j,x1_re,x1_im,sign_12,sign_13,sign_23,near_turning"
+            rows = [line.split(",") for line in lines[1:]]
+            assert len(rows) == res * res
+            assert all(len(r) == 8 for r in rows)
+            assert [(int(r[0]), int(r[1])) for r in rows] == [
+                (i, j) for i in range(res) for j in range(res)
+            ]
+            re = np.array([self._float(r[2]) for r in rows]).reshape(res, res)
+            im = np.array([self._float(r[3]) for r in rows]).reshape(res, res)
+            want_re, want_im = np.linspace(*window[:2], res), np.linspace(*window[2:], res)
+            assert (re.view(np.int64) == want_re.view(np.int64)[None, :]).all()
+            assert (im.view(np.int64) == want_im.view(np.int64)[:, None]).all()
+            signs = np.array([[int(v) for v in r[4:7]] for r in rows]).T.reshape(3, res, res)
+            flags = np.array([int(r[7]) for r in rows]).reshape(res, res)
+            assert np.array_equal(signs, sec.signs)
+            assert np.array_equal(flags, sec.near_turning.astype(int))
+            seen_signs |= {(p, v) for p in range(3) for v in np.unique(signs[p]).tolist()}
+            seen_flags |= set(np.unique(flags).tolist())
+        assert seen_signs == {(p, v) for p in range(3) for v in (-1, 1)}
+        assert seen_flags == {0, 1}
+
+
 def _grid_roots(x2, window, res):
     """Raw cubic roots of a raster section's cells and its first cell."""
     xs = np.linspace(window[0], window[1], res)
@@ -645,10 +694,10 @@ class TestSexticLayerOracle:
         assert np.abs(sec.sextic_sign - want).max() <= 1e-12
 
     def test_triple_point(self):
-        # at x1 = x2 = 0 the three u's meet and G = 0 is a triple root,
-        # resolved only to about the cube root of the residual floor
+        # at x1 = x2 = 0 the three u's meet: Q(G) = 65536 G^3, an exact
+        # triple root, which the cubic start places at G = 0 exactly
         sec = raster_section(0.0, (-0.45, 0.45, -0.45, 0.45), 33, with_sextic=True)
-        assert 0.0 <= sec.sextic_sign[16, 16] < 1e-4
+        assert sec.sextic_sign[16, 16] == 0.0
 
 
 class TestTrajectoryAnchoring:
