@@ -24,9 +24,9 @@ statement once more under ``counting()``, and one per workload runs the
 seed-1 plan of ``perfbench/workloads.py``.  The counts do not depend on the
 machine: tracker legs, accepted and rejected steps, landed stops and
 their fallbacks per context, the event brackets and rows, Laplace nodes,
-the calls of ``poly_eval_many`` and the rows they evaluate, the calls of
-the coefficient evaluators and the exact products (``MultiPoly``,
-``ZetaRational``) and derivatives.
+the calls of ``roots_aberth_batch``, of ``poly_eval_many`` and the rows
+it evaluates, the calls of the coefficient evaluators and the exact
+products (``MultiPoly``, ``ZetaRational``) and derivatives.
 
 The run is stored under LABEL in ``BENCH_layers.json`` at the repository
 root, replacing an earlier run with the same label.  Per layer it keeps
@@ -36,9 +36,15 @@ each tree's median, quartiles and samples at reference speed (``a``,
 reference speed, and whether the difference is resolved (``resolved``),
 read from the reference-speed samples (from the raw ones in runs stored
 before the scaling, which have no ``raw`` key): the medians differ
-by more than the larger of A's and B's interquartile spreads, and the tree
+by more than the larger of A's and B's interquartile spreads, the tree
 with the lower median is the faster one in at least ``WINS_TO_RESOLVE`` of
-the ``REPEAT`` pairs.  A layer that is not resolved is noise, and no claim
+the ``REPEAT`` pairs, and each half of the pairs, the first and the last
+``REPEAT // 2``, on its own shows the medians apart the same way by more
+than the larger of its own two spreads (quartiles taken inclusive of the
+half's ends, ``_inner``).  The halves guard against layers whose time is
+bimodal from one interpreter to the next: ten pairs of single
+interpreters can line the modes up by chance in one half, but seldom in
+both.  A layer that is not resolved is noise, and no claim
 rests on it.  Every stored run is re-evaluated under this rule whenever the
 file is written.
 """
@@ -95,12 +101,14 @@ x2_seeded = 0.0687 + 0.4267j
 grid = stokes._complex_grid(np.linspace(-0.8, 0.8, 64), np.linspace(-0.8, 0.8, 64))
 grid_roots = stokes._solve_blocks(singular_cubic_grid, grid.ravel(), x2_seeded,
                                   aberth.ROOT_TOL).reshape(64, 64, 3)
-# the res-32 x2 = 0 figure slice, window +-0.45, and its first sextic block
+# the res-32 x2 = 0 figure slice, window +-0.45, and its first 512 sextic rows
 near = np.linspace(-0.45, 0.45, 32)
 figure = stokes._complex_grid(near, near)
 sextic_x2_zero = stokes_sextic_grid(figure.ravel()[:512], 0.0)
 # the seed-1 seeded slice itself, whose CSV the workload writes
 seeded = stokes.raster_section(x2_seeded, (-0.8, 0.8, -0.8, 0.8), 64)
+# the x2 = 0.5 + 0.25i figure slice at the CLI's default resolution
+figure_x2, figure_window = 0.5 + 0.25j, (-0.8, 0.8, -0.8, 0.8)
 """
 BOREL = """
 from pearcey_wkb.borel import SheetField
@@ -134,6 +142,7 @@ CASES = {
     "sextic layer, x2 = 0, 32x32": (SECTIONS, "stokes._sextic_layer(0.0, figure)"),
     "label sweep, 64x64": (SECTIONS, "stokes._label_sweep(grid_roots, grid[0, 0], x2_seeded)"),
     "section CSV, 64x64": (SECTIONS, "seeded.to_csv()"),
+    "raster section, 128x128": (SECTIONS, "stokes.raster_section(figure_x2, figure_window, 128)"),
     "tracker step": (BOREL, "field.track_from(sheets, [anchor, anchor + 1.5])"),
     "laplace_borel_sum, warm": (BOREL, "laplace_borel_sum(1, field.x, 10.0, table=table)"),
     "detect_events(PAPER_POLYLINE)": (
@@ -147,6 +156,7 @@ PER_ATTEMPT = "tracker step"
 CALLS = {
     "events.rows": "tracking.polish",
     "calls.poly_eval_many": "aberth.poly_eval_many",
+    "calls.roots_aberth_batch": "aberth.roots_aberth_batch",
     "calls.QuarticSpec.coeffs": "borel.QuarticSpec.coeffs",
     "calls.singular_cubic_coeffs": "geometry.singular_cubic_coeffs",
     "calls.singular_cubic_grid": "geometry.singular_cubic_grid",
@@ -386,12 +396,29 @@ def spread(samples: list) -> dict:
 def resolved(row: dict) -> bool:
     """Whether a layer's A and B times differ beyond noise (module docstring)."""
     a, b = row["a"], row["b"]
-    gap = abs(b["median"] - a["median"])
-    noise = max(a["q3"] - a["q1"], b["q3"] - b["q1"])
+    slower = 1 if b["median"] > a["median"] else -1  # the direction of B's median
     wins = row["b_faster_pairs"]
-    if b["median"] > a["median"]:
+    if slower > 0:
         wins = len(a["samples"]) - wins
-    return gap > noise and wins >= WINS_TO_RESOLVE
+    half = len(a["samples"]) // 2
+    halves = [(_inner(a["samples"][s]), _inner(b["samples"][s]))
+              for s in (slice(None, half), slice(half, None))]
+    return wins >= WINS_TO_RESOLVE and all(
+        _apart(x, y, slower) for x, y in [(a, b), *halves])
+
+
+def _inner(samples: list) -> dict:
+    """The median and quartiles of half a run's samples, taken inclusive of
+    its ends: of five samples, the middle one and the second from each end,
+    so that one outlier does not widen the spread."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _apart(a: dict, b: dict, slower: int) -> bool:
+    """Whether B's median lies beyond A's on the side ``slower`` (+1 above,
+    -1 below) by more than the larger of their interquartile spreads."""
+    return slower * (b["median"] - a["median"]) > max(a["q3"] - a["q1"], b["q3"] - b["q1"])
 
 
 def main() -> None:

@@ -15,6 +15,8 @@ row each; ``roots_aberth`` is a batch of one.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import DegenerateLeadingCoefficient, RootConvergenceError, ValidationError
@@ -115,8 +117,7 @@ def roots_aberth_batch(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
     # Fujiwara-type bound on root modulus
     lead = np.abs(c[:, -1])
     radius = np.minimum(1.0 + np.max(np.abs(c[:, :-1]) / lead[:, None], axis=1), 1e8)
-    k = np.arange(n)
-    z = 0.5 * radius[:, None] * np.exp(1j * (2 * np.pi * k / n + _SEED_ANGLE))
+    z = 0.5 * radius[:, None] * _unit_circle(n)
     if n == 3:
         z = _cubic_start(c, z)
 
@@ -149,6 +150,15 @@ def roots_aberth_batch(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
             last_iterate=z[0],
         )
     return _newton_polish(c, dc, out)
+
+
+@cache
+def _unit_circle(n: int) -> np.ndarray:
+    """The n roots of unity turned by ``_SEED_ANGLE``, the circle start's
+    directions: computed once per degree, read-only."""
+    unit = np.exp(1j * (2 * np.pi * np.arange(n) / n + _SEED_ANGLE))
+    unit.flags.writeable = False
+    return unit
 
 
 def _cubic_start(coeffs: np.ndarray, circle: np.ndarray) -> np.ndarray:

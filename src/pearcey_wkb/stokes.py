@@ -419,12 +419,14 @@ def raster_section(
     """Sample the Stokes indicators on an x1 grid at fixed x2.
 
     The cubic is solved for the whole grid, ``BLOCK`` cells per vectorised
-    Aberth batch.  Labels then continue from the bottom-left cell, up
-    column 0 and along each row (``_label_sweep``), composed from batched
-    matches across the sweep's cell edges.  Cells too close to the turning
-    locus, or whose match is ambiguous, are flagged and their labels are
-    best-effort (sorted roots, merged-root mode).  Zero-crossing polylines
-    per pair come from sign changes between adjacent cells.
+    Aberth batch: a 32x32 grid in one batch, the CLI's default 128x128 in
+    eight.  Labels then continue from the bottom-left cell, up column 0 and
+    along each row (``_label_sweep``), composed from batched matches across
+    the sweep's cell edges without a Python step per row or column.  Cells
+    too close to the turning locus, or whose match is ambiguous, are
+    flagged and their labels are best-effort (sorted roots, merged-root
+    mode).  Zero-crossing polylines per pair come from sign changes between
+    adjacent cells.
     """
     if resolution < 16:
         raise ValidationError("resolution must be at least 16")
@@ -456,9 +458,12 @@ def raster_section(
     )
 
 
-BLOCK = 512
+BLOCK = 2048
 """Cells (or edges) per vectorised step of a raster section; bounds the
-size of the solver and edge-pass temporaries whatever the resolution."""
+size of the solver and edge-pass temporaries whatever the resolution.
+Each batch has a fixed cost of about half a millisecond in numpy calls
+whatever its size, so a block holds a whole 32x32 slice; the solver's
+(N, 3, 3) complex temporaries are 0.3 MB at 2048 cubic rows."""
 
 # label indices (0-based) of the pairs in PAIRS
 _PAIR_J = np.array([j - 1 for j, _ in PAIRS])
@@ -514,8 +519,15 @@ def _label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
     equivariant under reordering the old set, so composing the edge
     permutations along the sweep gives each cell's labels.  A failed edge
     resets its cell to sorted order and flags it.
+
+    A cell's labels are one of the six orderings of three indices, and an
+    edge maps its predecessor's ordering to its own: a permutation applied
+    to it, or the reset to the cell's sorted order whatever it was.  Those
+    twelve maps are closed under composition (``_SWEEP_COMPOSE``), so the
+    maps from the start of column 0 and of each row are prefix
+    compositions, taken for all cells at once in log2(res) doubling steps
+    (``_compose_prefix``), with no Python step per column or row.
     """
-    res = roots.shape[0]
     raw = roots.copy()
     flagged = np.zeros(roots.shape[:2], dtype=bool)
     try:
@@ -528,17 +540,51 @@ def _label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
     row_perm, row_ok = tracking.match_labels_rows(raw[:, :-1], raw[:, 1:], guard)
     flagged[1:, 0] = ~col_ok
     flagged[:, 1:] = ~row_ok
-    # labels[i, j] indexes raw[i, j]; a flagged cell takes its sorted order
-    sorted_order = np.argsort(raw, axis=-1)
-    labels = np.empty(raw.shape, dtype=np.intp)
-    labels[0, 0] = np.arange(3)
-    for i in range(1, res):
-        labels[i, 0] = col_perm[i - 1, labels[i - 1, 0]] if col_ok[i - 1] else sorted_order[i, 0]
-    rows = np.arange(res)[:, None]
-    for j in range(1, res):
-        step = row_perm[rows, j - 1, labels[:, j - 1]]
-        labels[:, j] = np.where(row_ok[:, j - 1, None], step, sorted_order[:, j])
-    return np.take_along_axis(raw, labels, axis=-1), flagged
+    # each cell's edge map: its permutation's ordering, or 6 + its sorted
+    # one where the edge failed; cell (0, 0) keeps its raw order, the identity
+    edge = np.zeros(raw.shape[:2], dtype=np.intp)
+    edge[1:, 0], edge[:, 1:] = _ordering(col_perm), _ordering(row_perm)
+    edge[flagged] = 6 + _ordering(np.argsort(raw[flagged], axis=-1))
+    state = np.zeros(raw.shape[:2], dtype=np.intp)
+    state[1:, 0] = _SWEEP_APPLY[_compose_prefix(edge[1:, 0]), 0]
+    state[:, 1:] = _SWEEP_APPLY[_compose_prefix(edge[:, 1:]), state[:, :1]]
+    # labels[i, j] indexes raw[i, j], as flat indices into raw
+    labels = _ORDERINGS[state] + 3 * np.arange(state.size).reshape(*state.shape, 1)
+    return raw.ravel()[labels], flagged
+
+
+# the six orderings of three labels, the identity first; a label array's
+# ordering is its index here (``_ordering``)
+_ORDERINGS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+_ORDERING_OF_CODE = np.zeros(27, dtype=np.intp)
+_ORDERING_OF_CODE[_ORDERINGS @ (9, 3, 1)] = np.arange(6)
+# the sweep's twelve edge maps on orderings: m < 6 applies the permutation
+# _ORDERINGS[m] to the predecessor's labels, m >= 6 resets to ordering m - 6;
+# _SWEEP_APPLY[m, s] is the ordering m makes of s, _SWEEP_COMPOSE[m, n]
+# the map "n, then m"
+_SWEEP_APPLY = np.vstack([
+    _ORDERING_OF_CODE[_ORDERINGS[:, _ORDERINGS] @ (9, 3, 1)],
+    np.repeat(np.arange(6)[:, None], 6, axis=1),
+])
+_SWEEP_COMPOSE = np.hstack([_SWEEP_APPLY[:, :6], 6 + _SWEEP_APPLY[:, :6]])
+_SWEEP_COMPOSE[6:] = np.arange(6, 12)[:, None]
+
+
+def _ordering(perm: np.ndarray) -> np.ndarray:
+    """The index in ``_ORDERINGS`` of each bijective row of a (..., 3)
+    permutation array (other rows give an arbitrary index)."""
+    return _ORDERING_OF_CODE[9 * perm[..., 0] + 3 * perm[..., 1] + perm[..., 2]]
+
+
+def _compose_prefix(maps: np.ndarray) -> np.ndarray:
+    """The composition of every prefix of edge maps along the last axis:
+    out[..., j] is maps[..., j] after ... after maps[..., 0], taken in
+    ceil(log2(n)) doubling steps."""
+    out, n, d = maps.copy(), maps.shape[-1], 1
+    while d < n:
+        out[..., d:] = _SWEEP_COMPOSE.ravel()[12 * out[..., d:] + out[..., :-d]]
+        d *= 2
+    return out
 
 
 def _edge_zero_points(values: np.ndarray, near: np.ndarray, xs, ys):

@@ -78,14 +78,30 @@ _ROUNDOFF = 4.5e-16  # relative size of a Newton correction at roundoff, about t
 
 def _nearest(old_vals: np.ndarray, new_vals: np.ndarray):
     """Per old value: index of the nearest new value, its distance and the
-    runner-up's (inf for a single value), row-wise over leading axes."""
+    runner-up's (inf for a single value), row-wise over leading axes.
+
+    Three new values, the raster's rows, take a sort-free path: the nearest
+    and the runner-up are the minimum and the median of the three distances
+    by a min/max network, and the index is the first of the minimal ones,
+    as ``np.argmin`` picks it.  Distances that hold a NaN, and any other
+    number of values, take the sort.
+    """
     dist = np.abs(old_vals[..., :, None] - new_vals[..., None, :])
+    if dist.shape[-1] == 3 and not np.isnan(dist).any():
+        a, b, c = dist[..., 0], dist[..., 1], dist[..., 2]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        nearest = np.where(c < lo, 2, (b < a).astype(np.intp))
+        return nearest, np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c))
     ranked = np.sort(dist, axis=-1)
     second = ranked[..., 1] if ranked.shape[-1] > 1 else np.full(ranked.shape[:-1], np.inf)
     return np.argmin(dist, axis=-1), ranked[..., 0], second
 
 
 def _is_bijection(perm: np.ndarray) -> np.ndarray:
+    """Whether each row of ``perm`` holds every index once; three indices
+    by their bits, 1 + 2 + 4."""
+    if perm.shape[-1] == 3:
+        return (1 << perm[..., 0]) + (1 << perm[..., 1]) + (1 << perm[..., 2]) == 7
     return (np.sort(perm, axis=-1) == np.arange(perm.shape[-1])).all(axis=-1)
 
 
@@ -119,8 +135,12 @@ def match_labels_rows(old_vals, new_vals, guard_ratio: float = GUARD_RATIO):
     perm, d1, d2 = _nearest(
         np.asarray(old_vals, dtype=complex), np.asarray(new_vals, dtype=complex)
     )
-    ok = ~(d2 < guard_ratio * d1).any(axis=-1) & _is_bijection(perm)
-    return perm, ok
+    ambiguous = d2 < guard_ratio * d1
+    if ambiguous.shape[-1] == 3:  # three slices beat a reduction over a short axis
+        ambiguous = ambiguous[..., 0] | ambiguous[..., 1] | ambiguous[..., 2]
+    else:
+        ambiguous = ambiguous.any(axis=-1)
+    return perm, ~ambiguous & _is_bijection(perm)
 
 
 def _descending(coeffs) -> list:

@@ -19,7 +19,9 @@ value at a time after the steps), the tracker's scalar step helpers
 (Horner loops called per value) whose start check and accept/reject
 decisions its generated step kernel and batched stop landing must
 reproduce, the per-cell loop of the raster CSV export, the raster label
-sweep matching labeled values cell to cell, the Newton polish evaluating
+sweep matching labeled values cell to cell, and composing its batched edge
+permutations one column at a time, the nearest-value matcher on a sort of
+every distance row, the Newton polish evaluating
 every row of a block in each iteration, the Borel-plane circles (anchor arcs, cut-jump
 sides, monodromy loops) as chord polylines, one tracker leg per chord, the
 event bisection one bracket and one cubic solve at a time, the
@@ -230,6 +232,57 @@ def scalar_label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
     for j in range(1, res):
         values[:, j], flagged[:, j] = _relabel(values[:, j - 1], roots[:, j])
     return values, flagged
+
+
+def sort_nearest(old_vals: np.ndarray, new_vals: np.ndarray):
+    """Per old value: index of the nearest new value, its distance and the
+    runner-up's (inf for a single value), row-wise over leading axes."""
+    dist = np.abs(old_vals[..., :, None] - new_vals[..., None, :])
+    ranked = np.sort(dist, axis=-1)
+    second = ranked[..., 1] if ranked.shape[-1] > 1 else np.full(ranked.shape[:-1], np.inf)
+    return np.argmin(dist, axis=-1), ranked[..., 0], second
+
+
+def sort_is_bijection(perm: np.ndarray) -> np.ndarray:
+    return (np.sort(perm, axis=-1) == np.arange(perm.shape[-1])).all(axis=-1)
+
+
+def sort_match_labels_rows(old_vals, new_vals, guard_ratio):
+    """``tracking.match_labels_rows`` on the sort: ``(perm, d1, d2, ok)``."""
+    perm, d1, d2 = sort_nearest(
+        np.asarray(old_vals, dtype=complex), np.asarray(new_vals, dtype=complex)
+    )
+    ok = ~(d2 < guard_ratio * d1).any(axis=-1) & sort_is_bijection(perm)
+    return perm, d1, d2, ok
+
+
+def loop_label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
+    """The raster label sweep composing the batched edge permutations one
+    Python step per cell of column 0 and one per column."""
+    res = roots.shape[0]
+    raw = roots.copy()
+    flagged = np.zeros(roots.shape[:2], dtype=bool)
+    try:
+        raw[0, 0] = critical_values(PlanePoint(x1_first, x2)).values
+    except PearceyError:
+        raw[0, 0] = np.sort(roots[0, 0])
+        flagged[0, 0] = True
+    guard = 1.0 + 1e-12
+    col_perm, col_ok = tracking.match_labels_rows(raw[:-1, 0], raw[1:, 0], guard)
+    row_perm, row_ok = tracking.match_labels_rows(raw[:, :-1], raw[:, 1:], guard)
+    flagged[1:, 0] = ~col_ok
+    flagged[:, 1:] = ~row_ok
+    # labels[i, j] indexes raw[i, j]; a flagged cell takes its sorted order
+    sorted_order = np.argsort(raw, axis=-1)
+    labels = np.empty(raw.shape, dtype=np.intp)
+    labels[0, 0] = np.arange(3)
+    for i in range(1, res):
+        labels[i, 0] = col_perm[i - 1, labels[i - 1, 0]] if col_ok[i - 1] else sorted_order[i, 0]
+    rows = np.arange(res)[:, None]
+    for j in range(1, res):
+        step = row_perm[rows, j - 1, labels[:, j - 1]]
+        labels[:, j] = np.where(row_ok[:, j - 1, None], step, sorted_order[:, j])
+    return np.take_along_axis(raw, labels, axis=-1), flagged
 
 
 def plain_newton_polish(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -156,9 +156,9 @@ def test_single_solve_returns_roots():
 
 
 def _sextic_block_x2_zero():
-    # the first block of the res-32 x2 = 0 sextic layer over window +-0.45
+    # the first 512 cells of the res-32 x2 = 0 sextic layer over window +-0.45
     xs = np.linspace(-0.45, 0.45, 32)
-    return stokes_sextic_grid(stokes._complex_grid(xs, xs).ravel()[: stokes.BLOCK], 0.0), 1e-10
+    return stokes_sextic_grid(stokes._complex_grid(xs, xs).ravel()[:512], 0.0), 1e-10
 
 
 def _cubic_block_near_turning_point():
@@ -358,11 +358,11 @@ def test_cubic_row_does_not_depend_on_its_batch(low, lead, where):
 
 
 def test_figure_slice_block_passes_at_its_start(monkeypatch):
-    # the first block of the res-32 x2 = 0.5 + 0.25i figure slice, window
-    # +-0.8, whose cells stay off the turning locus by the labeling guard
+    # the first 512 cells of the res-32 x2 = 0.5 + 0.25i figure slice, window
+    # +-0.8, which stay off the turning locus by the labeling guard
     xs = np.linspace(-0.8, 0.8, 32)
     x2 = 0.5 + 0.25j
-    cells = stokes._complex_grid(xs, xs).ravel()[: stokes.BLOCK]
+    cells = stokes._complex_grid(xs, xs).ravel()[:512]
     a, b = 27 * cells**2, 8 * x2**3
     assert np.min(np.abs(a + b) / np.maximum(np.abs(a), abs(b))) > TURNING_GUARD
     coeffs = singular_cubic_grid(cells, x2)
@@ -383,3 +383,31 @@ def test_figure_slice_block_passes_at_its_start(monkeypatch):
     roots_aberth_batch(coeffs)
     # one residual test of the whole block: p and its scale, no Aberth step
     assert before_polish == [512, 512]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_circle_start_is_the_per_row_formula(n, monkeypatch):
+    # the unit roots are computed once per degree; the start stays, bit for
+    # bit, 0.5 * radius * exp(i (2 pi k / n + seed)) evaluated per row
+    rng = np.random.default_rng(n)
+    c = rng.normal(size=(7, n + 1)) + 1j * rng.normal(size=(7, n + 1))
+    c[0] *= 1e9  # a row whose bound is capped at 1e8
+    c[0, -1] /= 1e9
+    starts = []
+    horner = aberth.poly_eval_many
+
+    def first(coeffs, z):
+        if not starts:
+            starts.append(z.copy())
+        return horner(coeffs, z)
+
+    monkeypatch.setattr(aberth, "poly_eval_many", first)
+    monkeypatch.setattr(aberth, "_cubic_start", lambda coeffs, circle: circle)
+    roots_aberth_batch(c)
+    lead = np.abs(c[:, -1])
+    radius = np.minimum(1.0 + np.max(np.abs(c[:, :-1]) / lead[:, None], axis=1), 1e8)
+    k = np.broadcast_to(np.arange(n), c[:, 1:].shape)
+    want = 0.5 * radius[:, None] * np.exp(1j * (2 * np.pi * k / n + aberth._SEED_ANGLE))
+    assert starts[0].tobytes() == want.tobytes()
+    assert aberth._unit_circle(n) is aberth._unit_circle(n)
+    assert not aberth._unit_circle(n).flags.writeable

@@ -9,6 +9,7 @@ from oracles import (
     raster_csv_oracle,
     raster_labels_oracle,
     scalar_detect_events,
+    loop_label_sweep,
     scalar_label_sweep,
 )
 from pearcey_wkb import aberth, stokes, tracking
@@ -560,12 +561,42 @@ def _seeded_x2(n):
 
 
 class TestLabelSweep:
-    """The batched sweep against one-row-at-a-time matching, bit for bit.
+    """The batched sweep against one-row-at-a-time matching, bit for bit,
+    and its prefix composition of edge maps against composing the same edge
+    permutations one column at a time (``oracles.loop_label_sweep``).
 
     The raster's edge pass does not match horizontal edges again: matching a
     row's labeled values cell to cell must succeed exactly where the sweep
     did not flag the right-hand cell, with the identity there.
     """
+
+    @pytest.mark.parametrize(
+        "x2, window, res",
+        [
+            # turning points x1 = +-1 on the grid: resets mid-row
+            (-1.5, (-1.5, 1.5, -1.5, 1.5), 33),
+            # the seed-1 seeded slice of the sections workload
+            (0.0687 + 0.4267j, (-0.8, 0.8, -0.8, 0.8), 64),
+            # cell (0, 0) on a turning point: flagged, in sorted order
+            (-1.5, (-1.0, 1.0, 0.0, 1.5), 32),
+        ],
+    )
+    def test_equal_to_the_column_loop(self, x2, window, res):
+        roots, first = _grid_roots(x2, window, res)
+        values, flagged = stokes._label_sweep(roots, first, x2)
+        want, want_flagged = loop_label_sweep(roots, first, x2)
+        assert values.tobytes() == want.tobytes()
+        assert np.array_equal(flagged, want_flagged)
+        if res == 33:
+            # resets in the middle of rows, with unflagged cells after them
+            assert (flagged[:, 1:-1] & ~flagged[:, 2:]).any()
+
+    def test_every_edge_map_composes_as_its_action(self):
+        # "n, then m" acts on every ordering as n's action, then m's
+        apply, compose = stokes._SWEEP_APPLY, stokes._SWEEP_COMPOSE
+        for m in range(12):
+            for n in range(12):
+                assert np.array_equal(apply[compose[m, n]], apply[m, apply[n]])
 
     @staticmethod
     def _assert_equal_to_scalar_sweep(x2, window, res):

@@ -5,8 +5,10 @@ the bracketing makes them, a Laplace ray's landed stops are counted
 apart from its steps, and the rows of every Horner evaluation are summed.
 Samples are scaled to reference speed by the calibration loop timed in
 the same interpreter.  Its ``resolved`` rule needs both a median gap
-beyond the larger interquartile spread and 9 of 10 pairs won, and every
-run stored in ``BENCH_layers.json`` reads as that rule says."""
+beyond the larger interquartile spread and 9 of 10 pairs won, and the
+gap again in each half of the pairs, so bimodal samples of identical code
+read unresolved; every run stored in ``BENCH_layers.json`` reads as that
+rule says."""
 
 import importlib.util
 import json
@@ -165,6 +167,24 @@ def test_resolved_needs_the_gap_beyond_both_spreads_and_nine_of_ten_pairs(time_l
     # a clear median gap, B faster in 8 of 10 pairs, then in 9
     assert not resolved([x - 1.0 for x in a[:8]] + [12.0, 12.0])
     assert resolved([x - 1.0 for x in a[:9]] + [12.0])
+
+
+def test_bimodal_samples_of_identical_code_are_not_resolved(time_layers):
+    # each interpreter runs the same code at one of two speeds, L or H; the
+    # modes line up against A in the first five pairs and mix in the last five
+    L, H = 2250.0, 3100.0
+    a = [L + 1, L + 3, L + 2, L + 4, L, L + 2, H + 1, L + 30, H + 2, L + 1]
+    b = [H + 2, H + 1, H + 4, H, H + 3, H + 3, H + 4, H + 1, H + 5, L + 6]
+    row = _row(time_layers, a, b)
+    # the whole run alone reads B slower in 10 of 10 pairs, its median gap
+    # beyond both spreads
+    assert row["b_faster_pairs"] == 0
+    assert time_layers._apart(row["a"], row["b"], 1)
+    # the last five pairs, on their own, do not set the medians apart
+    assert not time_layers._apart(time_layers._inner(a[5:]), time_layers._inner(b[5:]), 1)
+    assert not time_layers.resolved(row)
+    # with both halves lined up as the first, the difference is resolved
+    assert time_layers.resolved(_row(time_layers, a[:5] * 2, b[:5] * 2))
 
 
 def test_stored_runs_follow_the_rule(time_layers):

@@ -44,6 +44,12 @@ is the segments' own legs, bit for bit, on global taus that ascend and
 record each knot once; a path and its reverse give back the start labels,
 midpoints leave the final values unchanged, and a single knot gives back
 the start values.
+
+Label matching of three values takes a sort-free path: on rows drawn from
+a small lattice, so that values repeat and distances tie exactly, it gives
+the nearest index, both distances and the verdict bit for bit as the
+sort-based matcher it replaced (kept in ``oracles``), under the raster's
+guard ``1 + 1e-12`` and the tracker's 3.0; four values still take the sort.
 """
 
 import functools
@@ -61,11 +67,12 @@ from oracles import (
     mp_polyroots,
     scalar_misfit,
     scalar_step,
+    sort_match_labels_rows,
     track_family_numpy,
 )
 from pearcey_wkb import borel, tracking
 from pearcey_wkb.borel import SheetField, monodromy
-from pearcey_wkb.errors import ContinuationError
+from pearcey_wkb.errors import ContinuationError, LabelMatchError
 from pearcey_wkb.geometry import (
     PlanePoint,
     char_cubic_coeffs,
@@ -916,3 +923,89 @@ def test_single_knot_returns_start_values(knot):
     assert trace.taus == [0.0]
     assert trace.points == [knot]
     assert np.array_equal(trace.final, start)
+
+
+# -- label matching ---------------------------------------------------------------
+
+
+# lattice points repeat values and tie distances exactly; a few off-lattice
+# values, an infinite and a NaN one reach the other branches
+_lattice = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+_value = st.one_of(
+    _lattice, _lattice, _lattice, _z,
+    st.sampled_from([complex(np.inf, 0.0), complex(np.nan, 0.0)]),
+)
+
+
+def _old_and_new(n):
+    """1 to 6 rows of n old and n new values, as two complex arrays."""
+    def rows(m):
+        row = st.lists(_value, min_size=n, max_size=n)
+        return st.lists(row, min_size=m, max_size=m).map(lambda r: np.array(r, dtype=complex))
+    return st.integers(1, 6).flatmap(lambda m: st.tuples(rows(m), rows(m)))
+
+
+def _sorts(monkeypatch):
+    calls = []
+    real = np.sort
+    monkeypatch.setattr(np, "sort", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("guard", [1.0 + 1e-12, tracking.GUARD_RATIO])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=_old_and_new(3))
+def test_three_value_match_equals_the_sort(guard, values):
+    old, new = values
+    perm, ok = tracking.match_labels_rows(old, new, guard)
+    want_perm, d1, d2, want_ok = sort_match_labels_rows(old, new, guard)
+    got_perm, got_d1, got_d2 = tracking._nearest(old, new)
+    assert perm.dtype == want_perm.dtype and np.array_equal(perm, want_perm)
+    assert np.array_equal(got_perm, want_perm)
+    assert got_d1.tobytes() == d1.tobytes() and got_d2.tobytes() == d2.tobytes()
+    assert np.array_equal(ok, want_ok)
+    # one row at a time: match_labels raises exactly where ok is False
+    for r in range(len(old)):
+        try:
+            got = tracking.match_labels(old[r], new[r], guard)
+        except LabelMatchError:
+            assert not want_ok[r]
+        else:
+            assert want_ok[r] and got == want_perm[r].tolist()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # exact ties: each old value halfway between two new ones
+        ([0, 2, 4j], [1, 1, 2 + 4j]),
+        ([1, 1j, -1], [0, 0, 0]),  # every distance equal, a duplicate new value
+        ([1, 2, 3], [3, 2, 1]),  # exact matches, reversed
+        ([0, 1, 2], [0.5, 1.5, 2.5 + 1e-9]),
+    ],
+)
+@pytest.mark.parametrize("guard", [1.0 + 1e-12, tracking.GUARD_RATIO])
+def test_three_value_ties_take_the_fast_path(old, new, guard, monkeypatch):
+    old, new = np.array([old], dtype=complex), np.array([new], dtype=complex)
+    want_perm, d1, d2, want_ok = sort_match_labels_rows(old, new, guard)
+    sorts = _sorts(monkeypatch)
+    perm, ok = tracking.match_labels_rows(old, new, guard)
+    got_perm, got_d1, got_d2 = tracking._nearest(old, new)
+    assert sorts == []
+    assert np.array_equal(perm, want_perm) and np.array_equal(ok, want_ok)
+    assert got_d1.tobytes() == d1.tobytes() and got_d2.tobytes() == d2.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=_old_and_new(4))
+def test_four_values_take_the_sort(values):
+    old, new = values
+    want_perm, d1, d2, want_ok = sort_match_labels_rows(old, new, tracking.GUARD_RATIO)
+    with pytest.MonkeyPatch.context() as mp:
+        sorts = _sorts(mp)
+        perm, ok = tracking.match_labels_rows(old, new, tracking.GUARD_RATIO)
+    # one sort of the distances, one of the permutation for the bijection test
+    assert len(sorts) == 2
+    assert np.array_equal(perm, want_perm) and np.array_equal(ok, want_ok)
