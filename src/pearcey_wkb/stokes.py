@@ -523,10 +523,11 @@ def _label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
     A cell's labels are one of the six orderings of three indices, and an
     edge maps its predecessor's ordering to its own: a permutation applied
     to it, or the reset to the cell's sorted order whatever it was.  Those
-    twelve maps are closed under composition (``_SWEEP_COMPOSE``), so the
-    maps from the start of column 0 and of each row are prefix
-    compositions, taken for all cells at once in log2(res) doubling steps
-    (``_compose_prefix``), with no Python step per column or row.
+    twelve maps are closed under composition (``_SWEEP_COMPOSE``), so each
+    cell's labels are a prefix composition from cell (0, 0), up column 0
+    and then along the cell's row, taken for all cells at once in log2(res)
+    doubling steps (``_compose_prefix``), with no Python step per column or
+    row.
     """
     raw = roots.copy()
     flagged = np.zeros(roots.shape[:2], dtype=bool)
@@ -541,13 +542,14 @@ def _label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
     flagged[1:, 0] = ~col_ok
     flagged[:, 1:] = ~row_ok
     # each cell's edge map: its permutation's ordering, or 6 + its sorted
-    # one where the edge failed; cell (0, 0) keeps its raw order, the identity
-    edge = np.zeros(raw.shape[:2], dtype=np.intp)
+    # one where the edge failed; cell (0, 0) resets to the identity ordering,
+    # so every prefix from it is a reset, to 6 + that cell's ordering
+    edge = np.empty(raw.shape[:2], dtype=np.intp)
     edge[1:, 0], edge[:, 1:] = _ordering(col_perm), _ordering(row_perm)
     edge[flagged] = 6 + _ordering(np.argsort(raw[flagged], axis=-1))
-    state = np.zeros(raw.shape[:2], dtype=np.intp)
-    state[1:, 0] = _SWEEP_APPLY[_compose_prefix(edge[1:, 0]), 0]
-    state[:, 1:] = _SWEEP_APPLY[_compose_prefix(edge[:, 1:]), state[:, :1]]
+    edge[0, 0] = 6
+    edge[:, 0] = _compose_prefix(edge[:, 0])
+    state = _compose_prefix(edge) - 6
     # labels[i, j] indexes raw[i, j], as flat indices into raw
     labels = _ORDERINGS[state] + 3 * np.arange(state.size).reshape(*state.shape, 1)
     return raw.ravel()[labels], flagged
@@ -558,22 +560,22 @@ def _label_sweep(roots: np.ndarray, x1_first: complex, x2: complex):
 _ORDERINGS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
 _ORDERING_OF_CODE = np.zeros(27, dtype=np.intp)
 _ORDERING_OF_CODE[_ORDERINGS @ (9, 3, 1)] = np.arange(6)
-# the sweep's twelve edge maps on orderings: m < 6 applies the permutation
-# _ORDERINGS[m] to the predecessor's labels, m >= 6 resets to ordering m - 6;
-# _SWEEP_APPLY[m, s] is the ordering m makes of s, _SWEEP_COMPOSE[m, n]
-# the map "n, then m"
-_SWEEP_APPLY = np.vstack([
-    _ORDERING_OF_CODE[_ORDERINGS[:, _ORDERINGS] @ (9, 3, 1)],
-    np.repeat(np.arange(6)[:, None], 6, axis=1),
-])
-_SWEEP_COMPOSE = np.hstack([_SWEEP_APPLY[:, :6], 6 + _SWEEP_APPLY[:, :6]])
-_SWEEP_COMPOSE[6:] = np.arange(6, 12)[:, None]
 
 
 def _ordering(perm: np.ndarray) -> np.ndarray:
     """The index in ``_ORDERINGS`` of each bijective row of a (..., 3)
     permutation array (other rows give an arbitrary index)."""
     return _ORDERING_OF_CODE[9 * perm[..., 0] + 3 * perm[..., 1] + perm[..., 2]]
+
+
+# the sweep's twelve edge maps on orderings: m < 6 applies the permutation
+# _ORDERINGS[m] to the predecessor's labels, m >= 6 resets them to ordering
+# m - 6; _SWEEP_COMPOSE[m, n] is the map "n, then m"
+_PRODUCTS = _ordering(_ORDERINGS[:, _ORDERINGS])  # [m, n]: m applied to ordering n
+_SWEEP_COMPOSE = np.vstack([
+    np.hstack([_PRODUCTS, 6 + _PRODUCTS]),
+    np.repeat(np.arange(6, 12)[:, None], 12, axis=1),
+])
 
 
 def _compose_prefix(maps: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -592,11 +593,15 @@ class TestLabelSweep:
             assert (flagged[:, 1:-1] & ~flagged[:, 2:]).any()
 
     def test_every_edge_map_composes_as_its_action(self):
-        # "n, then m" acts on every ordering as n's action, then m's
-        apply, compose = stokes._SWEEP_APPLY, stokes._SWEEP_COMPOSE
-        for m in range(12):
-            for n in range(12):
-                assert np.array_equal(apply[compose[m, n]], apply[m, apply[n]])
+        # "n, then m" does to every label array what n, then m, does to it
+        orderings = stokes._ORDERINGS
+
+        def act(m, labels):  # a permutation's labels, or a reset's
+            return orderings[m][labels] if m < 6 else orderings[m - 6]
+
+        for m, n, labels in itertools.product(range(12), range(12), orderings):
+            assert np.array_equal(act(stokes._SWEEP_COMPOSE[m, n], labels),
+                                  act(m, act(n, labels)))
 
     @staticmethod
     def _assert_equal_to_scalar_sweep(x2, window, res):
