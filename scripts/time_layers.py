@@ -119,6 +119,19 @@ field = SheetField(PlanePoint(1, 0.1))
 anchor, sheets = field.anchor(1)
 table = build_series(LAPLACE_ORDER)
 """
+TRACK_U = """
+import inspect
+from pearcey_wkb.stokes import PAPER_POLYLINE, track_u
+from pearcey_wkb.svgout import render_trajectories
+# the 13 SVG texts of track-u --panels on the paper polyline, no file written
+trace = track_u(PAPER_POLYLINE)
+panel_taus = [min(1.0, v / 12) for v in range(13)]
+if "upto_taus" in inspect.signature(render_trajectories).parameters:
+    render_panels = lambda: render_trajectories(trace, panel_taus, meta="META")
+else:  # a tree that renders one panel a call
+    render_panels = lambda: [render_trajectories(trace, upto_tau=t, meta="META")
+                             for t in panel_taus]
+"""
 
 # layer -> (setup, statement); the setups run in one namespace, in order
 CASES = {
@@ -148,6 +161,7 @@ CASES = {
     "detect_events(PAPER_POLYLINE)": (
         "from pearcey_wkb.stokes import PAPER_POLYLINE, detect_events",
         "detect_events(PAPER_POLYLINE)"),
+    "track-u panels, paper polyline": (TRACK_U, "render_panels()"),
 }
 COLD = ("build_series(8), cold", "elimination, cold", "import pearcey_wkb.cli, cold")
 PER_ATTEMPT = "tracker step"

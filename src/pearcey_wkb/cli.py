@@ -335,17 +335,16 @@ def _cmd_track_u(cfg: RunConfig, args) -> int:
     traj = track_u(path)
     rows = ["tau,x1_re,x1_im,x2_re,x2_im,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im\n"]
     for tau, (x1, x2), vals in zip(traj.taus, traj.points, traj.values):
-        cells = [repr(tau), repr(x1.real), repr(x1.imag), repr(x2.real), repr(x2.imag)]
-        for v in vals:
-            cells += [repr(float(v.real)), repr(float(v.imag))]
-        rows.append(",".join(cells) + "\n")
+        cells = [tau, x1.real, x1.imag, x2.real, x2.imag]
+        for v in vals.tolist():
+            cells += (v.real, v.imag)
+        rows.append(",".join(map(repr, cells)) + "\n")
     p = _write_csv(cfg, "track_u.csv", rows)
     print(p)
     if args.panels:
         nseg = len(path) - 1
-        for v in range(1, len(path) + 1):
-            tau = min(1.0, (v - 1) / nseg)
-            svg = render_trajectories(traj, upto_tau=tau, meta="META")
+        taus = [min(1.0, (v - 1) / nseg) for v in range(1, len(path) + 1)]
+        for v, svg in enumerate(render_trajectories(traj, taus, meta="META"), start=1):
             print(_write_svg(cfg, f"trajectories_{v:02d}.svg", svg))
     return 0
 

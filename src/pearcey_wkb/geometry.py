@@ -22,16 +22,16 @@ zeta_ell, the u_ell and the continued branch of
 f_0 = (6 zeta_ell^2 + x2)^(-1/2) (``LabeledPoint.f0``).  ``char_roots``,
 ``critical_values`` and ``wkb_series.f0_branch`` read it.
 
-Two derived polynomials are computed exactly rather than transcribed,
-because their published displays fail quasi-homogeneity checks (weights
-3, 2, 4, 4 for x1, x2, y, F):
+Two derived polynomials are derived exactly rather than transcribed from
+the paper, because their published displays fail quasi-homogeneity checks
+(weights 3, 2, 4, 4 for x1, x2, y, F):
 
 * ``singular_locus_cubic`` -- the cubic in y cutting out the Borel
-  singularities, obtained by elimination as the z-discriminant of
-  z^4 + x2 z^2 + x1 z + y.
+  singularities, the z-discriminant of z^4 + x2 z^2 + x1 z + y, written
+  out in closed form (the tests check it against the elimination).
 * ``stokes_sextic`` -- the degree-6 polynomial in F whose roots at a fixed
   base point are the pairwise differences of critical values; obtained
-  from the eliminated cubic as its squared-difference resolvent at G = F^2.
+  from the cubic as its squared-difference resolvent at G = F^2.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 from . import tracking
 from .aberth import roots_aberth
 from .errors import NumericError, TurningPointError, ValidationError
-from .multipoly import MultiPoly, discriminant, eval_grid
+from .multipoly import MultiPoly, eval_grid
 
 TURNING_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -271,21 +271,23 @@ def critical_values(x: PlanePoint) -> LabeledRoots3:
 def singular_locus_cubic() -> MultiPoly:
     """Cubic in y cutting out the Borel singularities over (x1, x2).
 
-    Derived as the z-discriminant of z^4 + x2 z^2 + x1 z + y; the published
+    It is the z-discriminant of the depressed quartic z^4 + x2 z^2 + x1 z + y,
+
+        256 y^3 - 128 x2^2 y^2 + 144 x1^2 x2 y - 27 x1^4 + 16 x2^4 y
+        - 4 x1^2 x2^3,
+
+    written out in integers (``multipoly.discriminant`` of the quartic
+    gives it term for term).  Its terms are listed in the order that
+    elimination leaves them in, which the compiled evaluator sums in, so
+    that every value it gives is bitwise the elimination's.  The published
     display of this cubic is not used (two of its printed terms are
     inconsistent with quasi-homogeneity).
     """
-    zvars = ("z",) + XYVARS
-    p = MultiPoly(
-        zvars,
-        {
-            (4, 0, 0, 0): 1,
-            (2, 0, 1, 0): 1,
-            (1, 1, 0, 0): 1,
-            (0, 0, 0, 1): 1,
-        },
+    return MultiPoly(
+        XYVARS,
+        {(2, 3, 0): -4, (0, 4, 1): 16, (4, 0, 0): -27, (2, 1, 1): 144, (0, 2, 2): -128,
+         (0, 0, 3): 256},
     )
-    return discriminant(p, "z").drop_variable("z")
 
 
 @functools.cache

@@ -10,7 +10,8 @@ integration), detects two kinds of events
   joining the other two, a zero of the signed area of the triangle
   u_1 u_2 u_3 at which that u projects inside the segment,
 
-each located by safeguarded secant (regula falsi) bracketing, one bracket
+each located by ITP bracketing (a regula-falsi point, truncated and
+projected so that no bracket takes more steps than bisection), one bracket
 after the other, its labeled u's corrected from its lower end by one
 tracker step (``tracking.polish``) on the same cubic evaluator as the
 track,
@@ -30,6 +31,7 @@ vanishing discontinuity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,8 @@ from .geometry import (
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
 BISECTION_TOL = 1e-10  # width to which detect_events narrows each crossing's bracket
+ITP_K1 = 0.01  # ITP's truncation kappa1, times a bracket's opening width
+ITP_SLACK = 2.0**-10  # share of eps the projection keeps back from roundoff
 NEAR_TOL = 0.04  # raster cells whose u's are closer (relative) are flagged
 
 
@@ -204,7 +208,13 @@ def _u_at(pts, t: float, b: _Bracket) -> list[complex]:
 
     A rejected step is retried as a tracker leg, a ``tracking.Segment`` from
     the bracket's lower end to ``t``, which halves its steps where the u's
-    pass close to each other between the samples; when that fails too,
+    pass close to each other between the samples.  The leg's u's take the
+    labels of the nearest values of the interpolation
+    (``tracking.match_labels``), so that the row is labelled as the
+    bracket's samples are: where the track's step between them swapped two
+    u's that pass close to each other, the leg would otherwise carry the
+    lower sample's labels to a row whose event function is compared with
+    the upper one's.  When the leg fails or the match is ambiguous,
     ``LabelMatchError`` names the bracket.
     """
     w = (t - b.lo) / (b.hi - b.lo)
@@ -215,7 +225,8 @@ def _u_at(pts, t: float, b: _Bracket) -> list[complex]:
         leg = tracking.Segment(_x_at(pts, b.lo), x)
         try:
             vals = tracking.track_family(_cubic_at, leg, b.lo_vals).final.tolist()
-        except ContinuationError as err:
+            vals = [vals[p] for p in tracking.match_labels(guess, vals)]
+        except (ContinuationError, LabelMatchError) as err:
             what = "collinearity" if b.pair is None else f"stokes_crossing of pair {b.pair}"
             raise LabelMatchError(
                 f"tracker step rejected locating the {what} "
@@ -224,13 +235,36 @@ def _u_at(pts, t: float, b: _Bracket) -> list[complex]:
     return vals
 
 
-def _candidates(b: _Bracket) -> list[float]:
-    """The points one step evaluates inside (lo, hi), ascending: the
-    midpoint, the regula-falsi estimate of the zero and two straddle points
-    ``BISECTION_TOL / 4`` either side of it."""
-    est = b.lo - b.f_lo * (b.hi - b.lo) / (b.f_hi - b.f_lo)
-    q = BISECTION_TOL / 4
-    return sorted({t for t in ((b.lo + b.hi) / 2, est - q, est, est + q) if b.lo < t < b.hi})
+def _itp_point(lo: float, hi: float, f_lo: float, f_hi: float, width0: float, j: int) -> float:
+    """Step ``j`` (0, 1, ...) of ITP (interpolate, truncate, project;
+    Oliveira and Takahashi, ACM TOMS 47(1), 2020) in the bracket (lo, hi)
+    of a sign change that opened at width ``width0``, with f_lo, f_hi the
+    function at its ends.
+
+    The regula-falsi point is moved towards the midpoint by
+    kappa1 (hi - lo)^2, kappa1 = ``ITP_K1 / width0``, then projected to
+    within r = eps 2^(n_half - j) - (hi - lo) / 2 of the midpoint, with
+    eps = ``BISECTION_TOL / 2`` and n_half = ceil(log2(width0 / (2 eps))):
+    whichever side holds the zero, the bracket is at most
+    2 eps 2^(n_half - j - 1) wide after the step, so n_half steps, no more
+    than bisection takes, narrow it to ``BISECTION_TOL``.  The radius is
+    taken with eps less its share ``ITP_SLACK``, and at least 0, so that
+    roundoff in the point cannot leave the last bracket a few ulps wider
+    than the tolerance and cost a step more.  A point that rounds onto an
+    end (a zero found at an end, where the truncation is below the spacing
+    of floats) is replaced by the midpoint: a row there would not narrow
+    the bracket.
+    """
+    eps = BISECTION_TOL / 2
+    n_half = math.ceil(math.log2(width0 / (2 * eps)))
+    mid = (lo + hi) / 2
+    x_f = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)
+    delta = ITP_K1 / width0 * (hi - lo) ** 2
+    sigma = math.copysign(1.0, mid - x_f)
+    x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+    r = max(0.0, eps * (1 - ITP_SLACK) * 2.0 ** (n_half - j) - (hi - lo) / 2)
+    x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+    return x if lo < x < hi else mid
 
 
 def detect_events(x_path: list) -> tuple[tracking.Trace, list[StokesEvent]]:
@@ -238,29 +272,31 @@ def detect_events(x_path: list) -> tuple[tracking.Trace, list[StokesEvent]]:
 
     Every sign change between consecutive samples of an event function
     (``_event_value``) is narrowed to width ``BISECTION_TOL``, one bracket
-    after the other.  Each step takes the labeled u's at the bracket's
-    candidates (``_candidates``), all from its lower end (``_u_at``), then
-    keeps the sub-interval where the function changes sign: the midpoint
-    halves the bracket at least, and the straddle points close it once the
-    secant estimate is within a quarter of the tolerance.  The u's at the
-    bracket's centre then decide the event.  A Stokes crossing whose
-    dominance is undecidable raises ``DominanceError``.  A collinearity is
-    a segment crossing where one u projects inside the segment of the other
-    two (``_crosser``), and no event otherwise.  A row the tracker cannot
-    reach raises ``LabelMatchError`` naming its bracket.
+    after the other, by ITP (``_itp_point``): one row a step, the labeled
+    u's at the step's point taken from the bracket's lower end
+    (``_u_at``), keeping the sub-interval where the function changes sign.
+    On a smooth function the steps close in superlinearly, and they never
+    number more than bisection's.  The u's at the bracket's centre then
+    decide the event.  A Stokes crossing whose dominance is undecidable
+    raises ``DominanceError``.  A collinearity is a segment crossing where
+    one u projects inside the segment of the other two (``_crosser``), and
+    no event otherwise.  A row the tracker cannot reach raises
+    ``LabelMatchError`` naming its bracket.
     """
     pts = _path_points(x_path)
     traj = track_u(pts)
     events: list[StokesEvent] = []
     for b in _brackets(traj):
+        width0, j = b.hi - b.lo, 0
         while b.hi - b.lo > BISECTION_TOL:
-            rows = [(t, _u_at(pts, t, b)) for t in _candidates(b)]
-            for t, v in rows:
-                f = _event_value(b.pair, v)
-                if b.f_lo * f <= 0:
-                    b.hi, b.f_hi, b.hi_vals = t, f, v
-                    break
+            t = _itp_point(b.lo, b.hi, b.f_lo, b.f_hi, width0, j)
+            v = _u_at(pts, t, b)
+            f = _event_value(b.pair, v)
+            if b.f_lo * f <= 0:
+                b.hi, b.f_hi, b.hi_vals = t, f, v
+            else:
                 b.lo, b.f_lo, b.lo_vals = t, f, v
+            j += 1
         tau_c = (b.lo + b.hi) / 2
         v_c = _u_at(pts, tau_c, b)
         x_c = _x_at(pts, tau_c)

@@ -7,7 +7,9 @@ and (unless suppressed) a timestamp.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 
 def _fmt(v: float) -> str:
@@ -36,7 +38,15 @@ class SvgCanvas:
         )
 
     def polyline(self, zs, color: str = "#000000", width: float = 1.0):
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (self._map(z) for z in zs))
+        """A polyline through the sequence of complex numbers ``zs``, each
+        mapped as ``_map`` maps it, formatted in one go."""
+        re0, re1, im0, im1 = self.window
+        sx = self.size / (re1 - re0)
+        sy = self.size / (im1 - im0)
+        xy = [0.0] * (2 * len(zs))
+        xy[::2] = [(z.real - re0) * sx for z in zs]
+        xy[1::2] = [(im1 - z.imag) * sy for z in zs]
+        pts = ("%.6g,%.6g " * len(zs))[:-1] % tuple(xy)
         self.elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"/>'
@@ -82,20 +92,29 @@ def render_section(section, extra_dots=(), meta: str = "") -> str:
     return canvas.render()
 
 
-def render_trajectories(traj, upto_tau: float = 1.0, window=None, meta: str = "") -> str:
-    """Three labeled singularity trajectories in the Borel plane."""
-    rows = [v.tolist() for t, v in zip(traj.taus, traj.values) if t <= upto_tau]
-    tracks = [list(track) for track in zip(*rows)]  # Python complex: fast to format
-    if window is None:
-        allv = [z for tr in tracks for z in tr]
-        m = max(max(abs(z.real) for z in allv), max(abs(z.imag) for z in allv)) * 1.2
-        window = (-m, m, -m, m)
-    canvas = SvgCanvas(window=window, meta=meta)
-    canvas.frame()
-    canvas.polyline([complex(window[0], 0), complex(window[1], 0)], color="#cccccc")
-    canvas.polyline([complex(0, window[2]), complex(0, window[3])], color="#cccccc")
-    for i, tr in enumerate(tracks):
-        canvas.polyline(tr, color=TRAJ_COLORS[i], width=1.4)
-        canvas.dot(tr[-1], r=3.0, color=TRAJ_COLORS[i])
-        canvas.text(tr[-1] + 0.03 * abs(window[1]), f"u{i + 1}", color=TRAJ_COLORS[i])
-    return canvas.render()
+def render_trajectories(traj, upto_taus=(1.0,), meta: str = "") -> list[str]:
+    """Three labeled singularity trajectories in the Borel plane, one panel
+    per entry of ``upto_taus``: the tracks up to that tau, in the square
+    window 1.2 times the largest |Re u| or |Im u| they reach.
+
+    The trace is read once, as Python complex: a panel's rows are a prefix
+    of the trace (its taus ascend), and the running maximum of |Re u| and
+    |Im u| over the rows gives every panel's window.
+    """
+    rows = [v.tolist() for v in traj.values]
+    reach = list(accumulate((max(max(abs(z.real), abs(z.imag)) for z in row) for row in rows), max))
+    tracks = [list(track) for track in zip(*rows)]
+    panels = []
+    for upto in upto_taus:
+        k = bisect_right(traj.taus, upto)
+        m = reach[k - 1] * 1.2
+        canvas = SvgCanvas(window=(-m, m, -m, m), meta=meta)
+        canvas.frame()
+        canvas.polyline([complex(-m, 0), complex(m, 0)], color="#cccccc")
+        canvas.polyline([complex(0, -m), complex(0, m)], color="#cccccc")
+        for i, track in enumerate(tracks):
+            canvas.polyline(track[:k], color=TRAJ_COLORS[i], width=1.4)
+            canvas.dot(track[k - 1], r=3.0, color=TRAJ_COLORS[i])
+            canvas.text(track[k - 1] + 0.03 * m, f"u{i + 1}", color=TRAJ_COLORS[i])
+        panels.append(canvas.render())
+    return panels

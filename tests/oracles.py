@@ -28,7 +28,8 @@ event bisection one bracket and one cubic solve at a time, the
 f_0 phase continuation tracked one labeling-path leg at a time, the
 truncated-power expansion of the amplitude exponential, and central finite
 differences of a quartic branch by a Newton iteration of their own on the
-hand-expanded quartic.  Polished roots are checked against mpmath roots at
+hand-expanded quartic, and the trajectory panel drawn one panel and one
+point at a time.  Polished roots are checked against mpmath roots at
 30 digits.  The origin-labelled sheets of the scaled quartic
 are continued from hand-written first-order germs near (0, 0) by the numpy
 step loop.  Event zeros are also located at 30 digits from
@@ -964,3 +965,31 @@ def pearcey_integral_mp(x1, x2, eta, contour, dps=30):
 
         a, b = contour
         return complex(ray(b) - ray(a))
+
+
+def trajectory_panel(traj, upto_tau: float, meta: str = "") -> str:
+    """One trajectory panel of ``track-u --panels`` drawn alone: the rows of
+    the trace up to ``upto_tau``, its window from their largest |Re u| and
+    |Im u|, and each polyline point mapped and formatted by itself."""
+    from pearcey_wkb.svgout import TRAJ_COLORS, SvgCanvas
+
+    rows = [v.tolist() for t, v in zip(traj.taus, traj.values) if t <= upto_tau]
+    tracks = [list(track) for track in zip(*rows)]
+    allv = [z for tr in tracks for z in tr]
+    m = max(max(abs(z.real) for z in allv), max(abs(z.imag) for z in allv)) * 1.2
+    canvas = SvgCanvas(window=(-m, m, -m, m), meta=meta)
+
+    def polyline(zs, color, width):
+        pts = " ".join(f"{x:.6g},{y:.6g}" for x, y in map(canvas._map, zs))
+        canvas.elements.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width:.6g}"/>'
+        )
+
+    canvas.frame()
+    polyline([complex(-m, 0), complex(m, 0)], "#cccccc", 1.0)
+    polyline([complex(0, -m), complex(0, m)], "#cccccc", 1.0)
+    for i, tr in enumerate(tracks):
+        polyline(tr, TRAJ_COLORS[i], 1.4)
+        canvas.dot(tr[-1], r=3.0, color=TRAJ_COLORS[i])
+        canvas.text(tr[-1] + 0.03 * abs(m), f"u{i + 1}", color=TRAJ_COLORS[i])
+    return canvas.render()

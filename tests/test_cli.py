@@ -122,6 +122,23 @@ def test_track_u_csv_fields_are_plain_floats(tmp_path):
             float(field)
 
 
+def test_track_u_panels_equal_panels_drawn_alone(tmp_path):
+    # the panels of one pass over the trace are those drawn one at a time
+    from oracles import trajectory_panel
+    from pearcey_wkb.stokes import PAPER_POLYLINE, track_u
+    from pearcey_wkb.svgout import render_trajectories
+
+    for path in (PAPER_POLYLINE, PAPER_POLYLINE[::-1][:4]):
+        traj = track_u(path)
+        taus = [min(1.0, v / (len(path) - 1)) for v in range(len(path))]
+        panels = render_trajectories(traj, taus, meta="META")
+        assert panels == [trajectory_panel(traj, t, meta="META") for t in taus]
+    out = tmp_path / "o"
+    assert run(["--out-dir", str(out), "--no-timestamp", "track-u", "--path", "paper-polyline",
+                "--panels"]) == 0
+    assert len(list(out.glob("trajectories_*.svg"))) == len(PAPER_POLYLINE)
+
+
 def test_config_file(tmp_path):
     cfgfile = tmp_path / "conf"
     cfgfile.write_text("order=3\n")

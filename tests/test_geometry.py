@@ -19,7 +19,7 @@ from pearcey_wkb.geometry import (
     stokes_sextic_roots,
     turning_discriminant,
 )
-from pearcey_wkb.multipoly import MultiPoly
+from pearcey_wkb.multipoly import MultiPoly, discriminant
 from pearcey_wkb.aberth import roots_aberth
 
 from oracles import multipoly_sympy, singular_cubic_sympy, stokes_sextic_sympy, substitute
@@ -102,6 +102,18 @@ class TestTurningDiscriminant:
 
 
 class TestSingularLocusCubic:
+    def test_equals_the_elimination_term_for_term_in_order(self):
+        # the closed form is the z-discriminant of the depressed quartic,
+        # its terms in the order elimination leaves them, which the
+        # compiled evaluator sums in
+        quartic = MultiPoly(("z", "x1", "x2", "y"),
+                            {(4, 0, 0, 0): 1, (2, 0, 1, 0): 1, (1, 1, 0, 0): 1, (0, 0, 0, 1): 1})
+        eliminated = discriminant(quartic, "z").drop_variable("z")
+        cubic = singular_locus_cubic()
+        assert cubic.variables == eliminated.variables == ("x1", "x2", "y")
+        assert list(cubic.terms.items()) == list(eliminated.terms.items())
+        assert all(type(c) is int for c in cubic.terms.values())
+
     def test_leading_coefficient(self):
         cubic = singular_locus_cubic()
         lead = cubic.as_univariate("y")[3]

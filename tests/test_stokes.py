@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     mp_event_zero,
@@ -229,9 +230,9 @@ PATH_IDS = ["paper", "paper-to-vertex5", "reversed", "constant"]
 
 
 class TestLockstepBisection:
-    """Event bisection one bracket at a time: each step solves its
-    candidates as one batch of rows from the bracket's lower end, one
-    tracker step a row, then tests them in order."""
+    """Event bracketing one bracket at a time: each ITP step takes one row
+    from the bracket's lower end, one tracker step, and keeps the half
+    where the event function changes sign."""
 
     # a random path near the cusp on which two u's nearly collide between
     # two tracker samples, inside a Stokes-crossing bracket
@@ -265,13 +266,13 @@ class TestLockstepBisection:
             assert abs(ev.tau - zero) <= BISECTION_TOL / 2, (ev.kind, ev.pair, ev.tau - zero)
 
     def test_one_batch_per_bisection_step(self, monkeypatch):
-        # secant-straddle steps on 5 Stokes and 2 collinearity brackets, and
-        # each bracket's centre: 107 rows, each one tracker step, and no
-        # Aberth batch
+        # ITP steps on 5 Stokes and 2 collinearity brackets, and each
+        # bracket's centre: 54 rows (107 with the secant-straddle rounds of
+        # four candidates each), each one tracker step, and no Aberth batch
         rows = _count_rows(monkeypatch)
         detect_events(PAPER_POLYLINE)
         assert len(stokes._brackets(track_u(PAPER_POLYLINE))) == 7
-        assert len(rows) == 107
+        assert len(rows) == 54
 
     @pytest.mark.parametrize(
         "path",
@@ -280,8 +281,8 @@ class TestLockstepBisection:
     )
     def test_never_more_batches_than_bisection(self, path, monkeypatch):
         # bisection halves a bracket ceil(log2(width / tol)) times, then
-        # solves once at its centre; the midpoint candidate keeps that worst
-        # case for every bracket.  No step solves an Aberth batch
+        # solves once at its centre; ITP's projection keeps that worst case
+        # for every bracket.  No step solves an Aberth batch
         widths = [b.hi - b.lo for b in stokes._brackets(track_u(path))]
         _count_rows(monkeypatch)
         rows = _recorded_rows(monkeypatch)
@@ -342,10 +343,12 @@ class TestLockstepBisection:
 
     def test_rejected_row_is_retried_as_a_tracker_leg(self, monkeypatch):
         # on this path two u's pass within 1e-3 of each other inside one
-        # tracker step and apart again: the bracket's row at the midpoint
+        # tracker step and apart again, and the track's step swaps their
+        # labels.  The first row of the Stokes bracket that step opens
         # fails the collision guard, measured from the bracket's lower end,
-        # whatever Newton starts from, and is continued there by a tracker
-        # leg that halves its steps.  The one-at-a-time oracle's label
+        # and is continued there by a tracker leg that halves its steps; the
+        # leg's u's carry the lower sample's labels and are relabelled as
+        # the bracket's samples are.  The one-at-a-time oracle's label
         # matching fails there; the events, kinds and labels, are those that
         # matching all three roots of the cubic at each row gave, and each
         # lies within half the tolerance of its 30-digit zero
@@ -362,17 +365,19 @@ class TestLockstepBisection:
         with pytest.raises(LabelMatchError):
             scalar_detect_events(path)
         polish, leg = tracking.polish, tracking.track_family
-        rejected, legs = [], []
+        calls, rejected, legs = [], [], []
 
         def recorded_polish(coeffs, old, guess):
             out = polish(coeffs, old, guess)
             if out is None:
-                rejected.append(old)
+                rejected.append((len(calls), old))
+            calls.append(1)
             return out
 
         def recorded_leg(coeffs_at, piece, start_vals, **kw):
-            legs.append(piece)
-            return leg(coeffs_at, piece, start_vals, **kw)
+            out = leg(coeffs_at, piece, start_vals, **kw)
+            legs.append((piece, out.final.tolist()))
+            return out
 
         traj = track_u(path)
         rows = _recorded_rows(monkeypatch)
@@ -383,12 +388,128 @@ class TestLockstepBisection:
         # track_u's n segments, then the retry: one bare segment
         n = len(path) - 1
         assert len(rejected) == 1
-        assert [(p.index, p.count) for p in legs] == [(i, n) for i in range(1, n + 1)] + [(1, 1)]
-        assert any(v.tolist() == rejected[0] for v in traj.values)  # a tracker sample
+        assert [(p.index, p.count) for p, _ in legs] == [(i, n) for i in range(1, n + 1)] + [(1, 1)]
+        row, old = rejected[0]
+        assert any(v.tolist() == old for v in traj.values)  # a tracker sample
+        # the row holds the leg's u's, two of them under each other's labels
+        retried, final = rows[row][3], legs[-1][1]
+        assert sorted(retried, key=abs) == sorted(final, key=abs)
+        assert sum(a != b for a, b in zip(retried, final)) == 2
         assert [_event_labels(e) for e in got] == want
         for ev in got:
             zero = mp_event_zero(path, ev, centres[ev.tau])
             assert abs(ev.tau - zero) <= BISECTION_TOL / 2, (ev.kind, ev.pair, ev.tau - zero)
+
+    def test_injected_rejection_is_retried_as_a_tracker_leg(self, monkeypatch):
+        # the first row of the second bracket is rejected once and retried
+        # by a tracker leg from that bracket's lower end; its u's keep their
+        # labels, and the events are those of the plain run
+        want = [_event_labels(e) for e in detect_events(PAPER_POLYLINE)[1]]
+        bad = stokes._brackets(track_u(PAPER_POLYLINE))[1]
+        rows = _recorded_rows(monkeypatch)
+        detect_events(PAPER_POLYLINE)
+        skip = sum(b is rows[0][1] for _, b, _, _ in rows)  # the first bracket's rows
+        polish, leg = tracking.polish, tracking.track_family
+        calls, legs = [], []
+
+        def reject_once(coeffs, old, guess):
+            calls.append(1)
+            return None if len(calls) == skip + 1 else polish(coeffs, old, guess)
+
+        def recorded_leg(coeffs_at, piece, start_vals, **kw):
+            out = leg(coeffs_at, piece, start_vals, **kw)
+            legs.append((piece, start_vals, out.final.tolist()))
+            return out
+
+        rows.clear()
+        monkeypatch.setattr(tracking, "polish", reject_once)
+        monkeypatch.setattr(tracking, "track_family", recorded_leg)
+        _, got = detect_events(PAPER_POLYLINE)
+        retry = legs[-1]
+        assert (retry[0].index, retry[0].count) == (1, 1)
+        assert retry[0].a == stokes._x_at(stokes._path_points(PAPER_POLYLINE), bad.lo)
+        assert retry[1] == bad.lo_vals
+        assert rows[skip][3] == retry[2]
+        assert [_event_labels(e) for e in got] == want
+        centres = _centre_values(rows)
+        for ev in got:
+            zero = mp_event_zero(PAPER_POLYLINE, ev, centres[ev.tau])
+            assert abs(ev.tau - zero) <= BISECTION_TOL / 2, (ev.kind, ev.pair, ev.tau - zero)
+
+
+def _itp_narrow(f, lo, hi):
+    """Narrow the sign change of ``f`` in (lo, hi) to ``BISECTION_TOL`` as
+    ``detect_events`` does, each step's point from ``stokes._itp_point``;
+    returns the final (lo, hi, f_lo) and the width after each step."""
+    f_lo, f_hi, width0 = f(lo), f(hi), hi - lo
+    widths = []
+    while hi - lo > BISECTION_TOL:
+        t = stokes._itp_point(lo, hi, f_lo, f_hi, width0, len(widths))
+        assert lo < t < hi
+        ft = f(t)
+        if f_lo * ft <= 0:
+            hi, f_hi = t, ft
+        else:
+            lo, f_lo = t, ft
+        widths.append(hi - lo)
+    return lo, hi, f_lo, widths
+
+
+def _bisection_steps(width):
+    return math.ceil(math.log2(width / BISECTION_TOL))
+
+
+class TestItpPoint:
+    """ITP on synthetic brackets: never more steps than bisection, each
+    step inside the bisection bound, the final bracket within the
+    tolerance around the zero and on the opening sign of f_lo."""
+
+    @pytest.mark.parametrize("zero", [0.3, 0.5, 0.51, 0.7, 0.99])
+    def test_linear_function_needs_few_steps(self, zero):
+        lo, hi, f_lo, widths = _itp_narrow(lambda t: 2.0 * (t - zero), 0.0, 1.0)
+        assert lo <= zero <= hi and hi - lo <= BISECTION_TOL and f_lo < 0
+        # regula falsi is exact on a line: at most 13 of bisection's 34 steps
+        assert len(widths) <= 13 < _bisection_steps(1.0) == 34
+
+    @pytest.mark.parametrize("zero", [0.3, 0.51, 0.99])
+    def test_cubic_zero_where_regula_falsi_stalls(self, zero):
+        # at a triple zero the regula-falsi point creeps towards it from one
+        # side; the projection keeps bisection's step count
+        lo, hi, f_lo, widths = _itp_narrow(lambda t: -((t - zero) ** 3), 0.0, 1.0)
+        assert lo <= zero <= hi and hi - lo <= BISECTION_TOL and f_lo > 0
+        assert len(widths) <= _bisection_steps(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.floats(-2.0, 2.0),
+        log_width=st.floats(-9.9, 0.5),
+        share=st.floats(1e-6, 1.0 - 1e-6),  # f stays far above the underflow of f_lo * f
+        slope=st.floats(1e-8, 1e3),
+        sign=st.sampled_from([1, -1]),
+        kind=st.sampled_from(["linear", "cubic", "tanh", "step"]),
+    )
+    @example(lo=0.5, log_width=math.log10(0.0625), share=0.99, slope=1.0, sign=1, kind="cubic")
+    def test_never_more_steps_than_bisection(self, lo, log_width, share, slope, sign, kind):
+        hi = lo + 10.0**log_width
+        zero = lo + (hi - lo) * share
+        f = {
+            "linear": lambda t: sign * slope * (t - zero),
+            "cubic": lambda t: sign * slope * (t - zero) ** 3,
+            "tanh": lambda t: math.tanh(sign * slope * (t - zero)),
+            "step": lambda t: sign * slope if t > zero else -sign * slope,
+        }[kind]
+        f_lo, f_hi = f(lo), f(hi)
+        if not (hi - lo > BISECTION_TOL and f_lo * f_hi < 0):
+            return
+        n_half = _bisection_steps(hi - lo)
+        end_lo, end_hi, end_f_lo, widths = _itp_narrow(f, lo, hi)
+        assert len(widths) <= n_half
+        # the bracket after step j is no wider than bisection's after j + 1
+        for j, w in enumerate(widths):
+            assert w <= BISECTION_TOL * 2.0 ** (n_half - j - 1)
+        assert end_hi - end_lo <= BISECTION_TOL
+        assert end_f_lo * f_lo > 0
+        assert end_lo <= zero <= end_hi
 
 
 class TestConnectionWalk:

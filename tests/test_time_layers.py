@@ -49,10 +49,10 @@ def test_counting_hooks_around_a_cli_call(time_layers, tmp_path):
         assert main(argv) == 0
     assert counts["tracker.anchor.legs"] > 0
     assert counts["calls.QuarticSpec.coeffs"] > 0
-    # the paper polyline's 5 Stokes and 2 collinearity brackets, 107 rows
+    # the paper polyline's 5 Stokes and 2 collinearity brackets, 54 rows
     with time_layers.counting() as counts:
         assert main(["--out-dir", str(tmp_path), "connect", "--path", "paper-polyline"]) == 0
-    assert (counts["events.brackets"], counts["events.rows"]) == (7, 107)
+    assert (counts["events.brackets"], counts["events.rows"]) == (7, 54)
     assert patched == (borel.monodromy, borel._cut_jump, borel.SheetField.anchor,
                        borel.SheetField.track_stops, tracking.track_family, stokes._brackets)
 
