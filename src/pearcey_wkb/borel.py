@@ -69,7 +69,6 @@ RHO_REL = 0.18  # approach radius around a singularity, relative to min separati
 PASS_REL = 0.05  # a route leg or Laplace ray passing nearer a singularity than this (same scale)
 ANCHOR_REL = 0.3  # anchor radius above each u_ell, relative to min separation
 LOOP_REL = 0.25  # monodromy loop radius around u_ell, relative to |u_ell|
-THETA_LIFT = 2e-3  # cut-approach angle for one-sided limits (Richardson halves it)
 
 
 # -- quartic data -----------------------------------------------------------------
@@ -253,10 +252,7 @@ def branches_at_p(ell: int, s: complex, t: complex = 0.0) -> np.ndarray:
             f"evaluation at the branch point p_{ell}; the local cut starts there"
         )
     spec = quartic_spec("st")
-    coeffs = spec.coeffs(s, 0.0)
-    from .aberth import roots_aberth
-
-    roots = roots_aberth(coeffs, tol=1e-13)
+    roots = np.roots(spec.coeffs(s, 0.0)[::-1])
     order = np.argsort([min(abs(r - H3_CONST), abs(r - H4_CONST)) for r in roots])
     reg = [roots[order[0]], roots[order[1]]]
     sing = [roots[order[2]], roots[order[3]]]
@@ -620,9 +616,9 @@ def discontinuity(
     detour through the remaining singularity u_j (segment to u_j, branch
     swap there, segment to u_k).  ``y`` must lie on the cut {u_k + positive
     reals} with |y - u_k| below half the singularity separation; the jump
-    f(y) - f(u_k + (y - u_k) e^(2 pi i)) is computed as a Richardson limit
-    of one-sided circle approaches at radius |y - u_k|.  ``field_or_x`` is
-    the base point or its ``SheetField``, whose anchors are then reused.
+    f(y) - f(u_k + (y - u_k) e^(2 pi i)) is read on the cut, from the two
+    sides of the circle of radius |y - u_k| (``_cut_jump``).  ``field_or_x``
+    is the base point or its ``SheetField``, whose anchors are then reused.
     """
     if kind not in ("plain", "tilde"):
         raise ValidationError("kind must be 'plain' or 'tilde'")
@@ -669,10 +665,10 @@ def discontinuity(
 def psi_on_cut(field_or_x, k: int, y: complex) -> complex:
     """Standard on-cut value of one Borel transform at y = u_k + sigma.
 
-    This is the jump of the fourth origin sheet across the cut divided by
-    sqrt(pi)/i, the quantity the discontinuity identities are stated
-    against; it equals the arg -> 2 pi (k = 1, 3) or arg -> 0 (k = 2)
-    boundary value of the local series.
+    This is the jump of the fourth origin sheet across the cut, read on the
+    cut (``_cut_jump``), divided by sqrt(pi)/i: the quantity the
+    discontinuity identities are stated against.  It equals the arg -> 2 pi
+    (k = 1, 3) or arg -> 0 (k = 2) boundary value of the local series.
     """
     field = field_or_x if isinstance(field_or_x, SheetField) else SheetField(field_or_x)
     uk = field.u(k)
@@ -696,20 +692,15 @@ def _cut_jump(field: SheetField, uk: complex, R: float, start, sheets, read) -> 
     """Jump of ``read(sheet tuple)`` across the cut at u_k + R.
 
     ``sheets`` hold at ``start``, a point of u_k's anchor frame above u_k.
-    From there each side descends to the circle of radius R and sweeps to
-    angle theta above the cut or 2 pi - theta below it; the jump is the
-    Richardson limit 2 d(theta/2) - d(theta), theta = THETA_LIFT, of the
-    differences d(theta) = above - below.
+    From there each side descends to u_k + i R and follows the circle of
+    radius R to the cut: clockwise to angle 0 above it, counterclockwise to
+    angle 2 pi below it.  The sheets are analytic on that circle (the cut
+    labels the sides; it is no singularity of the tracked values), so the
+    jump is read(above) - read(below), with no limit to take.
     """
-
-    def delta(theta: float) -> complex:
-        above = _cut_side(field, uk, R, start, sheets, theta)
-        below = _cut_side(field, uk, R, start, sheets, 2 * pi - theta)
-        return read(above) - read(below)
-
-    d1 = delta(THETA_LIFT)
-    d2 = delta(THETA_LIFT / 2)
-    return 2 * d2 - d1
+    above = _cut_side(field, uk, R, start, sheets, 0.0)
+    below = _cut_side(field, uk, R, start, sheets, 2 * pi)
+    return read(above) - read(below)
 
 
 def _ray_angle(u: complex) -> float:

@@ -36,9 +36,10 @@ class DegenerateLeadingCoefficient(ValidationError):
 
 
 class RootConvergenceError(NumericError):
-    """Simultaneous root iteration failed to converge.
+    """A polynomial's computed roots failed the solver's residual test.
 
-    Carries the last iterate so callers can diagnose near-multiple roots.
+    Carries those roots as ``last_iterate`` so callers can diagnose
+    near-multiple roots.
     """
 
     def __init__(self, message, last_iterate=None):

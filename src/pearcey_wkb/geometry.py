@@ -345,7 +345,10 @@ def stokes_sextic_grid(x1, x2) -> np.ndarray:
 
 
 def stokes_sextic_roots(x: PlanePoint) -> np.ndarray:
-    return roots_aberth(stokes_sextic_coeffs(x))
+    """The six roots in F of the derived sextic at x: +- the square roots of
+    the roots of its even part, a cubic in G = F^2."""
+    f = np.sqrt(roots_aberth(stokes_sextic_coeffs(x)[::2]))
+    return np.concatenate([f, -f])
 
 
 def export_polynomials() -> dict:

@@ -455,7 +455,7 @@ def raster_section(
     """Sample the Stokes indicators on an x1 grid at fixed x2.
 
     The cubic is solved for the whole grid, ``BLOCK`` cells per vectorised
-    Aberth batch: a 32x32 grid in one batch, the CLI's default 128x128 in
+    solver batch: a 32x32 grid in one batch, the CLI's default 128x128 in
     eight.  Labels then continue from the bottom-left cell, up column 0 and
     along each row (``_label_sweep``), composed from batched matches across
     the sweep's cell edges without a Python step per row or column.  Cells

@@ -60,7 +60,7 @@ from math import floor, inf
 
 import numpy as np
 
-from .aberth import _newton_polish, poly_eval_many, roots_aberth
+from .aberth import _newton_polish, poly_eval_many
 from .errors import ContinuationError, LabelMatchError
 
 GUARD_RATIO = 3.0
@@ -683,6 +683,6 @@ def solve_and_match(coeffs, approx_vals):
     stays while the benchmark tracer (``perfbench/tracer.py``) binds it by
     name.
     """
-    roots = roots_aberth(coeffs)
+    roots = np.roots(np.asarray(coeffs, dtype=complex)[::-1])
     perm = match_labels(approx_vals, roots, guard_ratio=SOLVE_GUARD_RATIO)
     return np.array([roots[p] for p in perm])

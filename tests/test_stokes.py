@@ -175,7 +175,7 @@ def _event_labels(ev):
 
 def _count_rows(monkeypatch):
     """Count the event rows, the calls of ``tracking.polish`` (one per row of
-    ``stokes._u_at``); returns a list whose length is that count.  Any Aberth
+    ``stokes._u_at``); returns a list whose length is that count.  Any root-solver
     batch solved meanwhile fails the test."""
     rows = []
     polish = tracking.polish
@@ -185,7 +185,7 @@ def _count_rows(monkeypatch):
         return polish(coeffs, old, guess)
 
     def no_batch(*args, **kw):
-        raise AssertionError("events solved an Aberth batch")
+        raise AssertionError("events solved a root-solver batch")
 
     monkeypatch.setattr(tracking, "polish", counted)
     monkeypatch.setattr(stokes, "roots_aberth_batch", no_batch)
@@ -268,7 +268,7 @@ class TestLockstepBisection:
     def test_one_batch_per_bisection_step(self, monkeypatch):
         # ITP steps on 5 Stokes and 2 collinearity brackets, and each
         # bracket's centre: 54 rows (107 with the secant-straddle rounds of
-        # four candidates each), each one tracker step, and no Aberth batch
+        # four candidates each), each one tracker step, and no root-solver batch
         rows = _count_rows(monkeypatch)
         detect_events(PAPER_POLYLINE)
         assert len(stokes._brackets(track_u(PAPER_POLYLINE))) == 7
@@ -282,7 +282,7 @@ class TestLockstepBisection:
     def test_never_more_batches_than_bisection(self, path, monkeypatch):
         # bisection halves a bracket ceil(log2(width / tol)) times, then
         # solves once at its centre; ITP's projection keeps that worst case
-        # for every bracket.  No step solves an Aberth batch
+        # for every bracket.  No step solves a root-solver batch
         widths = [b.hi - b.lo for b in stokes._brackets(track_u(path))]
         _count_rows(monkeypatch)
         rows = _recorded_rows(monkeypatch)
@@ -799,7 +799,9 @@ class TestSexticGeometricAgreement:
         x1.real = np.linspace(-0.8, 0.8, n)[None, :]
         x1.imag = np.linspace(-0.8, 0.8, n)[:, None]
         u_vals = roots_aberth_batch(singular_cubic_grid(x1.ravel(), x2), tol=1e-12)
-        f_vals = roots_aberth_batch(stokes_sextic_grid(x1.ravel(), x2), tol=1e-10)
+        # the sextic's roots F are +- the square roots of its cubic in G = F^2
+        g_vals = roots_aberth_batch(stokes_sextic_grid(x1.ravel(), x2)[:, ::2], tol=1e-10)
+        f_vals = np.concatenate([np.sqrt(g_vals), -np.sqrt(g_vals)], axis=1)
         u_vals, f_vals = u_vals.reshape(n, n, 3), f_vals.reshape(n, n, 6)
         sep = np.abs(u_vals[..., [0, 0, 1]] - u_vals[..., [1, 2, 2]]).min(axis=-1)
         near = sep < 0.05 * np.maximum(1e-12, np.abs(u_vals).max(axis=-1))
