@@ -58,6 +58,11 @@ EXTRA = [
     ["track-u", "--path", "0.15,0/0,0;1e200,0/0,0"],
     ["borel", "--x1=1", "--x2=0", "--y=1e200", "--ell", "1"],
     ["quadrature", "--x1=1e200", "--x2=0", "--eta", "1", "--contour", "0,1"],
+    # origin seeds next to the sheet node (t^2 + 2t)/4, turned off it (exit 0)
+    ["borel", "--x1", "1", "--x2", "0.032", "--y", "0.3", "--ell", "3"],
+    ["borel", "--x1", "1", "--x2", "0.0322", "--y", "0.3", "--ell", "3"],
+    ["quadrature", "--x1", "1", "--x2", "0.0322", "--eta", "8", "--contour", "0,1",
+     "--compare-borel"],
 ]
 INPUTS = {
     "rows.json": "[[0.15, 0, 0, 0], [0.15, 0]]",

@@ -22,8 +22,8 @@ runs slow is scaled down by as much as the loop slowed next to it.
 Next to the times, one counting interpreter per tree runs each layer's
 statement once more under ``counting()``, and one per workload runs the
 seed-1 plan of ``perfbench/workloads.py``.  The counts do not depend on the
-machine: tracker legs, accepted and rejected steps, landed stops and
-their fallbacks per context, the event brackets and rows, Laplace nodes,
+machine: tracker legs, failed legs, accepted and rejected steps, landed
+stops and their fallbacks per context, the event brackets and rows, Laplace nodes,
 the calls of ``roots_aberth_batch``, of ``poly_eval_many`` and the rows
 it evaluates, the calls of the coefficient evaluators and the exact
 products (``MultiPoly``, ``ZetaRational``) and derivatives.
@@ -200,7 +200,8 @@ def counting():
     ``Segment`` or an ``Arc``): it attempts one step per call of its
     coefficient callable, the first argument, after the call at tau = 0
     and outside ``tracking._land_stops``, and accepts those that add a
-    point to its trace.  The stops it lands in one batch there are counted
+    point to its trace; a leg that raises ``ContinuationError`` is counted
+    as ``failed``, whether or not a caller recovers from it.  The stops it lands in one batch there are counted
     as ``landed``, and those of them landed again by a scalar leg
     (``tracking._fallback``, whose steps are not attempts of the leg) as
     ``fallbacks``; a tree that lands stops as steps, without these two
@@ -217,6 +218,7 @@ def counting():
     the Horner work of the root solves, whatever their batching.
     """
     from pearcey_wkb import aberth, borel, stokes, tracking
+    from pearcey_wkb.errors import ContinuationError
 
     counts, stack, patched = Counter(), ["rest"], []
 
@@ -254,6 +256,9 @@ def counting():
             before, context, landed = len(trace.taus), stack[-1], landing[1]
             try:
                 return real(counted, *args, **kw)
+            except ContinuationError:
+                counts[f"tracker.{context}.failed"] += 1
+                raise
             finally:
                 accepted = max(0, len(trace.taus) - before - 1 - (landing[1] - landed))
                 counts[f"tracker.{context}.legs"] += 1

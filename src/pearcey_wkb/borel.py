@@ -39,12 +39,16 @@ are continued by ``track_s_with_bows``.  Origin labels reach a point by one
 route, :func:`branches_at_origin`: one tracker step polishes the
 first-order germs near (0, 0), and the result is continued radially, so a
 field of any t seeds there.
+
+The scaled quartic's g-discriminant is 4096 L (4s - t^2 - 2t)^2 (16s^2 -
+8st^2 + 8st + t^4 - 2t^3 + 4t^2)^2, L its g^4 coefficient: off the u_ell,
+two sheets meet only at the nodes (t^2 + 2 omega t)/4, omega^3 = 1, with no
+monodromy, and routes are planned around them (:func:`_detour`).
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import pi, sqrt
@@ -69,6 +73,8 @@ RHO_REL = 0.18  # approach radius around a singularity, relative to min separati
 PASS_REL = 0.05  # a route leg or Laplace ray passing nearer a singularity than this (same scale)
 ANCHOR_REL = 0.3  # anchor radius above each u_ell, relative to min separation
 LOOP_REL = 0.25  # monodromy loop radius around u_ell, relative to |u_ell|
+NODE_REL = 0.1  # stretch clearance around a sheet node, relative to the node spacing
+MERGE_REL = 0.01  # nodes spaced closer than this, relative to min separation, are kept off as one
 
 
 # -- quartic data -----------------------------------------------------------------
@@ -165,12 +171,10 @@ def origin_germs(s: complex, t: complex) -> np.ndarray:
     )
 
 
-def _seed_point(s: complex, t: complex) -> tuple[complex, complex]:
+def _seed_scale(s: complex, t: complex) -> float:
+    """The factor f of the origin seed point (f s, f t) of (s, t)."""
     scale = max(abs(s), abs(t))
-    if scale == 0:
-        return 0j, 0j
-    f = min(1.0, SEED_SCALE / scale)
-    return s * f, t * f
+    return 1.0 if scale == 0 else min(1.0, SEED_SCALE / scale)
 
 
 def branches_at_origin(s: complex, t: complex) -> np.ndarray:
@@ -192,7 +196,8 @@ def branches_at_origin(s: complex, t: complex) -> np.ndarray:
     if s == 0 and t == 0:
         return np.array([1 / 3, 1 / 3, 1 / 3, -1], dtype=complex)
     spec = quartic_spec("st")
-    s1, t1 = _seed_point(s, t)
+    f = _seed_scale(s, t)
+    s1, t1 = s * f, t * f
     for k in range(SEED_HALVINGS + 1):
         s0, t0 = s1 * 0.5**k, t1 * 0.5**k
         germs = origin_germs(s0, t0).tolist()
@@ -275,79 +280,60 @@ def branches_at_p(ell: int, s: complex, t: complex = 0.0) -> np.ndarray:
 
 def track_s_with_bows(field, vals, s_path) -> np.ndarray:
     """Leg-by-leg tracking of ``field``'s sheets along an s-path at its t,
-    with detours around sheet-value crossings.
+    each straight stretch planned around the sheet nodes.
 
     A path is a list of pieces, each a point or a :class:`tracking.Arc`.  It
     starts at its first piece and runs straight to each next point; it runs
     straight to an arc's start (unless it is already there) and then along
-    the arc.  Each straight stretch (a :class:`tracking.Segment`) and each
-    arc is one tracker leg under the one failure rule of :func:`_leg`.
+    the arc.  A straight stretch runs through the waypoints of
+    :func:`_detour`, one tracker leg (a :class:`tracking.Segment`) from
+    each knot to the next, and an arc is one leg.  A failing leg raises
+    ``ContinuationError`` naming the piece and the tau or angle reached.
     """
     cur = np.asarray(vals, dtype=complex)
     here = _start(s_path[0])
     for piece in s_path:
         start = _start(piece)
         if start != here:
-            cur = _leg(field, cur, tracking.Segment(here, start))[-1]
+            knots = [here, *_detour(field, here, start), start]
+            for a, b in zip(knots, knots[1:]):
+                cur = tracking.track_family(field.coeffs_at, tracking.Segment(a, b), cur).final
         here = start
         if isinstance(piece, tracking.Arc):
-            cur = _leg(field, cur, piece)[-1]
+            cur = tracking.track_family(field.coeffs_at, piece, cur).final
             here = piece.end
     return cur
 
 
-def _leg(field, vals, piece, depth=0, stops=()) -> list[np.ndarray]:
-    """``field``'s sheet tuples along one tracker leg on ``piece`` from
-    ``vals``: one per tau of a segment's ascending ``stops``, then the end's.
+def _detour(field, a: complex, b: complex, nodes=None) -> list[complex]:
+    """Waypoints that keep the straight stretch a -> b off the sheet nodes.
 
-    Two sheets of the quartic can take the same value away from any branch
-    point (distinct saddles sharing one value of g).  Such crossings stop
-    nearest-match tracking but carry no monodromy, so a small bow around
-    them leaves the continuation class unchanged.  Where a leg fails, the
-    stretch around the failure is bowed as a chord: on a segment from the
-    last stop reached (or its start) to the next stop (or its end), so a
-    segment without stops is bowed whole; on an arc from ``ARC_STEP``
-    radians before the failure point to ``ARC_STEP`` past it.  The chord's
-    two legs nest one level deeper; the rest of the piece is tracked from
-    the chord's end at the failing leg's depth, and bowed again where it
-    fails.  Below depth 4 and far from every labelled singularity u_ell of
-    the field (scale: their minimum separation) the bow is attempted;
-    otherwise the error propagates.
+    Two sheets cross at each node with no monodromy, so either side of a
+    node gives the same sheets, but a leg through it cannot tell them apart.
+    A stretch passing a point of ``field.node_centers`` nearer than r =
+    min(``field.node_radius``, a third of the point's distance to either
+    end) gets a waypoint r from it, on the side the stretch passes (its
+    left through the point) unless that triangle holds a u_ell, else on
+    the other; the stretches to and from it are checked against the rest.
     """
-    trace = tracking.Trace()
-    try:
-        tracking.track_family(field.coeffs_at, piece, vals, trace=trace, stops=stops)
-        failure = None
-    except ContinuationError as err:
-        failure = err
-    hit = set(stops)
-    out = [v for tau, v in zip(trace.taus, trace.values) if tau in hit]
-    if failure is None:
-        return out + [trace.final]
-    loc, sep_s = failure.location, field.min_sep / abs(field.x1_quarter)
+    nodes = field.node_centers if nodes is None else nodes
     s_stars = field.u_vals / field.x1_quarter
-    if not (depth < 4 and loc is not None and min(abs(loc - s_stars)) >= 0.12 * sep_s):
-        raise failure
-    if isinstance(piece, tracking.Segment):
-        k = len(out)
-        tau_b = stops[k] if k < len(stops) else 1.0
-        start, chord = (out[-1] if k else vals), piece.part(stops[k - 1] if k else 0, tau_b)
-    elif trace.taus:
-        reach = tracking.ARC_STEP / abs(piece.theta1 - piece.theta0)
-        i = max(0, bisect_right(trace.taus, trace.taus[-1] - reach) - 1)
-        tau_b = min(1.0, trace.taus[-1] + reach)
-        start, chord = trace.values[i], tracking.Segment(trace.points[i], piece.at(tau_b))
-    else:
-        raise failure
-    mid = loc + 1j * (chord.b - chord.a) / abs(chord.b - chord.a) * 0.05 * sep_s
-    bowed = _leg(field, start, tracking.Segment(chord.a, mid), depth + 1)[-1]
-    bowed = _leg(field, bowed, tracking.Segment(mid, chord.b), depth + 1)[-1]
-    if len(out) < len(stops):  # the chord ends on the next stop
-        out.append(bowed)
-    if tau_b == 1.0:
-        return out + [bowed]
-    rest = [(tau - tau_b) / (1.0 - tau_b) for tau in stops[len(out) :]]
-    return out + _leg(field, bowed, piece.part(tau_b, 1.0), depth, rest)
+    for k, node in enumerate(nodes):
+        q = (node - a) / (b - a)  # the node at tau q.real, q.imag stretch lengths to the left
+        r = min(field.node_radius, abs(node - a) / 3, abs(node - b) / 3)
+        if 0 < q.real < 1 and abs(q.imag * (b - a)) < r:
+            rest = nodes[:k] + nodes[k + 1 :]
+            side = (-1j if q.imag > 0 else 1j) * (b - a) / abs(b - a)  # where it passes the node
+            for w in (node + r * side, node - r * side):
+                if not any(_in_triangle(u, a, w, b) for u in s_stars):
+                    return [*_detour(field, a, w, rest), w, *_detour(field, w, b, rest)]
+    return []
+
+
+def _in_triangle(p: complex, a: complex, b: complex, c: complex) -> bool:
+    """Whether p lies strictly inside the triangle a, b, c."""
+    turns = [((y - x).conjugate() * (p - x)).imag for x, y in ((a, b), (b, c), (c, a))]
+    return all(z > 0 for z in turns) or all(z < 0 for z in turns)
 
 
 def _start(piece) -> complex:
@@ -392,7 +378,12 @@ class SheetField:
     of the principal cube root of x1 (x1 = 0 raises ``ValidationError``).
     The scaling is complex, so an arc in y is an arc in s.  A path is a
     list of points and :class:`tracking.Arc` pieces, as in
-    :func:`track_s_with_bows`.  ``x1_quarter`` is x1^(4/3).
+    :func:`track_s_with_bows`.  ``x1_quarter`` is x1^(4/3).  ``nodes`` are
+    the sheet nodes (t^2 + 2 omega t)/4, omega^3 = 1.  Straight stretches
+    keep ``node_radius`` off each of ``node_centers``: the nodes, at
+    ``NODE_REL`` times the smaller of the u_ell's and the nodes' spacing;
+    or their centroid t^2/4 at ``MERGE_REL`` times the u_ell's spacing,
+    when the nodes crowd closer than that round the triple point of t = 0.
 
     Each Borel transform also has an *anchor*: the sheet tuple carried to
     the point u_ell + i r directly above its singularity, reached from the
@@ -414,6 +405,13 @@ class SheetField:
         self.t = complex(x.x2) / c**2
         self.u_vals = np.array(labeled_point(x).us.values, dtype=complex)
         self.min_sep = tracking._min_pairwise(self.u_vals)
+        t, sep_s = self.t, self.min_sep / abs(self.x1_quarter)
+        self.nodes = tuple((t * t + 2 * w * t) / 4 for w in np.exp(2j * pi / 3 * np.arange(3)))
+        spacing = sqrt(0.75) * abs(t)
+        if spacing < MERGE_REL * sep_s:
+            self.node_centers, self.node_radius = (t * t / 4,), MERGE_REL * sep_s
+        else:
+            self.node_centers, self.node_radius = self.nodes, NODE_REL * min(sep_s, spacing)
         self.spec = quartic_spec("st")
         self._anchors: dict[int, tuple[complex, np.ndarray, np.ndarray]] = {}  # see anchor
 
@@ -443,12 +441,19 @@ class SheetField:
 
         The seed is :func:`branches_at_origin` at the field's t and s0 =
         ``SEED_SCALE`` min(1, |s(min_sep)|) in the direction of the path's
-        start; the path then runs from s0.
+        start, turned by pi/3 where the seed's radial leg (lambda s0,
+        lambda t), f <= lambda <= 1, passes a node centre c nearer than
+        lambda ``node_radius``: where s0 lies that near the segment from
+        c - (1 - f) t^2/4 to c.  The path then runs from s0.
         """
         s_path = self._s_path(y_path)
         start = _start(s_path[0])
         d = start / abs(start) if start != 0 else 1.0
         s0 = d * SEED_SCALE * min(1.0, abs(self.s_of_y(self.min_sep)))
+        shift = (1 - _seed_scale(s0, self.t)) * self.t**2 / 4
+        if any(_segment_point_distance(c - shift, c, s0) < self.node_radius
+               for c in self.node_centers):
+            s0 *= np.exp(1j * pi / 3)
         return track_s_with_bows(self, branches_at_origin(s0, self.t), [s0] + s_path)
 
     def track_from(self, vals, y_path) -> np.ndarray:
@@ -461,12 +466,13 @@ class SheetField:
         y0 -> y1, one per tau in the ascending ``stops`` (in (0, 1]).
 
         The segment is one tracker leg landing on every stop (in one batch
-        after its steps, see ``tracking.track_family``), under the failure
-        rule of every leg (:func:`_leg`): a failure bows the stretch from
-        the last stop reached to the next one.
+        after its steps, see ``tracking.track_family``).  It is not planned
+        around the sheet nodes: a Laplace ray runs far from them.
         """
         segment = tracking.Segment(self.s_of_y(y0), self.s_of_y(y1))
-        return _leg(self, vals, segment, stops=[float(tau) for tau in stops])[: len(stops)]
+        leg = tracking.track_family(self.coeffs_at, segment, vals, stops=stops)
+        at = dict(zip(leg.taus, leg.values))
+        return [at[tau] for tau in stops]
 
     def anchor(self, ell: int) -> tuple[complex, np.ndarray]:
         """Anchor point u_ell + i r and the sheet tuple carried there.

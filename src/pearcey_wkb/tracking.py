@@ -598,11 +598,6 @@ class Segment:
             f"to {_knot_text(self.b)}, at tau {tau:.6g}"
         )
 
-    def part(self, tau0: float, tau1: float) -> Segment:
-        """The stretch from parameter tau0 to tau1, on the knots at 0 and 1."""
-        ends = (self.a if tau0 == 0 else self.at(tau0), self.b if tau1 == 1 else self.at(tau1))
-        return Segment(*ends, self.index, self.count)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -643,10 +638,6 @@ class Arc:
         """Tau-step cap: ``ARC_STEP`` radians, at most ``MAX_STEP``."""
         span = abs(self.theta1 - self.theta0)
         return MAX_STEP if span * MAX_STEP <= ARC_STEP else ARC_STEP / span
-
-    def part(self, tau0: float, tau1: float) -> Arc:
-        """The stretch from parameter tau0 to tau1."""
-        return Arc(self.center, self.radius, self.angle(tau0), self.angle(tau1))
 
     def scaled(self, factor: complex) -> Arc:
         """The image arc under z -> factor * z."""

@@ -1,10 +1,12 @@
 import cmath
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -13,6 +15,7 @@ from oracles import chord_anchor, chord_cut_side, chord_monodromy, fd_jets, orig
 from pearcey_wkb import borel, tracking
 from pearcey_wkb.cli import main
 from pearcey_wkb.borel import (
+    STVARS,
     H3_CONST,
     H4_CONST,
     SheetField,
@@ -33,6 +36,7 @@ from pearcey_wkb.borel import (
 )
 from pearcey_wkb.errors import ContinuationError, CutError, ValidationError
 from pearcey_wkb.geometry import PlanePoint, p_ell, singular_cubic_coeffs
+from pearcey_wkb.multipoly import MultiPoly, discriminant
 from pearcey_wkb.quadrature import laplace_borel_sum
 from pearcey_wkb.wkb_series import borel_coeffs
 
@@ -255,6 +259,115 @@ class TestSeeding:
         seeded = field.track_y_polyline([s0 * field.x1_quarter])
         want = origin_sheets_oracle(s0, field.t)
         assert np.max(np.abs(seeded - want)) <= 1e-12
+
+
+def _node_factors(variables):
+    """The two squared factors of the quartic's g-discriminant, 4 s - t^2 - 2 t
+    and 16 s^2 - 8 s t^2 + 8 s t + t^4 - 2 t^3 + 4 t^2, as MultiPolys."""
+    s, t = MultiPoly.var(variables, "s"), MultiPoly.var(variables, "t")
+    return (
+        s * 4 - t**2 - t * 2,
+        s**2 * 16 - s * t**2 * 8 + s * t * 8 + t**4 - t**3 * 2 + t**2 * 4,
+    )
+
+
+class TestSheetNodes:
+    def test_discriminant_factors_over_the_nodes(self):
+        # apart from the zeros of the leading coefficient (the u_ell), two
+        # sheets meet only where a squared factor vanishes
+        names = ("s", "t", "g")
+        g = MultiPoly.var(names, "g")
+        polys = borel._st_quartic_polys()
+        quartic = sum((p.embed(names) * g**k for k, p in enumerate(polys)), MultiPoly.zero(names))
+        linear, quadratic = _node_factors(names)
+        want = polys[4].embed(names) * linear**2 * quadratic**2 * 4096
+        assert discriminant(quartic, "g") == want
+
+    def test_discriminant_factors_in_sympy(self):
+        s, t, g = sympy.symbols("s t g")
+        lead = 256 * s**3 - 128 * s**2 * t**2 + 16 * s * t * (t**3 + 9) - 4 * t**3 - 27
+        quartic = lead * g**4 + (4 * t**3 - 16 * s * t + 18) * g**2 - 8 * g + 1
+        linear = 4 * s - t**2 - 2 * t
+        quadratic = 16 * s**2 - 8 * s * t**2 + 8 * s * t + t**4 - 2 * t**3 + 4 * t**2
+        got = sympy.discriminant(quartic, g)
+        assert sympy.expand(got - 4096 * lead * linear**2 * quadratic**2) == 0
+
+    @pytest.mark.parametrize("t", [0.1, 0.0322, 0.13 - 0.07j, -0.2j, 1.5 + 0.5j], ids=str)
+    def test_nodes_are_the_roots_of_the_squared_factors(self, t):
+        field = SheetField(PlanePoint(1.0, t))
+        assert field.t == t
+        linear, quadratic = _node_factors(STVARS)
+        n1, *pair = field.nodes
+        scale = (1 + abs(t)) ** 4
+        assert abs(linear.eval_numeric({"s": n1, "t": t})) <= 1e-14 * scale
+        for n in pair:
+            assert abs(quadratic.eval_numeric({"s": n, "t": t})) <= 1e-14 * scale
+        # two sheets meet there: the quartic has a double root
+        for n in field.nodes:
+            roots = np.roots(field.coeffs_at(n)[::-1])
+            assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) < 1e-6
+        spacing = min(field.min_sep / abs(field.x1_quarter), np.sqrt(3) / 2 * abs(t))
+        assert field.node_centers == field.nodes
+        assert field.node_radius == pytest.approx(borel.NODE_REL * spacing, rel=1e-15)
+
+    def test_waypoint_keeps_each_singularity_on_its_side(self, monkeypatch):
+        # near the caustic (|t| = 1.47) a node sits between u_1 and u_3, 4e-3
+        # from each, and u_3's anchor leg passes u_1 at 7e-5 on the side it
+        # passes the node: a waypoint there would carry the leg across u_1
+        # (and the anchor misses its local series by 56%), so it goes on
+        # the node's other side
+        x = PlanePoint(1.0, 0.6886924026047935 - 1.3016722462544994j)
+        with monkeypatch.context() as m:
+            m.setattr(borel, "_in_triangle", lambda *args: False)
+            with pytest.raises(ValidationError, match="anchor germ disagrees"):
+                SheetField(x).anchor(3)
+        SheetField(x).anchor(3)
+
+    @pytest.mark.parametrize("x2", [0.0, 1e-6, 1e-6j], ids=str)
+    def test_crowded_nodes_are_passed_as_one(self, x2):
+        # at t = 0 three sheets meet at the origin, and nodes spaced below
+        # MERGE_REL min_sep crowd it: the slit-plane route to y = 0.25 runs
+        # along the real axis through them, passes their centroid
+        # node_radius above, and gives the value of a route 0.1 above it
+        x = PlanePoint(1.0, x2)
+        field = SheetField(x)
+        t = field.t
+        assert field.node_centers == (t * t / 4,)
+        sep_s = field.min_sep / abs(field.x1_quarter)
+        assert field.node_radius == borel.MERGE_REL * sep_s
+        a = field.anchor(1)[0]
+        left = min(u.real for u in field.u_vals) - field.min_sep
+        over = [complex(left, a.imag), complex(left, 0.1), 0.25 + 0.1j, 0.25]
+        want = psi_borel_eval(1, x, 0.25, path=over).value
+        assert abs(psi_borel_eval(1, x, 0.25).value - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the seed's radial leg ran into the node (t^2 + 2t)/4: step underflow
+        ["borel", "--x1", "1", "--x2", "0.032", "--y", "0.3", "--ell", "3"],
+        # the seed point itself sat on t = 2s: every halving was rejected
+        ["borel", "--x1", "1", "--x2", "0.0322", "--y", "0.3", "--ell", "3"],
+    ],
+    ids=["seed-leg", "seed-point"],
+)
+def test_seed_next_to_a_node_turns_away(argv, tmp_path, series8):
+    # s0 turns by pi/3 off the node, and the value is the local series'
+    assert main(["--out-dir", str(tmp_path), *argv]) == 0
+    got = json.loads((tmp_path / "borel.json").read_text())["psi_value"]
+    got = complex(*map(float, got))
+    x = PlanePoint(1.0, float(argv[4]))
+    want = borel_coeffs(x, 3, 8, table=series8).eval_series(0.3)
+    assert abs(got - want) < 1e-6 * abs(want)
+
+
+def test_quadrature_next_to_a_node_matches_one_combination(tmp_path):
+    argv = ["--out-dir", str(tmp_path), "quadrature", "--x1", "1", "--x2", "0.0322",
+            "--eta", "8", "--contour", "0,1", "--compare-borel"]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "quadrature.json").read_text())
+    assert doc["matched_combination"]["coefficients"] == [0, 1, 0]
 
 
 class TestMonodromy:

@@ -1,8 +1,9 @@
 """Smoke test of ``scripts/time_layers.py``: every layer it times and every
 name its counting hooks patch still exist, so a rename fails here rather
 than in a benchmark run, the event counts of the paper polyline read as
-the bracketing makes them, a Laplace ray's landed stops are counted
-apart from its steps, and the rows of every Horner evaluation are summed.
+the bracketing makes them, a leg that raises ``ContinuationError`` is
+counted as failed, a Laplace ray's landed stops are counted apart from
+its steps, and the rows of every Horner evaluation are summed.
 Samples are scaled to reference speed by the calibration loop timed in
 the same interpreter.  Its ``resolved`` rule needs both a median gap
 beyond the larger interquartile spread and 9 of 10 pairs won, and the
@@ -19,6 +20,7 @@ import pytest
 
 from pearcey_wkb import aberth, borel, stokes, tracking
 from pearcey_wkb.cli import main
+from pearcey_wkb.errors import ContinuationError
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "time_layers.py"
 
@@ -55,6 +57,18 @@ def test_counting_hooks_around_a_cli_call(time_layers, tmp_path):
     assert (counts["events.brackets"], counts["events.rows"]) == (7, 54)
     assert patched == (borel.monodromy, borel._cut_jump, borel.SheetField.anchor,
                        borel.SheetField.track_stops, tracking.track_family, stokes._brackets)
+
+
+def test_failed_legs_are_counted(time_layers):
+    # z^2 = p - 1 along p from -1 to 3: the two roots meet at p = 1
+    root = 1j * np.sqrt(2.0)
+    with time_layers.counting() as counts:
+        tracking.track_family(lambda p: [1 - p, 0, 1], tracking.Segment(-1 + 0j, 0.5 + 0j),
+                              [root, -root])
+        with pytest.raises(ContinuationError):
+            tracking.track_family(lambda p: [1 - p, 0, 1], tracking.Segment(-1 + 0j, 3 + 0j),
+                                  [root, -root])
+    assert (counts["tracker.rest.legs"], counts["tracker.rest.failed"]) == (2, 1)
 
 
 def test_landed_stops_are_counted_apart_from_steps(time_layers, series8):

@@ -30,13 +30,19 @@ batch; the values there match a replay one node-to-node leg at a time.
 The batch accepts or rejects each stop as the scalar helpers do from the
 same record and Newton start, with their values to 1e-13; a stop whose
 batch row is forced to fail, and only that stop, is landed by the scalar
-fallback leg.  A ray leg forced to stall between two nodes bows the
-stretch from the last node reached to the next one and still yields
-every node.  A plain segment forced to fail is bowed whole, and a failure
-forced mid-arc bows the chord of one stretch of the arc; both arrive at
-the unforced sheets.  An arc that cannot be passed names itself and the
-angle reached in the error, a segment its endpoints and the tau reached;
-a segment's point at tau is ``a + (b - a) * tau`` bit for bit.
+fallback leg.
+
+A straight Borel-plane stretch through a sheet node is tracked through one
+waypoint ``node_radius`` beside the node and arrives at the sheets of a
+hand-built route round its other side, to 1e-12; a stretch clear of the
+nodes gets no waypoint, one that starts next to a node keeps a third of
+its distance from it, and at t = 0 one waypoint passes the origin, where
+the nodes merge.  At chart points (|t| <= 0.2)
+with random y, anchors, evaluations, cut values and monodromy raise
+nothing, each monodromy is a transposition (ell 4), and the plain jump
+identity holds to 1e-6.  An arc that cannot be passed names itself and
+the angle reached in the error, a segment its endpoints and the tau
+reached; a segment's point at tau is ``a + (b - a) * tau`` bit for bit.
 
 Properties of ``track_polyline`` on (x1, x2) knots of the characteristic
 cubic, over polylines that stay clear of the turning locus: its one trace
@@ -71,7 +77,7 @@ from oracles import (
     track_family_numpy,
 )
 from pearcey_wkb import borel, tracking
-from pearcey_wkb.borel import SheetField, monodromy
+from pearcey_wkb.borel import SheetField, monodromy, psi_borel_eval
 from pearcey_wkb.errors import ContinuationError, LabelMatchError
 from pearcey_wkb.geometry import (
     PlanePoint,
@@ -667,122 +673,84 @@ def test_one_rejected_stop_alone_takes_the_scalar_fallback(monkeypatch):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
-@dataclass(frozen=True)
-class _GivesUp:
-    """``piece`` up to tau ``limit``; past it, every point raises
-    ``ContinuationError``, as a tracker failure there would."""
-
-    piece: object
-    limit: float
-
-    @property
-    def max_step(self):
-        return self.piece.max_step
-
-    def at(self, tau):
-        if tau > self.limit:
-            raise ContinuationError("forced", location=self.piece.at(tau))
-        return self.piece.at(tau)
-
-    def where(self, tau):
-        return self.piece.where(tau)
+# -- planned stretches: one waypoint beside a node, none elsewhere -------------
 
 
-class _Stalls(_GivesUp):
-    """``piece`` up to tau ``limit``; past it every point is NaN, so each
-    step there is rejected until the step underflows just short of it."""
-
-    def at(self, tau):
-        return complex("nan") if tau > self.limit else self.piece.at(tau)
-
-
-@pytest.mark.parametrize("fail_after", [0, 5])
-def test_failure_mid_ray_bows_one_stretch_and_returns_every_node(fail_after, monkeypatch):
-    field, start, y0, y1, taus = _laplace_ray()
-    want = field.track_stops(start, y0, y1, taus)
-    ray = tracking.Segment(field.s_of_y(y0), field.s_of_y(y1))
-    real_track = tracking.track_family
-    straight = []  # stop-less segment legs: the two legs of each bowed stretch
-
-    def failing(coeffs_at, piece, start_vals, *, stops=(), **kw):
-        # every ray leg stalls half way from its (fail_after + 1)-th stop to
-        # the next, so that the stops it lands are exactly the first fail_after + 1
-        if not len(stops) and isinstance(piece, tracking.Segment):
-            straight.append(piece)
-        if len(stops) > fail_after + 1:
-            piece = _Stalls(piece, (stops[fail_after] + stops[fail_after + 1]) / 2)
-        return real_track(coeffs_at, piece, start_vals, stops=stops, **kw)
-
-    monkeypatch.setattr(tracking, "track_family", failing)
-    got = field.track_stops(start, y0, y1, taus)
-    assert len(got) == len(taus)
-    # each failing leg reaches fail_after + 1 stops, one bowed stretch adds the next
-    left, stretches = len(taus), 0
-    while left > fail_after + 1:
-        left -= fail_after + 2
-        stretches += 1
-    assert stretches and len(straight) == 2 * stretches
-    for into, out_of in zip(straight[::2], straight[1::2]):
-        # the bow leaves the ray at one stop and rejoins it at the next
-        assert into.b == out_of.a
-        for end in (into.a, out_of.b):
-            assert abs(((end - ray.a) / (ray.b - ray.a)).imag) < 1e-12
-    for g, w in zip(got, want):
-        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
-
-
-def test_failure_on_a_plain_segment_bows_it_whole(monkeypatch):
+def test_stretch_through_a_node_takes_one_waypoint_beside_it(monkeypatch):
+    # at real t the node (t^2 + 2t)/4 lies on the real axis: the stretch
+    # through it gets one waypoint node_radius to its left, and arrives at
+    # the sheets of a hand-built route round the node's right
     field = SheetField(PlanePoint(1.0, 0.1))
-    a, sheets = field.anchor(1)
-    want = field.track_from(sheets, [a, a + 1.5])
-    real_track = tracking.track_family
-    legs = []
+    node, r = field.nodes[0], field.node_radius
+    a, b = node - 0.3, node + 0.3
+    assert borel._detour(field, a, b) == [node + 1j * r]
+    start = field.track_y_polyline([a])
+    real_track, legs = tracking.track_family, []
 
-    def failing(coeffs_at, piece, start_vals, **kw):
-        # the first leg gives up half way
+    def recorded(coeffs_at, piece, start_vals, **kw):
         legs.append(piece)
-        if len(legs) == 1:
-            piece = _GivesUp(piece, 0.5)
         return real_track(coeffs_at, piece, start_vals, **kw)
 
-    monkeypatch.setattr(tracking, "track_family", failing)
-    got = field.track_from(sheets, [a, a + 1.5])
-    # the failing segment, then the two legs of its bow from end to end
-    whole, into, out_of = legs
-    assert (into.a, out_of.b) == (whole.a, whole.b)
-    assert into.b == out_of.a
-    assert ((into.b - whole.a) / (whole.b - whole.a)).imag > 0
+    monkeypatch.setattr(tracking, "track_family", recorded)
+    got = field.track_from(start, [a, b])
+    assert [(leg.a, leg.b) for leg in legs] == [(a, node + 1j * r), (node + 1j * r, b)]
+    below = node - 3j * r
+    assert borel._detour(field, a, below) == borel._detour(field, below, b) == []
+    want = field.track_from(start, [a, below, b])
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-# -- arcs: one leg per circle, a bowed chord where it fails --------------------
-
-
-def test_failure_mid_arc_bows_one_chord_and_arrives_at_the_same_sheets(monkeypatch):
+def test_stretch_clear_of_the_nodes_is_one_leg():
+    # a stretch farther than node_radius from every node, or one whose
+    # nearest approach lies beyond its ends, needs no waypoint; at t = 0,
+    # where the nodes merge, one waypoint passes the origin
     field = SheetField(PlanePoint(1.0, 0.1))
-    u = field.u(3)
-    arc = tracking.Arc(u, borel.ANCHOR_REL * field.min_sep, borel._ray_angle(u), np.pi / 2)
-    start = field.track_y_polyline([arc.start])
-    want = field.track_from(start, [arc])
-    real_track = tracking.track_family
-    legs = []
+    node, r = field.nodes[0], field.node_radius
+    assert borel._detour(field, node - 0.3 + 1.01j * r, node + 0.3 + 1.01j * r) == []
+    assert borel._detour(field, node + 2 * r, node + 0.3) == []
+    flat = SheetField(PlanePoint(1.0, 0.0))
+    assert borel._detour(flat, -0.3 + 0j, 0.3 + 0j) == [1j * flat.node_radius]
 
-    def failing(coeffs_at, piece, start_vals, **kw):
-        # the first arc leg gives up half way round
-        legs.append(piece if isinstance(piece, tracking.Arc) else "straight")
-        if len(legs) == 1:
-            piece = _GivesUp(piece, 0.5)
-        return real_track(coeffs_at, piece, start_vals, **kw)
 
-    monkeypatch.setattr(tracking, "track_family", failing)
-    got = field.track_from(start, [arc])
-    # the failing arc, the bowed chord (two straight legs), the rest of the arc
-    assert legs[1:3] == ["straight", "straight"] and len(legs) == 4
-    whole, rest = legs[0], legs[3]
-    assert rest.theta1 == whole.theta1
-    reached = whole.theta0 + 0.5 * (whole.theta1 - whole.theta0)
-    assert 0 < abs(rest.theta0 - reached) <= tracking.ARC_STEP
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+def test_waypoint_keeps_a_third_of_the_distance_to_the_stretch_ends():
+    # a stretch that starts next to a node moves off it by a third of the gap
+    field = SheetField(PlanePoint(1.0, 0.1))
+    node = field.nodes[0]
+    gap = 0.3 * field.node_radius
+    (w,) = borel._detour(field, node - gap, node + 0.3)
+    assert w == pytest.approx(node + 1j * gap / 3, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.8, 1.2), st.floats(0.0, 0.2), st.floats(0.0, 1.0),
+    st.floats(0.0, 0.9), st.floats(0.0, 1.0), st.integers(1, 3), st.integers(1, 2),
+)
+@example(1.0, 0.0322, 0.0, 0.3, 0.0, 3, 1)  # the seed leg would run into a node
+@example(1.0, 0.07, 0.0, 0.3, 0.0, 1, 2)  # verify's jump sample: a route through a node
+@example(1.0, 0.0, 0.0, 0.25, 0.0, 1, 1)  # t = 0: a route through the merged nodes
+def test_chart_points_route_every_borel_call(x1, t_abs, t_turn, s_abs, s_turn, ell, shift):
+    # chart points, |t| <= 0.2, and y anywhere with |s| < 0.9 but next to a
+    # singularity or a node: every call reaches its point, the monodromy
+    # around u_ell is the transposition (ell 4), and criterion 5's plain
+    # jump identity u_ell -> u_k holds to 1e-6
+    t = t_abs * np.exp(2j * np.pi * t_turn)
+    x = PlanePoint(x1, t * x1 ** (2 / 3))
+    field = SheetField(x)
+    y = s_abs * np.exp(2j * np.pi * s_turn) * field.x1_quarter
+    assume(min(abs(y - u) for u in field.u_vals) > 0.05 * field.min_sep)
+    assume(min(abs(field.s_of_y(y) - n) for n in field.nodes) > 1e-3)
+    field.anchor(ell)
+    assert np.isfinite(psi_borel_eval(ell, x, y).value)
+    assert borel.cycle_notation(monodromy(ell, x)) == f"({ell} 4)"
+    k = (ell + shift - 1) % 3 + 1
+    y_cut = field.u_vals[k - 1] + 0.25 * field.min_sep
+    jump = borel.discontinuity("plain", ell, k, field, y_cut).value
+    rhs = (-1) ** ell * borel.psi_on_cut(field, k, y_cut)
+    assert abs(jump - rhs) <= 1e-6 * abs(rhs)
+
+
+# -- arcs: one leg per circle -------------------------------------------------
 
 
 def test_arc_failure_names_the_arc_and_angle():
