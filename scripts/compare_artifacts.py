@@ -63,6 +63,8 @@ EXTRA = [
     ["borel", "--x1", "1", "--x2", "0.0322", "--y", "0.3", "--ell", "3"],
     ["quadrature", "--x1", "1", "--x2", "0.0322", "--eta", "8", "--contour", "0,1",
      "--compare-borel"],
+    # the straight contour peaks at e^28.65, far above the saddles' e^16.37
+    ["quadrature", "--x1", "2", "--x2", "1,1", "--eta", "20", "--contour", "1,3"],
 ]
 INPUTS = {
     "rows.json": "[[0.15, 0, 0, 0], [0.15, 0]]",

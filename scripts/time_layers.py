@@ -24,7 +24,8 @@ statement once more under ``counting()``, and one per workload runs the
 seed-1 plan of ``perfbench/workloads.py``.  The counts do not depend on the
 machine: tracker legs, failed legs, accepted and rejected steps, landed
 stops and their fallbacks per context, the event brackets and rows, Laplace nodes,
-the calls of ``roots_aberth_batch``, of ``poly_eval_many`` and the rows
+adaptive quadrature panels and the integrand calls and points they
+evaluate, the calls of ``roots_aberth_batch``, of ``poly_eval_many`` and the rows
 it evaluates, the calls of the coefficient evaluators and the exact
 products (``MultiPoly``, ``ZetaRational``) and derivatives.
 
@@ -109,7 +110,7 @@ figure_x2, figure_window = 0.5 + 0.25j, (-0.8, 0.8, -0.8, 0.8)
 BOREL = """
 from pearcey_wkb.borel import SheetField
 from pearcey_wkb.geometry import PlanePoint
-from pearcey_wkb.quadrature import LAPLACE_ORDER, laplace_borel_sum
+from pearcey_wkb.quadrature import LAPLACE_ORDER, laplace_borel_sum, pearcey_quadrature
 from pearcey_wkb.wkb_series import build_series
 field = SheetField(PlanePoint(1, 0.1))
 anchor, sheets = field.anchor(1)
@@ -154,6 +155,7 @@ CASES = {
     "raster section, 128x128": (SECTIONS, "stokes.raster_section(figure_x2, figure_window, 128)"),
     "tracker step": (BOREL, "field.track_from(sheets, [anchor, anchor + 1.5])"),
     "laplace_borel_sum, warm": (BOREL, "laplace_borel_sum(1, field.x, 10.0, table=table)"),
+    "pearcey_quadrature, warm": (BOREL, "pearcey_quadrature(field.x, 10.0, (1, 2))"),
     "detect_events(PAPER_POLYLINE)": (
         "from pearcey_wkb.stokes import PAPER_POLYLINE, detect_events",
         "detect_events(PAPER_POLYLINE)"),
@@ -216,8 +218,13 @@ def counting():
     the event bracketing.  ``rows.poly_eval_many`` sums the coefficient rows
     of every ``poly_eval_many`` call, through ``aberth`` or ``tracking``:
     the Horner work of the root solves, whatever their batching.
+    ``quadrature.adaptive_panels`` counts the calls of
+    ``quadrature.adaptive_segment``, one panel each, and
+    ``quadrature.integrand.calls`` and ``.points`` the calls of their
+    integrands and the points evaluated, one per call where the integrand
+    takes a scalar.
     """
-    from pearcey_wkb import aberth, borel, stokes, tracking
+    from pearcey_wkb import aberth, borel, quadrature, stokes, tracking
     from pearcey_wkb.errors import ContinuationError
 
     counts, stack, patched = Counter(), ["rest"], []
@@ -298,6 +305,21 @@ def counting():
             return real(coeffs, z)
         return wrapper
 
+    def adaptive_panels(real):
+        def wrapper(f, *args, **kw):
+            counts["quadrature.adaptive_panels"] += 1
+            if not hasattr(f, "counted"):  # the bisections pass the wrapped integrand on
+                integrand = f
+
+                def f(z):
+                    counts["quadrature.integrand.calls"] += 1
+                    counts["quadrature.integrand.points"] += getattr(z, "size", 1)
+                    return integrand(z)
+
+                f.counted = True
+            return real(f, *args, **kw)
+        return wrapper
+
     out = {}
     profile = cProfile.Profile()
     try:
@@ -311,6 +333,7 @@ def counting():
         patch(tracking, "_fallback", fallback, optional=True)
         patch(stokes, "_brackets", rows("events.brackets"))
         patch(aberth, "poly_eval_many", evaluated_rows)
+        patch(quadrature, "adaptive_segment", adaptive_panels)
         patch(tracking, "poly_eval_many", evaluated_rows)
         profile.enable()
         yield out

@@ -2,7 +2,7 @@
 
 Univariate polynomials are plain complex coefficient arrays in ascending
 degree order.  Every runtime root solve is a cubic: the singular cubic, the
-derived sextic as a cubic in G = F^2 and the quadrature's saddle cubic.
+derived sextic as a cubic in G = F^2 and the quadrature's ray-peak cubic.
 ``roots_aberth_batch`` solves many polynomials of one degree at once, one
 row each; ``roots_aberth`` is a batch of one.  Their names stay while
 ``perfbench/tracer.py`` binds them.

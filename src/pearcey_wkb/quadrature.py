@@ -7,15 +7,18 @@
 along the cut ray, removing the inverse-square-root endpoint by the
 substitution y = u_ell + w^2.  The integrand near the endpoint uses the
 local series; beyond a hand-off radius the sheet continuation takes over.
-The far piece uses panels of the 49-point Gauss-Kronrod rule, one tracker
-leg per pass landing on every node, and forms each pass's sums with array
-arithmetic over the landed sheets; a pass is accepted when the Kronrod and
-embedded Gauss estimates agree, so the sheet values at the Gauss nodes
-serve both estimates.
 
 ``pearcey_quadrature`` integrates exp(eta (z^4 + x2 z^2 + x1 z)) along a
 piecewise-linear contour joining two valleys of the integrand, giving an
 independent oracle for linear combinations of the Borel sums.
+
+Every integral uses one panel rule, ``gauss_segment``: the 49-point
+Gauss-Kronrod rule K49 and its embedded 24-point Gauss rule G24, whose
+nodes it shares, with one array call of the integrand on every node of
+every panel.  The endpoint piece and the defining integral bisect panels
+adaptively (``adaptive_segment``) until |K49 - G24| meets the tolerance.
+The far piece runs passes of 4, then 8, then 16 panels, one tracker leg per
+pass landing on every node, until the two estimates agree.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .aberth import roots_aberth
 from .errors import PearceyError, QuadratureConvergenceError, TailBoundError, ValidationError
-from .geometry import PlanePoint, char_cubic_coeffs
+from .geometry import PlanePoint
 from .borel import PASS_REL, SheetField
 from .wkb_series import WkbSeriesTable, borel_coeffs
 
@@ -37,13 +40,29 @@ TAIL_LOG = 38.0  # the Laplace ray ends where e^(-eta (y - u_ell)) = e^(-TAIL_LO
 LAPLACE_TOL = 1e-9  # default tol of laplace_borel_sum, relative to the sum's scale
 MAX_DEPTH = 12  # bisection depth at which adaptive_segment gives up
 
-# The Kronrod extension K49 of the 24-point Gauss-Legendre rule G24 on
-# [-1, 1] (Kronrod 1965): exact for polynomials of degree <= 73.  Computed
-# in 60-digit arithmetic (the Stieltjes polynomial E_25 from its
-# orthogonality to P_24 P_k, its zeros, then the weights from exactness on
-# P_0..P_48) and rounded to the nearest double.  The rule is symmetric, so
-# only the nonnegative half is listed: the Kronrod-only nodes, and the
-# weights of all nonnegative K49 nodes, both ascending from 0.
+# The one panel rule of every integral here: the 24-point Gauss-Legendre
+# rule G24 on [-1, 1] and its Kronrod extension K49 (Kronrod 1965), exact
+# for polynomials of degree <= 73, whose 49 nodes hold G24's 24.  Both are
+# symmetric, so only the nonnegative halves are listed, ascending.  G24 is
+# numpy.polynomial.legendre.leggauss(24) (eigenvalues of the companion
+# matrix, one Newton step, symmetrised): its positive nodes and their
+# weights.  K49 was computed in 60-digit arithmetic (the Stieltjes
+# polynomial E_25 from its orthogonality to P_24 P_k, its zeros, then the
+# weights from exactness on P_0..P_48) and rounded to the nearest double:
+# its Kronrod-only nodes from 0, and the weights of all its nonnegative
+# nodes.
+_G24_NODES = (
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+    0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+    0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+    0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+)
+_G24_WEIGHTS = (
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+    0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+    0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+    0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+)
 _K49_NODES = (
     0.0, 0.1278512402862167, 0.2536004303696779, 0.37519115479795084,
     0.49061236546344644, 0.5979905139060784, 0.6955320723967788,
@@ -63,102 +82,46 @@ _K49_WEIGHTS = (
 )
 
 
-# The n-point Gauss-Legendre rules on [-1, 1] that the quadratures use, as
-# numpy.polynomial.legendre.leggauss(n) returns them (eigenvalues of the
-# companion matrix, one Newton step, symmetrised).  Each rule is symmetric,
-# so only the positive half is listed: nodes ascending and their weights.
-_GL_HALVES = {
-    16: (
-        (
-            0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-            0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-            0.9445750230732326, 0.9894009349916499,
-        ),
-        (
-            0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-            0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-            0.062253523938647456, 0.027152459411754176,
-        ),
-    ),
-    24: (
-        (
-            0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
-            0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
-            0.7401241915785544, 0.820001985973903, 0.8864155270044011,
-            0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
-        ),
-        (
-            0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
-            0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
-            0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
-            0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
-        ),
-    ),
-    32: (
-        (
-            0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
-            0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
-            0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
-            0.7944837959679424, 0.84936761373257, 0.8963211557660521,
-            0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
-            0.9972638618494816,
-        ),
-        (
-            0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
-            0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
-            0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
-            0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
-            0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
-            0.007018610009470506,
-        ),
-    ),
-}
-
-
-@functools.cache
-def _gl_nodes(n: int):
-    """The n-point Gauss-Legendre rule on [-1, 1] (n = 16, 24 or 32), as
-    ascending nodes and their weights."""
-    if n not in _GL_HALVES:
-        raise ValueError(f"no tabulated {n}-point Gauss-Legendre rule")
-    pos, wts = _GL_HALVES[n]
-    return np.array(tuple(-x for x in pos[::-1]) + pos), np.array(wts[::-1] + wts)
-
-
 @functools.cache
 def _gk_nodes():
     """K49 on [-1, 1]: ascending nodes, Kronrod weights, and the weights of
     the embedded G24, zero off the Gauss nodes.
 
-    The Gauss nodes sit at the odd indices and are the ``_gl_nodes(24)``
-    floats themselves, so one set of integrand values gives both sums.
+    The Gauss nodes sit at the odd indices, so one set of integrand values
+    gives both sums.
     """
-    xg, wg = _gl_nodes(24)
-    pos = np.array(_K49_NODES)
+    pos, xg, wg = np.array(_K49_NODES), np.array(_G24_NODES), np.array(_G24_WEIGHTS)
     xs = np.empty(49)
     xs[0::2] = np.concatenate([-pos[:0:-1], pos])
-    xs[1::2] = xg
+    xs[1::2] = np.concatenate([-xg[::-1], xg])
     wgs = np.zeros(49)
-    wgs[1::2] = wg
+    wgs[1::2] = np.concatenate([wg[::-1], wg])
     return xs, np.array(_K49_WEIGHTS[:0:-1] + _K49_WEIGHTS), wgs
 
 
-def gauss_segment(f, a: complex, b: complex, n: int = 32) -> complex:
-    """Fixed-order Gauss-Legendre integral of f along the segment a -> b."""
-    xs, ws = _gl_nodes(n)
-    mid = (a + b) / 2.0
-    half = (b - a) / 2.0
-    return half * sum(w * f(mid + half * x) for x, w in zip(xs, ws))
+def gauss_segment(f, edges) -> tuple[complex, complex]:
+    """K49 and embedded G24 integrals of f along the polyline through
+    ``edges``, one panel between each two consecutive edges.
+
+    ``f`` is called once, on the array of every panel's 49 nodes (one row
+    per panel), and returns its values there.
+    """
+    xs, kws, gws = _gk_nodes()
+    edges = np.asarray(edges)
+    halves = (edges[1:] - edges[:-1]) / 2
+    mids = (edges[1:] + edges[:-1]) / 2
+    terms = f(mids[:, None] + halves[:, None] * xs)
+    return (halves * (terms * kws).sum(axis=1)).sum(), (halves * (terms * gws).sum(axis=1)).sum()
 
 
 def adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 0) -> complex:
-    """Adaptive bisection with a 16- vs 32-node error estimate.
+    """Adaptive bisection of one K49 panel, with |K49 - G24| as the error
+    estimate; returns the K49 value.
 
     Each half gets half the tolerance.  A piece still above its tolerance
     after ``MAX_DEPTH`` bisections raises ``QuadratureConvergenceError``.
     """
-    coarse = gauss_segment(f, a, b, 16)
-    fine = gauss_segment(f, a, b, 32)
+    fine, coarse = gauss_segment(f, np.array([a, b]))
     err = abs(fine - coarse)
     if err <= tol:
         return fine
@@ -218,7 +181,7 @@ def laplace_borel_sum(
     w_max = sqrt(length)
 
     # endpoint piece from the local series (y = u_ell + w^2)
-    def f_series(w: complex) -> complex:
+    def f_series(w: np.ndarray) -> np.ndarray:
         w2 = w * w
         return np.exp(-eta * (ul + w2)) * bct.eval_offset(w2) * 2.0 * w
 
@@ -234,23 +197,21 @@ def laplace_borel_sum(
         a, sheets0 = field.anchor(ell)
         start_y = ul + w_mid**2
         vals = field.track_from(sheets0, [a, start_y])
-        xs, kws, gws = _gk_nodes()
-        npanels = 4
-        for _ in range(3):
-            edges = np.linspace(w_mid, w_max, npanels + 1)
-            halves = (edges[1:] - edges[:-1]) / 2
-            mids = (edges[1:] + edges[:-1]) / 2
-            w = np.concatenate([m + h * xs for m, h in zip(mids, halves)])
-            taus = (w**2 - w_mid**2) / (w[-1] ** 2 - w_mid**2)
-            sheets = field.track_stops(vals, start_y, ul + w[-1] ** 2, taus)
+
+        def f_far(w: np.ndarray) -> np.ndarray:
+            nonlocal nodes
+            flat = w.ravel()
+            taus = (flat**2 - w_mid**2) / (flat[-1] ** 2 - w_mid**2)
+            sheets = field.track_stops(vals, start_y, ul + flat[-1] ** 2, taus)
             nodes += len(sheets)
             psis = field.psi_from_sheets(ell, np.array(sheets).T)
-            terms = (np.exp(-eta * (ul + w * w)) * psis * 2.0 * w).reshape(npanels, -1)
-            kron = (halves * (terms * kws).sum(axis=1)).sum()
-            gauss = (halves * (terms * gws).sum(axis=1)).sum()
-            part2 = kron
+            return (np.exp(-eta * (ul + flat * flat)) * psis * 2.0 * flat).reshape(w.shape)
+
+        npanels = 4
+        for _ in range(3):
+            part2, gauss = gauss_segment(f_far, np.linspace(w_mid, w_max, npanels + 1))
             converged = bool(
-                abs(kron - gauss) <= tol * max(abs(kron), np.exp(-eta * ul.real))
+                abs(part2 - gauss) <= tol * max(abs(part2), np.exp(-eta * ul.real))
             )
             if converged:
                 break
@@ -272,6 +233,26 @@ def _phase(x: PlanePoint, z: complex) -> complex:
     return z**4 + x2 * z**2 + x1 * z
 
 
+def _ray_peak_log(x: PlanePoint, eta: complex, d: complex, k: int) -> float:
+    """Largest Re(eta phase(r d)) over r >= 0 on the ray of valley k along d.
+
+    On a valley ray eta (r d)^4 = -|eta| r^4, so the exponent is a real
+    quartic in r, whose maximum lies at r = 0 or at a real root of its
+    derivative -4 |eta| r^3 + 2 Re(eta x2 d^2) r + Re(eta x1 d).  The
+    exponent at the real part of every root, clipped to r >= 0, reaches that
+    maximum and nothing above it.
+    """
+    x1, x2 = x.as_tuple()
+    cubic = [(eta * x1 * d).real, 2 * (eta * x2 * d * d).real, 0.0, -4 * abs(eta)]
+    try:
+        crit = roots_aberth(cubic)
+    except PearceyError as e:
+        e.args = (f"peak cubic -4 |eta| r^3 + 2 Re(eta x2 d^2) r + Re(eta x1 d) on valley "
+                  f"ray {k} at (x1, x2) = {(x1, x2)}: {e.detail}",)
+        raise
+    return max(0.0, *((eta * _phase(x, max(0.0, r.real) * d)).real for r in crit))
+
+
 def pearcey_quadrature(
     x: PlanePoint,
     eta: complex,
@@ -282,8 +263,10 @@ def pearcey_quadrature(
 
     ``contour`` picks the ordered pair of valley indices (0..3); the path
     runs from infinity in valley a through the origin to infinity in valley
-    b.  Truncation radius satisfies a 1e-16 tail bound relative to the
-    integrand peak, else ``TailBoundError``.
+    b.  The integrand's peak is its largest modulus on the two rays
+    (``_ray_peak_log``); the tolerance is relative to it, and the truncation
+    radius satisfies a 1e-16 tail bound relative to it, else
+    ``TailBoundError``.
     """
     eta = complex(eta)
     if eta.real <= 0:
@@ -294,13 +277,7 @@ def pearcey_quadrature(
     dirs = valley_directions(eta)
     x1, x2 = x.as_tuple()
 
-    # peak estimate: saddle values and the origin
-    try:
-        saddles = roots_aberth(char_cubic_coeffs(x))
-    except PearceyError as e:
-        e.args = (f"saddle cubic 4 z^3 + 2 x2 z + x1 at (x1, x2) = {(x1, x2)}: {e.detail}",)
-        raise
-    peak_log = max(0.0, *((eta * _phase(x, z)).real for z in saddles))
+    peak_log = max(_ray_peak_log(x, eta, dirs[k], k) for k in (a, b))
     if peak_log > 600.0:
         raise TailBoundError(
             f"integrand peak exp({peak_log:.1f}) overflows double precision"
@@ -316,7 +293,7 @@ def pearcey_quadrature(
                 f"peak_log={peak_log:.2f}"
             )
 
-    def f(z: complex) -> complex:
+    def f(z: np.ndarray) -> np.ndarray:
         return np.exp(eta * _phase(x, z))
 
     tol_abs = 1e-10 * np.exp(peak_log)  # relative to the integrand's peak

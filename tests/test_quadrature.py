@@ -14,8 +14,8 @@ from pearcey_wkb.errors import (
 from pearcey_wkb.geometry import PlanePoint
 from pearcey_wkb.quadrature import (
     _gk_nodes,
-    _gl_nodes,
     adaptive_segment,
+    gauss_segment,
     laplace_borel_sum,
     match_borel_combination,
     pearcey_p1_residual,
@@ -58,25 +58,32 @@ class TestKronrod:
         p74 = np.polynomial.legendre.Legendre.basis(74)(xs)
         assert abs(sum(w * p for w, p in zip(kws, p74))) > 1e-6
 
-    @pytest.mark.parametrize("n", [16, 24, 32])
-    def test_gl_nodes_are_numpys_leggauss(self, n):
-        xs, ws = _gl_nodes(n)
-        want_xs, want_ws = np.polynomial.legendre.leggauss(n)
-        np.testing.assert_allclose(xs, want_xs, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(ws, want_ws, rtol=0, atol=1e-15)
-
-    def test_gl_nodes_untabulated_order_raises(self):
-        with pytest.raises(ValueError):
-            _gl_nodes(20)
-
     def test_gauss_subset_is_the_24_point_rule(self):
+        # the odd nodes and their weights are numpy's leggauss(24)
         xs, kws, gws = _gk_nodes()
-        xg, wg = _gl_nodes(24)
+        want_xs, want_ws = np.polynomial.legendre.leggauss(24)
         assert len(xs) == len(kws) == len(gws) == 49
         assert np.all(np.diff(xs) > 0)
-        assert xs[1::2].tobytes() == xg.tobytes()
-        assert np.array(gws[1::2]).tobytes() == wg.tobytes()
+        np.testing.assert_allclose(xs[1::2], want_xs, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gws[1::2], want_ws, rtol=0, atol=1e-15)
         assert not any(gws[0::2])
+
+    def test_panel_rule_calls_its_integrand_once_on_every_node(self):
+        shapes = []
+
+        def power(n):
+            def f(z):
+                shapes.append(z.shape)
+                return z**n
+            return f
+
+        # three panels from 0 to 2: G24 is exact to degree 47, K49 to 73
+        edges = np.array([0.0, 0.5j, 1.0 + 0.5j, 2.0])
+        kron, gauss = gauss_segment(power(47), edges)
+        assert max(abs(kron - 2.0**48 / 48), abs(gauss - 2.0**48 / 48)) < 1e-13 * 2.0**48 / 48
+        kron, _ = gauss_segment(power(73), edges)
+        assert abs(kron - 2.0**74 / 74) < 1e-13 * 2.0**74 / 74
+        assert shapes == [(3, 49)] * 2
 
 
 class TestPearceyQuadrature:
@@ -206,22 +213,44 @@ class TestDefiningIntegralOracle:
         comb = phase * sqrt(pi) * sum(e * p for e, p in zip(eps, psis))
         assert abs(value - comb) <= 1e-10 * abs(value)
 
+    @pytest.mark.parametrize(
+        "x1, x2, eta, contour, rel",
+        [
+            # the straight contour peaks at e^28.65, far above the saddles'
+            # e^16.37: a tolerance from the saddles is out of reach
+            (2.0, 1 + 1j, 20.0, (1, 3), 1e-8),
+            # a G16/G32 pair read 2.05e-13 and 1.44e-13 here
+            (0.9712 - 0.0442j, 0.0772 + 0.0646j, 11.48, (1, 2), 1e-14),
+            (0.9195 - 0.1886j, -0.0503 + 0.1513j, 10.49, (1, 2), 1e-14),
+        ],
+    )
+    def test_quadrature_matches_defining_integral(self, x1, x2, eta, contour, rel):
+        from oracles import pearcey_integral_mp
+
+        want = pearcey_integral_mp(x1, x2, eta, contour, dps=40)
+        got = pearcey_quadrature(PlanePoint(x1, x2), eta, contour)
+        assert abs(got - want) <= rel * abs(want)
+
     def test_sums_report_nodes_and_convergence(self, series8):
         r = laplace_borel_sum(3, PlanePoint(1.0, 0.1), 10.0, table=series8)
         assert (r.nodes, r.converged) == (196, True)
 
     def test_disagreeing_estimates_run_three_passes(self, series8, monkeypatch):
-        # a Gauss rule off by 1e-6 never agrees with Kronrod to 1e-9: all
-        # three passes run, and the result says so
-        xs, kws, gws = _gk_nodes()
-        off = (xs, kws, tuple(w * (1 + 1e-6) for w in gws))
-        monkeypatch.setattr(quadrature, "_gk_nodes", lambda: off)
+        # far-piece sheets off by 1e-6 at the Gauss nodes alone: the Gauss
+        # sum never agrees with Kronrod to 1e-9, all three passes run, and
+        # the result says so
+        real = SheetField.track_stops
+
+        def off_at_gauss_nodes(self, vals, y0, y1, stops):
+            sheets = real(self, vals, y0, y1, stops)
+            return [s * (1 + 1e-6) if i % 49 % 2 else s for i, s in enumerate(sheets)]
+
+        monkeypatch.setattr(SheetField, "track_stops", off_at_gauss_nodes)
         r = laplace_borel_sum(3, PlanePoint(1.0, 0.1), 10.0, table=series8)
         assert (r.nodes, r.converged) == (196 + 392 + 784, False)
 
     def test_unreachable_tolerance_raises(self, series8):
-        # the endpoint piece cannot reach 1e-30 and says so (for ell = 3 the
-        # 16- and 32-node estimates happen to round to equal values)
+        # the endpoint piece cannot reach 1e-30 and says so
         with pytest.raises(QuadratureConvergenceError):
             laplace_borel_sum(2, PlanePoint(1.0, 0.1), 10.0, table=series8, tol=1e-30)
 

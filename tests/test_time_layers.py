@@ -3,7 +3,8 @@ name its counting hooks patch still exist, so a rename fails here rather
 than in a benchmark run, the event counts of the paper polyline read as
 the bracketing makes them, a leg that raises ``ContinuationError`` is
 counted as failed, a Laplace ray's landed stops are counted apart from
-its steps, and the rows of every Horner evaluation are summed.
+its steps, the rows of every Horner evaluation are summed, and adaptive
+quadrature panels are counted with the integrand points they evaluate.
 Samples are scaled to reference speed by the calibration loop timed in
 the same interpreter.  Its ``resolved`` rule needs both a median gap
 beyond the larger interquartile spread and 9 of 10 pairs won, and the
@@ -107,6 +108,22 @@ def test_only_the_stop_landing_hooks_may_be_missing(time_layers, monkeypatch):
     assert tracking.track_family is real[0]
     monkeypatch.undo()
     assert (tracking.track_family, tracking._land_stops, stokes._brackets) == real
+
+
+def test_adaptive_panels_and_their_integrand_points_are_counted(time_layers):
+    # every panel calls its integrand once, on its 49 nodes; the far piece
+    # of a Laplace sum is no adaptive panel
+    from pearcey_wkb import quadrature
+    from pearcey_wkb.geometry import PlanePoint
+
+    real = quadrature.adaptive_segment
+    with time_layers.counting() as counts:
+        quadrature.pearcey_quadrature(PlanePoint(1.0, 0.1), 10.0, (1, 2))
+    panels = counts["quadrature.adaptive_panels"]
+    assert panels >= 2
+    assert counts["quadrature.integrand.calls"] == panels
+    assert counts["quadrature.integrand.points"] == 49 * panels
+    assert quadrature.adaptive_segment is real
 
 
 def test_horner_rows_are_counted_through_both_modules(time_layers):
