@@ -550,10 +550,15 @@ def psi_borel_eval(
 
 
 def _crosses_cut(a: complex, b: complex, u: complex) -> bool:
-    """Does segment a->b cross the horizontal cut {u + sigma, sigma >= 0}?"""
+    """Does segment a->b cross the horizontal cut {u + sigma, sigma >= 0}?
+
+    A point on the cut's line counts as above it, so a segment ending on
+    the cut from above touches it without crossing: the value there is the
+    one from above, as in ``discontinuity``.
+    """
     ai = (a - u).imag
     bi = (b - u).imag
-    if ai == bi or ai * bi > 0:
+    if (ai >= 0) == (bi >= 0):
         return False
     tau = ai / (ai - bi)
     re = (a - u).real + tau * ((b - u).real - (a - u).real)

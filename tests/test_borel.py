@@ -543,6 +543,18 @@ class TestPsiEvaluation:
         got = json.loads((tmp_path / "borel.json").read_text())["psi_value"]
         assert abs(complex(*map(float, got)) - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_point_on_a_cut_takes_the_value_from_above(self, ell):
+        # real t: u_3 is real and y = 0.75 lies on its cut; the route drops
+        # onto y from above, so the value is the limit from above
+        x = PlanePoint(1.0, 0.0078125)
+        assert SheetField(x).u(3).imag == 0
+        on = psi_borel_eval(ell, x, 0.75).value
+        above = psi_borel_eval(ell, x, 0.75 + 1e-9j).value
+        below = psi_borel_eval(ell, x, 0.75 - 1e-9j).value
+        assert abs(on - above) <= 1e-7 * abs(on)
+        assert abs(on - below) > 0.1 * abs(on)
+
 
 def test_pooled_borel_inputs_keep_their_routes():
     # every borel call of the benchmark's pool: the route is the plain one,

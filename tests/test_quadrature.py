@@ -47,6 +47,12 @@ class TestAdaptiveSegment:
         assert f"after {quadrature.MAX_DEPTH} bisections" in msg
 
 
+def _g24_mirrored():
+    """G24 on [-1, 1] from its half tables: ascending nodes and weights."""
+    xg, wg = np.array(quadrature._G24_NODES), np.array(quadrature._G24_WEIGHTS)
+    return np.concatenate([-xg[::-1], xg]), np.concatenate([wg[::-1], wg])
+
+
 class TestKronrod:
     def test_k49_integrates_legendre_polynomials_exactly(self):
         xs, kws, _ = _gk_nodes()
@@ -58,14 +64,20 @@ class TestKronrod:
         p74 = np.polynomial.legendre.Legendre.basis(74)(xs)
         assert abs(sum(w * p for w, p in zip(kws, p74))) > 1e-6
 
+    @pytest.mark.parametrize("n", [24])  # the one tabulated Gauss rule
+    def test_gl_nodes_are_numpys_leggauss(self, n):
+        xs, ws = _g24_mirrored()
+        want_xs, want_ws = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(xs, want_xs, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ws, want_ws, rtol=0, atol=1e-15)
+
     def test_gauss_subset_is_the_24_point_rule(self):
-        # the odd nodes and their weights are numpy's leggauss(24)
         xs, kws, gws = _gk_nodes()
-        want_xs, want_ws = np.polynomial.legendre.leggauss(24)
+        xg, wg = _g24_mirrored()
         assert len(xs) == len(kws) == len(gws) == 49
         assert np.all(np.diff(xs) > 0)
-        np.testing.assert_allclose(xs[1::2], want_xs, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(gws[1::2], want_ws, rtol=0, atol=1e-15)
+        assert xs[1::2].tobytes() == xg.tobytes()
+        assert gws[1::2].tobytes() == wg.tobytes()
         assert not any(gws[0::2])
 
     def test_panel_rule_calls_its_integrand_once_on_every_node(self):

@@ -729,6 +729,7 @@ def test_waypoint_keeps_a_third_of_the_distance_to_the_stretch_ends():
 @example(1.0, 0.0322, 0.0, 0.3, 0.0, 3, 1)  # the seed leg would run into a node
 @example(1.0, 0.07, 0.0, 0.3, 0.0, 1, 2)  # verify's jump sample: a route through a node
 @example(1.0, 0.0, 0.0, 0.25, 0.0, 1, 1)  # t = 0: a route through the merged nodes
+@example(1.0, 0.0078125, 0.0, 0.75, 0.0, 1, 1)  # real t and y: y on u_3's cut
 def test_chart_points_route_every_borel_call(x1, t_abs, t_turn, s_abs, s_turn, ell, shift):
     # chart points, |t| <= 0.2, and y anywhere with |s| < 0.9 but next to a
     # singularity or a node: every call reaches its point, the monodromy
