@@ -58,13 +58,15 @@ EXTRA = [
     ["track-u", "--path", "0.15,0/0,0;1e200,0/0,0"],
     ["borel", "--x1=1", "--x2=0", "--y=1e200", "--ell", "1"],
     ["quadrature", "--x1=1e200", "--x2=0", "--eta", "1", "--contour", "0,1"],
-    # origin seeds next to the sheet node (t^2 + 2t)/4, turned off it (exit 0)
+    # next to the sheet node (t^2 + 2t)/4, where an origin seed once ran (exit 0)
     ["borel", "--x1", "1", "--x2", "0.032", "--y", "0.3", "--ell", "3"],
     ["borel", "--x1", "1", "--x2", "0.0322", "--y", "0.3", "--ell", "3"],
     ["quadrature", "--x1", "1", "--x2", "0.0322", "--eta", "8", "--contour", "0,1",
      "--compare-borel"],
     # the straight contour peaks at e^28.65, far above the saddles' e^16.37
     ["quadrature", "--x1", "2", "--x2", "1,1", "--eta", "20", "--contour", "1,3"],
+    # a route that ends on the node (t^2 + 2t)/4, where two g-sheets are equal
+    ["borel", "--x1", "1", "--x2", "0.1", "--y", "0.0525", "--ell", "3"],
 ]
 INPUTS = {
     "rows.json": "[[0.15, 0, 0, 0], [0.15, 0]]",

@@ -215,9 +215,11 @@ def counting():
     in, else ``rest``.  Event brackets are the items ``stokes._brackets``
     returns, one per sign change of an event function between samples, and
     event rows the calls of ``tracking.polish``, one tracker step per row of
-    the event bracketing.  ``rows.poly_eval_many`` sums the coefficient rows
-    of every ``poly_eval_many`` call, through ``aberth`` or ``tracking``:
-    the Horner work of the root solves, whatever their batching.
+    the event bracketing; ``SheetField.local_sheets`` adds one per anchor
+    or Laplace start it builds, which makes no leg.  ``rows.poly_eval_many``
+    sums the coefficient rows of every ``poly_eval_many`` call, through
+    ``aberth`` or ``tracking``: the Horner work of the root solves, whatever
+    their batching.
     ``quadrature.adaptive_panels`` counts the calls of
     ``quadrature.adaptive_segment``, one panel each, and
     ``quadrature.integrand.calls`` and ``.points`` the calls of their

@@ -33,21 +33,27 @@ Every Borel transform of a WKB solution is the sheet difference
 
 which this module evaluates, continues along paths, and differentiates
 across cuts (discontinuity operators).  Every Borel-plane path of one base
-point x, monodromy loops included, runs through one :class:`SheetField`: its
-singularities are the labelled u_ell of ``labeled_point(x)``, and its sheets
-are continued by ``track_s_with_bows``.  Origin labels reach a point by one
-route, :func:`branches_at_origin`: one tracker step polishes the
-first-order germs near (0, 0), and the result is continued radially, so a
-field of any t seeds there.
+point x, monodromy loops included, runs through one :class:`SheetField`.
+It tracks the four roots z_k of z^4 + x2 z^2 + x1 z + y = 0 in y, the
+preimages of y = -phi(z), phi(z) = z^4 + x2 z^2 + x1 z, and reads sheet k
+as g_k = -1/phi'(z_k) (h_k = x1 g_k) only where a value is read (Berry and
+Howls 1991: the Borel transform of a saddle expansion is dz/dy over the
+preimages).  In z two roots meet only where y is a critical value u_ell,
+at the critical point zeta_ell, so a path in y needs no planning beyond
+the u_ell.  The origin labels are the roots at y = 0 in closed form
+(:meth:`SheetField.origin_sheets`), and each transform's anchor is local at
+its own u_ell (:meth:`SheetField.local_sheets`), with no route from the
+origin.
 
-The scaled quartic's g-discriminant is 4096 L (4s - t^2 - 2t)^2 (16s^2 -
-8st^2 + 8st + t^4 - 2t^3 + 4t^2)^2, L its g^4 coefficient: off the u_ell,
-two sheets meet only at the nodes (t^2 + 2 omega t)/4, omega^3 = 1, with no
-monodromy, and routes are planned around them (:func:`_detour`).
+The chart functions (``quartic_spec``, ``origin_germs``,
+``branches_at_origin``, ``branches_at_p``) share no code with
+:class:`SheetField`: they track h itself, in the quartics above, and serve
+``verify`` and the tests as an independent oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -73,8 +79,7 @@ RHO_REL = 0.18  # approach radius around a singularity, relative to min separati
 PASS_REL = 0.05  # a route leg or Laplace ray passing nearer a singularity than this (same scale)
 ANCHOR_REL = 0.3  # anchor radius above each u_ell, relative to min separation
 LOOP_REL = 0.25  # monodromy loop radius around u_ell, relative to |u_ell|
-NODE_REL = 0.1  # stretch clearance around a sheet node, relative to the node spacing
-MERGE_REL = 0.01  # nodes spaced closer than this, relative to min separation, are kept off as one
+GERM_MISFIT = 0.2  # largest relative misfit of a local pair against its series germ
 
 
 # -- quartic data -----------------------------------------------------------------
@@ -278,62 +283,28 @@ def branches_at_p(ell: int, s: complex, t: complex = 0.0) -> np.ndarray:
 # -- path tracking -----------------------------------------------------------------
 
 
-def track_s_with_bows(field, vals, s_path) -> np.ndarray:
-    """Leg-by-leg tracking of ``field``'s sheets along an s-path at its t,
-    each straight stretch planned around the sheet nodes.
+def track_s_with_bows(field, vals, path) -> np.ndarray:
+    """Leg-by-leg tracking of ``field``'s sheets along a y-path.
 
     A path is a list of pieces, each a point or a :class:`tracking.Arc`.  It
-    starts at its first piece and runs straight to each next point; it runs
-    straight to an arc's start (unless it is already there) and then along
-    the arc.  A straight stretch runs through the waypoints of
-    :func:`_detour`, one tracker leg (a :class:`tracking.Segment`) from
-    each knot to the next, and an arc is one leg.  A failing leg raises
-    ``ContinuationError`` naming the piece and the tau or angle reached.
+    starts at its first piece and runs straight to each next point, one
+    tracker leg (a :class:`tracking.Segment`) per stretch; it runs straight
+    to an arc's start (unless it is already there) and then along the arc,
+    one leg.  A failing leg raises ``ContinuationError`` naming the piece
+    and the tau or angle reached.  (``perfbench/tracer.py`` binds this
+    name.)
     """
     cur = np.asarray(vals, dtype=complex)
-    here = _start(s_path[0])
-    for piece in s_path:
+    here = _start(path[0])
+    for piece in path:
         start = _start(piece)
         if start != here:
-            knots = [here, *_detour(field, here, start), start]
-            for a, b in zip(knots, knots[1:]):
-                cur = tracking.track_family(field.coeffs_at, tracking.Segment(a, b), cur).final
+            cur = tracking.track_family(field.coeffs_at, tracking.Segment(here, start), cur).final
         here = start
         if isinstance(piece, tracking.Arc):
             cur = tracking.track_family(field.coeffs_at, piece, cur).final
             here = piece.end
     return cur
-
-
-def _detour(field, a: complex, b: complex, nodes=None) -> list[complex]:
-    """Waypoints that keep the straight stretch a -> b off the sheet nodes.
-
-    Two sheets cross at each node with no monodromy, so either side of a
-    node gives the same sheets, but a leg through it cannot tell them apart.
-    A stretch passing a point of ``field.node_centers`` nearer than r =
-    min(``field.node_radius``, a third of the point's distance to either
-    end) gets a waypoint r from it, on the side the stretch passes (its
-    left through the point) unless that triangle holds a u_ell, else on
-    the other; the stretches to and from it are checked against the rest.
-    """
-    nodes = field.node_centers if nodes is None else nodes
-    s_stars = field.u_vals / field.x1_quarter
-    for k, node in enumerate(nodes):
-        q = (node - a) / (b - a)  # the node at tau q.real, q.imag stretch lengths to the left
-        r = min(field.node_radius, abs(node - a) / 3, abs(node - b) / 3)
-        if 0 < q.real < 1 and abs(q.imag * (b - a)) < r:
-            rest = nodes[:k] + nodes[k + 1 :]
-            side = (-1j if q.imag > 0 else 1j) * (b - a) / abs(b - a)  # where it passes the node
-            for w in (node + r * side, node - r * side):
-                if not any(_in_triangle(u, a, w, b) for u in s_stars):
-                    return [*_detour(field, a, w, rest), w, *_detour(field, w, b, rest)]
-    return []
-
-
-def _in_triangle(p: complex, a: complex, b: complex, c: complex) -> bool:
-    """Whether p lies strictly inside the triangle a, b, c."""
-    turns = [((y - x).conjugate() * (p - x)).imag for x, y in ((a, b), (b, c), (c, a))]
-    return all(z > 0 for z in turns) or all(z < 0 for z in turns)
 
 
 def _start(piece) -> complex:
@@ -344,9 +315,9 @@ def _start(piece) -> complex:
 def monodromy(ell: int, x: PlanePoint) -> tuple[int, ...]:
     """Sheet permutation (origin labels) around u_ell of ``labeled_point(x)``.
 
-    The sheets are carried from the origin seed to the base point on the
-    origin side of u_ell, then once around the counterclockwise circle of
-    radius ``LOOP_REL * |u_ell|`` about u_ell (one arc leg), both through
+    The sheets are carried from y = 0 to the base point on the origin side
+    of u_ell, then once around the counterclockwise circle of radius
+    ``LOOP_REL * |u_ell|`` about u_ell (one arc leg), both through
     :class:`SheetField`.  The result maps starting label i (0-based) to the
     label its continuation matches on return.
     """
@@ -371,28 +342,26 @@ class PsiValue:
 
 
 class SheetField:
-    """Origin-labeled sheets of the quartic over the Borel plane of one x.
+    """The four sheets of the Borel plane of one x, as the roots z_1..z_4 of
+    z^4 + x2 z^2 + x1 z + y = 0 continued in y.
 
-    Provides y-plane path continuation; all paths are converted to the
-    scaled chart internally: s = y / x1^(4/3) and t = x2 / x1^(2/3), powers
-    of the principal cube root of x1 (x1 = 0 raises ``ValidationError``).
-    The scaling is complex, so an arc in y is an arc in s.  A path is a
-    list of points and :class:`tracking.Arc` pieces, as in
-    :func:`track_s_with_bows`.  ``x1_quarter`` is x1^(4/3).  ``nodes`` are
-    the sheet nodes (t^2 + 2 omega t)/4, omega^3 = 1.  Straight stretches
-    keep ``node_radius`` off each of ``node_centers``: the nodes, at
-    ``NODE_REL`` times the smaller of the u_ell's and the nodes' spacing;
-    or their centroid t^2/4 at ``MERGE_REL`` times the u_ell's spacing,
-    when the nodes crowd closer than that round the triple point of t = 0.
+    Sheet k reads g_k = -1/phi'(z_k), phi'(z) = 4 z^3 + 2 x2 z + x1
+    (:meth:`g`), only where a value is read.  A path is a list of y-plane
+    points and :class:`tracking.Arc` pieces, as in :func:`track_s_with_bows`;
+    the family's ascending coefficients at y are ``[y, x1, x2, 0, 1]``.
+    ``c`` is the principal cube root of x1 (x1 = 0 raises
+    ``ValidationError``) and ``t = x2 / c^2`` the scaled coordinate that
+    ``chart_validated`` bounds.
 
-    Each Borel transform also has an *anchor*: the sheet tuple carried to
-    the point u_ell + i r directly above its singularity, reached from the
-    origin chart along the ray through u_ell and a short arc that stays on
-    the principal side of the local square root.  On the standard slit
-    plane (cuts from every u_k in the +real direction, local branch fixed
-    by 0 <= arg(y - u_ell) < 2 pi) the transform's value equals its local
-    series there, so continuing from the anchor realizes the standard
-    branch.
+    Origin labels hold at y = 0 (:meth:`origin_sheets`), from where
+    :meth:`track_y_polyline` carries them; monodromy and ``verify`` start
+    there.  Each Borel transform also has an *anchor*: the sheet tuple at
+    the point u_ell + i r directly above its singularity, built there from
+    the local pair that meets at zeta_ell (:meth:`local_sheets`).  On the
+    standard slit plane (cuts from every u_k in the +real direction, local
+    branch fixed by 0 <= arg(y - u_ell) < 2 pi) the transform's value
+    equals its local series there, so continuing from the anchor realizes
+    the standard branch.
     """
 
     def __init__(self, x: PlanePoint):
@@ -400,20 +369,14 @@ class SheetField:
         if x1 == 0:
             raise ValidationError("x1 must be nonzero for the scaling chart")
         self.x = x
-        c = abs(x1) ** (1.0 / 3.0) * np.exp(1j * np.angle(x1) / 3.0)
-        self.x1_quarter = c**4
-        self.t = complex(x.x2) / c**2
-        self.u_vals = np.array(labeled_point(x).us.values, dtype=complex)
+        self.x1, self.x2 = x1, complex(x.x2)
+        self.c = abs(x1) ** (1.0 / 3.0) * np.exp(1j * np.angle(x1) / 3.0)
+        self.t = self.x2 / self.c**2
+        point = labeled_point(x)
+        self.u_vals = np.array(point.us.values, dtype=complex)
+        self.zetas = np.array(point.zetas.values, dtype=complex)
         self.min_sep = tracking._min_pairwise(self.u_vals)
-        t, sep_s = self.t, self.min_sep / abs(self.x1_quarter)
-        self.nodes = tuple((t * t + 2 * w * t) / 4 for w in np.exp(2j * pi / 3 * np.arange(3)))
-        spacing = sqrt(0.75) * abs(t)
-        if spacing < MERGE_REL * sep_s:
-            self.node_centers, self.node_radius = (t * t / 4,), MERGE_REL * sep_s
-        else:
-            self.node_centers, self.node_radius = self.nodes, NODE_REL * min(sep_s, spacing)
-        self.spec = quartic_spec("st")
-        self._anchors: dict[int, tuple[complex, np.ndarray, np.ndarray]] = {}  # see anchor
+        self._anchors: dict[int, tuple[complex, np.ndarray]] = {}  # see anchor
 
     @property
     def chart_validated(self) -> bool:
@@ -425,85 +388,106 @@ class SheetField:
             raise ValidationError("ell must be 1, 2 or 3")
         return self.u_vals[ell - 1]
 
-    def s_of_y(self, y: complex) -> complex:
-        return complex(y) / self.x1_quarter
+    def coeffs_at(self, y: complex) -> list[complex]:
+        """Ascending coefficients of the z-quartic at y."""
+        return [y, self.x1, self.x2, 0j, 1 + 0j]
 
-    def coeffs_at(self, s: complex) -> list[complex]:
-        """Ascending quartic coefficients at s and the field's t."""
-        return self.spec.coeffs(s, self.t)
+    def g(self, z):
+        """The sheet value g = -1/phi'(z) of a root z (or an array of them)."""
+        return -1 / ((4 * z * z + 2 * self.x2) * z + self.x1)
 
-    def _s_path(self, y_path) -> list:
-        scale = 1 / self.x1_quarter
-        return [p.scaled(scale) if isinstance(p, tracking.Arc) else self.s_of_y(p) for p in y_path]
+    def origin_sheets(self) -> np.ndarray:
+        """The origin-labelled sheets at y = 0.
+
+        Sheet 4 is z = 0 (h4 = -1).  Sheets 1, 2 and 3 are the roots of
+        z^3 + x2 z + x1: at x2 = 0 they are c (e^(-i pi/3), e^(i pi/3), -1)
+        (h = 1/3, and dh/ds = (4/9) zhat^2, dh/dt = -(2/9) zhat with zhat =
+        z / c give the germs of ``origin_germs``), and one degree-3 leg
+        continues them in x2 to the field's.  Two of them meet on that leg
+        only where |t| = 3 / 2^(2/3) and t^3 is real and negative, past the
+        validated chart; the leg then raises ``ContinuationError``.
+        """
+        cube = [self.c * w for w in (cmath.exp(-1j * pi / 3), cmath.exp(1j * pi / 3), -1)]
+        if self.x2 != 0:
+            try:
+                leg = tracking.track_family(
+                    lambda x2: [self.x1, x2, 0j, 1 + 0j], tracking.Segment(0j, self.x2), cube
+                )
+            except ContinuationError as err:
+                raise ContinuationError(
+                    f"origin labels: the roots of z^3 + x2 z + x1 continued in x2: {err}",
+                    location=err.location,
+                ) from err
+            cube = leg.final.tolist()
+        return np.array([*cube, 0j])
 
     def track_y_polyline(self, y_path) -> np.ndarray:
-        """Sheet 4-tuple at the end of a y-plane path from the origin seed.
-
-        The seed is :func:`branches_at_origin` at the field's t and s0 =
-        ``SEED_SCALE`` min(1, |s(min_sep)|) in the direction of the path's
-        start, turned by pi/3 where the seed's radial leg (lambda s0,
-        lambda t), f <= lambda <= 1, passes a node centre c nearer than
-        lambda ``node_radius``: where s0 lies that near the segment from
-        c - (1 - f) t^2/4 to c.  The path then runs from s0.
-        """
-        s_path = self._s_path(y_path)
-        start = _start(s_path[0])
-        d = start / abs(start) if start != 0 else 1.0
-        s0 = d * SEED_SCALE * min(1.0, abs(self.s_of_y(self.min_sep)))
-        shift = (1 - _seed_scale(s0, self.t)) * self.t**2 / 4
-        if any(_segment_point_distance(c - shift, c, s0) < self.node_radius
-               for c in self.node_centers):
-            s0 *= np.exp(1j * pi / 3)
-        return track_s_with_bows(self, branches_at_origin(s0, self.t), [s0] + s_path)
+        """Sheet 4-tuple at the end of a y-plane path from y = 0, origin
+        labels, the first stretch straight from 0."""
+        return track_s_with_bows(self, self.origin_sheets(), [0j, *y_path])
 
     def track_from(self, vals, y_path) -> np.ndarray:
         """Continue a known tuple along a y-plane path starting at its
         first piece."""
-        return track_s_with_bows(self, vals, self._s_path(y_path))
+        return track_s_with_bows(self, vals, y_path)
 
     def track_stops(self, vals, y0: complex, y1: complex, stops) -> list[np.ndarray]:
         """Sheet tuples at the points y0 + (y1 - y0) tau of the segment
         y0 -> y1, one per tau in the ascending ``stops`` (in (0, 1]).
 
         The segment is one tracker leg landing on every stop (in one batch
-        after its steps, see ``tracking.track_family``).  It is not planned
-        around the sheet nodes: a Laplace ray runs far from them.
+        after its steps, see ``tracking.track_family``).
         """
-        segment = tracking.Segment(self.s_of_y(y0), self.s_of_y(y1))
-        leg = tracking.track_family(self.coeffs_at, segment, vals, stops=stops)
+        leg = tracking.track_family(self.coeffs_at, tracking.Segment(y0, y1), vals, stops=stops)
         at = dict(zip(leg.taus, leg.values))
         return [at[tau] for tau in stops]
 
-    def anchor(self, ell: int) -> tuple[complex, np.ndarray]:
-        """Anchor point u_ell + i r and the sheet tuple carried there.
+    def local_sheets(self, ell: int, y: complex) -> np.ndarray:
+        """The sheet tuple at y near u_ell, built from the local roots.
 
-        The tuple is validated against the local series germ of the
-        transform (whose branch is carried by the continuously tracked
-        square-root prefactor): if the ray-arc arrival landed on the
-        opposite side of the local square root, the singular sheet pair is
-        swapped.  This keeps the anchor well-defined at configurations
-        whose singularities have rotated far from the reference wedge.
-        ``_anchors[ell]`` records the point, the corrected tuple and the raw
-        arrival, the corrected tuple being the arrival itself unless swapped.
+        With y = u_ell + w^2 the pair that meets at zeta_ell starts at
+        zeta_ell +- w sqrt(-2 / phi''(zeta_ell)), and the other two roots
+        at the roots of z^2 + 2 zeta_ell z + x2 + 3 zeta_ell^2, the
+        quartic's cofactor of (z - zeta_ell)^2 at y = u_ell.  One tracker
+        step (:func:`tracking.polish`) polishes all four; a rejected step
+        raises ``ContinuationError``.  The pair becomes sheets ell and 4,
+        in the order whose transform fits the local series germ: a misfit
+        above ``GERM_MISFIT`` either way raises ``ValidationError``.  The
+        other two take the remaining places; no value read here depends on
+        their order.
         """
-        u = self.u(ell)
+        u, zeta = complex(self.u(ell)), complex(self.zetas[ell - 1])
+        d = cmath.sqrt(complex(y) - u) * cmath.sqrt(-2 / (12 * zeta * zeta + 2 * self.x2))
+        root = cmath.sqrt(-2 * zeta * zeta - self.x2)
+        guess = [-zeta + root, -zeta - root]
+        guess.insert(ell - 1, zeta + d)
+        guess.append(zeta - d)
+        sheets = tracking.polish(self.coeffs_at(y), guess, guess)
+        if sheets is None:
+            raise ContinuationError(
+                f"the local roots at u_{ell} fail the tracker step at y = {complex(y):.6g}",
+                location=y,
+            )
+        sheets = np.array(sheets)
+        got = self.psi_from_sheets(ell, sheets)
+        ref = self._series_germ(ell, y)
+        if abs(got + ref) < abs(got - ref):
+            sheets[[ell - 1, 3]] = sheets[[3, ell - 1]]
+            got = -got
+        if abs(got - ref) > GERM_MISFIT * abs(ref):
+            raise ValidationError(
+                f"anchor germ disagrees with the local series "
+                f"({abs(got - ref) / abs(ref):.2e} relative)"
+            )
+        return sheets
+
+    def anchor(self, ell: int) -> tuple[complex, np.ndarray]:
+        """Anchor point u_ell + i r, r = ``ANCHOR_REL`` min_sep, and the
+        sheet tuple there (:meth:`local_sheets`), cached per ell."""
         if ell not in self._anchors:
-            r = ANCHOR_REL * self.min_sep
-            arrival = self.track_y_polyline([tracking.Arc(u, r, _ray_angle(u), pi / 2)])
-            point, sheets = u + 1j * r, arrival
-            got = self.psi_from_sheets(ell, sheets)
-            ref = self._series_germ(ell, point)
-            if abs(got + ref) < abs(got - ref):
-                sheets = arrival.copy()
-                sheets[ell - 1], sheets[3] = sheets[3], sheets[ell - 1]
-                got = -got
-            if abs(got - ref) > 0.2 * abs(ref):
-                raise ValidationError(
-                    f"anchor germ disagrees with the local series "
-                    f"({abs(got - ref) / abs(ref):.2e} relative)"
-                )
-            self._anchors[ell] = (point, sheets, arrival)
-        return self._anchors[ell][:2]
+            point = self.u(ell) + 1j * ANCHOR_REL * self.min_sep
+            self._anchors[ell] = (point, self.local_sheets(ell, point))
+        return self._anchors[ell]
 
     def _series_germ(self, ell: int, y: complex) -> complex:
         from .wkb_series import borel_coeffs
@@ -512,9 +496,7 @@ class SheetField:
         return bct.eval_series(y)
 
     def psi_from_sheets(self, ell: int, sheets) -> complex:
-        g_ell = sheets[ell - 1] / complex(self.x.x1)
-        g4 = sheets[3] / complex(self.x.x1)
-        return 1j / sqrt(pi) * (-1) ** (ell - 1) * (g_ell - g4)
+        return 1j / sqrt(pi) * (-1) ** (ell - 1) * (self.g(sheets[ell - 1]) - self.g(sheets[3]))
 
 
 def psi_borel_eval(
@@ -658,25 +640,17 @@ def discontinuity(
             details.append(f"u_{j} within {d:.2e} of segment u_{ell}u_{k}")
 
     approach = _ray_chain(field, ell, mids, k)
-    # the chain runs the raw ray arcs: back down u_ell's, which carries u_ell's
-    # raw arrival onto the standard branch continued to the ray, and up u_k's,
-    # which lands across u_k's square root (a singular-pair swap: the jump's
-    # sign flips) where u_k's anchor was corrected
-    field.anchor(ell)
-    field.anchor(k)
-    _, sheets_k, arrival_k = field._anchors[k]
-    sign = 1.0 if sheets_k is arrival_k else -1.0
-    arrived = field.track_from(field._anchors[ell][2], approach)  # the chain starts at a
+    arrived = field.track_from(field.anchor(ell)[1], approach)  # the chain starts at the anchor
     jump = _cut_jump(
         field, uk, R, approach[-1].end, arrived, lambda s: field.psi_from_sheets(ell, s)
     )
-    return DiscontinuityResult(sign * jump, hypothesis_ok, "; ".join(details))
+    return DiscontinuityResult(jump, hypothesis_ok, "; ".join(details))
 
 
 def psi_on_cut(field_or_x, k: int, y: complex) -> complex:
     """Standard on-cut value of one Borel transform at y = u_k + sigma.
 
-    This is the jump of the fourth origin sheet across the cut, read on the
+    This is the jump of the fourth sheet across the cut, read on the
     cut (``_cut_jump``), divided by sqrt(pi)/i: the quantity the
     discontinuity identities are stated against.  It equals the arg -> 2 pi
     (k = 1, 3) or arg -> 0 (k = 2) boundary value of the local series.
@@ -688,7 +662,7 @@ def psi_on_cut(field_or_x, k: int, y: complex) -> complex:
         raise ValidationError("y must lie on the cut from u_k in the +real direction")
     R = sigma.real
     a, sheets0 = field.anchor(k)
-    jump = _cut_jump(field, uk, R, a, sheets0, lambda s: s[3] / complex(field.x.x1))
+    jump = _cut_jump(field, uk, R, a, sheets0, lambda s: field.g(s[3]))
     return 1j / sqrt(pi) * jump
 
 
@@ -715,17 +689,19 @@ def _cut_jump(field: SheetField, uk: complex, R: float, start, sheets, read) -> 
 
 
 def _ray_angle(u: complex) -> float:
-    """Continuous arrival angle at u along its own ray from the origin.
+    """The angle about u at which u's own ray from the origin reaches it,
+    within pi of the anchor angle pi/2: in [-pi/2, 3 pi/2).
 
-    Upper-boundary convention: an arrival along the exact negative real
-    direction counts as +pi.
+    A singularity on the negative real axis, whose ray runs along its own
+    cut, raises ``ValidationError``.
     """
     w = -u / abs(u)
     if abs(w.imag) <= 1e-12:
         if w.real >= 0:
             raise ValidationError("singularity sits on its own cut direction")
         return pi
-    return float(np.angle(w))
+    theta = float(np.angle(w))
+    return theta + 2 * pi if theta < -pi / 2 else theta
 
 
 def _ray_chain(field: SheetField, ell: int, mids: list[int], k: int) -> list:
@@ -733,34 +709,30 @@ def _ray_chain(field: SheetField, ell: int, mids: list[int], k: int) -> list:
 
     Straight segments between the singularities are replaced by the
     homotopic route through the origin region (down one ray, across, up the
-    next), because every chart germ is anchored on its ray approach.  Each
-    intermediate singularity is encircled once counterclockwise (the
-    square-root branch swap).  The path's arcs are :class:`tracking.Arc`
-    pieces of anchor radius; it starts at u_ell's anchor point and ends at
-    u_k's anchor point (angle pi/2).
+    next).  At each end the path turns the short way between the anchor
+    angle pi/2 and the ray's angle (``_ray_angle``), so it never crosses
+    the continuation of a ray beyond its u: the sheets it carries are those
+    continued straight from the origin, which are single-valued off those
+    continuations, and the anchor is their value there.  Each intermediate singularity is
+    encircled once counterclockwise from its ray (the square-root branch
+    swap).  The path's arcs are :class:`tracking.Arc` pieces of anchor
+    radius; it starts at u_ell's anchor point and ends at u_k's anchor
+    point (angle pi/2).
     """
     u = field.u_vals
     r_a = ANCHOR_REL * field.min_sep
     r_low = 0.15 * min(abs(v) for v in u)
-    chain = [ell] + mids + [k]
 
-    # leave u_ell: reverse its anchor arc, then descend its ray
-    first = u[ell - 1]
-    pts: list = [tracking.Arc(first, r_a, pi / 2, _ray_angle(first)), r_low * first / abs(first)]
+    def low(v):  # the point of v's ray near the origin
+        return r_low * v / abs(v)
 
-    for n, idx in enumerate(chain[1:], start=1):
+    first, last = u[ell - 1], u[k - 1]
+    pts: list = [tracking.Arc(first, r_a, pi / 2, _ray_angle(first)), low(first)]
+    for idx in mids:
         here = u[idx - 1]
-        th_ray = _ray_angle(here)
-        # cross near the origin and ascend this ray to the anchor frame
-        pts.append(r_low * here / abs(here))
-        pts.append(tracking.Arc(here, r_a, th_ray, pi / 2))
-        if n < len(chain) - 1:
-            # branch swap: one full counterclockwise loop, then back down
-            turn = pi / 2 + 2 * pi
-            pts.append(tracking.Arc(here, r_a, pi / 2, turn))
-            pts.append(tracking.Arc(here, r_a, turn, th_ray + 2 * pi))
-            pts.append(r_low * here / abs(here))
-    return pts
+        theta = _ray_angle(here)
+        pts += [low(here), tracking.Arc(here, r_a, theta, theta + 2 * pi), low(here)]
+    return pts + [low(last), tracking.Arc(last, r_a, _ray_angle(last), pi / 2)]
 
 
 # -- holonomic-system residuals ---------------------------------------------------
@@ -878,7 +850,8 @@ def verify_annihilation(x: PlanePoint, y: complex) -> tuple[float, ...]:
 
     The branch is tracked once; derivatives are its exact implicit jets.
     """
-    g_value = SheetField(x).track_y_polyline([complex(y)])[3] / complex(x.x1)
+    field = SheetField(x)
+    g_value = field.g(field.track_y_polyline([complex(y)])[3])
     jets = implicit_jet(x, y, g_value)
     point = (complex(x.x1), complex(x.x2), complex(y))
     residuals = []

@@ -6,7 +6,10 @@
 
 along the cut ray, removing the inverse-square-root endpoint by the
 substitution y = u_ell + w^2.  The integrand near the endpoint uses the
-local series; beyond a hand-off radius the sheet continuation takes over.
+local series; beyond a hand-off radius w_mid the sheet continuation takes
+over.  It starts on the ray itself: the local pair of z-roots at
+u_ell + (w_mid/4)^2 (``SheetField.local_sheets``), carried by one leg to
+the hand-off point u_ell + w_mid^2, with no route from an anchor.
 
 ``pearcey_quadrature`` integrates exp(eta (z^4 + x2 z^2 + x1 z)) along a
 piecewise-linear contour joining two valleys of the integrand, giving an
@@ -187,16 +190,16 @@ def laplace_borel_sum(
 
     part1 = adaptive_segment(f_series, 0.0, w_mid, tol * np.exp(-eta * ul.real))
 
-    # far piece by sheet continuation: K49 panels, one ray leg per pass
-    # lands on every node; 4, then 8, then 16 panels until the Kronrod and
-    # embedded Gauss estimates agree
+    # far piece by sheet continuation: the local pair at a quarter of w_mid
+    # carried out to it, then K49 panels, one ray leg per pass landing on
+    # every node; 4, then 8, then 16 panels until the Kronrod and embedded
+    # Gauss estimates agree
     part2 = 0j
     nodes = 0
     converged = True  # without a far piece there is nothing to refine
     if w_max > w_mid:
-        a, sheets0 = field.anchor(ell)
-        start_y = ul + w_mid**2
-        vals = field.track_from(sheets0, [a, start_y])
+        y0, start_y = ul + (w_mid / 4) ** 2, ul + w_mid**2
+        vals = field.track_from(field.local_sheets(ell, y0), [y0, start_y])
 
         def f_far(w: np.ndarray) -> np.ndarray:
             nonlocal nodes

@@ -42,12 +42,12 @@ coefficients, and the n values are unrolled into named locals, each with
 its own Newton loop, so the residual tests, the displacement, the
 pairwise separation and the margin are plain expressions over them.
 :func:`polish` is one such step from a prediction of the caller's; event
-bisection in ``stokes`` labels its rows by it, and ``borel`` seeds the
-origin-chart sheets with it.  Running out of refinement raises
-``ContinuationError`` with the path point where the tracker gave up; the
-message also names the piece and where on it the tracker stopped
-(``where``): the segment and the tau reached, or the arc and the angle
-reached.
+bisection in ``stokes`` labels its rows by it, and ``borel`` builds each
+local anchor and seeds the origin-chart sheets with it.  Running out of
+refinement raises ``ContinuationError`` with the path point where the
+tracker gave up; the message also names the piece and where on it the
+tracker stopped (``where``): the segment and the tau reached, or the arc
+and the angle reached.
 """
 
 from __future__ import annotations

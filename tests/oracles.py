@@ -586,18 +586,17 @@ def circle_knots(center: complex, radius: float, theta0: float, theta1: float, n
 
 
 def chord_anchor(field, ell):
-    """``SheetField.anchor(ell)``'s sheet tuple, the ray and the arc to
-    u_ell + i r tracked as a 48-per-turn chord polyline."""
+    """The transform's value at ``SheetField.anchor(ell)``'s point u_ell +
+    i r, from the origin labels carried up u_ell's ray and round the short
+    arc to the anchor as a 48-per-turn chord polyline, its sign fixed by
+    the local series germ."""
     u = field.u_vals[ell - 1]
     r = borel.ANCHOR_REL * field.min_sep
     arc = circle_knots(u, r, borel._ray_angle(u), np.pi / 2)
     sheets = field.track_y_polyline([u - r * (u / abs(u))] + arc[1:])
     got = field.psi_from_sheets(ell, sheets)
     ref = field._series_germ(ell, u + 1j * r)
-    if abs(got + ref) < abs(got - ref):
-        sheets = sheets.copy()
-        sheets[ell - 1], sheets[3] = sheets[3], sheets[ell - 1]
-    return sheets
+    return -got if abs(got + ref) < abs(got - ref) else got
 
 
 def chord_cut_side(field, uk, R, start, sheets, theta):

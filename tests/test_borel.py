@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -224,22 +225,53 @@ class TestOriginSeed:
         assert "seed radius 7.81e-05" in str(err.value)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.5, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 0.2), st.floats(0.0, 1.0),
+    st.floats(0.0, 0.4), st.floats(0.0, 1.0),
+)
+@example(1.0, 0.0, 0.0, 0.0, 0.3, 0.0)  # t = 0, where three g-sheets meet at s = 0
+@example(1.0, 0.0, 0.1, 0.0, 0.0525, 0.0)  # y on the node (t^2 + 2t)/4
+@example(1.0, 0.0, 0.0, 0.0, 6.103515625e-05, 0.0)  # next to the triple point
+def test_origin_labels_match_the_chart(r, arg, t_abs, t_turn, s_abs, s_turn):
+    # the z-roots at y = 0, carried by one straight leg to y = s x1^(4/3),
+    # read as h = -x1/phi'(z), are the origin-chart sheets of the quartic
+    # in h, continued radially from the germs at (s, t) = (0, 0): to 1e-12
+    # where the h-sheets lie 0.1 apart or more; nearer the triple point
+    # (0, 0) or a node, the chart's own roots lose digits as 1/sep^2
+    x1 = r * cmath.exp(2j * np.pi * arg)
+    t = t_abs * cmath.exp(2j * np.pi * t_turn)
+    s = s_abs * cmath.exp(2j * np.pi * s_turn)
+    c = r ** (1 / 3) * cmath.exp(1j * cmath.phase(x1) / 3)
+    field = SheetField(PlanePoint(x1, t * c * c))
+    try:
+        want = branches_at_origin(s, field.t)
+    except ContinuationError:  # the radial seed leg meets a node (t = 2s and the like)
+        assume(False)
+    h = x1 * field.g(field.track_y_polyline([s * field.c**4]))
+    sep = min(abs(a - b) for a, b in itertools.combinations(want, 2))
+    assert np.abs(h - want).max() <= 1e-12 * max(1.0, (0.1 / max(sep, 1e-6)) ** 2)
+
+
 class TestSeeding:
     @pytest.mark.parametrize("x", OLD_SEED_FAILURES, ids=str)
     def test_tracks_reach_every_singularity(self, x, monkeypatch):
-        # every origin-chart germ is read near (0, 0), whatever the field's t
-        near, germs = [], borel.origin_germs
+        # the sheets next to each u_ell are built there from the local roots:
+        # no origin-chart germ is read, whatever the field's t, the four
+        # sheets sum to 0 (the quartic in g has no cubic term) and the
+        # transform fits its local series
+        def unread(*args):
+            raise AssertionError("an origin-chart germ was read")
 
-        def recorded(s, t):
-            near.append(max(abs(s), abs(t)))
-            return germs(s, t)
-
-        monkeypatch.setattr(borel, "origin_germs", recorded)
+        monkeypatch.setattr(borel, "origin_germs", unread)
+        monkeypatch.setattr(borel, "branches_at_origin", unread)
         field = SheetField(x)
         for ell in (1, 2, 3):
-            sheets = field.track_y_polyline([field.u(ell) + 0.3j * field.min_sep])
-            assert abs(sheets.sum()) < 1e-9 * max(abs(sheets))
-        assert near and max(near) <= borel.SEED_SCALE * (1 + 1e-12)
+            a, sheets = field.anchor(ell)
+            g = field.g(sheets)
+            assert abs(g.sum()) < 1e-9 * max(abs(g))
+            want = field._series_germ(ell, a)
+            assert abs(field.psi_from_sheets(ell, sheets) - want) < 1e-3 * abs(want)
 
     @pytest.mark.parametrize(
         "x",
@@ -252,13 +284,13 @@ class TestSeeding:
         ids=str,
     )
     def test_seed_matches_continued_germs(self, x):
-        # a path that starts at the seed point s0 (direction +1) returns the
-        # seeded tuple itself
+        # the origin labels at y = 0, carried by one straight leg to the small
+        # real s0 of the chart's seed radius, are the continued origin germs
         field = SheetField(x)
-        s0 = borel.SEED_SCALE * min(1.0, abs(field.s_of_y(field.min_sep)))
-        seeded = field.track_y_polyline([s0 * field.x1_quarter])
+        s0 = borel.SEED_SCALE * min(1.0, abs(field.min_sep / field.c**4))
+        h = complex(x.x1) * field.g(field.track_y_polyline([s0 * field.c**4]))
         want = origin_sheets_oracle(s0, field.t)
-        assert np.max(np.abs(seeded - want)) <= 1e-12
+        assert np.max(np.abs(h - want)) <= 1e-12
 
 
 def _node_factors(variables):
@@ -294,47 +326,32 @@ class TestSheetNodes:
 
     @pytest.mark.parametrize("t", [0.1, 0.0322, 0.13 - 0.07j, -0.2j, 1.5 + 0.5j], ids=str)
     def test_nodes_are_the_roots_of_the_squared_factors(self, t):
+        # the nodes (t^2 + 2 omega t)/4, omega^3 = 1, are where two g-sheets
+        # cross: double roots of the quartic in h, while the four z-roots
+        # there stay apart (in z two roots meet only at the u_ell)
         field = SheetField(PlanePoint(1.0, t))
         assert field.t == t
         linear, quadratic = _node_factors(STVARS)
-        n1, *pair = field.nodes
+        n1, *pair = [(t * t + 2 * w * t) / 4 for w in np.exp(2j * np.pi / 3 * np.arange(3))]
         scale = (1 + abs(t)) ** 4
         assert abs(linear.eval_numeric({"s": n1, "t": t})) <= 1e-14 * scale
         for n in pair:
             assert abs(quadratic.eval_numeric({"s": n, "t": t})) <= 1e-14 * scale
-        # two sheets meet there: the quartic has a double root
-        for n in field.nodes:
-            roots = np.roots(field.coeffs_at(n)[::-1])
+        for n in (n1, *pair):
+            roots = np.roots(quartic_spec("st").coeffs(n, t)[::-1])
             assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) < 1e-6
-        spacing = min(field.min_sep / abs(field.x1_quarter), np.sqrt(3) / 2 * abs(t))
-        assert field.node_centers == field.nodes
-        assert field.node_radius == pytest.approx(borel.NODE_REL * spacing, rel=1e-15)
-
-    def test_waypoint_keeps_each_singularity_on_its_side(self, monkeypatch):
-        # near the caustic (|t| = 1.47) a node sits between u_1 and u_3, 4e-3
-        # from each, and u_3's anchor leg passes u_1 at 7e-5 on the side it
-        # passes the node: a waypoint there would carry the leg across u_1
-        # (and the anchor misses its local series by 56%), so it goes on
-        # the node's other side
-        x = PlanePoint(1.0, 0.6886924026047935 - 1.3016722462544994j)
-        with monkeypatch.context() as m:
-            m.setattr(borel, "_in_triangle", lambda *args: False)
-            with pytest.raises(ValidationError, match="anchor germ disagrees"):
-                SheetField(x).anchor(3)
-        SheetField(x).anchor(3)
+            z = np.roots(field.coeffs_at(n)[::-1])
+            assert min(abs(a - b) for a, b in itertools.combinations(z, 2)) > 0.1
+            h = field.g(z)
+            assert min(abs(a - b) for a, b in itertools.combinations(h, 2)) < 1e-6
 
     @pytest.mark.parametrize("x2", [0.0, 1e-6, 1e-6j], ids=str)
     def test_crowded_nodes_are_passed_as_one(self, x2):
-        # at t = 0 three sheets meet at the origin, and nodes spaced below
-        # MERGE_REL min_sep crowd it: the slit-plane route to y = 0.25 runs
-        # along the real axis through them, passes their centroid
-        # node_radius above, and gives the value of a route 0.1 above it
+        # at t = 0 three g-sheets meet at the origin, where the nodes crowd:
+        # the slit-plane route to y = 0.25 runs along the real axis through
+        # them as one leg, and gives the value of a route 0.1 above it
         x = PlanePoint(1.0, x2)
         field = SheetField(x)
-        t = field.t
-        assert field.node_centers == (t * t / 4,)
-        sep_s = field.min_sep / abs(field.x1_quarter)
-        assert field.node_radius == borel.MERGE_REL * sep_s
         a = field.anchor(1)[0]
         left = min(u.real for u in field.u_vals) - field.min_sep
         over = [complex(left, a.imag), complex(left, 0.1), 0.25 + 0.1j, 0.25]
@@ -353,13 +370,31 @@ class TestSheetNodes:
     ids=["seed-leg", "seed-point"],
 )
 def test_seed_next_to_a_node_turns_away(argv, tmp_path, series8):
-    # s0 turns by pi/3 off the node, and the value is the local series'
+    # next to the node (t^2 + 2t)/4, where an origin-chart seed leg fails or
+    # sits on t = 2s: the value is the local series'
     assert main(["--out-dir", str(tmp_path), *argv]) == 0
     got = json.loads((tmp_path / "borel.json").read_text())["psi_value"]
     got = complex(*map(float, got))
     x = PlanePoint(1.0, float(argv[4]))
     want = borel_coeffs(x, 3, 8, table=series8).eval_series(0.3)
     assert abs(got - want) < 1e-6 * abs(want)
+
+
+def test_route_ending_on_a_sheet_node_is_tracked(tmp_path):
+    # y = (t^2 + 2t)/4 is a node: g-sheets 1 and 2 are equal there, while
+    # the z-roots stay apart, so the route ends on it; the value is the mean
+    # of those at y -+ 1e-5 (0.78847891i)
+    argv = ["--out-dir", str(tmp_path), "borel", "--x1", "1", "--x2", "0.1", "--y", "0.0525",
+            "--ell", "3"]
+    assert main(argv) == 0
+    got = complex(*map(float, json.loads((tmp_path / "borel.json").read_text())["psi_value"]))
+    x = PlanePoint(1.0, 0.1)
+    want = sum(psi_borel_eval(3, x, 0.0525 + d).value for d in (-1e-5, 1e-5)) / 2
+    assert abs(got - want) <= 1e-8 * abs(want)
+    assert abs(got - 0.78847891j) <= 1e-8
+    field = SheetField(x)
+    h = field.g(field.track_y_polyline([0.0525])) * complex(x.x1)
+    assert abs(h[0] - h[1]) <= 1e-7 and abs(h[0] - 0.3125) <= 1e-7
 
 
 def test_quadrature_next_to_a_node_matches_one_combination(tmp_path):
@@ -439,9 +474,12 @@ class TestArcRoutes:
 
     @pytest.mark.parametrize("x", ARC_POINTS, ids=str)
     def test_anchor_sheets_match_chords(self, x):
+        # the local anchor against the origin labels carried up the ray and
+        # round the anchor arc as chords: the same transform value
         field = SheetField(x)
         for ell in (1, 2, 3):
-            assert _close(field.anchor(ell)[1], chord_anchor(field, ell))
+            got = field.psi_from_sheets(ell, field.anchor(ell)[1])
+            assert _close(got, chord_anchor(field, ell))
 
     @pytest.mark.parametrize("x", ARC_POINTS, ids=str)
     def test_cut_sides_match_chords(self, x):
@@ -593,14 +631,12 @@ class TestDiscontinuities:
         + [(PlanePoint(1.0, 0.01 - 0.01j), ell, k) for ell, k in ((1, 3), (3, 1), (3, 2))],
     )
     def test_plain_identity_where_an_anchor_is_swapped(self, x, ell, k):
-        # u_3's ray arc crosses its own cut at these points, so its anchor
-        # swaps the singular pair; the jumps from and to u_3 keep the signed
-        # identity of the unswapped points
+        # u_3's ray reaches it from below its cut at these points, so the
+        # chain's short turn between the ray and u_3's anchor crosses the
+        # cut; the jumps from and to u_3 keep the signed identity of the
+        # other points
         f = SheetField(x)
-        f.anchor(ell)
-        f.anchor(k)
-        swapped = [f._anchors[m][1] is not f._anchors[m][2] for m in (ell, k)]
-        assert swapped == [ell == 3, k == 3]
+        assert np.pi < borel._ray_angle(f.u(3)) < 1.5 * np.pi
         y = f.u_vals[k - 1] + 0.25 * f.min_sep
         d = discontinuity("plain", ell, k, f, y)
         rhs = (-1) ** ell * psi_on_cut(f, k, y)
@@ -618,24 +654,24 @@ class TestDiscontinuities:
     @pytest.mark.parametrize("kind", ["plain", "tilde"])
     def test_field_argument_gives_the_same_bits(self, kind, monkeypatch):
         # a field passed in keeps its anchors: the jump has the bits of a
-        # fresh field's, with fewer tracker legs once anchor(3) is cached
+        # fresh field's, and builds no local sheets once anchor(1) is cached
         x = PlanePoint(1.0, 0.07)
         f = SheetField(x)
         y = f.u_vals[2] + 0.25 * f.min_sep
-        psi_on_cut(f, 3, y)
-        legs = []
-        real = tracking.track_family
+        f.anchor(1)
+        built = []
+        real = SheetField.local_sheets
 
         def counted(*args, **kw):
-            legs.append(1)
+            built.append(1)
             return real(*args, **kw)
 
-        monkeypatch.setattr(tracking, "track_family", counted)
+        monkeypatch.setattr(SheetField, "local_sheets", counted)
         want = discontinuity(kind, 1, 3, x, y)
-        fresh = len(legs)
+        fresh = len(built)
         got = discontinuity(kind, 1, 3, f, y)
         assert got.value == want.value and got.hypothesis_ok == want.hypothesis_ok
-        assert len(legs) - fresh < fresh
+        assert (fresh, len(built)) == (1, 1)
 
     def test_ray_chain_ends_at_anchor_point(self):
         # the chain's last arc and the anchor share one radius
@@ -665,8 +701,7 @@ class TestAnnihilation:
         x = PlanePoint(1.0, 0.1)
         y = 0.03 + 0.02j
         f = SheetField(x)
-        sheets = f.track_y_polyline([y])
-        g4 = sheets[3] / complex(x.x1)
+        g4 = f.g(f.track_y_polyline([y])[3])
         jets = implicit_jet(x, y, g4)
         extra = 2 * complex(x.x2) * jets[("x1",)] + 2 * complex(x.x1) * jets[("y",)]
         scale = (
@@ -681,7 +716,8 @@ class TestAnnihilation:
         # each point solved by the oracle's own Newton iteration
         x = PlanePoint(1.0, 0.1)
         y = 0.03 + 0.02j
-        g = SheetField(x).track_y_polyline([y])[3] / complex(x.x1)
+        f = SheetField(x)
+        g = f.g(f.track_y_polyline([y])[3])
         exact = implicit_jet(x, y, g)
         fd = fd_jets(x.x1, x.x2, y, g, h=1e-4)
         for key, value in fd.items():

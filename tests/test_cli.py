@@ -409,7 +409,8 @@ def test_malformed_input_is_a_validation_error(tmp_path, capsys, monkeypatch, ar
         ([*QUADRATURE, "--eta", "nan", "--contour", "0,1"], 2,
          "validation error: eta: 'nan' is not finite"),
         (["borel", "--x1=1", "--x2=0", "--y=1e200", "--ell", "1"], 3,
-         "numeric failure: continuing to y = (1e+200+0j): coefficient evaluation overflows"),
+         "numeric failure: continuing to y = (1e+200+0j): near-discriminant passage: "
+         "step underflow"),
         (["quadrature", "--x1=1e200", "--x2=0", "--eta", "1", "--contour", "0,1"], 2,
          "validation error: peak cubic -4 |eta| r^3 + 2 Re(eta x2 d^2) r + Re(eta x1 d) "
          "on valley ray 0 at (x1, x2) = ((1e+200+0j), 0j): leading coefficient"),

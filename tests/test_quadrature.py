@@ -1,3 +1,4 @@
+import cmath
 from math import gamma, pi, sqrt
 
 import numpy as np
@@ -283,3 +284,41 @@ class TestDefiningIntegralOracle:
         monkeypatch.setattr(SheetField, "track_stops", counted)
         r = laplace_borel_sum(1, PlanePoint(1.0, 0.1), 10.0, table=series8)
         assert r.converged and calls == [r.nodes] == [196]
+
+
+# ROADMAP item 9's points beyond |t| <= 0.2, eta = 8: the adjacent contours
+# whose Borel sums the matcher identifies, and those it refuses because one
+# sum lies more than 1e4 below the integral (every coefficient of it then
+# matches within the matcher's 1e-4)
+BEYOND_CHART = [
+    (PlanePoint(0.15, 0.5 + 0.25j), [(0, 1), (1, 2), (2, 3), (3, 0)], []),
+    (PlanePoint(0.15, 0.5 + 0.5j), [(0, 1), (1, 2), (2, 3), (3, 0)], []),
+    (PlanePoint(1.0, 1.5 * cmath.exp(0.25j * pi)), [(0, 1), (1, 2), (2, 3), (3, 0)], []),
+    (PlanePoint(1.0, 2 * cmath.exp(0.25j * pi)), [(0, 1), (1, 2), (2, 3), (3, 0)], []),
+    (PlanePoint(1.0, 3 * cmath.exp(0.25j * pi)), [(0, 1), (1, 2), (2, 3), (3, 0)], []),
+    (PlanePoint(1.0, 2j), [(0, 1), (1, 2)], [(2, 3), (3, 0)]),
+    (PlanePoint(1.0, 3j), [], [(0, 1), (1, 2), (2, 3), (3, 0)]),
+]
+
+
+@pytest.mark.parametrize("x, matched, refused", BEYOND_CHART, ids=[str(p[0]) for p in BEYOND_CHART])
+def test_borel_sums_beyond_the_chart_match_the_defining_integral(x, matched, refused, series8):
+    # each transform's anchor is local at its own u_ell, so every Borel sum
+    # here exists; a matched combination reproduces the integral to 1e-9,
+    # and a refused contour's best combination still does
+    import itertools
+
+    psis = [laplace_borel_sum(ell, x, 8.0, table=series8).value for ell in (1, 2, 3)]
+
+    def misfit(value, phase, eps):
+        return abs(value - phase * sqrt(pi) * sum(e * p for e, p in zip(eps, psis))) / abs(value)
+
+    for contour in matched:
+        value = pearcey_quadrature(x, 8.0, contour)
+        assert misfit(value, *match_borel_combination(value, psis)) <= 1e-9
+    for contour in refused:
+        value = pearcey_quadrature(x, 8.0, contour)
+        with pytest.raises(ValidationError, match="expected exactly one"):
+            match_borel_combination(value, psis)
+        combos = itertools.product((1j, -1j), itertools.product((-1, 0, 1), repeat=3))
+        assert min(misfit(value, phase, eps) for phase, eps in combos) <= 1e-9
