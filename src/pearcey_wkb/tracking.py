@@ -53,14 +53,14 @@ and the angle reached.
 from __future__ import annotations
 
 from bisect import bisect_right
-from cmath import exp, isfinite, phase
+from cmath import exp, isfinite
 from dataclasses import dataclass, field
 from functools import cache
 from math import floor, inf
 
 import numpy as np
 
-from .aberth import _newton_polish, poly_eval_many
+from .aberth import poly_eval_many
 from .errors import ContinuationError, LabelMatchError
 
 GUARD_RATIO = 3.0
@@ -475,15 +475,39 @@ def _margin_share(rho: float) -> float:
     return floor(_SHARE_GRID * min(2.0, _MARGIN_GAIN * rho)) / _SHARE_GRID
 
 
+def _newton_polish(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Newton on the values ``z`` of the rows ``c`` (ascending; ``dc`` their
+    derivatives), each value stopped by the step kernel's rule and cap
+    (:func:`_step_kernel`), so that a batch lands where scalar steps land."""
+    live, a_prev = np.ones(z.shape, dtype=bool), np.zeros(z.shape)
+    with np.errstate(all="ignore"):
+        for k in range(_NEWTON_ITERS):
+            p, dp = poly_eval_many(c, z), poly_eval_many(dc, z)
+            live &= dp != 0
+            s = np.divide(p, dp, out=np.zeros_like(p), where=live)
+            z, a = z - s, np.abs(s)
+            r = 1.0 + np.abs(z)
+            tol = _ROUNDOFF * r
+            done = a < tol
+            if k:
+                done |= (a * a * a < tol * a_prev**2) | (a >= a_prev) & (a_prev**2 < tol * r)
+            live &= ~done
+            if not live.any():
+                break
+            a_prev = a
+    return z
+
+
 def _land_stops(coeffs_at, piece, stops: list, leg: Trace) -> tuple[list, ContinuationError | None]:
     """Land a leg's ``stops`` (ascending taus inside its recorded span, none
     of them a record's tau) in one batch.
 
     ``coeffs_at`` is called once per stop point.  Newton starts from the
     linear interpolation of the two records that bracket the stop, and the
-    rows are polished together by ``aberth._newton_polish``.  A stop's
-    values must then be finite, pass the step kernel's residual test and
-    pass the collision guard measured from the earlier bracketing record;
+    rows are polished together by :func:`_newton_polish`, which stops each
+    value as a step stops it.  A stop's values must then be finite, pass
+    the step kernel's residual test and pass the collision guard measured
+    from the earlier bracketing record;
     a stop that fails is landed by :func:`_fallback` from that record.
     Returns ``(records, failure)``: ``(tau, point, values)`` per stop in
     order, and None, or the records before the first stop whose fallback
@@ -638,13 +662,6 @@ class Arc:
         """Tau-step cap: ``ARC_STEP`` radians, at most ``MAX_STEP``."""
         span = abs(self.theta1 - self.theta0)
         return MAX_STEP if span * MAX_STEP <= ARC_STEP else ARC_STEP / span
-
-    def scaled(self, factor: complex) -> Arc:
-        """The image arc under z -> factor * z."""
-        turn = phase(factor)
-        return Arc(
-            self.center * factor, self.radius * abs(factor), self.theta0 + turn, self.theta1 + turn
-        )
 
 
 def polish(coeffs, old, guess):

@@ -170,6 +170,19 @@ OLD_SEED_GRID = [(2, 1), (2, 4), (2, 7), (2.5, 1), (2.5, 4), (2.5, 7), (3, 1), (
                  (3, 6), (3, 7)] + [(5, k) for k in range(8)]
 OLD_SEED_FAILURES = [PlanePoint(1.0, cmath.rect(r, np.pi * k / 4)) for r, k in OLD_SEED_GRID]
 OLD_SEED_FAILURES.append(PlanePoint(0.15, 0.5 + 0.5j))
+# near the caustic (|t| = 1.47) a node sits between u_1 and u_3, 4e-3 from
+# each: the s-chart's anchor leg to u_3 once passed u_1 on the wrong side
+NEAR_CAUSTIC = PlanePoint(1.0, 0.6886924026047935 - 1.3016722462544994j)
+
+
+def _x2_leg_meets_the_caustic(t) -> bool:
+    """Whether the straight leg 0 -> t passes a t with t^3 = -27/4, where
+    two roots of z^3 + x2 z + x1 meet and the origin labels are not
+    defined."""
+    return any(
+        abs(t) > abs(w) and abs(cmath.phase(t / w)) < 1e-12
+        for w in 3 / 2 ** (2 / 3) * np.exp(1j * np.pi / 3 * np.array([-1, 1, 3]))
+    )
 
 
 # origin-chart points whose germ step is rejected at the seed radius
@@ -254,12 +267,13 @@ def test_origin_labels_match_the_chart(r, arg, t_abs, t_turn, s_abs, s_turn):
 
 
 class TestSeeding:
-    @pytest.mark.parametrize("x", OLD_SEED_FAILURES, ids=str)
+    @pytest.mark.parametrize("x", [*OLD_SEED_FAILURES, NEAR_CAUSTIC], ids=str)
     def test_tracks_reach_every_singularity(self, x, monkeypatch):
         # the sheets next to each u_ell are built there from the local roots:
         # no origin-chart germ is read, whatever the field's t, the four
         # sheets sum to 0 (the quartic in g has no cubic term) and the
-        # transform fits its local series
+        # transform fits its local series; the origin labels, where their
+        # x2 leg is defined, are carried from y = 0 to each u_ell
         def unread(*args):
             raise AssertionError("an origin-chart germ was read")
 
@@ -272,6 +286,28 @@ class TestSeeding:
             assert abs(g.sum()) < 1e-9 * max(abs(g))
             want = field._series_germ(ell, a)
             assert abs(field.psi_from_sheets(ell, sheets) - want) < 1e-3 * abs(want)
+        if _x2_leg_meets_the_caustic(field.t):
+            return  # see test_origin_labels_past_the_caustic_raise_typed
+        for ell in (1, 2, 3):
+            g = field.g(field.track_y_polyline([field.u(ell) + 0.3j * field.min_sep]))
+            assert abs(g.sum()) < 1e-9 * max(abs(g))
+
+    @pytest.mark.parametrize("x2", [-2.0, -2.5, -3.0, -5.0], ids=str)
+    def test_origin_labels_past_the_caustic_raise_typed(self, x2):
+        # at x1 = 1 and real x2 below -3 / 2^(2/3), the straight x2 leg of
+        # the origin labels runs into the point where two roots of
+        # z^3 + x2 z + x1 meet: a route from y = 0 and the monodromy raise
+        # a ContinuationError naming that leg, while the local anchors,
+        # which need no origin labels, still build
+        x = PlanePoint(1.0, x2)
+        field = SheetField(x)
+        assert _x2_leg_meets_the_caustic(field.t)
+        match = r"^origin labels: the roots of z\^3 \+ x2 z \+ x1 continued in x2: "
+        with pytest.raises(ContinuationError, match=match):
+            field.track_y_polyline([field.u(1) + 0.3j * field.min_sep])
+        with pytest.raises(ContinuationError, match=match):
+            monodromy(1, x)
+        field.anchor(1)
 
     @pytest.mark.parametrize(
         "x",
