@@ -4,9 +4,14 @@
 Usage: python3 scripts/time_layers.py SRC_A SRC_B LABEL
 
 SRC_A and SRC_B are source trees (each with ``src/pearcey_wkb``); A is the
-baseline.  Each of the ``REPEAT`` pairs starts one fresh interpreter per tree,
-importing ``pearcey_wkb`` from that tree, which times every layer of
-``CASES`` in table order; which tree runs first alternates from pair to pair.
+baseline.  Each of the ``REPEAT`` pairs takes ``RUNS`` samples of each tree,
+in the order ABBA or BAAB, alternating from pair to pair.  A sample is one
+fresh interpreter, importing ``pearcey_wkb`` from that tree, which times
+every layer of ``CASES`` in table order, plus two per workload that time
+its seed-1 plan of ``perfbench/workloads.py`` once (``time_plan``): fresh,
+as the first work after the CLI import, and after that workload's seed-5
+plan, with ``geometry._labeled_point``'s cache cleared, so that their
+difference is the fixed work a process pays once.
 The cold layers (``COLD``) come first and are timed once, before any other
 layer fills their caches; the CLI import layer times a whole fresh
 ``python -c "import pearcey_wkb.cli"``, interpreter start included.  Every
@@ -20,14 +25,15 @@ that its sample can be scaled to the benchmark's reference speed
 runs slow is scaled down by as much as the loop slowed next to it.
 
 Next to the times, one counting interpreter per tree runs each layer's
-statement once more under ``counting()``, and one per workload runs the
-seed-1 plan of ``perfbench/workloads.py``.  The counts do not depend on the
+statement once more under ``counting()``, and two per workload run its
+seed-1 plan, fresh and after the seed-5 plan.  The counts do not depend on the
 machine: tracker legs, failed legs, accepted and rejected steps, landed
 stops and their fallbacks per context, the event brackets and rows, Laplace nodes,
 adaptive quadrature panels and the integrand calls and points they
 evaluate, the calls of ``roots_aberth_batch``, of ``poly_eval_many`` and the rows
-it evaluates, the calls of the coefficient evaluators and the exact
-products (``MultiPoly``, ``ZetaRational``) and derivatives.
+it evaluates, the calls of the coefficient evaluators, the exact
+products (``MultiPoly``, ``ZetaRational``), derivatives, additions, sums
+and reductions, and the ``compile()`` calls of generated source.
 
 The run is stored under LABEL in ``BENCH_layers.json`` at the repository
 root, replacing an earlier run with the same label.  Per layer it keeps
@@ -36,18 +42,22 @@ each tree's median, quartiles and samples at reference speed (``a``,
 (``calibration_us``), the pairs in which B was faster at
 reference speed, and whether the difference is resolved (``resolved``),
 read from the reference-speed samples (from the raw ones in runs stored
-before the scaling, which have no ``raw`` key): the medians differ
-by more than the larger of A's and B's interquartile spreads, the tree
-with the lower median is the faster one in at least ``WINS_TO_RESOLVE`` of
-the ``REPEAT`` pairs, and each half of the pairs, the first and the last
-``REPEAT // 2``, on its own shows the medians apart the same way by more
-than the larger of its own two spreads (quartiles taken inclusive of the
-half's ends, ``_inner``).  The halves guard against layers whose time is
-bimodal from one interpreter to the next: ten pairs of single
-interpreters can line the modes up by chance in one half, but seldom in
-both.  A layer that is not resolved is noise, and no claim
-rests on it.  Every stored run is re-evaluated under this rule whenever the
-file is written.
+before the scaling, which have no ``raw`` key).  The samples split into
+``RUNS`` runs of ``REPEAT`` pairs, the first sample of each tree per pair
+in the first run, the second in the second (``runs`` of a row; a row
+stored without it has one run, itself).  A run is resolved when the
+medians differ by more than the larger of A's and B's interquartile
+spreads, the tree with the lower median is the faster one in at least
+``WINS_TO_RESOLVE`` of its ``REPEAT`` pairs, and each half of its pairs,
+the first and the last ``REPEAT // 2``, on its own shows the medians apart
+the same way by more than the larger of its own two spreads (quartiles
+taken inclusive of the half's ends, ``_inner``).  A layer is resolved when
+every run is, the same way.  The halves and the second run guard against
+layers whose time is bimodal from one interpreter to the next: ten pairs
+of single interpreters can line the modes up by chance in one half, or in
+both halves of one run, but seldom in two runs at once.  A layer that is
+not resolved is noise, and no claim rests on it.  Every stored run is
+re-evaluated under this rule whenever the file is written.
 """
 
 import contextlib
@@ -62,6 +72,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import timeit
 from collections import Counter
 
@@ -69,6 +80,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(HERE, "..", "perfbench")
 OUT = os.path.join(HERE, "..", "BENCH_layers.json")
 REPEAT = 10  # interleaved pairs
+RUNS = 2  # samples of each tree per pair
 WINS_TO_RESOLVE = 9  # of the REPEAT pairs; a one-sided sign test gives p = 0.011 for 9 of 10
 ROUNDS = 5
 ROUND_S = 0.02
@@ -178,7 +190,11 @@ CALLS = {
     "calls.MultiPoly.__mul__": "multipoly.MultiPoly.__mul__",
     "calls.ZetaRational.__mul__": "zeta_ring.ZetaRational.__mul__",
     "calls.ZetaRational.derive": "zeta_ring.ZetaRational.derive",
+    "calls.ZetaRational.__add__": "zeta_ring.ZetaRational.__add__",
+    "calls.ZetaRational.sum": "zeta_ring.ZetaRational.sum",
+    "calls.zeta_ring._reduce": "zeta_ring._reduce",
 }
+NEWER = ("calls.ZetaRational.sum",)  # targets an older tree lacks; it counts none
 
 
 def profile_key(target: str) -> tuple:
@@ -189,7 +205,7 @@ def profile_key(target: str) -> tuple:
     obj = importlib.import_module(f"pearcey_wkb.{module}")
     for name in path:
         obj = getattr(obj, name)
-    code = obj.__code__
+    code = obj.__code__  # of the function, also through a bound classmethod
     return code.co_filename, code.co_firstlineno, code.co_name
 
 
@@ -224,8 +240,12 @@ def counting():
     ``quadrature.adaptive_segment``, one panel each, and
     ``quadrature.integrand.calls`` and ``.points`` the calls of their
     integrands and the points evaluated, one per call where the integrand
-    takes a scalar.
+    takes a scalar.  ``compile.calls`` counts the ``compile()`` calls of
+    generated source (a file name in angle brackets, as ``compile_polys``
+    and the step kernels give), not those of modules imported meanwhile.
     """
+    import builtins
+
     from pearcey_wkb import aberth, borel, quadrature, stokes, tracking
     from pearcey_wkb.errors import ContinuationError
 
@@ -322,9 +342,16 @@ def counting():
             return real(f, *args, **kw)
         return wrapper
 
+    def compiled(real):
+        def wrapper(source, filename, *args, **kw):
+            counts["compile.calls"] += str(filename).startswith("<")
+            return real(source, filename, *args, **kw)
+        return wrapper
+
     out = {}
     profile = cProfile.Profile()
     try:
+        patch(builtins, "compile", compiled)
         patch(borel, "monodromy", within("monodromy"))
         patch(borel.SheetField, "anchor", within("anchor"))
         patch(borel, "_cut_jump", within("cut_jump"))
@@ -344,7 +371,12 @@ def counting():
         for owner, name, real in reversed(patched):
             setattr(owner, name, real)
     calls = {where: row[1] for where, row in pstats.Stats(profile).stats.items()}
-    counts.update({key: calls.get(profile_key(target), 0) for key, target in CALLS.items()})
+    for key, target in CALLS.items():
+        try:
+            counts[key] = calls.get(profile_key(target), 0)
+        except AttributeError:
+            if key not in NEWER:
+                raise
     out.update(sorted((k, v) for k, v in counts.items() if v))
 
 
@@ -383,15 +415,58 @@ def count_layers() -> dict:
     return out
 
 
-def count_plan(plan: list) -> dict:
-    """Counts of one workload plan's CLI calls."""
-    from pearcey_wkb.cli import main
+def run_plan(plan: list) -> None:
+    """One workload plan's CLI calls, their output discarded, as
+    ``perfbench/child.py`` runs them."""
+    from child import run_call
 
-    with tempfile.TemporaryDirectory() as d, counting() as counts:
+    with tempfile.TemporaryDirectory() as d:
         for argv in plan:
-            if main(["--out-dir", d, "--no-timestamp", *argv]) != 0:
-                raise SystemExit(f"nonzero exit: {argv}")
+            rc, _, err = run_call(["--out-dir", d, "--no-timestamp", *argv])
+            if rc != 0:
+                raise SystemExit(f"exit {rc}: {argv}: {err}")
+
+
+def _warm_up(workload: str) -> None:
+    """The workload's seed-5 plan, then ``geometry._labeled_point``'s cache
+    cleared: what a process has paid once before a seed-1 plan."""
+    import workloads
+
+    from pearcey_wkb import geometry
+
+    run_plan(workloads.plan(workload, 5))
+    geometry._labeled_point.cache_clear()
+
+
+def count_plan(plan: list, warm_workload: str | None = None) -> dict:
+    """Counts of one workload plan's CLI calls, after ``_warm_up`` of
+    ``warm_workload`` if one is named."""
+    if warm_workload:
+        _warm_up(warm_workload)
+    with counting() as counts:
+        run_plan(plan)
     return counts
+
+
+def plan_layers(workload: str) -> tuple[str, str]:
+    """The names of a workload's seed-1 plan layers, fresh and warm."""
+    return f"{workload} seed-1 plan, fresh", f"{workload} seed-1 plan, after seed 5"
+
+
+def time_plan(workload: str, warm: bool) -> dict:
+    """The seed-1 plan of ``workload`` timed once in this interpreter, fresh
+    or after ``_warm_up``, as ``time_layers`` gives a layer: its microseconds
+    and the mean of the calibration loops just before and after it."""
+    from child import calibrate
+    import workloads
+
+    if warm:
+        _warm_up(workload)
+    cal = calibrate(1)
+    start = time.perf_counter()
+    run_plan(workloads.plan(workload, 1))
+    us = 1e6 * (time.perf_counter() - start)
+    return {plan_layers(workload)[warm]: (us, 1e6 * statistics.mean(cal + calibrate(1)))}
 
 
 def fresh(src_root: str, call: str):
@@ -405,11 +480,22 @@ def fresh(src_root: str, call: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def layer_row(name: str, samples: dict, counts: dict) -> dict:
+def sample(src_root: str) -> dict:
+    """One sample of a tree: ``time_layers()`` in a fresh interpreter, and
+    each plan layer of ``time_plan`` in one of its own."""
+    out = fresh(src_root, "time_layers()")
+    for w in WORKLOADS:
+        for warm in (False, True):
+            out.update(fresh(src_root, f"time_plan({w!r}, {warm})"))
+    return out
+
+
+def layer_row(name: str, samples: dict, counts: dict, runs: int = 1) -> dict:
     """One layer's row from each tree's interpreter samples (the dicts
-    ``time_layers`` returns) and layer counts (``count_layers``): each
-    sample scaled to reference speed by the calibration loop timed next to
-    it, and the raw samples and calibration times beside them."""
+    ``time_layers`` returns), ``runs`` runs of equal length one after the
+    other, and layer counts (``count_layers``): each sample scaled to
+    reference speed by the calibration loop timed next to it, and the raw
+    samples and calibration times beside them."""
     row, raw, cal = {"unit": "us per call at reference speed"}, {}, {}
     for side in samples:
         per, cal_us = zip(*(s[name] for s in samples[side]))
@@ -421,6 +507,8 @@ def layer_row(name: str, samples: dict, counts: dict) -> dict:
         raw[side], cal[side] = spread(per), spread(cal_us)
         row[side] = spread([t * 1e6 * CAL_REF_S / c for t, c in zip(per, cal_us)])
     row["raw"], row["calibration_us"] = raw, cal
+    if runs > 1:
+        row["runs"] = runs
     row["b_faster_pairs"] = sum(b < a for a, b in zip(row["a"]["samples"], row["b"]["samples"]))
     row["resolved"] = resolved(row)
     row["counts"] = {side: counts[side][name] for side in samples}
@@ -434,7 +522,22 @@ def spread(samples: list) -> dict:
 
 
 def resolved(row: dict) -> bool:
-    """Whether a layer's A and B times differ beyond noise (module docstring)."""
+    """Whether a layer's A and B times differ beyond noise, the same way in
+    each of its runs (module docstring)."""
+    runs = row.get("runs", 1)
+    if runs == 1:
+        return _direction(row) != 0
+    n = len(row["a"]["samples"]) // runs
+    ways = set()
+    for k in range(runs):
+        a, b = (row[side]["samples"][k * n:(k + 1) * n] for side in "ab")
+        ways.add(_direction({"a": spread(a), "b": spread(b),
+                             "b_faster_pairs": sum(y < x for x, y in zip(a, b))}))
+    return len(ways) == 1 and 0 not in ways
+
+
+def _direction(row: dict) -> int:
+    """+1 if one run resolves B slower than A, -1 if faster, else 0."""
     a, b = row["a"], row["b"]
     slower = 1 if b["median"] > a["median"] else -1  # the direction of B's median
     wins = row["b_faster_pairs"]
@@ -443,8 +546,9 @@ def resolved(row: dict) -> bool:
     half = len(a["samples"]) // 2
     halves = [(_inner(a["samples"][s]), _inner(b["samples"][s]))
               for s in (slice(None, half), slice(half, None))]
-    return wins >= WINS_TO_RESOLVE and all(
+    apart = wins >= WINS_TO_RESOLVE and all(
         _apart(x, y, slower) for x, y in [(a, b), *halves])
+    return slower if apart else 0
 
 
 def _inner(samples: list) -> dict:
@@ -468,23 +572,32 @@ def main() -> None:
     label = sys.argv[3]
     import workloads
 
-    samples = {side: [] for side in trees}
+    runs = {side: [[] for _ in range(RUNS)] for side in trees}
     for k in range(REPEAT):
-        for side in ("ab" if k % 2 == 0 else "ba"):
-            samples[side].append(fresh(trees[side], "time_layers()"))
+        order = "ab" if k % 2 == 0 else "ba"
+        for r in range(RUNS):  # ABBA or BAAB
+            for side in (order if r % 2 == 0 else order[::-1]):
+                runs[side][r].append(sample(trees[side]))
         print(f"pair {k + 1}/{REPEAT}", file=sys.stderr)
+    samples = {side: [s for run in runs[side] for s in run] for side in trees}
     counts = {side: fresh(src, "count_layers()") for side, src in trees.items()}
-    plans = {w: {side: fresh(src, f"count_plan({workloads.plan(w, 1)!r})")
-                 for side, src in trees.items()} for w in WORKLOADS}
+    plans = {}
+    for w in WORKLOADS:
+        plan = workloads.plan(w, 1)
+        fresh_name, warm_name = plan_layers(w)
+        plans[w] = {side: fresh(src, f"count_plan({plan!r})") for side, src in trees.items()}
+        for side, src in trees.items():
+            counts[side][fresh_name] = plans[w][side]
+            counts[side][warm_name] = fresh(src, f"count_plan({plan!r}, {w!r})")
 
     layers = {}
-    for name in CASES:
-        row = layers[name] = layer_row(name, samples, counts)
+    for name in [*CASES, *(n for w in WORKLOADS for n in plan_layers(w))]:
+        row = layers[name] = layer_row(name, samples, counts, RUNS)
         print(f"{name:32s} A {row['a']['median']:10.3f} [{row['a']['q1']:.3f}, "
               f"{row['a']['q3']:.3f}]  B {row['b']['median']:10.3f}  "
               f"B/A {row['b']['median'] / row['a']['median']:.3f}  "
               f"{'resolved' if row['resolved'] else 'unresolved'}  {row['unit']}")
-    equal = counts["a"] == counts["b"] and all(p["a"] == p["b"] for p in plans.values())
+    equal = counts["a"] == counts["b"]
     for w, p in plans.items():
         print(w, json.dumps(p["a"]) if p["a"] == p["b"] else json.dumps(p))
     print("counts equal" if equal else "COUNTS DIFFER")
@@ -493,6 +606,7 @@ def main() -> None:
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "pairs": REPEAT,
+        "runs": RUNS,
         "counts_equal": equal,
         "layers": layers,
         "seed1_plans": plans,

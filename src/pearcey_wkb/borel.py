@@ -132,7 +132,7 @@ def quartic_spec(chart: str) -> QuarticSpec:
     if chart not in ("xy", "st"):
         raise ValidationError("chart must be 'xy' or 'st'")
     polys = _xy_quartic_polys() if chart == "xy" else _st_quartic_polys()
-    return QuarticSpec(chart, compile_polys(polys))
+    return QuarticSpec(chart, compile_polys(polys, f"quartic, {chart} chart"))
 
 
 # -- sheet permutations ----------------------------------------------------------
@@ -771,10 +771,11 @@ def borel_operator(op_id: int) -> BorelOperatorSpec:
 
 
 @functools.cache
-def _operator_line(op_id: int):
-    """One operator and its coefficients compiled as one list."""
-    op = borel_operator(op_id)
-    return op, compile_polys([c for c, _ in op.table])
+def _operator_line():
+    """The four operators and the coefficients of all of them compiled as
+    one list, operator after operator."""
+    ops = [borel_operator(op_id) for op_id in (1, 2, 3, 4)]
+    return ops, compile_polys([c for op in ops for c, _ in op.table], "borel operators")
 
 
 _QUARTIC_GVARS = ("x1", "x2", "y", "g")
@@ -792,16 +793,17 @@ def _quartic_in_g() -> MultiPoly:
 @functools.cache
 def _quartic_jet():
     """Keys, coefficient scale and compiled values of the quartic F in g and
-    its partials: key () is F, (v,) is dF/dv and (v, w) is d2F/dv dw."""
+    the partials ``implicit_jet`` reads: key () is F, (v,) is dF/dv and
+    (v, w) is d2F/dv dw for v not after w in ``_QUARTIC_GVARS``."""
     F = _quartic_in_g()
     polys = {(): F}
     for v in _QUARTIC_GVARS:
         polys[(v,)] = F.derivative(v)
-    for v in _QUARTIC_GVARS:
-        for w in _QUARTIC_GVARS:
+    for i, v in enumerate(_QUARTIC_GVARS):
+        for w in _QUARTIC_GVARS[i:]:
             polys[(v, w)] = polys[(v,)].derivative(w)
     scale = sum(abs(complex(c)) for c in F.terms.values()) or 1.0
-    return tuple(polys), scale, compile_polys(list(polys.values()))
+    return tuple(polys), scale, compile_polys(list(polys.values()), "quartic jet")
 
 
 def implicit_jet(x: PlanePoint, y: complex, g: complex) -> dict:
@@ -854,12 +856,13 @@ def verify_annihilation(x: PlanePoint, y: complex) -> tuple[float, ...]:
     g_value = field.g(field.track_y_polyline([complex(y)])[3])
     jets = implicit_jet(x, y, g_value)
     point = (complex(x.x1), complex(x.x2), complex(y))
+    ops, evaluate = _operator_line()
+    values = iter(evaluate(*point))
     residuals = []
-    for op_id in (1, 2, 3, 4):
-        op, evaluate = _operator_line(op_id)
+    for op in ops:
         acc = 0j
         scale = 0.0
-        for c, (_, multi) in zip(evaluate(*point), op.table):
+        for (_, multi), c in zip(op.table, values):  # the table first: zip stops on it
             term = c * _derivative_from_jets(jets, multi)
             acc += term
             scale += abs(term)

@@ -111,9 +111,9 @@ def _ensure_out(cfg: RunConfig) -> str:
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
     path = os.path.join(_ensure_out(cfg), name)
     doc = {"meta": cfg.meta(), **payload}
+    text = json.dumps(doc, indent=1, sort_keys=True)  # one write, not json.dump's chunks
     with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
     return path
 
 def _write_csv(cfg: RunConfig, name: str, chunks) -> str:

@@ -303,7 +303,7 @@ class MultiPoly:
         for e, c in self.terms.items():
             coeffs[e[i]][e[:i] + e[i + 1 :]] = c
         rest = self.variables[:i] + self.variables[i + 1 :]
-        return compile_polys([MultiPoly(rest, t) for t in coeffs])
+        return compile_polys([MultiPoly(rest, t) for t in coeffs], f"coefficients in {name}")
 
     def leading_coeff(self, name: str) -> "MultiPoly":
         return self.as_univariate(name)[-1]
@@ -397,7 +397,7 @@ def _overflow(variables, values) -> NumericError:
     return NumericError(f"coefficient evaluation overflows at {at}")
 
 
-def compile_polys(polys):
+def compile_polys(polys, label: str = "compile_polys"):
     """One straight-line function evaluating every polynomial of ``polys``.
 
     All polynomials share one variable tuple.  The function takes one value
@@ -410,7 +410,8 @@ def compile_polys(polys):
     :func:`eval_grid` stacks the values into one array.  A wrong number of
     values raises ``ValidationError``; a power that overflows (a Python
     complex one raises ``OverflowError``) raises ``NumericError`` naming
-    the values.
+    the values.  The source is compiled under the file name ``<label>``, so
+    that a traceback or a count of ``compile()`` calls names the list.
     """
     variables = polys[0].variables
     if any(p.variables != variables for p in polys):
@@ -436,7 +437,7 @@ def compile_polys(polys):
         f"    return [{', '.join(f'c{j}' for j in range(len(polys)))}]",
     ]
     namespace = {"ValidationError": ValidationError, "_overflow": _overflow}
-    exec(compile("\n".join(lines), "<compile_polys>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<{label}>", "exec"), namespace)
     return namespace["evaluate"]
 
 

@@ -11,7 +11,11 @@ recurrences
     S_j^(2) = sum_{m=0}^{j+1} S_{m-1}^(1) S_{j-m}^(1) + d1 S_{j-1}^(1),
 
 (indices range over -1 <= j_i < j) close over the ring of ``ZetaRational``
-elements, so the whole table is exact.
+elements, so the whole table is exact.  Each sum is reduced once
+(``ZetaRational.sum``: one common denominator, one reduction), each
+unordered pair S_a S_b is multiplied once, and each pair sum over
+a + b = q is kept in the table, so an order costs one reduction per sum it
+forms rather than one per addition.
 
 Primitives of the closed 1-form omega = S^(1) dx1 + S^(2) dx2 fixed by the
 weighted-homogeneity constraint are
@@ -41,7 +45,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import PlanePoint, labeled_point, reference_zetas
-from .zeta_ring import ZetaRational
+from .zeta_ring import ZetaRational, compile_rationals
 
 
 def gamma_half_ratio(j: int) -> Fraction:
@@ -49,15 +53,32 @@ def gamma_half_ratio(j: int) -> Fraction:
     return Fraction(factorial(2 * j), 4**j * factorial(j))
 
 
+class _FLine:
+    """The f list of one table and its values compiled as one function
+    (``compile_rationals``), built on first use; the table's truncated
+    copies share it, since their f lists are its prefixes."""
+
+    __slots__ = ("f", "values")
+
+    def __init__(self, f: list):
+        self.f, self.values = f, None
+
+    def serves(self, f: list) -> bool:
+        """Whether ``f`` is a prefix of this line's list, object for object."""
+        return len(f) <= len(self.f) and all(a is b for a, b in zip(f, self.f))
+
+
 @dataclass
 class WkbSeriesTable:
     """Exact series data up to order N.
 
     Lists are indexed by j + 1 for j = -1 .. N (``s1``, ``s2``, ``prim``,
-    ``d1s1`` holding d1 S_j^(1)) and by j for j = 0 .. N (``f``, holding
-    f_j/f_0).  The j = 0 primitive is the logarithm
-    -(1/2) log(6 zeta^2 + x2); its slot in ``prim`` is None and the log data
-    lives in ``log_multiplier`` / ``log_argument``.
+    ``d1s1`` holding d1 S_j^(1), ``pair_sums`` holding the sum of
+    S_a^(1) S_b^(1) over a + b = j - 1, so that S_j^(2) is that sum plus
+    d1 S_(j-1)^(1)) and by j for j = 0 .. N (``f``, holding f_j/f_0).  The
+    j = 0 primitive is the logarithm -(1/2) log(6 zeta^2 + x2); its slot in
+    ``prim`` is None and the log data lives in ``log_multiplier`` /
+    ``log_argument``.
     """
 
     order: int
@@ -68,6 +89,8 @@ class WkbSeriesTable:
     log_multiplier: Fraction = Fraction(-1, 2)
     log_argument: ZetaRational = None
     d1s1: list = field(default_factory=list)
+    pair_sums: list = field(default_factory=list)
+    f_line: _FLine | None = field(default=None, repr=False, compare=False)
 
     def s1_at(self, j: int) -> ZetaRational:
         return self.s1[j + 1]
@@ -79,6 +102,17 @@ class WkbSeriesTable:
         if j == 0:
             raise ValidationError("order-0 primitive is logarithmic; use log fields")
         return self.prim[j + 1]
+
+    def f_values(self, zeta0: complex, x20: complex) -> list[complex]:
+        """f_0/f_0 .. f_N/f_0 at one point, bitwise ``ZetaRational.eval`` of
+        each, from one compiled function per table: a truncated copy reads
+        the first values of the table it was cut from."""
+        line = self.f_line
+        if line is None or not line.serves(self.f):
+            line = self.f_line = _FLine(self.f)
+        if line.values is None:
+            line.values = compile_rationals(line.f, f"series numerators f_0..f_{len(line.f) - 1}")
+        return line.values(zeta0, x20)[: len(self.f)]
 
     def truncated(self, order: int) -> "WkbSeriesTable":
         """A copy with fresh lists holding orders -1 .. ``order``."""
@@ -93,6 +127,7 @@ class WkbSeriesTable:
             prim=self.prim[:n],
             f=self.f[: order + 1],
             d1s1=self.d1s1[:n],
+            pair_sums=self.pair_sums[:n],
         )
 
     def to_json(self) -> dict:
@@ -137,11 +172,13 @@ def _order_zero_table() -> WkbSeriesTable:
     zeta = ZetaRational.zeta()
     d = _denominator()
     s0 = d.derive("d1") * ZetaRational.const(1).over_d(1) * Fraction(-1, 2)
-    table = WkbSeriesTable(order=0, s1=[zeta, s0], s2=[zeta * zeta], log_argument=d)
+    table = WkbSeriesTable(order=0, s1=[zeta, s0], log_argument=d)
     table.d1s1 = [z.derive("d1") for z in table.s1]
-    table.s2.append(_s2_term(table, 0))
+    table.pair_sums = [_pair_sum(table.s1_at, -1, q) for q in (-2, -1)]
+    table.s2 = [table.pair_sums[0], table.pair_sums[1] + table.d1s1[0]]
     table.prim = [_primitive(table, -1), None]
     table.f = [ZetaRational.const(1)]
+    table.f_line = _FLine(table.f)
     return table
 
 
@@ -149,44 +186,41 @@ def _add_order(table: WkbSeriesTable, j: int) -> WkbSeriesTable:
     """``table`` (built through j - 1) extended by order j >= 1.
 
     The result has fresh lists and ``table`` is left as it was, so a failure
-    part way through cannot leave a half-extended table behind.
+    part way through cannot leave a half-extended table behind.  Each sum
+    is reduced once (``ZetaRational.sum``).
     """
     S = table.s1_at
 
     def dS(i):
         return table.d1s1[i + 1]
 
-    def pair_sum(q):  # sum_{a+b=q} S_a S_b, read off S_(q+1)^(2) = pair_sum(q) + d1 S_q
-        return table.s2_at(q + 1) - dS(q)
+    def pair_sum(q):  # sum_{a+b=q} S_a S_b, computed once with S_(q+1)^(2)
+        return table.pair_sums[q + 2]
 
     # triple sum by its first factor: for j1 >= 0 the other two form a whole
     # pair sum; for j1 = -1 they sum to j - 1 without the unknown S_j
-    rest = ZetaRational.zero()
-    for j2 in range(0, j):
-        rest = rest + S(j2) * S(j - 1 - j2)
-    triple = S(-1) * rest
-    for j1 in range(0, j):
-        triple = triple + S(j1) * pair_sum(j - 2 - j1)
-    pair = ZetaRational.zero()
-    for j1 in range(-1, j):
-        j2 = j - 2 - j1
-        if -1 <= j2 < j:
-            pair = pair + S(j1) * dS(j2)
-    bracket = triple + pair * 3 + dS(j - 2).derive("d1")
-    sj = (bracket * Fraction(-2)).over_d(1)
+    terms = [S(-1) * _pair_sum(S, 0, j - 1)]
+    terms += [S(j1) * pair_sum(j - 2 - j1) for j1 in range(0, j)]
+    terms += [S(j1) * dS(j - 2 - j1) * 3 for j1 in range(-1, j)]
+    terms.append(dS(j - 2).derive("d1"))
+    sj = (ZetaRational.sum(terms) * Fraction(-2)).over_d(1)
     out = replace(table, order=j, s1=table.s1 + [sj], d1s1=table.d1s1 + [sj.derive("d1")])
-    out.s2 = table.s2 + [_s2_term(out, j)]
+    pair = _pair_sum(out.s1_at, -1, j - 1)
+    out.pair_sums = table.pair_sums + [pair]
+    out.s2 = table.s2 + [pair + out.d1s1[j]]
     out.prim = table.prim + [_primitive(out, j)]
     out.f = table.f + [_exp_term(out, table.f, j)]
+    out.f_line = _FLine(out.f)
     return out
 
 
-def _s2_term(table: WkbSeriesTable, j: int) -> ZetaRational:
-    """S_j^(2) = sum_{m=0}^{j+1} S_{m-1}^(1) S_{j-m}^(1) + d1 S_{j-1}^(1)."""
-    acc = ZetaRational.zero()
-    for m in range(0, j + 2):
-        acc = acc + table.s1_at(m - 1) * table.s1_at(j - m)
-    return acc + table.d1s1[j]
+def _pair_sum(S, lo: int, q: int) -> ZetaRational:
+    """sum_{a+b=q, a,b >= lo} S(a) S(b), each unordered pair multiplied once."""
+    terms = []
+    for a in range(lo, q // 2 + 1):
+        t = S(a) * S(q - a)
+        terms.append(t if 2 * a == q else t * 2)
+    return ZetaRational.sum(terms)
 
 
 def _primitive(table: WkbSeriesTable, j: int) -> ZetaRational:
@@ -204,10 +238,8 @@ def varpi(table: WkbSeriesTable) -> ZetaRational:
 def _exp_term(table: WkbSeriesTable, f: list, k: int) -> ZetaRational:
     """f_k = (1/k) sum_{j=1..k} j a_j f_{k-j} for f = exp(sum_j a_j eta^(-j)),
     a_j = int omega_j, from f_0 .. f_{k-1}."""
-    acc = ZetaRational.zero()
-    for j in range(1, k + 1):
-        acc = acc + table.prim_at(j) * f[k - j] * j
-    return acc * Fraction(1, k)
+    terms = [table.prim_at(j) * f[k - j] * j for j in range(1, k + 1)]
+    return ZetaRational.sum(terms) * Fraction(1, k)
 
 
 def nonlinear_residual_orders(table: WkbSeriesTable) -> dict[int, ZetaRational]:
@@ -227,23 +259,17 @@ def nonlinear_residual_orders(table: WkbSeriesTable) -> dict[int, ZetaRational]:
     dds = {j: v.derive("d1") for j, v in ds.items()}
     out = {}
     for J in range(-3, n - 1):
-        acc = ZetaRational.zero()
-        for j1 in s:
-            for j2 in s:
-                j3 = J - j1 - j2
-                if j3 in s:
-                    acc = acc + s[j1] * s[j2] * s[j3] * 4
+        terms = [
+            s[j1] * s[j2] * s[J - j1 - j2] * 4 for j1 in s for j2 in s if J - j1 - j2 in s
+        ]
         if J + 2 in s:
-            acc = acc + x2 * s[J + 2] * 2
+            terms.append(x2 * s[J + 2] * 2)
         if J == -3:
-            acc = acc + x1
-        for j1 in s:
-            j2 = J - j1
-            if j2 in ds:
-                acc = acc + s[j1] * ds[j2] * 12
+            terms.append(x1)
+        terms += [s[j1] * ds[J - j1] * 12 for j1 in s if J - j1 in ds]
         if J in dds:
-            acc = acc + dds[J] * 4
-        out[J] = acc
+            terms.append(dds[J] * 4)
+        out[J] = ZetaRational.sum(terms)
     return out
 
 
@@ -303,10 +329,10 @@ def borel_coeffs(
     x2 = complex(x.x2)
     f0 = point.f0(ell)
     sqrt_pi = sqrt(pi)
-    coeffs = []
-    for j in range(order + 1):
-        fj = table.f[j].eval(z0, x2)
-        coeffs.append(fj * f0 / (sqrt_pi * float(gamma_half_ratio(j))))
+    coeffs = [
+        fj * f0 / (sqrt_pi * float(gamma_half_ratio(j)))
+        for j, fj in enumerate(table.f_values(z0, x2)[: order + 1])
+    ]
     return BorelCoeffTable(ell=ell, x=x, base=point.us[ell], coeffs=coeffs)
 
 
@@ -321,8 +347,7 @@ def scaled_expansion(ell: int, order: int, table: WkbSeriesTable | None = None):
     z0 = reference_zetas(1.0)[ell - 1]
     f0 = reference_f0(ell)
     sqrt_pi = sqrt(pi)
-    out = []
-    for j in range(order + 1):
-        fj = table.f[j].eval(z0, 0.0)
-        out.append(fj * f0 / (sqrt_pi * float(gamma_half_ratio(j))))
-    return out
+    return [
+        fj * f0 / (sqrt_pi * float(gamma_half_ratio(j)))
+        for j, fj in enumerate(table.f_values(z0, 0.0)[: order + 1])
+    ]

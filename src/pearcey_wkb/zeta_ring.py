@@ -25,11 +25,12 @@ primitive.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import EvaluationError
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, compile_polys
 
 VARS = ("zeta", "x2")
 
@@ -215,25 +216,33 @@ class ZetaRational:
 
     # -- arithmetic ---------------------------------------------------------
 
+    @classmethod
+    def sum(cls, items) -> "ZetaRational":
+        """The sum of ``items``, reduced once.
+
+        Every term is brought to one integer scalar denominator and to the
+        highest power of d among them, the integer numerators are added, and
+        the total is reduced: as the canonical form is unique, that is the
+        element repeated ``+`` gives, for one reduction instead of one per
+        addition.
+        """
+        items = [z for z in items if not z.is_zero()]
+        if len(items) < 2:
+            return items[0] if items else cls.zero()
+        den = lcm(*(z.scalar.denominator for z in items))
+        cs = [z.scalar.numerator * (den // z.scalar.denominator) for z in items]
+        g = gcd(*cs)
+        m = max(z.denom_power for z in items)
+        acc: dict = {}
+        for z, c in zip(items, cs):
+            k = m - z.denom_power
+            _add_into(acc, _mul_terms(z.terms, _d_power(k)) if k else z.terms, c // g, (0, 0))
+        return _make(*_reduce(acc, m, Fraction(g, den)))
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ZetaRational.const(other)
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        # bring both scalars to one integer denominator, both numerators to d^m
-        sa, sb = self.scalar, other.scalar
-        den = lcm(sa.denominator, sb.denominator)
-        ca = sa.numerator * (den // sa.denominator)
-        cb = sb.numerator * (den // sb.denominator)
-        g = gcd(ca, cb)
-        m = max(self.denom_power, other.denom_power)
-        acc: dict = {}
-        for z, c in ((self, ca // g), (other, cb // g)):
-            k = m - z.denom_power
-            _add_into(acc, _mul_terms(z.terms, _d_power(k)) if k else z.terms, c, (0, 0))
-        return _make(*_reduce(acc, m, Fraction(g, den)))
+        return ZetaRational.sum((self, other))
 
     __radd__ = __add__
 
@@ -304,11 +313,7 @@ class ZetaRational:
 
     def eval(self, zeta0: complex, x20: complex) -> complex:
         """Numeric evaluation; errors out at/near the turning locus d = 0."""
-        d = 6 * complex(zeta0) ** 2 + complex(x20)
-        if abs(d) < _DENOM_FLOOR:
-            raise EvaluationError(
-                f"evaluation at/near turning point: |6 zeta^2 + x2| = {abs(d):.3e}"
-            )
+        d = _d_value(zeta0, x20)
         n = self.num.eval_numeric({"zeta": zeta0, "x2": x20})
         return complex(self.scalar) * n / d**self.denom_power
 
@@ -330,6 +335,32 @@ class ZetaRational:
         )
 
 
+def _d_value(zeta0: complex, x20: complex) -> complex:
+    """d = 6 zeta^2 + x2 at a point; ``EvaluationError`` at/near d = 0."""
+    d = 6 * complex(zeta0) ** 2 + complex(x20)
+    if abs(d) < _DENOM_FLOOR:
+        raise EvaluationError(
+            f"evaluation at/near turning point: |6 zeta^2 + x2| = {abs(d):.3e}"
+        )
+    return d
+
+
+def compile_rationals(items, label: str) -> Callable:
+    """One function of (zeta, x2) returning the value of every element of
+    ``items``, bitwise ``ZetaRational.eval`` of each: the numerators are
+    compiled as one list (``compile_polys``, under ``label``), and the same
+    check of d raises ``EvaluationError`` near the turning locus."""
+    evaluate = compile_polys([z.num for z in items], label)
+    parts = [(complex(z.scalar), z.denom_power) for z in items]
+
+    def values(zeta0: complex, x20: complex) -> list[complex]:
+        d = _d_value(zeta0, x20)
+        nums = evaluate(complex(zeta0), complex(x20))
+        return [s * n / d**m for (s, m), n in zip(parts, nums)]
+
+    return values
+
+
 def homogeneity_residual(f: ZetaRational, weight: int) -> ZetaRational:
     """Euler-type residual 3*x1*d1(f) + 2*x2*d2(f) + weight*f.
 
@@ -339,4 +370,6 @@ def homogeneity_residual(f: ZetaRational, weight: int) -> ZetaRational:
     """
     x1 = ZetaRational.x1()
     x2 = ZetaRational.x2()
-    return x1 * f.derive("d1") * 3 + x2 * f.derive("d2") * 2 + f * Fraction(weight)
+    return ZetaRational.sum(
+        (x1 * f.derive("d1") * 3, x2 * f.derive("d2") * 2, f * Fraction(weight))
+    )

@@ -355,6 +355,56 @@ def test_verify_and_quadrature_leave_numpy_random_and_polynomial_unloaded(tmp_pa
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_one_compile_per_family_in_a_fresh_process(tmp_path):
+    # series, verify and borel in one fresh process: each generated source
+    # (a step kernel of one degree, the quartic jet, the operator list, the
+    # numerators of one series table, ...) is compiled once, under its name
+    import pearcey_wkb
+
+    code = "\n".join([
+        "import builtins, collections, json",
+        "names = collections.Counter()",
+        "real = builtins.compile",
+        "def counted(source, filename, *args, **kw):",
+        "    names[filename] += str(filename).startswith('<')",
+        "    return real(source, filename, *args, **kw)",
+        "builtins.compile = counted",
+        "from pearcey_wkb.cli import main",
+        f"out = {str(tmp_path)!r}",
+        "assert main(['--out-dir', out, 'series', '--order', '10']) == 0",
+        "assert main(['--out-dir', out, 'verify']) == 0",
+        "assert main(['--out-dir', out, 'borel', '--x1=1.2252,0.0451', '--x2=-0.0934,0.1130',"
+        " '--y=-0.1922,-0.4663', '--ell', '2']) == 0",
+        "print(json.dumps({k: v for k, v in names.items() if v}))",
+    ])
+    src = str(Path(pearcey_wkb.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(proc.stdout.splitlines()[-1])
+    assert set(names.values()) == {1}, names
+    # the order-10 table serves verify's order 6 and borel's order 8 too
+    assert {"<step kernel, degree 4>", "<quartic jet>", "<borel operators>",
+            "<series numerators f_0..f_10>"} <= set(names)
+    assert not any(n.startswith("<series numerators") for n in set(names) - {
+        "<series numerators f_0..f_10>"})
+    # and the coefficients it evaluates are ZetaRational.eval's, bit for bit
+    from math import pi, sqrt
+
+    from pearcey_wkb.wkb_series import borel_coeffs, build_series, gamma_half_ratio
+
+    table = build_series(10)
+    for x, ell, order in [(geometry.PlanePoint(1.2252 + 0.0451j, -0.0934 + 0.1130j), 2, 8),
+                          (geometry.PlanePoint(1.0, 0.1), 3, 10),
+                          (geometry.PlanePoint(0.9302 + 0.0628j, -0.0317 - 0.0849j), 1, 6)]:
+        point = geometry.labeled_point(x)
+        z0, f0 = point.zetas[ell], point.f0(ell)
+        want = [table.f[j].eval(z0, complex(x.x2)) * f0 / (sqrt(pi) * float(gamma_half_ratio(j)))
+                for j in range(order + 1)]
+        assert borel_coeffs(x, ell, order).coeffs == want
+
+
 QUADRATURE = ["quadrature", "--x1", "1", "--x2", "0"]
 
 

@@ -8,9 +8,11 @@ quadrature panels are counted with the integrand points they evaluate.
 Samples are scaled to reference speed by the calibration loop timed in
 the same interpreter.  Its ``resolved`` rule needs both a median gap
 beyond the larger interquartile spread and 9 of 10 pairs won, and the
-gap again in each half of the pairs, so bimodal samples of identical code
-read unresolved; every run stored in ``BENCH_layers.json`` reads as that
-rule says."""
+gap again in each half of the pairs, in each of its runs and the same way,
+so bimodal samples of identical code read unresolved; every run stored in
+``BENCH_layers.json`` reads as that rule says.  The seed-1 plan layers run
+a workload's plan fresh and after its seed-5 plan, and the counts include
+``compile()`` calls of generated source and the exact sums and reductions."""
 
 import importlib.util
 import json
@@ -225,3 +227,60 @@ def test_stored_runs_follow_the_rule(time_layers):
     for run in runs:
         for name, row in run["layers"].items():
             assert row["resolved"] == time_layers.resolved(row), (run["label"], name)
+
+
+def test_each_run_must_resolve_the_same_way(time_layers):
+    # two runs of ten pairs, the samples of each tree run after run
+    a = [10.0, 10.2, 10.4, 10.1, 10.3, 10.0, 10.2, 10.4, 10.1, 10.3]
+    faster = [x - 1.0 for x in a]
+
+    def row(b_first, b_second):
+        out = _row(time_layers, a + a, b_first + b_second)
+        out["runs"] = 2
+        return out
+
+    assert time_layers.resolved(row(faster, faster))
+    # one run alone, lined up by chance, resolves nothing
+    assert not time_layers.resolved(row(faster, a[::-1]))
+    # nor two runs that disagree
+    assert not time_layers.resolved(row(faster, [x + 1.0 for x in a]))
+    # layer_row marks its runs
+    name = "cubic, 1 cell"
+    ref_us = 1e6 * time_layers.CAL_REF_S
+    samples = {side: [{name: (x, ref_us)} for x in xs + xs]
+               for side, xs in (("a", a), ("b", faster))}
+    counts = {side: {name: {}} for side in "ab"}
+    out = time_layers.layer_row(name, samples, counts, runs=2)
+    assert out["runs"] == 2 and out["resolved"]
+    assert "runs" not in time_layers.layer_row(name, samples, counts)
+
+
+def test_compiles_sums_and_reductions_are_counted(time_layers):
+    import builtins
+
+    from pearcey_wkb import zeta_ring
+    from pearcey_wkb.multipoly import MultiPoly, compile_polys
+
+    real = builtins.compile
+    x = MultiPoly.var(("x",), "x")
+    one = zeta_ring.ZetaRational.const(1)
+    with time_layers.counting() as counts:
+        compile_polys([x * 2])
+        compile("y = 1", "module.py", "exec")  # not generated source
+        zeta_ring.ZetaRational.sum([one, zeta_ring.ZetaRational.zeta(), one])
+    assert builtins.compile is real
+    assert counts["compile.calls"] == 1
+    assert counts["calls.ZetaRational.sum"] == 1
+    assert counts["calls.zeta_ring._reduce"] == 1
+    assert "calls.ZetaRational.__add__" not in counts
+
+
+def test_plan_layers_time_and_count_a_workload_plan(time_layers):
+    import workloads
+
+    fresh_name, warm_name = time_layers.plan_layers("borel_sums")
+    (name, (us, cal_us)), = time_layers.time_plan("borel_sums", True).items()
+    assert name == warm_name and us > 0 and cal_us > 0
+    counts = time_layers.count_plan(workloads.plan("borel_sums", 1), "borel_sums")
+    # after the seed-5 plan every polynomial family is compiled already
+    assert "compile.calls" not in counts and counts["tracker.laplace.legs"] > 0

@@ -209,7 +209,7 @@ class TestSeriesCache:
             build_series(5)
         assert failures == [5]
         extended = build_series(6)
-        assert extended.to_json() == self.fresh(monkeypatch, 6).to_json()
+        assert extended == self.fresh(monkeypatch, 6)  # pair sums and d1s1 too
 
     def test_copies_are_independent(self, monkeypatch):
         a = self.fresh(monkeypatch, 3)
@@ -255,6 +255,71 @@ SERIES12_SHA256 = "702af12b5f8ca45dd32fa1ef981db9a27a8ef6662dfc34b4500a804a0d7f2
 def test_series_12_golden_hash():
     doc = json.dumps(build_series(12).to_json(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == SERIES12_SHA256
+
+
+# sha256 of build_series(12).to_json() with its d1s1 list added, as JSON with
+# sorted keys, recorded from the tree that reduced after every addition
+SERIES12_FIELDS_SHA256 = "2313fdc6f6c2d15a6c8cd17bca57654a41e4f792e1b21ca970d4bc1404809e8c"
+
+
+class TestSeriesReducedOnce:
+    """Sums reduced once give the table that reducing every addition gave."""
+
+    def test_fields_match_the_per_addition_table(self, monkeypatch):
+        monkeypatch.setattr(wkb_series, "_TABLE", None)
+        table = build_series(12)
+        doc = table.to_json()
+        doc["d1s1"] = [z.to_json() for z in table.d1s1]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == SERIES12_FIELDS_SHA256
+        # each kept pair sum is its sum over a + b = j - 1, added term by term
+        S = table.s1_at
+        for j in range(-1, 13):
+            direct = ZetaRational.zero()
+            for a in range(-1, j + 1):
+                direct = direct + S(a) * S(j - 1 - a)
+            assert table.pair_sums[j + 1] == direct, j
+
+    @pytest.mark.parametrize("sequence", [(12,), (6, 12), (10, 8, 12)])
+    def test_build_sequence_does_not_matter(self, monkeypatch, sequence):
+        monkeypatch.setattr(wkb_series, "_TABLE", None)
+        direct = build_series(12)
+        monkeypatch.setattr(wkb_series, "_TABLE", None)
+        for order in sequence:
+            table = build_series(order)
+        assert table == direct
+        assert nonlinear_residual_orders(table) == {J: ZetaRational.zero() for J in range(-3, 11)}
+
+    def test_a_sum_is_reduced_once(self, monkeypatch):
+        from pearcey_wkb import zeta_ring
+
+        monkeypatch.setattr(wkb_series, "_TABLE", None)
+        reductions = []
+        reduce = zeta_ring._reduce
+        monkeypatch.setattr(zeta_ring, "_reduce", lambda *a: reductions.append(1) or reduce(*a))
+        build_series(10)
+        assert len(reductions) <= 411 // 2  # one per addition gave 411
+
+
+def test_f_values_are_bitwise_eval_through_one_line(monkeypatch):
+    # truncated copies read the compiled line of the table they were cut
+    # from; each value is that of ZetaRational.eval, bit for bit
+    from pearcey_wkb.errors import EvaluationError
+
+    monkeypatch.setattr(wkb_series, "_TABLE", None)
+    full = build_series(10)
+    cut = build_series(6)
+    assert cut.f_line is full.f_line
+    for zeta, x2 in [(0.7 + 0.2j, 0.1 - 0.3j), (-1.3, 0.0), (0.05j, 2.5 + 1j)]:
+        assert cut.f_values(zeta, x2) == [f.eval(zeta, x2) for f in cut.f]
+        assert full.f_values(zeta, x2) == [f.eval(zeta, x2) for f in full.f]
+    assert full.f_line.values is not None and len(full.f_line.f) == 11
+    # a table whose f list is not the line's own gets a line of its own
+    cut.f[3] = cut.f[3] * 2
+    assert cut.f_values(0.7, 0.1) == [f.eval(0.7, 0.1) for f in cut.f]
+    assert cut.f_line is not full.f_line
+    with pytest.raises(EvaluationError, match="turning point"):
+        full.f_values(1j / 6**0.5, 1.0 + 1e-13)
 
 
 def test_f_recurrence_equals_power_expansion(series8):

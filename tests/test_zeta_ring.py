@@ -187,6 +187,30 @@ def test_sum_and_product_match_sympy(a, b):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(zeta_rationals(), max_size=5))
+def test_sum_reduced_once_matches_sympy_and_repeated_addition(items):
+    # one reduction gives the canonical element, so its fields are those
+    # of the left-to-right + chain
+    total = ZetaRational.sum(items)
+    assert_equals_sympy(total, sympy.cancel(sum(zeta_rational_sympy(z) for z in items)))
+    chain = ZetaRational.zero()
+    for z in items:
+        chain = chain + z
+    assert (total.terms, total.denom_power, total.scalar) == (
+        chain.terms, chain.denom_power, chain.scalar)
+
+
+def test_sum_edge_cases():
+    z = _X2_OVER_D2
+    assert ZetaRational.sum([]) == ZetaRational.zero()
+    assert ZetaRational.sum([ZetaRational.zero(), z]) is z
+    assert ZetaRational.sum([z, -z, ZetaRational.zero()]).is_zero()
+    # d cancels out of a sum whose terms have it in their denominators
+    d_over_d3 = ZetaRational.sum([zr({(2, 0): 6}, 3), zr({(0, 1): 1}, 3)])
+    assert d_over_d3 == zr({(0, 0): 1}, 2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(zeta_rationals())
 def test_chart_derivatives_match_sympy(a):
     sa = zeta_rational_sympy(a)
